@@ -5,8 +5,8 @@ from .adaptor import (BlockOp, DiffEntry, PartialFlexList, apply_ops_partial,
                       diff_to_ops, parse_diff, partial_from_proof)
 from .audit import (Challenge, VersionProof, detection_probability,
                     expand_challenge, prove, verify)
-from .core import (NodeStore, SearchPath, build, build_with_levels,
-                   draw_level, search, split_blocks)
+from .core import (NodeStore, SearchPath, build, build_with_levels, search,
+                   split_blocks)
 from .errors import FlexStoreError
 from .hashing import HashScheme, LevelSource
 from .index2 import VersionIndex, VersionRecord
@@ -22,7 +22,7 @@ __all__ = [
     "Repository", "SearchPath", "TraversalState", "VersionIndex",
     "VersionProof", "VersionRecord", "apply_ops_partial", "build",
     "build_with_levels", "detection_probability", "diff_to_ops",
-    "draw_level", "expand_challenge", "materialize", "next_pos", "parse_diff",
+    "expand_challenge", "materialize", "next_pos", "parse_diff",
     "partial_from_proof", "pinsert", "pmodify", "premove", "prove",
     "recompute_path", "search", "split_blocks", "verify",
 ]

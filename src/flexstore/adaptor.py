@@ -1,7 +1,9 @@
 """Client-side machinery: diff translation and partial-list reconstruction.
 
 diff_to_ops turns byte-range edits into block operations against the
-current block layout. An edited block is modified in place while its new
+current block layout; translate_diffs does the same from a block lookup,
+so a server holding the full structure searches for and reads only the
+blocks a diff touches. An edited block is modified in place while its new
 length stays within [1, 2 x block_size]; longer results are re-cut into
 a modify plus inserts, deletions covering whole blocks become removes.
 Op indices are valid at application time: apply the emitted sequence
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import audit, index2, persist, proofs
 from .core import (KIND_LEAF, KIND_SENTINEL, KIND_STUB, Node, NodeStore)
@@ -141,42 +144,52 @@ def diff_to_ops(diffs: list[DiffEntry], layout: list[int], block_size: int,
     layout lists current block lengths; read_range(start, length) serves
     original file bytes (needed to rebuild partially edited blocks).
     """
-    total = sum(layout)
+    starts = list(accumulate(layout, initial=0))
+
+    def locate(byte: int) -> tuple[int, int]:
+        i = bisect_right(starts, byte) - 1
+        return starts[i], layout[i]
+
+    return translate_diffs(diffs, starts[-1], locate, block_size, read_range)
+
+
+def translate_diffs(diffs: list[DiffEntry], total: int, locate,
+                    block_size: int, read_range) -> list[BlockOp]:
+    """Translate diffs into block operations against a file of `total`
+    bytes, looking up only the blocks the diffs touch.
+
+    locate(byte) returns (start, length) of the block holding a byte in
+    [0, total); read_range(start, length) serves original file bytes.
+    """
     validate_diffs(diffs, total)
     diffs = [e for e in diffs if e.span > 0 or e.data]
     if not diffs:
         return []
-    starts = [0]
-    for length in layout:
-        starts.append(starts[-1] + length)
-
-    def block_of(byte: int) -> int:
-        return bisect_right(starts, byte) - 1
-
-    groups: list[list] = []   # [first_block, last_block, entries]
+    if total == 0:
+        ops = []
+        at = 0
+        for chunk in _chunks(b"".join(e.data for e in diffs), block_size):
+            ops.append(BlockOp(INSERT_OP, at, chunk))
+            at += len(chunk)
+        return ops
+    # [first block, last block, entries], a block being (start, length).
+    # Entries are sorted and disjoint, so each starts in or after the last
+    # block of the group before it, and joins that group if it starts in
+    # that block.
+    groups: list[list] = []
     for e in diffs:
-        if total == 0:
-            a = b = -1          # pure inserts into an empty file
-        elif e.kind == INSERT and e.at == total:
-            a = b = len(layout) - 1
-        elif e.span == 0:
-            a = b = block_of(e.at)
-        else:
-            a = block_of(e.at)
-            b = block_of(e.at + e.span - 1)
-        if groups and a <= groups[-1][1]:
-            groups[-1][1] = max(groups[-1][1], b)
+        first = locate(min(e.at, total - 1))
+        last = first if e.span == 0 else locate(e.at + e.span - 1)
+        if groups and first == groups[-1][1]:
+            groups[-1][1] = last
             groups[-1][2].append(e)
         else:
-            groups.append([a, b, [e]])
+            groups.append([first, last, [e]])
 
     ops: list[BlockOp] = []
     delta = 0
-    for a, b, entries in groups:
-        if a < 0:
-            region_start, region_end = 0, 0
-        else:
-            region_start, region_end = starts[a], starts[b] + layout[b]
+    for first, last, entries in groups:
+        region_start, region_end = first[0], last[0] + last[1]
         parts = []
         pos = region_start
         for e in entries:
@@ -186,24 +199,31 @@ def diff_to_ops(diffs: list[DiffEntry], layout: list[int], block_size: int,
         parts.append(read_range(pos, region_end - pos))
         region = b"".join(parts)
         base = region_start + delta
-        if a < 0:
-            for chunk in _chunks(region, block_size):
-                ops.append(BlockOp(INSERT_OP, base, chunk))
-                base += len(chunk)
-        elif not region:
-            for _ in range(a, b + 1):
+        if not region:
+            for _ in range(_count_blocks(locate, first, last)):
                 ops.append(BlockOp(REMOVE_OP, base))
         else:
             chunks = _chunks(region, block_size)
             ops.append(BlockOp(MODIFY_OP, base, chunks[0]))
             at = base + len(chunks[0])
-            for _ in range(a + 1, b + 1):
+            for _ in range(_count_blocks(locate, first, last) - 1):
                 ops.append(BlockOp(REMOVE_OP, at))
             for chunk in chunks[1:]:
                 ops.append(BlockOp(INSERT_OP, at, chunk))
                 at += len(chunk)
         delta += len(region) - (region_end - region_start)
     return ops
+
+
+def _count_blocks(locate, first: tuple[int, int],
+                  last: tuple[int, int]) -> int:
+    """Blocks from `first` through `last`, walked one block at a time."""
+    count = 1
+    pos = first[0] + first[1]
+    while pos <= last[0]:
+        pos += locate(pos)[1]
+        count += 1
+    return count
 
 
 def _chunks(region: bytes, block_size: int) -> list[bytes]:
@@ -380,26 +400,32 @@ def _materialize(store, digest, registry, stub_ranks, ids):
     return node_id
 
 
+def apply_ops(store: NodeStore, scheme: HashScheme, root: int,
+              ops: list[BlockOp], src: LevelSource,
+              version: int) -> tuple[int, LevelSource]:
+    """Apply a block-op batch left to right as one new version; returns
+    the new root id and the advanced level source."""
+    for op in ops:
+        if op.kind == MODIFY_OP:
+            result = persist.pmodify(store, scheme, root, op.index, op.data,
+                                     version)
+        elif op.kind == INSERT_OP:
+            result, src = persist.pinsert(store, scheme, root, op.index,
+                                          op.data, src, version)
+        elif op.kind == REMOVE_OP:
+            result = persist.premove(store, scheme, root, op.index, version)
+        else:
+            raise FormatError(f"unknown block op {op.kind!r}")
+        root = result.new_root
+    return root, src
+
+
 def apply_ops_partial(partial: PartialFlexList, ops: list[BlockOp],
                       src: LevelSource) -> tuple[bytes, LevelSource]:
     """Apply a block-op batch to a partial list; returns the new root
     digest (the value the client feeds its layer-2 replica) and the
     advanced level source. PathNotCovered if the proof was too narrow."""
-    root = partial.root
-    version = partial.version + 1
-    for op in ops:
-        if op.kind == MODIFY_OP:
-            result = persist.pmodify(partial.store, partial.scheme, root,
-                                     op.index, op.data, version)
-        elif op.kind == INSERT_OP:
-            result, src = persist.pinsert(partial.store, partial.scheme,
-                                          root, op.index, op.data, src,
-                                          version)
-        elif op.kind == REMOVE_OP:
-            result = persist.premove(partial.store, partial.scheme, root,
-                                     op.index, version)
-        else:
-            raise FormatError(f"unknown block op {op.kind!r}")
-        root = result.new_root
-    partial.root = root
-    return partial.store.get(root).digest, src
+    partial.root, src = apply_ops(partial.store, partial.scheme,
+                                  partial.root, ops, src,
+                                  partial.version + 1)
+    return partial.root_digest, src

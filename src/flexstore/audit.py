@@ -40,7 +40,7 @@ from .proofs import (STEP_AFTER, STEP_BELOW, STEP_CHAIN, STEP_CHAIN_SENTINEL,
 
 MAGIC_CHALLENGE = b"FXC1"
 MAGIC_PROOF = b"FXP1"
-_MAX_COUNT = 1 << 24  # structural sanity bound for parsed repeat counts
+_MAX_COUNT = 1 << 24  # bound for parsed repeat counts and challenge sizes
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,9 @@ class Challenge:
             raise DomainError(f"challenge seed must be {SEED_BYTES} bytes")
         if self.count < 1:
             raise DomainError("challenge block count must be >= 1")
+        if self.count > _MAX_COUNT:
+            raise DomainError(
+                f"challenge block count must be <= {_MAX_COUNT}")
 
 
 @dataclass(frozen=True)
@@ -249,7 +252,7 @@ def read_challenge(data: bytes) -> Challenge:
     if r.take(4) != MAGIC_CHALLENGE:
         raise FormatError("not a challenge file")
     seed = r.take(SEED_BYTES)
-    count = r.u64()
+    count = r.count()
     nversions = r.count()
     versions = tuple(r.u64() for _ in range(nversions))
     r.done()

@@ -94,6 +94,66 @@ class NodeStore:
     def ids(self):
         return self._nodes.keys()
 
+    @property
+    def next_id(self) -> int:
+        return self._next_id
+
+
+class StagingStore(NodeStore):
+    """In-memory nodes of one commit over a base store.
+
+    Ids from the base's next_id upward live here; lower ids read through
+    to the base. `keep` then moves the nodes one root reaches into the
+    base, so nodes only an intermediate root of a multi-op commit reached
+    are never persisted.
+    """
+
+    def __init__(self, base: NodeStore):
+        super().__init__()
+        self.base = base
+        self.first = self._next_id = base.next_id
+
+    def get(self, node_id: int) -> Node:
+        if node_id < self.first:
+            return self.base.get(node_id)
+        return super().get(node_id)
+
+    def __contains__(self, node_id: int) -> bool:
+        if node_id < self.first:
+            return node_id in self.base
+        return node_id in self._nodes
+
+    def keep(self, root: int) -> tuple[int, int, int]:
+        """Append the staged nodes reachable from root to the base,
+        children first, with links remapped to the base's new ids.
+
+        Returns (root id in the base, nodes appended, distinct base nodes
+        the appended ones link to)."""
+        first = self.first
+        new_ids: dict[int, int] = {}
+        shared: set[int] = set()
+        todo = [(root, False)]
+        while todo:
+            node_id, ready = todo.pop()
+            if node_id in new_ids:
+                continue
+            node = self._nodes[node_id]
+            if not ready:
+                todo.append((node_id, True))
+                for child in (node.below, node.after):
+                    if child is not None and child >= first:
+                        todo.append((child, False))
+                continue
+            links = []
+            for child in (node.below, node.after):
+                if child is not None and child < first:
+                    shared.add(child)
+                links.append(new_ids.get(child, child))
+            new_ids[node_id] = self.base.add(Node(
+                node.kind, node.level, node.rank, links[0], links[1],
+                node.length, node.block, node.version, node.digest))
+        return new_ids[root], len(new_ids), len(shared)
+
 
 def split_blocks(data: bytes, block_size: int) -> list[bytes]:
     """Cut data into block_size pieces; the last piece may be shorter.
@@ -103,12 +163,6 @@ def split_blocks(data: bytes, block_size: int) -> list[bytes]:
     if block_size < 1:
         raise BlockTooSmall("block_size must be >= 1")
     return [data[i:i + block_size] for i in range(0, len(data), block_size)]
-
-
-def draw_level(src: LevelSource) -> tuple[int, LevelSource]:
-    """Draw one tower level from the deterministic stream; returns the
-    level and the advanced source."""
-    return src.draw()
 
 
 def make_leaf(store: NodeStore, scheme: HashScheme, length: int,
@@ -198,10 +252,6 @@ def build(store: NodeStore, scheme: HashScheme, blocks: list[bytes],
     pairs = [(len(b), scheme.block_digest(b)) for b in blocks]
     root = build_with_levels(store, scheme, pairs, levels, version)
     return root, src
-
-
-def rank_of(store: NodeStore, node_id: int) -> int:
-    return store.get(node_id).rank
 
 
 def below_span(node: Node, store: NodeStore) -> int:

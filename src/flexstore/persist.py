@@ -465,12 +465,32 @@ def materialize(store: NodeStore, root: int, get_block) -> bytes:
         leaf = store.get(leaf_id)
         if leaf.kind != KIND_LEAF:
             continue
-        block = get_block(leaf.block)
-        if len(block) != leaf.length:
-            raise StructureCorrupt("stored block length mismatch")
-        parts.append(block)
+        parts.append(_leaf_block(leaf, get_block))
         total += leaf.length
     data = b"".join(parts)
     if total != store.get(root).rank:
         raise StructureCorrupt("materialized length disagrees with rank")
     return data
+
+
+def read_range(store: NodeStore, root: int, start: int, length: int,
+               get_block) -> bytes:
+    """Bytes [start, start + length) of a version, searching for and
+    fetching only the blocks that range covers."""
+    parts = []
+    end = start + length
+    pos = start
+    while pos < end:
+        path = core.search(store, root, pos)
+        leaf = store.get(path.leaf)
+        parts.append(_leaf_block(leaf, get_block)[path.residual:
+                                                  end - path.offset])
+        pos = path.offset + leaf.length
+    return b"".join(parts)
+
+
+def _leaf_block(leaf: Node, get_block) -> bytes:
+    block = get_block(leaf.block)
+    if len(block) != leaf.length:
+        raise StructureCorrupt("stored block length mismatch")
+    return block

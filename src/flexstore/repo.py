@@ -25,7 +25,6 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import adaptor, audit, core, persist, proofs
-from .adaptor import INSERT_OP, MODIFY_OP, REMOVE_OP
 from .core import KIND_LEAF, KIND_STUB, Node, NodeStore
 from .errors import (EmptyCommit, EmptyRegion, IOFailure, PathExists,
                      RepositoryLocked, StructureCorrupt)
@@ -56,12 +55,20 @@ class DurableNodeStore(NodeStore):
     def _load_segment(self, path: Path) -> None:
         data = path.read_bytes()
         pos = 0
-        while pos < len(data):
-            node, node_id, pos = self._decode(data, pos)
-            if node_id != self._next_id:
-                raise StructureCorrupt("node log ids out of sequence")
-            self._nodes[node_id] = node
-            self._next_id = node_id + 1
+        try:
+            while pos < len(data):
+                node, node_id, pos = self._decode(data, pos)
+                if node_id != self._next_id:
+                    raise StructureCorrupt("node log ids out of sequence")
+                self._nodes[node_id] = node
+                self._next_id = node_id + 1
+        except (struct.error, IndexError) as exc:
+            raise StructureCorrupt(f"torn node record in {path.name}") from exc
+        # Slices stop silently at the end of the data, so a record cut
+        # short decodes to an end past it.
+        if pos != len(data):
+            raise StructureCorrupt(f"torn node record at the end of "
+                                   f"{path.name}")
 
     def _decode(self, data: bytes, pos: int):
         node_id, kind, level, rank, version = _RECORD_FIXED.unpack_from(
@@ -131,10 +138,6 @@ class DurableNodeStore(NodeStore):
             path = self.directory / f"segment-{self._segment:06d}.dat"
             self._handle = open(path, "ab")
         return self._handle
-
-    @property
-    def next_id(self) -> int:
-        return self._next_id
 
     def flush(self) -> None:
         if self._handle and not self._handle.closed:
@@ -281,11 +284,20 @@ class Repository:
 
     @contextmanager
     def write_lock(self):
+        """Hold the writer lock: a file created exclusively, holding the
+        writer's pid. A lock whose pid names no live process was left by
+        a crashed writer; it is removed and taken once more."""
         lock = self.path / "lock"
         try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            fd = _create_lock(lock)
         except FileExistsError:
-            raise RepositoryLocked(f"{lock} is held by another writer")
+            if not _holder_is_dead(lock):
+                raise RepositoryLocked(f"{lock} is held by another writer")
+            lock.unlink(missing_ok=True)
+            try:
+                fd = _create_lock(lock)
+            except FileExistsError:
+                raise RepositoryLocked(f"{lock} is held by another writer")
         try:
             os.write(fd, str(os.getpid()).encode())
             os.close(fd)
@@ -353,73 +365,34 @@ class Repository:
     def _commit(self, diff_bytes: bytes) -> dict:
         diffs = adaptor.parse_diff(diff_bytes)
         latest = self.latest
-        layout = core.block_layout(self.store, latest.root)
-        current = self.materialize(latest.version)
-        ops = adaptor.diff_to_ops(
-            diffs, layout, self.block_size,
-            lambda start, length: current[start:start + length])
+        old_root = latest.root
+        ops = adaptor.translate_diffs(
+            diffs, self.store.get(old_root).rank,
+            lambda byte: core.block_start(self.store, old_root, byte),
+            self.block_size,
+            lambda start, length: persist.read_range(
+                self.store, old_root, start, length, self.blocks.get))
         if not ops:
             raise EmptyCommit("diff produced no block operations")
         version = latest.version + 1
-        before_ids = self.store.next_id
-        src = self.level_source()
-        root = latest.root
-        created = 0
-        lo, hi = None, 0
         for op in ops:
-            if op.kind == MODIFY_OP:
+            if op.data is not None:
                 self.blocks.put(op.data)
-                result = persist.pmodify(self.store, self.scheme, root,
-                                         op.index, op.data, version)
-                end = op.index + len(op.data)
-            elif op.kind == INSERT_OP:
-                self.blocks.put(op.data)
-                result, src = persist.pinsert(self.store, self.scheme, root,
-                                              op.index, op.data, src, version)
-                end = op.index + len(op.data)
-            elif op.kind == REMOVE_OP:
-                result = persist.premove(self.store, self.scheme, root,
-                                         op.index, version)
-                end = op.index
-            else:
-                raise EmptyCommit(f"unknown op kind {op.kind!r}")
-            created += result.created_nodes
-            lo = op.index if lo is None else min(lo, op.index)
-            hi = max(hi, end)
-            root = result.new_root
-        rank = self.store.get(root).rank
-        if rank == 0:
-            start, length = 0, 0
-        else:
-            start = min(lo, rank - 1)
-            length = max(1, min(hi, rank) - start)
-        record = VersionRecord(version, root, self.store.get(root).digest,
-                               start, length)
+        staging = core.StagingStore(self.store)
+        root, src = adaptor.apply_ops(staging, self.scheme, old_root, ops,
+                                      self.level_source(), version)
+        root, created, shared = staging.keep(root)
+        node = self.store.get(root)
+        start, length = _update_region(ops, node.rank)
+        record = VersionRecord(version, root, node.digest, start, length)
         self.vindex.append_version(record)
         self._append_logs(record, self.vindex.root)
         self._write_meta()
         self._save_level_counter(src.counter)
         self.store.flush()
-        shared = self._count_shared(root, before_ids)
         return {"version": version, "meta": self.meta_digest.hex(),
                 "ops": len(ops), "created_nodes": created,
-                "shared_nodes": shared, "rank": rank}
-
-    def _count_shared(self, root: int, before_ids: int) -> int:
-        seen = set()
-        todo = [root]
-        shared = 0
-        while todo:
-            node_id = todo.pop()
-            if node_id in seen:
-                continue
-            seen.add(node_id)
-            if node_id < before_ids:
-                shared += 1
-                continue
-            node = self.store.get(node_id)
-            todo.extend(c for c in (node.below, node.after) if c is not None)
-        return shared
+                "shared_nodes": shared, "rank": node.rank}
 
     # -- audit plumbing ----------------------------------------------------
 
@@ -572,3 +545,32 @@ class Repository:
                 break
             digests.append(leaf.block)
         return digests
+
+
+def _create_lock(lock: Path) -> int:
+    return os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+
+
+def _holder_is_dead(lock: Path) -> bool:
+    """True only if the lock names a pid that no process has."""
+    try:
+        pid = int(lock.read_text())
+        if pid < 1:
+            return False
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):
+        return False
+    return False
+
+
+def _update_region(ops: list[adaptor.BlockOp], rank: int) -> tuple[int, int]:
+    """(start, length) of the bytes a commit's ops wrote, clipped to the
+    new version's rank; at least one byte unless the version is empty."""
+    if rank == 0:
+        return 0, 0
+    lo = min(op.index for op in ops)
+    hi = max(op.index + len(op.data or b"") for op in ops)
+    start = min(lo, rank - 1)
+    return start, max(1, min(hi, rank) - start)

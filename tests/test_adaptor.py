@@ -5,8 +5,9 @@ import pytest
 from flexstore import adaptor, audit, persist
 from flexstore.adaptor import (BlockOp, DiffEntry, apply_ops_partial,
                                diff_to_ops, format_diff, parse_diff,
-                               partial_from_proof)
-from flexstore.core import NodeStore, block_layout, build, split_blocks
+                               partial_from_proof, translate_diffs)
+from flexstore.core import (NodeStore, block_layout, block_start, build,
+                            split_blocks)
 from flexstore.errors import (DiffOutOfRange, FormatError, OverlappingDiffs,
                               PathNotCovered, ProofRejected)
 from flexstore.hashing import HashScheme, LevelSource
@@ -131,6 +132,13 @@ class TestDiffToOps:
         ops = self.ops_for(data, entries)
         assert _apply_ops_blocks(data, ops, self.BS) == data + b"tail"
 
+    def test_zero_length_replace_at_end_appends(self):
+        data = bytes(range(20))
+        entries = [DiffEntry("replace", 20, b"tail", 0)]
+        ops = self.ops_for(data, entries)
+        assert [op.kind for op in ops] == ["modify"]
+        assert _apply_ops_blocks(data, ops, self.BS) == data + b"tail"
+
     def test_into_empty_file(self):
         ops = self.ops_for(b"", [DiffEntry("insert", 0, bytes(30))])
         assert all(op.kind == "insert" for op in ops)
@@ -155,6 +163,93 @@ class TestDiffToOps:
             want = apply_diffs(data, entries)
             got = _apply_ops_blocks(data, ops, self.BS)
             assert got == want, trial
+
+
+    def test_tree_locate_matches_layout_list(self):
+        # The server's entry point (locate by tree search, read only the
+        # touched blocks) against the client's (a list of block lengths),
+        # and both against the list-indexed reference translation.
+        rng = random.Random(61)
+        for trial in range(250):
+            data = bytes(rng.randrange(256)
+                         for _ in range(rng.randint(0, 200)))
+            entries = random_entries(rng, len(data))
+            pieces = split_blocks(data, self.BS)
+            blocks = {SCHEME.block_digest(p): p for p in pieces}
+            store = NodeStore()
+            root, _ = build(store, SCHEME, pieces, LevelSource(SEED, trial))
+            located = translate_diffs(
+                entries, len(data),
+                lambda byte: block_start(store, root, byte), self.BS,
+                lambda s, n: persist.read_range(store, root, s, n,
+                                                blocks.__getitem__))
+            listed = self.ops_for(data, entries)
+            assert located == listed, trial
+            assert listed == reference_diff_to_ops(
+                entries, [len(p) for p in pieces], self.BS,
+                lambda s, n: data[s:s + n]), trial
+
+
+def reference_diff_to_ops(diffs, layout, block_size, read_range):
+    """The translation indexed by block number over the full layout list,
+    kept as the reference the locate-based one must match."""
+    from bisect import bisect_right
+    total = sum(layout)
+    diffs = [e for e in diffs if e.span > 0 or e.data]
+    if not diffs:
+        return []
+    starts = [0]
+    for length in layout:
+        starts.append(starts[-1] + length)
+    groups = []
+    for e in diffs:
+        if total == 0:
+            a = b = -1
+        elif e.kind == "insert" and e.at == total:
+            a = b = len(layout) - 1
+        elif e.span == 0:
+            a = b = bisect_right(starts, e.at) - 1
+        else:
+            a = bisect_right(starts, e.at) - 1
+            b = bisect_right(starts, e.at + e.span - 1) - 1
+        if groups and a <= groups[-1][1]:
+            groups[-1][1] = max(groups[-1][1], b)
+            groups[-1][2].append(e)
+        else:
+            groups.append([a, b, [e]])
+    ops = []
+    delta = 0
+    for a, b, entries in groups:
+        if a < 0:
+            region_start = region_end = 0
+        else:
+            region_start, region_end = starts[a], starts[b] + layout[b]
+        parts = []
+        pos = region_start
+        for e in entries:
+            parts += [read_range(pos, e.at - pos), e.data]
+            pos = e.at + e.span
+        parts.append(read_range(pos, region_end - pos))
+        region = b"".join(parts)
+        chunks = ([region] if len(region) <= 2 * block_size else
+                  [region[i:i + block_size]
+                   for i in range(0, len(region), block_size)])
+        base = region_start + delta
+        if a < 0:
+            for chunk in chunks:
+                ops.append(BlockOp("insert", base, chunk))
+                base += len(chunk)
+        elif not region:
+            ops += [BlockOp("remove", base)] * (b - a + 1)
+        else:
+            ops.append(BlockOp("modify", base, chunks[0]))
+            at = base + len(chunks[0])
+            ops += [BlockOp("remove", at)] * (b - a)
+            for chunk in chunks[1:]:
+                ops.append(BlockOp("insert", at, chunk))
+                at += len(chunk)
+        delta += len(region) - (region_end - region_start)
+    return ops
 
 
 def random_entries(rng, total, max_entries=6):

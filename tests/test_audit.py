@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 
@@ -197,6 +198,16 @@ class TestWireFormats:
             read_challenge(good + b"\x00")
         with pytest.raises(FormatError):
             read_challenge(good[:-1])
+
+    def test_challenge_count_bounded(self):
+        huge = 2 ** 40
+        data = b"FXC1" + CH_SEED + struct.pack(">QQ", huge, 0)
+        assert len(data) == 30
+        with pytest.raises(FormatError):
+            read_challenge(data)
+        with pytest.raises(DomainError):
+            Challenge(CH_SEED, huge)
+        assert Challenge(CH_SEED, audit._MAX_COUNT).count == audit._MAX_COUNT
 
     def test_proof_roundtrip(self):
         fx = Fixture()

@@ -1,12 +1,14 @@
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from flexstore import cli
 from flexstore.adaptor import DiffEntry, format_diff
-from flexstore.errors import (EmptyCommit, NoSuchVersion, PathExists,
-                              RepositoryLocked)
+from flexstore.errors import (DomainError, EmptyCommit, NoSuchVersion,
+                              PathExists, RepositoryLocked, StructureCorrupt)
 from flexstore.repo import Repository
 
 SEED_HEX = "00112233445566778899"
@@ -143,6 +145,70 @@ class TestCommit:
                 with repo.write_lock():
                     pass
 
+    def test_lock_of_dead_writer_is_taken(self, repo):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait(timeout=60)
+        (repo.path / "lock").write_text(str(child.pid))
+        repo.commit(format_diff([DiffEntry("replace", 0, b"Q", 1)]))
+        assert repo.latest.version == 1
+        assert not (repo.path / "lock").exists()
+
+    @pytest.mark.parametrize("content", [str(os.getpid()), "not a pid", ""])
+    def test_lock_of_live_or_unknown_writer_blocks(self, repo, content):
+        (repo.path / "lock").write_text(content)
+        with pytest.raises(RepositoryLocked):
+            repo.commit(format_diff([DiffEntry("replace", 0, b"Q", 1)]))
+        assert (repo.path / "lock").read_text() == content
+        assert repo.latest.version == 0
+
+    def test_multi_op_commit_leaves_no_orphans(self, repo):
+        first_id = repo.store.next_id
+        summary = repo.commit(format_diff([
+            DiffEntry("replace", 10, b"a" * 700, 20),
+            DiffEntry("delete", 1000, delete_len=600),
+            DiffEntry("insert", 2500, b"b" * 900),
+            DiffEntry("replace", 3900, b"c", 5)]))
+        assert summary["ops"] > 4
+        reached = _reach_new(repo.store, (repo.latest.root, repo.vindex.root),
+                             first_id)
+        assert len(reached) == repo.store.next_id - first_id
+
+    def test_summary_counts_match_graph_walk(self, repo):
+        for entries in ([DiffEntry("replace", 300, b"xy", 2)],
+                        [DiffEntry("insert", 0, b"h" * 600),
+                         DiffEntry("delete", 2048, delete_len=512)]):
+            first_id = repo.store.next_id
+            summary = repo.commit(format_diff(entries))
+            created = _reach_new(repo.store, (repo.latest.root,), first_id)
+            shared = {child for node_id in created
+                      for child in (repo.store.get(node_id).below,
+                                    repo.store.get(node_id).after)
+                      if child is not None and child < first_id}
+            assert summary["created_nodes"] == len(created)
+            assert summary["shared_nodes"] == len(shared)
+
+    @pytest.mark.parametrize("blocks", [64, 2048])
+    def test_one_entry_commit_reads_few_blocks(self, tmp_path, blocks):
+        src = tmp_path / "input.bin"
+        src.write_bytes(random.Random(4).randbytes(blocks * 256))
+        repo = Repository.init(tmp_path / "repo", block_size=256,
+                               seed=bytes.fromhex(SEED_HEX), input_file=src)
+        gets = []
+        real_get = repo.blocks.get
+
+        def counting_get(digest):
+            gets.append(digest)
+            return real_get(digest)
+
+        repo.blocks.get = counting_get
+        try:
+            at = blocks * 128 + 250  # straddles two blocks
+            repo.commit(format_diff([DiffEntry("replace", at, b"new", 9)]))
+            assert len(gets) <= 3
+            assert repo.materialize(1)[at:at + 3] == b"new"
+        finally:
+            repo.close()
+
 
 class TestCheckout:
     def test_version_zero_after_commits(self, repo, tmp_path):
@@ -192,6 +258,28 @@ class TestFsck:
             assert reopened.fsck() != []
         finally:
             reopened.close()
+
+    def test_torn_node_record_refused_at_open(self, repo):
+        repo.commit(format_diff([DiffEntry("replace", 5, b"tear", 4)]))
+        repo.close()
+        segment = sorted((repo.path / "nodes").glob("segment-*.dat"))[-1]
+        segment.write_bytes(segment.read_bytes()[:-5])
+        with pytest.raises(StructureCorrupt):
+            Repository.open(repo.path)
+
+
+def _reach_new(store, roots, first_id):
+    """Ids at or above first_id that the roots reach."""
+    seen = set()
+    todo = [r for r in roots if r >= first_id]
+    while todo:
+        node_id = todo.pop()
+        if node_id not in seen:
+            seen.add(node_id)
+            node = store.get(node_id)
+            todo.extend(c for c in (node.below, node.after)
+                        if c is not None and c >= first_id)
+    return seen
 
 
 class TestTamper:
@@ -283,6 +371,14 @@ class TestCliPipeline:
                         SEED_HEX) == 0
         assert self.run("--repo", repo_path, "init", "--seed",
                         SEED_HEX) == 3
+
+    def test_huge_challenge_count_exit_2(self, tmp_path, repo):
+        with pytest.raises(DomainError):
+            repo.make_challenge(bytes(10), 2 ** 40, ())
+        chf = tmp_path / "c.chal"
+        assert self.run("--repo", str(repo.path), "challenge", "--count",
+                        str(2 ** 40), "--out", str(chf)) == cli.EXIT_USAGE
+        assert not chf.exists()
 
     def test_bad_version_exit_2(self, tmp_path):
         repo_path = str(tmp_path / "repo")
