@@ -10,8 +10,7 @@ from .core import (NodeStore, SearchPath, build, build_with_levels, search,
 from .errors import FlexStoreError
 from .hashing import HashScheme, LevelSource
 from .index2 import VersionIndex, VersionRecord
-from .persist import (CommitResult, TraversalState, materialize, next_pos,
-                      pinsert, pmodify, premove, recompute_path)
+from .persist import CommitResult, materialize, pinsert, pmodify, premove
 from .repo import Repository
 
 __version__ = "0.1.0"
@@ -19,10 +18,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockOp", "Challenge", "CommitResult", "DiffEntry", "FlexStoreError",
     "HashScheme", "LevelSource", "NodeStore", "PartialFlexList",
-    "Repository", "SearchPath", "TraversalState", "VersionIndex",
+    "Repository", "SearchPath", "VersionIndex",
     "VersionProof", "VersionRecord", "apply_ops_partial", "build",
     "build_with_levels", "detection_probability", "diff_to_ops",
-    "expand_challenge", "materialize", "next_pos", "parse_diff",
+    "expand_challenge", "materialize", "parse_diff",
     "partial_from_proof", "pinsert", "pmodify", "premove", "prove",
-    "recompute_path", "search", "split_blocks", "verify",
+    "search", "split_blocks", "verify",
 ]

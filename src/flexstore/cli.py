@@ -184,9 +184,13 @@ def cmd_checkout(args) -> int:
 
 
 def cmd_challenge(args) -> int:
-    repo = Repository.open(args.repo)
     try:
         versions = tuple(int(v) for v in args.versions.split(",") if v)
+    except ValueError as exc:
+        raise DomainError(f"--versions must list version numbers: "
+                          f"{args.versions!r}") from exc
+    repo = Repository.open(args.repo)
+    try:
         ch = repo.make_challenge(_parse_seed(args.seed), args.count, versions)
     finally:
         repo.close()

@@ -41,10 +41,10 @@ class Node:
     """One finalized skip-list vertex. Write-once: never mutate after add."""
 
     __slots__ = ("kind", "level", "rank", "below", "after", "length",
-                 "block", "version", "digest", "tag")
+                 "block", "version", "digest")
 
     def __init__(self, kind, level, rank, below, after, length, block,
-                 version, digest, tag=None):
+                 version, digest):
         self.kind = kind
         self.level = level
         self.rank = rank
@@ -54,7 +54,6 @@ class Node:
         self.block = block          # block content digest (leaves only)
         self.version = version      # commit that created this record
         self.digest = digest
-        self.tag = tag              # reserved per-block value, unused here
 
     @property
     def is_leaf(self) -> bool:
@@ -240,16 +239,20 @@ def _push_tower(store, scheme, stack, level, length, block_digest, version,
 
 
 def build(store: NodeStore, scheme: HashScheme, blocks: list[bytes],
-          src: LevelSource, version: int = 0) -> tuple[int, LevelSource]:
+          src: LevelSource, version: int = 0,
+          block_digest=None) -> tuple[int, LevelSource]:
     """Pre-process a block sequence: draw one level per block and build.
 
+    block_digest(block) returns a block's digest (default: hash it with
+    scheme); a caller that stores the blocks can pass its own put.
     Returns (root id, advanced level source).
     """
+    block_digest = block_digest or scheme.block_digest
     levels = []
     for _ in blocks:
         level, src = src.draw()
         levels.append(level)
-    pairs = [(len(b), scheme.block_digest(b)) for b in blocks]
+    pairs = [(len(b), block_digest(b)) for b in blocks]
     root = build_with_levels(store, scheme, pairs, levels, version)
     return root, src
 
@@ -259,14 +262,6 @@ def below_span(node: Node, store: NodeStore) -> int:
     if node.below is not None:
         return store.get(node.below).rank
     return node.length
-
-
-def can_go_below(store: NodeStore, node: Node, index: int) -> bool:
-    return node.below is not None and index < store.get(node.below).rank
-
-
-def can_go_after(store: NodeStore, node: Node, index: int) -> bool:
-    return node.after is not None and index >= below_span(node, store)
 
 
 @dataclass
@@ -296,16 +291,17 @@ def search(store: NodeStore, root: int, index: int) -> SearchPath:
     node_id, node = root, root_node
     remaining = index
     while True:
-        if node.is_leaf and remaining < node.length:
-            path.leaf = node_id
-            path.residual = remaining
-            path.offset = index - remaining
-            return path
-        if can_go_below(store, node, remaining):
+        span = below_span(node, store)
+        if remaining < span:
+            if node.is_leaf:
+                path.leaf = node_id
+                path.residual = remaining
+                path.offset = index - remaining
+                return path
             path.entries.append((node_id, BELOW))
             node_id = node.below
-        elif can_go_after(store, node, remaining):
-            remaining -= below_span(node, store)
+        elif node.after is not None:
+            remaining -= span
             path.entries.append((node_id, AFTER))
             node_id = node.after
         else:

@@ -1,22 +1,24 @@
 """Fully persistent FlexList edits via path copying.
 
 Every edit leaves the old version's node graph untouched and produces a
-new root that shares all unchanged subtrees with it. The general shape of
-an edit:
+new root that shares all unchanged subtrees with it. One edit engine
+(_EditEngine) runs every edit in three steps:
 
-  1. Descend from a fresh copy of the root toward the edit point, copying
-     each node moved through (next_pos). For modify the descent runs to
-     the target leaf; for insert/remove it stops at the boundary node
-     whose after link enters the affected tower.
-  2. Rework the copied path bottom-up. Subtree pieces cut loose by the
-     edit (an inserted tower swallowing its shorter right neighbours, or
-     a removed tower releasing its captured neighbours) are re-homed onto
-     the path: a piece re-attaches where the first tower tall enough to
-     carry its link sits, creating missing nodes where a link needs a
-     connection point that has no node, and deleting copies that lost
-     their after link and no longer contribute (delete_unode).
-  3. recompute_path finalizes every surviving copy bottom-up, computing
-     ranks and digests from current children.
+  1. descend copies the root and each node it moves through into a
+     mutable draft. For modify the descent runs to the target leaf; for
+     insert and remove it stops at the boundary node whose after link
+     enters the affected tower.
+  2. Insert and remove rework the copied path bottom-up. Subtree pieces
+     cut loose by the edit (an inserted tower swallowing its shorter
+     right neighbours, or a removed tower releasing its captured
+     neighbours) are re-homed onto the path: a piece re-attaches where
+     the first tower tall enough to carry its link sits, creating missing
+     nodes where a link needs a connection point that has no node. A
+     copy that loses its after link is spliced out of the path.
+  3. finish finalizes, children first, the drafts the new root reaches,
+     computing ranks and digests from their children. Drafts no longer
+     reachable (spliced-out copies, a descent that was redone) are never
+     finalized.
 
 Because the structure is canonical (see core), the result of any edit is
 bit-identical to rebuilding from scratch over the edited block sequence
@@ -26,22 +28,21 @@ exactly that oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import core
 from .core import (AFTER, BELOW, KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL,
-                   KIND_STUB, Node, NodeStore, below_span, can_go_after,
-                   can_go_below)
+                   KIND_STUB, Node, NodeStore, below_span)
 from .errors import (BlockTooSmall, IndexOutOfRange, NotBlockAligned,
                      PathNotCovered, StructureCorrupt)
 from .hashing import HashScheme, LevelSource
 
 
 class _Draft:
-    """Mutable copy of a node under construction during one commit.
+    """Mutable copy of a node under construction during one edit.
 
     Child slots hold either finalized node ids or other drafts; node_id is
-    assigned when recompute_path finalizes the draft.
+    assigned when finish finalizes the draft.
     """
 
     __slots__ = ("kind", "level", "length", "block", "below", "after",
@@ -57,11 +58,6 @@ class _Draft:
         self.version = version
         self.node_id = None
 
-    @classmethod
-    def copy_of(cls, node: Node, version: int) -> "_Draft":
-        return cls(node.kind, node.level, node.length, node.block,
-                   node.below, node.after, version)
-
     @property
     def is_leaf(self):
         return self.kind != KIND_INTERNAL
@@ -71,126 +67,33 @@ Ref = object  # node id (int) or _Draft
 
 
 @dataclass
-class TraversalState:
-    """Shared traversal bookkeeping for the versioned algorithms.
-
-    cn walks the old version; newcn is the already-created copy of the
-    traversal frontier. npi is true except while an insert harvests the
-    after links crossing its index.
-    """
-
-    prev: int
-    cn: int
-    newcn: _Draft
-    index: int
-    level: int = 0
-    npi: bool = True
-    stack: list = field(default_factory=list)
-    version: int = 0
-
-
-@dataclass
 class CommitResult:
     new_root: int
-    old_root: int
     created_nodes: int
-    stack_depth: int
-
-
-def next_pos(store: NodeStore, state: TraversalState) -> TraversalState:
-    """Advance cn by the canGoBelow/canGoAfter discipline, honoring the
-    level bound and npi; one version copy is created, linked and pushed
-    to the stack per move."""
-    while True:
-        node = store.get(state.cn)
-        direction = None
-        if (state.npi and can_go_below(store, node, state.index)
-                and store.get(node.below).level >= state.level):
-            direction, dest = BELOW, node.below
-        elif (can_go_after(store, node, state.index)
-              and store.get(node.after).level >= state.level):
-            direction, dest = AFTER, node.after
-            state.index -= below_span(node, store)
-        if direction is None:
-            return state
-        state.prev = state.cn
-        dest_node = store.get(dest)
-        if dest_node.kind == KIND_STUB:
-            raise PathNotCovered("traversal entered an unexpanded subtree")
-        copy = _Draft.copy_of(dest_node, state.version)
-        setattr(state.newcn, direction, copy)
-        state.newcn = copy
-        state.cn = dest
-        state.stack.append(copy)
-
-
-def recompute_path(store: NodeStore, scheme: HashScheme, stack: list) -> None:
-    """Finalize drafts deepest-first: recompute rank and digest from
-    current children and append the record to the store. Idempotent for
-    already-finalized drafts."""
-    for draft in reversed(stack):
-        _finalize(store, scheme, draft)
-
-
-def _finalize(store: NodeStore, scheme: HashScheme, ref: Ref) -> int:
-    if isinstance(ref, int):
-        if ref not in store:
-            raise StructureCorrupt(f"dangling link to {ref}")
-        return ref
-    if ref.node_id is not None:
-        return ref.node_id
-    below = _finalize(store, scheme, ref.below) if ref.below is not None else None
-    after = _finalize(store, scheme, ref.after) if ref.after is not None else None
-    after_node = store.get(after) if after is not None else None
-    if ref.is_leaf:
-        rank = ref.length + (after_node.rank if after_node else 0)
-        digest = scheme.leaf_node(0, rank,
-                                  after_node.digest if after_node else None,
-                                  ref.length, ref.block,
-                                  sentinel=ref.kind == KIND_SENTINEL)
-        node = Node(ref.kind, 0, rank, None, after, ref.length, ref.block,
-                    ref.version, digest)
-    else:
-        below_node = store.get(below)
-        rank = below_node.rank + after_node.rank
-        digest = scheme.internal_node(ref.level, rank, below_node.digest,
-                                      after_node.digest)
-        node = Node(KIND_INTERNAL, ref.level, rank, below, after, 0, None,
-                    ref.version, digest)
-    ref.node_id = store.add(node)
-    return ref.node_id
 
 
 class _EditEngine:
-    """One commit's working state: draft registry plus re-homing logic."""
+    """One edit's working state: the copying descent, piece re-homing and
+    finalization of the drafts the new root reaches."""
 
     def __init__(self, store: NodeStore, scheme: HashScheme, version: int):
         self.store = store
         self.scheme = scheme
         self.version = version
-        self.stack: list[_Draft] = []
 
     # -- draft helpers ----------------------------------------------------
 
     def copy(self, node_id: int) -> _Draft:
-        draft = _Draft.copy_of(self.store.get(node_id), self.version)
-        self.stack.append(draft)
-        return draft
+        node = self.store.get(node_id)
+        return _Draft(node.kind, node.level, node.length, node.block,
+                      node.below, node.after, self.version)
 
     def new_leaf(self, length: int, block: bytes, after: Ref | None) -> _Draft:
-        draft = _Draft(KIND_LEAF, 0, length, block, None, after, self.version)
-        self.stack.append(draft)
-        return draft
+        return _Draft(KIND_LEAF, 0, length, block, None, after, self.version)
 
     def new_internal(self, level: int, below: Ref, after: Ref) -> _Draft:
-        draft = _Draft(KIND_INTERNAL, level, 0, None, below, after,
-                       self.version)
-        self.stack.append(draft)
-        return draft
-
-    def delete_unode(self, draft: _Draft) -> None:
-        """Drop an unnecessary version copy before it is ever finalized."""
-        self.stack.remove(draft)
+        return _Draft(KIND_INTERNAL, level, 0, None, below, after,
+                      self.version)
 
     def _view(self, ref: Ref):
         node = ref if isinstance(ref, _Draft) else self.store.get(ref)
@@ -198,11 +101,14 @@ class _EditEngine:
             raise PathNotCovered("re-homing needs an unexpanded subtree")
         return node
 
-    # -- boundary descent --------------------------------------------------
+    # -- copying descent ---------------------------------------------------
 
-    def descend_boundary(self, root_id: int, index: int):
-        """Copying descent to the boundary byte `index`.
+    def descend(self, root_id: int, index: int, to_leaf: bool = False):
+        """Copying descent toward byte `index`.
 
+        Stops at the boundary node whose below side spans exactly `index`
+        bytes, or with to_leaf runs on, as core.search does, to the leaf
+        holding byte `index`.
         Returns (root draft, frames, stop draft, residual) where frames
         lists (draft, direction moved from it) above the stop. A stop
         with residual > 0 sits inside a block (misaligned boundary).
@@ -214,13 +120,13 @@ class _EditEngine:
         idx = index
         while True:
             span = below_span(cur, self.store)
-            if idx == span:
-                return droot, frames, dcur, 0
             if idx < span:
                 if cur.is_leaf:
                     return droot, frames, dcur, idx
                 frames.append((dcur, BELOW))
                 nxt = cur.below
+            elif idx == span and not to_leaf:
+                return droot, frames, dcur, 0
             else:
                 if cur.after is None:
                     raise StructureCorrupt("descent ran off the structure")
@@ -309,7 +215,6 @@ class _EditEngine:
                 pendings = pendings[1:]
                 draft.below = cont
                 return draft, pendings
-            self.delete_unode(draft)
             return cont, pendings
         draft.below = cont
         return draft, pendings
@@ -332,11 +237,35 @@ class _EditEngine:
                     released.append([0, node.after])
                 return list(reversed(released))
 
-    def finish(self, root_ref: Ref, old_root: int) -> CommitResult:
-        depth = len(self.stack)
-        recompute_path(self.store, self.scheme, self.stack)
-        new_root = _finalize(self.store, self.scheme, root_ref)
-        return CommitResult(new_root, old_root, depth, depth)
+    def finish(self, root_ref: Ref) -> CommitResult:
+        """Finalize, children first, every draft the new root reaches."""
+        store, scheme = self.store, self.scheme
+        created = 0
+        todo = [root_ref] if isinstance(root_ref, _Draft) else []
+        while todo:
+            draft = todo[-1]
+            below, after = draft.below, draft.after
+            if isinstance(below, _Draft):
+                if below.node_id is None:
+                    todo.append(below)
+                    continue
+                below = below.node_id
+            if isinstance(after, _Draft):
+                if after.node_id is None:
+                    todo.append(after)
+                    continue
+                after = after.node_id
+            todo.pop()
+            if draft.kind == KIND_INTERNAL:
+                draft.node_id = core.make_internal(
+                    store, scheme, draft.level, below, after, draft.version)
+            else:
+                draft.node_id = core.make_leaf(
+                    store, scheme, draft.length, draft.block, after,
+                    draft.version, sentinel=draft.kind == KIND_SENTINEL)
+            created += 1
+        root = root_ref.node_id if isinstance(root_ref, _Draft) else root_ref
+        return CommitResult(root, created)
 
 
 def pmodify(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
@@ -349,17 +278,11 @@ def pmodify(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
     if len(data) < 1:
         raise BlockTooSmall("modify needs at least 1 byte")
     eng = _EditEngine(store, scheme, version)
-    droot = eng.copy(old_root)
-    state = TraversalState(prev=old_root, cn=old_root, newcn=droot,
-                           index=index, level=0, npi=True, stack=eng.stack,
-                           version=version)
-    next_pos(store, state)
-    leaf = state.newcn
-    if leaf.kind != KIND_LEAF or state.index >= leaf.length:
-        raise StructureCorrupt("modify descent did not land on a data leaf")
+    droot, _frames, leaf, _residual = eng.descend(old_root, index,
+                                                  to_leaf=True)
     leaf.length = len(data)
     leaf.block = scheme.block_digest(data)
-    return eng.finish(droot, old_root)
+    return eng.finish(droot)
 
 
 def pinsert(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
@@ -392,12 +315,11 @@ def insert_block(store: NodeStore, scheme: HashScheme, old_root: int,
     if length < 1:
         raise BlockTooSmall("insert needs at least 1 byte")
     eng = _EditEngine(store, scheme, version)
-    droot, frames, stop, residual = eng.descend_boundary(old_root, index)
+    _droot, frames, stop, residual = eng.descend(old_root, index)
     if residual:
         # index sits inside a block: the new block goes before it
-        eng = _EditEngine(store, scheme, version)
-        droot, frames, stop, residual = eng.descend_boundary(
-            old_root, index - residual)
+        _droot, frames, stop, residual = eng.descend(old_root,
+                                                     index - residual)
         if residual:
             raise StructureCorrupt("boundary descent stopped mid-block")
     if stop.is_leaf:
@@ -413,7 +335,7 @@ def insert_block(store: NodeStore, scheme: HashScheme, old_root: int,
         cont, pendings = eng._below_frame(stop, stop.below,
                                           [[level, new_leaf]])
         root_ref = eng.rebuild(frames, stop, cont, pendings)
-    return eng.finish(root_ref, old_root)
+    return eng.finish(root_ref)
 
 
 def premove(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
@@ -428,7 +350,7 @@ def premove(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
     if not 0 <= index < root.rank:
         raise IndexOutOfRange(f"index {index} outside rank {root.rank}")
     eng = _EditEngine(store, scheme, version)
-    droot, frames, stop, residual = eng.descend_boundary(old_root, index)
+    _droot, frames, stop, residual = eng.descend(old_root, index)
     if residual:
         raise NotBlockAligned(f"index {index} is not a block start")
     if stop.is_leaf:
@@ -449,10 +371,8 @@ def premove(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
             stop.below = cont
             cont = stop
             pendings = pendings[1:]
-        else:
-            eng.delete_unode(stop)
         root_ref = eng.rebuild(frames, stop, cont, pendings)
-    return eng.finish(root_ref, old_root)
+    return eng.finish(root_ref)
 
 
 def materialize(store: NodeStore, root: int, get_block) -> bytes:

@@ -2,7 +2,7 @@
 
 On-disk layout under the repository root:
 
-    config.json        hash function, block size, construction seed
+    config.json        store format, hash function, block size, seed
     meta               hex of the current layer-2 root digest
     versions.log       one JSON record per version (append-only)
     layer2_roots.log   layer-2 root node id after each append
@@ -26,11 +26,14 @@ from pathlib import Path
 
 from . import adaptor, audit, core, persist, proofs
 from .core import KIND_LEAF, KIND_STUB, Node, NodeStore
-from .errors import (EmptyCommit, EmptyRegion, IOFailure, PathExists,
-                     RepositoryLocked, StructureCorrupt)
+from .errors import (DomainError, EmptyCommit, EmptyRegion, IOFailure,
+                     PathExists, RepositoryLocked, StructureCorrupt)
 from .hashing import SEED_BYTES, HashScheme, LevelSource
 from .index2 import VersionIndex, VersionRecord
 
+# Version of the node-record layout, kept in config.json; open refuses
+# any other.
+STORE_FORMAT = 2
 _SEGMENT_LIMIT = 64 * 1024 * 1024
 _RECORD_FIXED = struct.Struct(">QBQQQ")
 
@@ -84,15 +87,8 @@ class DurableNodeStore(NodeStore):
             pos += 1 + self.width
         else:
             pos += 1
-        tag = None
-        if data[pos]:
-            tag_len = struct.unpack_from(">Q", data, pos + 1)[0]
-            tag = data[pos + 9:pos + 9 + tag_len]
-            pos += 9 + tag_len
-        else:
-            pos += 1
         return (Node(kind, level, rank, below, after, length, block,
-                     version, data[pos:pos + self.width], tag),
+                     version, data[pos:pos + self.width]),
                 node_id, pos + self.width)
 
     @staticmethod
@@ -110,10 +106,6 @@ class DurableNodeStore(NodeStore):
         out.append(struct.pack(">Q", node.length))
         out.append(b"\x01" + node.block if node.block is not None
                    else b"\x00")
-        if node.tag is not None:
-            out.append(b"\x01" + struct.pack(">Q", len(node.tag)) + node.tag)
-        else:
-            out.append(b"\x00")
         out.append(node.digest)
         return b"".join(out)
 
@@ -219,8 +211,8 @@ class Repository:
             seed = os.urandom(SEED_BYTES)
         try:
             path.mkdir(parents=True, exist_ok=True)
-            config = {"hash": hash_name, "block_size": int(block_size),
-                      "seed": seed.hex()}
+            config = {"format": STORE_FORMAT, "hash": hash_name,
+                      "block_size": int(block_size), "seed": seed.hex()}
             (path / "config.json").write_text(
                 json.dumps(config, sort_keys=True) + "\n")
             scheme = HashScheme(hash_name)
@@ -230,15 +222,8 @@ class Repository:
         except OSError as exc:
             raise IOFailure(str(exc)) from exc
         pieces = core.split_blocks(data, config["block_size"])
-        digests = [blocks.put(p) for p in pieces]
-        src = LevelSource(seed)
-        levels = []
-        for _ in pieces:
-            level, src = src.draw()
-            levels.append(level)
-        root = core.build_with_levels(store, scheme,
-                                      list(zip(map(len, pieces), digests)),
-                                      levels, version=0)
+        root, src = core.build(store, scheme, pieces, LevelSource(seed),
+                               block_digest=blocks.put)
         vindex = VersionIndex(store, scheme, seed)
         rank = store.get(root).rank
         record = VersionRecord(0, root, store.get(root).digest, 0, rank)
@@ -254,27 +239,36 @@ class Repository:
     def open(cls, path) -> "Repository":
         path = Path(path)
         try:
-            config = json.loads((path / "config.json").read_text())
+            raw_config = (path / "config.json").read_bytes()
         except OSError as exc:
             raise IOFailure(f"not a repository: {path}") from exc
-        scheme = HashScheme(config["hash"])
-        store = DurableNodeStore(path / "nodes", scheme.width)
-        blocks = BlockStore(path / "blocks", scheme)
-        records = []
+        with _malformed("config.json"):
+            config = json.loads(raw_config)
+            if (not isinstance(config, dict)
+                    or config.get("format") != STORE_FORMAT):
+                raise StructureCorrupt(
+                    f"config.json: not a store of format {STORE_FORMAT}")
+            scheme = HashScheme(config["hash"])
+            seed = bytes.fromhex(config["seed"])
         try:
-            for line in (path / "versions.log").read_text().splitlines():
-                rec = json.loads(line)
-                records.append(VersionRecord(
-                    rec["version"], rec["root"],
-                    bytes.fromhex(rec["root_digest"]),
-                    rec["update_start"], rec["update_length"]))
-            roots = [int(line) for line in
-                     (path / "layer2_roots.log").read_text().splitlines()]
+            raw_versions = (path / "versions.log").read_bytes()
+            raw_roots = (path / "layer2_roots.log").read_bytes()
         except OSError as exc:
             raise IOFailure(f"repository logs unreadable: {exc}") from exc
+        with _malformed("versions.log"):
+            records = [_version_record(json.loads(line))
+                       for line in raw_versions.splitlines()]
+        with _malformed("layer2_roots.log"):
+            roots = [int(line) for line in raw_roots.splitlines()]
         if not records or len(roots) != len(records):
             raise StructureCorrupt("version log and layer-2 log disagree")
-        seed = bytes.fromhex(config["seed"])
+        store = DurableNodeStore(path / "nodes", scheme.width)
+        # A commit writes its layer-2 root last, so a node log that lost
+        # whole trailing records lacks it.
+        if roots[-1] not in store:
+            raise StructureCorrupt(
+                f"node log ends before layer-2 root {roots[-1]}")
+        blocks = BlockStore(path / "blocks", scheme)
         vindex = VersionIndex(store, scheme, seed, root=roots[-1],
                               records=records)
         return cls(path, config, store, blocks, vindex)
@@ -327,7 +321,8 @@ class Repository:
     def level_source(self) -> LevelSource:
         """Current position in the construction level stream; a client
         holding the seed replays the same stream for its own edits."""
-        counter = int((self.path / "level_counter").read_text())
+        with _malformed("level_counter"):
+            counter = int((self.path / "level_counter").read_text())
         return LevelSource(self.seed, counter)
 
     @property
@@ -545,6 +540,22 @@ class Repository:
                 break
             digests.append(leaf.block)
         return digests
+
+
+@contextmanager
+def _malformed(name: str):
+    """Report content of the named file that fails to parse as
+    StructureCorrupt."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, DomainError) as exc:
+        raise StructureCorrupt(f"malformed {name}: {exc}") from exc
+
+
+def _version_record(rec: dict) -> VersionRecord:
+    return VersionRecord(rec["version"], rec["root"],
+                         bytes.fromhex(rec["root_digest"]),
+                         rec["update_start"], rec["update_length"])
 
 
 def _create_lock(lock: Path) -> int:

@@ -8,8 +8,7 @@ from flexstore.core import (NodeStore, build_with_levels, check_subtree,
 from flexstore.errors import (BlockTooSmall, IndexOutOfRange,
                               NotBlockAligned)
 from flexstore.hashing import HashScheme, LevelSource
-from flexstore.persist import (TraversalState, next_pos, pinsert, pmodify,
-                               premove, recompute_path)
+from flexstore.persist import insert_block, pinsert, pmodify, premove
 
 SCHEME = HashScheme()
 SEED = bytes.fromhex("0102030405060708090a")
@@ -32,31 +31,48 @@ def rand_block(rng, limit=12):
     return bytes(rng.randrange(256) for _ in range(rng.randint(1, limit)))
 
 
+def block_at(seq, idx):
+    """Position of the block holding byte idx in a (block, level) list."""
+    acc = 0
+    for pos, (b, _) in enumerate(seq):
+        if idx < acc + len(b):
+            return pos
+        acc += len(b)
+    raise IndexError(idx)
+
+
 class TestNextPos:
+    """The copying descent modify runs to the leaf: one copy per move,
+    observed through pmodify's created_nodes."""
+
     def test_bare_leaf_no_moves(self):
         store = NodeStore()
         leaf = make_leaf(store, SCHEME, 4, SCHEME.block_digest(b"abcd"),
                          None, 0)
-        draft = persist._Draft.copy_of(store.get(leaf), 1)
-        state = TraversalState(prev=leaf, cn=leaf, newcn=draft, index=0,
-                               stack=[draft], version=1)
-        next_pos(store, state)
-        assert state.cn == leaf
-        assert state.stack == [draft]
+        before = store.get(leaf).digest
+        result = pmodify(store, SCHEME, leaf, 0, b"ABCD", 1)
+        assert search(store, leaf, 0).entries == []
+        assert result.created_nodes == 1  # the root copy only
+        assert store.get(leaf).digest == before
 
     def test_one_copy_per_move(self):
         rng = random.Random(11)
-        for _ in range(30):
+        for trial in range(30):
             seq = [(rand_block(rng), rng.choice([0, 0, 1, 2, 3]))
                    for _ in range(rng.randint(1, 30))]
             store, root = fresh(seq)
+            before = store.get(root).digest
             idx = rng.randrange(store.get(root).rank)
-            draft = persist._Draft.copy_of(store.get(root), 1)
-            state = TraversalState(prev=root, cn=root, newcn=draft,
-                                   index=idx, stack=[draft], version=1)
-            next_pos(store, state)
             moves = len(search(store, root, idx).entries)
-            assert len(state.stack) == moves + 1  # plus the root copy
+            data = rand_block(rng)
+            result = pmodify(store, SCHEME, root, idx, data, 1)
+            assert result.created_nodes == moves + 1, trial  # plus the root
+            pos = block_at(seq, idx)
+            want = rebuild_digest(
+                seq[:pos] + [(data, seq[pos][1])] + seq[pos + 1:])
+            assert store.get(result.new_root).digest == want, trial
+            assert store.get(root).digest == before
+            check_subtree(store, SCHEME, root)
 
     def test_copies_bounded_by_reference_walk(self):
         # Instrumented oracle: hops counted over the plain structure.
@@ -69,42 +85,20 @@ class TestNextPos:
             idx = rng.randrange(store.get(root).rank)
             path = search(store, root, idx)
             after_hops = sum(1 for _, d in path.entries if d == "after")
-            draft = persist._Draft.copy_of(store.get(root), 1)
-            state = TraversalState(prev=root, cn=root, newcn=draft,
-                                   index=idx, stack=[draft], version=1)
-            next_pos(store, state)
-            assert len(state.stack) - 1 <= height + 1 + 2 * after_hops
+            result = pmodify(store, SCHEME, root, idx, b"x", 1)
+            assert result.created_nodes - 1 <= height + 1 + 2 * after_hops
 
 
 class TestRecomputePath:
-    def test_empty_stack_noop(self):
-        store = NodeStore()
-        recompute_path(store, SCHEME, [])
-        assert len(store) == 0
+    """The copied path is recomputed bottom-up after an edit."""
 
     def test_leaf_change_alters_root(self):
         seq = [(b"abcd", 1), (b"efgh", 0)]
         store, root = fresh(seq)
         before = store.get(root).digest
-        draft = persist._Draft.copy_of(store.get(root), 1)
-        state = TraversalState(prev=root, cn=root, newcn=draft, index=0,
-                               stack=[draft], version=1)
-        next_pos(store, state)
-        state.newcn.block = SCHEME.block_digest(b"ABCD")
-        recompute_path(store, SCHEME, state.stack)
-        assert store.get(draft.node_id).digest != before
-
-    def test_idempotent(self):
-        seq = [(b"abcd", 1)]
-        store, root = fresh(seq)
-        draft = persist._Draft.copy_of(store.get(root), 1)
-        state = TraversalState(prev=root, cn=root, newcn=draft, index=0,
-                               stack=[draft], version=1)
-        next_pos(store, state)
-        recompute_path(store, SCHEME, state.stack)
-        first = store.get(draft.node_id).digest
-        recompute_path(store, SCHEME, state.stack)
-        assert store.get(draft.node_id).digest == first
+        result = pmodify(store, SCHEME, root, 0, b"ABCD", 1)
+        assert store.get(result.new_root).digest != before
+        assert store.get(root).digest == before
 
 
 class TestModify:
@@ -214,6 +208,26 @@ class TestInsert:
             assert store.get(result.new_root).digest == rebuild_digest(new_seq), trial
             check_subtree(store, SCHEME, result.new_root)
             check_subtree(store, SCHEME, root)
+
+    def test_mid_block_index_same_as_block_start(self):
+        rng = random.Random(33)
+        for trial in range(60):
+            seq = [(rng.randbytes(rng.randint(2, 12)),
+                    rng.choice([0, 0, 1, 2, 3]))
+                   for _ in range(rng.randint(1, 24))]
+            store, root = fresh(seq)
+            pos = rng.randrange(len(seq))
+            start = sum(len(b) for b, _ in seq[:pos])
+            mid = start + rng.randrange(1, len(seq[pos][0]))
+            level = rng.choice([0, 0, 1, 2, 4])
+            digest = SCHEME.block_digest(b"new")
+            at_start = insert_block(store, SCHEME, root, start, 3, digest,
+                                    level, 1)
+            at_mid = insert_block(store, SCHEME, root, mid, 3, digest,
+                                  level, 1)
+            assert (store.get(at_mid.new_root).digest
+                    == store.get(at_start.new_root).digest), trial
+            assert at_mid.created_nodes == at_start.created_nodes, trial
 
     def test_bad_inputs(self):
         store, root = fresh([(b"abc", 0)])

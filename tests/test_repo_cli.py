@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ from flexstore import cli
 from flexstore.adaptor import DiffEntry, format_diff
 from flexstore.errors import (DomainError, EmptyCommit, NoSuchVersion,
                               PathExists, RepositoryLocked, StructureCorrupt)
-from flexstore.repo import Repository
+from flexstore.repo import STORE_FORMAT, Repository
 
 SEED_HEX = "00112233445566778899"
 
@@ -59,6 +60,20 @@ class TestInit:
             assert again.materialize(0) == random.Random(0).randbytes(4096)
         finally:
             again.close()
+
+    @pytest.mark.parametrize("fmt", [None, 1, STORE_FORMAT + 1])
+    def test_other_store_format_refused(self, repo, fmt):
+        repo.close()
+        config_path = repo.path / "config.json"
+        config = json.loads(config_path.read_text())
+        assert config["format"] == STORE_FORMAT
+        if fmt is None:
+            del config["format"]
+        else:
+            config["format"] = fmt
+        config_path.write_text(json.dumps(config))
+        with pytest.raises(StructureCorrupt):
+            Repository.open(repo.path)
 
     def test_commits_continue_across_reopens(self, repo):
         # The level stream position persists, so edits made by a fresh
@@ -153,7 +168,8 @@ class TestCommit:
         assert repo.latest.version == 1
         assert not (repo.path / "lock").exists()
 
-    @pytest.mark.parametrize("content", [str(os.getpid()), "not a pid", ""])
+    @pytest.mark.parametrize("content", [
+        pytest.param(str(os.getpid()), id="live pid"), "not a pid", ""])
     def test_lock_of_live_or_unknown_writer_blocks(self, repo, content):
         (repo.path / "lock").write_text(content)
         with pytest.raises(RepositoryLocked):
@@ -267,6 +283,45 @@ class TestFsck:
         with pytest.raises(StructureCorrupt):
             Repository.open(repo.path)
 
+    def test_lost_trailing_record_refused_at_open(self, repo):
+        repo.commit(format_diff([DiffEntry("replace", 5, b"lost", 4)]))
+        last = repo.store.next_id - 1
+        record = repo.store._encode(last, repo.store.get(last))
+        repo.close()
+        segment = sorted((repo.path / "nodes").glob("segment-*.dat"))[-1]
+        raw = segment.read_bytes()
+        assert raw.endswith(record)
+        segment.write_bytes(raw[:-len(record)])
+        with pytest.raises(StructureCorrupt):
+            Repository.open(repo.path)
+
+
+class TestMalformedMetadata:
+    @pytest.mark.parametrize("name, content, append", [
+        ("versions.log", b'{"version": 1, "ro', True),
+        ("layer2_roots.log", b"x\n", True),
+        ("config.json", b"{not json\n", False),
+        ("config.json", b'{"format": %d, "hash": "md5", "seed": ""}'
+         % STORE_FORMAT, False),
+    ])
+    def test_refused_with_one_line(self, repo, capsys, name, content,
+                                   append):
+        repo.close()
+        target = repo.path / name
+        target.write_bytes((target.read_bytes() if append else b"")
+                           + content)
+        with pytest.raises(StructureCorrupt):
+            Repository.open(repo.path)
+        capsys.readouterr()
+        assert cli.main(["--repo", str(repo.path), "log"]) == cli.EXIT_REJECT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_level_counter_refused_at_commit(self, repo):
+        (repo.path / "level_counter").write_text("x\n")
+        with pytest.raises(StructureCorrupt):
+            repo.commit(format_diff([DiffEntry("insert", 0, b"abc")]))
+
 
 def _reach_new(store, roots, first_id):
     """Ids at or above first_id that the roots reach."""
@@ -378,6 +433,15 @@ class TestCliPipeline:
         chf = tmp_path / "c.chal"
         assert self.run("--repo", str(repo.path), "challenge", "--count",
                         str(2 ** 40), "--out", str(chf)) == cli.EXIT_USAGE
+        assert not chf.exists()
+
+    def test_non_numeric_versions_exit_2(self, tmp_path, repo, capsys):
+        chf = tmp_path / "c.chal"
+        assert self.run("--repo", str(repo.path), "challenge", "--count",
+                        "4", "--versions", "x", "--out",
+                        str(chf)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not chf.exists()
 
     def test_bad_version_exit_2(self, tmp_path):
