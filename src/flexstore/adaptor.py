@@ -64,6 +64,10 @@ class BlockOp:
     data: bytes | None = None
 
 
+# Numbers after each diff record tag: the index, then the lengths.
+_ARITY = {b"I": 2, b"D": 2, b"R": 3}
+
+
 def parse_diff(raw: bytes) -> list[DiffEntry]:
     """Parse the line-oriented diff format; strict about framing."""
     entries = []
@@ -73,36 +77,26 @@ def parse_diff(raw: bytes) -> list[DiffEntry]:
         if nl < 0:
             raise FormatError("diff header without newline")
         fields = raw[pos:nl].split()
+        if not fields or len(fields) - 1 != _ARITY.get(fields[0]):
+            raise FormatError(f"bad diff header {raw[pos:nl]!r}")
         pos = nl + 1
         try:
-            tag = fields[0]
-            if tag == b"I":
-                at, length = int(fields[1]), int(fields[2])
-                if len(fields) != 3:
-                    raise FormatError("bad insert header")
-                data, pos = _take_payload(raw, pos, length)
-                entries.append(DiffEntry(INSERT, at, data))
-            elif tag == b"D":
-                if len(fields) != 3:
-                    raise FormatError("bad delete header")
-                at, length = int(fields[1]), int(fields[2])
-                entries.append(DiffEntry(DELETE, at, delete_len=length))
-            elif tag == b"R":
-                if len(fields) != 4:
-                    raise FormatError("bad replace header")
-                at, dlen, ilen = (int(fields[1]), int(fields[2]),
-                                  int(fields[3]))
-                data, pos = _take_payload(raw, pos, ilen)
-                entries.append(DiffEntry(REPLACE, at, data, dlen))
-            else:
-                raise FormatError(f"unknown record tag {tag!r}")
-        except (IndexError, ValueError) as exc:
+            at, *lengths = map(int, fields[1:])
+        except ValueError as exc:
             raise FormatError(f"bad diff record: {exc}") from exc
+        if min(lengths) < 0:
+            raise FormatError("negative length in diff header")
+        if fields[0] == b"D":
+            entries.append(DiffEntry(DELETE, at, delete_len=lengths[0]))
+            continue
+        data, pos = _take_payload(raw, pos, lengths[-1])
+        entries.append(DiffEntry(INSERT, at, data) if fields[0] == b"I"
+                       else DiffEntry(REPLACE, at, data, lengths[0]))
     return entries
 
 
 def _take_payload(raw: bytes, pos: int, length: int):
-    if length < 0 or pos + length + 1 > len(raw):
+    if pos + length + 1 > len(raw):
         raise FormatError("truncated diff payload")
     data = raw[pos:pos + length]
     if raw[pos + length:pos + length + 1] != b"\n":

@@ -15,8 +15,7 @@ from . import audit
 from .errors import (BlockTooSmall, DiffOutOfRange, DomainError, EmptyCommit,
                      EmptyRegion, FlexStoreError, FormatError, IOFailure,
                      IndexOutOfRange, NoSuchVersion, NotBlockAligned,
-                     OverlappingDiffs, PathExists, StructureCorrupt,
-                     VersionOutOfOrder)
+                     OverlappingDiffs, PathExists, VersionOutOfOrder)
 from .hashing import SEED_BYTES
 from .repo import Repository
 
@@ -42,9 +41,6 @@ def main(argv=None) -> int:
     except (PathExists, IOFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (FormatError, StructureCorrupt) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REJECT
     except FlexStoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECT
@@ -132,6 +128,13 @@ def _read_file(path) -> bytes:
         raise IOFailure(str(exc)) from exc
 
 
+def _write_file(path, data: bytes) -> None:
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise IOFailure(str(exc)) from exc
+
+
 def cmd_init(args) -> int:
     repo = Repository.init(args.repo, block_size=args.block_size,
                            seed=_parse_seed(args.seed), hash_name=args.hash,
@@ -194,7 +197,7 @@ def cmd_challenge(args) -> int:
         ch = repo.make_challenge(_parse_seed(args.seed), args.count, versions)
     finally:
         repo.close()
-    Path(args.out).write_bytes(audit.write_challenge(ch))
+    _write_file(args.out, audit.write_challenge(ch))
     targets = ",".join(map(str, ch.versions)) or "latest"
     print(f"challenge seed {ch.seed.hex()} count {ch.count} "
           f"versions {targets}")
@@ -209,7 +212,7 @@ def cmd_prove(args) -> int:
         data = audit.write_proof(proof, repo.scheme)
     finally:
         repo.close()
-    Path(args.out).write_bytes(data)
+    _write_file(args.out, data)
     print(f"proof {len(data)} bytes to {args.out}")
     return EXIT_OK
 

@@ -75,4 +75,5 @@ class DomainError(FlexStoreError):
 
 
 class RepositoryLocked(IOFailure):
-    """Another writer holds the repository lock."""
+    """Another writer holds the repository lock, or committed after this
+    repository was opened."""

@@ -375,22 +375,24 @@ def premove(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
     return eng.finish(root_ref)
 
 
-def materialize(store: NodeStore, root: int, get_block) -> bytes:
-    """Reassemble a version's bytes: leftmost descent, then the leaf
-    chain, concatenating block contents. get_block maps a block digest to
-    its bytes."""
-    parts = []
+def iter_blocks(store: NodeStore, root: int, get_block):
+    """Yield a version's blocks in order: leftmost descent, then the leaf
+    chain. get_block maps a block digest to its bytes. Raises after the
+    last block if their lengths do not add up to the root's rank."""
     total = 0
     for leaf_id in core.iter_leaves(store, root):
         leaf = store.get(leaf_id)
         if leaf.kind != KIND_LEAF:
             continue
-        parts.append(_leaf_block(leaf, get_block))
+        yield _leaf_block(leaf, get_block)
         total += leaf.length
-    data = b"".join(parts)
     if total != store.get(root).rank:
         raise StructureCorrupt("materialized length disagrees with rank")
-    return data
+
+
+def materialize(store: NodeStore, root: int, get_block) -> bytes:
+    """Reassemble a version's bytes, concatenating its blocks."""
+    return b"".join(iter_blocks(store, root, get_block))
 
 
 def read_range(store: NodeStore, root: int, start: int, length: int,

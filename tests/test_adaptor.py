@@ -74,6 +74,10 @@ class TestDiffFile:
             parse_diff(b"X 1 2\n")
         with pytest.raises(FormatError):
             parse_diff(b"I 0 4\nab\n")  # payload shorter than declared
+        with pytest.raises(FormatError):
+            parse_diff(b"R 10 -5 3\nabc\n")  # negative delete length
+        with pytest.raises(FormatError):
+            parse_diff(b"D 10 -5\n")
 
 
 class TestDiffToOps:

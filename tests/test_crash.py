@@ -1,0 +1,232 @@
+"""Crash consistency of a commit.
+
+A commit writes its blocks, then its node records, then its line in
+versions.log. Wherever a writer stops, `open` must give the previous
+version or the new one with its meta digest, `fsck` must be clean, and
+a further commit must succeed and leave `fsck` clean.
+"""
+
+import json
+import os
+import random
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+from flexstore import repo as repo_mod
+from flexstore.adaptor import DiffEntry, format_diff
+from flexstore.errors import RepositoryLocked
+from flexstore.repo import Repository
+
+SEED = bytes.fromhex("00112233445566778899")
+# Two block puts: the entry straddles a block boundary.
+EDIT = format_diff([DiffEntry("replace", 60, b"crash-" * 2, 8)])
+NEXT = format_diff([DiffEntry("insert", 0, b"next")])
+SEGMENT = "nodes/segment-000001.dat"
+
+
+class Crash(Exception):
+    pass
+
+
+@pytest.fixture
+def states(tmp_path):
+    """A store at version 0, a copy of it that took a clean commit of EDIT,
+    the bytes of their logs and both meta digests."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(7).randbytes(512))
+    path = tmp_path / "repo"
+    repo = Repository.init(path, block_size=64, seed=SEED, input_file=src)
+    repo.close()
+    before = _logs(path)
+    clean = tmp_path / "clean"
+    shutil.copytree(path, clean)
+    repo = Repository.open(clean)
+    meta = [repo.meta_digest]
+    repo.commit(EDIT)
+    meta.append(repo.meta_digest)
+    repo.close()
+    return path, clean, before, _logs(clean), meta
+
+
+def _logs(path):
+    return {name: (path / name).read_bytes()
+            for name in ("versions.log", SEGMENT)}
+
+
+def _restore(path, logs):
+    for name, data in logs.items():
+        (path / name).write_bytes(data)
+
+
+def _expect(path, version, meta):
+    """The store opens at `version` with its meta digest and a clean
+    fsck, and takes one more commit that keeps fsck clean."""
+    repo = Repository.open(path)
+    try:
+        assert repo.latest.version == version
+        assert repo.meta_digest == meta[version]
+        assert repo.fsck() == []
+        repo.commit(NEXT)
+    finally:
+        repo.close()
+    repo = Repository.open(path)
+    try:
+        assert repo.latest.version == version + 1
+        assert repo.fsck() == []
+    finally:
+        repo.close()
+
+
+# (owner, method, which call of it raises, before or after the call runs,
+#  the version open gives afterwards)
+POINTS = [(repo_mod.BlockStore, "put", 1, "before", 0),
+          (repo_mod.BlockStore, "put", 1, "after", 0),
+          (repo_mod.BlockStore, "put", 2, "before", 0),
+          (repo_mod.BlockStore, "put", 2, "after", 0),
+          (repo_mod.DurableNodeStore, "flush", 1, "before", 0),
+          # after the flush comes the line append
+          (repo_mod.DurableNodeStore, "flush", 1, "after", 0),
+          # the first call after the line append
+          (repo_mod.DurableNodeStore, "mark_committed", 1, "before", 1)]
+
+
+def _inject(monkeypatch, owner, name, nth, when):
+    real = getattr(owner, name)
+    calls = []
+
+    def faulty(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == nth and when == "before":
+            raise Crash
+        result = real(*args, **kwargs)
+        if len(calls) == nth:
+            raise Crash
+        return result
+    monkeypatch.setattr(owner, name, faulty)
+
+
+@pytest.mark.parametrize("owner, name, nth, when, version", POINTS)
+def test_raise_at_each_write(states, monkeypatch, owner, name, nth, when,
+                             version):
+    path, _clean, _before, _after, meta = states
+    repo = Repository.open(path)
+    with monkeypatch.context() as patch:
+        _inject(patch, owner, name, nth, when)
+        with pytest.raises(Crash):
+            repo.commit(EDIT)
+    repo.close()
+    _expect(path, version, meta)
+
+
+@pytest.mark.parametrize("owner, name, nth, when, version", POINTS)
+def test_same_object_commits_after_a_raise(states, monkeypatch, owner, name,
+                                           nth, when, version):
+    path, _clean, _before, _after, meta = states
+    repo = Repository.open(path)
+    try:
+        with monkeypatch.context() as patch:
+            _inject(patch, owner, name, nth, when)
+            with pytest.raises(Crash):
+                repo.commit(EDIT)
+        if version == 1:
+            # The line is on disk but this object never saw it commit.
+            with pytest.raises(RepositoryLocked):
+                repo.commit(NEXT)
+        else:
+            assert repo.latest.version == 0
+            assert repo.meta_digest == meta[0]
+            repo.commit(EDIT)
+            assert repo.meta_digest == meta[1]
+    finally:
+        repo.close()
+    _expect(path, 1, meta)
+
+
+@pytest.mark.parametrize("point", ["flush", "mark_committed"])
+def test_killed_writer(states, point):
+    """SIGKILL drops what the writer had buffered and keeps the lock file;
+    neither blocks the next writer."""
+    path, _clean, _before, _after, meta = states
+    script = (
+        "import os, signal, sys\n"
+        "from flexstore import repo\n"
+        "def kill(*args):\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        f"setattr(repo.DurableNodeStore, {point!r}, kill)\n"
+        f"repo.Repository.open(sys.argv[1]).commit({EDIT!r})\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-c", script, str(path)],
+                           env=env, timeout=120)
+    assert child.returncode == -9
+    _expect(path, 1 if point == "mark_committed" else 0, meta)
+
+
+def test_commit_line_cut_at_every_length(states):
+    _path, path, before, after, meta = states
+    start = len(before["versions.log"])
+    line = after["versions.log"][start:]
+    assert json.loads(line)["nodes"] > 0
+    for cut in range(len(line) + 1):
+        _restore(path, {SEGMENT: after[SEGMENT],
+                        "versions.log": after["versions.log"][:start + cut]})
+        _expect(path, 1 if cut == len(line) else 0, meta)
+
+
+def test_node_log_cut_past_committed_end(states):
+    _path, path, before, after, meta = states
+    segment = after[SEGMENT]
+    assert segment.startswith(before[SEGMENT])
+    for cut in range(len(before[SEGMENT]), len(segment) + 1):
+        _restore(path, {SEGMENT: segment[:cut],
+                        "versions.log": before["versions.log"]})
+        _expect(path, 0, meta)
+    _restore(path, {SEGMENT: segment + b"\x01" * 40,
+                    "versions.log": after["versions.log"]})
+    _expect(path, 1, meta)
+
+
+def test_uncommitted_segments_discarded(states, monkeypatch):
+    """A commit that rolled the node log over into new segments and then
+    died leaves them past the committed end; the next writer removes
+    them."""
+    path, _clean, _before, _after, meta = states
+    monkeypatch.setattr(repo_mod, "_SEGMENT_LIMIT", 400)
+    repo = Repository.open(path)
+    with monkeypatch.context() as patch:
+        _inject(patch, repo_mod.DurableNodeStore, "flush", 1, "after")
+        with pytest.raises(Crash):
+            repo.commit(EDIT)
+    repo.close()
+    assert len(list((path / "nodes").iterdir())) > 2
+    _expect(path, 0, meta)
+    # The node log holds the committed records and nothing else.
+    repo = Repository.open(path)
+    store = repo.store
+    repo.close()
+    assert (sum(len(store._encode(i, store.get(i)))
+                for i in range(store.next_id))
+            == sum(f.stat().st_size for f in (path / "nodes").iterdir()))
+
+
+def test_torn_last_line_opens_previous_version(states):
+    _path, path, _before, after, meta = states
+    _restore(path, {SEGMENT: after[SEGMENT],
+                    "versions.log": after["versions.log"][:-1]})
+    repo = Repository.open(path)
+    try:
+        assert repo.latest.version == 0
+        assert repo.meta_digest == meta[0]
+    finally:
+        repo.close()
+
+
+def test_store_holds_only_the_commit_files(states):
+    path = states[0]
+    repo = Repository.open(path)
+    repo.commit(EDIT)
+    repo.close()
+    assert sorted(os.listdir(path)) == ["blocks", "config.json", "lock",
+                                        "nodes", "versions.log"]

@@ -3,10 +3,11 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
 
-from flexstore import cli
+from flexstore import cli, core
 from flexstore.adaptor import DiffEntry, format_diff
 from flexstore.errors import (DomainError, EmptyCommit, NoSuchVersion,
                               PathExists, RepositoryLocked, StructureCorrupt)
@@ -61,7 +62,7 @@ class TestInit:
         finally:
             again.close()
 
-    @pytest.mark.parametrize("fmt", [None, 1, STORE_FORMAT + 1])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, STORE_FORMAT + 1])
     def test_other_store_format_refused(self, repo, fmt):
         repo.close()
         config_path = repo.path / "config.json"
@@ -161,21 +162,29 @@ class TestCommit:
                     pass
 
     def test_lock_of_dead_writer_is_taken(self, repo):
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait(timeout=60)
-        (repo.path / "lock").write_text(str(child.pid))
+        with _lock_holder(repo.path / "lock") as child:
+            (repo.path / "lock").write_text(str(child.pid))
         repo.commit(format_diff([DiffEntry("replace", 0, b"Q", 1)]))
         assert repo.latest.version == 1
-        assert not (repo.path / "lock").exists()
+        assert (repo.path / "lock").exists()
 
     @pytest.mark.parametrize("content", [
         pytest.param(str(os.getpid()), id="live pid"), "not a pid", ""])
     def test_lock_of_live_or_unknown_writer_blocks(self, repo, content):
+        # Whatever the file holds, a live process holding the lock blocks.
         (repo.path / "lock").write_text(content)
-        with pytest.raises(RepositoryLocked):
-            repo.commit(format_diff([DiffEntry("replace", 0, b"Q", 1)]))
+        with _lock_holder(repo.path / "lock"):
+            with pytest.raises(RepositoryLocked):
+                repo.commit(format_diff([DiffEntry("replace", 0, b"Q", 1)]))
         assert (repo.path / "lock").read_text() == content
         assert repo.latest.version == 0
+
+    @pytest.mark.parametrize("content", ["not a pid", ""])
+    def test_leftover_lock_file_is_taken(self, repo, content):
+        (repo.path / "lock").write_text(content)
+        repo.commit(format_diff([DiffEntry("replace", 0, b"Q", 1)]))
+        assert repo.latest.version == 1
+        assert (repo.path / "lock").read_text() == content
 
     def test_multi_op_commit_leaves_no_orphans(self, repo):
         first_id = repo.store.next_id
@@ -231,8 +240,19 @@ class TestCheckout:
         original = repo.materialize(0)
         repo.commit(format_diff([DiffEntry("delete", 0, delete_len=1000)]))
         out = tmp_path / "out.bin"
-        repo.checkout(0, out)
+        assert repo.checkout(0, out) == len(original)
         assert out.read_bytes() == original
+
+    def test_missing_block_leaves_no_file(self, repo, tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        # The last block, so the earlier ones were written first.
+        last = repo.store.get(core.search(repo.store, repo.latest.root,
+                                          4095).leaf)
+        repo.blocks._path(last.block).unlink()
+        with pytest.raises(StructureCorrupt):
+            repo.checkout(0, out_dir / "out.bin")
+        assert list(out_dir.iterdir()) == []
 
     def test_missing_version(self, repo, tmp_path):
         with pytest.raises(NoSuchVersion):
@@ -298,8 +318,7 @@ class TestFsck:
 
 class TestMalformedMetadata:
     @pytest.mark.parametrize("name, content, append", [
-        ("versions.log", b'{"version": 1, "ro', True),
-        ("layer2_roots.log", b"x\n", True),
+        ("versions.log", b'{"version": 1, "ro\n', True),
         ("config.json", b"{not json\n", False),
         ("config.json", b'{"format": %d, "hash": "md5", "seed": ""}'
          % STORE_FORMAT, False),
@@ -310,17 +329,50 @@ class TestMalformedMetadata:
         target = repo.path / name
         target.write_bytes((target.read_bytes() if append else b"")
                            + content)
-        with pytest.raises(StructureCorrupt):
-            Repository.open(repo.path)
-        capsys.readouterr()
-        assert cli.main(["--repo", str(repo.path), "log"]) == cli.EXIT_REJECT
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        _assert_refused(repo.path, capsys)
 
-    def test_level_counter_refused_at_commit(self, repo):
-        (repo.path / "level_counter").write_text("x\n")
-        with pytest.raises(StructureCorrupt):
-            repo.commit(format_diff([DiffEntry("insert", 0, b"abc")]))
+    @pytest.mark.parametrize("field, value", [
+        ("layer2_root", "x"), ("level_counter", "x"), ("level_counter", 1.5),
+        ("nodes", None), ("version", 7)])
+    def test_bad_commit_line_field(self, repo, capsys, field, value):
+        # Counts must be non-negative integers, and line i is version i.
+        repo.close()
+        log = repo.path / "versions.log"
+        line = json.loads(log.read_bytes())
+        line[field] = value
+        log.write_text(json.dumps(line) + "\n")
+        _assert_refused(repo.path, capsys)
+
+
+def _assert_refused(path, capsys):
+    """open raises StructureCorrupt, and the CLI says so in one line."""
+    with pytest.raises(StructureCorrupt):
+        Repository.open(path)
+    capsys.readouterr()
+    assert cli.main(["--repo", str(path), "log"]) == cli.EXIT_REJECT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@contextmanager
+def _lock_holder(lock):
+    """A child process that holds the writer lock until the with-block
+    ends, when it is killed."""
+    child = subprocess.Popen(
+        [sys.executable, "-c",
+         "import fcntl, os, sys, time\n"
+         "fd = os.open(sys.argv[1], os.O_CREAT | os.O_RDWR)\n"
+         "fcntl.flock(fd, fcntl.LOCK_EX)\n"
+         "print('locked', flush=True)\n"
+         "time.sleep(600)\n", str(lock)],
+        stdout=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline() == "locked\n"
+        yield child
+    finally:
+        child.kill()
+        child.wait(timeout=60)
+        child.stdout.close()
 
 
 def _reach_new(store, roots, first_id):
@@ -419,6 +471,20 @@ class TestCliPipeline:
             self.run("--repo", repo_path, "prove", "--challenge", str(chf1),
                      "--out", str(p))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("command", ["challenge", "prove"])
+    def test_unwritable_out_exit_3(self, tmp_path, repo, capsys, command):
+        chf = tmp_path / "c.chal"
+        assert self.run("--repo", str(repo.path), "challenge", "--count",
+                        "4", "--out", str(chf)) == 0
+        out = tmp_path / "missing" / "out"
+        args = (["--count", "4"] if command == "challenge"
+                else ["--challenge", str(chf)])
+        capsys.readouterr()
+        assert self.run("--repo", str(repo.path), command, *args, "--out",
+                        str(out)) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_init_existing_path_exit_3(self, tmp_path):
         repo_path = str(tmp_path / "repo")
