@@ -22,6 +22,7 @@ after link enters. Runs of level-0 towers chain at leaf level.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .errors import (BlockTooSmall, IndexOutOfRange, PathNotCovered,
@@ -164,6 +165,14 @@ def split_blocks(data: bytes, block_size: int) -> list[bytes]:
     return [data[i:i + block_size] for i in range(0, len(data), block_size)]
 
 
+def read_blocks(fh, block_size: int) -> Iterator[bytes]:
+    """Cut a binary file into block_size pieces as it is read: the pieces
+    split_blocks gives for its whole content, one in memory at a time."""
+    if block_size < 1:
+        raise BlockTooSmall("block_size must be >= 1")
+    return iter(lambda: fh.read(block_size), b"")
+
+
 def make_leaf(store: NodeStore, scheme: HashScheme, length: int,
               block_digest: bytes | None, after: int | None, version: int,
               sentinel: bool = False) -> int:
@@ -238,21 +247,23 @@ def _push_tower(store, scheme, stack, level, length, block_digest, version,
     return stack
 
 
-def build(store: NodeStore, scheme: HashScheme, blocks: list[bytes],
+def build(store: NodeStore, scheme: HashScheme, blocks: Iterable[bytes],
           src: LevelSource, version: int = 0,
           block_digest=None) -> tuple[int, LevelSource]:
-    """Pre-process a block sequence: draw one level per block and build.
+    """Pre-process a block sequence in one pass: draw one level per block
+    and build. The blocks may come from an iterator, so a caller need not
+    hold them all.
 
     block_digest(block) returns a block's digest (default: hash it with
     scheme); a caller that stores the blocks can pass its own put.
     Returns (root id, advanced level source).
     """
     block_digest = block_digest or scheme.block_digest
-    levels = []
-    for _ in blocks:
+    pairs, levels = [], []
+    for block in blocks:
         level, src = src.draw()
         levels.append(level)
-    pairs = [(len(b), block_digest(b)) for b in blocks]
+        pairs.append((len(block), block_digest(block)))
     root = build_with_levels(store, scheme, pairs, levels, version)
     return root, src
 

@@ -1,24 +1,28 @@
 """Durable repository: block store, node store and version log.
 
-On-disk layout under the repository root (store format 3):
+On-disk layout under the repository root (store format 4):
 
     config.json    store format, hash function, block size, seed
     versions.log   one JSON line per version (append-only)
     nodes/         segmented append-only node records
-    blocks/        block content, fanned out by digest prefix
+    blocks/pack    block content, appended back to back
+    blocks/index   one fixed-width record per block in the pack:
+                   digest || u64 offset || u32 length, in pack order
     lock           the writer lock, taken with flock
 
 Blocks are content-addressed, so identical content across versions (or
-within one file) is stored once. Node records are write-once; commits
-append, never rewrite.
+within one file) is stored once. Node records and blocks are write-once;
+commits append, never rewrite.
 
-A commit writes its blocks, then its node records (flushed), then its
-line in versions.log. That line is the commit point: besides the version
-record it holds the layer-2 root id, the level counter and `nodes`, the
-number of node records the version needs. `open` reads only complete
-lines and loads only that many node records, so what a crashed writer
-left past them (a line without its newline, trailing node records) is
-ignored. The next writer truncates it before appending. Nothing is
+A commit writes its blocks (pack, then index record), then its node
+records (flushed), then its line in versions.log. That line is the
+commit point: besides the version record it holds the layer-2 root id,
+the level counter, `nodes`, the number of node records the version
+needs, and `blocks`, the number of index records. `open` reads only
+complete lines, loads only that many node records and counts only that
+many index records, so what a crashed writer left past them (a line
+without its newline, trailing node records, blocks and index records)
+is ignored. The next writer truncates it before appending. Nothing is
 fsynced, so this holds for a process that dies, not for power loss.
 
 Writers hold an exclusive flock on `lock`, which the kernel releases
@@ -27,7 +31,9 @@ when the holder exits; read-only commands do not take it.
 
 from __future__ import annotations
 
+import errno
 import fcntl
+import io
 import json
 import os
 import random
@@ -44,9 +50,11 @@ from .index2 import VersionIndex, VersionRecord
 
 # Version of the on-disk layout, kept in config.json; open refuses any
 # other.
-STORE_FORMAT = 3
+STORE_FORMAT = 4
 _SEGMENT_LIMIT = 64 * 1024 * 1024
 _RECORD_FIXED = struct.Struct(">QBQQQ")
+_INDEX_RUN = 4096    # block index records read at a time
+_LENGTH_MASK = 0xFFFFFFFF
 
 
 class DurableNodeStore(NodeStore):
@@ -176,44 +184,168 @@ class DurableNodeStore(NodeStore):
 
 
 class BlockStore:
-    """Content-addressed block files, fanned out by digest prefix."""
+    """Content-addressed blocks in one append-only pack file.
 
-    def __init__(self, directory: Path, scheme: HashScheme):
+    `pack` holds block bytes back to back; `index` holds one fixed-width
+    record per block, digest || u64 offset || u32 length, in pack order.
+    Only the first `committed` records count: opening reads the last of
+    them, for the pack's committed end, and the digest map is decoded on
+    first use. Reads are one pread each on a descriptor held open; the
+    writer descriptors open on the first write, which a writer makes
+    under the lock.
+    """
+
+    def __init__(self, directory: Path, scheme: HashScheme, committed: int):
         self.directory = directory
         self.scheme = scheme
-        directory.mkdir(parents=True, exist_ok=True)
+        self._record = struct.Struct(f">{scheme.width}sQI")
+        # digest -> offset << 32 | length: one int per block, as the
+        # map stays in memory for the life of the store.
+        self._map: dict[bytes, int] | None = None
+        self._writers: tuple[int, int] | None = None
+        self._pack = self._index = None
+        try:
+            self._pack = os.open(directory / "pack", os.O_RDONLY)
+            self._index = os.open(directory / "index", os.O_RDONLY)
+            end = 0
+            if committed:
+                last = os.pread(self._index, self._record.size,
+                                (committed - 1) * self._record.size)
+                if len(last) != self._record.size:
+                    raise StructureCorrupt(
+                        f"block index ends before record {committed}")
+                _digest, offset, length = self._record.unpack(last)
+                end = offset + length
+            if os.fstat(self._pack).st_size < end:
+                raise StructureCorrupt(f"block pack ends before byte {end}")
+        except OSError as exc:
+            self.close()
+            raise IOFailure(f"block store unreadable: {exc}") from exc
+        except StructureCorrupt:
+            self.close()
+            raise
+        self._count = self._committed = committed
+        self._end = self._committed_end = end
 
-    def _path(self, digest: bytes) -> Path:
-        name = digest.hex()
-        return self.directory / name[:2] / name[2:]
+    @classmethod
+    def create(cls, directory: Path, scheme: HashScheme) -> "BlockStore":
+        directory.mkdir()
+        for name in ("pack", "index"):
+            (directory / name).touch()
+        return cls(directory, scheme, 0)
+
+    @property
+    def count(self) -> int:
+        """Index records written, committed or not."""
+        return self._count
+
+    def _records(self):
+        """Yield (digest, offset, length) for every committed index record,
+        in pack order, reading a bounded run of records at a time. Each
+        block must start where the one before it ended."""
+        size, end = self._record.size, 0
+        for first in range(0, self._committed, _INDEX_RUN):
+            want = min(_INDEX_RUN, self._committed - first) * size
+            raw = os.pread(self._index, want, first * size)
+            if len(raw) != want:
+                raise StructureCorrupt(
+                    f"block index ends before record {self._committed}")
+            for digest, offset, length in self._record.iter_unpack(raw):
+                if offset != end:
+                    raise StructureCorrupt(
+                        f"block index record at byte {offset} out of "
+                        "sequence")
+                end += length
+                yield digest, offset, length
+
+    def _blocks(self) -> dict[bytes, int]:
+        """digest -> offset << 32 | length of every committed record,
+        decoded from the index on first use."""
+        if self._map is None:
+            blocks = {}
+            for digest, offset, length in self._records():
+                if digest in blocks:
+                    raise StructureCorrupt(
+                        f"block {digest.hex()} indexed twice")
+                blocks[digest] = offset << 32 | length
+            self._map = blocks
+        return self._map
 
     def put(self, data: bytes) -> bytes:
         digest = self.scheme.block_digest(data)
-        path = self._path(digest)
-        if not path.exists():
-            path.parent.mkdir(exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_bytes(data)
-            tmp.replace(path)
+        blocks = self._blocks()
+        if digest not in blocks:
+            pack, index = self._writer()
+            _write_at(pack, data, self._end)
+            _write_at(index, self._record.pack(digest, self._end, len(data)),
+                      self._count * self._record.size)
+            blocks[digest] = self._end << 32 | len(data)
+            self._end += len(data)
+            self._count += 1
         return digest
 
     def get(self, digest: bytes) -> bytes:
-        path = self._path(digest)
         try:
-            return path.read_bytes()
-        except OSError as exc:
+            place = self._blocks()[digest]
+        except KeyError:
             raise StructureCorrupt(
-                f"block {digest.hex()} missing from store") from exc
+                f"block {digest.hex()} missing from store") from None
+        return self._read(digest, place >> 32, place & _LENGTH_MASK)
+
+    def scan(self):
+        """Yield (digest, block) for every committed record in pack order,
+        one block in memory at a time. Neither uses nor builds the digest
+        map, so a check of the whole pack leaves no map behind."""
+        for digest, offset, length in self._records():
+            yield digest, self._read(digest, offset, length)
+
+    def _read(self, digest: bytes, offset: int, length: int) -> bytes:
+        data = os.pread(self._pack, length, offset)
+        if len(data) != length:
+            raise StructureCorrupt(f"block {digest.hex()} cut short in the "
+                                   "pack")
+        return data
 
     def all_digests(self) -> list[bytes]:
-        out = []
-        for sub in sorted(self.directory.iterdir()):
-            if not sub.is_dir():
-                continue
-            for f in sorted(sub.iterdir()):
-                if f.suffix != ".tmp":
-                    out.append(bytes.fromhex(sub.name + f.name))
-        return out
+        """Every stored block's digest, in pack order."""
+        return list(self._blocks())
+
+    def overwrite(self, digest: bytes, data: bytes) -> None:
+        """Replace a stored block's bytes in place (fault injection)."""
+        _write_at(self._writer()[0], data, self._blocks()[digest] >> 32)
+
+    def _writer(self) -> tuple[int, int]:
+        if self._writers is None:
+            pack = os.open(self.directory / "pack", os.O_WRONLY)
+            try:
+                index = os.open(self.directory / "index", os.O_WRONLY)
+            except OSError:
+                os.close(pack)
+                raise
+            self._writers = (pack, index)
+        return self._writers
+
+    def mark_committed(self) -> None:
+        """Count every record written so far as committed."""
+        self._committed, self._committed_end = self._count, self._end
+
+    def discard_uncommitted(self) -> None:
+        """Cut the pack and the index back to their committed ends, and
+        forget the blocks past them (a writer's work only)."""
+        pack, index = self._writer()
+        os.ftruncate(pack, self._committed_end)
+        os.ftruncate(index, self._committed * self._record.size)
+        if self._map is not None:
+            # Records enter the map in pack order; the newest leave first.
+            for _ in range(self._count - self._committed):
+                self._map.popitem()
+        self._count, self._end = self._committed, self._committed_end
+
+    def close(self) -> None:
+        for fd in (self._pack, self._index, *(self._writers or ())):
+            if fd is not None:
+                os.close(fd)
+        self._pack = self._index = self._writers = None
 
 
 class Repository:
@@ -252,19 +384,20 @@ class Repository:
                 json.dumps(config, sort_keys=True) + "\n")
             scheme = HashScheme(hash_name)
             store = DurableNodeStore(path / "nodes", scheme.width)
-            blocks = BlockStore(path / "blocks", scheme)
-            data = Path(input_file).read_bytes() if input_file else b""
+            blocks = BlockStore.create(path / "blocks", scheme)
+            with (open(input_file, "rb") if input_file
+                  else io.BytesIO()) as fh:
+                root, src = core.build(
+                    store, scheme, core.read_blocks(fh, config["block_size"]),
+                    LevelSource(seed), block_digest=blocks.put)
+            vindex = VersionIndex(store, scheme, seed)
+            rank = store.get(root).rank
+            vindex.append_version(
+                VersionRecord(0, root, store.get(root).digest, 0, rank))
+            repo = cls(path, config, store, blocks, vindex, 0, 0)
+            repo._append_commit(vindex, src.counter)
         except OSError as exc:
             raise IOFailure(str(exc)) from exc
-        pieces = core.split_blocks(data, config["block_size"])
-        root, src = core.build(store, scheme, pieces, LevelSource(seed),
-                               block_digest=blocks.put)
-        vindex = VersionIndex(store, scheme, seed)
-        rank = store.get(root).rank
-        vindex.append_version(
-            VersionRecord(0, root, store.get(root).digest, 0, rank))
-        repo = cls(path, config, store, blocks, vindex, 0, 0)
-        repo._append_commit(vindex, src.counter)
         return repo
 
     @classmethod
@@ -295,7 +428,7 @@ class Repository:
             raise StructureCorrupt("versions.log holds no committed version")
         last = commits[-1][1]
         store = DurableNodeStore(path / "nodes", scheme.width, last["nodes"])
-        blocks = BlockStore(path / "blocks", scheme)
+        blocks = BlockStore(path / "blocks", scheme, last["blocks"])
         vindex = VersionIndex(store, scheme, seed, root=last["layer2_root"],
                               records=[rec for rec, _line in commits])
         return cls(path, config, store, blocks, vindex,
@@ -303,6 +436,7 @@ class Repository:
 
     def close(self) -> None:
         self.store.close()
+        self.blocks.close()
 
     @contextmanager
     def write_lock(self):
@@ -327,8 +461,9 @@ class Repository:
 
     def _discard_uncommitted(self) -> None:
         """Truncate what a failed or crashed commit left past the committed
-        end of versions.log and the node log. Refuses if a complete line
-        appeared since this store was opened: another writer committed."""
+        end of versions.log, the node log and the block pack and index.
+        Refuses if a complete line appeared since this store was opened:
+        another writer committed."""
         with open(self.path / "versions.log", "r+b") as fh:
             fh.seek(self._log_end)
             if (b"\n" in fh.read()
@@ -337,10 +472,12 @@ class Repository:
                     "versions.log changed since the store was opened")
             fh.truncate(self._log_end)
         self.store.discard_uncommitted()
+        self.blocks.discard_uncommitted()
 
     def _append_commit(self, vindex: VersionIndex, level_counter: int) -> None:
-        """The commit point: flush the node log, then append the version's
-        line. Only then does this object move to the new version."""
+        """The commit point: with the blocks written, flush the node log,
+        then append the version's line. Only then does this object move to
+        the new version."""
         self.store.flush()
         rec = vindex.records[-1]
         line = json.dumps({
@@ -349,10 +486,12 @@ class Repository:
             "update_start": rec.update_start,
             "update_length": rec.update_length,
             "layer2_root": vindex.root, "level_counter": level_counter,
-            "nodes": self.store.next_id}, sort_keys=True).encode() + b"\n"
+            "nodes": self.store.next_id, "blocks": self.blocks.count},
+            sort_keys=True).encode() + b"\n"
         with open(self.path / "versions.log", "ab") as fh:
             fh.write(line)
         self.store.mark_committed()
+        self.blocks.mark_committed()
         self._log_end += len(line)
         self.vindex, self._level_counter = vindex, level_counter
 
@@ -403,8 +542,11 @@ class Repository:
     def commit(self, diff_bytes: bytes) -> dict:
         """Apply a diff as one new version; returns a summary."""
         with self.write_lock():
-            self._discard_uncommitted()
-            return self._commit(diff_bytes)
+            try:
+                self._discard_uncommitted()
+                return self._commit(diff_bytes)
+            except OSError as exc:
+                raise IOFailure(f"commit failed: {exc}") from exc
 
     def _commit(self, diff_bytes: bytes) -> dict:
         diffs = adaptor.parse_diff(diff_bytes)
@@ -485,7 +627,6 @@ class Repository:
         """Sweep every invariant the store promises; returns violations."""
         problems = []
         verified: dict[int, Node] = {}
-        recomputed_blocks: dict[bytes, int] = {}
         for rec in self.vindex.records:
             try:
                 stored = self.store.get(rec.root)
@@ -502,31 +643,29 @@ class Repository:
                     or stored.rank == 0):
                 problems.append(
                     f"version {rec.version}: update region exceeds rank")
+        problems += self._fsck_layer2()
+        lengths: dict[bytes, int] = {}    # of every index record
+        try:
+            for digest, data in self.blocks.scan():
+                if digest in lengths:
+                    problems.append(f"block {digest.hex()}: indexed twice")
+                lengths[digest] = len(data)
+                if self.scheme.block_digest(data) != digest:
+                    problems.append(f"block {digest.hex()}: content does "
+                                    "not match its address")
+        except StructureCorrupt as exc:
+            problems.append(str(exc))
         for node_id, node in verified.items():
             if node.kind != KIND_LEAF:
                 continue
-            if node.block not in recomputed_blocks:
-                try:
-                    data = self.blocks.get(node.block)
-                except StructureCorrupt:
-                    problems.append(
-                        f"leaf {node_id}: block {node.block.hex()} missing")
-                    continue
-                recomputed_blocks[node.block] = len(data)
-                if self.scheme.block_digest(data) != node.block:
-                    problems.append(
-                        f"block {node.block.hex()}: content does not match "
-                        "its address")
-            if recomputed_blocks.get(node.block) != node.length:
+            length = lengths.get(node.block)
+            if length is None:
+                problems.append(
+                    f"leaf {node_id}: block {node.block.hex()} missing")
+            elif length != node.length:
                 problems.append(
                     f"leaf {node_id}: stored length {node.length} disagrees "
                     "with block size")
-        problems += self._fsck_layer2()
-        for digest in self.blocks.all_digests():
-            data = self.blocks.get(digest)
-            if self.scheme.block_digest(data) != digest:
-                problems.append(
-                    f"block file {digest.hex()}: content hash mismatch")
         return problems
 
     def _fsck_layer2(self) -> list[str]:
@@ -561,13 +700,13 @@ class Repository:
         count = round(fraction * len(targets))
         rng = random.Random(rng_seed)
         chosen = rng.sample(targets, count) if count else []
-        for digest in chosen:
-            path = self.blocks._path(digest)
-            original = path.read_bytes()
-            garbage = rng.randbytes(len(original))
-            while self.scheme.block_digest(garbage) == digest:
-                garbage = rng.randbytes(len(original))
-            path.write_bytes(garbage)
+        with self.write_lock():
+            for digest in chosen:
+                length = len(self.blocks.get(digest))
+                garbage = rng.randbytes(length)
+                while self.scheme.block_digest(garbage) == digest:
+                    garbage = rng.randbytes(length)
+                self.blocks.overwrite(digest, garbage)
         return {"scope": scope, "targets": len(targets),
                 "corrupted": len(chosen)}
 
@@ -599,7 +738,7 @@ def _malformed(name: str):
 
 
 _LINE_COUNTS = ("version", "root", "update_start", "update_length",
-                "layer2_root", "level_counter", "nodes")
+                "layer2_root", "level_counter", "nodes", "blocks")
 
 
 def _commit_line(raw: bytes, version: int) -> tuple[VersionRecord, dict]:
@@ -612,6 +751,11 @@ def _commit_line(raw: bytes, version: int) -> tuple[VersionRecord, dict]:
     return VersionRecord(line["version"], line["root"],
                          bytes.fromhex(line["root_digest"]),
                          line["update_start"], line["update_length"]), line
+
+
+def _write_at(fd: int, data: bytes, offset: int) -> None:
+    if os.pwrite(fd, data, offset) != len(data):
+        raise OSError(errno.ENOSPC, f"short write at byte {offset}")
 
 
 def _update_region(ops: list[adaptor.BlockOp], rank: int) -> tuple[int, int]:

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import random
 import struct
 
@@ -6,7 +7,7 @@ import pytest
 
 from flexstore.core import (NodeStore, block_layout, build,
                             build_with_levels, check_subtree, iter_leaves,
-                            search, split_blocks)
+                            read_blocks, search, split_blocks)
 from flexstore.errors import BlockTooSmall, IndexOutOfRange
 from flexstore.hashing import HashScheme, LevelSource
 
@@ -39,6 +40,15 @@ class TestSplitBlocks:
     def test_bad_size(self):
         with pytest.raises(BlockTooSmall):
             split_blocks(b"x", 0)
+        with pytest.raises(BlockTooSmall):
+            read_blocks(io.BytesIO(b"x"), 0)
+
+    @pytest.mark.parametrize("size, block_size", [(0, 4), (4096, 2048),
+                                                  (5000, 2048), (1, 7)])
+    def test_read_blocks_as_split(self, size, block_size):
+        data = random.Random(size).randbytes(size)
+        assert (list(read_blocks(io.BytesIO(data), block_size))
+                == split_blocks(data, block_size))
 
 
 class TestLevelStream:

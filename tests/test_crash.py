@@ -6,6 +6,7 @@ version or the new one with its meta digest, `fsck` must be clean, and
 a further commit must succeed and leave `fsck` clean.
 """
 
+import errno
 import json
 import os
 import random
@@ -15,6 +16,7 @@ import sys
 
 import pytest
 
+from flexstore import cli
 from flexstore import repo as repo_mod
 from flexstore.adaptor import DiffEntry, format_diff
 from flexstore.errors import RepositoryLocked
@@ -25,6 +27,7 @@ SEED = bytes.fromhex("00112233445566778899")
 EDIT = format_diff([DiffEntry("replace", 60, b"crash-" * 2, 8)])
 NEXT = format_diff([DiffEntry("insert", 0, b"next")])
 SEGMENT = "nodes/segment-000001.dat"
+PACK, INDEX = "blocks/pack", "blocks/index"
 
 
 class Crash(Exception):
@@ -53,7 +56,7 @@ def states(tmp_path):
 
 def _logs(path):
     return {name: (path / name).read_bytes()
-            for name in ("versions.log", SEGMENT)}
+            for name in ("versions.log", SEGMENT, PACK, INDEX)}
 
 
 def _restore(path, logs):
@@ -63,7 +66,8 @@ def _restore(path, logs):
 
 def _expect(path, version, meta):
     """The store opens at `version` with its meta digest and a clean
-    fsck, and takes one more commit that keeps fsck clean."""
+    fsck, and takes one more commit that keeps fsck clean and leaves the
+    block files holding the committed blocks and nothing else."""
     repo = Repository.open(path)
     try:
         assert repo.latest.version == version
@@ -76,6 +80,12 @@ def _expect(path, version, meta):
     try:
         assert repo.latest.version == version + 1
         assert repo.fsck() == []
+        # The writer cut what was left past the committed ends.
+        digests = repo.blocks.all_digests()
+        assert ((path / INDEX).stat().st_size
+                == len(digests) * (repo.scheme.width + 12))
+        assert ((path / PACK).stat().st_size
+                == sum(len(repo.blocks.get(d)) for d in digests))
     finally:
         repo.close()
 
@@ -170,22 +180,33 @@ def test_commit_line_cut_at_every_length(states):
     line = after["versions.log"][start:]
     assert json.loads(line)["nodes"] > 0
     for cut in range(len(line) + 1):
-        _restore(path, {SEGMENT: after[SEGMENT],
+        _restore(path, {**after,
                         "versions.log": after["versions.log"][:start + cut]})
         _expect(path, 1 if cut == len(line) else 0, meta)
 
 
-def test_node_log_cut_past_committed_end(states):
+def _cut_past_committed_end(states, name):
+    """What the commit appended to one file, cut at every byte, with the
+    other files as they were before it; then 40 junk bytes past each
+    committed end."""
     _path, path, before, after, meta = states
-    segment = after[SEGMENT]
-    assert segment.startswith(before[SEGMENT])
-    for cut in range(len(before[SEGMENT]), len(segment) + 1):
-        _restore(path, {SEGMENT: segment[:cut],
-                        "versions.log": before["versions.log"]})
+    grown = after[name]
+    assert grown.startswith(before[name]) and grown != before[name]
+    for cut in range(len(before[name]), len(grown) + 1):
+        _restore(path, {**before, name: grown[:cut]})
         _expect(path, 0, meta)
-    _restore(path, {SEGMENT: segment + b"\x01" * 40,
-                    "versions.log": after["versions.log"]})
-    _expect(path, 1, meta)
+    for version, logs in enumerate((before, after)):
+        _restore(path, {**logs, name: logs[name] + b"\x01" * 40})
+        _expect(path, version, meta)
+
+
+def test_node_log_cut_past_committed_end(states):
+    _cut_past_committed_end(states, SEGMENT)
+
+
+@pytest.mark.parametrize("name", [PACK, INDEX])
+def test_block_file_cut_past_committed_end(states, name):
+    _cut_past_committed_end(states, name)
 
 
 def test_uncommitted_segments_discarded(states, monkeypatch):
@@ -213,8 +234,7 @@ def test_uncommitted_segments_discarded(states, monkeypatch):
 
 def test_torn_last_line_opens_previous_version(states):
     _path, path, _before, after, meta = states
-    _restore(path, {SEGMENT: after[SEGMENT],
-                    "versions.log": after["versions.log"][:-1]})
+    _restore(path, {**after, "versions.log": after["versions.log"][:-1]})
     repo = Repository.open(path)
     try:
         assert repo.latest.version == 0
@@ -230,3 +250,36 @@ def test_store_holds_only_the_commit_files(states):
     repo.close()
     assert sorted(os.listdir(path)) == ["blocks", "config.json", "lock",
                                         "nodes", "versions.log"]
+    assert sorted(os.listdir(path / "blocks")) == ["index", "pack"]
+
+
+def _fail_writes(monkeypatch, target):
+    """Make the commit's writes to one target raise ENOSPC."""
+    def no_space(*_args, **_kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    if target == "block pack":
+        monkeypatch.setattr(os, "pwrite", no_space)
+        return
+    name = {"node log": SEGMENT, "versions.log": "versions.log"}[target]
+    real_open = open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        if "a" in mode and str(file).endswith(name):
+            no_space()
+        return real_open(file, mode, *args, **kwargs)
+    monkeypatch.setattr(repo_mod, "open", failing_open, raising=False)
+
+
+@pytest.mark.parametrize("target", ["block pack", "node log", "versions.log"])
+def test_write_error_exits_3(states, monkeypatch, capsys, tmp_path, target):
+    path, _clean, _before, _after, meta = states
+    diff = tmp_path / "edit.diff"
+    diff.write_bytes(EDIT)
+    with monkeypatch.context() as patch:
+        _fail_writes(patch, target)
+        code = cli.main(["--repo", str(path), "commit", "--diff", str(diff)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_IO
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.strerror(errno.ENOSPC) in err
+    _expect(path, 0, meta)

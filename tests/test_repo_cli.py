@@ -1,19 +1,35 @@
+import builtins
+import io
 import json
 import os
 import random
+import struct
 import subprocess
 import sys
 from contextlib import contextmanager
 
 import pytest
 
-from flexstore import cli, core
+from flexstore import cli, core, hashing
 from flexstore.adaptor import DiffEntry, format_diff
 from flexstore.errors import (DomainError, EmptyCommit, NoSuchVersion,
                               PathExists, RepositoryLocked, StructureCorrupt)
 from flexstore.repo import STORE_FORMAT, Repository
 
 SEED_HEX = "00112233445566778899"
+
+
+def pack_records(repo):
+    """The block index as (digest, offset, length) records, read from the
+    file."""
+    raw = (repo.path / "blocks" / "index").read_bytes()
+    return list(struct.iter_unpack(f">{repo.scheme.width}sQI", raw))
+
+
+def pack_place(repo, digest):
+    """(offset, length) of a block in the pack."""
+    return next((offset, length) for d, offset, length in pack_records(repo)
+                if d == digest)
 
 
 def apply_diffs(data, entries):
@@ -62,7 +78,7 @@ class TestInit:
         finally:
             again.close()
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, STORE_FORMAT + 1])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3])
     def test_other_store_format_refused(self, repo, fmt):
         repo.close()
         config_path = repo.path / "config.json"
@@ -234,6 +250,25 @@ class TestCommit:
         finally:
             repo.close()
 
+    def test_one_entry_commit_appends_only_its_new_blocks(self, repo):
+        """The index grows by one record per block no earlier version
+        holds, and the pack by exactly those blocks' bytes."""
+        def leaf_blocks(version):
+            root = repo.record(version).root
+            leaves = (repo.store.get(i) for i in core.iter_leaves(repo.store,
+                                                                  root))
+            return {leaf.block: leaf.length for leaf in leaves
+                    if leaf.kind == core.KIND_LEAF}
+        blocks = repo.path / "blocks"
+        sizes = [(blocks / name).stat().st_size for name in ("index", "pack")]
+        repo.commit(format_diff([DiffEntry("replace", 250, b"new" * 40, 9)]))
+        new = leaf_blocks(1).items() - leaf_blocks(0).items()
+        assert len(new) == 3
+        assert ((blocks / "index").stat().st_size - sizes[0]
+                == len(new) * (repo.scheme.width + 12))
+        assert ((blocks / "pack").stat().st_size - sizes[1]
+                == sum(length for _digest, length in new))
+
 
 class TestCheckout:
     def test_version_zero_after_commits(self, repo, tmp_path):
@@ -246,10 +281,14 @@ class TestCheckout:
     def test_missing_block_leaves_no_file(self, repo, tmp_path):
         out_dir = tmp_path / "out"
         out_dir.mkdir()
-        # The last block, so the earlier ones were written first.
+        # The last block, so the earlier ones were written first; it is
+        # also the last in the pack, which loses its final byte.
         last = repo.store.get(core.search(repo.store, repo.latest.root,
                                           4095).leaf)
-        repo.blocks._path(last.block).unlink()
+        offset, length = pack_place(repo, last.block)
+        pack = repo.path / "blocks" / "pack"
+        assert pack.stat().st_size == offset + length
+        os.truncate(pack, offset + length - 1)
         with pytest.raises(StructureCorrupt):
             repo.checkout(0, out_dir / "out.bin")
         assert list(out_dir.iterdir()) == []
@@ -258,6 +297,34 @@ class TestCheckout:
         with pytest.raises(NoSuchVersion):
             repo.checkout(7, tmp_path / "x")
 
+    def test_opens_no_file_but_its_output(self, tmp_path, monkeypatch):
+        src = tmp_path / "input.bin"
+        data = random.Random(5).randbytes(2048 * 64)
+        src.write_bytes(data)
+        repo = Repository.init(tmp_path / "repo", block_size=64,
+                               seed=bytes.fromhex(SEED_HEX), input_file=src)
+        opened = []
+
+        def recording(real):
+            def wrapper(file, *args, **kwargs):
+                opened.append(os.fspath(file))
+                return real(file, *args, **kwargs)
+            return wrapper
+        out = tmp_path / "out.bin"
+        try:
+            repo.close()
+            repo = Repository.open(repo.path)
+            with monkeypatch.context() as patch:
+                for owner, name in ((builtins, "open"), (io, "open"),
+                                    (os, "open")):
+                    patch.setattr(owner, name,
+                                  recording(getattr(owner, name)))
+                assert repo.checkout(0, out) == len(data)
+        finally:
+            repo.close()
+        assert out.read_bytes() == data
+        assert set(opened) == {f"{out}.tmp"}
+
 
 class TestFsck:
     def test_clean(self, repo):
@@ -265,17 +332,83 @@ class TestFsck:
 
     def test_detects_corrupt_block(self, repo):
         digest = repo.blocks.all_digests()[3]
-        path = repo.blocks._path(digest)
-        raw = bytearray(path.read_bytes())
-        raw[0] ^= 0xFF
-        path.write_bytes(bytes(raw))
+        offset, _length = pack_place(repo, digest)
+        pack = repo.path / "blocks" / "pack"
+        raw = bytearray(pack.read_bytes())
+        raw[offset] ^= 0xFF
+        pack.write_bytes(bytes(raw))
         problems = repo.fsck()
         assert any("content" in p for p in problems)
 
     def test_detects_missing_block(self, repo):
         digest = repo.blocks.all_digests()[0]
-        repo.blocks._path(digest).unlink()
+        offset, _length = pack_place(repo, digest)
+        os.truncate(repo.path / "blocks" / "pack", offset)
         assert repo.fsck() != []
+
+    def test_detects_length_disagreeing_with_index(self, repo):
+        # The last record loses a byte: its block now reads one byte
+        # short of its leaf's length.
+        index = repo.path / "blocks" / "index"
+        raw = bytearray(index.read_bytes())
+        _digest, _offset, length = pack_records(repo)[-1]
+        raw[-4:] = struct.pack(">I", length - 1)
+        index.write_bytes(bytes(raw))
+        repo.close()
+        again = Repository.open(repo.path)
+        try:
+            assert any("disagrees" in p for p in again.fsck())
+        finally:
+            again.close()
+
+    def test_block_cut_short_refused(self, repo):
+        digest, offset, length = pack_records(repo)[-1]
+        os.truncate(repo.path / "blocks" / "pack", offset + length - 1)
+        with pytest.raises(StructureCorrupt, match="cut short"):
+            repo.blocks.get(digest)
+        assert any("cut short" in p for p in repo.fsck())
+
+    def test_hashes_each_stored_block_once(self, repo, monkeypatch):
+        # Versions share blocks, and version 2 holds a block twice.
+        repo.commit(format_diff([DiffEntry("insert", 700, b"x" * 300)]))
+        repo.commit(format_diff([DiffEntry("replace", 0, bytes(256), 256),
+                                 DiffEntry("replace", 512, bytes(256), 256)]))
+        hashed = []
+        real = hashing.HashScheme.block_digest
+
+        def counting(scheme, block):
+            hashed.append(block)
+            return real(scheme, block)
+        monkeypatch.setattr(hashing.HashScheme, "block_digest", counting)
+        assert repo.fsck() == []
+        assert len(hashed) == len(pack_records(repo)) == len(set(hashed))
+
+    @pytest.mark.parametrize("name", ["pack", "index"])
+    def test_short_block_file_refused_at_open(self, repo, name):
+        repo.close()
+        path = repo.path / "blocks" / name
+        os.truncate(path, path.stat().st_size - 1)
+        with pytest.raises(StructureCorrupt):
+            Repository.open(repo.path)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("offset", "out of sequence"), ("digest", "indexed twice")])
+    def test_bad_index_record_refused(self, repo, fault, message):
+        repo.close()
+        index = repo.path / "blocks" / "index"
+        raw = bytearray(index.read_bytes())
+        width = repo.scheme.width
+        if fault == "offset":
+            raw[width + 7] ^= 0x01  # the first record's offset
+        else:  # the last record names the first record's block
+            raw[-(width + 12):-12] = raw[:width]
+        index.write_bytes(bytes(raw))
+        again = Repository.open(repo.path)  # reads the last record only
+        try:
+            with pytest.raises(StructureCorrupt, match=message):
+                again.materialize(0)
+        finally:
+            again.close()
 
     def test_detects_node_bit_flip(self, repo):
         import struct
@@ -333,7 +466,7 @@ class TestMalformedMetadata:
 
     @pytest.mark.parametrize("field, value", [
         ("layer2_root", "x"), ("level_counter", "x"), ("level_counter", 1.5),
-        ("nodes", None), ("version", 7)])
+        ("nodes", None), ("blocks", -1), ("version", 7)])
     def test_bad_commit_line_field(self, repo, capsys, field, value):
         # Counts must be non-negative integers, and line i is version i.
         repo.close()
