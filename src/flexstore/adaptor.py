@@ -10,10 +10,11 @@ Op indices are valid at application time: apply the emitted sequence
 left to right without further adjustment.
 
 partial_from_proof rebuilds, from a verified proof, exactly the nodes an
-update needs; everything else stays behind opaque digest stubs. Applying
-the same block operations to the partial list and to the full server
-structure yields the same new root digest, which is how a client computes
-its next meta digest from O(proof)-sized state.
+update needs (the pruned subtree audit.rebuild decodes); everything else
+stays behind opaque digest stubs. Applying the same block operations to
+the partial list and to the full server structure yields the same new
+root digest, which is how a client computes its next meta digest from
+O(proof)-sized state.
 
 Diff file format (one record per edit, indices decimal, bytes raw, a
 single newline after each header and after each raw-byte run):
@@ -29,12 +30,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from . import audit, index2, persist, proofs
-from .core import (KIND_LEAF, KIND_SENTINEL, KIND_STUB, Node, NodeStore)
+from . import audit, persist
+from .core import NodeStore
 from .errors import (DiffOutOfRange, FormatError, OverlappingDiffs,
                      ProofRejected)
 from .hashing import HashScheme, LevelSource
-from .proofs import STEP_AFTER, STEP_BELOW, STEP_CHAIN, STEP_CHAIN_SENTINEL
 
 INSERT = "insert"
 DELETE = "delete"
@@ -261,12 +261,11 @@ class PartialFlexList:
     """Nodes rebuilt from a proof, with digest stubs for everything else."""
 
     def __init__(self, store: NodeStore, scheme: HashScheme, root: int,
-                 version: int, blocks: dict[bytes, bytes]):
+                 version: int):
         self.store = store
         self.scheme = scheme
         self.root = root
         self.version = version
-        self.blocks = blocks
 
     @property
     def root_digest(self) -> bytes:
@@ -276,29 +275,16 @@ class PartialFlexList:
 def partial_from_proof(scheme: HashScheme, proof: audit.VersionProof,
                        meta: bytes,
                        version: int | None = None) -> PartialFlexList:
-    """Rebuild the proven paths of one version into a workable structure.
+    """Rebuild the pruned subtree of one version into a workable
+    structure: the proven leaves and their root paths, stubs elsewhere.
 
-    The proof must verify against `meta` (digest folds only; challenge
-    expansion is the audit path's business).
+    The proof must verify against `meta` (digests only; challenge
+    expansion is the audit path's business). Raises ProofRejected or
+    FormatError.
     """
     part = _pick_part(proof, version)
-    ok, reason = index2.verify_version_proof(scheme, meta, part.layer2)
-    if not ok:
-        raise ProofRejected(reason)
-    registry: dict[bytes, dict] = dict(_sentinel_constants(scheme))
-    stub_ranks: dict[bytes, int] = {}
-    blocks: dict[bytes, bytes] = {}
-    for bp in part.blocks:
-        digest, _rank, _off = proofs.fold_path(
-            scheme, bp.path, scheme.block_digest(bp.block))
-        if digest != part.layer2.root_digest:
-            raise ProofRejected("layer-1 fold does not reach the version root")
-        _register_path(scheme, registry, stub_ranks, blocks, bp)
-    store = NodeStore()
-    ids: dict[bytes, int] = {}
-    root = _materialize(store, part.layer2.root_digest, registry, stub_ranks,
-                        ids)
-    return PartialFlexList(store, scheme, root, part.layer2.version, blocks)
+    store, root, _starts = audit.check_part(scheme, meta, part)
+    return PartialFlexList(store, scheme, root, part.layer2.version)
 
 
 def _pick_part(proof: audit.VersionProof, version: int | None):
@@ -310,88 +296,6 @@ def _pick_part(proof: audit.VersionProof, version: int | None):
         if part.layer2.version == version:
             return part
     raise ProofRejected(f"proof has no part for version {version}")
-
-
-def _register_path(scheme, registry, stub_ranks, blocks, bp):
-    path = bp.path
-    block_digest = scheme.block_digest(bp.block)
-    blocks[block_digest] = bp.block
-    digest = scheme.leaf_node(0, path.leaf_rank, path.leaf_after,
-                              path.leaf_length, block_digest,
-                              sentinel=path.leaf_sentinel)
-    registry[digest] = {
-        "kind": KIND_SENTINEL if path.leaf_sentinel else KIND_LEAF,
-        "level": 0, "rank": path.leaf_rank, "below": None,
-        "after": path.leaf_after, "length": path.leaf_length,
-        "block": block_digest,
-    }
-    if path.leaf_after is not None:
-        stub_ranks[path.leaf_after] = path.leaf_rank - path.leaf_length
-    child_digest, child_rank = digest, path.leaf_rank
-    for step in path.steps:
-        if step.kind == STEP_BELOW:
-            node = {"kind": 0, "level": step.level, "rank": step.rank,
-                    "below": child_digest, "after": step.sibling,
-                    "length": 0, "block": None}
-            digest = scheme.internal_node(step.level, step.rank,
-                                          child_digest, step.sibling)
-            if step.sibling is not None:
-                stub_ranks[step.sibling] = step.rank - child_rank
-        elif step.kind == STEP_AFTER:
-            node = {"kind": 0, "level": step.level, "rank": step.rank,
-                    "below": step.sibling, "after": child_digest,
-                    "length": 0, "block": None}
-            digest = scheme.internal_node(step.level, step.rank,
-                                          step.sibling, child_digest)
-            stub_ranks[step.sibling] = step.rank - child_rank
-        else:
-            sentinel = step.kind == STEP_CHAIN_SENTINEL
-            node = {"kind": KIND_SENTINEL if sentinel else KIND_LEAF,
-                    "level": 0, "rank": step.rank, "below": None,
-                    "after": child_digest, "length": step.leaf_length,
-                    "block": step.leaf_block}
-            digest = scheme.leaf_node(0, step.rank, child_digest,
-                                      step.leaf_length, step.leaf_block,
-                                      sentinel=sentinel)
-        registry[digest] = node
-        child_digest, child_rank = digest, step.rank
-
-
-def _sentinel_constants(scheme: HashScheme) -> dict[bytes, dict]:
-    """Digests every client can derive without a proof: the bare sentinel
-    leaf and the empty list's root (left sentinel chained to the right)."""
-    bare = scheme.leaf_node(0, 0, None, 0, scheme.zero, sentinel=True)
-    chained = scheme.leaf_node(0, 0, bare, 0, scheme.zero, sentinel=True)
-    return {
-        bare: {"kind": KIND_SENTINEL, "level": 0, "rank": 0, "below": None,
-               "after": None, "length": 0, "block": scheme.zero},
-        chained: {"kind": KIND_SENTINEL, "level": 0, "rank": 0,
-                  "below": None, "after": bare, "length": 0,
-                  "block": scheme.zero},
-    }
-
-
-def _materialize(store, digest, registry, stub_ranks, ids):
-    if digest in ids:
-        return ids[digest]
-    entry = registry.get(digest)
-    if entry is None:
-        rank = stub_ranks.get(digest)
-        if rank is None:
-            raise ProofRejected("proof references an unranked subtree")
-        node_id = store.add(Node(KIND_STUB, 0, rank, None, None, 0, None,
-                                 -1, digest))
-        ids[digest] = node_id
-        return node_id
-    below = (_materialize(store, entry["below"], registry, stub_ranks, ids)
-             if entry["below"] is not None else None)
-    after = (_materialize(store, entry["after"], registry, stub_ranks, ids)
-             if entry["after"] is not None else None)
-    node_id = store.add(Node(entry["kind"], entry["level"], entry["rank"],
-                             below, after, entry["length"], entry["block"],
-                             -1, digest))
-    ids[digest] = node_id
-    return node_id
 
 
 def apply_ops(store: NodeStore, scheme: HashScheme, root: int,

@@ -375,19 +375,25 @@ def premove(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
     return eng.finish(root_ref)
 
 
-def iter_blocks(store: NodeStore, root: int, get_block):
-    """Yield a version's blocks in order: leftmost descent, then the leaf
-    chain. get_block maps a block digest to its bytes. Raises after the
-    last block if their lengths do not add up to the root's rank."""
+def iter_data_leaves(store: NodeStore, root: int):
+    """Yield a version's data leaves in order: leftmost descent, then the
+    leaf chain. Raises after the last one if their lengths do not add up
+    to the root's rank."""
     total = 0
     for leaf_id in core.iter_leaves(store, root):
         leaf = store.get(leaf_id)
-        if leaf.kind != KIND_LEAF:
-            continue
-        yield _leaf_block(leaf, get_block)
-        total += leaf.length
+        if leaf.kind == KIND_LEAF:
+            yield leaf
+            total += leaf.length
     if total != store.get(root).rank:
         raise StructureCorrupt("materialized length disagrees with rank")
+
+
+def iter_blocks(store: NodeStore, root: int, get_block):
+    """Yield a version's blocks in order; get_block maps a block digest to
+    its bytes."""
+    for leaf in iter_data_leaves(store, root):
+        yield _leaf_block(leaf, get_block)
 
 
 def materialize(store: NodeStore, root: int, get_block) -> bytes:

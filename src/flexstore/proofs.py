@@ -1,9 +1,11 @@
 """Path proofs: replayable material to recompute a root digest.
 
-A proof for one leaf lists, bottom-up, the nodes on its root path. Each
-step carries the node's level and rank, which side the path came up
-through, and whatever else its digest needs: the opposite child's digest
-for internal nodes, or (length, block digest) for leaf-chain hops.
+The layer-2 membership proof of a version record is a path proof;
+layer-1 proofs are pruned subtrees (see audit). A proof for one leaf
+lists, bottom-up, the nodes on its root path. Each step carries the
+node's level and rank, which side the path came up through, and
+whatever else its digest needs: the opposite child's digest for
+internal nodes, or (length, block digest) for leaf-chain hops.
 Folding the steps over the proven leaf reproduces the root digest; the
 rank arithmetic along the way also recovers the byte offset at which the
 leaf starts, so a verifier learns the leaf's position from authenticated

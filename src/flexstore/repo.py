@@ -41,10 +41,11 @@ import struct
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import adaptor, audit, core, persist, proofs
+from . import adaptor, audit, core, persist
 from .core import KIND_LEAF, KIND_STUB, Node, NodeStore
-from .errors import (DomainError, EmptyCommit, EmptyRegion, IOFailure,
-                     PathExists, RepositoryLocked, StructureCorrupt)
+from .errors import (BlockTooSmall, DomainError, EmptyCommit, EmptyRegion,
+                     IOFailure, PathExists, RepositoryLocked,
+                     StructureCorrupt)
 from .hashing import SEED_BYTES, HashScheme, LevelSource
 from .index2 import VersionIndex, VersionRecord
 
@@ -55,6 +56,7 @@ _SEGMENT_LIMIT = 64 * 1024 * 1024
 _RECORD_FIXED = struct.Struct(">QBQQQ")
 _INDEX_RUN = 4096    # block index records read at a time
 _LENGTH_MASK = 0xFFFFFFFF
+_RUN_LIMIT = 64 * 1024   # bytes per read and write in a checkout
 
 
 class DurableNodeStore(NodeStore):
@@ -71,7 +73,9 @@ class DurableNodeStore(NodeStore):
         self.width = width
         self._handle = None
         self._segment, end = 1, 0
-        directory.mkdir(parents=True, exist_ok=True)
+        if not directory.is_dir():
+            raise StructureCorrupt(f"node log directory {directory} is "
+                                   "missing")
         for segment in sorted(directory.glob("segment-*.dat")):
             if self._next_id == committed:
                 break
@@ -292,6 +296,30 @@ class BlockStore:
                 f"block {digest.hex()} missing from store") from None
         return self._read(digest, place >> 32, place & _LENGTH_MASK)
 
+    def read_leaves(self, leaves):
+        """Yield the blocks of data leaves, in order, as runs of bytes:
+        blocks that lie back to back in the pack come from one pread of
+        at most _RUN_LIMIT bytes. Refuses a missing block, or one whose
+        stored length disagrees with its leaf, with StructureCorrupt."""
+        blocks = self._blocks()
+        run, start, end = None, 0, 0
+        for leaf in leaves:
+            place = blocks.get(leaf.block)
+            if place is None:
+                raise StructureCorrupt(
+                    f"block {leaf.block.hex()} missing from store")
+            offset, length = place >> 32, place & _LENGTH_MASK
+            if length != leaf.length:
+                raise StructureCorrupt("stored block length mismatch")
+            if (run is None or offset != end
+                    or end + length - start > _RUN_LIMIT):
+                if run is not None:
+                    yield self._read(run, start, end - start)
+                run, start = leaf.block, offset
+            end = offset + length
+        if run is not None:
+            yield self._read(run, start, end - start)
+
     def scan(self):
         """Yield (digest, block) for every committed record in pack order,
         one block in memory at a time. Neither uses nor builds the digest
@@ -372,24 +400,31 @@ class Repository:
              hash_name: str = "sha1",
              input_file: Path | None = None) -> "Repository":
         path = Path(path)
-        if path.exists() and any(path.iterdir()):
-            raise PathExists(f"{path} already exists and is not empty")
+        # Check every argument before anything is written, so a refused
+        # init leaves no partial store behind.
+        scheme = HashScheme(hash_name)
+        block_size = int(block_size)
+        if block_size < 1:
+            raise BlockTooSmall("block_size must be >= 1")
         if seed is None:
             seed = os.urandom(SEED_BYTES)
+        src = LevelSource(seed)
+        if path.exists() and any(path.iterdir()):
+            raise PathExists(f"{path} already exists and is not empty")
         try:
-            path.mkdir(parents=True, exist_ok=True)
-            config = {"format": STORE_FORMAT, "hash": hash_name,
-                      "block_size": int(block_size), "seed": seed.hex()}
-            (path / "config.json").write_text(
-                json.dumps(config, sort_keys=True) + "\n")
-            scheme = HashScheme(hash_name)
-            store = DurableNodeStore(path / "nodes", scheme.width)
-            blocks = BlockStore.create(path / "blocks", scheme)
             with (open(input_file, "rb") if input_file
                   else io.BytesIO()) as fh:
+                path.mkdir(parents=True, exist_ok=True)
+                config = {"format": STORE_FORMAT, "hash": hash_name,
+                          "block_size": block_size, "seed": seed.hex()}
+                (path / "config.json").write_text(
+                    json.dumps(config, sort_keys=True) + "\n")
+                (path / "nodes").mkdir()
+                store = DurableNodeStore(path / "nodes", scheme.width)
+                blocks = BlockStore.create(path / "blocks", scheme)
                 root, src = core.build(
-                    store, scheme, core.read_blocks(fh, config["block_size"]),
-                    LevelSource(seed), block_digest=blocks.put)
+                    store, scheme, core.read_blocks(fh, block_size), src,
+                    block_digest=blocks.put)
             vindex = VersionIndex(store, scheme, seed)
             rank = store.get(root).rank
             vindex.append_version(
@@ -527,9 +562,9 @@ class Repository:
             # A write call per 2 KiB block takes about twice as long as
             # one write of the joined file; 64 KiB writes do not. A 1 MiB
             # buffer was as fast but raised the benchmark's peak RSS.
-            with open(tmp, "wb", buffering=64 * 1024) as fh:
-                fh.writelines(persist.iter_blocks(self.store, rec.root,
-                                                  self.blocks.get))
+            with open(tmp, "wb", buffering=_RUN_LIMIT) as fh:
+                fh.writelines(self.blocks.read_leaves(
+                    persist.iter_data_leaves(self.store, rec.root)))
             tmp.replace(out_path)
         except OSError as exc:
             raise IOFailure(str(exc)) from exc
@@ -606,20 +641,8 @@ class Repository:
                      length: int) -> audit.VersionProof:
         """Range proof: every block intersecting [start, start+length) of
         one version, for the update-phase client flow."""
-        rec = self.record(version)
-        layer2 = self.vindex.version_proof(version)
-        rank = self.store.get(rec.root).rank
-        blocks = []
-        offset = min(start, max(rank - 1, 0))
-        end = min(start + length, rank)
-        while offset < end:
-            path, block_offset, leaf = proofs.build_path(self.store,
-                                                         rec.root, offset)
-            blocks.append(audit.BlockProof(offset,
-                                           self.blocks.get(leaf.block), path))
-            offset = block_offset + leaf.length
-        return audit.VersionProof(
-            (audit.VersionPart(layer2, tuple(blocks)),))
+        return audit.prove_range(self.store, self.vindex, self.blocks.get,
+                                 version, start, length)
 
     # -- integrity ----------------------------------------------------------
 

@@ -18,7 +18,7 @@ from flexstore.audit import (Challenge, detection_probability, read_proof,
                              verify, write_proof)
 from flexstore.core import (NodeStore, block_layout, build_with_levels,
                             check_subtree, search, split_blocks)
-from flexstore.errors import FormatError
+from flexstore.errors import FormatError, ProofRejected
 from flexstore.hashing import HashScheme, LevelSource
 from flexstore.index2 import VersionIndex, VersionRecord
 from flexstore.repo import Repository
@@ -326,6 +326,37 @@ def test_criterion_8_proof_bit_flips(tmp_path):
            f"{accepted} wrongly accepted")
 
 
+def test_criterion_8_range_proof_bit_flips(tmp_path):
+    rng = random.Random(18)
+    src = tmp_path / "f.bin"
+    src.write_bytes(rng.randbytes(16 * 32))
+    repo = Repository.init(tmp_path / "repo", block_size=32,
+                           seed=bytes.fromhex("1122334455667788990a"),
+                           input_file=src)
+    try:
+        data = write_proof(repo.prove_blocks(0, 96, 64), repo.scheme)
+        meta = repo.meta_digest
+        scheme = repo.scheme
+    finally:
+        repo.close()
+    accepted = 0
+    flips = 0
+    for pos in range(len(data)):
+        for bit in range(8):
+            flips += 1
+            mutated = bytearray(data)
+            mutated[pos] ^= 1 << bit
+            try:
+                partial_from_proof(scheme, read_proof(bytes(mutated), scheme),
+                                   meta)
+            except (FormatError, ProofRejected):
+                continue
+            accepted += 1
+    report(8, accepted == 0,
+           f"{flips} single-bit flips over a {len(data)}-byte range proof, "
+           f"{accepted} wrongly accepted")
+
+
 def test_criterion_9_adaptor_soundness():
     rng = random.Random(9)
     trials = 1000
@@ -427,18 +458,8 @@ def _apply_ops_blocklist(pieces, ops):
 
 
 def _range_proof(store, blocks, vindex, start, length):
-    from flexstore import proofs
-    rec = vindex.records[-1]
-    layer2 = vindex.version_proof(rec.version)
-    rank = store.get(rec.root).rank
-    out = []
-    offset = min(start, max(rank - 1, 0))
-    end = min(start + length, rank)
-    while offset < end:
-        path, block_offset, leaf = proofs.build_path(store, rec.root, offset)
-        out.append(audit.BlockProof(offset, blocks[leaf.block], path))
-        offset = block_offset + leaf.length
-    return audit.VersionProof((audit.VersionPart(layer2, tuple(out)),))
+    return audit.prove_range(store, vindex, blocks.get,
+                             vindex.records[-1].version, start, length)
 
 
 def _server_commit(store, blocks, root, ops, src):

@@ -305,22 +305,8 @@ class ServerFixture:
         return self.vindex.records[-1]
 
     def range_proof(self, start, length):
-        rec = self.latest
-        layer2 = self.vindex.version_proof(rec.version)
-        root = rec.root
-        rank = self.store.get(root).rank
-        blocks = []
-        offset = min(start, max(rank - 1, 0))
-        end = min(start + length, rank)
-        from flexstore import proofs
-        while offset < end:
-            path, block_offset, leaf = proofs.build_path(self.store, root,
-                                                         offset)
-            blocks.append(audit.BlockProof(offset, self.blocks[leaf.block],
-                                           path))
-            offset = block_offset + leaf.length
-        return audit.VersionProof(
-            (audit.VersionPart(layer2, tuple(blocks)),))
+        return audit.prove_range(self.store, self.vindex, self.blocks.get,
+                                 self.latest.version, start, length)
 
     def commit_ops(self, ops):
         rec = self.latest

@@ -3,14 +3,18 @@ import struct
 
 import pytest
 
-from flexstore import audit, persist
+from flexstore import audit, core, persist
+from flexstore.adaptor import DiffEntry, format_diff, partial_from_proof
 from flexstore.audit import (Challenge, detection_probability,
                              expand_challenge, read_challenge, read_proof,
                              verify, write_challenge, write_proof)
-from flexstore.core import NodeStore, build
-from flexstore.errors import DomainError, EmptyRegion, FormatError, NoSuchVersion
+from flexstore.core import (KIND_INTERNAL, KIND_STUB, NodeStore, build,
+                            build_with_levels)
+from flexstore.errors import (DomainError, EmptyRegion, FormatError,
+                              NoSuchVersion, ProofRejected)
 from flexstore.hashing import HashScheme, LevelSource
 from flexstore.index2 import VersionIndex, VersionRecord
+from flexstore.repo import Repository
 
 SCHEME = HashScheme()
 SEED = bytes.fromhex("00010203040506070809")
@@ -159,12 +163,11 @@ class TestProveVerify:
         ch = Challenge(CH_SEED, 5)
         proof = fx.prove(ch)
         part = proof.parts[0]
-        other = part.blocks[1]
-        swapped = audit.BlockProof(part.blocks[0].index, other.block,
-                                   part.blocks[0].path)
+        first, other = part.blocks[:2]
+        assert first != other
+        swapped = (other, first) + part.blocks[2:]
         bad = audit.VersionProof(
-            (audit.VersionPart(part.layer2,
-                               (swapped,) + part.blocks[1:]),))
+            (audit.VersionPart(part.layer2, part.subtree, swapped),))
         ok, _ = verify(SCHEME, fx.meta, ch, bad)
         assert not ok
 
@@ -242,3 +245,172 @@ class TestWireFormats:
                 continue
             ok, _ = verify(SCHEME, fx.meta, ch, mutated)
             assert not ok, pos
+
+
+def _flat_store(block_count, block_len, rng, levels=None):
+    """One-version store and version index over random blocks; levels
+    default to a drawn stream."""
+    store = NodeStore()
+    pieces = [rng.randbytes(block_len) for _ in range(block_count)]
+    blocks = {SCHEME.block_digest(p): p for p in pieces}
+    if levels is None:
+        root, _src = build(store, SCHEME, pieces, LevelSource(SEED))
+    else:
+        root = build_with_levels(
+            store, SCHEME, [(len(p), SCHEME.block_digest(p)) for p in pieces],
+            levels)
+    vindex = VersionIndex(store, SCHEME, SEED)
+    vindex.append_version(VersionRecord(
+        0, root, store.get(root).digest, 0, store.get(root).rank))
+    return store, blocks, vindex
+
+
+class TestPrunedSubtree:
+    def test_range_proof_carries_each_block_once(self):
+        store, blocks, vindex = _flat_store(512, 8, random.Random(3))
+        root = vindex.record(0).root
+        for first, k in ((0, 1), (17, 2), (100, 5), (300, 16), (40, 64)):
+            proof = audit.prove_range(store, vindex, blocks.get, 0,
+                                      first * 8, k * 8)
+            part = proof.parts[0]
+            assert len(part.blocks) == k
+            partial = partial_from_proof(SCHEME, proof, vindex.meta_digest)
+            nodes = [partial.store.get(i) for i in partial.store.ids()]
+            expanded = [n for n in nodes if n.kind != KIND_STUB]
+            internal = [n for n in nodes if n.kind == KIND_INTERNAL]
+            depth = max(len(core.search(store, root, (first + j) * 8).entries)
+                        for j in range(k))
+            # Internal nodes inside the range map one to one onto the
+            # towers they enter, so at most k, plus the two boundary paths;
+            # the leaves add the k proven ones.
+            assert len(internal) <= k + 2 * depth + 2, (first, k)
+            assert len(expanded) <= 2 * k + 2 * depth + 4, (first, k)
+
+    def test_audit_on_one_leaf_reads_one_block(self, tmp_path):
+        src = tmp_path / "f.bin"
+        src.write_bytes(random.Random(5).randbytes(64 * 64))
+        repo = Repository.init(tmp_path / "r", block_size=64, seed=SEED,
+                               input_file=src)
+        try:
+            # A one-block modify: version 1's update region is that block.
+            repo.commit(format_diff([DiffEntry("replace", 640, b"x" * 64,
+                                               64)]))
+            gets = []
+            real_get = repo.blocks.get
+
+            def counting_get(digest):
+                gets.append(digest)
+                return real_get(digest)
+
+            repo.blocks.get = counting_get
+            ch = repo.make_challenge(CH_SEED, 460, (1,))
+            proof = repo.prove(ch)
+            assert len(proof.parts[0].blocks) == 1
+            assert len(gets) == 1
+            ok, reason = repo.verify(ch, proof)
+            assert ok, reason
+        finally:
+            repo.close()
+
+    def test_extra_proven_leaf_rejected(self):
+        fx = Fixture()
+        ch = Challenge(CH_SEED, 2, (1,))
+        rec = fx.vindex.record(1)
+        hit = expand_challenge(ch, (rec.update_start, rec.update_length))[0]
+        # 64 bytes away: another 8-byte leaf no index of the challenge hits
+        los = sorted((hit, (hit + 64) % 128))
+        wider = audit._prove_part(fx.store, fx.vindex, fx.get_block, 1,
+                                  los, [lo + 1 for lo in los])
+        assert len(wider.blocks) == 2
+        ok, reason = verify(SCHEME, fx.meta, ch,
+                            audit.VersionProof((wider,)))
+        assert not ok and "no challenged index" in reason
+
+    def test_long_chain_decodes_without_recursion(self):
+        # All towers at level 0: the leaves form one chain of 5,000 hops
+        # under the left sentinel.
+        n = 5000
+        store, blocks, vindex = _flat_store(n, 1, random.Random(4),
+                                            levels=[0] * n)
+        meta = vindex.meta_digest
+        data = write_proof(audit.prove_range(store, vindex, blocks.get, 0,
+                                             n - 1, 1), SCHEME)
+        partial = partial_from_proof(SCHEME, read_proof(data, SCHEME), meta)
+        assert partial.root_digest == vindex.record(0).root_digest
+        ch = Challenge(CH_SEED, 3)
+        ok, reason = verify(SCHEME, meta, ch, read_proof(write_proof(
+            audit.prove(store, SCHEME, vindex, blocks.get, ch), SCHEME),
+            SCHEME))
+        assert ok, reason
+
+
+def _mutations(data, rng, flips, edits):
+    """Truncations at every length, sampled bit flips, inserted and
+    deleted bytes, and every 8-byte window set to 2^24 (which covers
+    each count and length field), less any that leave the bytes as they
+    were."""
+    for mutated in _raw_mutations(data, rng, flips, edits):
+        if mutated != data:
+            yield mutated
+
+
+def _raw_mutations(data, rng, flips, edits):
+    for cut in range(len(data)):
+        yield data[:cut]
+    for _ in range(flips):
+        pos = rng.randrange(len(data))
+        yield data[:pos] + bytes([data[pos] ^ 1 << rng.randrange(8)]) \
+            + data[pos + 1:]
+    for _ in range(edits):
+        pos = rng.randrange(len(data) + 1)
+        yield data[:pos] + bytes([rng.randrange(256)]) + data[pos:]
+        pos = rng.randrange(len(data))
+        yield data[:pos] + data[pos + 1:]
+    huge = struct.pack(">Q", 1 << 24)
+    for pos in range(len(data) - 7):
+        yield data[:pos] + huge + data[pos + 8:]
+
+
+class TestHostileProofs:
+    """Mutated proofs fail cleanly: read_proof raises FormatError only,
+    verify only returns (False, reason), partial_from_proof raises only
+    ProofRejected or FormatError."""
+
+    def test_mutated_audit_proofs(self):
+        fx = Fixture(block_count=4, commits=2)
+        ch = Challenge(CH_SEED, 2, (1, 2))
+        data = write_proof(fx.prove(ch), SCHEME)
+        tried = 0
+        for mutated in _mutations(data, random.Random(11), 600, 250):
+            tried += 1
+            try:
+                proof = read_proof(mutated, SCHEME)
+            except FormatError:
+                continue
+            ok, reason = verify(SCHEME, fx.meta, ch, proof)
+            assert ok is False and isinstance(reason, str)
+        assert tried >= 1500
+
+    def test_mutated_range_proofs(self):
+        store, blocks, vindex = _flat_store(12, 8, random.Random(12))
+        meta = vindex.meta_digest
+        data = write_proof(audit.prove_range(store, vindex, blocks.get, 0,
+                                             40, 16), SCHEME)
+        tried = 0
+        for mutated in _mutations(data, random.Random(13), 600, 250):
+            tried += 1
+            with pytest.raises((FormatError, ProofRejected)):
+                partial_from_proof(SCHEME, read_proof(mutated, SCHEME), meta)
+        assert tried >= 1500
+
+    def test_rank_overflow_rejected(self):
+        fx = Fixture()
+        ch = Challenge(CH_SEED, 2)
+        part = fx.prove(ch).parts[0]
+        stub = bytes([audit._STUB]) + bytes(20) + struct.pack(">Q", 2**64 - 1)
+        bad = audit.VersionPart(part.layer2,
+                                bytes([audit._INTERNAL, 1]) + stub * 2, ())
+        ok, reason = verify(SCHEME, fx.meta, ch, audit.VersionProof((bad,)))
+        assert not ok and "64 bits" in reason
+        with pytest.raises(FormatError):
+            partial_from_proof(SCHEME, audit.VersionProof((bad,)), fx.meta)

@@ -12,8 +12,9 @@ import pytest
 
 from flexstore import cli, core, hashing
 from flexstore.adaptor import DiffEntry, format_diff
-from flexstore.errors import (DomainError, EmptyCommit, NoSuchVersion,
-                              PathExists, RepositoryLocked, StructureCorrupt)
+from flexstore.errors import (BlockTooSmall, DomainError, EmptyCommit,
+                              NoSuchVersion, PathExists, RepositoryLocked,
+                              StructureCorrupt)
 from flexstore.repo import STORE_FORMAT, Repository
 
 SEED_HEX = "00112233445566778899"
@@ -68,6 +69,41 @@ class TestInit:
     def test_init_twice_refused(self, repo, tmp_path):
         with pytest.raises(PathExists):
             Repository.init(repo.path)
+
+    def test_refused_init_writes_nothing(self, tmp_path, capsys):
+        """Bad arguments are refused before anything is written, so a
+        valid init into the same path then succeeds."""
+        path = tmp_path / "r"
+        missing = tmp_path / "no-such-input.bin"
+        assert cli.main(["--repo", str(path), "init", "--block-size",
+                         "0"]) == cli.EXIT_USAGE
+        assert cli.main(["--repo", str(path), "init", "--seed", "00"]
+                        ) == cli.EXIT_USAGE
+        assert cli.main(["--repo", str(path), "init", "--file",
+                         str(missing)]) == cli.EXIT_IO
+        with pytest.raises(DomainError):
+            Repository.init(path, hash_name="md5")
+        with pytest.raises(BlockTooSmall):
+            Repository.init(path, block_size=-3)
+        assert not path.exists() or not any(path.iterdir())
+        assert cli.main(["--repo", str(path), "init", "--seed",
+                         SEED_HEX]) == cli.EXIT_OK
+        capsys.readouterr()
+
+    def test_read_only_command_recreates_no_node_log(self, repo, capsys):
+        repo.close()
+        nodes = repo.path / "nodes"
+        for segment in nodes.iterdir():
+            segment.unlink()
+        nodes.rmdir()
+        with pytest.raises(StructureCorrupt, match="nodes"):
+            Repository.open(repo.path)
+        capsys.readouterr()
+        assert cli.main(["--repo", str(repo.path), "log"]) == cli.EXIT_REJECT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nodes" in err
+        assert not nodes.exists()
 
     def test_reopen_round_trip(self, repo):
         repo.close()
@@ -292,6 +328,54 @@ class TestCheckout:
         with pytest.raises(StructureCorrupt):
             repo.checkout(0, out_dir / "out.bin")
         assert list(out_dir.iterdir()) == []
+
+    def test_reads_adjacent_blocks_in_runs(self, repo, tmp_path,
+                                           monkeypatch):
+        """Blocks back to back in the pack come from one read: version 0's
+        16 blocks in one, and version 1's in three, split around the new
+        block appended at the end of the pack."""
+        repo.commit(format_diff([DiffEntry("replace", 1000, b"y" * 10, 10)]))
+        reads = []
+        real_pread = os.pread
+
+        def counting(fd, length, offset):
+            reads.append(length)
+            return real_pread(fd, length, offset)
+
+        monkeypatch.setattr(os, "pread", counting)
+        for version, runs in ((0, 1), (1, 3)):
+            reads.clear()
+            out = tmp_path / f"v{version}.bin"
+            repo.checkout(version, out)
+            assert len(reads) == runs
+            assert out.read_bytes() == repo.materialize(version)
+        # A read holds at most 64 KiB, however long the run.
+        src = tmp_path / "big.bin"
+        src.write_bytes(random.Random(6).randbytes(100 * 2048))
+        big = Repository.init(tmp_path / "big", block_size=2048,
+                              seed=bytes.fromhex(SEED_HEX), input_file=src)
+        try:
+            reads.clear()
+            big.checkout(0, tmp_path / "big.out")
+            assert reads == [64 * 1024] * 3 + [8 * 1024]
+        finally:
+            big.close()
+
+    def test_length_disagreeing_with_index_leaves_no_file(self, repo,
+                                                          tmp_path):
+        index = repo.path / "blocks" / "index"
+        raw = bytearray(index.read_bytes())
+        _digest, _offset, length = pack_records(repo)[-1]
+        raw[-4:] = struct.pack(">I", length - 1)
+        index.write_bytes(bytes(raw))
+        repo.close()
+        again = Repository.open(repo.path)
+        try:
+            with pytest.raises(StructureCorrupt, match="length"):
+                again.checkout(0, tmp_path / "out.bin")
+        finally:
+            again.close()
+        assert not (tmp_path / "out.bin").exists()
 
     def test_missing_version(self, repo, tmp_path):
         with pytest.raises(NoSuchVersion):
