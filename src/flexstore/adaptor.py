@@ -299,23 +299,28 @@ def _pick_part(proof: audit.VersionProof, version: int | None):
 
 
 def apply_ops(store: NodeStore, scheme: HashScheme, root: int,
-              ops: list[BlockOp], src: LevelSource,
-              version: int) -> tuple[int, LevelSource]:
-    """Apply a block-op batch left to right as one new version; returns
-    the new root id and the advanced level source."""
+              ops: list[BlockOp], src: LevelSource, version: int,
+              block_digest=None) -> tuple[persist.CommitResult, LevelSource]:
+    """Apply a block-op batch left to right as one new version, through
+    one edit engine that finalizes only the nodes the new root reaches;
+    returns its CommitResult and the advanced level source.
+
+    block_digest(data) returns a new block's digest (default: hash it
+    with scheme); a caller that stores the blocks can pass its own put.
+    """
+    block_digest = block_digest or scheme.block_digest
+    eng = persist.EditEngine(store, scheme, root, version)
     for op in ops:
         if op.kind == MODIFY_OP:
-            result = persist.pmodify(store, scheme, root, op.index, op.data,
-                                     version)
+            eng.modify(op.index, len(op.data), block_digest(op.data))
         elif op.kind == INSERT_OP:
-            result, src = persist.pinsert(store, scheme, root, op.index,
-                                          op.data, src, version)
+            level, src = src.draw()
+            eng.insert(op.index, len(op.data), block_digest(op.data), level)
         elif op.kind == REMOVE_OP:
-            result = persist.premove(store, scheme, root, op.index, version)
+            eng.remove(op.index)
         else:
             raise FormatError(f"unknown block op {op.kind!r}")
-        root = result.new_root
-    return root, src
+    return eng.finish(), src
 
 
 def apply_ops_partial(partial: PartialFlexList, ops: list[BlockOp],
@@ -323,7 +328,7 @@ def apply_ops_partial(partial: PartialFlexList, ops: list[BlockOp],
     """Apply a block-op batch to a partial list; returns the new root
     digest (the value the client feeds its layer-2 replica) and the
     advanced level source. PathNotCovered if the proof was too narrow."""
-    partial.root, src = apply_ops(partial.store, partial.scheme,
-                                  partial.root, ops, src,
-                                  partial.version + 1)
+    result, src = apply_ops(partial.store, partial.scheme, partial.root, ops,
+                            src, partial.version + 1)
+    partial.root = result.new_root
     return partial.root_digest, src

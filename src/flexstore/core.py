@@ -60,8 +60,9 @@ class Node:
     def is_leaf(self) -> bool:
         return self.kind != KIND_INTERNAL
 
-    def __repr__(self):  # pragma: no cover - debugging aid
-        kind = {0: "int", 1: "leaf", 2: "sent"}[self.kind]
+    def __repr__(self):
+        kind = {KIND_INTERNAL: "int", KIND_LEAF: "leaf",
+                KIND_SENTINEL: "sent", KIND_STUB: "stub"}[self.kind]
         return (f"<{kind} lvl={self.level} rank={self.rank} "
                 f"len={self.length} v={self.version}>")
 
@@ -97,62 +98,6 @@ class NodeStore:
     @property
     def next_id(self) -> int:
         return self._next_id
-
-
-class StagingStore(NodeStore):
-    """In-memory nodes of one commit over a base store.
-
-    Ids from the base's next_id upward live here; lower ids read through
-    to the base. `keep` then moves the nodes one root reaches into the
-    base, so nodes only an intermediate root of a multi-op commit reached
-    are never persisted.
-    """
-
-    def __init__(self, base: NodeStore):
-        super().__init__()
-        self.base = base
-        self.first = self._next_id = base.next_id
-
-    def get(self, node_id: int) -> Node:
-        if node_id < self.first:
-            return self.base.get(node_id)
-        return super().get(node_id)
-
-    def __contains__(self, node_id: int) -> bool:
-        if node_id < self.first:
-            return node_id in self.base
-        return node_id in self._nodes
-
-    def keep(self, root: int) -> tuple[int, int, int]:
-        """Append the staged nodes reachable from root to the base,
-        children first, with links remapped to the base's new ids.
-
-        Returns (root id in the base, nodes appended, distinct base nodes
-        the appended ones link to)."""
-        first = self.first
-        new_ids: dict[int, int] = {}
-        shared: set[int] = set()
-        todo = [(root, False)]
-        while todo:
-            node_id, ready = todo.pop()
-            if node_id in new_ids:
-                continue
-            node = self._nodes[node_id]
-            if not ready:
-                todo.append((node_id, True))
-                for child in (node.below, node.after):
-                    if child is not None and child >= first:
-                        todo.append((child, False))
-                continue
-            links = []
-            for child in (node.below, node.after):
-                if child is not None and child < first:
-                    shared.add(child)
-                links.append(new_ids.get(child, child))
-            new_ids[node_id] = self.base.add(Node(
-                node.kind, node.level, node.rank, links[0], links[1],
-                node.length, node.block, node.version, node.digest))
-        return new_ids[root], len(new_ids), len(shared)
 
 
 def split_blocks(data: bytes, block_size: int) -> list[bytes]:
@@ -268,13 +213,6 @@ def build(store: NodeStore, scheme: HashScheme, blocks: Iterable[bytes],
     return root, src
 
 
-def below_span(node: Node, store: NodeStore) -> int:
-    """Bytes left behind when moving after: the below-side span."""
-    if node.below is not None:
-        return store.get(node.below).rank
-    return node.length
-
-
 @dataclass
 class SearchPath:
     """Trace of one byte-indexed descent.
@@ -302,7 +240,9 @@ def search(store: NodeStore, root: int, index: int) -> SearchPath:
     node_id, node = root, root_node
     remaining = index
     while True:
-        span = below_span(node, store)
+        # bytes left behind when moving after: the below-side span
+        span = (store.get(node.below).rank if node.below is not None
+                else node.length)
         if remaining < span:
             if node.is_leaf:
                 path.leaf = node_id

@@ -2,28 +2,29 @@
 
 Every edit leaves the old version's node graph untouched and produces a
 new root that shares all unchanged subtrees with it. One edit engine
-(_EditEngine) runs every edit in three steps:
+(EditEngine) runs a batch of edits, the block ops of one new version:
 
-  1. descend copies the root and each node it moves through into a
-     mutable draft. For modify the descent runs to the target leaf; for
-     insert and remove it stops at the boundary node whose after link
-     enters the affected tower.
-  2. Insert and remove rework the copied path bottom-up. Subtree pieces
-     cut loose by the edit (an inserted tower swallowing its shorter
-     right neighbours, or a removed tower releasing its captured
-     neighbours) are re-homed onto the path: a piece re-attaches where
-     the first tower tall enough to carry its link sits, creating missing
-     nodes where a link needs a connection point that has no node. A
-     copy that loses its after link is spliced out of the path.
-  3. finish finalizes, children first, the drafts the new root reaches,
-     computing ranks and digests from their children. Drafts no longer
-     reachable (spliced-out copies, a descent that was redone) are never
-     finalized.
+  1. Each op locates its target with a read-only descent from the
+     batch's current root: to the target leaf for modify; for insert and
+     remove, to the boundary node whose after link enters the affected
+     tower.
+  2. It edits that path bottom-up. A node it changes becomes a draft: a
+     finalized node is copied once, a draft an earlier op made is edited
+     in place. Insert and remove re-home the subtree pieces the edit cuts
+     loose (an inserted tower swallowing its shorter right neighbours, a
+     removed tower releasing its captured ones) where the first tower
+     tall enough to carry their link sits, creating missing nodes where
+     a link needs a connection point, and splice out a node that loses
+     its after link. A draft carries its rank, set again from its
+     children whenever its links change, so later ops descend through
+     drafts as through finalized nodes.
+  3. finish runs once, after the last op: it finalizes into the store,
+     children first, only the drafts the final root reaches.
 
-Because the structure is canonical (see core), the result of any edit is
-bit-identical to rebuilding from scratch over the edited block sequence
-with the same level assignment; the randomized suite holds the engine to
-exactly that oracle.
+Because the structure is canonical (see core), the result of any batch
+is bit-identical to rebuilding from scratch over the edited block
+sequence with the same level assignment; the randomized suite holds the
+engine to exactly that oracle.
 """
 
 from __future__ import annotations
@@ -32,25 +33,28 @@ from dataclasses import dataclass
 
 from . import core
 from .core import (AFTER, BELOW, KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL,
-                   KIND_STUB, Node, NodeStore, below_span)
+                   KIND_STUB, Node, NodeStore)
 from .errors import (BlockTooSmall, IndexOutOfRange, NotBlockAligned,
                      PathNotCovered, StructureCorrupt)
 from .hashing import HashScheme, LevelSource
 
 
 class _Draft:
-    """Mutable copy of a node under construction during one edit.
+    """Mutable node under construction during one batch.
 
-    Child slots hold either finalized node ids or other drafts; node_id is
+    Child slots hold either finalized node ids or other drafts; rank is
+    kept equal to the children's (see EditEngine._link); node_id is
     assigned when finish finalizes the draft.
     """
 
-    __slots__ = ("kind", "level", "length", "block", "below", "after",
-                 "version", "node_id")
+    __slots__ = ("kind", "level", "rank", "length", "block", "below",
+                 "after", "version", "node_id")
 
-    def __init__(self, kind, level, length, block, below, after, version):
+    def __init__(self, kind, level, rank, length, block, below, after,
+                 version):
         self.kind = kind
         self.level = level
+        self.rank = rank
         self.length = length
         self.block = block
         self.below = below
@@ -70,74 +74,180 @@ Ref = object  # node id (int) or _Draft
 class CommitResult:
     new_root: int
     created_nodes: int
+    shared_nodes: int   # distinct older nodes the created ones link to
 
 
-class _EditEngine:
-    """One edit's working state: the copying descent, piece re-homing and
-    finalization of the drafts the new root reaches."""
+class EditEngine:
+    """One new version's edits over `root`: located paths edited
+    bottom-up, piece re-homing, and one finalization of the drafts the
+    final root reaches. `root` is the batch's current root, a node id
+    until the first op makes it a draft."""
 
-    def __init__(self, store: NodeStore, scheme: HashScheme, version: int):
+    def __init__(self, store: NodeStore, scheme: HashScheme, root: int,
+                 version: int):
         self.store = store
         self.scheme = scheme
+        self.root: Ref = root
         self.version = version
 
-    # -- draft helpers ----------------------------------------------------
+    # -- ops ----------------------------------------------------------------
 
-    def copy(self, node_id: int) -> _Draft:
-        node = self.store.get(node_id)
-        return _Draft(node.kind, node.level, node.length, node.block,
-                      node.below, node.after, self.version)
+    def modify(self, index: int, length: int, block: bytes) -> None:
+        """Give the block containing byte `index` a new length and
+        digest."""
+        self._check(index)
+        if length < 1:
+            raise BlockTooSmall("modify needs at least 1 byte")
+        path, _residual = self.locate(index, to_leaf=True)
+        *above, (ref, leaf, _direction) = path
+        child = self.own(ref, leaf)
+        # No link changes: the leaf and every node above it change rank
+        # by the change in length.
+        delta = length - child.length
+        child.length, child.block = length, block
+        child.rank += delta
+        for ref, node, direction in reversed(above):
+            draft = self.own(ref, node)
+            setattr(draft, direction, child)
+            draft.rank += delta
+            child = draft
+        self.root = child
+
+    def insert(self, index: int, length: int, block: bytes,
+               level: int) -> None:
+        """Insert a block known by (length, digest), with a tower of
+        `level`, at byte `index`: index = rank appends, an index inside a
+        block inserts before that block."""
+        self._check(index, appending=True)
+        if length < 1:
+            raise BlockTooSmall("insert needs at least 1 byte")
+        path, residual = self.locate(index)
+        if residual:
+            path, residual = self.locate(index - residual)
+            if residual:
+                raise StructureCorrupt("boundary descent stopped mid-block")
+        *above, (ref, stop, _direction) = path
+        if not stop.is_leaf:
+            cont, pendings = self._below_frame(
+                ref, stop, stop.below,
+                [[level, self.new_leaf(length, block, None)]])
+        elif level == 0:
+            cont = self._link(self.own(ref, stop), None,
+                              self.new_leaf(length, block, stop.after))
+            pendings = []
+        else:
+            pendings = [[level, self.new_leaf(length, block, stop.after)]]
+            cont = self._link(self.own(ref, stop), None, None)
+        self.root = self.rebuild(above, cont, pendings)
+
+    def remove(self, index: int) -> None:
+        """Remove the block starting at byte `index`. Missing nodes
+        created to re-home the removed tower's after links take the level
+        of the link they carry, which is what makes insert-then-remove
+        digest-restoring."""
+        self._check(index)
+        path, residual = self.locate(index)
+        if residual:
+            raise NotBlockAligned(f"index {index} is not a block start")
+        *above, (ref, stop, _direction) = path
+        pendings = []
+        if stop.is_leaf:
+            removed = self._node(stop.after)
+            if removed.kind == KIND_STUB:
+                raise PathNotCovered("cannot remove an unexpanded block")
+            cont = self._link(self.own(ref, stop), None, removed.after)
+        else:
+            pendings = self.disassemble(stop.after)
+            smalls = [p for p in pendings if p[0] < stop.level]
+            pendings = [p for p in pendings if p[0] >= stop.level]
+            cont = stop.below
+            if smalls:
+                cont = self.attach(cont, smalls)
+            if pendings and pendings[0][0] == stop.level:
+                cont = self._link(self.own(ref, stop), cont, pendings[0][1])
+                pendings = pendings[1:]
+        self.root = self.rebuild(above, cont, pendings)
+
+    def _check(self, index: int, appending: bool = False) -> None:
+        rank = self._node(self.root).rank
+        if not 0 <= index < rank + appending:
+            raise IndexOutOfRange(f"index {index} outside rank {rank}")
+
+    # -- drafts -------------------------------------------------------------
+
+    def _node(self, ref: Ref):
+        return ref if type(ref) is _Draft else self.store.get(ref)
+
+    def own(self, ref: Ref, node) -> _Draft:
+        """The draft to edit for `ref`, which reads as `node`: `ref`
+        itself if it is a draft, else a copy of the finalized node, which
+        takes the node's place when its parent is relinked."""
+        if node is ref:
+            return ref
+        return _Draft(node.kind, node.level, node.rank, node.length,
+                      node.block, node.below, node.after, self.version)
 
     def new_leaf(self, length: int, block: bytes, after: Ref | None) -> _Draft:
-        return _Draft(KIND_LEAF, 0, length, block, None, after, self.version)
+        return self._link(_Draft(KIND_LEAF, 0, 0, length, block, None, None,
+                                 self.version), None, after)
 
     def new_internal(self, level: int, below: Ref, after: Ref) -> _Draft:
-        return _Draft(KIND_INTERNAL, level, 0, None, below, after,
-                      self.version)
+        return self._link(_Draft(KIND_INTERNAL, level, 0, 0, None, None, None,
+                                 self.version), below, after)
+
+    def _link(self, draft: _Draft, below: Ref | None,
+              after: Ref | None) -> _Draft:
+        """Set a draft's links and its rank from them."""
+        draft.below, draft.after = below, after
+        rank = draft.length if below is None else self._node(below).rank
+        draft.rank = rank if after is None else rank + self._node(after).rank
+        return draft
 
     def _view(self, ref: Ref):
-        node = ref if isinstance(ref, _Draft) else self.store.get(ref)
+        node = self._node(ref)
         if node.kind == KIND_STUB:
             raise PathNotCovered("re-homing needs an unexpanded subtree")
         return node
 
-    # -- copying descent ---------------------------------------------------
+    # -- located paths ------------------------------------------------------
 
-    def descend(self, root_id: int, index: int, to_leaf: bool = False):
-        """Copying descent toward byte `index`.
+    def locate(self, index: int, to_leaf: bool = False):
+        """Read-only descent from the current root toward byte `index`.
 
         Stops at the boundary node whose below side spans exactly `index`
         bytes, or with to_leaf runs on, as core.search does, to the leaf
-        holding byte `index`.
-        Returns (root draft, frames, stop draft, residual) where frames
-        lists (draft, direction moved from it) above the stop. A stop
+        holding byte `index`. Returns (path, residual): path lists
+        (node id or draft, what it reads as, direction moved from it)
+        from the root down, the stop last with direction None. A stop
         with residual > 0 sits inside a block (misaligned boundary).
         """
-        droot = self.copy(root_id)
-        frames: list[tuple[_Draft, str]] = []
-        cur = self.store.get(root_id)
-        dcur = droot
-        idx = index
+        get = self.store.get
+        path = []
+        ref, idx = self.root, index
+        node = self._node(ref)
         while True:
-            span = below_span(cur, self.store)
+            below = node.below
+            if below is not None and type(below) is not _Draft:
+                below = get(below)
+            span = node.length if below is None else below.rank
             if idx < span:
-                if cur.is_leaf:
-                    return droot, frames, dcur, idx
-                frames.append((dcur, BELOW))
-                nxt = cur.below
+                if node.is_leaf:
+                    path.append((ref, node, None))
+                    return path, idx
+                path.append((ref, node, BELOW))
+                ref, node = node.below, below
             elif idx == span and not to_leaf:
-                return droot, frames, dcur, 0
+                path.append((ref, node, None))
+                return path, 0
             else:
-                if cur.after is None:
+                if node.after is None:
                     raise StructureCorrupt("descent ran off the structure")
                 idx -= span
-                frames.append((dcur, AFTER))
-                nxt = cur.after
-            cur = self.store.get(nxt)
-            if cur.kind == KIND_STUB:
+                path.append((ref, node, AFTER))
+                ref = node.after
+                node = ref if type(ref) is _Draft else get(ref)
+            if node.kind == KIND_STUB:
                 raise PathNotCovered("edit path enters an unexpanded subtree")
-            dcur = self.copy(nxt)
-            setattr(frames[-1][0], frames[-1][1], dcur)
 
     # -- piece re-homing ---------------------------------------------------
 
@@ -157,10 +267,10 @@ class _EditEngine:
             cur = base
             if zeros:
                 if node.after is not None:
-                    cur = self._with_after(base,
+                    cur = self._with_after(base, node,
                                            self.attach(node.after, zeros))
                 else:
-                    cur = self._with_after(base, zeros[0][1])
+                    cur = self._with_after(base, node, zeros[0][1])
             for level, piece in rest:
                 cur = self.new_internal(level, cur, piece)
             return cur
@@ -168,64 +278,59 @@ class _EditEngine:
         outer = [p for p in pendings if p[0] > node.level]
         cur = base
         if inner:
-            cur = self._with_after(base, self.attach(node.after, inner))
+            cur = self._with_after(base, node,
+                                   self.attach(node.after, inner))
         for level, piece in outer:
             cur = self.new_internal(level, cur, piece)
         return cur
 
-    def _with_after(self, ref: Ref, after: Ref) -> Ref:
-        """Re-point a node's after link, copying it first if finalized."""
-        if isinstance(ref, _Draft):
-            ref.after = after
-            return ref
-        draft = self.copy(ref)
-        draft.after = after
-        return draft
+    def _with_after(self, ref: Ref, node, after: Ref) -> _Draft:
+        """Re-point the after link of `ref`, which reads as `node`."""
+        return self._link(self.own(ref, node), node.below, after)
 
     # -- bottom-up rebuild ---------------------------------------------------
 
-    def rebuild(self, frames, stop: _Draft, cont: Ref, pendings: list) -> Ref:
-        """Walk the copied path upward from just above `stop`, re-homing
-        pendings and splicing copies that lost their after link."""
-        for draft, direction in reversed(frames):
+    def rebuild(self, above: list, cont: Ref, pendings: list) -> Ref:
+        """Walk a located path upward from just above its stop, `cont`
+        standing for what became of the stop: relink each node, re-home
+        pendings and splice out nodes that lost their after link. Returns
+        the new root."""
+        for ref, node, direction in reversed(above):
             if direction == BELOW:
-                cont, pendings = self._below_frame(draft, cont, pendings)
+                cont, pendings = self._below_frame(ref, node, cont, pendings)
             else:
-                ins = [p for p in pendings if p[0] <= draft.level]
-                pendings = [p for p in pendings if p[0] > draft.level]
-                draft.after = self.attach(cont, ins)
-                cont = draft
+                ins = [p for p in pendings if p[0] <= node.level]
+                pendings = [p for p in pendings if p[0] > node.level]
+                cont = self._link(self.own(ref, node), node.below,
+                                  self.attach(cont, ins))
         return self.attach(cont, pendings)
 
-    def _below_frame(self, draft: _Draft, cont: Ref, pendings: list):
+    def _below_frame(self, ref: Ref, node, cont: Ref, pendings: list):
         """Process one kept-after path node: its after piece lies right of
         the boundary; pendings below its level sink under it, a pending at
         its level takes over its link, taller pendings swallow its piece
-        and render the copy unnecessary."""
-        level = draft.level
+        and render the node unnecessary."""
+        level = node.level
         smalls = [p for p in pendings if p[0] < level]
         pendings = [p for p in pendings if p[0] >= level]
         if smalls:
             cont = self.attach(cont, smalls)
         if pendings:
             consumer = pendings[-1]
-            consumer[1] = self.new_internal(level, consumer[1], draft.after)
+            consumer[1] = self.new_internal(level, consumer[1], node.after)
             if pendings[0][0] == level:
-                draft.after = pendings[0][1]
-                pendings = pendings[1:]
-                draft.below = cont
-                return draft, pendings
+                return (self._link(self.own(ref, node), cont,
+                                   pendings[0][1]), pendings[1:])
             return cont, pendings
-        draft.below = cont
-        return draft, pendings
+        return self._link(self.own(ref, node), cont, node.after), pendings
 
-    def disassemble(self, piece_id: int) -> list:
+    def disassemble(self, piece: Ref) -> list:
         """Break a removed tower's column into the (level, piece) parts it
         captured, ascending by link level."""
         released = []
-        cur = piece_id
+        cur = piece
         while True:
-            node = self.store.get(cur)
+            node = self._node(cur)
             if node.kind == KIND_STUB:
                 raise PathNotCovered(
                     "cannot dissolve an unexpanded tower column")
@@ -237,25 +342,33 @@ class _EditEngine:
                     released.append([0, node.after])
                 return list(reversed(released))
 
-    def finish(self, root_ref: Ref) -> CommitResult:
-        """Finalize, children first, every draft the new root reaches."""
+    # -- finalization --------------------------------------------------------
+
+    def finish(self) -> CommitResult:
+        """Finalize, children first, every draft the final root reaches,
+        adding each to the store. Counts them and the distinct finalized
+        nodes they link to."""
         store, scheme = self.store, self.scheme
-        created = 0
-        todo = [root_ref] if isinstance(root_ref, _Draft) else []
-        while todo:
-            draft = todo[-1]
+        drafts, shared = [], set()
+        todo = [self.root] if type(self.root) is _Draft else []
+        while todo:    # preorder: every draft before its children
+            draft = todo.pop()
+            drafts.append(draft)
             below, after = draft.below, draft.after
-            if isinstance(below, _Draft):
-                if below.node_id is None:
-                    todo.append(below)
-                    continue
+            if type(below) is _Draft:
+                todo.append(below)
+            elif below is not None:
+                shared.add(below)
+            if type(after) is _Draft:
+                todo.append(after)
+            elif after is not None:
+                shared.add(after)
+        for draft in reversed(drafts):
+            below, after = draft.below, draft.after
+            if type(below) is _Draft:
                 below = below.node_id
-            if isinstance(after, _Draft):
-                if after.node_id is None:
-                    todo.append(after)
-                    continue
+            if type(after) is _Draft:
                 after = after.node_id
-            todo.pop()
             if draft.kind == KIND_INTERNAL:
                 draft.node_id = core.make_internal(
                     store, scheme, draft.level, below, after, draft.version)
@@ -263,26 +376,18 @@ class _EditEngine:
                 draft.node_id = core.make_leaf(
                     store, scheme, draft.length, draft.block, after,
                     draft.version, sentinel=draft.kind == KIND_SENTINEL)
-            created += 1
-        root = root_ref.node_id if isinstance(root_ref, _Draft) else root_ref
-        return CommitResult(root, created)
+        root = self.root
+        return CommitResult(root.node_id if isinstance(root, _Draft)
+                            else root, len(drafts), len(shared))
 
 
 def pmodify(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
             data: bytes, version: int) -> CommitResult:
     """Replace the block containing `index` with `data` (length may
     differ) in a new version; the old version stays intact."""
-    root = store.get(old_root)
-    if not 0 <= index < root.rank:
-        raise IndexOutOfRange(f"index {index} outside rank {root.rank}")
-    if len(data) < 1:
-        raise BlockTooSmall("modify needs at least 1 byte")
-    eng = _EditEngine(store, scheme, version)
-    droot, _frames, leaf, _residual = eng.descend(old_root, index,
-                                                  to_leaf=True)
-    leaf.length = len(data)
-    leaf.block = scheme.block_digest(data)
-    return eng.finish(droot)
+    eng = EditEngine(store, scheme, old_root, version)
+    eng.modify(index, len(data), scheme.block_digest(data))
+    return eng.finish()
 
 
 def pinsert(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
@@ -293,12 +398,9 @@ def pinsert(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
     index = rank appends; an index inside a block inserts before that
     block. The tower level is drawn from src (one draw per insert).
     """
-    if len(data) < 1:
-        raise BlockTooSmall("insert needs at least 1 byte")
     level, src = src.draw()
-    result = insert_block(store, scheme, old_root, index, len(data),
-                          scheme.block_digest(data), level, version)
-    return result, src
+    return insert_block(store, scheme, old_root, index, len(data),
+                        scheme.block_digest(data), level, version), src
 
 
 def insert_block(store: NodeStore, scheme: HashScheme, old_root: int,
@@ -309,70 +411,18 @@ def insert_block(store: NodeStore, scheme: HashScheme, old_root: int,
     The layer-2 index uses this directly: its leaves authenticate version
     records rather than stored data blocks.
     """
-    root = store.get(old_root)
-    if not 0 <= index <= root.rank:
-        raise IndexOutOfRange(f"index {index} outside rank {root.rank}")
-    if length < 1:
-        raise BlockTooSmall("insert needs at least 1 byte")
-    eng = _EditEngine(store, scheme, version)
-    _droot, frames, stop, residual = eng.descend(old_root, index)
-    if residual:
-        # index sits inside a block: the new block goes before it
-        _droot, frames, stop, residual = eng.descend(old_root,
-                                                     index - residual)
-        if residual:
-            raise StructureCorrupt("boundary descent stopped mid-block")
-    if stop.is_leaf:
-        new_leaf = eng.new_leaf(length, block_digest, stop.after)
-        if level == 0:
-            stop.after = new_leaf
-            root_ref = eng.rebuild(frames, stop, stop, [])
-        else:
-            stop.after = None
-            root_ref = eng.rebuild(frames, stop, stop, [[level, new_leaf]])
-    else:
-        new_leaf = eng.new_leaf(length, block_digest, None)
-        cont, pendings = eng._below_frame(stop, stop.below,
-                                          [[level, new_leaf]])
-        root_ref = eng.rebuild(frames, stop, cont, pendings)
-    return eng.finish(root_ref)
+    eng = EditEngine(store, scheme, old_root, version)
+    eng.insert(index, length, block_digest, level)
+    return eng.finish()
 
 
 def premove(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
             version: int) -> CommitResult:
-    """Remove the block starting at byte `index` in a new version.
-
-    The index must address byte 0 of a block; missing nodes created to
-    re-home the removed tower's after links take the level of the link
-    they carry, which is what makes insert-then-remove digest-restoring.
-    """
-    root = store.get(old_root)
-    if not 0 <= index < root.rank:
-        raise IndexOutOfRange(f"index {index} outside rank {root.rank}")
-    eng = _EditEngine(store, scheme, version)
-    _droot, frames, stop, residual = eng.descend(old_root, index)
-    if residual:
-        raise NotBlockAligned(f"index {index} is not a block start")
-    if stop.is_leaf:
-        removed = eng.store.get(stop.after)
-        if removed.kind == KIND_STUB:
-            raise PathNotCovered("cannot remove an unexpanded block")
-        stop.after = removed.after
-        root_ref = eng.rebuild(frames, stop, stop, [])
-    else:
-        pendings = eng.disassemble(stop.after)
-        smalls = [p for p in pendings if p[0] < stop.level]
-        pendings = [p for p in pendings if p[0] >= stop.level]
-        cont = stop.below
-        if smalls:
-            cont = eng.attach(cont, smalls)
-        if pendings and pendings[0][0] == stop.level:
-            stop.after = pendings[0][1]
-            stop.below = cont
-            cont = stop
-            pendings = pendings[1:]
-        root_ref = eng.rebuild(frames, stop, cont, pendings)
-    return eng.finish(root_ref)
+    """Remove the block starting at byte `index` in a new version (see
+    EditEngine.remove)."""
+    eng = EditEngine(store, scheme, old_root, version)
+    eng.remove(index)
+    return eng.finish()
 
 
 def iter_data_leaves(store: NodeStore, root: int):

@@ -596,13 +596,12 @@ class Repository:
         if not ops:
             raise EmptyCommit("diff produced no block operations")
         version = latest.version + 1
-        for op in ops:
-            if op.data is not None:
-                self.blocks.put(op.data)
-        staging = core.StagingStore(self.store)
-        root, src = adaptor.apply_ops(staging, self.scheme, old_root, ops,
-                                      self.level_source(), version)
-        root, created, shared = staging.keep(root)
+        # Each new block reaches the pack as its op runs, before finish
+        # adds the first node record.
+        result, src = adaptor.apply_ops(self.store, self.scheme, old_root,
+                                        ops, self.level_source(), version,
+                                        block_digest=self.blocks.put)
+        root = result.new_root
         node = self.store.get(root)
         start, length = _update_region(ops, node.rank)
         # A new index, so this object keeps the old one until the commit
@@ -613,8 +612,8 @@ class Repository:
             VersionRecord(version, root, node.digest, start, length))
         self._append_commit(vindex, src.counter)
         return {"version": version, "meta": self.meta_digest.hex(),
-                "ops": len(ops), "created_nodes": created,
-                "shared_nodes": shared, "rank": node.rank}
+                "ops": len(ops), "created_nodes": result.created_nodes,
+                "shared_nodes": result.shared_nodes, "rank": node.rank}
 
     # -- audit plumbing ----------------------------------------------------
 
@@ -711,6 +710,8 @@ class Repository:
                version: int | None = None, rng_seed: int = 0) -> dict:
         """Corrupt a fraction of stored blocks in place. The prover keeps
         answering challenges; verification catches the damage."""
+        if not 0 <= fraction <= 1:    # false for NaN too
+            raise DomainError(f"fraction {fraction} is outside [0, 1]")
         if scope == "version-delta":
             rec = self.record(self.latest.version if version is None
                               else version)

@@ -463,6 +463,9 @@ def _range_proof(store, blocks, vindex, start, length):
 
 
 def _server_commit(store, blocks, root, ops, src):
+    """The server side of a batch, applied as chained one-op edits
+    (pmodify, pinsert, premove): the reference that the client's
+    one-engine apply_ops_partial is compared with."""
     for op in ops:
         if op.kind == "modify":
             blocks[SCHEME.block_digest(op.data)] = op.data

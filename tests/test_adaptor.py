@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from flexstore import adaptor, audit, persist
+from flexstore import adaptor, audit, core, persist
 from flexstore.adaptor import (BlockOp, DiffEntry, apply_ops_partial,
                                diff_to_ops, format_diff, parse_diff,
                                partial_from_proof, translate_diffs)
 from flexstore.core import (NodeStore, block_layout, block_start, build,
-                            split_blocks)
+                            build_with_levels, split_blocks)
 from flexstore.errors import (DiffOutOfRange, FormatError, OverlappingDiffs,
                               PathNotCovered, ProofRejected)
 from flexstore.hashing import HashScheme, LevelSource
@@ -27,13 +27,6 @@ def apply_diffs(data: bytes, entries) -> bytes:
         pos = e.at + e.span
     out.append(data[pos:])
     return b"".join(out)
-
-
-def apply_ops_bytes(data: bytes, ops) -> bytes:
-    """Block-level reference application of an op sequence, byte-wise."""
-    layout = split_blocks(data, 0) if False else None
-    # operate on a mutable list of blocks
-    return _apply_ops_blocks(data, ops)
 
 
 def _apply_ops_blocks(data, ops, block_size=8):
@@ -309,6 +302,9 @@ class ServerFixture:
                                  self.latest.version, start, length)
 
     def commit_ops(self, ops):
+        """The server side of a batch, applied as chained one-op edits
+        (pmodify, pinsert, premove): the reference that the one-engine
+        batches of apply_ops and apply_ops_partial are compared with."""
         rec = self.latest
         root = rec.root
         version = rec.version + 1
@@ -405,3 +401,128 @@ class TestPartial:
             assert client_digest == server_digest, trial
             agreements += 1
         assert agreements >= 40
+
+
+def _random_batch(rng, entries, src):
+    """1 to 40 random block ops over `entries`, a list of [block, level,
+    index in the original list or None], which it edits to match. Returns
+    the ops, the advanced level source and the original indices of the
+    blocks the ops touched and of the block left of each (the padding
+    adaptor.required_range adds): what a range proof must cover."""
+    ops, touched = [], set()
+    for _ in range(rng.randint(1, 40)):
+        starts = [0]
+        for block, _level, _orig in entries:
+            starts.append(starts[-1] + len(block))
+        kind = rng.choice(["modify", "insert", "remove"]) if entries \
+            else "insert"
+        pos = rng.randint(0, len(entries) - (kind != "insert"))
+        touched.update(entries[p][2] for p in (pos - 1, pos)
+                       if 0 <= p < len(entries))
+        index = starts[pos]
+        if kind != "remove" and pos < len(entries):
+            index += rng.randrange(len(entries[pos][0]))  # inside the block
+        data = bytes(rng.randrange(256) for _ in range(rng.randint(1, 12)))
+        if kind == "modify":
+            entries[pos][0] = data
+        elif kind == "insert":
+            level, src = src.draw()
+            entries.insert(pos, [data, level, None])
+        else:
+            del entries[pos]
+            data = None
+        ops.append(BlockOp(kind, index, data))
+    touched.discard(None)
+    return ops, src, touched
+
+
+def _build_entries(store, entries):
+    return build_with_levels(
+        store, SCHEME,
+        [(len(b), SCHEME.block_digest(b)) for b, _l, _o in entries],
+        [level for _b, level, _o in entries])
+
+
+class TestBatch:
+    """apply_ops runs a whole batch through one edit engine and finalizes
+    once; the chained one-op wrappers, a rebuild and the same batch on a
+    range-proof partial list are its references."""
+
+    def test_batches_match_chained_ops_rebuild_and_partial(self,
+                                                           monkeypatch):
+        made = []
+        for name in ("make_leaf", "make_internal"):
+            def counted(*args, real=getattr(core, name), **kwargs):
+                made.append(None)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(core, name, counted)
+        real_finish = persist.EditEngine.finish
+
+        def finish(eng):
+            drafts, todo = [], [eng.root]
+            while todo:
+                ref = todo.pop()
+                if isinstance(ref, persist._Draft):
+                    drafts.append(ref)
+                    todo += [ref.below, ref.after]
+            result = real_finish(eng)
+            assert [d.rank for d in drafts] == [
+                eng.store.get(d.node_id).rank for d in drafts]
+            assert len(drafts) == result.created_nodes
+            return result
+        monkeypatch.setattr(persist.EditEngine, "finish", finish)
+
+        rng = random.Random(4242)
+        for trial in range(500):
+            src = LevelSource(SEED, rng.randrange(1 << 20))
+            entries = []
+            for orig in range(rng.randint(0, 30)):
+                level, src = src.draw()
+                entries.append([bytes(rng.randrange(256) for _ in
+                                      range(rng.randint(1, 12))),
+                                level, orig])
+            store, blocks = NodeStore(), {}
+            for block, _level, _orig in entries:
+                blocks[SCHEME.block_digest(block)] = block
+            root = _build_entries(store, entries)
+            vindex = VersionIndex(store, SCHEME, SEED)
+            vindex.append_version(VersionRecord(
+                0, root, store.get(root).digest, 0, store.get(root).rank))
+            starts = [0]
+            for block, _level, _orig in entries:
+                starts.append(starts[-1] + len(block))
+            ops, end_src, touched = _random_batch(rng, entries, src)
+
+            del made[:]
+            result, got_src = adaptor.apply_ops(store, SCHEME, root, ops,
+                                                src, 1)
+            assert len(made) == result.created_nodes, trial
+            assert got_src == end_src
+            digest = store.get(result.new_root).digest
+
+            chained, chain_src = root, src
+            for op in ops:
+                if op.kind == "modify":
+                    step = persist.pmodify(store, SCHEME, chained, op.index,
+                                           op.data, 1)
+                elif op.kind == "insert":
+                    step, chain_src = persist.pinsert(
+                        store, SCHEME, chained, op.index, op.data,
+                        chain_src, 1)
+                else:
+                    step = persist.premove(store, SCHEME, chained, op.index,
+                                           1)
+                chained = step.new_root
+            assert store.get(chained).digest == digest, trial
+
+            rebuilt = NodeStore()
+            assert rebuilt.get(_build_entries(rebuilt, entries)).digest \
+                == digest, trial
+
+            lo, hi = (min(touched), max(touched) + 1) if touched else (0, 0)
+            proof = audit.prove_range(store, vindex, blocks.get, 0,
+                                      starts[lo], max(starts[hi] - starts[lo],
+                                                      1))
+            partial = partial_from_proof(SCHEME, proof, vindex.meta_digest)
+            client_digest, _ = apply_ops_partial(partial, ops, src)
+            assert client_digest == digest, trial

@@ -5,7 +5,8 @@ import struct
 
 import pytest
 
-from flexstore.core import (NodeStore, block_layout, build,
+from flexstore.core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL,
+                            KIND_STUB, Node, NodeStore, block_layout, build,
                             build_with_levels, check_subtree, iter_leaves,
                             read_blocks, search, split_blocks)
 from flexstore.errors import BlockTooSmall, IndexOutOfRange
@@ -21,6 +22,15 @@ def mklist(lengths, levels, store=None):
              for i, n in enumerate(lengths)]
     root = build_with_levels(store, SCHEME, pairs, levels)
     return store, root, pairs
+
+
+@pytest.mark.parametrize("kind, name", [(KIND_INTERNAL, "int"),
+                                        (KIND_LEAF, "leaf"),
+                                        (KIND_SENTINEL, "sent"),
+                                        (KIND_STUB, "stub")])
+def test_node_repr_names_every_kind(kind, name):
+    node = Node(kind, 2, 7, None, None, 0, None, 1, SCHEME.zero)
+    assert repr(node) == f"<{name} lvl=2 rank=7 len=0 v=1>"
 
 
 class TestSplitBlocks:

@@ -23,7 +23,8 @@ from flexstore.errors import RepositoryLocked
 from flexstore.repo import Repository
 
 SEED = bytes.fromhex("00112233445566778899")
-# Two block puts: the entry straddles a block boundary.
+# The entry straddles a block boundary: a modify, a remove and two
+# inserts, so three block puts; then 6 layer-1 and 4 layer-2 node records.
 EDIT = format_diff([DiffEntry("replace", 60, b"crash-" * 2, 8)])
 NEXT = format_diff([DiffEntry("insert", 0, b"next")])
 SEGMENT = "nodes/segment-000001.dat"
@@ -96,6 +97,9 @@ POINTS = [(repo_mod.BlockStore, "put", 1, "before", 0),
           (repo_mod.BlockStore, "put", 1, "after", 0),
           (repo_mod.BlockStore, "put", 2, "before", 0),
           (repo_mod.BlockStore, "put", 2, "after", 0),
+          # finish adds the layer-1 records straight to the node store
+          (repo_mod.DurableNodeStore, "add", 1, "before", 0),
+          (repo_mod.DurableNodeStore, "add", 4, "before", 0),
           (repo_mod.DurableNodeStore, "flush", 1, "before", 0),
           # after the flush comes the line append
           (repo_mod.DurableNodeStore, "flush", 1, "after", 0),

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from flexstore import cli, core, hashing
+from flexstore import adaptor, cli, core, hashing
 from flexstore.adaptor import DiffEntry, format_diff
 from flexstore.errors import (BlockTooSmall, DomainError, EmptyCommit,
                               NoSuchVersion, PathExists, RepositoryLocked,
@@ -263,6 +263,29 @@ class TestCommit:
                       if child is not None and child < first_id}
             assert summary["created_nodes"] == len(created)
             assert summary["shared_nodes"] == len(shared)
+
+    def test_each_new_block_hashed_once(self, repo, monkeypatch):
+        """A commit hashes each op's data once, as it stores the block."""
+        ops = []
+        real_translate = adaptor.translate_diffs
+
+        def translate(*args, **kwargs):
+            ops.extend(real_translate(*args, **kwargs))
+            return ops
+        hashed = []
+        real_digest = hashing.HashScheme.block_digest
+
+        def block_digest(scheme, block):
+            hashed.append(block)
+            return real_digest(scheme, block)
+        monkeypatch.setattr(adaptor, "translate_diffs", translate)
+        monkeypatch.setattr(hashing.HashScheme, "block_digest", block_digest)
+        repo.commit(format_diff([
+            DiffEntry("replace", 10, b"a" * 700, 20),
+            DiffEntry("delete", 1000, delete_len=600),
+            DiffEntry("insert", 2500, b"b" * 900)]))
+        data_ops = [op.data for op in ops if op.data is not None]
+        assert len(data_ops) > 4 and hashed == data_ops
 
     @pytest.mark.parametrize("blocks", [64, 2048])
     def test_one_entry_commit_reads_few_blocks(self, tmp_path, blocks):
@@ -611,6 +634,20 @@ class TestTamper:
         code = cli.main(["--repo", str(repo.path), "tamper",
                          "--delete-fraction", "0.5"])
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("fraction", ["2", "-0.5", "nan"])
+    def test_bad_fraction_exits_2(self, repo, capsys, fraction):
+        def files():
+            return {p: p.read_bytes() for p in repo.path.rglob("*")
+                    if p.is_file()}
+        before = files()
+        code = cli.main(["--repo", str(repo.path), "tamper",
+                         "--delete-fraction", fraction, "--allow-data-loss"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert files() == before   # not even the lock file
+        assert cli.main(["--repo", str(repo.path), "fsck"]) == cli.EXIT_OK
 
     def test_corruption_detected_by_audit(self, repo):
         repo.commit(format_diff(
