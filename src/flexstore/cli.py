@@ -165,7 +165,8 @@ def cmd_commit(args) -> int:
 def cmd_log(args) -> int:
     repo = Repository.open(args.repo)
     try:
-        for rec in repo.vindex.records:
+        for version in range(repo.vindex.count):
+            rec = repo.record(version)
             rank = repo.store.get(rec.root).rank
             print(f"version {rec.version} rank {rank} "
                   f"root {rec.root_digest.hex()} "

@@ -10,6 +10,7 @@ client's entire O(1) metadata.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import persist, proofs
@@ -44,22 +45,29 @@ class VersionIndex:
 
     Appends are full persistent inserts, so proofs taken against any
     historical meta digest keep verifying against that digest.
+
+    `records` is the source of the versions that precede this object:
+    any sequence whose item k is version k's record (the repository's
+    commit log, for one). It is read one record at a time, never copied;
+    the records appended here stay in memory past it.
     """
 
     def __init__(self, store: NodeStore, scheme: HashScheme, seed: bytes,
                  root: int | None = None,
-                 records: list[VersionRecord] | None = None):
+                 records: Sequence[VersionRecord] = ()):
         self.store = store
         self.scheme = scheme
-        self.records = list(records or [])
-        self.src = LevelSource(seed, len(self.records), LEVELS_LAYER2)
+        self._source = records
+        self._base = len(records)
+        self._added: list[VersionRecord] = []
+        self.src = LevelSource(seed, self._base, LEVELS_LAYER2)
         if root is None:
             root = build_with_levels(store, scheme, [], [], version=0)
         self.root = root
 
     @property
     def count(self) -> int:
-        return len(self.records)
+        return self._base + len(self._added)
 
     @property
     def meta_digest(self) -> bytes:
@@ -79,13 +87,15 @@ class VersionIndex:
                                       block_digest=material_digest,
                                       level=level, version=rec.version)
         self.root = result.new_root
-        self.records.append(rec)
+        self._added.append(rec)
         return self.meta_digest
 
     def record(self, version: int) -> VersionRecord:
         if not 0 <= version < self.count:
             raise NoSuchVersion(f"version {version} does not exist")
-        return self.records[version]
+        if version < self._base:
+            return self._source[version]
+        return self._added[version - self._base]
 
     def version_proof(self, version: int,
                       at_root: int | None = None) -> Layer2Proof:

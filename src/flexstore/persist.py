@@ -427,15 +427,18 @@ def premove(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
 
 def iter_data_leaves(store: NodeStore, root: int):
     """Yield a version's data leaves in order: leftmost descent, then the
-    leaf chain. Raises after the last one if their lengths do not add up
-    to the root's rank."""
+    leaf chain. Raises as soon as their lengths add up to more than the
+    root's rank, and after the last one if they add up to less."""
+    rank = store.get(root).rank
     total = 0
     for leaf_id in core.iter_leaves(store, root):
         leaf = store.get(leaf_id)
         if leaf.kind == KIND_LEAF:
-            yield leaf
             total += leaf.length
-    if total != store.get(root).rank:
+            if total > rank:
+                raise StructureCorrupt("data leaves pass the root's rank")
+            yield leaf
+    if total != rank:
         raise StructureCorrupt("materialized length disagrees with rank")
 
 

@@ -1,29 +1,43 @@
-"""Durable repository: block store, node store and version log.
+"""Durable repository: block store, node store and commit log.
 
-On-disk layout under the repository root (store format 4):
+On-disk layout under the repository root (store format 5):
 
     config.json    store format, hash function, block size, seed
-    versions.log   one JSON line per version (append-only)
-    nodes/         segmented append-only node records
+    versions.log   one fixed-width commit record per version, in order
+    nodes/log      one fixed-width node record per node, in id order
     blocks/pack    block content, appended back to back
     blocks/index   one fixed-width record per block in the pack:
                    digest || u64 offset || u32 length, in pack order
     lock           the writer lock, taken with flock
 
+Every integer is big-endian. Record k of `versions.log` is version k:
+root || root digest || update start || update length || layer-2 root ||
+level counter || nodes || blocks, each a u64 but the digest (76 bytes
+with SHA-1). Record k of `nodes/log` is node k: kind u8 || level u8 ||
+rank || version || below || after (u64 each, 2^64 - 1 for no link) ||
+length u32 || block digest (zeros for an internal node) || node digest
+(78 bytes with SHA-1).
+
 Blocks are content-addressed, so identical content across versions (or
-within one file) is stored once. Node records and blocks are write-once;
+within one file) is stored once. Records and blocks are write-once;
 commits append, never rewrite.
 
 A commit writes its blocks (pack, then index record), then its node
-records (flushed), then its line in versions.log. That line is the
-commit point: besides the version record it holds the layer-2 root id,
-the level counter, `nodes`, the number of node records the version
-needs, and `blocks`, the number of index records. `open` reads only
-complete lines, loads only that many node records and counts only that
-many index records, so what a crashed writer left past them (a line
-without its newline, trailing node records, blocks and index records)
-is ignored. The next writer truncates it before appending. Nothing is
-fsynced, so this holds for a process that dies, not for power loss.
+records (flushed), then its commit record. That record is the commit
+point: besides the version record it holds the layer-2 root id, the level
+counter, `nodes`, the number of node records the version needs, and
+`blocks`, the number of index records. `open` reads `config.json`, the
+last complete commit record and the last block index record it counts,
+and checks that the node log holds `nodes` records: its cost does not
+grow with history. What a crashed writer left past those ends (a record
+cut short, trailing node records, blocks and index records) is ignored,
+and the next writer truncates it before appending. Nothing is fsynced,
+so this holds for a process that dies, not for power loss.
+
+Every other record is decoded, strictly, when it is first read: a commit
+record when its version is asked for, a node record on the first `get`
+of its id. A node record may link only to earlier ids, as every honest
+writer finalizes children first, so every walk is over a DAG.
 
 Writers hold an exclusive flock on `lock`, which the kernel releases
 when the holder exits; read-only commands do not take it.
@@ -38,153 +52,241 @@ import json
 import os
 import random
 import struct
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 from . import adaptor, audit, core, persist
-from .core import KIND_LEAF, KIND_STUB, Node, NodeStore
+from .core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL, KIND_STUB, Node,
+                   NodeStore)
 from .errors import (BlockTooSmall, DomainError, EmptyCommit, EmptyRegion,
                      IOFailure, PathExists, RepositoryLocked,
                      StructureCorrupt)
-from .hashing import SEED_BYTES, HashScheme, LevelSource
+from .hashing import LEVELS_LAYER2, SEED_BYTES, HashScheme, LevelSource
 from .index2 import VersionIndex, VersionRecord
 
 # Version of the on-disk layout, kept in config.json; open refuses any
 # other.
-STORE_FORMAT = 4
-_SEGMENT_LIMIT = 64 * 1024 * 1024
-_RECORD_FIXED = struct.Struct(">QBQQQ")
+STORE_FORMAT = 5
+_NO_LINK = (1 << 64) - 1   # a node record's below or after, when absent
 _INDEX_RUN = 4096    # block index records read at a time
 _LENGTH_MASK = 0xFFFFFFFF
 _RUN_LIMIT = 64 * 1024   # bytes per read and write in a checkout
 
 
 class DurableNodeStore(NodeStore):
-    """Node store backed by segmented append-only files.
+    """Node store backed by one append-only file of fixed-width records,
+    record k holding node k.
 
-    Only the first `committed` records count (all of them when it is
-    None): loading stops there and ignores the bytes after them.
+    Only the first `committed` records count: the constructor checks that
+    the file holds them and reads none. `get` decodes a record on first
+    use, with one positioned read, into the node map, which also holds
+    every node added in this process, and keeps it there: an unbounded
+    cache, as a bounded one would decode again on every walk of the whole
+    store.
     """
 
-    def __init__(self, directory: Path, width: int,
-                 committed: int | None = None):
+    def __init__(self, path: Path, scheme: HashScheme, committed: int):
         super().__init__()
-        self.directory = directory
-        self.width = width
+        self.path = path
+        self.layout = struct.Struct(
+            f">BBQQQQI{scheme.width}s{scheme.width}s")
+        self._zero = scheme.zero
         self._handle = None
-        self._segment, end = 1, 0
-        if not directory.is_dir():
-            raise StructureCorrupt(f"node log directory {directory} is "
-                                   "missing")
-        for segment in sorted(directory.glob("segment-*.dat")):
-            if self._next_id == committed:
-                break
-            end = self._load_segment(segment, committed)
-            self._segment = int(segment.stem.split("-")[1])
-        if committed is not None and self._next_id != committed:
-            raise StructureCorrupt(f"node log ends before node {committed}")
-        self._committed = (self._next_id, self._segment, end)
-
-    def _load_segment(self, path: Path, committed: int | None) -> int:
-        data = path.read_bytes()
-        pos = 0
         try:
-            while pos < len(data) and self._next_id != committed:
-                node, node_id, pos = self._decode(data, pos)
-                if node_id != self._next_id:
-                    raise StructureCorrupt("node log ids out of sequence")
-                self._nodes[node_id] = node
-                self._next_id = node_id + 1
-        except (struct.error, IndexError) as exc:
-            raise StructureCorrupt(f"torn node record in {path.name}") from exc
-        # Slices stop silently at the end of the data, so a record cut
-        # short decodes to an end past it.
-        if pos > len(data):
-            raise StructureCorrupt(f"torn node record at the end of "
-                                   f"{path.name}")
-        return pos
+            self._fd = os.open(path, os.O_RDONLY)
+        except FileNotFoundError as exc:
+            raise StructureCorrupt(f"node log {path} is missing") from exc
+        except OSError as exc:
+            raise IOFailure(f"node log unreadable: {exc}") from exc
+        if os.fstat(self._fd).st_size < committed * self.layout.size:
+            self.close()
+            raise StructureCorrupt(f"node log ends before node {committed}")
+        self._next_id = self._committed = committed
 
-    def _decode(self, data: bytes, pos: int):
-        node_id, kind, level, rank, version = _RECORD_FIXED.unpack_from(
-            data, pos)
-        pos += _RECORD_FIXED.size
-        below, pos = self._decode_opt_u64(data, pos)
-        after, pos = self._decode_opt_u64(data, pos)
-        length = struct.unpack_from(">Q", data, pos)[0]
-        pos += 8
-        block = None
-        if data[pos]:
-            block = data[pos + 1:pos + 1 + self.width]
-            pos += 1 + self.width
+    @classmethod
+    def create(cls, path: Path, scheme: HashScheme) -> "DurableNodeStore":
+        path.parent.mkdir()
+        path.touch()
+        return cls(path, scheme, 0)
+
+    def get(self, node_id: int) -> Node:
+        try:
+            return self._nodes[node_id]
+        except KeyError:
+            return self._load(node_id)
+
+    def _load(self, node_id: int) -> Node:
+        size = self.layout.size
+        if not 0 <= node_id < self._committed:
+            raise StructureCorrupt(f"node {node_id} missing from store")
+        raw = os.pread(self._fd, size, node_id * size)
+        if len(raw) != size:
+            raise StructureCorrupt(f"node log cut short at node {node_id}")
+        (kind, level, rank, version, below, after, length, block,
+         digest) = self.layout.unpack(raw)
+        below = None if below == _NO_LINK else below
+        after = None if after == _NO_LINK else after
+        if kind == KIND_INTERNAL:
+            valid = (below is not None and after is not None and not length
+                     and block == self._zero)
+            block = None
+        elif kind == KIND_LEAF:
+            valid = below is None and not level and length > 0
+        elif kind == KIND_SENTINEL:
+            valid = (below is None and not level and not length
+                     and block == self._zero)
         else:
-            pos += 1
-        return (Node(kind, level, rank, below, after, length, block,
-                     version, data[pos:pos + self.width]),
-                node_id, pos + self.width)
+            raise StructureCorrupt(f"node {node_id}: unknown kind {kind}")
+        if not valid:
+            raise StructureCorrupt(f"node {node_id}: malformed record")
+        if ((below is not None and below >= node_id)
+                or (after is not None and after >= node_id)):
+            raise StructureCorrupt(f"node {node_id} links to a later node")
+        node = Node(kind, level, rank, below, after, length, block, version,
+                    digest)
+        self._nodes[node_id] = node
+        return node
 
-    @staticmethod
-    def _decode_opt_u64(data: bytes, pos: int):
-        if data[pos]:
-            return struct.unpack_from(">Q", data, pos + 1)[0], pos + 9
-        return None, pos + 1
-
-    def _encode(self, node_id: int, node: Node) -> bytes:
-        out = [_RECORD_FIXED.pack(node_id, node.kind, node.level, node.rank,
-                                  node.version)]
-        for link in (node.below, node.after):
-            out.append(b"\x01" + struct.pack(">Q", link)
-                       if link is not None else b"\x00")
-        out.append(struct.pack(">Q", node.length))
-        out.append(b"\x01" + node.block if node.block is not None
-                   else b"\x00")
-        out.append(node.digest)
-        return b"".join(out)
+    def _encode(self, node: Node) -> bytes:
+        return self.layout.pack(
+            node.kind, node.level, node.rank, node.version,
+            _NO_LINK if node.below is None else node.below,
+            _NO_LINK if node.after is None else node.after, node.length,
+            self._zero if node.block is None else node.block, node.digest)
 
     def add(self, node: Node) -> int:
         if node.kind == KIND_STUB:
             raise StructureCorrupt("stub nodes are never persisted")
         node_id = super().add(node)
-        handle = self._writer()
-        handle.write(self._encode(node_id, node))
+        if self._handle is None:
+            # At the committed end: a writer truncates before it adds.
+            self._handle = open(self.path, "ab")
+        self._handle.write(self._encode(node))
         return node_id
 
-    def _writer(self):
-        if self._handle is None or self._handle.closed:
-            self._handle = open(self._path(self._segment), "ab")
-        if self._handle.tell() > _SEGMENT_LIMIT:
-            self._handle.close()
-            self._segment += 1
-            self._handle = open(self._path(self._segment), "ab")
-        return self._handle
-
-    def _path(self, segment: int) -> Path:
-        return self.directory / f"segment-{segment:06d}.dat"
-
     def flush(self) -> None:
-        if self._handle and not self._handle.closed:
+        if self._handle is not None:
             self._handle.flush()
 
-    def close(self) -> None:
-        if self._handle and not self._handle.closed:
+    def _close_writer(self) -> None:
+        if self._handle is not None:
             self._handle.close()
+            self._handle = None
+
+    def close(self) -> None:
+        self._close_writer()
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
     def mark_committed(self) -> None:
         """Count every record added so far as committed; call after flush."""
-        self._committed = (self._next_id, self._segment, self._handle.tell())
+        self._committed = self._next_id
 
     def discard_uncommitted(self) -> None:
         """Drop the records past the committed end, from memory and from
-        the node log (a writer's work only: readers may be loading)."""
-        self.close()
-        count, self._segment, end = self._committed
-        for node_id in range(count, self._next_id):
+        the node log (a writer's work only)."""
+        self._close_writer()
+        for node_id in range(self._committed, self._next_id):
             del self._nodes[node_id]
-        self._next_id = count
-        os.truncate(self._path(self._segment), end)
-        # Zero-padded numbers: paths sort as their segments do.
-        for segment in self.directory.glob("segment-*.dat"):
-            if segment > self._path(self._segment):
-                segment.unlink()
+        self._next_id = self._committed
+        os.truncate(self.path, self._committed * self.layout.size)
+
+
+class Commit(NamedTuple):
+    """One commit record: a version and the store state it commits."""
+
+    record: VersionRecord
+    layer2_root: int
+    level_counter: int
+    nodes: int           # node records the store holds
+    blocks: int          # block index records the store holds
+
+
+class CommitLog:
+    """The commit records in versions.log, fixed-width, record k being
+    version k: reading a version is one positioned read.
+
+    Only complete records count, and only `count` of them: the
+    constructor takes as many as the file holds and reads the last. A
+    record is decoded strictly when it is read: its roots must lie below
+    its `nodes`, and its counts must not pass the last record's. As a
+    sequence of version records it is the source a VersionIndex reads.
+    """
+
+    def __init__(self, path: Path, scheme: HashScheme):
+        self.path = path
+        self.layout = struct.Struct(f">Q{scheme.width}sQQQQQQ")
+        self._pending: Commit | None = None
+        try:
+            self._fd = os.open(path, os.O_RDONLY)
+            try:
+                self.count = os.fstat(self._fd).st_size // self.layout.size
+                self.last = (self._read(self.count - 1, None) if self.count
+                             else None)
+            except (OSError, StructureCorrupt):
+                self.close()
+                raise
+        except OSError as exc:
+            raise IOFailure(f"version log unreadable: {exc}") from exc
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, version: int) -> VersionRecord:
+        return self.commit(version).record
+
+    def commit(self, version: int) -> Commit:
+        """Decode the commit record of one committed version."""
+        return self._read(version, self.last)
+
+    def _read(self, version: int, last: Commit | None) -> Commit:
+        size = self.layout.size
+        raw = os.pread(self._fd, size, version * size)
+        if len(raw) != size:
+            raise StructureCorrupt(f"versions.log ends before version "
+                                   f"{version}")
+        (root, root_digest, start, length, layer2_root, level_counter,
+         nodes, blocks) = self.layout.unpack(raw)
+        if root >= nodes or layer2_root >= nodes:
+            raise StructureCorrupt(f"versions.log: version {version} names "
+                                   f"a root past its {nodes} nodes")
+        if last is not None and (nodes > last.nodes or blocks > last.blocks):
+            raise StructureCorrupt(f"versions.log: version {version} counts "
+                                   "more records than the last version")
+        return Commit(VersionRecord(version, root, root_digest, start, length),
+                      layer2_root, level_counter, nodes, blocks)
+
+    def append(self, commit: Commit) -> None:
+        """Write a commit record: the commit point. It counts once
+        mark_committed runs."""
+        rec = commit.record
+        with open(self.path, "ab") as fh:
+            fh.write(self.layout.pack(
+                rec.root, rec.root_digest, rec.update_start,
+                rec.update_length, commit.layer2_root, commit.level_counter,
+                commit.nodes, commit.blocks))
+        self._pending = commit
+
+    def mark_committed(self) -> None:
+        self.count += 1
+        self.last, self._pending = self._pending, None
+
+    def discard_uncommitted(self) -> None:
+        """Cut a record a writer never finished (a writer's work only).
+        Refuses if a complete record appeared past the committed ones
+        since this log was opened: another writer committed."""
+        end = self.count * self.layout.size
+        if not end <= os.fstat(self._fd).st_size < end + self.layout.size:
+            raise RepositoryLocked(
+                "versions.log changed since the store was opened")
+        os.truncate(self.path, end)
+
+    def close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
 
 class BlockStore:
@@ -380,8 +482,8 @@ class Repository:
     """One versioned, auditable file store rooted at a directory."""
 
     def __init__(self, path: Path, config: dict, store: DurableNodeStore,
-                 blocks: BlockStore, vindex: VersionIndex,
-                 level_counter: int, log_end: int):
+                 blocks: BlockStore, log: CommitLog, vindex: VersionIndex,
+                 level_counter: int):
         self.path = path
         self.config = config
         self.scheme = HashScheme(config["hash"])
@@ -389,9 +491,9 @@ class Repository:
         self.seed = bytes.fromhex(config["seed"])
         self.store = store
         self.blocks = blocks
+        self.log = log
         self.vindex = vindex
         self._level_counter = level_counter
-        self._log_end = log_end    # bytes of versions.log committed
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -419,17 +521,18 @@ class Repository:
                           "block_size": block_size, "seed": seed.hex()}
                 (path / "config.json").write_text(
                     json.dumps(config, sort_keys=True) + "\n")
-                (path / "nodes").mkdir()
-                store = DurableNodeStore(path / "nodes", scheme.width)
+                (path / "versions.log").touch()
+                log = CommitLog(path / "versions.log", scheme)
+                store = DurableNodeStore.create(path / "nodes" / "log", scheme)
                 blocks = BlockStore.create(path / "blocks", scheme)
                 root, src = core.build(
                     store, scheme, core.read_blocks(fh, block_size), src,
                     block_digest=blocks.put)
-            vindex = VersionIndex(store, scheme, seed)
+            vindex = VersionIndex(store, scheme, seed, records=log)
             rank = store.get(root).rank
             vindex.append_version(
                 VersionRecord(0, root, store.get(root).digest, 0, rank))
-            repo = cls(path, config, store, blocks, vindex, 0, 0)
+            repo = cls(path, config, store, blocks, log, vindex, 0)
             repo._append_commit(vindex, src.counter)
         except OSError as exc:
             raise IOFailure(str(exc)) from exc
@@ -450,28 +553,27 @@ class Repository:
                     f"config.json: not a store of format {STORE_FORMAT}")
             scheme = HashScheme(config["hash"])
             seed = bytes.fromhex(config["seed"])
-        try:
-            raw_log = (path / "versions.log").read_bytes()
-        except OSError as exc:
-            raise IOFailure(f"version log unreadable: {exc}") from exc
-        # After the last newline comes a line a writer never finished:
-        # not committed.
-        *lines, uncommitted = raw_log.split(b"\n")
-        with _malformed("versions.log"):
-            commits = [_commit_line(raw, v) for v, raw in enumerate(lines)]
-        if not commits:
-            raise StructureCorrupt("versions.log holds no committed version")
-        last = commits[-1][1]
-        store = DurableNodeStore(path / "nodes", scheme.width, last["nodes"])
-        blocks = BlockStore(path / "blocks", scheme, last["blocks"])
-        vindex = VersionIndex(store, scheme, seed, root=last["layer2_root"],
-                              records=[rec for rec, _line in commits])
-        return cls(path, config, store, blocks, vindex,
-                   last["level_counter"], len(raw_log) - len(uncommitted))
+        with ExitStack() as opened:
+            log = CommitLog(path / "versions.log", scheme)
+            opened.callback(log.close)
+            last = log.last
+            if last is None:
+                raise StructureCorrupt(
+                    "versions.log holds no committed version")
+            store = DurableNodeStore(path / "nodes" / "log", scheme,
+                                     last.nodes)
+            opened.callback(store.close)
+            blocks = BlockStore(path / "blocks", scheme, last.blocks)
+            opened.pop_all()
+        vindex = VersionIndex(store, scheme, seed, root=last.layer2_root,
+                              records=log)
+        return cls(path, config, store, blocks, log, vindex,
+                   last.level_counter)
 
     def close(self) -> None:
         self.store.close()
         self.blocks.close()
+        self.log.close()
 
     @contextmanager
     def write_lock(self):
@@ -497,37 +599,23 @@ class Repository:
     def _discard_uncommitted(self) -> None:
         """Truncate what a failed or crashed commit left past the committed
         end of versions.log, the node log and the block pack and index.
-        Refuses if a complete line appeared since this store was opened:
-        another writer committed."""
-        with open(self.path / "versions.log", "r+b") as fh:
-            fh.seek(self._log_end)
-            if (b"\n" in fh.read()
-                    or os.fstat(fh.fileno()).st_size < self._log_end):
-                raise RepositoryLocked(
-                    "versions.log changed since the store was opened")
-            fh.truncate(self._log_end)
+        Refuses if a complete commit record appeared since this store was
+        opened: another writer committed."""
+        self.log.discard_uncommitted()
         self.store.discard_uncommitted()
         self.blocks.discard_uncommitted()
 
     def _append_commit(self, vindex: VersionIndex, level_counter: int) -> None:
         """The commit point: with the blocks written, flush the node log,
-        then append the version's line. Only then does this object move to
-        the new version."""
+        then append the version's commit record. Only then does this
+        object move to the new version."""
         self.store.flush()
-        rec = vindex.records[-1]
-        line = json.dumps({
-            "version": rec.version, "root": rec.root,
-            "root_digest": rec.root_digest.hex(),
-            "update_start": rec.update_start,
-            "update_length": rec.update_length,
-            "layer2_root": vindex.root, "level_counter": level_counter,
-            "nodes": self.store.next_id, "blocks": self.blocks.count},
-            sort_keys=True).encode() + b"\n"
-        with open(self.path / "versions.log", "ab") as fh:
-            fh.write(line)
+        self.log.append(Commit(vindex.record(vindex.count - 1), vindex.root,
+                               level_counter, self.store.next_id,
+                               self.blocks.count))
         self.store.mark_committed()
         self.blocks.mark_committed()
-        self._log_end += len(line)
+        self.log.mark_committed()
         self.vindex, self._level_counter = vindex, level_counter
 
     def level_source(self) -> LevelSource:
@@ -541,7 +629,7 @@ class Repository:
 
     @property
     def latest(self) -> VersionRecord:
-        return self.vindex.records[-1]
+        return self.vindex.record(self.vindex.count - 1)
 
     def record(self, version: int) -> VersionRecord:
         return self.vindex.record(version)
@@ -607,7 +695,7 @@ class Repository:
         # A new index, so this object keeps the old one until the commit
         # point has passed.
         vindex = VersionIndex(self.store, self.scheme, self.seed,
-                              root=self.vindex.root, records=self.vindex.records)
+                              root=self.vindex.root, records=self.log)
         vindex.append_version(
             VersionRecord(version, root, node.digest, start, length))
         self._append_commit(vindex, src.counter)
@@ -648,24 +736,39 @@ class Repository:
     def fsck(self) -> list[str]:
         """Sweep every invariant the store promises; returns violations."""
         problems = []
+        records: list[VersionRecord | None] = []
         verified: dict[int, Node] = {}
-        for rec in self.vindex.records:
+        for version in range(self.vindex.count):
+            try:
+                rec = self.vindex.record(version)
+            except StructureCorrupt as exc:
+                problems.append(str(exc))
+                records.append(None)
+                continue
+            records.append(rec)
             try:
                 stored = self.store.get(rec.root)
                 if stored.digest != rec.root_digest:
                     problems.append(
-                        f"version {rec.version}: logged root digest "
+                        f"version {version}: logged root digest "
                         "disagrees with the node store")
                 core.check_subtree(self.store, self.scheme, rec.root,
                                    verified)
             except StructureCorrupt as exc:
-                problems.append(f"version {rec.version}: {exc}")
+                problems.append(f"version {version}: {exc}")
                 continue
             if not (rec.update_start + rec.update_length <= stored.rank
                     or stored.rank == 0):
                 problems.append(
-                    f"version {rec.version}: update region exceeds rank")
-        problems += self._fsck_layer2()
+                    f"version {version}: update region exceeds rank")
+        problems += self._fsck_layer2(records)
+        # Every committed node record decodes, reached or not.
+        for node_id in range(self.store.next_id):
+            if node_id not in verified:
+                try:
+                    self.store.get(node_id)
+                except StructureCorrupt as exc:
+                    problems.append(str(exc))
         lengths: dict[bytes, int] = {}    # of every index record
         try:
             for digest, data in self.blocks.scan():
@@ -690,14 +793,26 @@ class Repository:
                     "with block size")
         return problems
 
-    def _fsck_layer2(self) -> list[str]:
+    def _fsck_layer2(self, records: list[VersionRecord | None]) -> list[str]:
+        """Rebuild the layer-2 list from the version records in one pass
+        (its shape is canonical, so it must give the logged meta digest),
+        and check the stored one's ranks and digests."""
         problems = []
-        replay = VersionIndex(NodeStore(), self.scheme, self.seed)
-        for rec in self.vindex.records:
-            replay.append_version(rec)
-        if replay.meta_digest != self.vindex.meta_digest:
-            problems.append("layer-2 root does not match a replay of the "
-                            "version log")
+        if None not in records:
+            scheme, src = self.scheme, LevelSource(self.seed, 0,
+                                                   LEVELS_LAYER2)
+            levels = []
+            for _ in records:
+                level, src = src.draw()
+                levels.append(level)
+            leaves = [(1, scheme.version_record(
+                rec.version, rec.root_digest, rec.update_start,
+                rec.update_length)) for rec in records]
+            replay = NodeStore()
+            root = core.build_with_levels(replay, scheme, leaves, levels)
+            if replay.get(root).digest != self.vindex.meta_digest:
+                problems.append("layer-2 root does not match a replay of "
+                                "the version log")
         try:
             core.check_subtree(self.store, self.scheme, self.vindex.root)
         except StructureCorrupt as exc:
@@ -759,22 +874,6 @@ def _malformed(name: str):
         yield
     except (ValueError, KeyError, TypeError, DomainError) as exc:
         raise StructureCorrupt(f"malformed {name}: {exc}") from exc
-
-
-_LINE_COUNTS = ("version", "root", "update_start", "update_length",
-                "layer2_root", "level_counter", "nodes", "blocks")
-
-
-def _commit_line(raw: bytes, version: int) -> tuple[VersionRecord, dict]:
-    line = json.loads(raw)
-    for name in _LINE_COUNTS:
-        if type(line[name]) is not int or line[name] < 0:
-            raise ValueError(f"{name} is not a non-negative integer")
-    if line["version"] != version:
-        raise ValueError(f"line {version} is for version {line['version']}")
-    return VersionRecord(line["version"], line["root"],
-                         bytes.fromhex(line["root_digest"]),
-                         line["update_start"], line["update_length"]), line
 
 
 def _write_at(fd: int, data: bytes, offset: int) -> None:

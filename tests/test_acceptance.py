@@ -459,7 +459,7 @@ def _apply_ops_blocklist(pieces, ops):
 
 def _range_proof(store, blocks, vindex, start, length):
     return audit.prove_range(store, vindex, blocks.get,
-                             vindex.records[-1].version, start, length)
+                             vindex.count - 1, start, length)
 
 
 def _server_commit(store, blocks, root, ops, src):

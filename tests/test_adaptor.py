@@ -295,7 +295,7 @@ class ServerFixture:
 
     @property
     def latest(self):
-        return self.vindex.records[-1]
+        return self.vindex.record(self.vindex.count - 1)
 
     def range_proof(self, start, length):
         return audit.prove_range(self.store, self.vindex, self.blocks.get,

@@ -146,7 +146,7 @@ class TestProveVerify:
         ch = Challenge(CH_SEED, 4)
         proof = fx.prove(ch)
         old_meta = fx.meta
-        rec = fx.vindex.records[-1]
+        rec = fx.vindex.record(fx.vindex.count - 1)
         result = persist.pmodify(fx.store, SCHEME, rec.root, 0,
                                  fx._block(random.Random(5), 8),
                                  rec.version + 1)

@@ -1,13 +1,12 @@
 """Crash consistency of a commit.
 
-A commit writes its blocks, then its node records, then its line in
-versions.log. Wherever a writer stops, `open` must give the previous
+A commit writes its blocks, then its node records, then its commit
+record in versions.log. Wherever a writer stops, `open` must give the previous
 version or the new one with its meta digest, `fsck` must be clean, and
 a further commit must succeed and leave `fsck` clean.
 """
 
 import errno
-import json
 import os
 import random
 import shutil
@@ -27,7 +26,7 @@ SEED = bytes.fromhex("00112233445566778899")
 # inserts, so three block puts; then 6 layer-1 and 4 layer-2 node records.
 EDIT = format_diff([DiffEntry("replace", 60, b"crash-" * 2, 8)])
 NEXT = format_diff([DiffEntry("insert", 0, b"next")])
-SEGMENT = "nodes/segment-000001.dat"
+NODE_LOG = "nodes/log"
 PACK, INDEX = "blocks/pack", "blocks/index"
 
 
@@ -57,7 +56,7 @@ def states(tmp_path):
 
 def _logs(path):
     return {name: (path / name).read_bytes()
-            for name in ("versions.log", SEGMENT, PACK, INDEX)}
+            for name in ("versions.log", NODE_LOG, PACK, INDEX)}
 
 
 def _restore(path, logs):
@@ -67,8 +66,8 @@ def _restore(path, logs):
 
 def _expect(path, version, meta):
     """The store opens at `version` with its meta digest and a clean
-    fsck, and takes one more commit that keeps fsck clean and leaves the
-    block files holding the committed blocks and nothing else."""
+    fsck, and takes one more commit that keeps fsck clean and leaves every
+    file holding its committed records and nothing else."""
     repo = Repository.open(path)
     try:
         assert repo.latest.version == version
@@ -87,6 +86,10 @@ def _expect(path, version, meta):
                 == len(digests) * (repo.scheme.width + 12))
         assert ((path / PACK).stat().st_size
                 == sum(len(repo.blocks.get(d)) for d in digests))
+        assert ((path / NODE_LOG).stat().st_size
+                == repo.store.next_id * repo.store.layout.size)
+        assert ((path / "versions.log").stat().st_size
+                == (version + 2) * repo.log.layout.size)
     finally:
         repo.close()
 
@@ -101,9 +104,9 @@ POINTS = [(repo_mod.BlockStore, "put", 1, "before", 0),
           (repo_mod.DurableNodeStore, "add", 1, "before", 0),
           (repo_mod.DurableNodeStore, "add", 4, "before", 0),
           (repo_mod.DurableNodeStore, "flush", 1, "before", 0),
-          # after the flush comes the line append
+          # after the flush comes the commit record
           (repo_mod.DurableNodeStore, "flush", 1, "after", 0),
-          # the first call after the line append
+          # the first call after the commit record
           (repo_mod.DurableNodeStore, "mark_committed", 1, "before", 1)]
 
 
@@ -146,7 +149,7 @@ def test_same_object_commits_after_a_raise(states, monkeypatch, owner, name,
             with pytest.raises(Crash):
                 repo.commit(EDIT)
         if version == 1:
-            # The line is on disk but this object never saw it commit.
+            # The record is on disk but this object never saw it commit.
             with pytest.raises(RepositoryLocked):
                 repo.commit(NEXT)
         else:
@@ -179,14 +182,21 @@ def test_killed_writer(states, point):
 
 
 def test_commit_line_cut_at_every_length(states):
+    """The commit record cut at every byte: only the whole record
+    commits."""
     _path, path, before, after, meta = states
     start = len(before["versions.log"])
-    line = after["versions.log"][start:]
-    assert json.loads(line)["nodes"] > 0
-    for cut in range(len(line) + 1):
+    record = after["versions.log"][start:]
+    repo = Repository.open(path)
+    try:
+        assert len(record) == repo.log.layout.size
+        assert repo.log.commit(1).nodes > repo.log.commit(0).nodes
+    finally:
+        repo.close()
+    for cut in range(len(record) + 1):
         _restore(path, {**after,
                         "versions.log": after["versions.log"][:start + cut]})
-        _expect(path, 1 if cut == len(line) else 0, meta)
+        _expect(path, 1 if cut == len(record) else 0, meta)
 
 
 def _cut_past_committed_end(states, name):
@@ -205,7 +215,7 @@ def _cut_past_committed_end(states, name):
 
 
 def test_node_log_cut_past_committed_end(states):
-    _cut_past_committed_end(states, SEGMENT)
+    _cut_past_committed_end(states, NODE_LOG)
 
 
 @pytest.mark.parametrize("name", [PACK, INDEX])
@@ -213,27 +223,22 @@ def test_block_file_cut_past_committed_end(states, name):
     _cut_past_committed_end(states, name)
 
 
-def test_uncommitted_segments_discarded(states, monkeypatch):
-    """A commit that rolled the node log over into new segments and then
-    died leaves them past the committed end; the next writer removes
-    them."""
-    path, _clean, _before, _after, meta = states
-    monkeypatch.setattr(repo_mod, "_SEGMENT_LIMIT", 400)
+def test_uncommitted_node_records_truncated(states, monkeypatch):
+    """A commit that flushed its node records and then died leaves them
+    past the committed end, `nodes` records of the node log; the next
+    writer cuts them off."""
+    path, _clean, before, _after, meta = states
     repo = Repository.open(path)
     with monkeypatch.context() as patch:
         _inject(patch, repo_mod.DurableNodeStore, "flush", 1, "after")
         with pytest.raises(Crash):
             repo.commit(EDIT)
+    committed = repo.log.last.nodes * repo.store.layout.size
     repo.close()
-    assert len(list((path / "nodes").iterdir())) > 2
+    assert len(before[NODE_LOG]) == committed
+    assert (path / NODE_LOG).stat().st_size > committed
+    assert (path / "versions.log").read_bytes() == before["versions.log"]
     _expect(path, 0, meta)
-    # The node log holds the committed records and nothing else.
-    repo = Repository.open(path)
-    store = repo.store
-    repo.close()
-    assert (sum(len(store._encode(i, store.get(i)))
-                for i in range(store.next_id))
-            == sum(f.stat().st_size for f in (path / "nodes").iterdir()))
 
 
 def test_torn_last_line_opens_previous_version(states):
@@ -255,6 +260,7 @@ def test_store_holds_only_the_commit_files(states):
     assert sorted(os.listdir(path)) == ["blocks", "config.json", "lock",
                                         "nodes", "versions.log"]
     assert sorted(os.listdir(path / "blocks")) == ["index", "pack"]
+    assert os.listdir(path / "nodes") == ["log"]
 
 
 def _fail_writes(monkeypatch, target):
@@ -264,7 +270,7 @@ def _fail_writes(monkeypatch, target):
     if target == "block pack":
         monkeypatch.setattr(os, "pwrite", no_space)
         return
-    name = {"node log": SEGMENT, "versions.log": "versions.log"}[target]
+    name = {"node log": NODE_LOG, "versions.log": "versions.log"}[target]
     real_open = open
 
     def failing_open(file, mode="r", *args, **kwargs):

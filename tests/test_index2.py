@@ -52,8 +52,8 @@ class TestAppend:
         check_subtree(vindex.store, SCHEME, vindex.root)
         # replaying the records reproduces the meta digest exactly
         replay = VersionIndex(NodeStore(), SCHEME, SEED)
-        for rec in vindex.records:
-            replay.append_version(rec)
+        for version in range(vindex.count):
+            replay.append_version(vindex.record(version))
         assert replay.meta_digest == vindex.meta_digest
 
 

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from flexstore import persist
-from flexstore.core import (NodeStore, build_with_levels, check_subtree,
-                            make_leaf, search)
+from flexstore.core import (KIND_INTERNAL, Node, NodeStore,
+                            build_with_levels, check_subtree, make_leaf,
+                            search)
 from flexstore.errors import (BlockTooSmall, IndexOutOfRange,
-                              NotBlockAligned)
+                              NotBlockAligned, StructureCorrupt)
 from flexstore.hashing import HashScheme, LevelSource
 from flexstore.persist import insert_block, pinsert, pmodify, premove
 
@@ -341,3 +342,17 @@ class TestMaterialize:
             snaps.append((root, b"".join(b for b, _ in seq)))
         for i, (r, want) in enumerate(snaps):
             assert persist.materialize(store, r, blocks.__getitem__) == want, i
+
+    def test_walk_stops_once_past_rank(self):
+        """A DAG that reaches one leaf twice under a root claiming one
+        leaf's bytes: the walk raises before it yields the second."""
+        store = NodeStore()
+        leaf = make_leaf(store, SCHEME, 4, SCHEME.block_digest(b"data"),
+                         None, 0)
+        twice = store.add(Node(KIND_INTERNAL, 1, 4, leaf, leaf, 0, None, 0,
+                               SCHEME.zero))
+        yielded = []
+        with pytest.raises(StructureCorrupt, match="pass the root's rank"):
+            for node in persist.iter_data_leaves(store, twice):
+                yielded.append(node)
+        assert len(yielded) == 1

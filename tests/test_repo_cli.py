@@ -3,10 +3,12 @@ import io
 import json
 import os
 import random
+import resource
 import struct
 import subprocess
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -114,8 +116,8 @@ class TestInit:
         finally:
             again.close()
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3])
-    def test_other_store_format_refused(self, repo, fmt):
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4])
+    def test_other_store_format_refused(self, repo, capsys, fmt):
         repo.close()
         config_path = repo.path / "config.json"
         config = json.loads(config_path.read_text())
@@ -125,8 +127,7 @@ class TestInit:
         else:
             config["format"] = fmt
         config_path.write_text(json.dumps(config))
-        with pytest.raises(StructureCorrupt):
-            Repository.open(repo.path)
+        _assert_refused(repo.path, capsys)
 
     def test_commits_continue_across_reopens(self, repo):
         # The level stream position persists, so edits made by a fresh
@@ -356,16 +357,20 @@ class TestCheckout:
                                            monkeypatch):
         """Blocks back to back in the pack come from one read: version 0's
         16 blocks in one, and version 1's in three, split around the new
-        block appended at the end of the pack."""
+        block appended at the end of the pack. Only reads of the pack
+        count: the commit record of a version is a read of its own."""
         repo.commit(format_diff([DiffEntry("replace", 1000, b"y" * 10, 10)]))
         reads = []
         real_pread = os.pread
+        packs = set()
 
         def counting(fd, length, offset):
-            reads.append(length)
+            if fd in packs:
+                reads.append(length)
             return real_pread(fd, length, offset)
 
         monkeypatch.setattr(os, "pread", counting)
+        packs.add(repo.blocks._pack)
         for version, runs in ((0, 1), (1, 3)):
             reads.clear()
             out = tmp_path / f"v{version}.bin"
@@ -378,6 +383,7 @@ class TestCheckout:
         big = Repository.init(tmp_path / "big", block_size=2048,
                               seed=bytes.fromhex(SEED_HEX), input_file=src)
         try:
+            packs.add(big.blocks._pack)
             reads.clear()
             big.checkout(0, tmp_path / "big.out")
             assert reads == [64 * 1024] * 3 + [8 * 1024]
@@ -490,6 +496,24 @@ class TestFsck:
         assert repo.fsck() == []
         assert len(hashed) == len(pack_records(repo)) == len(set(hashed))
 
+    def test_tampered_commit_record_fails_layer2_replay(self, repo):
+        """A version's update region, changed in its commit record and
+        nowhere else, no longer rebuilds to the logged meta digest."""
+        repo.commit(format_diff([DiffEntry("replace", 300, b"ab", 2)]))
+        width = repo.log.layout.size
+        repo.close()
+        log = repo.path / "versions.log"
+        raw = bytearray(log.read_bytes())
+        start = width + 8 + repo.scheme.width  # version 1's update start
+        raw[start + 7] ^= 0x01
+        log.write_bytes(bytes(raw))
+        again = Repository.open(repo.path)
+        try:
+            assert again.fsck() == ["layer-2 root does not match a replay "
+                                    "of the version log"]
+        finally:
+            again.close()
+
     @pytest.mark.parametrize("name", ["pack", "index"])
     def test_short_block_file_refused_at_open(self, repo, name):
         repo.close()
@@ -518,18 +542,12 @@ class TestFsck:
             again.close()
 
     def test_detects_node_bit_flip(self, repo):
-        import struct
-
-        from flexstore.errors import FlexStoreError
-        segment = next((repo.path / "nodes").glob("segment-*.dat"))
         repo.close()
-        raw = bytearray(segment.read_bytes())
+        log = repo.path / "nodes" / "log"
+        raw = bytearray(log.read_bytes())
         raw[-1] ^= 0x01  # tail of the newest record's digest
-        segment.write_bytes(bytes(raw))
-        try:
-            reopened = Repository.open(repo.path)
-        except (FlexStoreError, struct.error):
-            return  # the flip broke the log framing: detected at open
+        log.write_bytes(bytes(raw))
+        reopened = Repository.open(repo.path)  # decodes no node record
         try:
             assert reopened.fsck() != []
         finally:
@@ -538,27 +556,78 @@ class TestFsck:
     def test_torn_node_record_refused_at_open(self, repo):
         repo.commit(format_diff([DiffEntry("replace", 5, b"tear", 4)]))
         repo.close()
-        segment = sorted((repo.path / "nodes").glob("segment-*.dat"))[-1]
-        segment.write_bytes(segment.read_bytes()[:-5])
-        with pytest.raises(StructureCorrupt):
+        log = repo.path / "nodes" / "log"
+        log.write_bytes(log.read_bytes()[:-5])
+        with pytest.raises(StructureCorrupt, match="node log ends"):
             Repository.open(repo.path)
 
     def test_lost_trailing_record_refused_at_open(self, repo):
         repo.commit(format_diff([DiffEntry("replace", 5, b"lost", 4)]))
         last = repo.store.next_id - 1
-        record = repo.store._encode(last, repo.store.get(last))
+        record = repo.store._encode(repo.store.get(last))
         repo.close()
-        segment = sorted((repo.path / "nodes").glob("segment-*.dat"))[-1]
-        raw = segment.read_bytes()
+        log = repo.path / "nodes" / "log"
+        raw = log.read_bytes()
         assert raw.endswith(record)
-        segment.write_bytes(raw[:-len(record)])
-        with pytest.raises(StructureCorrupt):
+        log.write_bytes(raw[:-len(record)])
+        with pytest.raises(StructureCorrupt, match="node log ends"):
             Repository.open(repo.path)
+
+    def test_node_log_cut_after_open_refused_on_read(self, repo):
+        repo.close()
+        again = Repository.open(repo.path)
+        try:
+            os.truncate(repo.path / "nodes" / "log", 0)
+            with pytest.raises(StructureCorrupt, match="cut short"):
+                again.meta_digest
+        finally:
+            again.close()
+
+    @pytest.mark.parametrize("target", ["self", "later"])
+    def test_hostile_link_refused(self, repo, tmp_path, target):
+        """A data leaf whose after link names itself or a later record
+        would make every walk endless. The record is refused when it is
+        decoded: checkout exits 1 and leaves no file, fsck reports it,
+        both in bounded time."""
+        leaf = next(i for i in range(repo.store.next_id)
+                    if repo.store.get(i).kind == core.KIND_LEAF
+                    and repo.store.get(i).length == 256)
+        repo.close()
+        log = repo.path / "nodes" / "log"
+        raw = bytearray(log.read_bytes())
+        # after is the u64 at byte 26 of a record: kind, level, rank,
+        # version, below come first.
+        at = leaf * repo.store.layout.size + 26
+        link = leaf if target == "self" else leaf + 1
+        raw[at:at + 8] = link.to_bytes(8, "big")
+        log.write_bytes(bytes(raw))
+        out = tmp_path / "out.bin"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        run = [sys.executable, "-m", "flexstore.cli", "--repo",
+               str(repo.path)]
+
+        def small_files():
+            # An endless checkout dies at 1 MiB instead of filling the disk.
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, 1 << 20))
+        checkout = subprocess.run(
+            run + ["checkout", "--version", "0", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=30,
+            preexec_fn=small_files)
+        assert checkout.returncode == cli.EXIT_REJECT
+        assert checkout.stderr.count("\n") == 1
+        assert f"node {leaf} links to a later node" in checkout.stderr
+        assert not out.exists() and not Path(f"{out}.tmp").exists()
+        fsck = subprocess.run(run + ["fsck"], env=env, capture_output=True,
+                              text=True, timeout=30)
+        assert fsck.returncode == cli.EXIT_REJECT
+        assert f"node {leaf} links to a later node" in fsck.stdout
 
 
 class TestMalformedMetadata:
     @pytest.mark.parametrize("name, content, append", [
-        ("versions.log", b'{"version": 1, "ro\n', True),
+        # A JSON commit line, as format 4 wrote, one record wide.
+        ("versions.log", b'{"version": 1, "root": 99999, "nodes": 999, '
+                         b'"blocks": 9, "layer2_root": 98}\n', True),
         ("config.json", b"{not json\n", False),
         ("config.json", b'{"format": %d, "hash": "md5", "seed": ""}'
          % STORE_FORMAT, False),
@@ -571,17 +640,106 @@ class TestMalformedMetadata:
                            + content)
         _assert_refused(repo.path, capsys)
 
-    @pytest.mark.parametrize("field, value", [
-        ("layer2_root", "x"), ("level_counter", "x"), ("level_counter", 1.5),
-        ("nodes", None), ("blocks", -1), ("version", 7)])
-    def test_bad_commit_line_field(self, repo, capsys, field, value):
-        # Counts must be non-negative integers, and line i is version i.
+    @pytest.mark.parametrize("field", ["root", "layer2_root", "nodes",
+                                       "blocks"])
+    def test_bad_commit_record_field(self, repo, capsys, field):
+        """The last commit record is checked at open: its roots lie below
+        its `nodes`, and the node log and the block index hold the
+        records it counts."""
         repo.close()
         log = repo.path / "versions.log"
-        line = json.loads(log.read_bytes())
-        line[field] = value
-        log.write_text(json.dumps(line) + "\n")
+        names = ["root", "root_digest", "update_start", "update_length",
+                 "layer2_root", "level_counter", "nodes", "blocks"]
+        values = dict(zip(names, repo.log.layout.unpack(log.read_bytes())))
+        if field in ("root", "layer2_root"):
+            values[field], message = values["nodes"], "root past"
+        else:
+            values[field] += 1
+            message = {"nodes": "node log", "blocks": "block index"}[field]
+        log.write_bytes(repo.log.layout.pack(*values.values()))
+        with pytest.raises(StructureCorrupt, match=message):
+            Repository.open(repo.path)
         _assert_refused(repo.path, capsys)
+
+    def test_unknown_node_kind_refused_on_read(self, repo, capsys):
+        root = repo.vindex.root
+        repo.close()
+        log = repo.path / "nodes" / "log"
+        raw = bytearray(log.read_bytes())
+        raw[root * repo.store.layout.size] = 9
+        log.write_bytes(bytes(raw))
+        again = Repository.open(repo.path)  # decodes no node record
+        try:
+            with pytest.raises(StructureCorrupt, match="unknown kind 9"):
+                again.meta_digest
+        finally:
+            again.close()
+        assert cli.main(["--repo", str(repo.path), "log"]) == cli.EXIT_REJECT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bad_middle_record_refused_by_its_reader(self, repo, capsys,
+                                                     tmp_path):
+        """open reads only the last commit record; an earlier one is
+        refused, in one line, by the command that reads it."""
+        for at in (10, 20):
+            repo.commit(format_diff([DiffEntry("replace", at, b"mid", 3)]))
+        width = repo.log.layout.size
+        repo.close()
+        log = repo.path / "versions.log"
+        raw = bytearray(log.read_bytes())
+        raw[width:width + 8] = (2 ** 64 - 1).to_bytes(8, "big")  # v1 root
+        log.write_bytes(bytes(raw))
+        args = ["--repo", str(repo.path)]
+        out = str(tmp_path / "out.bin")
+        capsys.readouterr()
+        assert cli.main(args + ["checkout", "--version", "2", "--out", out]
+                        ) == cli.EXIT_OK
+        for command in (["log"], ["checkout", "--version", "1", "--out",
+                                  out]):
+            assert cli.main(args + command) == cli.EXIT_REJECT
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "version 1 names a root past" in err
+        assert cli.main(args + ["fsck"]) == cli.EXIT_REJECT
+        assert "version 1 names a root past" in capsys.readouterr().out
+
+
+class TestOpen:
+    def _store(self, tmp_path, commits):
+        src = tmp_path / "input.bin"
+        src.write_bytes(random.Random(0).randbytes(4096))
+        path = tmp_path / f"repo-{commits}"
+        repo = Repository.init(path, block_size=256,
+                               seed=bytes.fromhex(SEED_HEX), input_file=src)
+        rng = random.Random(commits)
+        for _ in range(commits):
+            repo.commit(format_diff([DiffEntry(
+                "replace", rng.randrange(4000), rng.randbytes(8), 8)]))
+        meta = repo.meta_digest
+        repo.close()
+        return path, meta
+
+    def test_open_is_flat(self, tmp_path):
+        """open decodes no history: right after it, as many nodes are
+        decoded after 2 commits as after 200, at most one; and a 1-byte
+        modify still finalizes at most depth + 1 layer-1 nodes."""
+        decoded = []
+        for commits in (2, 200):
+            path, meta = self._store(tmp_path, commits)
+            repo = Repository.open(path)
+            try:
+                decoded.append(len(repo.store))
+                assert repo.meta_digest == meta
+                root = repo.latest.root
+                depth = len(core.search(repo.store, root, 1234).entries)
+                summary = repo.commit(format_diff(
+                    [DiffEntry("replace", 1234, b"!", 1)]))
+                assert summary["created_nodes"] <= depth + 1
+                assert repo.fsck() == []
+            finally:
+                repo.close()
+        assert decoded[0] == decoded[1] <= 1
 
 
 def _assert_refused(path, capsys):
@@ -795,8 +953,8 @@ class TestUpdatePhase:
         partial = partial_from_proof(repo.scheme, proof, meta_before)
         client_root_digest, _ = apply_ops_partial(partial, ops, src)
         replica = VersionIndex(NodeStore(), repo.scheme, repo.seed)
-        for rec in repo.vindex.records:
-            replica.append_version(rec)
+        for version in range(repo.vindex.count):
+            replica.append_version(repo.record(version))
         # server side commits the same diff
         summary = repo.commit(format_diff(entries))
         assert repo.latest.root_digest == client_root_digest
