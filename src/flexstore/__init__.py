@@ -10,7 +10,7 @@ from .core import (NodeStore, SearchPath, build, build_with_levels, search,
 from .errors import FlexStoreError
 from .hashing import HashScheme, LevelSource
 from .index2 import VersionIndex, VersionRecord
-from .persist import CommitResult, materialize, pinsert, pmodify, premove
+from .persist import CommitResult
 from .repo import Repository
 
 __version__ = "0.1.0"
@@ -21,7 +21,6 @@ __all__ = [
     "Repository", "SearchPath", "VersionIndex",
     "VersionProof", "VersionRecord", "apply_ops_partial", "build",
     "build_with_levels", "detection_probability", "diff_to_ops",
-    "expand_challenge", "materialize", "parse_diff",
-    "partial_from_proof", "pinsert", "pmodify", "premove", "prove",
+    "expand_challenge", "parse_diff", "partial_from_proof", "prove",
     "search", "split_blocks", "verify",
 ]

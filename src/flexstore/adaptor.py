@@ -260,12 +260,10 @@ def required_range(diffs: list[DiffEntry], layout: list[int]) -> tuple[int, int]
 class PartialFlexList:
     """Nodes rebuilt from a proof, with digest stubs for everything else."""
 
-    def __init__(self, store: NodeStore, scheme: HashScheme, root: int,
-                 version: int):
+    def __init__(self, store: NodeStore, scheme: HashScheme, root: int):
         self.store = store
         self.scheme = scheme
         self.root = root
-        self.version = version
 
     @property
     def root_digest(self) -> bytes:
@@ -284,7 +282,7 @@ def partial_from_proof(scheme: HashScheme, proof: audit.VersionProof,
     """
     part = _pick_part(proof, version)
     store, root, _starts = audit.check_part(scheme, meta, part)
-    return PartialFlexList(store, scheme, root, part.layer2.version)
+    return PartialFlexList(store, scheme, root)
 
 
 def _pick_part(proof: audit.VersionProof, version: int | None):
@@ -299,7 +297,7 @@ def _pick_part(proof: audit.VersionProof, version: int | None):
 
 
 def apply_ops(store: NodeStore, scheme: HashScheme, root: int,
-              ops: list[BlockOp], src: LevelSource, version: int,
+              ops: list[BlockOp], src: LevelSource,
               block_digest=None) -> tuple[persist.CommitResult, LevelSource]:
     """Apply a block-op batch left to right as one new version, through
     one edit engine that finalizes only the nodes the new root reaches;
@@ -309,7 +307,7 @@ def apply_ops(store: NodeStore, scheme: HashScheme, root: int,
     with scheme); a caller that stores the blocks can pass its own put.
     """
     block_digest = block_digest or scheme.block_digest
-    eng = persist.EditEngine(store, scheme, root, version)
+    eng = persist.EditEngine(store, scheme, root)
     for op in ops:
         if op.kind == MODIFY_OP:
             eng.modify(op.index, len(op.data), block_digest(op.data))
@@ -329,6 +327,6 @@ def apply_ops_partial(partial: PartialFlexList, ops: list[BlockOp],
     digest (the value the client feeds its layer-2 replica) and the
     advanced level source. PathNotCovered if the proof was too narrow."""
     result, src = apply_ops(partial.store, partial.scheme, partial.root, ops,
-                            src, partial.version + 1)
+                            src)
     partial.root = result.new_root
     return partial.root_digest, src

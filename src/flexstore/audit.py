@@ -299,15 +299,14 @@ def rebuild(scheme: HashScheme,
             stack.append(None)
             continue
         if tag == _STUB:
-            node = Node(KIND_STUB, 0, entry[1], None, None, 0, None, -1,
-                        entry[2])
+            node = Node(KIND_STUB, 0, entry[1], None, None, 0, None, entry[2])
         elif tag == _INTERNAL:
             below, after = stack.pop(), stack.pop()
             if below is None or after is None:
                 raise FormatError("internal node missing a child")
             level, b, a = entry[1], made[below], made[after]
             rank = b.rank + a.rank
-            node = Node(KIND_INTERNAL, level, rank, below, after, 0, None, -1,
+            node = Node(KIND_INTERNAL, level, rank, below, after, 0, None,
                         scheme.internal_node(level, rank, b.digest, a.digest))
         else:
             _tag, length, digest = entry
@@ -316,7 +315,7 @@ def rebuild(scheme: HashScheme,
             rank = length + (a.rank if a else 0)
             sentinel = tag == _SENTINEL
             node = Node(KIND_SENTINEL if sentinel else KIND_LEAF, 0, rank,
-                        None, after, length, digest, -1,
+                        None, after, length, digest,
                         scheme.leaf_node(0, rank, a.digest if a else None,
                                          length, digest, sentinel=sentinel))
         made.append(node)

@@ -42,10 +42,10 @@ class Node:
     """One finalized skip-list vertex. Write-once: never mutate after add."""
 
     __slots__ = ("kind", "level", "rank", "below", "after", "length",
-                 "block", "version", "digest")
+                 "block", "digest")
 
     def __init__(self, kind, level, rank, below, after, length, block,
-                 version, digest):
+                 digest):
         self.kind = kind
         self.level = level
         self.rank = rank
@@ -53,7 +53,6 @@ class Node:
         self.after = after          # NodeId | None
         self.length = length        # leaf byte length (0 unless leaf kind)
         self.block = block          # block content digest (leaves only)
-        self.version = version      # commit that created this record
         self.digest = digest
 
     @property
@@ -64,7 +63,7 @@ class Node:
         kind = {KIND_INTERNAL: "int", KIND_LEAF: "leaf",
                 KIND_SENTINEL: "sent", KIND_STUB: "stub"}[self.kind]
         return (f"<{kind} lvl={self.level} rank={self.rank} "
-                f"len={self.length} v={self.version}>")
+                f"len={self.length}>")
 
 
 class NodeStore:
@@ -85,9 +84,6 @@ class NodeStore:
             return self._nodes[node_id]
         except KeyError:
             raise StructureCorrupt(f"node {node_id} missing from store")
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._nodes
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -119,7 +115,7 @@ def read_blocks(fh, block_size: int) -> Iterator[bytes]:
 
 
 def make_leaf(store: NodeStore, scheme: HashScheme, length: int,
-              block_digest: bytes | None, after: int | None, version: int,
+              block_digest: bytes | None, after: int | None,
               sentinel: bool = False) -> int:
     """Create and finalize a leaf node; returns its id."""
     if not sentinel and length < 1:
@@ -130,12 +126,11 @@ def make_leaf(store: NodeStore, scheme: HashScheme, length: int,
     digest = scheme.leaf_node(0, rank, after_node.digest if after_node else None,
                               length, bd, sentinel=sentinel)
     kind = KIND_SENTINEL if sentinel else KIND_LEAF
-    return store.add(Node(kind, 0, rank, None, after, length, bd, version,
-                          digest))
+    return store.add(Node(kind, 0, rank, None, after, length, bd, digest))
 
 
 def make_internal(store: NodeStore, scheme: HashScheme, level: int,
-                  below: int, after: int, version: int) -> int:
+                  below: int, after: int) -> int:
     """Create and finalize an internal node; returns its id."""
     below_node = store.get(below)
     after_node = store.get(after)
@@ -143,12 +138,12 @@ def make_internal(store: NodeStore, scheme: HashScheme, level: int,
     digest = scheme.internal_node(level, rank, below_node.digest,
                                   after_node.digest)
     return store.add(Node(KIND_INTERNAL, level, rank, below, after, 0,
-                          None, version, digest))
+                          None, digest))
 
 
 def build_with_levels(store: NodeStore, scheme: HashScheme,
-                      blocks: list[tuple[int, bytes]], levels: list[int],
-                      version: int = 0) -> int:
+                      blocks: list[tuple[int, bytes]],
+                      levels: list[int]) -> int:
     """Construct the canonical list for (blocks, levels); returns root id.
 
     blocks are (length, block_digest) pairs; levels[i] is block i's tower
@@ -158,16 +153,16 @@ def build_with_levels(store: NodeStore, scheme: HashScheme,
     """
     if len(blocks) != len(levels):
         raise ValueError("one level per block required")
-    right = make_leaf(store, scheme, 0, None, None, version, sentinel=True)
+    right = make_leaf(store, scheme, 0, None, None, sentinel=True)
     # stack of (tower_level, piece_id); levels strictly increase toward
     # the front, stack[-1] is the nearest piece.
     stack: list[tuple[int, int]] = [(0, right)]
     for (length, block_digest), level in zip(reversed(blocks),
                                              reversed(levels)):
         stack = _push_tower(store, scheme, stack, level, length,
-                            block_digest, version, sentinel=False)
+                            block_digest, sentinel=False)
     # Left sentinel column captures everything that remains.
-    stack = _push_tower(store, scheme, stack, LEVEL_INF, 0, None, version,
+    stack = _push_tower(store, scheme, stack, LEVEL_INF, 0, None,
                         sentinel=True)
     return stack[0][1]
 
@@ -175,8 +170,7 @@ def build_with_levels(store: NodeStore, scheme: HashScheme,
 LEVEL_INF = 1 << 62  # left sentinel capture bound; above any drawable level
 
 
-def _push_tower(store, scheme, stack, level, length, block_digest, version,
-                sentinel):
+def _push_tower(store, scheme, stack, level, length, block_digest, sentinel):
     pops = []
     while stack and stack[-1][0] <= level:
         pops.append(stack.pop())
@@ -185,16 +179,15 @@ def _push_tower(store, scheme, stack, level, length, block_digest, version,
         chain_after = pops[0][1]
         pops = pops[1:]
     cur = make_leaf(store, scheme, length, block_digest, chain_after,
-                    version, sentinel=sentinel)
+                    sentinel=sentinel)
     for pop_level, piece in pops:
-        cur = make_internal(store, scheme, pop_level, cur, piece, version)
+        cur = make_internal(store, scheme, pop_level, cur, piece)
     stack.append((level, cur))
     return stack
 
 
 def build(store: NodeStore, scheme: HashScheme, blocks: Iterable[bytes],
-          src: LevelSource, version: int = 0,
-          block_digest=None) -> tuple[int, LevelSource]:
+          src: LevelSource, block_digest=None) -> tuple[int, LevelSource]:
     """Pre-process a block sequence in one pass: draw one level per block
     and build. The blocks may come from an iterator, so a caller need not
     hold them all.
@@ -209,7 +202,7 @@ def build(store: NodeStore, scheme: HashScheme, blocks: Iterable[bytes],
         level, src = src.draw()
         levels.append(level)
         pairs.append((len(block), block_digest(block)))
-    root = build_with_levels(store, scheme, pairs, levels, version)
+    root = build_with_levels(store, scheme, pairs, levels)
     return root, src
 
 

@@ -90,15 +90,11 @@ class HashScheme:
                + struct.pack(">Q", length) + block_digest)
         return self.digest(enc)
 
-    def version_record_material(self, version: int, root_digest: bytes,
-                                update_start: int, update_length: int) -> bytes:
-        return (TAG_VERSION_RECORD + struct.pack(">Q", version) + root_digest
-                + struct.pack(">QQ", update_start, update_length))
-
     def version_record(self, version: int, root_digest: bytes,
                        update_start: int, update_length: int) -> bytes:
-        return self.digest(self.version_record_material(
-            version, root_digest, update_start, update_length))
+        return self.digest(TAG_VERSION_RECORD + struct.pack(">Q", version)
+                           + root_digest
+                           + struct.pack(">QQ", update_start, update_length))
 
     def _opt(self, digest: bytes | None) -> bytes:
         if digest is None:

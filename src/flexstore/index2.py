@@ -62,7 +62,7 @@ class VersionIndex:
         self._added: list[VersionRecord] = []
         self.src = LevelSource(seed, self._base, LEVELS_LAYER2)
         if root is None:
-            root = build_with_levels(store, scheme, [], [], version=0)
+            root = build_with_levels(store, scheme, [], [])
         self.root = root
 
     @property
@@ -85,7 +85,7 @@ class VersionIndex:
         result = persist.insert_block(self.store, self.scheme, self.root,
                                       index=self.count, length=1,
                                       block_digest=material_digest,
-                                      level=level, version=rec.version)
+                                      level=level)
         self.root = result.new_root
         self._added.append(rec)
         return self.meta_digest

@@ -48,10 +48,9 @@ class _Draft:
     """
 
     __slots__ = ("kind", "level", "rank", "length", "block", "below",
-                 "after", "version", "node_id")
+                 "after", "node_id")
 
-    def __init__(self, kind, level, rank, length, block, below, after,
-                 version):
+    def __init__(self, kind, level, rank, length, block, below, after):
         self.kind = kind
         self.level = level
         self.rank = rank
@@ -59,7 +58,6 @@ class _Draft:
         self.block = block
         self.below = below
         self.after = after
-        self.version = version
         self.node_id = None
 
     @property
@@ -83,12 +81,10 @@ class EditEngine:
     final root reaches. `root` is the batch's current root, a node id
     until the first op makes it a draft."""
 
-    def __init__(self, store: NodeStore, scheme: HashScheme, root: int,
-                 version: int):
+    def __init__(self, store: NodeStore, scheme: HashScheme, root: int):
         self.store = store
         self.scheme = scheme
         self.root: Ref = root
-        self.version = version
 
     # -- ops ----------------------------------------------------------------
 
@@ -185,15 +181,15 @@ class EditEngine:
         if node is ref:
             return ref
         return _Draft(node.kind, node.level, node.rank, node.length,
-                      node.block, node.below, node.after, self.version)
+                      node.block, node.below, node.after)
 
     def new_leaf(self, length: int, block: bytes, after: Ref | None) -> _Draft:
-        return self._link(_Draft(KIND_LEAF, 0, 0, length, block, None, None,
-                                 self.version), None, after)
+        return self._link(_Draft(KIND_LEAF, 0, 0, length, block, None, None),
+                          None, after)
 
     def new_internal(self, level: int, below: Ref, after: Ref) -> _Draft:
-        return self._link(_Draft(KIND_INTERNAL, level, 0, 0, None, None, None,
-                                 self.version), below, after)
+        return self._link(_Draft(KIND_INTERNAL, level, 0, 0, None, None,
+                                 None), below, after)
 
     def _link(self, draft: _Draft, below: Ref | None,
               after: Ref | None) -> _Draft:
@@ -371,28 +367,28 @@ class EditEngine:
                 after = after.node_id
             if draft.kind == KIND_INTERNAL:
                 draft.node_id = core.make_internal(
-                    store, scheme, draft.level, below, after, draft.version)
+                    store, scheme, draft.level, below, after)
             else:
                 draft.node_id = core.make_leaf(
                     store, scheme, draft.length, draft.block, after,
-                    draft.version, sentinel=draft.kind == KIND_SENTINEL)
+                    sentinel=draft.kind == KIND_SENTINEL)
         root = self.root
         return CommitResult(root.node_id if isinstance(root, _Draft)
                             else root, len(drafts), len(shared))
 
 
 def pmodify(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
-            data: bytes, version: int) -> CommitResult:
+            data: bytes) -> CommitResult:
     """Replace the block containing `index` with `data` (length may
     differ) in a new version; the old version stays intact."""
-    eng = EditEngine(store, scheme, old_root, version)
+    eng = EditEngine(store, scheme, old_root)
     eng.modify(index, len(data), scheme.block_digest(data))
     return eng.finish()
 
 
 def pinsert(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
-            data: bytes, src: LevelSource,
-            version: int) -> tuple[CommitResult, LevelSource]:
+            data: bytes,
+            src: LevelSource) -> tuple[CommitResult, LevelSource]:
     """Insert `data` as a new block at byte `index` in a new version.
 
     index = rank appends; an index inside a block inserts before that
@@ -400,27 +396,27 @@ def pinsert(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
     """
     level, src = src.draw()
     return insert_block(store, scheme, old_root, index, len(data),
-                        scheme.block_digest(data), level, version), src
+                        scheme.block_digest(data), level), src
 
 
 def insert_block(store: NodeStore, scheme: HashScheme, old_root: int,
-                 index: int, length: int, block_digest: bytes, level: int,
-                 version: int) -> CommitResult:
+                 index: int, length: int, block_digest: bytes,
+                 level: int) -> CommitResult:
     """Insert a block known only by (length, digest) at the given level.
 
     The layer-2 index uses this directly: its leaves authenticate version
     records rather than stored data blocks.
     """
-    eng = EditEngine(store, scheme, old_root, version)
+    eng = EditEngine(store, scheme, old_root)
     eng.insert(index, length, block_digest, level)
     return eng.finish()
 
 
-def premove(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
-            version: int) -> CommitResult:
+def premove(store: NodeStore, scheme: HashScheme, old_root: int,
+            index: int) -> CommitResult:
     """Remove the block starting at byte `index` in a new version (see
     EditEngine.remove)."""
-    eng = EditEngine(store, scheme, old_root, version)
+    eng = EditEngine(store, scheme, old_root)
     eng.remove(index)
     return eng.finish()
 
@@ -442,16 +438,11 @@ def iter_data_leaves(store: NodeStore, root: int):
         raise StructureCorrupt("materialized length disagrees with rank")
 
 
-def iter_blocks(store: NodeStore, root: int, get_block):
-    """Yield a version's blocks in order; get_block maps a block digest to
-    its bytes."""
-    for leaf in iter_data_leaves(store, root):
-        yield _leaf_block(leaf, get_block)
-
-
 def materialize(store: NodeStore, root: int, get_block) -> bytes:
-    """Reassemble a version's bytes, concatenating its blocks."""
-    return b"".join(iter_blocks(store, root, get_block))
+    """Reassemble a version's bytes, concatenating its blocks; get_block
+    maps a block digest to its bytes."""
+    return b"".join(_leaf_block(leaf, get_block)
+                    for leaf in iter_data_leaves(store, root))
 
 
 def read_range(store: NodeStore, root: int, start: int, length: int,

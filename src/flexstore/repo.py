@@ -1,6 +1,6 @@
 """Durable repository: block store, node store and commit log.
 
-On-disk layout under the repository root (store format 5):
+On-disk layout under the repository root (store format 6):
 
     config.json    store format, hash function, block size, seed
     versions.log   one fixed-width commit record per version, in order
@@ -14,25 +14,25 @@ Every integer is big-endian. Record k of `versions.log` is version k:
 root || root digest || update start || update length || layer-2 root ||
 level counter || nodes || blocks, each a u64 but the digest (76 bytes
 with SHA-1). Record k of `nodes/log` is node k: kind u8 || level u8 ||
-rank || version || below || after (u64 each, 2^64 - 1 for no link) ||
-length u32 || block digest (zeros for an internal node) || node digest
-(78 bytes with SHA-1).
+rank || below || after (u64 each, 2^64 - 1 for no link) || length u32 ||
+block digest (zeros for an internal node) || node digest (70 bytes with
+SHA-1).
 
 Blocks are content-addressed, so identical content across versions (or
 within one file) is stored once. Records and blocks are write-once;
 commits append, never rewrite.
 
-A commit writes its blocks (pack, then index record), then its node
-records (flushed), then its commit record. That record is the commit
-point: besides the version record it holds the layer-2 root id, the level
-counter, `nodes`, the number of node records the version needs, and
-`blocks`, the number of index records. `open` reads `config.json`, the
-last complete commit record and the last block index record it counts,
-and checks that the node log holds `nodes` records: its cost does not
-grow with history. What a crashed writer left past those ends (a record
-cut short, trailing node records, blocks and index records) is ignored,
-and the next writer truncates it before appending. Nothing is fsynced,
-so this holds for a process that dies, not for power loss.
+The three logs are record files (_RecordFile). A commit writes each new
+block to the pack as it is put, and keeps its index, node and commit
+records in memory until the end, then writes them in that order, one
+write per file. The commit record is the commit point: besides the
+version record it holds the layer-2 root id, the level counter, `nodes`
+and `blocks`, the node and index records the version counts. `open`
+reads `config.json`, the last complete commit record and the last index
+record it counts, and checks the node log's size: its cost does not grow
+with history. What a crashed writer left past those ends is ignored, and
+the next writer truncates it. Nothing is fsynced, so this holds for a
+process that dies, not for power loss.
 
 Every other record is decoded, strictly, when it is first read: a commit
 record when its version is asked for, a node record on the first `get`
@@ -53,6 +53,7 @@ import os
 import random
 import struct
 from contextlib import ExitStack, contextmanager
+from itertools import islice, tee
 from pathlib import Path
 from typing import NamedTuple
 
@@ -67,64 +68,147 @@ from .index2 import VersionIndex, VersionRecord
 
 # Version of the on-disk layout, kept in config.json; open refuses any
 # other.
-STORE_FORMAT = 5
+STORE_FORMAT = 6
 _NO_LINK = (1 << 64) - 1   # a node record's below or after, when absent
-_INDEX_RUN = 4096    # block index records read at a time
 _LENGTH_MASK = 0xFFFFFFFF
-_RUN_LIMIT = 64 * 1024   # bytes per read and write in a checkout
+_RUN_LIMIT = 64 * 1024   # bytes per read of a run of records or blocks
+
+
+def _open_read(path: Path, name: str) -> int:
+    """A read-only descriptor of one of the store's files: a missing file
+    is a corrupt store, any other error an I/O failure."""
+    try:
+        return os.open(path, os.O_RDONLY)
+    except FileNotFoundError as exc:
+        raise StructureCorrupt(f"{name} {path} is missing") from exc
+    except OSError as exc:
+        raise IOFailure(f"{name} unreadable: {exc}") from exc
+
+
+class _RecordFile:
+    """An append-only file of fixed-width records, of which only the first
+    `committed` count. What lies past them is a crashed writer's: readers
+    never ask for it, and `discard_uncommitted` cuts it off.
+
+    Appended records stay in memory until `flush` writes them at the end
+    of the file in one write; they count once `mark_committed` runs.
+    `committed` None counts every complete record the file holds.
+    """
+
+    def __init__(self, path: Path, layout: struct.Struct, name: str,
+                 committed: int | None = None):
+        self.path, self.layout, self.name = path, layout, name
+        self._fd = _open_read(path, name)
+        self._buffer = bytearray()
+        stored = self.stored()
+        if committed is None:
+            committed = stored
+        elif stored < committed:
+            self.close()
+            raise StructureCorrupt(f"{name} ends before record {committed}")
+        self.committed = self.count = committed
+
+    def stored(self) -> int:
+        """Complete records in the file, committed or not."""
+        return os.fstat(self._fd).st_size // self.layout.size
+
+    def read(self, first: int, n: int = 1):
+        """Unpack records first .. first + n - 1, all committed, from one
+        positioned read."""
+        size = self.layout.size
+        try:
+            raw = os.pread(self._fd, n * size, first * size)
+        except OSError as exc:
+            raise IOFailure(f"{self.name} unreadable: {exc}") from exc
+        if len(raw) != n * size:
+            raise StructureCorrupt(f"{self.name} cut short at record "
+                                   f"{first + len(raw) // size}")
+        return self.layout.iter_unpack(raw)
+
+    def runs(self):
+        """The ids of the committed records, as ranges that fill reads of
+        at most _RUN_LIMIT bytes."""
+        step = _RUN_LIMIT // self.layout.size
+        return (range(first, min(first + step, self.committed))
+                for first in range(0, self.committed, step))
+
+    def append(self, record: bytes) -> None:
+        self._buffer += record
+        self.count += 1
+
+    def flush(self) -> None:
+        """Write the appended records at the end of the file."""
+        if self._buffer:
+            with open(self.path, "ab") as fh:
+                fh.write(self._buffer)
+            self._buffer.clear()
+
+    def mark_committed(self) -> None:
+        """Count every appended record as committed; call after flush."""
+        self.committed = self.count
+
+    def discard_uncommitted(self) -> None:
+        """Drop the records past the committed end, from memory and from
+        the file (a writer's work only)."""
+        self._buffer.clear()
+        self.count = self.committed
+        os.truncate(self.path, self.committed * self.layout.size)
+
+    def close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
 
 class DurableNodeStore(NodeStore):
-    """Node store backed by one append-only file of fixed-width records,
-    record k holding node k.
+    """Node store backed by the node log, record k holding node k.
 
-    Only the first `committed` records count: the constructor checks that
-    the file holds them and reads none. `get` decodes a record on first
-    use, with one positioned read, into the node map, which also holds
-    every node added in this process, and keeps it there: an unbounded
-    cache, as a bounded one would decode again on every walk of the whole
-    store.
+    The constructor checks that the log holds the committed records and
+    reads none. `get` decodes a record on first use, with one positioned
+    read, into the node map, which also holds every node added in this
+    process, and keeps it there: an unbounded cache, as a bounded one
+    would decode again on every walk of the whole store.
     """
 
     def __init__(self, path: Path, scheme: HashScheme, committed: int):
         super().__init__()
-        self.path = path
-        self.layout = struct.Struct(
-            f">BBQQQQI{scheme.width}s{scheme.width}s")
+        self._file = _RecordFile(
+            path, struct.Struct(f">BBQQQI{scheme.width}s{scheme.width}s"),
+            "node log", committed)
+        self.layout = self._file.layout
         self._zero = scheme.zero
-        self._handle = None
-        try:
-            self._fd = os.open(path, os.O_RDONLY)
-        except FileNotFoundError as exc:
-            raise StructureCorrupt(f"node log {path} is missing") from exc
-        except OSError as exc:
-            raise IOFailure(f"node log unreadable: {exc}") from exc
-        if os.fstat(self._fd).st_size < committed * self.layout.size:
-            self.close()
-            raise StructureCorrupt(f"node log ends before node {committed}")
-        self._next_id = self._committed = committed
-
-    @classmethod
-    def create(cls, path: Path, scheme: HashScheme) -> "DurableNodeStore":
-        path.parent.mkdir()
-        path.touch()
-        return cls(path, scheme, 0)
+        self._next_id = committed
 
     def get(self, node_id: int) -> Node:
         try:
             return self._nodes[node_id]
         except KeyError:
-            return self._load(node_id)
-
-    def _load(self, node_id: int) -> Node:
-        size = self.layout.size
-        if not 0 <= node_id < self._committed:
+            pass
+        if not 0 <= node_id < self._file.committed:
             raise StructureCorrupt(f"node {node_id} missing from store")
-        raw = os.pread(self._fd, size, node_id * size)
-        if len(raw) != size:
-            raise StructureCorrupt(f"node log cut short at node {node_id}")
-        (kind, level, rank, version, below, after, length, block,
-         digest) = self.layout.unpack(raw)
+        fields, = self._file.read(node_id)
+        node = self._nodes[node_id] = self._decode(node_id, fields)
+        return node
+
+    def load_committed(self) -> list[str]:
+        """Decode every committed record the node map lacks, reading only
+        the runs of the log that hold one; returns one problem per record
+        refused."""
+        problems, nodes = [], self._nodes
+        for ids in self._file.runs():
+            if all(map(nodes.__contains__, ids)):
+                continue
+            for node_id, fields in zip(ids, self._file.read(ids.start,
+                                                            len(ids))):
+                if node_id not in nodes:
+                    try:
+                        nodes[node_id] = self._decode(node_id, fields)
+                    except StructureCorrupt as exc:
+                        problems.append(str(exc))
+        return problems
+
+    def _decode(self, node_id: int, fields: tuple) -> Node:
+        kind, level, rank, below, after, length, block, digest = fields
         below = None if below == _NO_LINK else below
         after = None if after == _NO_LINK else after
         if kind == KIND_INTERNAL:
@@ -143,14 +227,11 @@ class DurableNodeStore(NodeStore):
         if ((below is not None and below >= node_id)
                 or (after is not None and after >= node_id)):
             raise StructureCorrupt(f"node {node_id} links to a later node")
-        node = Node(kind, level, rank, below, after, length, block, version,
-                    digest)
-        self._nodes[node_id] = node
-        return node
+        return Node(kind, level, rank, below, after, length, block, digest)
 
     def _encode(self, node: Node) -> bytes:
         return self.layout.pack(
-            node.kind, node.level, node.rank, node.version,
+            node.kind, node.level, node.rank,
             _NO_LINK if node.below is None else node.below,
             _NO_LINK if node.after is None else node.after, node.length,
             self._zero if node.block is None else node.block, node.digest)
@@ -158,40 +239,26 @@ class DurableNodeStore(NodeStore):
     def add(self, node: Node) -> int:
         if node.kind == KIND_STUB:
             raise StructureCorrupt("stub nodes are never persisted")
-        node_id = super().add(node)
-        if self._handle is None:
-            # At the committed end: a writer truncates before it adds.
-            self._handle = open(self.path, "ab")
-        self._handle.write(self._encode(node))
-        return node_id
+        self._file.append(self._encode(node))
+        return super().add(node)
 
     def flush(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-
-    def _close_writer(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._file.flush()
 
     def close(self) -> None:
-        self._close_writer()
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        self._file.close()
 
     def mark_committed(self) -> None:
         """Count every record added so far as committed; call after flush."""
-        self._committed = self._next_id
+        self._file.mark_committed()
 
     def discard_uncommitted(self) -> None:
         """Drop the records past the committed end, from memory and from
         the node log (a writer's work only)."""
-        self._close_writer()
-        for node_id in range(self._committed, self._next_id):
+        for node_id in range(self._file.committed, self._next_id):
             del self._nodes[node_id]
-        self._next_id = self._committed
-        os.truncate(self.path, self._committed * self.layout.size)
+        self._next_id = self._file.committed
+        self._file.discard_uncommitted()
 
 
 class Commit(NamedTuple):
@@ -205,10 +272,10 @@ class Commit(NamedTuple):
 
 
 class CommitLog:
-    """The commit records in versions.log, fixed-width, record k being
-    version k: reading a version is one positioned read.
+    """The commit records in versions.log, record k being version k:
+    reading a version is one positioned read.
 
-    Only complete records count, and only `count` of them: the
+    Only complete records count, and only `len(self)` of them: the
     constructor takes as many as the file holds and reads the last. A
     record is decoded strictly when it is read: its roots must lie below
     its `nodes`, and its counts must not pass the last record's. As a
@@ -216,42 +283,31 @@ class CommitLog:
     """
 
     def __init__(self, path: Path, scheme: HashScheme):
-        self.path = path
-        self.layout = struct.Struct(f">Q{scheme.width}sQQQQQQ")
+        self._file = _RecordFile(
+            path, struct.Struct(f">Q{scheme.width}sQQQQQQ"), "versions.log")
+        self.layout = self._file.layout
         self._pending: Commit | None = None
+        self.last = None
         try:
-            self._fd = os.open(path, os.O_RDONLY)
-            try:
-                self.count = os.fstat(self._fd).st_size // self.layout.size
-                self.last = (self._read(self.count - 1, None) if self.count
-                             else None)
-            except (OSError, StructureCorrupt):
-                self.close()
-                raise
-        except OSError as exc:
-            raise IOFailure(f"version log unreadable: {exc}") from exc
+            self.last = self.commit(len(self) - 1) if len(self) else None
+        except StructureCorrupt:
+            self.close()
+            raise
 
     def __len__(self) -> int:
-        return self.count
+        return self._file.committed
 
     def __getitem__(self, version: int) -> VersionRecord:
         return self.commit(version).record
 
     def commit(self, version: int) -> Commit:
         """Decode the commit record of one committed version."""
-        return self._read(version, self.last)
-
-    def _read(self, version: int, last: Commit | None) -> Commit:
-        size = self.layout.size
-        raw = os.pread(self._fd, size, version * size)
-        if len(raw) != size:
-            raise StructureCorrupt(f"versions.log ends before version "
-                                   f"{version}")
         (root, root_digest, start, length, layer2_root, level_counter,
-         nodes, blocks) = self.layout.unpack(raw)
+         nodes, blocks), = self._file.read(version)
         if root >= nodes or layer2_root >= nodes:
             raise StructureCorrupt(f"versions.log: version {version} names "
                                    f"a root past its {nodes} nodes")
+        last = self.last
         if last is not None and (nodes > last.nodes or blocks > last.blocks):
             raise StructureCorrupt(f"versions.log: version {version} counts "
                                    "more records than the last version")
@@ -262,118 +318,95 @@ class CommitLog:
         """Write a commit record: the commit point. It counts once
         mark_committed runs."""
         rec = commit.record
-        with open(self.path, "ab") as fh:
-            fh.write(self.layout.pack(
-                rec.root, rec.root_digest, rec.update_start,
-                rec.update_length, commit.layer2_root, commit.level_counter,
-                commit.nodes, commit.blocks))
+        self._file.append(self.layout.pack(
+            rec.root, rec.root_digest, rec.update_start, rec.update_length,
+            commit.layer2_root, commit.level_counter, commit.nodes,
+            commit.blocks))
+        self._file.flush()
         self._pending = commit
 
     def mark_committed(self) -> None:
-        self.count += 1
+        self._file.mark_committed()
         self.last, self._pending = self._pending, None
 
     def discard_uncommitted(self) -> None:
         """Cut a record a writer never finished (a writer's work only).
         Refuses if a complete record appeared past the committed ones
         since this log was opened: another writer committed."""
-        end = self.count * self.layout.size
-        if not end <= os.fstat(self._fd).st_size < end + self.layout.size:
+        if self._file.stored() != len(self):
             raise RepositoryLocked(
                 "versions.log changed since the store was opened")
-        os.truncate(self.path, end)
+        self._file.discard_uncommitted()
 
     def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        self._file.close()
 
 
 class BlockStore:
     """Content-addressed blocks in one append-only pack file.
 
-    `pack` holds block bytes back to back; `index` holds one fixed-width
-    record per block, digest || u64 offset || u32 length, in pack order.
-    Only the first `committed` records count: opening reads the last of
-    them, for the pack's committed end, and the digest map is decoded on
-    first use. Reads are one pread each on a descriptor held open; the
-    writer descriptors open on the first write, which a writer makes
-    under the lock.
+    `pack` holds block bytes back to back; `index` is a record file with
+    one record per block, digest || u64 offset || u32 length, in pack
+    order. Opening reads the last committed index record, for the pack's
+    committed end, and the digest map is decoded on first use. A put
+    writes the block to the pack at once, through a descriptor opened on
+    the first write, which a writer makes under the lock; its index
+    record waits for `flush`.
     """
 
     def __init__(self, directory: Path, scheme: HashScheme, committed: int):
         self.directory = directory
         self.scheme = scheme
-        self._record = struct.Struct(f">{scheme.width}sQI")
         # digest -> offset << 32 | length: one int per block, as the
         # map stays in memory for the life of the store.
         self._map: dict[bytes, int] | None = None
-        self._writers: tuple[int, int] | None = None
-        self._pack = self._index = None
+        self._pack_writer: int | None = None
+        self._index = None
+        self._pack = _open_read(directory / "pack", "block pack")
         try:
-            self._pack = os.open(directory / "pack", os.O_RDONLY)
-            self._index = os.open(directory / "index", os.O_RDONLY)
+            self._index = _RecordFile(
+                directory / "index", struct.Struct(f">{scheme.width}sQI"),
+                "block index", committed)
             end = 0
             if committed:
-                last = os.pread(self._index, self._record.size,
-                                (committed - 1) * self._record.size)
-                if len(last) != self._record.size:
-                    raise StructureCorrupt(
-                        f"block index ends before record {committed}")
-                _digest, offset, length = self._record.unpack(last)
+                (_digest, offset, length), = self._index.read(committed - 1)
                 end = offset + length
             if os.fstat(self._pack).st_size < end:
                 raise StructureCorrupt(f"block pack ends before byte {end}")
-        except OSError as exc:
-            self.close()
-            raise IOFailure(f"block store unreadable: {exc}") from exc
-        except StructureCorrupt:
+        except BaseException:
             self.close()
             raise
-        self._count = self._committed = committed
         self._end = self._committed_end = end
-
-    @classmethod
-    def create(cls, directory: Path, scheme: HashScheme) -> "BlockStore":
-        directory.mkdir()
-        for name in ("pack", "index"):
-            (directory / name).touch()
-        return cls(directory, scheme, 0)
 
     @property
     def count(self) -> int:
         """Index records written, committed or not."""
-        return self._count
+        return self._index.count
 
     def _records(self):
-        """Yield (digest, offset, length) for every committed index record,
-        in pack order, reading a bounded run of records at a time. Each
-        block must start where the one before it ended."""
-        size, end = self._record.size, 0
-        for first in range(0, self._committed, _INDEX_RUN):
-            want = min(_INDEX_RUN, self._committed - first) * size
-            raw = os.pread(self._index, want, first * size)
-            if len(raw) != want:
-                raise StructureCorrupt(
-                    f"block index ends before record {self._committed}")
-            for digest, offset, length in self._record.iter_unpack(raw):
+        """Yield (digest, offset << 32 | length) for every committed index
+        record, in pack order. Each block must start where the one before
+        it ended."""
+        end = 0
+        for ids in self._index.runs():
+            for digest, offset, length in self._index.read(ids.start,
+                                                           len(ids)):
                 if offset != end:
-                    raise StructureCorrupt(
-                        f"block index record at byte {offset} out of "
-                        "sequence")
+                    raise StructureCorrupt(f"block index record at byte "
+                                           f"{offset} out of sequence")
                 end += length
-                yield digest, offset, length
+                yield digest, offset << 32 | length
 
     def _blocks(self) -> dict[bytes, int]:
         """digest -> offset << 32 | length of every committed record,
         decoded from the index on first use."""
         if self._map is None:
             blocks = {}
-            for digest, offset, length in self._records():
+            for digest, place in self._records():
                 if digest in blocks:
                     raise StructureCorrupt(
                         f"block {digest.hex()} indexed twice")
-                blocks[digest] = offset << 32 | length
+                blocks[digest] = place
             self._map = blocks
         return self._map
 
@@ -381,14 +414,16 @@ class BlockStore:
         digest = self.scheme.block_digest(data)
         blocks = self._blocks()
         if digest not in blocks:
-            pack, index = self._writer()
-            _write_at(pack, data, self._end)
-            _write_at(index, self._record.pack(digest, self._end, len(data)),
-                      self._count * self._record.size)
+            _write_at(self._writer(), data, self._end)
+            self._index.append(self._index.layout.pack(digest, self._end,
+                                                       len(data)))
             blocks[digest] = self._end << 32 | len(data)
             self._end += len(data)
-            self._count += 1
         return digest
+
+    def flush(self) -> None:
+        """Write the index records of the blocks put since the last flush."""
+        self._index.flush()
 
     def get(self, digest: bytes) -> bytes:
         try:
@@ -396,44 +431,57 @@ class BlockStore:
         except KeyError:
             raise StructureCorrupt(
                 f"block {digest.hex()} missing from store") from None
-        return self._read(digest, place >> 32, place & _LENGTH_MASK)
+        return self._read(place >> 32, place & _LENGTH_MASK)
 
     def read_leaves(self, leaves):
-        """Yield the blocks of data leaves, in order, as runs of bytes:
-        blocks that lie back to back in the pack come from one pread of
-        at most _RUN_LIMIT bytes. Refuses a missing block, or one whose
-        stored length disagrees with its leaf, with StructureCorrupt."""
-        blocks = self._blocks()
-        run, start, end = None, 0, 0
-        for leaf in leaves:
-            place = blocks.get(leaf.block)
-            if place is None:
-                raise StructureCorrupt(
-                    f"block {leaf.block.hex()} missing from store")
-            offset, length = place >> 32, place & _LENGTH_MASK
-            if length != leaf.length:
-                raise StructureCorrupt("stored block length mismatch")
-            if (run is None or offset != end
-                    or end + length - start > _RUN_LIMIT):
-                if run is not None:
-                    yield self._read(run, start, end - start)
-                run, start = leaf.block, offset
-            end = offset + length
-        if run is not None:
-            yield self._read(run, start, end - start)
+        """Yield the blocks of data leaves, in order, as runs of bytes (see
+        _runs). Refuses a missing block, or one whose stored length
+        disagrees with its leaf, with StructureCorrupt."""
+        get = self._blocks().get
+
+        def places():
+            for leaf in leaves:
+                place = get(leaf.block)
+                if place is None:
+                    raise StructureCorrupt(
+                        f"block {leaf.block.hex()} missing from store")
+                if place & _LENGTH_MASK != leaf.length:
+                    raise StructureCorrupt("stored block length mismatch")
+                yield place
+        return (run for run, _count in self._runs(places()))
 
     def scan(self):
         """Yield (digest, block) for every committed record in pack order,
-        one block in memory at a time. Neither uses nor builds the digest
+        one run in memory at a time. Neither uses nor builds the digest
         map, so a check of the whole pack leaves no map behind."""
-        for digest, offset, length in self._records():
-            yield digest, self._read(digest, offset, length)
+        records, places = tee(self._records())
+        for run, count in self._runs(place for _digest, place in places):
+            end = 0
+            for digest, place in islice(records, count):
+                at, end = end, end + (place & _LENGTH_MASK)
+                yield digest, run[at:end]
 
-    def _read(self, digest: bytes, offset: int, length: int) -> bytes:
+    def _runs(self, places):
+        """Yield (bytes, count) for runs of places, each offset << 32 |
+        length: places that lie back to back in the pack come from one
+        pread of at most _RUN_LIMIT bytes, or of one longer block."""
+        count, start, end = 0, 0, -1
+        for place in places:
+            offset, length = place >> 32, place & _LENGTH_MASK
+            if offset != end or offset + length - start > _RUN_LIMIT:
+                if count:
+                    yield self._read(start, end - start), count
+                count, start = 0, offset
+            count += 1
+            end = offset + length
+        if count:
+            yield self._read(start, end - start), count
+
+    def _read(self, offset: int, length: int) -> bytes:
         data = os.pread(self._pack, length, offset)
         if len(data) != length:
-            raise StructureCorrupt(f"block {digest.hex()} cut short in the "
-                                   "pack")
+            raise StructureCorrupt(f"block pack cut short at byte "
+                                   f"{offset + len(data)}")
         return data
 
     def all_digests(self) -> list[bytes]:
@@ -442,40 +490,36 @@ class BlockStore:
 
     def overwrite(self, digest: bytes, data: bytes) -> None:
         """Replace a stored block's bytes in place (fault injection)."""
-        _write_at(self._writer()[0], data, self._blocks()[digest] >> 32)
+        _write_at(self._writer(), data, self._blocks()[digest] >> 32)
 
-    def _writer(self) -> tuple[int, int]:
-        if self._writers is None:
-            pack = os.open(self.directory / "pack", os.O_WRONLY)
-            try:
-                index = os.open(self.directory / "index", os.O_WRONLY)
-            except OSError:
-                os.close(pack)
-                raise
-            self._writers = (pack, index)
-        return self._writers
+    def _writer(self) -> int:
+        if self._pack_writer is None:
+            self._pack_writer = os.open(self.directory / "pack", os.O_WRONLY)
+        return self._pack_writer
 
     def mark_committed(self) -> None:
-        """Count every record written so far as committed."""
-        self._committed, self._committed_end = self._count, self._end
+        """Count every block put so far as committed; call after flush."""
+        self._index.mark_committed()
+        self._committed_end = self._end
 
     def discard_uncommitted(self) -> None:
         """Cut the pack and the index back to their committed ends, and
         forget the blocks past them (a writer's work only)."""
-        pack, index = self._writer()
-        os.ftruncate(pack, self._committed_end)
-        os.ftruncate(index, self._committed * self._record.size)
         if self._map is not None:
             # Records enter the map in pack order; the newest leave first.
-            for _ in range(self._count - self._committed):
+            for _ in range(self._index.count - self._index.committed):
                 self._map.popitem()
-        self._count, self._end = self._committed, self._committed_end
+        os.ftruncate(self._writer(), self._committed_end)
+        self._index.discard_uncommitted()
+        self._end = self._committed_end
 
     def close(self) -> None:
-        for fd in (self._pack, self._index, *(self._writers or ())):
+        for fd in (self._pack, self._pack_writer):
             if fd is not None:
                 os.close(fd)
-        self._pack = self._index = self._writers = None
+        self._pack = self._pack_writer = None
+        if self._index is not None:
+            self._index.close()
 
 
 class Repository:
@@ -485,7 +529,6 @@ class Repository:
                  blocks: BlockStore, log: CommitLog, vindex: VersionIndex,
                  level_counter: int):
         self.path = path
-        self.config = config
         self.scheme = HashScheme(config["hash"])
         self.block_size = config["block_size"]
         self.seed = bytes.fromhex(config["seed"])
@@ -521,10 +564,13 @@ class Repository:
                           "block_size": block_size, "seed": seed.hex()}
                 (path / "config.json").write_text(
                     json.dumps(config, sort_keys=True) + "\n")
-                (path / "versions.log").touch()
+                for name in ("versions.log", "nodes/log", "blocks/pack",
+                             "blocks/index"):
+                    (path / name).parent.mkdir(exist_ok=True)
+                    (path / name).touch()
                 log = CommitLog(path / "versions.log", scheme)
-                store = DurableNodeStore.create(path / "nodes" / "log", scheme)
-                blocks = BlockStore.create(path / "blocks", scheme)
+                store = DurableNodeStore(path / "nodes" / "log", scheme, 0)
+                blocks = BlockStore(path / "blocks", scheme, 0)
                 root, src = core.build(
                     store, scheme, core.read_blocks(fh, block_size), src,
                     block_digest=blocks.put)
@@ -545,7 +591,7 @@ class Repository:
             raw_config = (path / "config.json").read_bytes()
         except OSError as exc:
             raise IOFailure(f"not a repository: {path}") from exc
-        with _malformed("config.json"):
+        try:
             config = json.loads(raw_config)
             if (not isinstance(config, dict)
                     or config.get("format") != STORE_FORMAT):
@@ -553,6 +599,8 @@ class Repository:
                     f"config.json: not a store of format {STORE_FORMAT}")
             scheme = HashScheme(config["hash"])
             seed = bytes.fromhex(config["seed"])
+        except (ValueError, KeyError, TypeError, DomainError) as exc:
+            raise StructureCorrupt(f"malformed config.json: {exc}") from exc
         with ExitStack() as opened:
             log = CommitLog(path / "versions.log", scheme)
             opened.callback(log.close)
@@ -596,19 +644,11 @@ class Repository:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def _discard_uncommitted(self) -> None:
-        """Truncate what a failed or crashed commit left past the committed
-        end of versions.log, the node log and the block pack and index.
-        Refuses if a complete commit record appeared since this store was
-        opened: another writer committed."""
-        self.log.discard_uncommitted()
-        self.store.discard_uncommitted()
-        self.blocks.discard_uncommitted()
-
     def _append_commit(self, vindex: VersionIndex, level_counter: int) -> None:
-        """The commit point: with the blocks written, flush the node log,
-        then append the version's commit record. Only then does this
-        object move to the new version."""
+        """The commit point: with the blocks in the pack, flush the block
+        index and the node log, then append the version's commit record.
+        Only then does this object move to the new version."""
+        self.blocks.flush()
         self.store.flush()
         self.log.append(Commit(vindex.record(vindex.count - 1), vindex.root,
                                level_counter, self.store.next_id,
@@ -638,7 +678,8 @@ class Repository:
 
     def materialize(self, version: int) -> bytes:
         rec = self.record(version)
-        return persist.materialize(self.store, rec.root, self.blocks.get)
+        return b"".join(self.blocks.read_leaves(
+            persist.iter_data_leaves(self.store, rec.root)))
 
     def checkout(self, version: int, out_path) -> int:
         """Write one version to out_path block by block, through a
@@ -666,7 +707,12 @@ class Repository:
         """Apply a diff as one new version; returns a summary."""
         with self.write_lock():
             try:
-                self._discard_uncommitted()
+                # Cut what a failed or crashed commit left past the
+                # committed ends; the log refuses if another writer
+                # committed since this store was opened.
+                self.log.discard_uncommitted()
+                self.store.discard_uncommitted()
+                self.blocks.discard_uncommitted()
                 return self._commit(diff_bytes)
             except OSError as exc:
                 raise IOFailure(f"commit failed: {exc}") from exc
@@ -687,7 +733,7 @@ class Repository:
         # Each new block reaches the pack as its op runs, before finish
         # adds the first node record.
         result, src = adaptor.apply_ops(self.store, self.scheme, old_root,
-                                        ops, self.level_source(), version,
+                                        ops, self.level_source(),
                                         block_digest=self.blocks.put)
         root = result.new_root
         node = self.store.get(root)
@@ -735,7 +781,11 @@ class Repository:
 
     def fsck(self) -> list[str]:
         """Sweep every invariant the store promises; returns violations."""
-        problems = []
+        # Every committed node record decodes, reached or not.
+        try:
+            problems = self.store.load_committed()
+        except StructureCorrupt as exc:
+            problems = [str(exc)]
         records: list[VersionRecord | None] = []
         verified: dict[int, Node] = {}
         for version in range(self.vindex.count):
@@ -762,13 +812,6 @@ class Repository:
                 problems.append(
                     f"version {version}: update region exceeds rank")
         problems += self._fsck_layer2(records)
-        # Every committed node record decodes, reached or not.
-        for node_id in range(self.store.next_id):
-            if node_id not in verified:
-                try:
-                    self.store.get(node_id)
-                except StructureCorrupt as exc:
-                    problems.append(str(exc))
         lengths: dict[bytes, int] = {}    # of every index record
         try:
             for digest, data in self.blocks.scan():
@@ -830,7 +873,13 @@ class Repository:
         if scope == "version-delta":
             rec = self.record(self.latest.version if version is None
                               else version)
-            targets = self._region_blocks(rec)
+            targets, end = [], 0
+            for leaf in persist.iter_data_leaves(self.store, rec.root):
+                start, end = end, end + leaf.length
+                if start >= rec.update_start + rec.update_length:
+                    break
+                if end > rec.update_start:
+                    targets.append(leaf.block)
         elif scope == "blocks":
             targets = self.blocks.all_digests()
         else:
@@ -848,32 +897,6 @@ class Repository:
                 self.blocks.overwrite(digest, garbage)
         return {"scope": scope, "targets": len(targets),
                 "corrupted": len(chosen)}
-
-    def _region_blocks(self, rec: VersionRecord) -> list[bytes]:
-        digests = []
-        offset = 0
-        for leaf_id in core.iter_leaves(self.store, rec.root):
-            leaf = self.store.get(leaf_id)
-            if leaf.kind != KIND_LEAF:
-                continue
-            start, end = offset, offset + leaf.length
-            offset = end
-            if end <= rec.update_start:
-                continue
-            if start >= rec.update_start + rec.update_length:
-                break
-            digests.append(leaf.block)
-        return digests
-
-
-@contextmanager
-def _malformed(name: str):
-    """Report content of the named file that fails to parse as
-    StructureCorrupt."""
-    try:
-        yield
-    except (ValueError, KeyError, TypeError, DomainError) as exc:
-        raise StructureCorrupt(f"malformed {name}: {exc}") from exc
 
 
 def _write_at(fd: int, data: bytes, offset: int) -> None:

@@ -118,19 +118,18 @@ def test_criterion_3_oracle_equivalence():
                 byte = sum(len(b) for b, _ in seq[:pos])
                 level, peek = src.draw()
                 result, src = persist.pinsert(store, SCHEME, root, byte,
-                                              data, src, step + 1)
+                                              data, src)
                 seq = seq[:pos] + [(data, level)] + seq[pos:]
             elif kind == "mod":
                 pos = rng.randrange(len(seq))
                 data = rand_block(rng)
                 byte = sum(len(b) for b, _ in seq[:pos])
-                result = persist.pmodify(store, SCHEME, root, byte, data,
-                                         step + 1)
+                result = persist.pmodify(store, SCHEME, root, byte, data)
                 seq = seq[:pos] + [(data, seq[pos][1])] + seq[pos + 1:]
             else:
                 pos = rng.randrange(len(seq))
                 byte = sum(len(b) for b, _ in seq[:pos])
-                result = persist.premove(store, SCHEME, root, byte, step + 1)
+                result = persist.premove(store, SCHEME, root, byte)
                 seq = seq[:pos] + seq[pos + 1:]
             root = result.new_root
             if store.get(root).digest != rebuild_digest(seq):
@@ -230,8 +229,8 @@ def test_criterion_5_insert_remove_inversion():
             acc += len(b)
         result, _ = persist.pinsert(store, SCHEME, root, idx,
                                     rand_block(rng),
-                                    LevelSource(SEED, rng.randrange(9999)), 1)
-        result2 = persist.premove(store, SCHEME, result.new_root, idx, 2)
+                                    LevelSource(SEED, rng.randrange(9999)))
+        result2 = persist.premove(store, SCHEME, result.new_root, idx)
         if store.get(result2.new_root).digest != before:
             mismatches += 1
     report(5, mismatches == 0,
@@ -281,7 +280,7 @@ def test_criterion_7_sharing():
     for trial in range(1000):
         idx = rng.randrange(b) * 8
         result = persist.pmodify(store, SCHEME, root, idx,
-                                 rng.randbytes(8), trial + 1)
+                                 rng.randbytes(8))
         created.append(result.created_nodes)
         root = result.new_root
     created.sort()
@@ -469,12 +468,12 @@ def _server_commit(store, blocks, root, ops, src):
     for op in ops:
         if op.kind == "modify":
             blocks[SCHEME.block_digest(op.data)] = op.data
-            result = persist.pmodify(store, SCHEME, root, op.index, op.data, 1)
+            result = persist.pmodify(store, SCHEME, root, op.index, op.data)
         elif op.kind == "insert":
             blocks[SCHEME.block_digest(op.data)] = op.data
             result, src = persist.pinsert(store, SCHEME, root, op.index,
-                                          op.data, src, 1)
+                                          op.data, src)
         else:
-            result = persist.premove(store, SCHEME, root, op.index, 1)
+            result = persist.premove(store, SCHEME, root, op.index)
         root = result.new_root
     return store.get(root).digest

@@ -307,25 +307,24 @@ class ServerFixture:
         batches of apply_ops and apply_ops_partial are compared with."""
         rec = self.latest
         root = rec.root
-        version = rec.version + 1
         src = self.src
         for op in ops:
             if op.kind == "modify":
                 self.blocks[SCHEME.block_digest(op.data)] = op.data
                 result = persist.pmodify(self.store, SCHEME, root, op.index,
-                                         op.data, version)
+                                         op.data)
             elif op.kind == "insert":
                 self.blocks[SCHEME.block_digest(op.data)] = op.data
                 result, src = persist.pinsert(self.store, SCHEME, root,
-                                              op.index, op.data, src, version)
+                                              op.index, op.data, src)
             else:
-                result = persist.premove(self.store, SCHEME, root, op.index,
-                                         version)
+                result = persist.premove(self.store, SCHEME, root, op.index)
             root = result.new_root
         self.src = src
         new_digest = self.store.get(root).digest
         self.vindex.append_version(VersionRecord(
-            version, root, new_digest, 0, max(self.store.get(root).rank, 1)))
+            rec.version + 1, root, new_digest, 0,
+            max(self.store.get(root).rank, 1)))
         return new_digest
 
 
@@ -495,7 +494,7 @@ class TestBatch:
 
             del made[:]
             result, got_src = adaptor.apply_ops(store, SCHEME, root, ops,
-                                                src, 1)
+                                                src)
             assert len(made) == result.created_nodes, trial
             assert got_src == end_src
             digest = store.get(result.new_root).digest
@@ -504,14 +503,12 @@ class TestBatch:
             for op in ops:
                 if op.kind == "modify":
                     step = persist.pmodify(store, SCHEME, chained, op.index,
-                                           op.data, 1)
+                                           op.data)
                 elif op.kind == "insert":
                     step, chain_src = persist.pinsert(
-                        store, SCHEME, chained, op.index, op.data,
-                        chain_src, 1)
+                        store, SCHEME, chained, op.index, op.data, chain_src)
                 else:
-                    step = persist.premove(store, SCHEME, chained, op.index,
-                                           1)
+                    step = persist.premove(store, SCHEME, chained, op.index)
                 chained = step.new_root
             assert store.get(chained).digest == digest, trial
 

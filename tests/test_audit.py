@@ -38,7 +38,7 @@ class Fixture:
         for v in range(1, commits + 1):
             block = self._block(rng, block_len)
             idx = rng.randrange(block_count) * block_len
-            result = persist.pmodify(self.store, SCHEME, root, idx, block, v)
+            result = persist.pmodify(self.store, SCHEME, root, idx, block)
             root = result.new_root
             self.vindex.append_version(VersionRecord(
                 v, root, self.store.get(root).digest, idx, block_len))
@@ -148,8 +148,7 @@ class TestProveVerify:
         old_meta = fx.meta
         rec = fx.vindex.record(fx.vindex.count - 1)
         result = persist.pmodify(fx.store, SCHEME, rec.root, 0,
-                                 fx._block(random.Random(5), 8),
-                                 rec.version + 1)
+                                 fx._block(random.Random(5), 8))
         fx.vindex.append_version(VersionRecord(
             rec.version + 1, result.new_root,
             fx.store.get(result.new_root).digest, 0, 8))

@@ -29,8 +29,8 @@ def mklist(lengths, levels, store=None):
                                         (KIND_SENTINEL, "sent"),
                                         (KIND_STUB, "stub")])
 def test_node_repr_names_every_kind(kind, name):
-    node = Node(kind, 2, 7, None, None, 0, None, 1, SCHEME.zero)
-    assert repr(node) == f"<{name} lvl=2 rank=7 len=0 v=1>"
+    node = Node(kind, 2, 7, None, None, 0, None, SCHEME.zero)
+    assert repr(node) == f"<{name} lvl=2 rank=7 len=0>"
 
 
 class TestSplitBlocks:
@@ -252,7 +252,7 @@ class TestBuild:
         offset = 0
         for b in blocks:
             result, src = persist.pinsert(store2, SCHEME, root2, offset, b,
-                                          src, 1)
+                                          src)
             root2 = result.new_root
             offset += len(b)
         assert store.get(root_built).digest == store2.get(root2).digest

@@ -49,9 +49,9 @@ class TestNextPos:
     def test_bare_leaf_no_moves(self):
         store = NodeStore()
         leaf = make_leaf(store, SCHEME, 4, SCHEME.block_digest(b"abcd"),
-                         None, 0)
+                         None)
         before = store.get(leaf).digest
-        result = pmodify(store, SCHEME, leaf, 0, b"ABCD", 1)
+        result = pmodify(store, SCHEME, leaf, 0, b"ABCD")
         assert search(store, leaf, 0).entries == []
         assert result.created_nodes == 1  # the root copy only
         assert store.get(leaf).digest == before
@@ -66,7 +66,7 @@ class TestNextPos:
             idx = rng.randrange(store.get(root).rank)
             moves = len(search(store, root, idx).entries)
             data = rand_block(rng)
-            result = pmodify(store, SCHEME, root, idx, data, 1)
+            result = pmodify(store, SCHEME, root, idx, data)
             assert result.created_nodes == moves + 1, trial  # plus the root
             pos = block_at(seq, idx)
             want = rebuild_digest(
@@ -86,7 +86,7 @@ class TestNextPos:
             idx = rng.randrange(store.get(root).rank)
             path = search(store, root, idx)
             after_hops = sum(1 for _, d in path.entries if d == "after")
-            result = pmodify(store, SCHEME, root, idx, b"x", 1)
+            result = pmodify(store, SCHEME, root, idx, b"x")
             assert result.created_nodes - 1 <= height + 1 + 2 * after_hops
 
 
@@ -97,7 +97,7 @@ class TestRecomputePath:
         seq = [(b"abcd", 1), (b"efgh", 0)]
         store, root = fresh(seq)
         before = store.get(root).digest
-        result = pmodify(store, SCHEME, root, 0, b"ABCD", 1)
+        result = pmodify(store, SCHEME, root, 0, b"ABCD")
         assert store.get(result.new_root).digest != before
         assert store.get(root).digest == before
 
@@ -106,7 +106,7 @@ class TestModify:
     def test_identical_content_same_digest(self):
         seq = [(b"hello", 1)]
         store, root = fresh(seq)
-        result = pmodify(store, SCHEME, root, 0, b"hello", 1)
+        result = pmodify(store, SCHEME, root, 0, b"hello")
         assert store.get(result.new_root).digest == store.get(root).digest
         assert result.new_root != root
 
@@ -120,7 +120,7 @@ class TestModify:
             pos = rng.randrange(n)
             data = rand_block(rng)
             idx = sum(len(b) for b, _ in seq[:pos])
-            result = pmodify(store, SCHEME, root, idx, data, 1)
+            result = pmodify(store, SCHEME, root, idx, data)
             want = rebuild_digest(
                 seq[:pos] + [(data, seq[pos][1])] + seq[pos + 1:])
             assert store.get(result.new_root).digest == want, trial
@@ -129,7 +129,7 @@ class TestModify:
         seq = [(b"one", 1), (b"two", 0), (b"three", 2)]
         store, root = fresh(seq)
         before = store.get(root).digest
-        result = pmodify(store, SCHEME, root, 3, b"TWO!", 1)
+        result = pmodify(store, SCHEME, root, 3, b"TWO!")
         assert store.get(root).digest == before
         check_subtree(store, SCHEME, root)
         check_subtree(store, SCHEME, result.new_root)
@@ -137,7 +137,7 @@ class TestModify:
     def test_length_change(self):
         seq = [(b"aa", 0), (b"bb", 1)]
         store, root = fresh(seq)
-        result = pmodify(store, SCHEME, root, 2, b"wider-block", 1)
+        result = pmodify(store, SCHEME, root, 2, b"wider-block")
         assert store.get(result.new_root).rank == 2 + 11
         want = rebuild_digest([(b"aa", 0), (b"wider-block", 1)])
         assert store.get(result.new_root).digest == want
@@ -146,21 +146,21 @@ class TestModify:
         seq = [(b"abc", 2), (b"def", 0), (b"ghi", 1)]
         store, root = fresh(seq)
         path_len = len(search(store, root, 4).entries)
-        result = pmodify(store, SCHEME, root, 4, b"DEF", 1)
+        result = pmodify(store, SCHEME, root, 4, b"DEF")
         assert result.created_nodes == path_len + 1
 
     def test_bad_inputs(self):
         store, root = fresh([(b"abc", 0)])
         with pytest.raises(IndexOutOfRange):
-            pmodify(store, SCHEME, root, 3, b"x", 1)
+            pmodify(store, SCHEME, root, 3, b"x")
         with pytest.raises(BlockTooSmall):
-            pmodify(store, SCHEME, root, 0, b"", 1)
+            pmodify(store, SCHEME, root, 0, b"")
 
 
 class TestInsert:
     def test_into_empty(self):
         store, root = fresh([])
-        result, _ = pinsert(store, SCHEME, root, 0, b"first", LevelSource(SEED), 1)
+        result, _ = pinsert(store, SCHEME, root, 0, b"first", LevelSource(SEED))
         assert store.get(result.new_root).rank == 5
         assert store.get(root).rank == 0
         src = LevelSource(SEED)
@@ -174,12 +174,12 @@ class TestInsert:
         store, root = fresh(seq)
         src = LevelSource(SEED, 7)
         lvl_a, src2 = src.draw()
-        result, src2 = pinsert(store, SCHEME, root, 6, b"end", src, 1)
+        result, src2 = pinsert(store, SCHEME, root, 6, b"end", src)
         assert store.get(result.new_root).digest == rebuild_digest(
             [(b"middle", 1), (b"end", lvl_a)])
         lvl_b, _ = src2.draw()
         result2, _ = pinsert(store, SCHEME, result.new_root, 0, b"start",
-                             src2, 2)
+                             src2)
         assert store.get(result2.new_root).digest == rebuild_digest(
             [(b"start", lvl_b), (b"middle", 1), (b"end", lvl_a)])
 
@@ -195,7 +195,7 @@ class TestInsert:
             data = rand_block(rng)
             src = LevelSource(SEED, rng.randrange(1000))
             level, _ = src.draw()
-            result, _ = pinsert(store, SCHEME, root, idx, data, src, 1)
+            result, _ = pinsert(store, SCHEME, root, idx, data, src)
             pos = 0
             acc = 0
             for i, (b, _) in enumerate(seq):
@@ -223,9 +223,9 @@ class TestInsert:
             level = rng.choice([0, 0, 1, 2, 4])
             digest = SCHEME.block_digest(b"new")
             at_start = insert_block(store, SCHEME, root, start, 3, digest,
-                                    level, 1)
+                                    level)
             at_mid = insert_block(store, SCHEME, root, mid, 3, digest,
-                                  level, 1)
+                                  level)
             assert (store.get(at_mid.new_root).digest
                     == store.get(at_start.new_root).digest), trial
             assert at_mid.created_nodes == at_start.created_nodes, trial
@@ -233,15 +233,15 @@ class TestInsert:
     def test_bad_inputs(self):
         store, root = fresh([(b"abc", 0)])
         with pytest.raises(IndexOutOfRange):
-            pinsert(store, SCHEME, root, 4, b"x", LevelSource(SEED), 1)
+            pinsert(store, SCHEME, root, 4, b"x", LevelSource(SEED))
         with pytest.raises(BlockTooSmall):
-            pinsert(store, SCHEME, root, 0, b"", LevelSource(SEED), 1)
+            pinsert(store, SCHEME, root, 0, b"", LevelSource(SEED))
 
 
 class TestRemove:
     def test_only_block(self):
         store, root = fresh([(b"solo", 3)])
-        result = premove(store, SCHEME, root, 0, 1)
+        result = premove(store, SCHEME, root, 0)
         assert store.get(result.new_root).rank == 0
         assert store.get(result.new_root).digest == rebuild_digest([])
         assert store.get(root).rank == 4
@@ -249,9 +249,9 @@ class TestRemove:
     def test_alignment_required(self):
         store, root = fresh([(b"abcd", 1), (b"efgh", 0)])
         with pytest.raises(NotBlockAligned):
-            premove(store, SCHEME, root, 2, 1)
+            premove(store, SCHEME, root, 2)
         with pytest.raises(IndexOutOfRange):
-            premove(store, SCHEME, root, 8, 1)
+            premove(store, SCHEME, root, 8)
 
     def test_insert_then_remove_restores_digest(self):
         rng = random.Random(41)
@@ -272,8 +272,8 @@ class TestRemove:
                 acc += len(b)
             data = rand_block(rng)
             result, _ = pinsert(store, SCHEME, root, idx, data,
-                                LevelSource(SEED, rng.randrange(500)), 1)
-            result2 = premove(store, SCHEME, result.new_root, idx, 2)
+                                LevelSource(SEED, rng.randrange(500)))
+            result2 = premove(store, SCHEME, result.new_root, idx)
             assert store.get(result2.new_root).digest == before, trial
 
     def test_random_removes_match_rebuild(self):
@@ -285,7 +285,7 @@ class TestRemove:
             store, root = fresh(seq)
             pos = rng.randrange(n)
             idx = sum(len(b) for b, _ in seq[:pos])
-            result = premove(store, SCHEME, root, idx, 1)
+            result = premove(store, SCHEME, root, idx)
             want = rebuild_digest(seq[:pos] + seq[pos + 1:])
             assert store.get(result.new_root).digest == want, trial
             check_subtree(store, SCHEME, result.new_root)
@@ -325,18 +325,18 @@ class TestMaterialize:
                 data = put(rand_block(rng))
                 byte = sum(len(b) for b, _ in seq[:pos])
                 level, peek = src.draw()
-                result, src = pinsert(store, SCHEME, root, byte, data, src, v)
+                result, src = pinsert(store, SCHEME, root, byte, data, src)
                 seq = seq[:pos] + [(data, level)] + seq[pos:]
             elif choice == "mod":
                 pos = rng.randrange(len(seq))
                 data = put(rand_block(rng))
                 byte = sum(len(b) for b, _ in seq[:pos])
-                result = pmodify(store, SCHEME, root, byte, data, v)
+                result = pmodify(store, SCHEME, root, byte, data)
                 seq = seq[:pos] + [(data, seq[pos][1])] + seq[pos + 1:]
             else:
                 pos = rng.randrange(len(seq))
                 byte = sum(len(b) for b, _ in seq[:pos])
-                result = premove(store, SCHEME, root, byte, v)
+                result = premove(store, SCHEME, root, byte)
                 seq = seq[:pos] + seq[pos + 1:]
             root = result.new_root
             snaps.append((root, b"".join(b for b, _ in seq)))
@@ -348,8 +348,8 @@ class TestMaterialize:
         leaf's bytes: the walk raises before it yields the second."""
         store = NodeStore()
         leaf = make_leaf(store, SCHEME, 4, SCHEME.block_digest(b"data"),
-                         None, 0)
-        twice = store.add(Node(KIND_INTERNAL, 1, 4, leaf, leaf, 0, None, 0,
+                         None)
+        twice = store.add(Node(KIND_INTERNAL, 1, 4, leaf, leaf, 0, None,
                                SCHEME.zero))
         yielded = []
         with pytest.raises(StructureCorrupt, match="pass the root's rank"):

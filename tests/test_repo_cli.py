@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from flexstore import adaptor, cli, core, hashing
+from flexstore import adaptor, cli, core, hashing, persist
 from flexstore.adaptor import DiffEntry, format_diff
 from flexstore.errors import (BlockTooSmall, DomainError, EmptyCommit,
                               NoSuchVersion, PathExists, RepositoryLocked,
@@ -116,7 +116,7 @@ class TestInit:
         finally:
             again.close()
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5])
     def test_other_store_format_refused(self, repo, capsys, fmt):
         repo.close()
         config_path = repo.path / "config.json"
@@ -329,6 +329,39 @@ class TestCommit:
         assert ((blocks / "pack").stat().st_size - sizes[1]
                 == sum(length for _digest, length in new))
 
+    @pytest.mark.parametrize("hash_name, width", [("sha1", 70),
+                                                  ("sha256", 94)])
+    def test_commit_appends_one_record_per_created_node(
+            self, tmp_path, monkeypatch, hash_name, width):
+        """The node log grows by one record per node the commit creates:
+        the layer-1 nodes its summary counts and the layer-2 nodes of the
+        version's append."""
+        src = tmp_path / "input.bin"
+        src.write_bytes(random.Random(3).randbytes(4096))
+        repo = Repository.init(tmp_path / "repo", block_size=256,
+                               seed=bytes.fromhex(SEED_HEX),
+                               hash_name=hash_name, input_file=src)
+        layer2 = []
+        real_insert = persist.insert_block
+
+        def insert_block(*args, **kwargs):
+            result = real_insert(*args, **kwargs)
+            layer2.append(result.created_nodes)
+            return result
+        monkeypatch.setattr(persist, "insert_block", insert_block)
+        log = repo.path / "nodes" / "log"
+        try:
+            assert repo.store.layout.size == width
+            before = log.stat().st_size
+            summary = repo.commit(format_diff([
+                DiffEntry("replace", 10, b"a" * 300, 20),
+                DiffEntry("insert", 2500, b"b" * 600)]))
+            assert len(layer2) == 1 and layer2[0] > 0
+            assert (log.stat().st_size - before
+                    == (summary["created_nodes"] + layer2[0]) * width)
+        finally:
+            repo.close()
+
 
 class TestCheckout:
     def test_version_zero_after_commits(self, repo, tmp_path):
@@ -481,6 +514,36 @@ class TestFsck:
             repo.blocks.get(digest)
         assert any("cut short" in p for p in repo.fsck())
 
+    def test_reads_each_file_in_runs(self, tmp_path, monkeypatch):
+        """One fsck of a freshly opened store of 2,048 blocks reads each
+        file in runs of at most 64 KiB, plus a few reads per file, not
+        one read per block or per node record."""
+        src = tmp_path / "input.bin"
+        src.write_bytes(random.Random(8).randbytes(2048 * 256))
+        repo = Repository.init(tmp_path / "repo", block_size=256,
+                               seed=bytes.fromhex(SEED_HEX), input_file=src)
+        for at in (1000, 300000):
+            repo.commit(format_diff([DiffEntry("replace", at, b"run", 3)]))
+        repo.close()
+        files = [repo.path / name for name in (
+            "blocks/pack", "blocks/index", "nodes/log", "versions.log")]
+        bound = sum(-(-path.stat().st_size // (64 * 1024)) + 2
+                    for path in files)
+        reads = []
+        real_pread = os.pread
+
+        def counting(fd, length, offset):
+            reads.append(length)
+            return real_pread(fd, length, offset)
+        again = Repository.open(repo.path)
+        try:
+            monkeypatch.setattr(os, "pread", counting)
+            assert again.fsck() == []
+        finally:
+            again.close()
+        assert len(reads) <= bound
+        assert max(reads) <= 64 * 1024
+
     def test_hashes_each_stored_block_once(self, repo, monkeypatch):
         # Versions share blocks, and version 2 holds a block twice.
         repo.commit(format_diff([DiffEntry("insert", 700, b"x" * 300)]))
@@ -595,9 +658,10 @@ class TestFsck:
         repo.close()
         log = repo.path / "nodes" / "log"
         raw = bytearray(log.read_bytes())
-        # after is the u64 at byte 26 of a record: kind, level, rank,
-        # version, below come first.
-        at = leaf * repo.store.layout.size + 26
+        # after is the fifth field: kind, level, rank and below come
+        # first.
+        after = struct.calcsize(repo.store.layout.format[:5])
+        at = leaf * repo.store.layout.size + after
         link = leaf if target == "self" else leaf + 1
         raw[at:at + 8] = link.to_bytes(8, "big")
         log.write_bytes(bytes(raw))
