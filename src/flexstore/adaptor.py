@@ -10,11 +10,12 @@ Op indices are valid at application time: apply the emitted sequence
 left to right without further adjustment.
 
 partial_from_proof rebuilds, from a verified proof, exactly the nodes an
-update needs (the pruned subtree audit.rebuild decodes); everything else
-stays behind opaque digest stubs. Applying the same block operations to
-the partial list and to the full server structure yields the same new
-root digest, which is how a client computes its next meta digest from
-O(proof)-sized state.
+update needs: the pruned subtree audit.rebuild decodes into per-field
+lists, made into node objects here, as only the client edits them.
+Everything else stays behind opaque digest stubs. Applying the same
+block operations to the partial list and to the full server structure
+yields the same new root digest, which is how a client computes its
+next meta digest from O(proof)-sized state.
 
 Diff file format (one record per edit, indices decimal, bytes raw, a
 single newline after each header and after each raw-byte run):
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from . import audit, persist
-from .core import NodeStore
+from .core import Node, NodeStore
 from .errors import (DiffOutOfRange, FormatError, OverlappingDiffs,
                      ProofRejected)
 from .hashing import HashScheme, LevelSource
@@ -280,9 +281,12 @@ def partial_from_proof(scheme: HashScheme, proof: audit.VersionProof,
     expansion is the audit path's business). Raises ProofRejected or
     FormatError.
     """
-    part = _pick_part(proof, version)
-    store, root, _starts = audit.check_part(scheme, meta, part)
-    return PartialFlexList(store, scheme, root)
+    sub = audit.check_part(scheme, meta, _pick_part(proof, version))
+    store = NodeStore()   # numbers from 0, as the lists do
+    for node in map(Node, sub.kind, sub.level, sub.rank, sub.below,
+                    sub.after, sub.length, sub.block, sub.digest):
+        store.add(node)
+    return PartialFlexList(store, scheme, sub.root)
 
 
 def _pick_part(proof: audit.VersionProof, version: int | None):

@@ -19,6 +19,11 @@ cannot substitute blocks of its own choosing. A client range proof
 (prove_range) has the same shape, the leaves of a byte range being the
 proven ones, and the same rebuild gives the client its partial list.
 
+rebuild decodes a subtree into one list per node field (a Subtree), not
+into node objects: verify reads only the root's digest and rank and the
+proven leaves' offsets. Only the client, which edits the subtree, makes
+node objects from the lists (adaptor.partial_from_proof).
+
 File formats (all integers 8-byte big-endian, digests raw, no padding;
 parsers reject trailing bytes):
 
@@ -53,9 +58,10 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import index2
-from .core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL, KIND_STUB, Node,
+from .core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL, KIND_STUB,
                    NodeStore)
 from .errors import (DomainError, EmptyRegion, FormatError, NoSuchVersion,
                      ProofRejected)
@@ -71,6 +77,8 @@ _MAX_RANK = (1 << 64) - 1
 
 # Pruned-subtree node tags.
 _ABSENT, _STUB, _INTERNAL, _PROVEN, _HOP, _SENTINEL = range(6)
+_KIND_OF_TAG = (None, KIND_STUB, KIND_INTERNAL, KIND_LEAF, KIND_LEAF,
+                KIND_SENTINEL)
 _U64 = struct.Struct(">Q")
 
 
@@ -230,21 +238,41 @@ def _prune(store: NodeStore, root: int, los: list[int], his: list[int],
 # ---------------------------------------------------------------------------
 
 
-def rebuild(scheme: HashScheme,
-            part: VersionPart) -> tuple[NodeStore, int, list[int]]:
-    """Decode a part's pruned subtree into a node store, computing every
-    rank and digest from the leaves and stubs up.
+class Subtree(NamedTuple):
+    """A decoded pruned subtree, one list per node field: node i is
+    (kind[i], level[i], rank[i], below[i], after[i], length[i], block[i],
+    digest[i]), the fields of a core.Node. Children come before their
+    parent, so links point to lower ids and the root is the last node.
+    A stub is a KIND_STUB node with only its rank and digest; `block` is
+    None but for leaves. `starts` holds the byte offset of each proven
+    leaf, left to right."""
 
-    Returns (store, root id, byte offset of each proven leaf). Stubs are
-    KIND_STUB nodes. Iterative and linear in the encoded bytes: a
-    forward pass parses the preorder, counting open child slots and
-    summing lengths and stub ranks into the proven leaves' offsets; a
-    backward pass makes each node from its children, which come later in
+    kind: list[int]
+    level: list[int]
+    rank: list[int]
+    below: list[int | None]
+    after: list[int | None]
+    length: list[int]
+    block: list[bytes | None]
+    digest: list[bytes]
+    root: int
+    starts: list[int]
+
+
+def rebuild(scheme: HashScheme, part: VersionPart) -> Subtree:
+    """Decode a part's pruned subtree into per-field lists, computing
+    every rank and digest from the leaves and stubs up.
+
+    Iterative and linear in the encoded bytes: a forward pass parses the
+    preorder into its tags and one list of numbers and one of digests,
+    counting open child slots and summing lengths and stub ranks into
+    the proven leaves' offsets; a backward pass pops those lists from
+    the end, making each node from its children, which come later in
     preorder and so are made first. Raises FormatError and nothing else.
     """
-    width, data, blocks = scheme.width, part.subtree, part.blocks
+    width, data, carried = scheme.width, part.subtree, part.blocks
     hop, stub = struct.Struct(f">Q{width}s"), struct.Struct(f">{width}sQ")
-    entries, starts = [], []
+    tags, numbers, digests, starts = [], [], [], []
     pos = offset = 0
     open_slots = 1
     try:
@@ -252,22 +280,23 @@ def rebuild(scheme: HashScheme,
             tag = data[pos]
             pos += 1
             open_slots -= 1
+            tags.append(tag)
             if tag == _INTERNAL:
-                entries.append((tag, data[pos]))
+                numbers.append(data[pos])
                 pos += 1
                 open_slots += 2
                 continue
             if tag == _STUB:
                 digest, rank = stub.unpack_from(data, pos)
                 pos += stub.size
-                entries.append((tag, rank, digest))
+                numbers.append(rank)
+                digests.append(digest)
                 offset += rank
                 continue
             if tag == _ABSENT:
-                entries.append((tag,))
                 continue
             if tag == _PROVEN:
-                block = blocks[len(starts)]
+                block = carried[len(starts)]
                 starts.append(offset)
                 length, digest = len(block), scheme.block_digest(block)
             elif tag == _HOP:
@@ -277,7 +306,8 @@ def rebuild(scheme: HashScheme,
                 length, digest = 0, scheme.zero
             else:
                 raise FormatError(f"unknown subtree node tag {tag}")
-            entries.append((tag, length, digest))
+            numbers.append(length)
+            digests.append(digest)
             offset += length
             open_slots += 1
     except (IndexError, struct.error):
@@ -285,49 +315,59 @@ def rebuild(scheme: HashScheme,
                           "leaves than it carries blocks") from None
     if pos != len(data):
         raise FormatError("trailing bytes after the pruned subtree")
-    if len(starts) != len(blocks):
+    if len(starts) != len(carried):
         raise FormatError("more blocks than proven leaves")
     if offset > _MAX_RANK:   # the root rank, which bounds every other
         raise FormatError("rank exceeds 64 bits")
 
-    store = NodeStore()
-    made = []        # node by id: a fresh store numbers from 0
+    # Node i is the i-th entry from the end that is not an absent slot.
+    # Fields the entry's kind leaves at their default are never written.
+    kinds = [_KIND_OF_TAG[tag] for tag in reversed(tags) if tag != _ABSENT]
+    count = len(kinds)
+    levels, lengths = [0] * count, [0] * count
+    belows, afters, blocks = [None] * count, [None] * count, [None] * count
+    ranks, made = [], []        # made: the digest of each node made
+    internal_node, leaf_node = scheme.internal_node, scheme.leaf_node
     stack = []       # ids of the subtrees made, None for absent slots
-    for entry in reversed(entries):
-        tag = entry[0]
+    node = 0
+    for tag in reversed(tags):
         if tag == _ABSENT:
             stack.append(None)
             continue
-        if tag == _STUB:
-            node = Node(KIND_STUB, 0, entry[1], None, None, 0, None, entry[2])
-        elif tag == _INTERNAL:
+        if tag == _INTERNAL:
             below, after = stack.pop(), stack.pop()
             if below is None or after is None:
                 raise FormatError("internal node missing a child")
-            level, b, a = entry[1], made[below], made[after]
-            rank = b.rank + a.rank
-            node = Node(KIND_INTERNAL, level, rank, below, after, 0, None,
-                        scheme.internal_node(level, rank, b.digest, a.digest))
+            levels[node] = level = numbers.pop()
+            belows[node], afters[node] = below, after
+            rank = ranks[below] + ranks[after]
+            made.append(internal_node(level, rank, made[below], made[after]))
+        elif tag == _STUB:
+            rank = numbers.pop()
+            made.append(digests.pop())
         else:
-            _tag, length, digest = entry
             after = stack.pop()
-            a = made[after] if after is not None else None
-            rank = length + (a.rank if a else 0)
-            sentinel = tag == _SENTINEL
-            node = Node(KIND_SENTINEL if sentinel else KIND_LEAF, 0, rank,
-                        None, after, length, digest,
-                        scheme.leaf_node(0, rank, a.digest if a else None,
-                                         length, digest, sentinel=sentinel))
-        made.append(node)
-        stack.append(store.add(node))
+            lengths[node] = rank = length = numbers.pop()
+            blocks[node] = block = digests.pop()
+            if after is None:
+                made.append(leaf_node(0, rank, None, length, block,
+                                      sentinel=tag == _SENTINEL))
+            else:
+                afters[node] = after
+                rank += ranks[after]
+                made.append(leaf_node(0, rank, made[after], length, block,
+                                      sentinel=tag == _SENTINEL))
+        ranks.append(rank)
+        stack.append(node)
+        node += 1
     root = stack[0]
-    if root is None or made[root].kind == KIND_STUB:
+    if root is None or kinds[root] == KIND_STUB:
         raise FormatError("pruned subtree has no expanded root")
-    return store, root, starts
+    return Subtree(kinds, levels, ranks, belows, afters, lengths, blocks, made,
+                   root, starts)
 
 
-def check_part(scheme: HashScheme, meta: bytes,
-               part: VersionPart) -> tuple[NodeStore, int, list[int]]:
+def check_part(scheme: HashScheme, meta: bytes, part: VersionPart) -> Subtree:
     """Authenticate one part against a meta digest: the layer-2 proof,
     then the rebuilt subtree's root digest against the root digest the
     layer-2 proof vouches for. Returns what rebuild returns;
@@ -335,10 +375,10 @@ def check_part(scheme: HashScheme, meta: bytes,
     ok, reason = index2.verify_version_proof(scheme, meta, part.layer2)
     if not ok:
         raise ProofRejected(reason)
-    store, root, starts = rebuild(scheme, part)
-    if store.get(root).digest != part.layer2.root_digest:
+    sub = rebuild(scheme, part)
+    if sub.digest[sub.root] != part.layer2.root_digest:
         raise ProofRejected("layer-1 digest mismatch")
-    return store, root, starts
+    return sub
 
 
 def verify(scheme: HashScheme, meta: bytes, ch: Challenge,
@@ -363,7 +403,7 @@ def _verify(scheme, meta, ch, proof):
     if len(proof.parts) != len(targets):
         return False, "proof does not cover the challenged versions"
     for target, part in zip(targets, proof.parts):
-        store, root, starts = check_part(scheme, meta, part)
+        sub = check_part(scheme, meta, part)
         l2 = part.layer2
         if target is not None and l2.version != target:
             return False, (f"proof is for version {l2.version}, "
@@ -372,8 +412,9 @@ def _verify(scheme, meta, ch, proof):
             latest = index2.version_count_from_proof(l2) - 1
             if l2.version != latest:
                 return False, "whole-file challenge must target the latest version"
-        region = ((0, store.get(root).rank) if whole_file
+        region = ((0, sub.rank[sub.root]) if whole_file
                   else (l2.update_start, l2.update_length))
+        starts = sub.starts
         hit = [False] * len(starts)
         for index in expand_challenge(ch, region):
             leaf = bisect_right(starts, index) - 1

@@ -46,29 +46,37 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-TAG_INTERNAL = b"\x00"
-TAG_LEAF = b"\x01"
-TAG_SENTINEL = b"\x02"
-TAG_VERSION_RECORD = b"\x03"
+TAG_INTERNAL = 0x00
+TAG_LEAF = 0x01
+TAG_SENTINEL = 0x02
+TAG_VERSION_RECORD = 0x03
 
 SEED_BYTES = 10  # 80-bit seeds
 LEVEL_CAP = 64
 
 _HASHES = {"sha1": hashlib.sha1, "sha256": hashlib.sha256}
+_U64 = struct.Struct(">Q")
 
 
 class HashScheme:
-    """A chosen hash function plus derived constants."""
+    """A chosen hash function plus derived constants.
 
-    __slots__ = ("name", "_fn", "width", "zero")
+    Each node kind's canonical bytes come from one precompiled
+    struct.Struct pack; every digest goes through `digest`."""
+
+    __slots__ = ("name", "_fn", "width", "zero", "_internal", "_leaf",
+                 "_record")
 
     def __init__(self, name: str = "sha1"):
         if name not in _HASHES:
             raise DomainError(f"unknown hash function {name!r}")
         self.name = name
         self._fn = _HASHES[name]
-        self.width = self._fn(b"").digest_size
-        self.zero = b"\x00" * self.width
+        width = self.width = self._fn(b"").digest_size
+        self.zero = b"\x00" * width
+        self._internal = struct.Struct(f">BQQ{width}sB{width}s")
+        self._leaf = struct.Struct(f">BQQB{width}sQ{width}s")
+        self._record = struct.Struct(f">BQ{width}sQQ")
 
     def digest(self, data: bytes) -> bytes:
         return self._fn(data).digest()
@@ -77,31 +85,37 @@ class HashScheme:
         """Content address of a data block."""
         return self.digest(block)
 
+    # A struct "s" field pads or cuts a digest of the wrong width without
+    # a word, so each encoder checks the widths itself.
+
     def internal_node(self, level: int, rank: int, below: bytes,
                       after: bytes | None) -> bytes:
-        enc = (TAG_INTERNAL + struct.pack(">QQ", level, rank) + below
-               + self._opt(after))
-        return self.digest(enc)
+        present = after is not None
+        if not present:
+            after = self.zero
+        if len(below) != self.width or len(after) != self.width:
+            raise DomainError("digest width mismatch")
+        return self.digest(self._internal.pack(
+            TAG_INTERNAL, level, rank, below, present, after))
 
     def leaf_node(self, level: int, rank: int, after: bytes | None,
                   length: int, block_digest: bytes, sentinel: bool = False) -> bytes:
-        tag = TAG_SENTINEL if sentinel else TAG_LEAF
-        enc = (tag + struct.pack(">QQ", level, rank) + self._opt(after)
-               + struct.pack(">Q", length) + block_digest)
-        return self.digest(enc)
+        present = after is not None
+        if not present:
+            after = self.zero
+        if len(after) != self.width or len(block_digest) != self.width:
+            raise DomainError("digest width mismatch")
+        return self.digest(self._leaf.pack(
+            TAG_SENTINEL if sentinel else TAG_LEAF, level, rank, present,
+            after, length, block_digest))
 
     def version_record(self, version: int, root_digest: bytes,
                        update_start: int, update_length: int) -> bytes:
-        return self.digest(TAG_VERSION_RECORD + struct.pack(">Q", version)
-                           + root_digest
-                           + struct.pack(">QQ", update_start, update_length))
-
-    def _opt(self, digest: bytes | None) -> bytes:
-        if digest is None:
-            return b"\x00" + self.zero
-        if len(digest) != self.width:
+        if len(root_digest) != self.width:
             raise DomainError("digest width mismatch")
-        return b"\x01" + digest
+        return self.digest(self._record.pack(
+            TAG_VERSION_RECORD, version, root_digest, update_start,
+            update_length))
 
 
 # Domains for the two level streams; layer 2 draws from its own stream
@@ -158,19 +172,23 @@ def challenge_indices(seed: bytes, count: int, start: int, length: int) -> list[
 
     Uses a keyed-hash PRF over an incrementing counter with rejection
     sampling, so there is no modulo bias and both parties compute the same
-    sequence. Duplicates are kept.
+    sequence. Duplicates are kept. Draw k hashes b"chal" || seed || k;
+    the hash state of the common prefix is made once and copied.
     """
     if length < 1:
         raise DomainError("region length must be >= 1")
     if count < 0:
         raise DomainError("challenge count must be >= 0")
     limit = (1 << 64) - ((1 << 64) % length)
+    prefix = hashlib.sha256(b"chal" + seed)
+    pack = _U64.pack
     out = []
     counter = 0
     while len(out) < count:
-        material = b"chal" + seed + struct.pack(">Q", counter)
+        draw = prefix.copy()
+        draw.update(pack(counter))
         counter += 1
-        value = int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
+        value = int.from_bytes(draw.digest()[:8], "big")
         if value >= limit:
             continue
         out.append(start + value % length)

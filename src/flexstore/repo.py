@@ -91,14 +91,16 @@ class _RecordFile:
     never ask for it, and `discard_uncommitted` cuts it off.
 
     Appended records stay in memory until `flush` writes them at the end
-    of the file in one write; they count once `mark_committed` runs.
-    `committed` None counts every complete record the file holds.
+    of the file in one write, through an append descriptor opened on the
+    first flush and kept until `close`; they count once `mark_committed`
+    runs. `committed` None counts every complete record the file holds.
     """
 
     def __init__(self, path: Path, layout: struct.Struct, name: str,
                  committed: int | None = None):
         self.path, self.layout, self.name = path, layout, name
         self._fd = _open_read(path, name)
+        self._appender = None
         self._buffer = bytearray()
         stored = self.stored()
         if committed is None:
@@ -139,8 +141,10 @@ class _RecordFile:
     def flush(self) -> None:
         """Write the appended records at the end of the file."""
         if self._buffer:
-            with open(self.path, "ab") as fh:
-                fh.write(self._buffer)
+            if self._appender is None:
+                self._appender = open(self.path, "ab", buffering=0)
+            if self._appender.write(self._buffer) != len(self._buffer):
+                raise OSError(errno.ENOSPC, f"short write to {self.name}")
             self._buffer.clear()
 
     def mark_committed(self) -> None:
@@ -152,9 +156,18 @@ class _RecordFile:
         the file (a writer's work only)."""
         self._buffer.clear()
         self.count = self.committed
-        os.truncate(self.path, self.committed * self.layout.size)
+        end = self.committed * self.layout.size
+        if os.fstat(self._fd).st_size != end:
+            self._close_appender()
+            os.truncate(self.path, end)
+
+    def _close_appender(self) -> None:
+        if self._appender is not None:
+            self._appender.close()
+            self._appender = None
 
     def close(self) -> None:
+        self._close_appender()
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
@@ -178,6 +191,7 @@ class DurableNodeStore(NodeStore):
         self.layout = self._file.layout
         self._zero = scheme.zero
         self._next_id = committed
+        self._refused: set[int] = set()   # ids load_committed refused
 
     def get(self, node_id: int) -> Node:
         try:
@@ -186,6 +200,8 @@ class DurableNodeStore(NodeStore):
             pass
         if not 0 <= node_id < self._file.committed:
             raise StructureCorrupt(f"node {node_id} missing from store")
+        if node_id in self._refused:
+            raise StructureCorrupt(f"node {node_id}: record refused")
         fields, = self._file.read(node_id)
         node = self._nodes[node_id] = self._decode(node_id, fields)
         return node
@@ -193,7 +209,8 @@ class DurableNodeStore(NodeStore):
     def load_committed(self) -> list[str]:
         """Decode every committed record the node map lacks, reading only
         the runs of the log that hold one; returns one problem per record
-        refused."""
+        refused. A later `get` of a refused id says so without the
+        reason."""
         problems, nodes = [], self._nodes
         for ids in self._file.runs():
             if all(map(nodes.__contains__, ids)):
@@ -205,6 +222,7 @@ class DurableNodeStore(NodeStore):
                         nodes[node_id] = self._decode(node_id, fields)
                     except StructureCorrupt as exc:
                         problems.append(str(exc))
+                        self._refused.add(node_id)
         return problems
 
     def _decode(self, node_id: int, fields: tuple) -> Node:
@@ -302,8 +320,24 @@ class CommitLog:
 
     def commit(self, version: int) -> Commit:
         """Decode the commit record of one committed version."""
+        fields, = self._file.read(version)
+        return self._decode(version, fields)
+
+    def scan(self):
+        """Yield, for every committed version in order, its Commit or the
+        StructureCorrupt that refuses its record, reading the log in runs
+        (fsck's sweep)."""
+        for versions in self._file.runs():
+            for version, fields in zip(versions, self._file.read(
+                    versions.start, len(versions))):
+                try:
+                    yield self._decode(version, fields)
+                except StructureCorrupt as exc:
+                    yield exc
+
+    def _decode(self, version: int, fields: tuple) -> Commit:
         (root, root_digest, start, length, layer2_root, level_counter,
-         nodes, blocks), = self._file.read(version)
+         nodes, blocks) = fields
         if root >= nodes or layer2_root >= nodes:
             raise StructureCorrupt(f"versions.log: version {version} names "
                                    f"a root past its {nodes} nodes")
@@ -788,13 +822,18 @@ class Repository:
             problems = [str(exc)]
         records: list[VersionRecord | None] = []
         verified: dict[int, Node] = {}
-        for version in range(self.vindex.count):
-            try:
-                rec = self.vindex.record(version)
-            except StructureCorrupt as exc:
-                problems.append(str(exc))
+        try:
+            commits = list(self.log.scan())
+        except StructureCorrupt as exc:   # the log lost records since open
+            problems.append(str(exc))
+            commits = [None] * self.vindex.count
+        for version, commit in enumerate(commits):
+            if not isinstance(commit, Commit):   # None: reported above
+                if commit is not None:
+                    problems.append(str(commit))
                 records.append(None)
                 continue
+            rec = commit.record
             records.append(rec)
             try:
                 stored = self.store.get(rec.root)

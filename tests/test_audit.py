@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 
@@ -12,7 +13,7 @@ from flexstore.core import (KIND_INTERNAL, KIND_STUB, NodeStore, build,
                             build_with_levels)
 from flexstore.errors import (DomainError, EmptyRegion, FormatError,
                               NoSuchVersion, ProofRejected)
-from flexstore.hashing import HashScheme, LevelSource
+from flexstore.hashing import HashScheme, LevelSource, challenge_indices
 from flexstore.index2 import VersionIndex, VersionRecord
 from flexstore.repo import Repository
 
@@ -83,6 +84,24 @@ class TestExpand:
     def test_empty_region(self):
         with pytest.raises(EmptyRegion):
             expand_challenge(Challenge(CH_SEED, 1), (3, 0))
+
+    @pytest.mark.parametrize("count, start, length", [
+        (0, 0, 1), (1, 0, 1), (460, 7, 1000), (64, 0, 16 << 20),
+        # 2^64 mod length near 2^63 and 2^62: about half and a quarter
+        # of the draws are rejected
+        (300, 0, (1 << 63) + 1), (50, 1 << 40, 3 * (1 << 62) - 1)])
+    def test_matches_reference_formula(self, count, start, length):
+        want, counter = [], 0
+        limit = (1 << 64) - (1 << 64) % length
+        while len(want) < count:
+            value = int.from_bytes(hashlib.sha256(
+                b"chal" + CH_SEED + struct.pack(">Q", counter)).digest()[:8],
+                "big")
+            counter += 1
+            if value < limit:
+                want.append(start + value % length)
+        assert counter > count or length < 1 << 62
+        assert challenge_indices(CH_SEED, count, start, length) == want
 
 
 class TestDetectionProbability:
@@ -341,6 +360,91 @@ class TestPrunedSubtree:
             audit.prove(store, SCHEME, vindex, blocks.get, ch), SCHEME),
             SCHEME))
         assert ok, reason
+
+
+def _check_decoded(store, root, sub, offsets):
+    """The decoded lists against the server's nodes: every expanded node
+    has the kind, level, rank, length and block digest of the server
+    node with its digest, and children with the digests of that node's;
+    every stub has a server node's digest and rank; `starts` are the
+    proven leaves' offsets."""
+    by_digest = {store.get(i).digest: store.get(i) for i in store.ids()}
+    assert sub.root == len(sub.digest) - 1
+    assert sub.digest[sub.root] == store.get(root).digest
+    for i, digest in enumerate(sub.digest):
+        server = by_digest[digest]
+        assert sub.rank[i] == server.rank
+        if sub.kind[i] == KIND_STUB:
+            assert (sub.level[i], sub.below[i], sub.after[i], sub.length[i],
+                    sub.block[i]) == (0, None, None, 0, None)
+            continue
+        assert ((sub.kind[i], sub.level[i], sub.length[i], sub.block[i])
+                == (server.kind, server.level, server.length, server.block))
+        for link, want in ((sub.below[i], server.below),
+                           (sub.after[i], server.after)):
+            if want is None:
+                assert link is None
+            else:
+                assert link < i
+                assert sub.digest[link] == store.get(want).digest
+    assert sub.starts == offsets
+
+
+def _leaf_offsets(store, root, indices):
+    return sorted({core.search(store, root, index).offset
+                   for index in indices})
+
+
+class TestRebuild:
+    """audit.rebuild's per-field lists against the prover's nodes, over
+    whole-file audits, update-region audits and range proofs."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_audits_decode_to_server_nodes(self, seed):
+        fx = Fixture(block_count=48, commits=5, rng_seed=seed)
+        rng = random.Random(seed)
+        for versions in ((), (1, 3, 5), (rng.randrange(6),)):
+            ch = Challenge(rng.randbytes(10), rng.randint(1, 40), versions)
+            proof = read_proof(write_proof(fx.prove(ch), SCHEME), SCHEME)
+            for part in proof.parts:
+                rec = fx.vindex.record(part.layer2.version)
+                region = ((0, fx.store.get(rec.root).rank) if not versions
+                          else (rec.update_start, rec.update_length))
+                sub = audit.check_part(SCHEME, fx.meta, part)
+                _check_decoded(fx.store, rec.root, sub, _leaf_offsets(
+                    fx.store, rec.root, expand_challenge(ch, region)))
+
+    def test_range_proofs_decode_to_server_nodes(self):
+        store, blocks, vindex = _flat_store(300, 8, random.Random(21))
+        root, total = vindex.record(0).root, 300 * 8
+        # the last span starts past the end: it proves the last block
+        for start, length in ((0, 1), (17, 40), (800, 333), (total, 500)):
+            proof = audit.prove_range(store, vindex, blocks.get, 0, start,
+                                      length)
+            sub = audit.check_part(SCHEME, vindex.meta_digest,
+                                   proof.parts[0])
+            first = min(start, total - 1)
+            _check_decoded(store, root, sub, _leaf_offsets(
+                store, root, range(first, max(min(start + length, total),
+                                              first + 1))))
+
+    def test_verify_makes_no_node(self, monkeypatch):
+        fx = Fixture(block_count=64)
+        ch = Challenge(CH_SEED, 40)
+        proof = read_proof(write_proof(fx.prove(ch), SCHEME), SCHEME)
+        made = []
+        real_init = core.Node.__init__
+
+        def counting(node, *fields):
+            made.append(fields)
+            real_init(node, *fields)
+        monkeypatch.setattr(core.Node, "__init__", counting)
+        ok, reason = verify(SCHEME, fx.meta, ch, proof)
+        assert ok, reason
+        assert made == []
+        # The client's partial list is where node objects are made.
+        partial = partial_from_proof(SCHEME, proof, fx.meta)
+        assert len(made) == len(partial.store) > 0
 
 
 def _mutations(data, rng, flips, edits):

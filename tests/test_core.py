@@ -9,7 +9,7 @@ from flexstore.core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL,
                             KIND_STUB, Node, NodeStore, block_layout, build,
                             build_with_levels, check_subtree, iter_leaves,
                             read_blocks, search, split_blocks)
-from flexstore.errors import BlockTooSmall, IndexOutOfRange
+from flexstore.errors import BlockTooSmall, DomainError, IndexOutOfRange
 from flexstore.hashing import HashScheme, LevelSource
 
 SCHEME = HashScheme()
@@ -164,6 +164,50 @@ class TestNodeDigest:
                              ("after", None)):
             changed = dict(base, **{field: value})
             assert SCHEME.internal_node(**changed) != reference
+
+
+def _concatenated(scheme, tag, level, rank, after, tail):
+    """A node's canonical bytes spelled out field by field, as the
+    layouts in hashing.py give them."""
+    flag = b"\x00" + scheme.zero if after is None else b"\x01" + after
+    return scheme.digest(bytes([tag]) + struct.pack(">QQ", level, rank)
+                         + tail[0] + flag + tail[1])
+
+
+class TestPackedEncoder:
+    @pytest.mark.parametrize("name", ["sha1", "sha256"])
+    def test_matches_concatenated_fields(self, name):
+        scheme = HashScheme(name)
+        rng = random.Random(name)
+        for _ in range(50):
+            level, rank = rng.randrange(65), rng.randrange(1 << 64)
+            below, block = rng.randbytes(scheme.width), rng.randbytes(
+                scheme.width)
+            after = rng.choice([None, rng.randbytes(scheme.width)])
+            length = rng.randrange(1 << 64)
+            assert scheme.internal_node(level, rank, below, after) == (
+                _concatenated(scheme, 0, level, rank, after, (below, b"")))
+            for tag, sentinel in ((1, False), (2, True)):
+                tail = (b"", struct.pack(">Q", length) + block)
+                assert scheme.leaf_node(
+                    0, rank, after, length, block, sentinel=sentinel) == (
+                    _concatenated(scheme, tag, 0, rank, after, tail))
+            root, start = rng.randbytes(scheme.width), rng.randrange(1 << 64)
+            assert scheme.version_record(rank, root, start, length) == (
+                scheme.digest(b"\x03" + struct.pack(">Q", rank) + root
+                              + struct.pack(">QQ", start, length)))
+
+    def test_wrong_width_digest_refused(self):
+        good, short, long = SCHEME.zero, bytes(19), bytes(21)
+        for bad in (short, long):
+            for args in ((1, 2, bad, good), (1, 2, good, bad)):
+                with pytest.raises(DomainError):
+                    SCHEME.internal_node(*args)
+            for args in ((0, 2, bad, 2, good), (0, 2, good, 2, bad)):
+                with pytest.raises(DomainError):
+                    SCHEME.leaf_node(*args)
+            with pytest.raises(DomainError):
+                SCHEME.version_record(0, bad, 0, 1)
 
 
 class TestSearch:

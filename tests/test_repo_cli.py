@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from flexstore import adaptor, cli, core, hashing, persist
+from flexstore import repo as repo_mod
 from flexstore.adaptor import DiffEntry, format_diff
 from flexstore.errors import (BlockTooSmall, DomainError, EmptyCommit,
                               NoSuchVersion, PathExists, RepositoryLocked,
@@ -170,6 +171,31 @@ class TestCommit:
         repo.commit(format_diff(
             [DiffEntry("replace", 0, original[0:4], 4)]))
         assert len(repo.blocks.all_digests()) == count_after_first
+
+    def test_each_record_file_opened_for_append_once(self, repo,
+                                                     monkeypatch):
+        """A writer keeps one append descriptor per record file across
+        its commits, not one per flush."""
+        repo.close()
+        again = Repository.open(repo.path)
+        opened = []
+        real_open = builtins.open
+
+        def recording(file, mode="r", *args, **kwargs):
+            if "a" in mode:
+                opened.append(Path(file).relative_to(repo.path).as_posix())
+            return real_open(file, mode, *args, **kwargs)
+        monkeypatch.setattr(repo_mod, "open", recording, raising=False)
+        rng = random.Random(50)
+        try:
+            for _ in range(50):
+                again.commit(format_diff([DiffEntry(
+                    "replace", rng.randrange(4000), rng.randbytes(8), 8)]))
+            assert again.fsck() == []
+        finally:
+            again.close()
+        assert sorted(opened) == ["blocks/index", "nodes/log",
+                                  "versions.log"]
 
     def test_random_commits_and_checkouts(self, repo, tmp_path):
         rng = random.Random(99)
@@ -543,6 +569,55 @@ class TestFsck:
             again.close()
         assert len(reads) <= bound
         assert max(reads) <= 64 * 1024
+
+    def test_reads_commit_records_in_runs(self, repo, monkeypatch):
+        """fsck decodes the commit log in runs: two reads of versions.log
+        for 1,000 versions, not one per version."""
+        rng = random.Random(1000)
+        for _ in range(999):
+            repo.commit(format_diff([DiffEntry(
+                "replace", rng.randrange(4000), rng.randbytes(8), 8)]))
+        repo.close()
+        again = Repository.open(repo.path)
+        reads = []
+        real_pread = os.pread
+
+        def counting(fd, length, offset):
+            if fd == again.log._file._fd:
+                reads.append(length)
+            return real_pread(fd, length, offset)
+        try:
+            assert again.latest.version == 999
+            monkeypatch.setattr(os, "pread", counting)
+            assert again.fsck() == []
+        finally:
+            again.close()
+        assert len(reads) <= 2
+
+    def test_refused_node_record_reported_once(self, repo):
+        """A node record that every version reaches is refused in one
+        line; the versions that reach it say so without the reason."""
+        for at in (10, 2000):
+            repo.commit(format_diff([DiffEntry("replace", at, b"kind", 4)]))
+        leaf = 1      # the last data leaf, which all three versions share
+        for version in range(3):
+            assert leaf in _reach_new(repo.store, [repo.record(version).root],
+                                      0)
+        repo.close()
+        log = repo.path / "nodes" / "log"
+        raw = bytearray(log.read_bytes())
+        raw[leaf * repo.store.layout.size] = 9
+        log.write_bytes(bytes(raw))
+        again = Repository.open(repo.path)
+        try:
+            problems = again.fsck()
+        finally:
+            again.close()
+        assert [p for p in problems if "unknown kind 9" in p] == [
+            f"node {leaf}: unknown kind 9"]
+        for version in range(3):
+            assert (f"version {version}: node {leaf}: record refused"
+                    in problems)
 
     def test_hashes_each_stored_block_once(self, repo, monkeypatch):
         # Versions share blocks, and version 2 holds a block twice.
