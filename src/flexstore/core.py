@@ -262,31 +262,43 @@ def block_start(store: NodeStore, root: int, index: int) -> tuple[int, int]:
 
 
 def block_layout(store: NodeStore, root: int) -> list[int]:
-    """Lengths of all data blocks in order (sentinels excluded)."""
-    lengths = []
-    for node_id in iter_leaves(store, root):
-        node = store.get(node_id)
-        if node.kind == KIND_LEAF:
-            lengths.append(node.length)
-    return lengths
+    """Lengths of all data blocks in order (sentinels excluded), checked
+    as iter_data_leaves checks them."""
+    return [leaf.length for leaf in iter_data_leaves(store, root)]
 
 
-def iter_leaves(store: NodeStore, root: int):
-    """Yield leaf ids left to right (sentinels included), iteratively."""
-    stack = [root]
-    while stack:
-        node_id = stack.pop()
-        node = store.get(node_id)
-        if node.is_leaf:
-            yield node_id
-            if node.after is not None:
-                stack.append(node.after)
-        else:
-            if node.after is not None:
-                stack.append(node.after)
+def iter_data_leaves(store: NodeStore, root: int) -> Iterator[Node]:
+    """Yield a version's data leaves, as nodes, left to right: one
+    iterative walk that gets each node once, down the below links and
+    along the leaf chain. Raises StructureCorrupt at an internal node
+    without a below child, as soon as the leaves' lengths add up to more
+    than the root's rank, and after the last leaf if they add up to
+    less."""
+    get = store.get
+    node = get(root)
+    rank, total = node.rank, 0
+    todo = []   # after links of the internal nodes passed on the way down
+    while True:
+        if node.kind == KIND_INTERNAL:
             if node.below is None:
                 raise StructureCorrupt("internal node without below child")
-            stack.append(node.below)
+            if node.after is not None:
+                todo.append(node.after)
+            node = get(node.below)
+            continue
+        if node.kind == KIND_LEAF:
+            total += node.length
+            if total > rank:
+                raise StructureCorrupt("data leaves pass the root's rank")
+            yield node
+        if node.after is not None:
+            node = get(node.after)
+        elif todo:
+            node = get(todo.pop())
+        else:
+            break
+    if total != rank:
+        raise StructureCorrupt("materialized length disagrees with rank")
 
 
 def check_subtree(store: NodeStore, scheme: HashScheme, root: int,

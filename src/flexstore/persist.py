@@ -421,28 +421,11 @@ def premove(store: NodeStore, scheme: HashScheme, old_root: int,
     return eng.finish()
 
 
-def iter_data_leaves(store: NodeStore, root: int):
-    """Yield a version's data leaves in order: leftmost descent, then the
-    leaf chain. Raises as soon as their lengths add up to more than the
-    root's rank, and after the last one if they add up to less."""
-    rank = store.get(root).rank
-    total = 0
-    for leaf_id in core.iter_leaves(store, root):
-        leaf = store.get(leaf_id)
-        if leaf.kind == KIND_LEAF:
-            total += leaf.length
-            if total > rank:
-                raise StructureCorrupt("data leaves pass the root's rank")
-            yield leaf
-    if total != rank:
-        raise StructureCorrupt("materialized length disagrees with rank")
-
-
 def materialize(store: NodeStore, root: int, get_block) -> bytes:
     """Reassemble a version's bytes, concatenating its blocks; get_block
     maps a block digest to its bytes."""
     return b"".join(_leaf_block(leaf, get_block)
-                    for leaf in iter_data_leaves(store, root))
+                    for leaf in core.iter_data_leaves(store, root))
 
 
 def read_range(store: NodeStore, root: int, start: int, length: int,

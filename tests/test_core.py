@@ -7,8 +7,9 @@ import pytest
 
 from flexstore.core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL,
                             KIND_STUB, Node, NodeStore, block_layout, build,
-                            build_with_levels, check_subtree, iter_leaves,
-                            read_blocks, search, split_blocks)
+                            build_with_levels, check_subtree,
+                            iter_data_leaves, read_blocks, search,
+                            split_blocks)
 from flexstore.errors import BlockTooSmall, DomainError, IndexOutOfRange
 from flexstore.hashing import HashScheme, LevelSource
 
@@ -314,8 +315,7 @@ class TestBuild:
 
     def test_leaf_iteration_order(self):
         store, root, pairs = mklist([2, 3, 4], [1, 0, 2])
-        data_leaves = [store.get(i).block for i in iter_leaves(store, root)
-                       if store.get(i).kind == 1]
+        data_leaves = [leaf.block for leaf in iter_data_leaves(store, root)]
         assert data_leaves == [d for _, d in pairs]
 
     def test_zero_length_block_rejected(self):

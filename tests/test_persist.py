@@ -4,8 +4,8 @@ import pytest
 
 from flexstore import persist
 from flexstore.core import (KIND_INTERNAL, Node, NodeStore,
-                            build_with_levels, check_subtree, make_leaf,
-                            search)
+                            build_with_levels, check_subtree,
+                            iter_data_leaves, make_leaf, search)
 from flexstore.errors import (BlockTooSmall, IndexOutOfRange,
                               NotBlockAligned, StructureCorrupt)
 from flexstore.hashing import HashScheme, LevelSource
@@ -353,6 +353,6 @@ class TestMaterialize:
                                SCHEME.zero))
         yielded = []
         with pytest.raises(StructureCorrupt, match="pass the root's rank"):
-            for node in persist.iter_data_leaves(store, twice):
+            for node in iter_data_leaves(store, twice):
                 yielded.append(node)
         assert len(yielded) == 1

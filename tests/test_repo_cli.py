@@ -1,4 +1,5 @@
 import builtins
+import errno
 import io
 import json
 import os
@@ -16,8 +17,8 @@ from flexstore import adaptor, cli, core, hashing, persist
 from flexstore import repo as repo_mod
 from flexstore.adaptor import DiffEntry, format_diff
 from flexstore.errors import (BlockTooSmall, DomainError, EmptyCommit,
-                              NoSuchVersion, PathExists, RepositoryLocked,
-                              StructureCorrupt)
+                              IOFailure, NoSuchVersion, PathExists,
+                              RepositoryLocked, StructureCorrupt)
 from flexstore.repo import STORE_FORMAT, Repository
 
 SEED_HEX = "00112233445566778899"
@@ -341,10 +342,8 @@ class TestCommit:
         holds, and the pack by exactly those blocks' bytes."""
         def leaf_blocks(version):
             root = repo.record(version).root
-            leaves = (repo.store.get(i) for i in core.iter_leaves(repo.store,
-                                                                  root))
-            return {leaf.block: leaf.length for leaf in leaves
-                    if leaf.kind == core.KIND_LEAF}
+            return {leaf.block: leaf.length
+                    for leaf in core.iter_data_leaves(repo.store, root)}
         blocks = repo.path / "blocks"
         sizes = [(blocks / name).stat().st_size for name in ("index", "pack")]
         repo.commit(format_diff([DiffEntry("replace", 250, b"new" * 40, 9)]))
@@ -414,40 +413,181 @@ class TestCheckout:
 
     def test_reads_adjacent_blocks_in_runs(self, repo, tmp_path,
                                            monkeypatch):
-        """Blocks back to back in the pack come from one read: version 0's
-        16 blocks in one, and version 1's in three, split around the new
-        block appended at the end of the pack. Only reads of the pack
-        count: the commit record of a version is a read of its own."""
+        """Blocks back to back in the pack are one in-kernel copy: version
+        0's 16 blocks one, and version 1's three, split around the new
+        block appended at the end of the pack. Only copies from the pack
+        count, and checkout reads none of the pack into this process."""
         repo.commit(format_diff([DiffEntry("replace", 1000, b"y" * 10, 10)]))
-        reads = []
-        real_pread = os.pread
+        expected = [repo.materialize(0), repo.materialize(1)]
+        copies, reads = [], []
+        real_sendfile, real_pread = os.sendfile, os.pread
         packs = set()
 
-        def counting(fd, length, offset):
+        def counting_sendfile(out, fd, offset, count):
+            if fd in packs:
+                copies.append(count)
+            return real_sendfile(out, fd, offset, count)
+
+        def counting_pread(fd, length, offset):
             if fd in packs:
                 reads.append(length)
             return real_pread(fd, length, offset)
 
-        monkeypatch.setattr(os, "pread", counting)
+        monkeypatch.setattr(os, "sendfile", counting_sendfile)
+        monkeypatch.setattr(os, "pread", counting_pread)
         packs.add(repo.blocks._pack)
         for version, runs in ((0, 1), (1, 3)):
-            reads.clear()
+            copies.clear()
             out = tmp_path / f"v{version}.bin"
             repo.checkout(version, out)
-            assert len(reads) == runs
-            assert out.read_bytes() == repo.materialize(version)
-        # A read holds at most 64 KiB, however long the run.
+            assert len(copies) == runs
+            assert reads == []
+            assert out.read_bytes() == expected[version]
+        # A copy holds at most 64 KiB, however long the run.
         src = tmp_path / "big.bin"
         src.write_bytes(random.Random(6).randbytes(100 * 2048))
         big = Repository.init(tmp_path / "big", block_size=2048,
                               seed=bytes.fromhex(SEED_HEX), input_file=src)
         try:
             packs.add(big.blocks._pack)
-            reads.clear()
+            copies.clear()
             big.checkout(0, tmp_path / "big.out")
-            assert reads == [64 * 1024] * 3 + [8 * 1024]
+            assert copies == [64 * 1024] * 3 + [8 * 1024]
+            assert reads == []
         finally:
             big.close()
+        assert (tmp_path / "big.out").read_bytes() == src.read_bytes()
+
+    @pytest.mark.parametrize("code", [errno.EINVAL, errno.ENOSYS,
+                                      errno.ENOTSOCK])
+    def test_copies_through_memory_where_the_kernel_cannot(
+            self, repo, tmp_path, monkeypatch, code):
+        """A first sendfile refused with an errno that says the kernel
+        cannot splice into the output makes the whole checkout go through
+        pread and write; sendfile is not tried again."""
+        repo.commit(format_diff([DiffEntry("replace", 1000, b"y" * 10, 10)]))
+        calls = []
+
+        def refusing(*args):
+            calls.append(args)
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, "sendfile", refusing)
+        for version in (0, 1):
+            calls.clear()
+            out = tmp_path / f"v{version}.bin"
+            want = repo.materialize(version)
+            assert repo.checkout(version, out) == len(want)
+            assert out.read_bytes() == want
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("code, nth", [(errno.ENOSPC, 1),
+                                           (errno.ENOSPC, 2),
+                                           (errno.EIO, 1),
+                                           (errno.EINVAL, 2)])
+    def test_failed_copy_leaves_no_file(self, repo, tmp_path, monkeypatch,
+                                        code, nth):
+        """Any other sendfile error, and any error once bytes are written,
+        is an IOFailure, and neither the output nor the temporary file is
+        left."""
+        repo.commit(format_diff([DiffEntry("replace", 1000, b"y" * 10, 10)]))
+        real_sendfile = os.sendfile
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == nth:
+                raise OSError(code, os.strerror(code))
+            return real_sendfile(*args)
+
+        monkeypatch.setattr(os, "sendfile", failing)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        with pytest.raises(IOFailure):
+            repo.checkout(1, out_dir / "out.bin")
+        assert len(calls) == nth
+        assert list(out_dir.iterdir()) == []
+
+    def test_short_copies_are_continued(self, repo, tmp_path, monkeypatch):
+        real_sendfile = os.sendfile
+        counts = []
+
+        def short(out, fd, offset, count):
+            counts.append(count)
+            return real_sendfile(out, fd, offset, min(count, 1000))
+
+        monkeypatch.setattr(os, "sendfile", short)
+        repo.commit(format_diff([DiffEntry("replace", 1000, b"y" * 10, 10)]))
+        for version in (0, 1):
+            out = tmp_path / f"v{version}.bin"
+            assert repo.checkout(version, out) == 4096
+            assert out.read_bytes() == repo.materialize(version)
+        assert max(counts) > 1000 and len(counts) > 8
+
+    def test_gets_each_node_once(self, repo, tmp_path, monkeypatch):
+        """A checkout of a freshly opened store gets each node its root
+        reaches once: one walk, no second get per leaf."""
+        repo.close()
+        fresh = Repository.open(repo.path)
+        gets = []
+        real_get = repo_mod.DurableNodeStore.get
+
+        def counting(store, node_id):
+            gets.append(node_id)
+            return real_get(store, node_id)
+
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(repo_mod.DurableNodeStore, "get", counting)
+                fresh.checkout(0, tmp_path / "out.bin")
+            reached, todo = set(), [fresh.record(0).root]
+            while todo:
+                node_id = todo.pop()
+                reached.add(node_id)
+                node = fresh.store.get(node_id)
+                todo.extend(c for c in (node.below, node.after)
+                            if c is not None)
+        finally:
+            fresh.close()
+        assert len(reached) > 16
+        assert sorted(gets) == sorted(reached)
+
+    def test_replaces_output_through_new_temporary_file(self, repo,
+                                                         tmp_path):
+        """The output is replaced; its temporary file is made with the
+        umask applied, as open() makes a file, and is gone afterwards."""
+        out = tmp_path / "out.bin"
+        out.write_bytes(b"old content")
+        old_mask = os.umask(0o027)
+        try:
+            assert repo.checkout(0, out) == 4096
+        finally:
+            os.umask(old_mask)
+        assert out.read_bytes() == repo.materialize(0)
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert not Path(f"{out}.tmp").exists()
+
+    def test_existing_temporary_file_refused_and_kept(self, repo, tmp_path,
+                                                      capsys):
+        """A file already at `<out>.tmp` is someone else's: checkout exits
+        3 naming it, and leaves it and the output as they were."""
+        out = tmp_path / "out.bin"
+        tmp = Path(f"{out}.tmp")
+        tmp.write_bytes(b"not a checkout")
+        repo.close()
+        assert cli.main(["--repo", str(repo.path), "checkout", "--version",
+                         "0", "--out", str(out)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(tmp) in err
+        assert tmp.read_bytes() == b"not a checkout"
+        assert not out.exists()
+        again = Repository.open(repo.path)
+        try:
+            with pytest.raises(PathExists):
+                again.checkout(0, out)
+        finally:
+            again.close()
+        assert tmp.read_bytes() == b"not a checkout"
 
     def test_length_disagreeing_with_index_leaves_no_file(self, repo,
                                                           tmp_path):
