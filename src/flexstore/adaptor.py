@@ -1,9 +1,12 @@
 """Client-side machinery: diff translation and partial-list reconstruction.
 
 diff_to_ops turns byte-range edits into block operations against the
-current block layout; translate_diffs does the same from a block lookup,
-so a server holding the full structure searches for and reads only the
-blocks a diff touches. An edited block is modified in place while its new
+current block layout; translate_diffs does the same from a stream of
+blocks that starts at a given byte. Entries form groups, an entry that
+starts in the last block of the group before it joining that group, so
+a server holding the full structure runs one search per group, walks on
+along the leaves to the group's last block, and reads each block the
+diff touches once. An edited block is modified in place while its new
 length stays within [1, 2 x block_size]; longer results are re-cut into
 a modify plus inserts, deletions covering whole blocks become removes.
 Op indices are valid at application time: apply the emitted sequence
@@ -141,20 +144,24 @@ def diff_to_ops(diffs: list[DiffEntry], layout: list[int], block_size: int,
     """
     starts = list(accumulate(layout, initial=0))
 
-    def locate(byte: int) -> tuple[int, int]:
+    def blocks_from(byte: int):
         i = bisect_right(starts, byte) - 1
-        return starts[i], layout[i]
+        return starts[i], (read_range(starts[j], layout[j])
+                           for j in range(i, len(layout)))
 
-    return translate_diffs(diffs, starts[-1], locate, block_size, read_range)
+    return translate_diffs(diffs, starts[-1], blocks_from, block_size)
 
 
-def translate_diffs(diffs: list[DiffEntry], total: int, locate,
-                    block_size: int, read_range) -> list[BlockOp]:
+def translate_diffs(diffs: list[DiffEntry], total: int, blocks_from,
+                    block_size: int) -> list[BlockOp]:
     """Translate diffs into block operations against a file of `total`
-    bytes, looking up only the blocks the diffs touch.
+    bytes, reading only the blocks the diffs touch.
 
-    locate(byte) returns (start, length) of the block holding a byte in
-    [0, total); read_range(start, length) serves original file bytes.
+    blocks_from(byte) returns the start of the block holding a byte in
+    [0, total), and an iterator over that block's bytes and those of each
+    later block. It is called once per group of entries that share
+    blocks, and the group takes blocks from it until they cover its last
+    entry.
     """
     validate_diffs(diffs, total)
     diffs = [e for e in diffs if e.span > 0 or e.data]
@@ -167,58 +174,51 @@ def translate_diffs(diffs: list[DiffEntry], total: int, locate,
             ops.append(BlockOp(INSERT_OP, at, chunk))
             at += len(chunk)
         return ops
-    # [first block, last block, entries], a block being (start, length).
-    # Entries are sorted and disjoint, so each starts in or after the last
-    # block of the group before it, and joins that group if it starts in
-    # that block.
-    groups: list[list] = []
+    # (start, blocks taken, entries). Entries are sorted and disjoint, so
+    # each starts in or after the last block taken, and joins the group
+    # that took it if it starts in that block.
+    groups: list[tuple[int, list[bytes], list[DiffEntry]]] = []
+    end = 0   # of the blocks taken
     for e in diffs:
-        first = locate(min(e.at, total - 1))
-        last = first if e.span == 0 else locate(e.at + e.span - 1)
-        if groups and first == groups[-1][1]:
-            groups[-1][1] = last
-            groups[-1][2].append(e)
-        else:
-            groups.append([first, last, [e]])
+        first = min(e.at, total - 1)
+        if not groups or first >= end:
+            start, blocks = blocks_from(first)
+            groups.append((start, [], []))
+            end = start
+        _start, taken, entries = groups[-1]
+        while end <= max(first, e.at + e.span - 1):
+            block = next(blocks)
+            taken.append(block)
+            end += len(block)
+        entries.append(e)
 
     ops: list[BlockOp] = []
     delta = 0
-    for first, last, entries in groups:
-        region_start, region_end = first[0], last[0] + last[1]
+    for region_start, taken, entries in groups:
+        old = b"".join(taken)
         parts = []
         pos = region_start
         for e in entries:
-            parts.append(read_range(pos, e.at - pos))
+            parts.append(old[pos - region_start:e.at - region_start])
             parts.append(e.data)
             pos = e.at + e.span
-        parts.append(read_range(pos, region_end - pos))
+        parts.append(old[pos - region_start:])
         region = b"".join(parts)
         base = region_start + delta
         if not region:
-            for _ in range(_count_blocks(locate, first, last)):
+            for _ in taken:
                 ops.append(BlockOp(REMOVE_OP, base))
         else:
             chunks = _chunks(region, block_size)
             ops.append(BlockOp(MODIFY_OP, base, chunks[0]))
             at = base + len(chunks[0])
-            for _ in range(_count_blocks(locate, first, last) - 1):
+            for _ in taken[1:]:
                 ops.append(BlockOp(REMOVE_OP, at))
             for chunk in chunks[1:]:
                 ops.append(BlockOp(INSERT_OP, at, chunk))
                 at += len(chunk)
-        delta += len(region) - (region_end - region_start)
+        delta += len(region) - len(old)
     return ops
-
-
-def _count_blocks(locate, first: tuple[int, int],
-                  last: tuple[int, int]) -> int:
-    """Blocks from `first` through `last`, walked one block at a time."""
-    count = 1
-    pos = first[0] + first[1]
-    while pos <= last[0]:
-        pos += locate(pos)[1]
-        count += 1
-    return count
 
 
 def _chunks(region: bytes, block_size: int) -> list[bytes]:
@@ -272,32 +272,23 @@ class PartialFlexList:
 
 
 def partial_from_proof(scheme: HashScheme, proof: audit.VersionProof,
-                       meta: bytes,
-                       version: int | None = None) -> PartialFlexList:
-    """Rebuild the pruned subtree of one version into a workable
+                       meta: bytes) -> PartialFlexList:
+    """Rebuild the pruned subtree of a one-version proof into a workable
     structure: the proven leaves and their root paths, stubs elsewhere.
 
     The proof must verify against `meta` (digests only; challenge
     expansion is the audit path's business). Raises ProofRejected or
     FormatError.
     """
-    sub = audit.check_part(scheme, meta, _pick_part(proof, version))
+    if len(proof.parts) != 1:
+        raise ProofRejected(f"proof has {len(proof.parts)} version parts; "
+                            "a partial list is rebuilt from one")
+    sub = audit.check_part(scheme, meta, proof.parts[0])
     store = NodeStore()   # numbers from 0, as the lists do
     for node in map(Node, sub.kind, sub.level, sub.rank, sub.below,
                     sub.after, sub.length, sub.block, sub.digest):
         store.add(node)
     return PartialFlexList(store, scheme, sub.root)
-
-
-def _pick_part(proof: audit.VersionProof, version: int | None):
-    if version is None:
-        if len(proof.parts) != 1:
-            raise ProofRejected("specify which version part to rebuild")
-        return proof.parts[0]
-    for part in proof.parts:
-        if part.layer2.version == version:
-            return part
-    raise ProofRejected(f"proof has no part for version {version}")
 
 
 def apply_ops(store: NodeStore, scheme: HashScheme, root: int,

@@ -136,25 +136,19 @@ def _write_file(path, data: bytes) -> None:
 
 
 def cmd_init(args) -> int:
-    repo = Repository.init(args.repo, block_size=args.block_size,
-                           seed=_parse_seed(args.seed), hash_name=args.hash,
-                           input_file=args.file)
-    try:
+    with Repository.init(args.repo, block_size=args.block_size,
+                         seed=_parse_seed(args.seed), hash_name=args.hash,
+                         input_file=args.file) as repo:
         rec = repo.latest
         print(f"initialized {args.repo}")
         print(f"version 0 rank {repo.store.get(rec.root).rank}")
         print(f"meta {repo.meta_digest.hex()}")
-    finally:
-        repo.close()
     return EXIT_OK
 
 
 def cmd_commit(args) -> int:
-    repo = Repository.open(args.repo)
-    try:
+    with Repository.open(args.repo) as repo:
         summary = repo.commit(_read_file(args.diff))
-    finally:
-        repo.close()
     print(f"version {summary['version']} rank {summary['rank']}")
     print(f"ops {summary['ops']} created {summary['created_nodes']} "
           f"shared {summary['shared_nodes']}")
@@ -163,8 +157,7 @@ def cmd_commit(args) -> int:
 
 
 def cmd_log(args) -> int:
-    repo = Repository.open(args.repo)
-    try:
+    with Repository.open(args.repo) as repo:
         for version in range(repo.vindex.count):
             rec = repo.record(version)
             rank = repo.store.get(rec.root).rank
@@ -172,17 +165,12 @@ def cmd_log(args) -> int:
                   f"root {rec.root_digest.hex()} "
                   f"region {rec.update_start}+{rec.update_length}")
         print(f"meta {repo.meta_digest.hex()}")
-    finally:
-        repo.close()
     return EXIT_OK
 
 
 def cmd_checkout(args) -> int:
-    repo = Repository.open(args.repo)
-    try:
+    with Repository.open(args.repo) as repo:
         written = repo.checkout(args.version, args.out)
-    finally:
-        repo.close()
     print(f"wrote {written} bytes to {args.out}")
     return EXIT_OK
 
@@ -193,11 +181,8 @@ def cmd_challenge(args) -> int:
     except ValueError as exc:
         raise DomainError(f"--versions must list version numbers: "
                           f"{args.versions!r}") from exc
-    repo = Repository.open(args.repo)
-    try:
+    with Repository.open(args.repo) as repo:
         ch = repo.make_challenge(_parse_seed(args.seed), args.count, versions)
-    finally:
-        repo.close()
     _write_file(args.out, audit.write_challenge(ch))
     targets = ",".join(map(str, ch.versions)) or "latest"
     print(f"challenge seed {ch.seed.hex()} count {ch.count} "
@@ -206,24 +191,18 @@ def cmd_challenge(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    repo = Repository.open(args.repo)
-    try:
+    with Repository.open(args.repo) as repo:
         ch = audit.read_challenge(_read_file(args.challenge))
         proof = repo.prove(ch)
         data = audit.write_proof(proof, repo.scheme)
-    finally:
-        repo.close()
     _write_file(args.out, data)
     print(f"proof {len(data)} bytes to {args.out}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    repo = Repository.open(args.repo)
-    try:
+    with Repository.open(args.repo) as repo:
         scheme, meta = repo.scheme, repo.meta_digest
-    finally:
-        repo.close()
     try:
         ch = audit.read_challenge(_read_file(args.challenge))
         proof = audit.read_proof(_read_file(args.proof), scheme)
@@ -239,11 +218,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fsck(args) -> int:
-    repo = Repository.open(args.repo)
-    try:
+    with Repository.open(args.repo) as repo:
         problems = repo.fsck()
-    finally:
-        repo.close()
     if problems:
         for p in problems:
             print(p)
@@ -256,12 +232,9 @@ def cmd_fsck(args) -> int:
 def cmd_tamper(args) -> int:
     if not args.allow_data_loss:
         raise DomainError("tamper requires --allow-data-loss")
-    repo = Repository.open(args.repo)
-    try:
+    with Repository.open(args.repo) as repo:
         report = repo.tamper(args.delete_fraction, scope=args.scope,
                              version=args.version, rng_seed=args.rng_seed)
-    finally:
-        repo.close()
     print(f"tampered {report['corrupted']} of {report['targets']} blocks "
           f"({args.scope})")
     return EXIT_OK

@@ -255,12 +255,6 @@ def search(store: NodeStore, root: int, index: int) -> SearchPath:
             raise PathNotCovered("search entered an unexpanded subtree")
 
 
-def block_start(store: NodeStore, root: int, index: int) -> tuple[int, int]:
-    """Return (start byte, length) of the block containing `index`."""
-    path = search(store, root, index)
-    return path.offset, store.get(path.leaf).length
-
-
 def block_layout(store: NodeStore, root: int) -> list[int]:
     """Lengths of all data blocks in order (sentinels excluded), checked
     as iter_data_leaves checks them."""
@@ -274,10 +268,30 @@ def iter_data_leaves(store: NodeStore, root: int) -> Iterator[Node]:
     without a below child, as soon as the leaves' lengths add up to more
     than the root's rank, and after the last leaf if they add up to
     less."""
+    node = store.get(root)
+    return _walk(store.get, node, [], node.rank, 0)
+
+
+def leaves_from(store: NodeStore, root: int,
+                index: int) -> tuple[int, Iterator[Node]]:
+    """(offset, leaves): the byte offset of the block holding byte
+    `index`, and the suffix of iter_data_leaves that starts at its leaf,
+    with the same checks. One search finds the leaf; the walk goes on
+    from there, taking up the after links of the nodes the search went
+    below."""
+    path = search(store, root, index)
     get = store.get
-    node = get(root)
-    rank, total = node.rank, 0
-    todo = []   # after links of the internal nodes passed on the way down
+    below = (get(node_id) for node_id, direction in path.entries
+             if direction == BELOW)
+    todo = [node.after for node in below if node.after is not None]
+    return path.offset, _walk(get, get(path.leaf), todo, get(root).rank,
+                              path.offset)
+
+
+def _walk(get, node: Node, todo: list, rank: int,
+          total: int) -> Iterator[Node]:
+    """The leaf walk from `node`, with `total` bytes before it and `todo`
+    holding the after links still to visit, innermost last."""
     while True:
         if node.kind == KIND_INTERNAL:
             if node.below is None:
@@ -302,19 +316,13 @@ def iter_data_leaves(store: NodeStore, root: int) -> Iterator[Node]:
 
 
 def check_subtree(store: NodeStore, scheme: HashScheme, root: int,
-                  verified: dict | None = None) -> dict:
+                  verified: dict | None = None) -> None:
     """Recompute every rank and digest reachable from root and compare
-    with stored values. Returns counters; raises StructureCorrupt on the
-    first violation. Passing one `verified` dict across calls checks
-    shared subtrees only once."""
+    with stored values; raises StructureCorrupt on the first violation.
+    Each checked node goes into `verified` by id, so passing one dict
+    across calls checks shared subtrees only once."""
     if verified is None:
         verified = {}
-    stats = {"nodes": 0, "leaves": 0, "bytes": 0}
-    _check(store, scheme, root, verified, stats)
-    return stats
-
-
-def _check(store, scheme, root, verified, stats):
     # Iterative post-order so deep chains cannot overflow the interpreter
     # stack.
     todo = [(root, False)]
@@ -338,8 +346,6 @@ def _check(store, scheme, root, verified, stats):
             digest = scheme.leaf_node(0, rank, after.digest if after else None,
                                       node.length, node.block,
                                       sentinel=node.kind == KIND_SENTINEL)
-            stats["leaves"] += 1
-            stats["bytes"] += node.length
         else:
             if below is None or after is None:
                 raise StructureCorrupt("internal node missing a child")
@@ -351,4 +357,3 @@ def _check(store, scheme, root, verified, stats):
         if digest != node.digest:
             raise StructureCorrupt(f"digest mismatch at node {node_id}")
         verified[node_id] = node
-        stats["nodes"] += 1

@@ -29,6 +29,7 @@ engine to exactly that oracle.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from . import core
@@ -424,28 +425,15 @@ def premove(store: NodeStore, scheme: HashScheme, old_root: int,
 def materialize(store: NodeStore, root: int, get_block) -> bytes:
     """Reassemble a version's bytes, concatenating its blocks; get_block
     maps a block digest to its bytes."""
-    return b"".join(_leaf_block(leaf, get_block)
-                    for leaf in core.iter_data_leaves(store, root))
+    return b"".join(leaf_blocks(core.iter_data_leaves(store, root),
+                                get_block))
 
 
-def read_range(store: NodeStore, root: int, start: int, length: int,
-               get_block) -> bytes:
-    """Bytes [start, start + length) of a version, searching for and
-    fetching only the blocks that range covers."""
-    parts = []
-    end = start + length
-    pos = start
-    while pos < end:
-        path = core.search(store, root, pos)
-        leaf = store.get(path.leaf)
-        parts.append(_leaf_block(leaf, get_block)[path.residual:
-                                                  end - path.offset])
-        pos = path.offset + leaf.length
-    return b"".join(parts)
-
-
-def _leaf_block(leaf: Node, get_block) -> bytes:
-    block = get_block(leaf.block)
-    if len(block) != leaf.length:
-        raise StructureCorrupt("stored block length mismatch")
-    return block
+def leaf_blocks(leaves: Iterable[Node], get_block) -> Iterator[bytes]:
+    """The blocks of `leaves`, in order, each fetched with get_block as
+    it is asked for and checked against its leaf's length."""
+    for leaf in leaves:
+        block = get_block(leaf.block)
+        if len(block) != leaf.length:
+            raise StructureCorrupt("stored block length mismatch")
+        yield block

@@ -702,6 +702,12 @@ class Repository:
         self.blocks.close()
         self.log.close()
 
+    def __enter__(self) -> "Repository":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     @contextmanager
     def write_lock(self):
         """Hold the writer lock: an exclusive flock on the lock file. The
@@ -810,12 +816,13 @@ class Repository:
         diffs = adaptor.parse_diff(diff_bytes)
         latest = self.latest
         old_root = latest.root
-        ops = adaptor.translate_diffs(
-            diffs, self.store.get(old_root).rank,
-            lambda byte: core.block_start(self.store, old_root, byte),
-            self.block_size,
-            lambda start, length: persist.read_range(
-                self.store, old_root, start, length, self.blocks.get))
+
+        def blocks_from(byte: int):
+            start, leaves = core.leaves_from(self.store, old_root, byte)
+            return start, persist.leaf_blocks(leaves, self.blocks.get)
+
+        ops = adaptor.translate_diffs(diffs, self.store.get(old_root).rank,
+                                      blocks_from, self.block_size)
         if not ops:
             raise EmptyCommit("diff produced no block operations")
         version = latest.version + 1
@@ -967,13 +974,15 @@ class Repository:
         if scope == "version-delta":
             rec = self.record(self.latest.version if version is None
                               else version)
-            targets, end = [], 0
-            for leaf in core.iter_data_leaves(self.store, rec.root):
-                start, end = end, end + leaf.length
-                if start >= rec.update_start + rec.update_length:
-                    break
-                if end > rec.update_start:
+            targets = []
+            if self.store.get(rec.root).rank:
+                start, leaves = core.leaves_from(self.store, rec.root,
+                                                 rec.update_start)
+                for leaf in leaves:
+                    if start >= rec.update_start + rec.update_length:
+                        break
                     targets.append(leaf.block)
+                    start += leaf.length
         elif scope == "blocks":
             targets = self.blocks.all_digests()
         else:

@@ -6,8 +6,8 @@ from flexstore import adaptor, audit, core, persist
 from flexstore.adaptor import (BlockOp, DiffEntry, apply_ops_partial,
                                diff_to_ops, format_diff, parse_diff,
                                partial_from_proof, translate_diffs)
-from flexstore.core import (NodeStore, block_layout, block_start, build,
-                            build_with_levels, split_blocks)
+from flexstore.core import (NodeStore, block_layout, build,
+                            build_with_levels, leaves_from, split_blocks)
 from flexstore.errors import (DiffOutOfRange, FormatError, OverlappingDiffs,
                               PathNotCovered, ProofRejected)
 from flexstore.hashing import HashScheme, LevelSource
@@ -163,9 +163,10 @@ class TestDiffToOps:
 
 
     def test_tree_locate_matches_layout_list(self):
-        # The server's entry point (locate by tree search, read only the
-        # touched blocks) against the client's (a list of block lengths),
-        # and both against the list-indexed reference translation.
+        # The server's entry point (one search per group, then the leaf
+        # walk, reading only the touched blocks) against the client's (a
+        # list of block lengths), and both against the list-indexed
+        # reference translation.
         rng = random.Random(61)
         for trial in range(250):
             data = bytes(rng.randrange(256)
@@ -175,11 +176,12 @@ class TestDiffToOps:
             blocks = {SCHEME.block_digest(p): p for p in pieces}
             store = NodeStore()
             root, _ = build(store, SCHEME, pieces, LevelSource(SEED, trial))
-            located = translate_diffs(
-                entries, len(data),
-                lambda byte: block_start(store, root, byte), self.BS,
-                lambda s, n: persist.read_range(store, root, s, n,
-                                                blocks.__getitem__))
+
+            def blocks_from(byte):
+                start, leaves = leaves_from(store, root, byte)
+                return start, persist.leaf_blocks(leaves, blocks.__getitem__)
+            located = translate_diffs(entries, len(data), blocks_from,
+                                      self.BS)
             listed = self.ops_for(data, entries)
             assert located == listed, trial
             assert listed == reference_diff_to_ops(
@@ -351,6 +353,20 @@ class TestPartial:
         proof = fx.range_proof(0, 8)
         with pytest.raises(ProofRejected):
             partial_from_proof(SCHEME, proof, b"\x00" * 20)
+
+    def test_rebuilds_only_one_version_part(self):
+        fx = ServerFixture(bytes(range(64)))
+        fx.commit_ops([BlockOp("modify", 8, b"REWRITE!")])
+        proof = audit.prove(fx.store, SCHEME, fx.vindex, fx.blocks.get,
+                            audit.Challenge(bytes(10), 2, (0, 1)))
+        meta = fx.vindex.meta_digest
+        with pytest.raises(ProofRejected):
+            partial_from_proof(SCHEME, proof, meta)
+        for version, part in enumerate(proof.parts):
+            partial = partial_from_proof(SCHEME, audit.VersionProof((part,)),
+                                         meta)
+            assert (partial.root_digest
+                    == fx.vindex.record(version).root_digest)
 
     def test_modify_on_proven_path_matches_server(self):
         data = bytes(range(128))

@@ -8,8 +8,8 @@ import pytest
 from flexstore.core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL,
                             KIND_STUB, Node, NodeStore, block_layout, build,
                             build_with_levels, check_subtree,
-                            iter_data_leaves, read_blocks, search,
-                            split_blocks)
+                            iter_data_leaves, leaves_from, read_blocks,
+                            search, split_blocks)
 from flexstore.errors import BlockTooSmall, DomainError, IndexOutOfRange
 from flexstore.hashing import HashScheme, LevelSource
 
@@ -281,9 +281,11 @@ class TestBuild:
         lengths = [rng.randint(1, 9) for _ in range(50)]
         levels = [rng.choice([0, 0, 1, 2, 4]) for _ in range(50)]
         store, root, _ = mklist(lengths, levels)
-        stats = check_subtree(store, SCHEME, root)
-        assert stats["bytes"] == sum(lengths)
-        assert stats["leaves"] == 52  # blocks plus two sentinels
+        verified = {}
+        check_subtree(store, SCHEME, root, verified)
+        leaves = [node for node in verified.values() if node.is_leaf]
+        assert sum(leaf.length for leaf in leaves) == sum(lengths)
+        assert len(leaves) == 52  # blocks plus two sentinels
 
     def test_matches_sequential_insertion(self):
         from flexstore import persist
@@ -317,6 +319,22 @@ class TestBuild:
         store, root, pairs = mklist([2, 3, 4], [1, 0, 2])
         data_leaves = [leaf.block for leaf in iter_data_leaves(store, root)]
         assert data_leaves == [d for _, d in pairs]
+
+    def test_leaves_from_is_a_suffix_of_the_walk(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            n = rng.randint(1, 48)
+            lengths = [rng.randint(1, 9) for _ in range(n)]
+            levels = [rng.choice([0, 0, 0, 1, 1, 2, 3]) for _ in range(n)]
+            store, root, _ = mklist(lengths, levels)
+            walk = list(iter_data_leaves(store, root))
+            start = 0
+            for i, length in enumerate(lengths):
+                for byte in range(start, start + length):
+                    offset, leaves = leaves_from(store, root, byte)
+                    assert offset == start
+                    assert list(leaves) == walk[i:]
+                start += length
 
     def test_zero_length_block_rejected(self):
         with pytest.raises(BlockTooSmall):

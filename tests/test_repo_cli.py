@@ -337,6 +337,53 @@ class TestCommit:
         finally:
             repo.close()
 
+    def test_one_search_per_group_of_entries(self, tmp_path, monkeypatch):
+        """Three groups, one a delete over about 20 blocks: each group
+        searches once and walks on through the leaves it needs."""
+        src = tmp_path / "input.bin"
+        src.write_bytes(random.Random(5).randbytes(64 * 256))
+        searches = []
+        real_search = core.search
+
+        def search(*args):
+            searches.append(args[2])
+            return real_search(*args)
+        repo = Repository.init(tmp_path / "repo", block_size=256,
+                               seed=bytes.fromhex(SEED_HEX), input_file=src)
+        try:
+            entries = [DiffEntry("replace", 300, b"x" * 40, 30),
+                       DiffEntry("delete", 2000, delete_len=20 * 256),
+                       DiffEntry("insert", 12000, b"y" * 600)]
+            monkeypatch.setattr(core, "search", search)
+            repo.commit(format_diff(entries))
+            monkeypatch.undo()
+            assert searches == [300, 2000, 12000]
+            assert repo.materialize(1) == apply_diffs(src.read_bytes(),
+                                                      entries)
+        finally:
+            repo.close()
+
+    def test_block_shared_by_entries_is_fetched_once(self, repo):
+        """Three entries inside one block: the commit gets that block
+        once and no other."""
+        old = repo.materialize(0)
+        leaf = repo.store.get(core.search(repo.store, repo.latest.root,
+                                          300).leaf)
+        gets = []
+        real_get = repo.blocks.get
+
+        def counting_get(digest):
+            gets.append(digest)
+            return real_get(digest)
+        repo.blocks.get = counting_get
+        entries = [DiffEntry("replace", 260, b"ab", 4),
+                   DiffEntry("insert", 300, b"cd"),
+                   DiffEntry("delete", 400, delete_len=10)]
+        repo.commit(format_diff(entries))
+        del repo.blocks.get
+        assert gets == [leaf.block]
+        assert repo.materialize(1) == apply_diffs(old, entries)
+
     def test_one_entry_commit_appends_only_its_new_blocks(self, repo):
         """The index grows by one record per block no earlier version
         holds, and the pack by exactly those blocks' bytes."""
@@ -1085,6 +1132,41 @@ class TestTamper:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert files() == before   # not even the lock file
         assert cli.main(["--repo", str(repo.path), "fsck"]) == cli.EXIT_OK
+
+    def test_version_delta_targets_the_update_region(self, repo,
+                                                      monkeypatch):
+        """The blocks a walk from byte 0 finds overlapping each version's
+        update region, on versions made by every kind of entry and on a
+        version emptied to rank 0."""
+        for entries in ([DiffEntry("replace", 300, b"x" * 40, 30)],
+                        [DiffEntry("insert", 1000, b"y" * 700),
+                         DiffEntry("delete", 3000, delete_len=600)],
+                        [DiffEntry("delete", 0, delete_len=100)],
+                        [DiffEntry("insert", 4000, b"z" * 10)]):
+            repo.commit(format_diff(entries))
+        rank = repo.store.get(repo.latest.root).rank
+        repo.commit(format_diff([DiffEntry("delete", 0, delete_len=rank)]))
+
+        def full_walk(version):
+            rec = repo.record(version)
+            targets, end = set(), 0
+            for leaf in core.iter_data_leaves(repo.store, rec.root):
+                start, end = end, end + leaf.length
+                if start >= rec.update_start + rec.update_length:
+                    break
+                if end > rec.update_start:
+                    targets.add(leaf.block)
+            return targets
+        overwritten = []
+        monkeypatch.setattr(repo.blocks, "overwrite",
+                            lambda digest, data: overwritten.append(digest))
+        counts = []
+        for version in range(repo.vindex.count):
+            overwritten.clear()
+            report = repo.tamper(1.0, version=version)
+            assert set(overwritten) == full_walk(version)
+            counts.append(report["targets"])
+        assert counts[0] == 16 and min(counts[1:-1]) > 0 and counts[-1] == 0
 
     def test_corruption_detected_by_audit(self, repo):
         repo.commit(format_diff(
