@@ -12,13 +12,14 @@ a modify plus inserts, deletions covering whole blocks become removes.
 Op indices are valid at application time: apply the emitted sequence
 left to right without further adjustment.
 
-partial_from_proof rebuilds, from a verified proof, exactly the nodes an
-update needs: the pruned subtree audit.rebuild decodes into per-field
-lists, made into node objects here, as only the client edits them.
-Everything else stays behind opaque digest stubs. Applying the same
-block operations to the partial list and to the full server structure
-yields the same new root digest, which is how a client computes its
-next meta digest from O(proof)-sized state.
+partial_from_proof rebuilds, from a verified proof of the latest
+version, exactly the nodes an update needs: the pruned subtree
+proofs.fold_path decodes into per-field lists, made into node objects
+here, as only the client edits them. Everything else stays behind
+opaque digest stubs. Applying the same block operations to the partial
+list and to the full server structure yields the same new root digest,
+which is how a client computes its next meta digest from
+O(proof)-sized state.
 
 Diff file format (one record per edit, indices decimal, bytes raw, a
 single newline after each header and after each raw-byte run):
@@ -273,17 +274,22 @@ class PartialFlexList:
 
 def partial_from_proof(scheme: HashScheme, proof: audit.VersionProof,
                        meta: bytes) -> PartialFlexList:
-    """Rebuild the pruned subtree of a one-version proof into a workable
-    structure: the proven leaves and their root paths, stubs elsewhere.
+    """Rebuild the pruned subtree of a one-version proof of the latest
+    version into a workable structure: the proven leaves and their root
+    paths, stubs elsewhere.
 
     The proof must verify against `meta` (digests only; challenge
-    expansion is the audit path's business). Raises ProofRejected or
-    FormatError.
+    expansion is the audit path's business), and its version must be
+    the latest that `meta` holds, or the client would build its next
+    version on a stale base. Raises ProofRejected or FormatError.
     """
     if len(proof.parts) != 1:
         raise ProofRejected(f"proof has {len(proof.parts)} version parts; "
                             "a partial list is rebuilt from one")
-    sub = audit.check_part(scheme, meta, proof.parts[0])
+    count, (sub,) = audit.check_proof(scheme, meta, proof)
+    if proof.parts[0].version != count - 1:
+        raise ProofRejected(f"proof is for version {proof.parts[0].version}, "
+                            f"not the latest, {count - 1}")
     store = NodeStore()   # numbers from 0, as the lists do
     for node in map(Node, sub.kind, sub.level, sub.rank, sub.below,
                     sub.after, sub.length, sub.block, sub.digest):

@@ -6,18 +6,22 @@ block digest authenticates the version record material (layer-1 root
 digest plus the update region), which is what lets challenges target the
 bytes a version actually changed. The layer-2 root digest is the
 client's entire O(1) metadata.
+
+Membership of any set of versions is proven by one pruned subtree of
+this list (proofs.build_path), the versions' leaves being the proven
+ones; the verifier folds it over the records it was handed
+(proofs.fold_path), and the root's rank is the version count.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from . import persist, proofs
 from .core import NodeStore, build_with_levels
-from .errors import NoSuchVersion, VersionOutOfOrder
+from .errors import NoSuchVersion, ProofRejected, VersionOutOfOrder
 from .hashing import LEVELS_LAYER2, HashScheme, LevelSource
-from .proofs import PathProof
 
 
 @dataclass(frozen=True)
@@ -27,17 +31,6 @@ class VersionRecord:
     root_digest: bytes
     update_start: int
     update_length: int
-
-
-@dataclass(frozen=True)
-class Layer2Proof:
-    """Membership proof for one version record against a meta digest."""
-
-    version: int
-    root_digest: bytes
-    update_start: int
-    update_length: int
-    path: PathProof
 
 
 class VersionIndex:
@@ -97,42 +90,35 @@ class VersionIndex:
             return self._source[version]
         return self._added[version - self._base]
 
-    def version_proof(self, version: int,
-                      at_root: int | None = None) -> Layer2Proof:
-        """Membership proof for `version`, by default against the current
-        root (hence the current meta digest)."""
-        rec = self.record(version)
-        root = self.root if at_root is None else at_root
-        path, offset, _leaf = proofs.build_path(self.store, root, version)
-        if offset != version:
-            raise NoSuchVersion("layer-2 leaf offset disagrees with version")
-        return Layer2Proof(rec.version, rec.root_digest, rec.update_start,
-                           rec.update_length, path)
+    def version_proof(self, versions: Iterable[int]
+                      ) -> tuple[bytes, list[VersionRecord]]:
+        """Prove the sorted distinct `versions` against the current root
+        (hence the current meta digest) in one pruned subtree; returns
+        it and the proven versions' records, in that order."""
+        records = [self.record(v) for v in sorted(set(versions))]
+        subtree, _digests = proofs.build_path(
+            self.store, self.root, [r.version for r in records],
+            [r.version + 1 for r in records])
+        return subtree, records
 
 
-def verify_version_proof(scheme: HashScheme, meta: bytes,
-                         proof: Layer2Proof) -> tuple[bool, str]:
-    """Check a layer-2 proof against a meta digest.
+def verify_version_proof(scheme: HashScheme, meta: bytes, subtree: bytes,
+                         records: Sequence) -> int:
+    """Fold a layer-2 subtree over `records` (each with the version,
+    root_digest, update_start and update_length of a VersionRecord,
+    ascending) and check it against a meta digest; returns the version
+    count, the root's rank.
 
-    On success the caller may trust (root_digest, update region, version
-    count) taken from the proof.
+    ProofRejected if the root digest is not `meta` or a proven leaf does
+    not sit at its record's version; FormatError on a malformed subtree.
+    On success the caller may trust the records' fields.
     """
-    material = scheme.version_record(proof.version, proof.root_digest,
-                                     proof.update_start, proof.update_length)
-    digest, rank, offset = proofs.fold_path(scheme, proof.path, material)
-    if digest != meta:
-        return False, "layer-2 digest mismatch"
-    if offset != proof.version:
-        return False, "layer-2 leaf position disagrees with version number"
-    if proof.path.leaf_length != 1 or proof.path.leaf_sentinel:
-        return False, "layer-2 leaf is not a version record leaf"
-    return True, "ok"
-
-
-def version_count_from_proof(proof: Layer2Proof) -> int:
-    """Total versions under the folded root (its rank; leaves have
-    length 1). Only meaningful after verify_version_proof accepted."""
-    rank = proof.path.leaf_rank
-    for step in proof.path.steps:
-        rank = step.rank
-    return rank
+    sub = proofs.fold_path(scheme, subtree, [
+        (1, scheme.version_record(r.version, r.root_digest, r.update_start,
+                                  r.update_length)) for r in records])
+    if sub.digest[sub.root] != meta:
+        raise ProofRejected("layer-2 digest mismatch")
+    if sub.starts != [r.version for r in records]:
+        raise ProofRejected("layer-2 leaf position disagrees with version "
+                            "number")
+    return sub.rank[sub.root]

@@ -1,118 +1,237 @@
-"""Path proofs: replayable material to recompute a root digest.
+"""Pruned subtrees: the one proof shape, for both layers.
 
-The layer-2 membership proof of a version record is a path proof;
-layer-1 proofs are pruned subtrees (see audit). A proof for one leaf
-lists, bottom-up, the nodes on its root path. Each step carries the
-node's level and rank, which side the path came up through, and
-whatever else its digest needs: the opposite child's digest for
-internal nodes, or (length, block digest) for leaf-chain hops.
-Folding the steps over the proven leaf reproduces the root digest; the
-rank arithmetic along the way also recovers the byte offset at which the
-leaf starts, so a verifier learns the leaf's position from authenticated
-values alone.
+A pruned subtree proves a set of leaves of a FlexList against its root
+digest. It is the union of the proven leaves' root paths, each node
+once, in preorder; a child no path enters is a stub, its digest and
+rank. build_path makes one descent, splitting sorted disjoint byte spans
+between each node's children, and proves every leaf a span touches.
+fold_path rebuilds the subtree bottom-up, computing every rank and
+digest from the leaves and stubs up, and yields the root digest and
+rank and each proven leaf's byte offset. Offsets follow from
+authenticated ranks, so a prover cannot move a proven leaf.
+
+The proven leaves' material is not in the encoding: the caller pairs it
+with the proof. A layer-1 audit or range proof carries each proven
+leaf's block; a layer-2 proof carries each proven version's record, a
+leaf of length 1 whose offset is its version number.
+
+Encoding (integers 8-byte big-endian, digests raw):
+
+  node: tag(1) || fields, then its child slots
+    internal  level(1), then its below and after slots
+    proven    (leaf; its material comes with the proof), after slot
+    hop       (leaf a path passes through) length || block digest,
+              after slot
+    sentinel  (zero-length boundary leaf), after slot
+    stub      digest || rank
+    absent    (an empty after slot)
+  Ranks of expanded nodes are not sent: each is computed from its
+  children, and a proven leaf's offset is the sum of the lengths and
+  stub ranks before it in preorder.
+
+fold_path decodes into one list per node field (a Subtree), not into
+node objects: a verifier reads only the root's digest and rank and the
+proven leaves' offsets. Only the client, which edits a layer-1 subtree,
+makes node objects from the lists (adaptor.partial_from_proof).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
+from typing import NamedTuple
 
-from . import core
-from .core import AFTER, BELOW, KIND_SENTINEL, NodeStore
+from .core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL, KIND_STUB,
+                   NodeStore)
 from .errors import FormatError
 from .hashing import HashScheme
 
-STEP_BELOW = 0        # internal node, path came up through below
-STEP_AFTER = 1        # internal node, path came up through after
-STEP_CHAIN = 2        # leaf node, path came up through its chain link
-STEP_CHAIN_SENTINEL = 3
+_MAX_RANK = (1 << 64) - 1
+
+# Node tags.
+_ABSENT, _STUB, _INTERNAL, _PROVEN, _HOP, _SENTINEL = range(6)
+_KIND_OF_TAG = (None, KIND_STUB, KIND_INTERNAL, KIND_LEAF, KIND_LEAF,
+                KIND_SENTINEL)
+_U64 = struct.Struct(">Q")
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    kind: int
-    level: int
-    rank: int
-    sibling: bytes | None = None    # internal steps: the other child
-    leaf_length: int = 0            # chain steps: the hop leaf's material
-    leaf_block: bytes | None = None
+def build_path(store: NodeStore, root: int, los: Sequence[int],
+               his: Sequence[int]) -> tuple[bytes, list[bytes]]:
+    """Encode the pruned subtree proving every leaf that intersects one of
+    the sorted disjoint spans [los[i], his[i]); returns it and the proven
+    leaves' block digests, left to right.
 
-
-@dataclass(frozen=True)
-class PathProof:
-    leaf_rank: int
-    leaf_after: bytes | None
-    leaf_length: int
-    leaf_sentinel: bool
-    steps: tuple[ProofStep, ...]
-
-
-def build_path(store: NodeStore, root: int, index: int):
-    """Collect the proof path for the leaf containing byte `index`.
-
-    Returns (PathProof, leaf byte offset, leaf node). The proven leaf's
-    block digest is not embedded; callers pair the proof with block
-    content (layer 1) or record material (layer 2).
+    One descent: each task is (node id, first span, end span, offset),
+    the spans being those that intersect the node's byte range. A child
+    with no span is a stub unless its rank is 0 (a sentinel, cheaper
+    expanded, and what an insert into an empty list needs); the root is
+    always expanded. Tasks are pushed after child first, so nodes come
+    out in preorder.
     """
-    path = core.search(store, root, index)
-    leaf = store.get(path.leaf)
-    after = store.get(leaf.after) if leaf.after is not None else None
-    steps = []
-    for node_id, direction in reversed(path.entries):
-        node = store.get(node_id)
-        if node.is_leaf:
-            kind = (STEP_CHAIN_SENTINEL if node.kind == KIND_SENTINEL
-                    else STEP_CHAIN)
-            steps.append(ProofStep(kind, 0, node.rank,
-                                   leaf_length=node.length,
-                                   leaf_block=node.block))
+    out = bytearray()
+    proven = []
+    todo = [(root, 0, len(los), 0)]
+    while todo:
+        node_id, first, end, offset = todo.pop()
+        if node_id is None:
+            out.append(_ABSENT)
             continue
-        if direction == BELOW:
-            sibling = (store.get(node.after).digest
-                       if node.after is not None else None)
-            steps.append(ProofStep(STEP_BELOW, node.level, node.rank,
-                                   sibling=sibling))
+        node = store.get(node_id)
+        if first == end and node.rank and node_id != root:
+            out.append(_STUB)
+            out += node.digest
+            out += _U64.pack(node.rank)
+            continue
+        if node.kind == KIND_INTERNAL:
+            out.append(_INTERNAL)
+            out.append(node.level)
+            split = offset + store.get(node.below).rank
+            todo.append((node.after, bisect_right(his, split, first, end),
+                         end, split))
+            todo.append((node.below, first,
+                         bisect_left(los, split, first, end), offset))
+            continue
+        split = offset + node.length
+        if node.kind == KIND_SENTINEL:
+            out.append(_SENTINEL)
+        elif first < end and los[first] < split:
+            out.append(_PROVEN)
+            proven.append(node.block)
         else:
-            sibling = store.get(node.below).digest
-            steps.append(ProofStep(STEP_AFTER, node.level, node.rank,
-                                   sibling=sibling))
-    proof = PathProof(leaf.rank, after.digest if after else None,
-                      leaf.length, leaf.kind == KIND_SENTINEL, tuple(steps))
-    return proof, path.offset, leaf
+            out.append(_HOP)
+            out += _U64.pack(node.length)
+            out += node.block
+        todo.append((node.after, bisect_right(his, split, first, end), end,
+                     split))
+    return bytes(out), proven
 
 
-def fold_path(scheme: HashScheme, proof: PathProof,
-              block_digest: bytes) -> tuple[bytes, int, int]:
-    """Fold a path proof upward from its leaf.
+class Subtree(NamedTuple):
+    """A decoded pruned subtree, one list per node field: node i is
+    (kind[i], level[i], rank[i], below[i], after[i], length[i], block[i],
+    digest[i]), the fields of a core.Node. Children come before their
+    parent, so links point to lower ids and the root is the last node.
+    A stub is a KIND_STUB node with only its rank and digest; `block` is
+    None but for leaves. `starts` holds the byte offset of each proven
+    leaf, left to right."""
 
-    Returns (root digest, root rank, leaf start offset). Raises
-    FormatError on structurally impossible steps; digest comparison is
-    the caller's job.
+    kind: list[int]
+    level: list[int]
+    rank: list[int]
+    below: list[int | None]
+    after: list[int | None]
+    length: list[int]
+    block: list[bytes | None]
+    digest: list[bytes]
+    root: int
+    starts: list[int]
+
+
+def fold_path(scheme: HashScheme, data: bytes,
+              leaves: Sequence[tuple[int, bytes]]) -> Subtree:
+    """Decode a pruned subtree into per-field lists, computing every rank
+    and digest from the leaves and stubs up; `leaves` gives each proven
+    leaf's (length, block digest), left to right.
+
+    Iterative and linear in the encoded bytes: a forward pass parses the
+    preorder into its tags and one list of numbers and one of digests,
+    counting open child slots and summing lengths and stub ranks into
+    the proven leaves' offsets; a backward pass pops those lists from
+    the end, making each node from its children, which come later in
+    preorder and so are made first. Raises FormatError and nothing else.
     """
-    digest = scheme.leaf_node(0, proof.leaf_rank, proof.leaf_after,
-                              proof.leaf_length, block_digest,
-                              sentinel=proof.leaf_sentinel)
-    rank = proof.leaf_rank
-    offset = 0
-    for step in proof.steps:
-        if step.rank < rank:
-            raise FormatError("rank shrank while folding upward")
-        if step.kind == STEP_BELOW:
-            digest = scheme.internal_node(step.level, step.rank, digest,
-                                          step.sibling)
-        elif step.kind == STEP_AFTER:
-            if step.sibling is None:
-                raise FormatError("after step missing its below sibling")
-            offset += step.rank - rank
-            digest = scheme.internal_node(step.level, step.rank,
-                                          step.sibling, digest)
-        elif step.kind in (STEP_CHAIN, STEP_CHAIN_SENTINEL):
-            if step.leaf_block is None:
-                raise FormatError("chain step missing leaf material")
-            offset += step.rank - rank
-            digest = scheme.leaf_node(
-                0, step.rank, digest, step.leaf_length, step.leaf_block,
-                sentinel=step.kind == STEP_CHAIN_SENTINEL)
+    width = scheme.width
+    hop, stub = struct.Struct(f">Q{width}s"), struct.Struct(f">{width}sQ")
+    tags, numbers, digests, starts = [], [], [], []
+    pos = offset = 0
+    open_slots = 1
+    try:
+        while open_slots:
+            tag = data[pos]
+            pos += 1
+            open_slots -= 1
+            tags.append(tag)
+            if tag == _INTERNAL:
+                numbers.append(data[pos])
+                pos += 1
+                open_slots += 2
+                continue
+            if tag == _STUB:
+                digest, rank = stub.unpack_from(data, pos)
+                pos += stub.size
+                numbers.append(rank)
+                digests.append(digest)
+                offset += rank
+                continue
+            if tag == _ABSENT:
+                continue
+            if tag == _PROVEN:
+                length, digest = leaves[len(starts)]
+                starts.append(offset)
+            elif tag == _HOP:
+                length, digest = hop.unpack_from(data, pos)
+                pos += hop.size
+            elif tag == _SENTINEL:
+                length, digest = 0, scheme.zero
+            else:
+                raise FormatError(f"unknown subtree node tag {tag}")
+            numbers.append(length)
+            digests.append(digest)
+            offset += length
+            open_slots += 1
+    except (IndexError, struct.error):
+        raise FormatError("pruned subtree cut short, or proving more "
+                          "leaves than the proof carries") from None
+    if pos != len(data):
+        raise FormatError("trailing bytes after the pruned subtree")
+    if len(starts) != len(leaves):
+        raise FormatError("the proof carries more leaves than it proves")
+    if offset > _MAX_RANK:   # the root rank, which bounds every other
+        raise FormatError("rank exceeds 64 bits")
+
+    # Node i is the i-th entry from the end that is not an absent slot.
+    # Fields the entry's kind leaves at their default are never written.
+    kinds = [_KIND_OF_TAG[tag] for tag in reversed(tags) if tag != _ABSENT]
+    count = len(kinds)
+    levels, lengths = [0] * count, [0] * count
+    belows, afters, blocks = [None] * count, [None] * count, [None] * count
+    ranks, made = [], []        # made: the digest of each node made
+    internal_node, leaf_node = scheme.internal_node, scheme.leaf_node
+    stack = []       # ids of the subtrees made, None for absent slots
+    node = 0
+    for tag in reversed(tags):
+        if tag == _ABSENT:
+            stack.append(None)
+            continue
+        if tag == _INTERNAL:
+            below, after = stack.pop(), stack.pop()
+            if below is None or after is None:
+                raise FormatError("internal node missing a child")
+            levels[node] = level = numbers.pop()
+            belows[node], afters[node] = below, after
+            rank = ranks[below] + ranks[after]
+            made.append(internal_node(level, rank, made[below], made[after]))
+        elif tag == _STUB:
+            rank = numbers.pop()
+            made.append(digests.pop())
         else:
-            raise FormatError(f"unknown step kind {step.kind}")
-        rank = step.rank
-    return digest, rank, offset
+            after = stack.pop()
+            lengths[node] = rank = length = numbers.pop()
+            blocks[node] = block = digests.pop()
+            if after is None:
+                made.append(leaf_node(0, rank, None, length, block,
+                                      sentinel=tag == _SENTINEL))
+            else:
+                afters[node] = after
+                rank += ranks[after]
+                made.append(leaf_node(0, rank, made[after], length, block,
+                                      sentinel=tag == _SENTINEL))
+        ranks.append(rank)
+        stack.append(node)
+        node += 1
+    root = stack[0]
+    if root is None or kinds[root] == KIND_STUB:
+        raise FormatError("pruned subtree has no expanded root")
+    return Subtree(kinds, levels, ranks, belows, afters, lengths, blocks, made,
+                   root, starts)

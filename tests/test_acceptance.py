@@ -301,28 +301,41 @@ def test_criterion_8_proof_bit_flips(tmp_path):
                            seed=bytes.fromhex("1122334455667788990a"),
                            input_file=src)
     try:
-        ch = repo.make_challenge(bytes.fromhex("c0c1c2c3c4c5c6c7c8c9"), 4, ())
-        data = write_proof(repo.prove(ch), repo.scheme)
-        meta = repo.meta_digest
+        # A whole-file audit of version 0, then, after a few commits, an
+        # audit of two listed versions: its shared layer-2 subtree and
+        # both parts' records are swept as well.
+        seed = bytes.fromhex("c0c1c2c3c4c5c6c7c8c9")
+        ch = repo.make_challenge(seed, 4, ())
+        audits = [(ch, write_proof(repo.prove(ch), repo.scheme),
+                   repo.meta_digest)]
+        for at in (40, 200, 420):
+            repo.commit(format_diff([DiffEntry("replace", at,
+                                               rng.randbytes(8), 8)]))
+        ch = repo.make_challenge(seed, 4, (1, 3))
+        audits.append((ch, write_proof(repo.prove(ch), repo.scheme),
+                       repo.meta_digest))
         scheme = repo.scheme
     finally:
         repo.close()
-    accepted = 0
-    flips = 0
-    for pos in range(len(data)):
-        for bit in range(8):
-            flips += 1
-            mutated = bytearray(data)
-            mutated[pos] ^= 1 << bit
-            try:
-                proof = read_proof(bytes(mutated), scheme)
-            except FormatError:
-                continue
-            ok, _ = verify(scheme, meta, ch, proof)
-            accepted += ok
-    report(8, accepted == 0,
-           f"{flips} single-bit flips over a {len(data)}-byte proof, "
-           f"{accepted} wrongly accepted")
+    assert len(read_proof(audits[1][1], scheme).parts) == 2
+    for ch, data, meta in audits:
+        accepted = 0
+        flips = 0
+        for pos in range(len(data)):
+            for bit in range(8):
+                flips += 1
+                mutated = bytearray(data)
+                mutated[pos] ^= 1 << bit
+                try:
+                    proof = read_proof(bytes(mutated), scheme)
+                except FormatError:
+                    continue
+                ok, _ = verify(scheme, meta, ch, proof)
+                accepted += ok
+        report(8, accepted == 0,
+               f"{flips} single-bit flips over a {len(data)}-byte proof of "
+               f"{list(ch.versions) or 'the latest version'}, "
+               f"{accepted} wrongly accepted")
 
 
 def test_criterion_8_range_proof_bit_flips(tmp_path):

@@ -362,11 +362,10 @@ class TestPartial:
         meta = fx.vindex.meta_digest
         with pytest.raises(ProofRejected):
             partial_from_proof(SCHEME, proof, meta)
-        for version, part in enumerate(proof.parts):
-            partial = partial_from_proof(SCHEME, audit.VersionProof((part,)),
-                                         meta)
-            assert (partial.root_digest
-                    == fx.vindex.record(version).root_digest)
+        latest = audit.prove(fx.store, SCHEME, fx.vindex, fx.blocks.get,
+                             audit.Challenge(bytes(10), 2, (1,)))
+        partial = partial_from_proof(SCHEME, latest, meta)
+        assert partial.root_digest == fx.vindex.record(1).root_digest
 
     def test_modify_on_proven_path_matches_server(self):
         data = bytes(range(128))

@@ -1,10 +1,11 @@
 import hashlib
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 
-from flexstore import audit, core, persist
+from flexstore import audit, core, persist, proofs
 from flexstore.adaptor import DiffEntry, format_diff, partial_from_proof
 from flexstore.audit import (Challenge, detection_probability,
                              expand_challenge, read_challenge, read_proof,
@@ -184,10 +185,19 @@ class TestProveVerify:
         first, other = part.blocks[:2]
         assert first != other
         swapped = (other, first) + part.blocks[2:]
-        bad = audit.VersionProof(
-            (audit.VersionPart(part.layer2, part.subtree, swapped),))
+        bad = replace(proof, parts=(replace(part, blocks=swapped),))
         ok, _ = verify(SCHEME, fx.meta, ch, bad)
         assert not ok
+
+    def test_extra_block_rejected(self):
+        fx = Fixture()
+        ch = Challenge(CH_SEED, 5)
+        proof = fx.prove(ch)
+        part = proof.parts[0]
+        bad = replace(proof, parts=(replace(
+            part, blocks=part.blocks + part.blocks[:1]),))
+        ok, reason = verify(SCHEME, fx.meta, ch, bad)
+        assert not ok and "more leaves than it proves" in reason
 
     def test_self_chosen_indices_rejected(self):
         fx = Fixture()
@@ -198,6 +208,32 @@ class TestProveVerify:
         assert not ok
         ok, reason = verify(SCHEME, fx.meta, ch, honest)
         assert ok, reason
+
+    def test_repeated_targets_prove_each_version_once(self):
+        fx = Fixture(commits=5)
+        ch = Challenge(CH_SEED, 4, (5, 2, 5))
+        proof = fx.prove(ch)
+        assert [part.version for part in proof.parts] == [2, 5]
+        ok, reason = verify(SCHEME, fx.meta, ch, proof)
+        assert ok, reason
+        ok, reason = verify(SCHEME, fx.meta, Challenge(CH_SEED, 4, (2, 5)),
+                            proof)
+        assert ok, reason
+
+    def test_missing_or_swapped_parts_rejected(self):
+        fx = Fixture(commits=5)
+        ch = Challenge(CH_SEED, 4, (1, 3, 4))
+        proof = fx.prove(ch)
+        first, middle, last = proof.parts
+        for parts in ((first, last), (first, middle), (middle, last),
+                      (middle, first, last), (first, last, middle),
+                      (first, middle, middle, last)):
+            ok, _ = verify(SCHEME, fx.meta, ch, replace(proof, parts=parts))
+            assert not ok, [part.version for part in parts]
+        # a shorter proof of its own, for fewer versions, is no answer
+        fewer = fx.prove(Challenge(CH_SEED, 4, (1, 3)))
+        ok, _ = verify(SCHEME, fx.meta, ch, fewer)
+        assert not ok
 
     def test_wrong_block_count(self):
         fx = Fixture()
@@ -239,6 +275,12 @@ class TestWireFormats:
         assert back == proof
         ok, reason = verify(SCHEME, fx.meta, ch, back)
         assert ok, reason
+
+    def test_old_format_refused(self):
+        fx = Fixture()
+        data = write_proof(fx.prove(Challenge(CH_SEED, 2)), SCHEME)
+        with pytest.raises(FormatError, match="FXP2"):
+            read_proof(b"FXP2" + data[4:], SCHEME)
 
     def test_truncated_proof_rejected(self):
         fx = Fixture()
@@ -337,11 +379,12 @@ class TestPrunedSubtree:
         hit = expand_challenge(ch, (rec.update_start, rec.update_length))[0]
         # 64 bytes away: another 8-byte leaf no index of the challenge hits
         los = sorted((hit, (hit + 64) % 128))
-        wider = audit._prove_part(fx.store, fx.vindex, fx.get_block, 1,
-                                  los, [lo + 1 for lo in los])
+        honest = fx.prove(ch)
+        wider = audit._prove_part(fx.store, fx.get_block, rec, los,
+                                  [lo + 1 for lo in los])
         assert len(wider.blocks) == 2
         ok, reason = verify(SCHEME, fx.meta, ch,
-                            audit.VersionProof((wider,)))
+                            replace(honest, parts=(wider,)))
         assert not ok and "no challenged index" in reason
 
     def test_long_chain_decodes_without_recursion(self):
@@ -396,8 +439,8 @@ def _leaf_offsets(store, root, indices):
 
 
 class TestRebuild:
-    """audit.rebuild's per-field lists against the prover's nodes, over
-    whole-file audits, update-region audits and range proofs."""
+    """proofs.fold_path's per-field lists against the prover's nodes,
+    over whole-file audits, update-region audits and range proofs."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_audits_decode_to_server_nodes(self, seed):
@@ -406,11 +449,12 @@ class TestRebuild:
         for versions in ((), (1, 3, 5), (rng.randrange(6),)):
             ch = Challenge(rng.randbytes(10), rng.randint(1, 40), versions)
             proof = read_proof(write_proof(fx.prove(ch), SCHEME), SCHEME)
-            for part in proof.parts:
-                rec = fx.vindex.record(part.layer2.version)
+            count, subs = audit.check_proof(SCHEME, fx.meta, proof)
+            assert count == fx.vindex.count
+            for part, sub in zip(proof.parts, subs, strict=True):
+                rec = fx.vindex.record(part.version)
                 region = ((0, fx.store.get(rec.root).rank) if not versions
                           else (rec.update_start, rec.update_length))
-                sub = audit.check_part(SCHEME, fx.meta, part)
                 _check_decoded(fx.store, rec.root, sub, _leaf_offsets(
                     fx.store, rec.root, expand_challenge(ch, region)))
 
@@ -421,8 +465,8 @@ class TestRebuild:
         for start, length in ((0, 1), (17, 40), (800, 333), (total, 500)):
             proof = audit.prove_range(store, vindex, blocks.get, 0, start,
                                       length)
-            sub = audit.check_part(SCHEME, vindex.meta_digest,
-                                   proof.parts[0])
+            _count, (sub,) = audit.check_proof(SCHEME, vindex.meta_digest,
+                                               proof)
             first = min(start, total - 1)
             _check_decoded(store, root, sub, _leaf_offsets(
                 store, root, range(first, max(min(start + length, total),
@@ -509,11 +553,13 @@ class TestHostileProofs:
     def test_rank_overflow_rejected(self):
         fx = Fixture()
         ch = Challenge(CH_SEED, 2)
-        part = fx.prove(ch).parts[0]
-        stub = bytes([audit._STUB]) + bytes(20) + struct.pack(">Q", 2**64 - 1)
-        bad = audit.VersionPart(part.layer2,
-                                bytes([audit._INTERNAL, 1]) + stub * 2, ())
-        ok, reason = verify(SCHEME, fx.meta, ch, audit.VersionProof((bad,)))
+        proof = fx.prove(ch)
+        stub = bytes([proofs._STUB]) + bytes(20) + struct.pack(">Q",
+                                                               2**64 - 1)
+        bad = replace(proof, parts=(replace(
+            proof.parts[0], subtree=bytes([proofs._INTERNAL, 1]) + stub * 2,
+            blocks=()),))
+        ok, reason = verify(SCHEME, fx.meta, ch, bad)
         assert not ok and "64 bits" in reason
         with pytest.raises(FormatError):
-            partial_from_proof(SCHEME, audit.VersionProof((bad,)), fx.meta)
+            partial_from_proof(SCHEME, bad, fx.meta)

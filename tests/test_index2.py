@@ -1,12 +1,15 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 
+from flexstore import persist, proofs
 from flexstore.core import NodeStore, check_subtree
-from flexstore.errors import NoSuchVersion, VersionOutOfOrder
+from flexstore.errors import (FormatError, NoSuchVersion, ProofRejected,
+                              VersionOutOfOrder)
 from flexstore.hashing import HashScheme
-from flexstore.index2 import (Layer2Proof, VersionIndex, VersionRecord,
-                              verify_version_proof, version_count_from_proof)
+from flexstore.index2 import (VersionIndex, VersionRecord,
+                              verify_version_proof)
 
 SCHEME = HashScheme()
 SEED = bytes.fromhex("a0a1a2a3a4a5a6a7a8a9")
@@ -60,49 +63,76 @@ class TestAppend:
 class TestVersionProof:
     def test_single_version_roundtrip(self):
         vindex = fresh_index(1)
-        proof = vindex.version_proof(0)
-        ok, reason = verify_version_proof(SCHEME, vindex.meta_digest, proof)
-        assert ok, reason
+        subtree, records = vindex.version_proof((0,))
+        assert records == [vindex.record(0)]
+        assert verify_version_proof(SCHEME, vindex.meta_digest, subtree,
+                                    records) == 1
 
     def test_all_versions_roundtrip(self):
         vindex = fresh_index(100)
         for v in range(100):
-            proof = vindex.version_proof(v)
-            ok, reason = verify_version_proof(SCHEME, vindex.meta_digest,
-                                              proof)
-            assert ok, (v, reason)
-            assert version_count_from_proof(proof) == 100
+            subtree, records = vindex.version_proof((v,))
+            assert verify_version_proof(SCHEME, vindex.meta_digest, subtree,
+                                        records) == 100, v
+
+    def test_many_versions_in_one_subtree(self):
+        vindex = fresh_index(40)
+        subtree, records = vindex.version_proof((33, 0, 7, 33, 39))
+        assert [r.version for r in records] == [0, 7, 33, 39]
+        assert verify_version_proof(SCHEME, vindex.meta_digest, subtree,
+                                    records) == 40
+        for bad in (records[:3], records[1:], records[::-1],
+                    records + [vindex.record(8)]):
+            with pytest.raises((ProofRejected, FormatError)):
+                verify_version_proof(SCHEME, vindex.meta_digest, subtree,
+                                     bad)
+
+    def test_record_at_another_offset_rejected(self):
+        # A list whose leaf 0 holds version 1's record: every digest
+        # closes, the leaf's position does not.
+        vindex = fresh_index(0)
+        rec = record(1)
+        material = SCHEME.version_record(1, rec.root_digest,
+                                         rec.update_start, rec.update_length)
+        root = persist.insert_block(vindex.store, SCHEME, vindex.root,
+                                    index=0, length=1,
+                                    block_digest=material, level=0).new_root
+        subtree, _digests = proofs.build_path(vindex.store, root, [0], [1])
+        with pytest.raises(ProofRejected, match="position"):
+            verify_version_proof(SCHEME, vindex.store.get(root).digest,
+                                 subtree, [rec])
 
     def test_missing_version(self):
         vindex = fresh_index(2)
         with pytest.raises(NoSuchVersion):
-            vindex.version_proof(2)
+            vindex.version_proof((2,))
 
     def test_tampered_update_length_rejected(self):
         vindex = fresh_index(5)
-        proof = vindex.version_proof(3)
-        bad = Layer2Proof(proof.version, proof.root_digest,
-                          proof.update_start, proof.update_length ^ 1,
-                          proof.path)
-        ok, _ = verify_version_proof(SCHEME, vindex.meta_digest, bad)
-        assert not ok
+        subtree, (rec,) = vindex.version_proof((3,))
+        bad = replace(rec, update_length=rec.update_length ^ 1)
+        with pytest.raises(ProofRejected):
+            verify_version_proof(SCHEME, vindex.meta_digest, subtree, [bad])
 
     def test_tampered_root_digest_rejected(self):
         vindex = fresh_index(5)
-        proof = vindex.version_proof(2)
-        flipped = bytes([proof.root_digest[0] ^ 1]) + proof.root_digest[1:]
-        bad = Layer2Proof(proof.version, flipped, proof.update_start,
-                          proof.update_length, proof.path)
-        ok, _ = verify_version_proof(SCHEME, vindex.meta_digest, bad)
-        assert not ok
+        subtree, (rec,) = vindex.version_proof((2,))
+        flipped = bytes([rec.root_digest[0] ^ 1]) + rec.root_digest[1:]
+        bad = replace(rec, root_digest=flipped)
+        with pytest.raises(ProofRejected):
+            verify_version_proof(SCHEME, vindex.meta_digest, subtree, [bad])
 
     def test_version_substitution_rejected(self):
         vindex = fresh_index(5)
-        proof = vindex.version_proof(2)
-        bad = Layer2Proof(4, proof.root_digest, proof.update_start,
-                          proof.update_length, proof.path)
-        ok, _ = verify_version_proof(SCHEME, vindex.meta_digest, bad)
-        assert not ok
+        subtree, (rec,) = vindex.version_proof((2,))
+        # version 4's own record, presented at version 2's leaf
+        with pytest.raises(ProofRejected):
+            verify_version_proof(SCHEME, vindex.meta_digest, subtree,
+                                 [vindex.record(4)])
+        # version 2's material under version 4's number
+        with pytest.raises(ProofRejected):
+            verify_version_proof(SCHEME, vindex.meta_digest, subtree,
+                                 [replace(rec, version=4)])
 
     def test_historical_roots_stay_valid(self):
         vindex = fresh_index(0)
@@ -111,6 +141,27 @@ class TestVersionProof:
             vindex.append_version(record(v))
             history.append((vindex.root, vindex.meta_digest))
         for v, (root, meta) in enumerate(history):
-            proof = vindex.version_proof(v, at_root=root)
-            ok, reason = verify_version_proof(SCHEME, meta, proof)
-            assert ok, (v, reason)
+            past = VersionIndex(vindex.store, SCHEME, SEED, root=root,
+                                records=[vindex.record(k)
+                                         for k in range(v + 1)])
+            assert past.meta_digest == meta
+            subtree, records = past.version_proof((v,))
+            assert verify_version_proof(SCHEME, meta, subtree,
+                                        records) == v + 1, v
+
+    def test_shared_subtree_is_smaller_than_separate_ones(self):
+        vindex = fresh_index(1000)
+
+        def sizes(versions):
+            shared, records = vindex.version_proof(versions)
+            assert verify_version_proof(SCHEME, vindex.meta_digest, shared,
+                                        records) == 1000
+            return len(shared), sum(len(vindex.version_proof((v,))[0])
+                                    for v in versions)
+
+        # The latest ten versions share all but the bottom of their paths.
+        shared, separate = sizes(range(990, 1000))
+        assert shared < separate / 2, (shared, separate)
+        # Ten versions spread over the history share only the top levels.
+        shared, separate = sizes(range(0, 1000, 100))
+        assert shared < separate, (shared, separate)

@@ -18,7 +18,8 @@ from flexstore import repo as repo_mod
 from flexstore.adaptor import DiffEntry, format_diff
 from flexstore.errors import (BlockTooSmall, DomainError, EmptyCommit,
                               IOFailure, NoSuchVersion, PathExists,
-                              RepositoryLocked, StructureCorrupt)
+                              ProofRejected, RepositoryLocked,
+                              StructureCorrupt)
 from flexstore.repo import STORE_FORMAT, Repository
 
 SEED_HEX = "00112233445566778899"
@@ -1321,6 +1322,19 @@ class TestUpdatePhase:
         assert repo.latest.root_digest == client_root_digest
         replica.append_version(repo.latest)
         assert replica.meta_digest.hex() == summary["meta"]
+
+    def test_stale_base_rejected(self, repo):
+        """A range proof of an older version is no base for the client's
+        next version, though every digest in it closes."""
+        for at in (100, 2000):
+            repo.commit(format_diff([DiffEntry("replace", at, b"new", 3)]))
+        meta = repo.meta_digest
+        with pytest.raises(ProofRejected, match="not the latest"):
+            adaptor.partial_from_proof(repo.scheme,
+                                       repo.prove_blocks(0, 0, 600), meta)
+        partial = adaptor.partial_from_proof(
+            repo.scheme, repo.prove_blocks(2, 0, 600), meta)
+        assert partial.root_digest == repo.latest.root_digest
 
     def test_storage_growth_bounded(self, repo):
         import os
