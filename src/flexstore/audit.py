@@ -82,6 +82,7 @@ class VersionPart:
     update_length: int
     subtree: bytes              # pruned subtree of the version root, encoded
     blocks: tuple[bytes, ...]   # each proven leaf's block, left to right
+                                # (read_proof gives memoryviews)
 
 
 @dataclass(frozen=True)
@@ -173,10 +174,10 @@ def check_proof(scheme: HashScheme, meta: bytes,
     count = index2.verify_version_proof(scheme, meta, proof.layer2,
                                         proof.parts)
     subs = []
+    sha = scheme.hash_fn
     for part in proof.parts:
         sub = proofs.fold_path(scheme, part.subtree, [
-            (len(block), scheme.block_digest(block))
-            for block in part.blocks])
+            (len(block), sha(block).digest()) for block in part.blocks])
         if sub.digest[sub.root] != part.root_digest:
             raise ProofRejected("layer-1 digest mismatch")
         subs.append(sub)
@@ -230,19 +231,27 @@ def _verify(scheme, meta, ch, proof):
 
 
 class _Reader:
+    """Reads a file's fields in order from one memoryview: `take` and
+    `blocks` return slices of it, not copies."""
+
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(bytes(data))   # a copy only if mutable
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if n < 0 or self.pos + n > len(self.data):
+    def take(self, n: int) -> memoryview:
+        end = self.pos + n
+        if n < 0 or end > len(self.data):
             raise FormatError("truncated file")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
+        self.pos = end
+        return self.data[end - n:end]
 
     def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
+        try:
+            value, = _U64.unpack_from(self.data, self.pos)
+        except struct.error:
+            raise FormatError("truncated file") from None
+        self.pos += 8
+        return value
 
     def count(self, unit: int) -> int:
         """A repeat count of records at least `unit` bytes each, checked
@@ -251,6 +260,26 @@ class _Reader:
         if value * unit > len(self.data) - self.pos:
             raise FormatError("repeat count exceeds the bytes that remain")
         return value
+
+    def blocks(self) -> tuple[memoryview, ...]:
+        """A count, then that many blocks, each its length and bytes."""
+        count = self.count(_MIN_BLOCK)
+        data, pos, size = self.data, self.pos, len(self.data)
+        unpack_from = _U64.unpack_from
+        out = []
+        try:
+            for _ in range(count):
+                length, = unpack_from(data, pos)
+                pos += 8
+                end = pos + length
+                if end > size:
+                    raise FormatError("truncated file")
+                out.append(data[pos:end])
+                pos = end
+        except struct.error:
+            raise FormatError("truncated file") from None
+        self.pos = pos
+        return tuple(out)
 
     def done(self) -> None:
         if self.pos != len(self.data):
@@ -268,7 +297,7 @@ def read_challenge(data: bytes) -> Challenge:
     r = _Reader(data)
     if r.take(4) != MAGIC_CHALLENGE:
         raise FormatError("not a challenge file")
-    seed = r.take(SEED_BYTES)
+    seed = bytes(r.take(SEED_BYTES))
     count = r.u64()
     if count > _MAX_COUNT:
         raise FormatError("implausible challenge block count")
@@ -302,7 +331,8 @@ def write_proof(proof: VersionProof, scheme: HashScheme) -> bytes:
 
 def read_proof(data: bytes, scheme: HashScheme) -> VersionProof:
     """Parse the framing of a proof file. The pruned subtrees stay
-    encoded: proofs.fold_path decodes them. Raises FormatError only."""
+    encoded: proofs.fold_path decodes them. Each block is a read-only
+    memoryview of `data`, not a copy. Raises FormatError only."""
     w = scheme.width
     r = _Reader(data)
     magic = r.take(4)
@@ -310,15 +340,13 @@ def read_proof(data: bytes, scheme: HashScheme) -> VersionProof:
         raise FormatError("an FXP2 proof: that older format is not read")
     if magic != MAGIC_PROOF:
         raise FormatError("not a proof file")
-    layer2 = r.take(r.u64())
+    layer2 = bytes(r.take(r.u64()))
     parts = []
     for _ in range(r.count(_MIN_PART + w)):
-        version, root_digest = r.u64(), r.take(w)
+        version, root_digest = r.u64(), bytes(r.take(w))
         update_start, update_length = r.u64(), r.u64()
-        subtree = r.take(r.u64())
-        blocks = tuple(r.take(r.u64())
-                       for _ in range(r.count(_MIN_BLOCK)))
+        subtree = bytes(r.take(r.u64()))
         parts.append(VersionPart(version, root_digest, update_start,
-                                 update_length, subtree, blocks))
+                                 update_length, subtree, r.blocks()))
     r.done()
     return VersionProof(layer2, tuple(parts))

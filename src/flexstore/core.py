@@ -22,12 +22,14 @@ after link enters. Runs of level-0 towers chain at leaf level.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .errors import (BlockTooSmall, IndexOutOfRange, PathNotCovered,
-                     StructureCorrupt)
-from .hashing import HashScheme, LevelSource
+from .errors import (BlockTooSmall, DomainError, IndexOutOfRange,
+                     PathNotCovered, StructureCorrupt)
+from .hashing import (TAG_INTERNAL, TAG_LEAF, TAG_SENTINEL, HashScheme,
+                      LevelSource)
 
 KIND_INTERNAL = 0
 KIND_LEAF = 1
@@ -117,26 +119,38 @@ def read_blocks(fh, block_size: int) -> Iterator[bytes]:
 def make_leaf(store: NodeStore, scheme: HashScheme, length: int,
               block_digest: bytes | None, after: int | None,
               sentinel: bool = False) -> int:
-    """Create and finalize a leaf node; returns its id."""
+    """Create and finalize a leaf node; returns its id. The node is
+    hashed in one step (HashScheme.leaf_node's encoding): the after
+    child's digest came from the hash, so only the caller's block digest
+    needs its width checked."""
     if not sentinel and length < 1:
         raise BlockTooSmall("data blocks must be at least 1 byte")
-    after_node = store.get(after) if after is not None else None
-    rank = length + (after_node.rank if after_node else 0)
     bd = block_digest if block_digest is not None else scheme.zero
-    digest = scheme.leaf_node(0, rank, after_node.digest if after_node else None,
-                              length, bd, sentinel=sentinel)
+    if len(bd) != scheme.width:
+        raise DomainError("digest width mismatch")
+    if after is None:
+        rank, present, after_digest = length, 0, scheme.zero
+    else:
+        after_node = store.get(after)
+        rank, present, after_digest = (length + after_node.rank, 1,
+                                       after_node.digest)
+    digest = scheme.hash_fn(scheme.leaf_layout.pack(
+        TAG_SENTINEL if sentinel else TAG_LEAF, 0, rank, present,
+        after_digest, length, bd)).digest()
     kind = KIND_SENTINEL if sentinel else KIND_LEAF
     return store.add(Node(kind, 0, rank, None, after, length, bd, digest))
 
 
 def make_internal(store: NodeStore, scheme: HashScheme, level: int,
                   below: int, after: int) -> int:
-    """Create and finalize an internal node; returns its id."""
+    """Create and finalize an internal node, hashed in one step
+    (HashScheme.internal_node's encoding); returns its id."""
     below_node = store.get(below)
     after_node = store.get(after)
     rank = below_node.rank + after_node.rank
-    digest = scheme.internal_node(level, rank, below_node.digest,
-                                  after_node.digest)
+    digest = scheme.hash_fn(scheme.internal_layout.pack(
+        TAG_INTERNAL, level, rank, below_node.digest, 1,
+        after_node.digest)).digest()
     return store.add(Node(KIND_INTERNAL, level, rank, below, after, 0,
                           None, digest))
 
@@ -320,38 +334,65 @@ def check_subtree(store: NodeStore, scheme: HashScheme, root: int,
     """Recompute every rank and digest reachable from root and compare
     with stored values; raises StructureCorrupt on the first violation.
     Each checked node goes into `verified` by id, so passing one dict
-    across calls checks shared subtrees only once."""
+    across calls checks shared subtrees only once.
+
+    One walk gathers the unverified nodes the root reaches; they are
+    then checked in ascending id order, each hashed in one step. A child
+    has a lower id than its parent (ids are handed out children first),
+    so each node's children are verified before it; a link to a later
+    id is refused."""
     if verified is None:
         verified = {}
-    # Iterative post-order so deep chains cannot overflow the interpreter
-    # stack.
-    todo = [(root, False)]
+    get = store.get
+    nodes = {}
+    todo = [root]
     while todo:
-        node_id, ready = todo.pop()
-        if node_id in verified:
+        node_id = todo.pop()
+        if node_id in verified or node_id in nodes:
             continue
-        node = store.get(node_id)
-        if not ready:
-            todo.append((node_id, True))
-            for child in (node.below, node.after):
-                if child is not None and child not in verified:
-                    todo.append((child, False))
-            continue
-        below = store.get(node.below) if node.below is not None else None
-        after = store.get(node.after) if node.after is not None else None
-        if node.is_leaf:
-            if node.below is not None or node.level != 0:
-                raise StructureCorrupt("leaf invariants violated")
-            rank = node.length + (after.rank if after else 0)
-            digest = scheme.leaf_node(0, rank, after.digest if after else None,
-                                      node.length, node.block,
-                                      sentinel=node.kind == KIND_SENTINEL)
-        else:
-            if below is None or after is None:
-                raise StructureCorrupt("internal node missing a child")
-            rank = below.rank + after.rank
-            digest = scheme.internal_node(node.level, rank, below.digest,
-                                          after.digest)
+        node = nodes[node_id] = get(node_id)
+        if node.below is not None:
+            todo.append(node.below)
+        if node.after is not None:
+            todo.append(node.after)
+    sha, width, zero = scheme.hash_fn, scheme.width, scheme.zero
+    pack_internal = scheme.internal_layout.pack
+    pack_leaf = scheme.leaf_layout.pack
+    for node_id in sorted(nodes):
+        node = nodes[node_id]
+        below, after = node.below, node.after
+        if ((below is not None and below >= node_id)
+                or (after is not None and after >= node_id)):
+            raise StructureCorrupt(f"node {node_id} links to a later node")
+        after = verified[after] if after is not None else None
+        kind = node.kind
+        try:
+            if kind == KIND_INTERNAL:
+                if below is None or after is None:
+                    raise StructureCorrupt("internal node missing a child")
+                below = verified[below]
+                rank = below.rank + after.rank
+                digest = sha(pack_internal(TAG_INTERNAL, node.level, rank,
+                                           below.digest, 1,
+                                           after.digest)).digest()
+            else:
+                if below is not None or node.level != 0:
+                    raise StructureCorrupt("leaf invariants violated")
+                if len(node.block) != width:
+                    raise StructureCorrupt(
+                        f"block digest width at node {node_id}")
+                tag = TAG_SENTINEL if kind == KIND_SENTINEL else TAG_LEAF
+                if after is None:
+                    rank = node.length
+                    digest = sha(pack_leaf(tag, 0, rank, 0, zero, rank,
+                                           node.block)).digest()
+                else:
+                    rank = node.length + after.rank
+                    digest = sha(pack_leaf(tag, 0, rank, 1, after.digest,
+                                           node.length, node.block)).digest()
+        except struct.error:    # a rank past 64 bits
+            raise StructureCorrupt(
+                f"field out of range at node {node_id}") from None
         if rank != node.rank:
             raise StructureCorrupt(f"rank mismatch at node {node_id}")
         if digest != node.digest:

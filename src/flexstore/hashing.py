@@ -62,24 +62,31 @@ class HashScheme:
     """A chosen hash function plus derived constants.
 
     Each node kind's canonical bytes come from one precompiled
-    struct.Struct pack; every digest goes through `digest`."""
+    struct.Struct pack, exposed as `internal_layout`, `leaf_layout` and
+    `record_layout` (fields in the order of the encodings above), and
+    `hash_fn` is the hash constructor. `internal_node`, `leaf_node` and
+    `version_record` are the checked encoders. A loop that hashes many
+    nodes binds `hash_fn` and a layout once and hashes each node in one
+    step, hash_fn(layout.pack(...)).digest(), having checked the widths
+    of the digests it packs itself. `digest` hashes everything else:
+    blocks, through `block_digest`, and version records."""
 
-    __slots__ = ("name", "_fn", "width", "zero", "_internal", "_leaf",
-                 "_record")
+    __slots__ = ("name", "hash_fn", "width", "zero", "internal_layout",
+                 "leaf_layout", "record_layout")
 
     def __init__(self, name: str = "sha1"):
         if name not in _HASHES:
             raise DomainError(f"unknown hash function {name!r}")
         self.name = name
-        self._fn = _HASHES[name]
-        width = self.width = self._fn(b"").digest_size
+        self.hash_fn = _HASHES[name]
+        width = self.width = self.hash_fn(b"").digest_size
         self.zero = b"\x00" * width
-        self._internal = struct.Struct(f">BQQ{width}sB{width}s")
-        self._leaf = struct.Struct(f">BQQB{width}sQ{width}s")
-        self._record = struct.Struct(f">BQ{width}sQQ")
+        self.internal_layout = struct.Struct(f">BQQ{width}sB{width}s")
+        self.leaf_layout = struct.Struct(f">BQQB{width}sQ{width}s")
+        self.record_layout = struct.Struct(f">BQ{width}sQQ")
 
     def digest(self, data: bytes) -> bytes:
-        return self._fn(data).digest()
+        return self.hash_fn(data).digest()
 
     def block_digest(self, block: bytes) -> bytes:
         """Content address of a data block."""
@@ -95,7 +102,7 @@ class HashScheme:
             after = self.zero
         if len(below) != self.width or len(after) != self.width:
             raise DomainError("digest width mismatch")
-        return self.digest(self._internal.pack(
+        return self.digest(self.internal_layout.pack(
             TAG_INTERNAL, level, rank, below, present, after))
 
     def leaf_node(self, level: int, rank: int, after: bytes | None,
@@ -105,7 +112,7 @@ class HashScheme:
             after = self.zero
         if len(after) != self.width or len(block_digest) != self.width:
             raise DomainError("digest width mismatch")
-        return self.digest(self._leaf.pack(
+        return self.digest(self.leaf_layout.pack(
             TAG_SENTINEL if sentinel else TAG_LEAF, level, rank, present,
             after, length, block_digest))
 
@@ -113,7 +120,7 @@ class HashScheme:
                        update_start: int, update_length: int) -> bytes:
         if len(root_digest) != self.width:
             raise DomainError("digest width mismatch")
-        return self.digest(self._record.pack(
+        return self.digest(self.record_layout.pack(
             TAG_VERSION_RECORD, version, root_digest, update_start,
             update_length))
 
@@ -180,15 +187,15 @@ def challenge_indices(seed: bytes, count: int, start: int, length: int) -> list[
     if count < 0:
         raise DomainError("challenge count must be >= 0")
     limit = (1 << 64) - ((1 << 64) % length)
-    prefix = hashlib.sha256(b"chal" + seed)
-    pack = _U64.pack
+    draw_from = hashlib.sha256(b"chal" + seed).copy
+    pack, unpack_from = _U64.pack, _U64.unpack_from
     out = []
     counter = 0
     while len(out) < count:
-        draw = prefix.copy()
+        draw = draw_from()
         draw.update(pack(counter))
         counter += 1
-        value = int.from_bytes(draw.digest()[:8], "big")
+        value, = unpack_from(draw.digest())
         if value >= limit:
             continue
         out.append(start + value % length)

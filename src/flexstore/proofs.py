@@ -44,15 +44,18 @@ from typing import NamedTuple
 
 from .core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL, KIND_STUB,
                    NodeStore)
-from .errors import FormatError
-from .hashing import HashScheme
+from .errors import DomainError, FormatError
+from .hashing import TAG_INTERNAL, TAG_LEAF, TAG_SENTINEL, HashScheme
 
 _MAX_RANK = (1 << 64) - 1
 
 # Node tags.
 _ABSENT, _STUB, _INTERNAL, _PROVEN, _HOP, _SENTINEL = range(6)
-_KIND_OF_TAG = (None, KIND_STUB, KIND_INTERNAL, KIND_LEAF, KIND_LEAF,
-                KIND_SENTINEL)
+# The kind of a node by its tag, as a bytes.translate table; an absent
+# slot is no node, and translate deletes it.
+_KIND_OF_TAG = bytes([0, KIND_STUB, KIND_INTERNAL, KIND_LEAF, KIND_LEAF,
+                      KIND_SENTINEL]).ljust(256, b"\0")
+_ABSENT_TAG = bytes([_ABSENT])
 _U64 = struct.Struct(">Q")
 
 
@@ -139,11 +142,18 @@ def fold_path(scheme: HashScheme, data: bytes,
     counting open child slots and summing lengths and stub ranks into
     the proven leaves' offsets; a backward pass pops those lists from
     the end, making each node from its children, which come later in
-    preorder and so are made first. Raises FormatError and nothing else.
+    preorder and so are made first; each node is hashed in one step.
+    Raises DomainError if a digest in `leaves` is not of the scheme's
+    width, and otherwise FormatError and nothing else.
     """
     width = scheme.width
-    hop, stub = struct.Struct(f">Q{width}s"), struct.Struct(f">{width}sQ")
-    tags, numbers, digests, starts = [], [], [], []
+    if any(len(digest) != width for _length, digest in leaves):
+        raise DomainError("digest width mismatch")
+    unpack_hop = struct.Struct(f">Q{width}s").unpack_from
+    unpack_stub = struct.Struct(f">{width}sQ").unpack_from
+    entry = width + 8   # bytes of a hop's or a stub's fields
+    zero = scheme.zero
+    tags, numbers, digests, starts = bytearray(), [], [], []
     pos = offset = 0
     open_slots = 1
     try:
@@ -158,8 +168,8 @@ def fold_path(scheme: HashScheme, data: bytes,
                 open_slots += 2
                 continue
             if tag == _STUB:
-                digest, rank = stub.unpack_from(data, pos)
-                pos += stub.size
+                digest, rank = unpack_stub(data, pos)
+                pos += entry
                 numbers.append(rank)
                 digests.append(digest)
                 offset += rank
@@ -170,10 +180,10 @@ def fold_path(scheme: HashScheme, data: bytes,
                 length, digest = leaves[len(starts)]
                 starts.append(offset)
             elif tag == _HOP:
-                length, digest = hop.unpack_from(data, pos)
-                pos += hop.size
+                length, digest = unpack_hop(data, pos)
+                pos += entry
             elif tag == _SENTINEL:
-                length, digest = 0, scheme.zero
+                length, digest = 0, zero
             else:
                 raise FormatError(f"unknown subtree node tag {tag}")
             numbers.append(length)
@@ -192,12 +202,14 @@ def fold_path(scheme: HashScheme, data: bytes,
 
     # Node i is the i-th entry from the end that is not an absent slot.
     # Fields the entry's kind leaves at their default are never written.
-    kinds = [_KIND_OF_TAG[tag] for tag in reversed(tags) if tag != _ABSENT]
+    kinds = list(tags.translate(_KIND_OF_TAG, _ABSENT_TAG)[::-1])
     count = len(kinds)
     levels, lengths = [0] * count, [0] * count
     belows, afters, blocks = [None] * count, [None] * count, [None] * count
     ranks, made = [], []        # made: the digest of each node made
-    internal_node, leaf_node = scheme.internal_node, scheme.leaf_node
+    sha = scheme.hash_fn
+    pack_internal, pack_leaf = (scheme.internal_layout.pack,
+                                scheme.leaf_layout.pack)
     stack = []       # ids of the subtrees made, None for absent slots
     node = 0
     for tag in reversed(tags):
@@ -211,7 +223,9 @@ def fold_path(scheme: HashScheme, data: bytes,
             levels[node] = level = numbers.pop()
             belows[node], afters[node] = below, after
             rank = ranks[below] + ranks[after]
-            made.append(internal_node(level, rank, made[below], made[after]))
+            made.append(sha(pack_internal(TAG_INTERNAL, level, rank,
+                                          made[below], 1,
+                                          made[after])).digest())
         elif tag == _STUB:
             rank = numbers.pop()
             made.append(digests.pop())
@@ -219,14 +233,15 @@ def fold_path(scheme: HashScheme, data: bytes,
             after = stack.pop()
             lengths[node] = rank = length = numbers.pop()
             blocks[node] = block = digests.pop()
+            leaf_tag = TAG_SENTINEL if tag == _SENTINEL else TAG_LEAF
             if after is None:
-                made.append(leaf_node(0, rank, None, length, block,
-                                      sentinel=tag == _SENTINEL))
+                made.append(sha(pack_leaf(leaf_tag, 0, rank, 0, zero, length,
+                                          block)).digest())
             else:
                 afters[node] = after
                 rank += ranks[after]
-                made.append(leaf_node(0, rank, made[after], length, block,
-                                      sentinel=tag == _SENTINEL))
+                made.append(sha(pack_leaf(leaf_tag, 0, rank, 1, made[after],
+                                          length, block)).digest())
         ranks.append(rank)
         stack.append(node)
         node += 1

@@ -889,6 +889,7 @@ class Repository:
         except StructureCorrupt as exc:   # the log lost records since open
             problems.append(str(exc))
             commits = [None] * self.vindex.count
+        before = None     # the last record before this one that decoded
         for version, commit in enumerate(commits):
             if not isinstance(commit, Commit):   # None: reported above
                 if commit is not None:
@@ -897,6 +898,8 @@ class Repository:
                 continue
             rec = commit.record
             records.append(rec)
+            problems += self._fsck_commit(version, commit, before)
+            before = commit
             try:
                 stored = self.store.get(rec.root)
                 if stored.digest != rec.root_digest:
@@ -935,6 +938,26 @@ class Repository:
                 problems.append(
                     f"leaf {node_id}: stored length {node.length} disagrees "
                     "with block size")
+        return problems
+
+    def _fsck_commit(self, version: int, commit: Commit,
+                     before: Commit | None) -> list[str]:
+        """Check a commit record against the one before it: the store
+        only grows, so its node and block counts never fall; and its
+        layer-2 root holds the versions up to it, so has rank
+        version + 1."""
+        problems = []
+        if before is not None and (commit.nodes < before.nodes
+                                   or commit.blocks < before.blocks):
+            problems.append(f"version {version}: counts fewer records than "
+                            f"version {before.record.version}")
+        try:
+            rank = self.store.get(commit.layer2_root).rank
+        except StructureCorrupt as exc:
+            return problems + [f"version {version}: layer-2 root: {exc}"]
+        if rank != version + 1:
+            problems.append(f"version {version}: layer-2 root holds {rank} "
+                            f"versions, not {version + 1}")
         return problems
 
     def _fsck_layer2(self, records: list[VersionRecord | None]) -> list[str]:

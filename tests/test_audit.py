@@ -276,6 +276,39 @@ class TestWireFormats:
         ok, reason = verify(SCHEME, fx.meta, ch, back)
         assert ok, reason
 
+    def test_framing_roundtrip(self):
+        """read_proof then write_proof gives back the same bytes, for an
+        audit proof and a range proof, and each block read equals the
+        stored block."""
+        fx = Fixture(block_count=32)
+        cases = [fx.prove(Challenge(CH_SEED, 9, (1, 3))),
+                   fx.prove(Challenge(CH_SEED, 9)),
+                   audit.prove_range(fx.store, fx.vindex, fx.get_block, 2,
+                                     20, 60)]
+        for proof in cases:
+            data = write_proof(proof, SCHEME)
+            back = read_proof(data, SCHEME)
+            assert write_proof(back, SCHEME) == data
+            for part, sent in zip(back.parts, proof.parts, strict=True):
+                assert part.blocks == sent.blocks
+                assert [bytes(b) for b in part.blocks] == [
+                    fx.blocks[SCHEME.block_digest(b)] for b in part.blocks]
+
+    def test_block_framing_refused(self):
+        """A block length that runs past the end, and a block count
+        larger than the bytes that remain, are format errors."""
+        fx = Fixture()
+        data = write_proof(fx.prove(Challenge(CH_SEED, 2)), SCHEME)
+        blocks = read_proof(data, SCHEME).parts[-1].blocks
+        last = len(data) - len(blocks[-1]) - 8      # its length field
+        first = len(data) - sum(8 + len(b) for b in blocks) - 8   # count
+        for pos, value in ((last, len(blocks[-1]) + 1), (last, 2 ** 63),
+                           (first, len(blocks) + 1), (first, 2 ** 40)):
+            bad = bytearray(data)
+            bad[pos:pos + 8] = struct.pack(">Q", value)
+            with pytest.raises(FormatError):
+                read_proof(bytes(bad), SCHEME)
+
     def test_old_format_refused(self):
         fx = Fixture()
         data = write_proof(fx.prove(Challenge(CH_SEED, 2)), SCHEME)
@@ -326,6 +359,17 @@ def _flat_store(block_count, block_len, rng, levels=None):
 
 
 class TestPrunedSubtree:
+    @pytest.mark.parametrize("width", [19, 21])
+    def test_fold_refuses_leaf_digest_of_wrong_width(self, width):
+        store, blocks, vindex = _flat_store(16, 8, random.Random(4))
+        data, digests = proofs.build_path(store, vindex.record(0).root,
+                                          [10], [30])
+        leaves = [(8, digest) for digest in digests]
+        proofs.fold_path(SCHEME, data, leaves)
+        leaves[-1] = (8, bytes(width))
+        with pytest.raises(DomainError, match="width"):
+            proofs.fold_path(SCHEME, data, leaves)
+
     def test_range_proof_carries_each_block_once(self):
         store, blocks, vindex = _flat_store(512, 8, random.Random(3))
         root = vindex.record(0).root

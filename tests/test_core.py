@@ -8,9 +8,10 @@ import pytest
 from flexstore.core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL,
                             KIND_STUB, Node, NodeStore, block_layout, build,
                             build_with_levels, check_subtree,
-                            iter_data_leaves, leaves_from, read_blocks,
-                            search, split_blocks)
-from flexstore.errors import BlockTooSmall, DomainError, IndexOutOfRange
+                            iter_data_leaves, leaves_from, make_leaf,
+                            read_blocks, search, split_blocks)
+from flexstore.errors import (BlockTooSmall, DomainError, IndexOutOfRange,
+                              StructureCorrupt)
 from flexstore.hashing import HashScheme, LevelSource
 
 SCHEME = HashScheme()
@@ -209,6 +210,64 @@ class TestPackedEncoder:
                     SCHEME.leaf_node(*args)
             with pytest.raises(DomainError):
                 SCHEME.version_record(0, bad, 0, 1)
+
+
+class TestCheckSubtreeLinks:
+    """check_subtree checks nodes in ascending id order, so it must
+    refuse, not trip over, a link that does not point back to a node
+    that exists."""
+
+    def _leaf(self, after):
+        block = SCHEME.block_digest(b"x")
+        return Node(KIND_LEAF, 0, 1, None, after, 1, block, SCHEME.zero)
+
+    def _store(self, *nodes):
+        store = NodeStore()
+        make_leaf(store, SCHEME, 0, None, None, sentinel=True)   # id 0
+        for node in nodes:
+            store.add(node)
+        return store
+
+    @pytest.mark.parametrize("verified", [False, True])
+    def test_link_to_a_later_id(self, verified):
+        store = NodeStore()
+        make_leaf(store, SCHEME, 0, None, None, sentinel=True)   # id 0
+        store.add(self._leaf(2))                                 # id 1
+        make_leaf(store, SCHEME, 1, SCHEME.block_digest(b"y"), 0)   # id 2
+        checked = {}
+        if verified:     # the later node itself is sound
+            check_subtree(store, SCHEME, 2, checked)
+        with pytest.raises(StructureCorrupt, match="node 1 links to a "
+                           "later node"):
+            check_subtree(store, SCHEME, 1, checked)
+
+    def test_internal_link_to_a_later_id(self):
+        store = self._store(
+            Node(KIND_INTERNAL, 1, 1, 2, 0, 0, None, SCHEME.zero),  # id 1
+            self._leaf(0))                                          # id 2
+        with pytest.raises(StructureCorrupt, match="later node"):
+            check_subtree(store, SCHEME, 1)
+
+    @pytest.mark.parametrize("after", [2, 100])
+    def test_link_to_a_missing_id(self, after):
+        store = self._store(self._leaf(after))    # id 1; ids 0-1 exist
+        with pytest.raises(StructureCorrupt, match="missing"):
+            check_subtree(store, SCHEME, 1)
+
+    def test_rank_past_64_bits(self):
+        store = NodeStore()
+        for _ in range(2):
+            make_leaf(store, SCHEME, 1 << 63, SCHEME.block_digest(b"z"),
+                      None)                                     # ids 0, 1
+        store.add(Node(KIND_INTERNAL, 1, 0, 0, 1, 0, None, SCHEME.zero))
+        with pytest.raises(StructureCorrupt, match="out of range"):
+            check_subtree(store, SCHEME, 2)
+
+    def test_cycle(self):
+        store = self._store(self._leaf(2), self._leaf(1))   # ids 1 and 2
+        for root in (1, 2):
+            with pytest.raises(StructureCorrupt, match="later node"):
+                check_subtree(store, SCHEME, root)
 
 
 class TestSearch:

@@ -822,6 +822,35 @@ class TestFsck:
         assert repo.fsck() == []
         assert len(hashed) == len(pack_records(repo)) == len(set(hashed))
 
+    @pytest.mark.parametrize("field, source, problem", [
+        ("nodes", 3, "version 2: counts fewer records than version 1"),
+        ("blocks", 3, "version 2: counts fewer records than version 1"),
+        ("layer2_root", 0, "version 1: layer-2 root holds 1 versions, "
+                           "not 2"),
+    ], ids=["nodes", "blocks", "layer2_root"])
+    def test_commit_record_checked_against_the_one_before(
+            self, repo, field, source, problem):
+        """A middle commit record's count or layer-2 root, rewritten with
+        another record's value that every check against the last record
+        accepts, is reported by fsck."""
+        for at in (100, 1500, 3000):     # each commit adds a block
+            repo.commit(format_diff([DiffEntry("insert", at, b"n" * 40)]))
+        layout = repo.log.layout
+        names = ("root", "root_digest", "start", "length", "layer2_root",
+                 "level_counter", "nodes", "blocks")
+        repo.close()
+        log = repo.path / "versions.log"
+        raw = bytearray(log.read_bytes())
+        records = [list(layout.unpack_from(raw, k * layout.size))
+                   for k in range(4)]
+        index = names.index(field)
+        assert records[1][index] != records[source][index]
+        records[1][index] = records[source][index]
+        layout.pack_into(raw, layout.size, *records[1])
+        log.write_bytes(bytes(raw))
+        with Repository.open(repo.path) as again:
+            assert again.fsck() == [problem]
+
     def test_tampered_commit_record_fails_layer2_replay(self, repo):
         """A version's update region, changed in its commit record and
         nowhere else, no longer rebuilds to the logged meta digest."""
