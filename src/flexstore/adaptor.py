@@ -45,9 +45,9 @@ INSERT = "insert"
 DELETE = "delete"
 REPLACE = "replace"
 
-MODIFY_OP = "modify"
-INSERT_OP = "insert"
-REMOVE_OP = "remove"
+MODIFY_OP = persist.MODIFY
+INSERT_OP = persist.INSERT
+REMOVE_OP = persist.REMOVE
 
 
 @dataclass(frozen=True)
@@ -233,8 +233,8 @@ def required_range(diffs: list[DiffEntry], layout: list[int]) -> tuple[int, int]
     """Byte range of current-version blocks whose proof paths cover the
     operations diff_to_ops emits for `diffs`.
 
-    The touched blocks plus one block of padding on the left, so the
-    re-homing that removes and boundary inserts perform stays on proven
+    The touched blocks plus one block of padding on the left, so a
+    splice that opens the towers just left of its cut stays on proven
     paths. Returns (start, length) in pre-commit coordinates; length 0
     means no existing block is needed (empty file)."""
     if not layout:
@@ -304,21 +304,33 @@ def apply_ops(store: NodeStore, scheme: HashScheme, root: int,
     one edit engine that finalizes only the nodes the new root reaches;
     returns its CommitResult and the advanced level source.
 
-    block_digest(data) returns a new block's digest (default: hash it
-    with scheme); a caller that stores the blocks can pass its own put.
+    An op whose index is the end of the run before it (where that run's
+    new blocks end) joins the run, so each group translate_diffs emits is
+    one splice. block_digest(data) returns a new block's digest (default:
+    hash it with scheme); a caller that stores the blocks can pass its
+    own put.
     """
     block_digest = block_digest or scheme.block_digest
     eng = persist.EditEngine(store, scheme, root)
+    run, start, end = [], 0, None
     for op in ops:
-        if op.kind == MODIFY_OP:
-            eng.modify(op.index, len(op.data), block_digest(op.data))
+        if op.kind == REMOVE_OP:
+            step = (op.kind, 0, None, None)
+        elif op.kind == MODIFY_OP:
+            step = (op.kind, len(op.data), block_digest(op.data), None)
         elif op.kind == INSERT_OP:
             level, src = src.draw()
-            eng.insert(op.index, len(op.data), block_digest(op.data), level)
-        elif op.kind == REMOVE_OP:
-            eng.remove(op.index)
+            step = (op.kind, len(op.data), block_digest(op.data), level)
         else:
             raise FormatError(f"unknown block op {op.kind!r}")
+        if op.index != end:
+            if run:
+                eng.splice(start, run)
+            run, start, end = [], op.index, op.index
+        run.append(step)
+        end += step[1]
+    if run:
+        eng.splice(start, run)
     return eng.finish(), src
 
 

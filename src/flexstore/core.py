@@ -14,10 +14,11 @@ the leaf chain.
 
 Shape is canonical: given the block sequence and the per-block tower
 levels, the node graph (and therefore the root digest) is uniquely
-determined, independent of the edit history that produced it. Towers
-claim the span to their right up to the first tower of greater-or-equal
-level; an internal node's stored level is the level of the tower its
-after link enters. Runs of level-0 towers chain at leaf level.
+determined, independent of the edit history that produced it: it is
+what push_tower's fold makes of them. Towers claim the span to their
+right up to the first taller tower; an internal node's stored level is
+the level of the tower its after link enters. Runs of level-0 towers
+chain at leaf level.
 """
 
 from __future__ import annotations
@@ -161,43 +162,59 @@ def build_with_levels(store: NodeStore, scheme: HashScheme,
     """Construct the canonical list for (blocks, levels); returns root id.
 
     blocks are (length, block_digest) pairs; levels[i] is block i's tower
-    level. Folds right to left with a monotonic stack: each tower pops the
-    pieces of all towers to its right up to the first strictly taller one
-    and stacks them as its column, level-0 pieces chaining at leaf level.
+    level. Pushes the towers right to left through push_tower, the fold
+    the edit engine replays at a cut, finalizing each node as it is made.
     """
     if len(blocks) != len(levels):
         raise ValueError("one level per block required")
-    right = make_leaf(store, scheme, 0, None, None, sentinel=True)
-    # stack of (tower_level, piece_id); levels strictly increase toward
-    # the front, stack[-1] is the nearest piece.
-    stack: list[tuple[int, int]] = [(0, right)]
+
+    def internal(level, below, after, _rank):
+        return make_internal(store, scheme, level, below, after)
+
+    stack = [FLOOR, (0, make_leaf(store, scheme, 0, None, None,
+                                  sentinel=True), 0)]
     for (length, block_digest), level in zip(reversed(blocks),
                                              reversed(levels)):
-        stack = _push_tower(store, scheme, stack, level, length,
-                            block_digest, sentinel=False)
-    # Left sentinel column captures everything that remains.
-    stack = _push_tower(store, scheme, stack, LEVEL_INF, 0, None,
-                        sentinel=True)
-    return stack[0][1]
+        chain, rank = take_chain(stack)
+        push_tower(stack, level, make_leaf(store, scheme, length,
+                                           block_digest, chain),
+                   length + rank, internal)
+    # The left sentinel's column captures everything that remains.
+    chain, rank = take_chain(stack)
+    push_tower(stack, LEVEL_INF, make_leaf(store, scheme, 0, None, chain,
+                                           sentinel=True), rank, internal)
+    return stack[-1][1]
 
 
 LEVEL_INF = 1 << 62  # left sentinel capture bound; above any drawable level
+FLOOR = (1 << 63, None, 0)  # bottom of every fold stack; nothing captures it
 
 
-def _push_tower(store, scheme, stack, level, length, block_digest, sentinel):
-    pops = []
-    while stack and stack[-1][0] <= level:
-        pops.append(stack.pop())
-    chain_after = None
-    if pops and pops[0][0] == 0:
-        chain_after = pops[0][1]
-        pops = pops[1:]
-    cur = make_leaf(store, scheme, length, block_digest, chain_after,
-                    sentinel=sentinel)
-    for pop_level, piece in pops:
-        cur = make_internal(store, scheme, pop_level, cur, piece)
-    stack.append((level, cur))
-    return stack
+def take_chain(stack: list) -> tuple:
+    """(ref, rank) of the level-0 piece on top of a fold stack, taken off
+    for the leaf pushed next to chain to; (None, 0) if there is none."""
+    if stack[-1][0]:
+        return None, 0
+    _level, piece, rank = stack.pop()
+    return piece, rank
+
+
+def push_tower(stack: list, level: int, cur, rank: int, internal) -> None:
+    """One step of the right-to-left fold that defines a list's shape.
+
+    stack holds the pieces to the right as (level, ref, rank), levels
+    rising strictly from the top (the nearest piece) to FLOOR. The tower
+    of `level` whose column so far is `cur`, holding `rank` bytes,
+    captures every piece of level <= its own, nearest first, each through
+    a node internal(piece level, below, after, rank) makes, and goes on
+    the stack as one piece. A level-0 piece is no capture: the tower's
+    leaf chains to it (take_chain) before the push.
+    """
+    while stack[-1][0] <= level:
+        piece_level, piece, piece_rank = stack.pop()
+        rank += piece_rank
+        cur = internal(piece_level, cur, piece, rank)
+    stack.append((level, cur, rank))
 
 
 def build(store: NodeStore, scheme: HashScheme, blocks: Iterable[bytes],
@@ -234,39 +251,55 @@ class SearchPath:
     offset: int = 0  # byte offset of the found leaf's block start
 
 
-def search(store: NodeStore, root: int, index: int) -> SearchPath:
-    """Locate the leaf whose block contains byte `index`.
+def descend(get, root, index: int) -> tuple[list, object, Node, int]:
+    """The descent toward byte `index` from `root` that search and the
+    edit engine run. A ref, `root` included, is a node id, read with
+    get, or an unfinalized Node, read as it is.
 
-    Follows below while the below-side rank exceeds the remaining index,
-    otherwise follows after and deducts the bytes left behind.
+    Follows below while the below side's rank exceeds the remaining
+    index, otherwise follows after and deducts the bytes left behind.
+    Returns (path, ref, node, residual): path holds (ref, node, went
+    below, span) per move, span being the bytes of the node's below side
+    (a leaf's length); ref and node are the leaf reached, residual the
+    offset of `index` inside its block. index = rank reaches the right
+    sentinel with residual 0.
     """
-    root_node = store.get(root)
-    if index < 0 or index >= root_node.rank:
-        raise IndexOutOfRange(f"index {index} outside rank {root_node.rank}")
-    path = SearchPath()
-    node_id, node = root, root_node
-    remaining = index
+    ref, remaining, path = root, index, []
+    node = root if type(root) is Node else get(root)
     while True:
-        # bytes left behind when moving after: the below-side span
-        span = (store.get(node.below).rank if node.below is not None
-                else node.length)
-        if remaining < span:
-            if node.is_leaf:
-                path.leaf = node_id
-                path.residual = remaining
-                path.offset = index - remaining
-                return path
-            path.entries.append((node_id, BELOW))
-            node_id = node.below
-        elif node.after is not None:
-            remaining -= span
-            path.entries.append((node_id, AFTER))
-            node_id = node.after
-        else:
-            raise StructureCorrupt("descent stuck; rank law violated")
-        node = store.get(node_id)
         if node.kind == KIND_STUB:
-            raise PathNotCovered("search entered an unexpanded subtree")
+            raise PathNotCovered("descent entered an unexpanded subtree")
+        below = node.below
+        if below is None:
+            span = node.length
+            if remaining < span or (remaining == span == 0
+                                    and node.after is None):
+                return path, ref, node, remaining
+        else:
+            below_node = below if type(below) is Node else get(below)
+            span = below_node.rank
+            if remaining < span:
+                path.append((ref, node, True, span))
+                ref, node = below, below_node
+                continue
+        after = node.after
+        if after is None:
+            raise StructureCorrupt("descent stuck; rank law violated")
+        remaining -= span
+        path.append((ref, node, False, span))
+        ref = after
+        node = after if type(after) is Node else get(after)
+
+
+def search(store: NodeStore, root: int, index: int) -> SearchPath:
+    """Locate the leaf whose block contains byte `index` (descend)."""
+    rank = store.get(root).rank
+    if index < 0 or index >= rank:
+        raise IndexOutOfRange(f"index {index} outside rank {rank}")
+    path, leaf, _node, residual = descend(store.get, root, index)
+    return SearchPath([(ref, BELOW if below else AFTER)
+                       for ref, _node, below, _span in path],
+                      leaf, residual, index - residual)
 
 
 def block_layout(store: NodeStore, root: int) -> list[int]:

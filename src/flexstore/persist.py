@@ -1,25 +1,40 @@
-"""Fully persistent FlexList edits via path copying.
+"""Fully persistent FlexList edits: a splice at a cut, replayed by the
+fold that builds a list.
 
 Every edit leaves the old version's node graph untouched and produces a
 new root that shares all unchanged subtrees with it. One edit engine
-(EditEngine) runs a batch of edits, the block ops of one new version:
+(EditEngine) runs the block ops of one new version as splices. A splice
+replaces a run of adjacent whole blocks, at a block-aligned cut, with new
+towers:
 
-  1. Each op locates its target with a read-only descent from the
-     batch's current root: to the target leaf for modify; for insert and
-     remove, to the boundary node whose after link enters the affected
-     tower.
-  2. It edits that path bottom-up. A node it changes becomes a draft: a
-     finalized node is copied once, a draft an earlier op made is edited
-     in place. Insert and remove re-home the subtree pieces the edit cuts
-     loose (an inserted tower swallowing its shorter right neighbours, a
-     removed tower releasing its captured ones) where the first tower
-     tall enough to carry their link sits, creating missing nodes where
-     a link needs a connection point, and splice out a node that loses
-     its after link. A draft carries its rank, set again from its
-     children whenever its links change, so later ops descend through
-     drafts as through finalized nodes.
-  3. finish runs once, after the last op: it finalizes into the store,
-     children first, only the drafts the final root reaches.
+  Cut. One descent (core.descend) to the first block the run replaces.
+     A node the path leaves by its below link holds, by its after link, a
+     piece right of the cut. A node it leaves by its after link is where
+     a tower left of the cut reaches across it: its below side is the
+     part of that tower the run cannot change. The run's removed blocks
+     are then taken off the nearest pieces, each walked down its column,
+     which leaves the pieces right of the run. A piece's level is that of
+     the link holding it and its rank is its parent's less the rank of
+     the child the path took, so no sibling node is read.
+  Fold. The new towers, then the towers the path reached across the cut,
+     go through core.push_tower, the fold build_with_levels builds a
+     whole list with: a tower captures every piece of level <= its own,
+     and a level-0 piece chains to its leaf.
+  Share. The pieces and the below sides are old subtrees, linked as they
+     are: only nodes whose links change are made. The tower just left of
+     the cut is opened further, down the right edge of its below side,
+     only when the nearest new piece is lower than the tower it replaces,
+     as only then can a tower there capture it.
+
+A run that is one modify keeps its block's level and so changes no link:
+it copies the descent's path instead, each node's rank moved by the
+change in length: the nodes the fold would make, with less work.
+
+New nodes are drafts, unfinalized core.Node objects whose links hold ids
+or other drafts. A later splice of the batch reads them as it reads
+stored nodes and never edits one. finish runs once, after the last
+splice: it finalizes into the store, children first, only the drafts the
+final root reaches.
 
 Because the structure is canonical (see core), the result of any batch
 is bit-identical to rebuilding from scratch over the edited block
@@ -33,40 +48,16 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from . import core
-from .core import (AFTER, BELOW, KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL,
-                   KIND_STUB, Node, NodeStore)
+from .core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL, KIND_STUB, Node,
+                   NodeStore)
 from .errors import (BlockTooSmall, IndexOutOfRange, NotBlockAligned,
                      PathNotCovered, StructureCorrupt)
 from .hashing import HashScheme, LevelSource
 
-
-class _Draft:
-    """Mutable node under construction during one batch.
-
-    Child slots hold either finalized node ids or other drafts; rank is
-    kept equal to the children's (see EditEngine._link); node_id is
-    assigned when finish finalizes the draft.
-    """
-
-    __slots__ = ("kind", "level", "rank", "length", "block", "below",
-                 "after", "node_id")
-
-    def __init__(self, kind, level, rank, length, block, below, after):
-        self.kind = kind
-        self.level = level
-        self.rank = rank
-        self.length = length
-        self.block = block
-        self.below = below
-        self.after = after
-        self.node_id = None
-
-    @property
-    def is_leaf(self):
-        return self.kind != KIND_INTERNAL
-
-
-Ref = object  # node id (int) or _Draft
+# Block op kinds of a splice run, as adaptor.BlockOp names them.
+MODIFY = "modify"
+INSERT = "insert"
+REMOVE = "remove"
 
 
 @dataclass
@@ -76,270 +67,154 @@ class CommitResult:
     shared_nodes: int   # distinct older nodes the created ones link to
 
 
+def _draft(level, below, after, rank):
+    return Node(KIND_INTERNAL, level, rank, below, after, 0, None, None)
+
+
 class EditEngine:
-    """One new version's edits over `root`: located paths edited
-    bottom-up, piece re-homing, and one finalization of the drafts the
-    final root reaches. `root` is the batch's current root, a node id
-    until the first op makes it a draft."""
+    """One new version's splices over `root`, and one finalization of
+    the drafts the final root reaches. `root` is the batch's current
+    root, a node id until the first splice makes it a draft."""
 
     def __init__(self, store: NodeStore, scheme: HashScheme, root: int):
         self.store = store
         self.scheme = scheme
-        self.root: Ref = root
+        self.root = root
 
-    # -- ops ----------------------------------------------------------------
+    def _node(self, ref) -> Node:
+        return ref if type(ref) is Node else self.store.get(ref)
 
-    def modify(self, index: int, length: int, block: bytes) -> None:
-        """Give the block containing byte `index` a new length and
-        digest."""
-        self._check(index)
-        if length < 1:
-            raise BlockTooSmall("modify needs at least 1 byte")
-        path, _residual = self.locate(index, to_leaf=True)
-        *above, (ref, leaf, _direction) = path
-        child = self.own(ref, leaf)
-        # No link changes: the leaf and every node above it change rank
-        # by the change in length.
-        delta = length - child.length
-        child.length, child.block = length, block
-        child.rank += delta
-        for ref, node, direction in reversed(above):
-            draft = self.own(ref, node)
-            setattr(draft, direction, child)
-            draft.rank += delta
-            child = draft
-        self.root = child
-
-    def insert(self, index: int, length: int, block: bytes,
-               level: int) -> None:
-        """Insert a block known by (length, digest), with a tower of
-        `level`, at byte `index`: index = rank appends, an index inside a
-        block inserts before that block."""
-        self._check(index, appending=True)
-        if length < 1:
-            raise BlockTooSmall("insert needs at least 1 byte")
-        path, residual = self.locate(index)
-        if residual:
-            path, residual = self.locate(index - residual)
-            if residual:
-                raise StructureCorrupt("boundary descent stopped mid-block")
-        *above, (ref, stop, _direction) = path
-        if not stop.is_leaf:
-            cont, pendings = self._below_frame(
-                ref, stop, stop.below,
-                [[level, self.new_leaf(length, block, None)]])
-        elif level == 0:
-            cont = self._link(self.own(ref, stop), None,
-                              self.new_leaf(length, block, stop.after))
-            pendings = []
-        else:
-            pendings = [[level, self.new_leaf(length, block, stop.after)]]
-            cont = self._link(self.own(ref, stop), None, None)
-        self.root = self.rebuild(above, cont, pendings)
-
-    def remove(self, index: int) -> None:
-        """Remove the block starting at byte `index`. Missing nodes
-        created to re-home the removed tower's after links take the level
-        of the link they carry, which is what makes insert-then-remove
-        digest-restoring."""
-        self._check(index)
-        path, residual = self.locate(index)
-        if residual:
-            raise NotBlockAligned(f"index {index} is not a block start")
-        *above, (ref, stop, _direction) = path
-        pendings = []
-        if stop.is_leaf:
-            removed = self._node(stop.after)
-            if removed.kind == KIND_STUB:
-                raise PathNotCovered("cannot remove an unexpanded block")
-            cont = self._link(self.own(ref, stop), None, removed.after)
-        else:
-            pendings = self.disassemble(stop.after)
-            smalls = [p for p in pendings if p[0] < stop.level]
-            pendings = [p for p in pendings if p[0] >= stop.level]
-            cont = stop.below
-            if smalls:
-                cont = self.attach(cont, smalls)
-            if pendings and pendings[0][0] == stop.level:
-                cont = self._link(self.own(ref, stop), cont, pendings[0][1])
-                pendings = pendings[1:]
-        self.root = self.rebuild(above, cont, pendings)
-
-    def _check(self, index: int, appending: bool = False) -> None:
+    def splice(self, index: int, ops: list) -> None:
+        """Apply a run of block ops at the block holding byte `index`
+        (index = rank appends), each op starting where the one before
+        ends. An op is (kind, length, block digest, level): a remove takes
+        out the next old block, an insert puts a block with a tower of
+        `level` before it, and a modify does both, keeping the old
+        block's level."""
         rank = self._node(self.root).rank
-        if not 0 <= index < rank + appending:
+        if not 0 <= index < rank + (ops[0][0] == INSERT):
             raise IndexOutOfRange(f"index {index} outside rank {rank}")
+        for kind, length, _block, _level in ops:
+            if kind != REMOVE and length < 1:
+                raise BlockTooSmall(f"{kind} needs at least 1 byte")
+        path, _ref, leaf, residual = core.descend(self.store.get, self.root,
+                                                   index)
+        if residual:
+            if ops[0][0] == REMOVE:
+                raise NotBlockAligned(f"index {index} is not a block start")
+            if len(ops) > 1:
+                # The later ops sit past the cut by the residual: each
+                # takes its own descent.
+                self.splice(index, ops[:1])
+                return self.splice(index + ops[0][1], ops[1:])
+        if len(ops) == 1 and ops[0][0] == MODIFY:
+            return self._modify(path, leaf, ops[0][1], ops[0][2])
 
-    # -- drafts -------------------------------------------------------------
+        # The cut. Each tower reaching across it, outermost first, as
+        # (level, base, rank, leaf): the part of its column the run
+        # leaves as it is, a ref holding `rank` bytes, or a leaf to make
+        # again if its chain changes.
+        stack, towers = [core.FLOOR], []
+        level = core.LEVEL_INF
+        for ref, node, below, span in path:
+            if below:
+                stack.append((node.level, node.after, node.rank - span))
+            else:
+                towers.append((level, node.below, span, None)
+                              if node.kind == KIND_INTERNAL
+                              else (level, ref, node.rank, node))
+                level, cross, cross_span, mark = (node.level, node, span,
+                                                  len(stack))
+        if not towers:
+            raise StructureCorrupt("no tower reaches across the cut")
+        if ops[0][0] == INSERT:     # the tower at the cut stays whole
+            del stack[mark:]
+            stack.append((level, cross.after, cross.rank - cross_span))
+        elif leaf.after is not None:
+            # The path went down the first removed block's column.
+            stack.append((0, leaf.after, leaf.rank - leaf.length))
 
-    def _node(self, ref: Ref):
-        return ref if type(ref) is _Draft else self.store.get(ref)
+        new = []
+        for n, (kind, length, block, new_level) in enumerate(ops):
+            if kind != INSERT:
+                taken = self._take(stack) if n else level
+                if kind == MODIFY:
+                    new_level = taken
+            if kind != REMOVE:
+                new.append((length, block, new_level))
 
-    def own(self, ref: Ref, node) -> _Draft:
-        """The draft to edit for `ref`, which reads as `node`: `ref`
-        itself if it is a draft, else a copy of the finalized node, which
-        takes the node's place when its parent is relinked."""
-        if node is ref:
-            return ref
-        return _Draft(node.kind, node.level, node.rank, node.length,
-                      node.block, node.below, node.after)
+        # The fold: the new towers, then those reaching across the cut.
+        for length, block, new_level in reversed(new):
+            chain, rank = core.take_chain(stack)
+            rank += length
+            core.push_tower(stack, new_level,
+                            Node(KIND_LEAF, 0, rank, None, chain, length,
+                                 block, None), rank, _draft)
+        if stack[-1][0] < cross.level:
+            self._open_tail(towers, stack[-1][0])
+        for level, base, rank, leaf in reversed(towers):
+            if leaf is not None and (leaf.after is not None
+                                     or not stack[-1][0]):
+                chain, rank = core.take_chain(stack)
+                rank += leaf.length
+                base = Node(leaf.kind, 0, rank, None, chain, leaf.length,
+                            leaf.block, None)
+            core.push_tower(stack, level, base, rank, _draft)
+        self.root = stack[-1][1]
 
-    def new_leaf(self, length: int, block: bytes, after: Ref | None) -> _Draft:
-        return self._link(_Draft(KIND_LEAF, 0, 0, length, block, None, None),
-                          None, after)
+    def _modify(self, path: list, leaf: Node, length: int,
+                block: bytes) -> None:
+        """A lone modify keeps its block's level, so no link changes:
+        copy the path to the leaf, each node's rank moved by the change in
+        length."""
+        delta = length - leaf.length
+        cur = Node(leaf.kind, 0, leaf.rank + delta, None, leaf.after, length,
+                   block, None)
+        for _ref, node, below, _span in reversed(path):
+            if below:
+                cur = Node(KIND_INTERNAL, node.level, node.rank + delta, cur,
+                           node.after, 0, None, None)
+            else:
+                cur = Node(node.kind, node.level, node.rank + delta,
+                           node.below, cur, node.length, node.block, None)
+        self.root = cur
 
-    def new_internal(self, level: int, below: Ref, after: Ref) -> _Draft:
-        return self._link(_Draft(KIND_INTERNAL, level, 0, 0, None, None,
-                                 None), below, after)
-
-    def _link(self, draft: _Draft, below: Ref | None,
-              after: Ref | None) -> _Draft:
-        """Set a draft's links and its rank from them."""
-        draft.below, draft.after = below, after
-        rank = draft.length if below is None else self._node(below).rank
-        draft.rank = rank if after is None else rank + self._node(after).rank
-        return draft
-
-    def _view(self, ref: Ref):
+    def _take(self, stack: list) -> int:
+        """Take the nearest piece, an old block's tower, off a fold stack,
+        putting back the pieces its column holds; returns its level."""
+        level, ref, _rank = stack.pop()
         node = self._node(ref)
+        while node.kind == KIND_INTERNAL:
+            below = self._node(node.below)
+            stack.append((node.level, node.after, node.rank - below.rank))
+            node = below
         if node.kind == KIND_STUB:
-            raise PathNotCovered("re-homing needs an unexpanded subtree")
-        return node
+            raise PathNotCovered("cannot remove an unexpanded block")
+        if node.kind == KIND_SENTINEL:
+            raise IndexOutOfRange("a run passes the end of the list")
+        if node.after is not None:
+            stack.append((0, node.after, node.rank - node.length))
+        return level
 
-    # -- located paths ------------------------------------------------------
-
-    def locate(self, index: int, to_leaf: bool = False):
-        """Read-only descent from the current root toward byte `index`.
-
-        Stops at the boundary node whose below side spans exactly `index`
-        bytes, or with to_leaf runs on, as core.search does, to the leaf
-        holding byte `index`. Returns (path, residual): path lists
-        (node id or draft, what it reads as, direction moved from it)
-        from the root down, the stop last with direction None. A stop
-        with residual > 0 sits inside a block (misaligned boundary).
-        """
-        get = self.store.get
-        path = []
-        ref, idx = self.root, index
+    def _open_tail(self, towers: list, floor: int) -> None:
+        """Replace the innermost of the towers reaching across the cut by
+        itself and the towers down the right edge of its base that can
+        capture a piece of level `floor`; the first that cannot keeps the
+        rest of the edge as its base."""
+        level, ref, _rank, _leaf = towers.pop()
         node = self._node(ref)
-        while True:
-            below = node.below
-            if below is not None and type(below) is not _Draft:
-                below = get(below)
-            span = node.length if below is None else below.rank
-            if idx < span:
-                if node.is_leaf:
-                    path.append((ref, node, None))
-                    return path, idx
-                path.append((ref, node, BELOW))
-                ref, node = node.below, below
-            elif idx == span and not to_leaf:
-                path.append((ref, node, None))
-                return path, 0
-            else:
-                if node.after is None:
-                    raise StructureCorrupt("descent ran off the structure")
-                idx -= span
-                path.append((ref, node, AFTER))
-                ref = node.after
-                node = ref if type(ref) is _Draft else get(ref)
-            if node.kind == KIND_STUB:
-                raise PathNotCovered("edit path enters an unexpanded subtree")
-
-    # -- piece re-homing ---------------------------------------------------
-
-    def attach(self, base: Ref, pendings: list) -> Ref:
-        """Merge pendings (ascending (level, piece) pairs positioned just
-        right of base's span) onto base's right edge.
-
-        A piece sinks into the after subtree of every node whose link
-        level admits it and wraps above the first node it out-levels;
-        level-0 pieces append to the leaf chain."""
-        if not pendings:
-            return base
-        node = self._view(base)
-        if node.is_leaf:
-            zeros = [p for p in pendings if p[0] == 0]
-            rest = [p for p in pendings if p[0] > 0]
-            cur = base
-            if zeros:
-                if node.after is not None:
-                    cur = self._with_after(base, node,
-                                           self.attach(node.after, zeros))
-                else:
-                    cur = self._with_after(base, node, zeros[0][1])
-            for level, piece in rest:
-                cur = self.new_internal(level, cur, piece)
-            return cur
-        inner = [p for p in pendings if p[0] <= node.level]
-        outer = [p for p in pendings if p[0] > node.level]
-        cur = base
-        if inner:
-            cur = self._with_after(base, node,
-                                   self.attach(node.after, inner))
-        for level, piece in outer:
-            cur = self.new_internal(level, cur, piece)
-        return cur
-
-    def _with_after(self, ref: Ref, node, after: Ref) -> _Draft:
-        """Re-point the after link of `ref`, which reads as `node`."""
-        return self._link(self.own(ref, node), node.below, after)
-
-    # -- bottom-up rebuild ---------------------------------------------------
-
-    def rebuild(self, above: list, cont: Ref, pendings: list) -> Ref:
-        """Walk a located path upward from just above its stop, `cont`
-        standing for what became of the stop: relink each node, re-home
-        pendings and splice out nodes that lost their after link. Returns
-        the new root."""
-        for ref, node, direction in reversed(above):
-            if direction == BELOW:
-                cont, pendings = self._below_frame(ref, node, cont, pendings)
-            else:
-                ins = [p for p in pendings if p[0] <= node.level]
-                pendings = [p for p in pendings if p[0] > node.level]
-                cont = self._link(self.own(ref, node), node.below,
-                                  self.attach(cont, ins))
-        return self.attach(cont, pendings)
-
-    def _below_frame(self, ref: Ref, node, cont: Ref, pendings: list):
-        """Process one kept-after path node: its after piece lies right of
-        the boundary; pendings below its level sink under it, a pending at
-        its level takes over its link, taller pendings swallow its piece
-        and render the node unnecessary."""
-        level = node.level
-        smalls = [p for p in pendings if p[0] < level]
-        pendings = [p for p in pendings if p[0] >= level]
-        if smalls:
-            cont = self.attach(cont, smalls)
-        if pendings:
-            consumer = pendings[-1]
-            consumer[1] = self.new_internal(level, consumer[1], node.after)
-            if pendings[0][0] == level:
-                return (self._link(self.own(ref, node), cont,
-                                   pendings[0][1]), pendings[1:])
-            return cont, pendings
-        return self._link(self.own(ref, node), cont, node.after), pendings
-
-    def disassemble(self, piece: Ref) -> list:
-        """Break a removed tower's column into the (level, piece) parts it
-        captured, ascending by link level."""
-        released = []
-        cur = piece
-        while True:
-            node = self._node(cur)
-            if node.kind == KIND_STUB:
-                raise PathNotCovered(
-                    "cannot dissolve an unexpanded tower column")
+        while node.after is not None and node.level >= floor:
+            after = self._node(node.after)
             if node.kind == KIND_INTERNAL:
-                released.append([node.level, node.after])
-                cur = node.below
+                towers.append((level, node.below, node.rank - after.rank,
+                               None))
             else:
-                if node.after is not None:
-                    released.append([0, node.after])
-                return list(reversed(released))
-
-    # -- finalization --------------------------------------------------------
+                towers.append((level, ref, node.rank, node))
+            level, ref, node = node.level, node.after, after
+        if node.kind == KIND_STUB:
+            raise PathNotCovered("the cut's left edge is not expanded")
+        towers.append((level, ref, node.rank,
+                       node if node.after is None else None))
 
     def finish(self) -> CommitResult:
         """Finalize, children first, every draft the final root reaches,
@@ -347,35 +222,36 @@ class EditEngine:
         nodes they link to."""
         store, scheme = self.store, self.scheme
         drafts, shared = [], set()
-        todo = [self.root] if type(self.root) is _Draft else []
+        todo = [self.root] if type(self.root) is Node else []
         while todo:    # preorder: every draft before its children
             draft = todo.pop()
             drafts.append(draft)
             below, after = draft.below, draft.after
-            if type(below) is _Draft:
+            if type(below) is Node:
                 todo.append(below)
             elif below is not None:
                 shared.add(below)
-            if type(after) is _Draft:
+            if type(after) is Node:
                 todo.append(after)
             elif after is not None:
                 shared.add(after)
+        ids = {}
         for draft in reversed(drafts):
-            below, after = draft.below, draft.after
-            if type(below) is _Draft:
-                below = below.node_id
-            if type(after) is _Draft:
-                after = after.node_id
+            after = draft.after
+            if type(after) is Node:
+                after = ids[after]
             if draft.kind == KIND_INTERNAL:
-                draft.node_id = core.make_internal(
-                    store, scheme, draft.level, below, after)
+                below = draft.below
+                if type(below) is Node:
+                    below = ids[below]
+                ids[draft] = core.make_internal(store, scheme, draft.level,
+                                                below, after)
             else:
-                draft.node_id = core.make_leaf(
+                ids[draft] = core.make_leaf(
                     store, scheme, draft.length, draft.block, after,
                     sentinel=draft.kind == KIND_SENTINEL)
-        root = self.root
-        return CommitResult(root.node_id if isinstance(root, _Draft)
-                            else root, len(drafts), len(shared))
+        return CommitResult(ids.get(self.root, self.root), len(drafts),
+                            len(shared))
 
 
 def pmodify(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
@@ -383,7 +259,7 @@ def pmodify(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
     """Replace the block containing `index` with `data` (length may
     differ) in a new version; the old version stays intact."""
     eng = EditEngine(store, scheme, old_root)
-    eng.modify(index, len(data), scheme.block_digest(data))
+    eng.splice(index, [(MODIFY, len(data), scheme.block_digest(data), None)])
     return eng.finish()
 
 
@@ -409,16 +285,15 @@ def insert_block(store: NodeStore, scheme: HashScheme, old_root: int,
     records rather than stored data blocks.
     """
     eng = EditEngine(store, scheme, old_root)
-    eng.insert(index, length, block_digest, level)
+    eng.splice(index, [(INSERT, length, block_digest, level)])
     return eng.finish()
 
 
 def premove(store: NodeStore, scheme: HashScheme, old_root: int,
             index: int) -> CommitResult:
-    """Remove the block starting at byte `index` in a new version (see
-    EditEngine.remove)."""
+    """Remove the block starting at byte `index` in a new version."""
     eng = EditEngine(store, scheme, old_root)
-    eng.remove(index)
+    eng.splice(index, [(REMOVE, 0, None, None)])
     return eng.finish()
 
 

@@ -633,8 +633,9 @@ class Repository:
         if seed is None:
             seed = os.urandom(SEED_BYTES)
         src = LevelSource(seed)
-        if path.exists() and any(path.iterdir()):
-            raise PathExists(f"{path} already exists and is not empty")
+        if path.exists() and (not path.is_dir() or any(path.iterdir())):
+            raise PathExists(f"{path} already exists and is not an empty "
+                             "directory")
         try:
             with (open(input_file, "rb") if input_file
                   else io.BytesIO()) as fh:
@@ -678,6 +679,13 @@ class Repository:
                     f"config.json: not a store of format {STORE_FORMAT}")
             scheme = HashScheme(config["hash"])
             seed = bytes.fromhex(config["seed"])
+            block_size = config["block_size"]
+            if type(block_size) is not int or block_size < 1:
+                raise ValueError(f"block_size {block_size!r} is not an "
+                                 "integer >= 1")
+            if len(seed) != SEED_BYTES:
+                raise ValueError(f"seed of {len(seed)} bytes, not "
+                                 f"{SEED_BYTES}")
         except (ValueError, KeyError, TypeError, DomainError) as exc:
             raise StructureCorrupt(f"malformed config.json: {exc}") from exc
         with ExitStack() as opened:

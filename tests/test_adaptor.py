@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -419,23 +420,34 @@ class TestPartial:
 
 def _random_batch(rng, entries, src):
     """1 to 40 random block ops over `entries`, a list of [block, level,
-    index in the original list or None], which it edits to match. Returns
-    the ops, the advanced level source and the original indices of the
-    blocks the ops touched and of the block left of each (the padding
-    adaptor.required_range adds): what a range proof must cover."""
+    index in the original list or None], which it edits to match. About
+    half the ops after the first sit where the op before them ends, as
+    apply_ops counts it (its index plus its new bytes), so they join its
+    run. Returns the ops, the advanced level source and the original
+    indices of the blocks the ops touched and of the block left of each
+    (the padding adaptor.required_range adds): what a range proof must
+    cover."""
     ops, touched = [], set()
+    end = None
     for _ in range(rng.randint(1, 40)):
         starts = [0]
         for block, _level, _orig in entries:
             starts.append(starts[-1] + len(block))
         kind = rng.choice(["modify", "insert", "remove"]) if entries \
             else "insert"
-        pos = rng.randint(0, len(entries) - (kind != "insert"))
+        if (end is not None and end < starts[-1] + (kind == "insert")
+                and rng.random() < 0.5):
+            index = end
+            pos = bisect_right(starts, index) - 1
+            if kind == "remove" and starts[pos] != index:
+                kind = "modify"
+        else:
+            pos = rng.randint(0, len(entries) - (kind != "insert"))
+            index = starts[pos]
+            if kind != "remove" and pos < len(entries):
+                index += rng.randrange(len(entries[pos][0]))  # inside it
         touched.update(entries[p][2] for p in (pos - 1, pos)
                        if 0 <= p < len(entries))
-        index = starts[pos]
-        if kind != "remove" and pos < len(entries):
-            index += rng.randrange(len(entries[pos][0]))  # inside the block
         data = bytes(rng.randrange(256) for _ in range(rng.randint(1, 12)))
         if kind == "modify":
             entries[pos][0] = data
@@ -446,6 +458,7 @@ def _random_batch(rng, entries, src):
             del entries[pos]
             data = None
         ops.append(BlockOp(kind, index, data))
+        end = index + len(data or b"")
     touched.discard(None)
     return ops, src, touched
 
@@ -476,12 +489,16 @@ class TestBatch:
             drafts, todo = [], [eng.root]
             while todo:
                 ref = todo.pop()
-                if isinstance(ref, persist._Draft):
+                if isinstance(ref, core.Node):
                     drafts.append(ref)
                     todo += [ref.below, ref.after]
+            first = eng.store.next_id
             result = real_finish(eng)
-            assert [d.rank for d in drafts] == [
-                eng.store.get(d.node_id).rank for d in drafts]
+            # finish numbers the drafts children first, in reverse of
+            # this preorder.
+            assert [d.rank for d in reversed(drafts)] == [
+                eng.store.get(i).rank for i in range(first,
+                                                     eng.store.next_id)]
             assert len(drafts) == result.created_nodes
             return result
         monkeypatch.setattr(persist.EditEngine, "finish", finish)
@@ -538,3 +555,46 @@ class TestBatch:
             partial = partial_from_proof(SCHEME, proof, vindex.meta_digest)
             client_digest, _ = apply_ops_partial(partial, ops, src)
             assert client_digest == digest, trial
+
+    def test_one_descent_per_group(self, monkeypatch):
+        """Each group translate_diffs emits is one run, spliced after one
+        root descent: a delete over k blocks (with and without a partial
+        block left), a long insert and a lone modify."""
+        data = bytes(range(256)) * 4
+        store = NodeStore()
+        root, src = build(store, SCHEME, split_blocks(data, 8),
+                          LevelSource(SEED))
+        layout = block_layout(store, root)
+        descents = []
+
+        def descend(get, root, index, real=core.descend):
+            descents.append(index)
+            return real(get, root, index)
+        for entries, kinds in (
+                ([DiffEntry("delete", 20, delete_len=48)],
+                 ["modify"] + ["remove"] * 6),
+                ([DiffEntry("delete", 16, delete_len=40)], ["remove"] * 5),
+                ([DiffEntry("insert", 100, b"z" * 30)],
+                 ["modify"] + ["insert"] * 4),
+                ([DiffEntry("replace", 300, b"xy", 2)], ["modify"])):
+            ops = diff_to_ops(entries, layout, 8,
+                              lambda s, n: data[s:s + n])
+            assert [op.kind for op in ops] == kinds
+            monkeypatch.setattr(core, "descend", descend)
+            del descents[:]
+            result, _ = adaptor.apply_ops(store, SCHEME, root, ops, src)
+            monkeypatch.undo()
+            assert len(descents) == 1, kinds
+            chained, chain_src = root, src
+            for op in ops:
+                if op.kind == "modify":
+                    step = persist.pmodify(store, SCHEME, chained, op.index,
+                                           op.data)
+                elif op.kind == "insert":
+                    step, chain_src = persist.pinsert(
+                        store, SCHEME, chained, op.index, op.data, chain_src)
+                else:
+                    step = persist.premove(store, SCHEME, chained, op.index)
+                chained = step.new_root
+            assert (store.get(result.new_root).digest
+                    == store.get(chained).digest), kinds

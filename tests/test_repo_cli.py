@@ -95,6 +95,18 @@ class TestInit:
                          SEED_HEX]) == cli.EXIT_OK
         capsys.readouterr()
 
+    def test_init_on_a_regular_file_refused(self, tmp_path, capsys):
+        path = tmp_path / "r"
+        path.write_bytes(b"x")
+        with pytest.raises(PathExists):
+            Repository.init(path)
+        capsys.readouterr()
+        assert cli.main(["--repo", str(path), "init"]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not an empty directory" in err
+        assert path.read_bytes() == b"x"
+
     def test_read_only_command_recreates_no_node_log(self, repo, capsys):
         repo.close()
         nodes = repo.path / "nodes"
@@ -995,6 +1007,33 @@ class TestMalformedMetadata:
         target.write_bytes((target.read_bytes() if append else b"")
                            + content)
         _assert_refused(repo.path, capsys)
+
+    @pytest.mark.parametrize("key, value", [
+        ("block_size", None), ("block_size", 0), ("block_size", -2048),
+        ("block_size", "2048"), ("block_size", 2048.0),
+        ("block_size", True), ("seed", "00"), ("seed", "00" * 11)])
+    def test_bad_config_field(self, repo, capsys, key, value):
+        """A config.json field the store cannot work with is refused at
+        open, as a corrupt store (exit 1, one line), by every command."""
+        repo.close()
+        path = repo.path / "config.json"
+        config = json.loads(path.read_text())
+        if value is None:
+            del config[key]
+        else:
+            config[key] = value
+        path.write_text(json.dumps(config))
+        with pytest.raises(StructureCorrupt, match="malformed config.json"):
+            Repository.open(repo.path)
+        diff = repo.path.parent / "edit.diff"
+        diff.write_bytes(format_diff([DiffEntry("insert", 0, b"x")]))
+        for command in (["log"], ["fsck"], ["commit", "--diff", str(diff)]):
+            capsys.readouterr()
+            assert cli.main(["--repo", str(repo.path)] + command
+                            ) == cli.EXIT_REJECT, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: malformed config.json: ")
+            assert err.count("\n") == 1
 
     @pytest.mark.parametrize("field", ["root", "layer2_root", "nodes",
                                        "blocks"])
