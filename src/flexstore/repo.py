@@ -71,7 +71,10 @@ from .index2 import VersionIndex, VersionRecord
 STORE_FORMAT = 6
 _NO_LINK = (1 << 64) - 1   # a node record's below or after, when absent
 _LENGTH_MASK = 0xFFFFFFFF
-_RUN_LIMIT = 64 * 1024   # bytes per read of a run of records or blocks
+# Bytes per read into memory of a run of records or blocks, so memory
+# stays flat whatever the file size. Checkout's copies in the kernel are
+# not capped.
+_RUN_LIMIT = 64 * 1024
 # sendfile errors that mean the kernel cannot copy into the output file
 # here (as for shutil.copyfile, which falls back on the same ones).
 _NO_SPLICE = frozenset((errno.EINVAL, errno.ENOSYS, errno.ENOTSOCK))
@@ -311,7 +314,7 @@ class CommitLog:
         self.last = None
         try:
             self.last = self.commit(len(self) - 1) if len(self) else None
-        except StructureCorrupt:
+        except BaseException:
             self.close()
             raise
 
@@ -390,10 +393,13 @@ class BlockStore:
     the first write, which a writer makes under the lock; its index
     record waits for `flush`.
 
-    Reads of many blocks go by extent: `_runs` coalesces blocks that lie
-    back to back in the pack into extents of at most 64 KiB (or one
-    longer block). `scan` and `read_leaves` read each extent with one
-    pread; `copy_leaves` copies each into an output file in the kernel.
+    Reads of many blocks go by extent, a run of blocks that lie back to
+    back in the pack. `_extents` takes a version's leaves to extents of
+    any length in one pass that also looks up and checks each leaf's
+    block: `copy_leaves` copies each extent into an output file in the
+    kernel, and `read_leaves` reads it in pieces of at most _RUN_LIMIT
+    bytes. `scan` needs its blocks whole, so `_runs` caps its extents at
+    _RUN_LIMIT bytes (or one longer block).
     """
 
     def __init__(self, directory: Path, scheme: HashScheme, committed: int):
@@ -475,36 +481,50 @@ class BlockStore:
                 f"block {digest.hex()} missing from store") from None
         return self._read(place >> 32, place & _LENGTH_MASK)
 
-    def _places(self, leaves):
-        """Yield the place (offset << 32 | length) of each data leaf's
-        block, in order. Refuses a missing block, or one whose stored
-        length disagrees with its leaf, with StructureCorrupt."""
+    def _extents(self, leaves):
+        """Yield (offset, length) for each run of data leaves whose blocks
+        lie back to back in the pack, in order, however long the run: one
+        pass that looks up each leaf's block and refuses a missing one, or
+        one whose stored length disagrees with its leaf, with
+        StructureCorrupt."""
         get = self._blocks().get
+        start = end = 0
         for leaf in leaves:
+            length = leaf.length
             place = get(leaf.block)
+            # Most blocks follow the one before, with their leaf's length.
+            if place == end << 32 | length:
+                end += length
+                continue
             if place is None:
                 raise StructureCorrupt(
                     f"block {leaf.block.hex()} missing from store")
-            if place & _LENGTH_MASK != leaf.length:
+            if place & _LENGTH_MASK != length:
                 raise StructureCorrupt("stored block length mismatch")
-            yield place
+            if end > start:
+                yield start, end - start
+            start = place >> 32
+            end = start + length
+        if end > start:
+            yield start, end - start
 
     def read_leaves(self, leaves):
-        """Yield the blocks of data leaves, in order, as runs of bytes, one
-        pread per extent (see _runs)."""
-        return (self._read(offset, length)
-                for offset, length, _count in self._runs(self._places(leaves)))
+        """Yield the blocks of data leaves, in order, as pieces of an extent
+        (see _extents) of at most _RUN_LIMIT bytes, one pread each."""
+        for offset, length in self._extents(leaves):
+            yield from self._pieces(offset, offset + length)
 
     def copy_leaves(self, leaves, out: int) -> int:
         """Write the blocks of data leaves, in order, to descriptor `out` at
         its position, and return the bytes written. Each extent (see
-        _runs) is copied in the kernel, with os.sendfile, so no block
-        passes through this process. If the first copy fails with one of
-        _NO_SPLICE, which says that this platform or file system cannot
-        splice into `out`, every extent goes through a pread and a write
-        instead; nothing has been written by then."""
+        _extents) is one os.sendfile, continued where the kernel copies
+        less, so no block passes through this process. If the first copy
+        fails with one of _NO_SPLICE, which says that this platform or file
+        system cannot splice into `out`, every extent goes through preads
+        and writes of at most _RUN_LIMIT bytes instead; nothing has been
+        written by then."""
         written, splice = 0, True
-        for offset, length, _count in self._runs(self._places(leaves)):
+        for offset, length in self._extents(leaves):
             end = offset + length
             while splice and offset < end:
                 try:
@@ -520,10 +540,10 @@ class BlockStore:
                 offset += n
                 written += n
             if offset < end:
-                data = self._read(offset, end - offset)
-                if os.write(out, data) != len(data):
-                    raise OSError(errno.ENOSPC, "short write")
-                written += len(data)
+                for data in self._pieces(offset, end):
+                    if os.write(out, data) != len(data):
+                        raise OSError(errno.ENOSPC, "short write")
+                    written += len(data)
         return written
 
     def scan(self):
@@ -540,10 +560,10 @@ class BlockStore:
 
     @staticmethod
     def _runs(places):
-        """Coalesce places, each offset << 32 | length, into extents:
-        yield (offset, length, count) for each run of places that lie back
-        to back in the pack, of at most _RUN_LIMIT bytes or one longer
-        block."""
+        """Coalesce places, each offset << 32 | length, into `scan`'s
+        extents: yield (offset, length, count) for each run of places that
+        lie back to back in the pack, of at most _RUN_LIMIT bytes or one
+        longer block."""
         count, start, end = 0, 0, -1
         for place in places:
             offset, length = place >> 32, place & _LENGTH_MASK
@@ -555,6 +575,12 @@ class BlockStore:
             end = offset + length
         if count:
             yield start, end - start, count
+
+    def _pieces(self, start: int, end: int):
+        """Yield the pack's bytes from start to end, one pread of at most
+        _RUN_LIMIT bytes at a time."""
+        for offset in range(start, end, _RUN_LIMIT):
+            yield self._read(offset, min(end - offset, _RUN_LIMIT))
 
     def _read(self, offset: int, length: int) -> bytes:
         data = os.pread(self._pack, length, offset)

@@ -503,7 +503,7 @@ class TestCheckout:
             assert len(copies) == runs
             assert reads == []
             assert out.read_bytes() == expected[version]
-        # A copy holds at most 64 KiB, however long the run.
+        # A run is one copy, however long.
         src = tmp_path / "big.bin"
         src.write_bytes(random.Random(6).randbytes(100 * 2048))
         big = Repository.init(tmp_path / "big", block_size=2048,
@@ -512,8 +512,11 @@ class TestCheckout:
             packs.add(big.blocks._pack)
             copies.clear()
             big.checkout(0, tmp_path / "big.out")
-            assert copies == [64 * 1024] * 3 + [8 * 1024]
+            assert copies == [100 * 2048]
             assert reads == []
+            # What is read into memory is read at most 64 KiB at a time.
+            assert big.materialize(0) == src.read_bytes()
+            assert reads == [64 * 1024] * 3 + [8 * 1024]
         finally:
             big.close()
         assert (tmp_path / "big.out").read_bytes() == src.read_bytes()
@@ -524,22 +527,42 @@ class TestCheckout:
             self, repo, tmp_path, monkeypatch, code):
         """A first sendfile refused with an errno that says the kernel
         cannot splice into the output makes the whole checkout go through
-        pread and write; sendfile is not tried again."""
+        pread and write, at most 64 KiB at a time however long the run;
+        sendfile is not tried again."""
         repo.commit(format_diff([DiffEntry("replace", 1000, b"y" * 10, 10)]))
-        calls = []
+        src = tmp_path / "big.bin"
+        src.write_bytes(random.Random(6).randbytes(100 * 2048))
+        big = Repository.init(tmp_path / "big", block_size=2048,
+                              seed=bytes.fromhex(SEED_HEX), input_file=src)
+        calls, reads = [], []
+        real_pread = os.pread
 
         def refusing(*args):
             calls.append(args)
             raise OSError(code, os.strerror(code))
 
-        monkeypatch.setattr(os, "sendfile", refusing)
-        for version in (0, 1):
-            calls.clear()
-            out = tmp_path / f"v{version}.bin"
-            want = repo.materialize(version)
-            assert repo.checkout(version, out) == len(want)
-            assert out.read_bytes() == want
-            assert len(calls) == 1
+        def counting_pread(fd, length, offset):
+            if fd in (repo.blocks._pack, big.blocks._pack):
+                reads.append(length)
+            return real_pread(fd, length, offset)
+
+        try:
+            for store, version in ((repo, 0), (repo, 1), (big, 0)):
+                want = store.materialize(version)
+                calls.clear()
+                reads.clear()
+                out = tmp_path / f"v{version}.bin"
+                with monkeypatch.context() as patch:
+                    patch.setattr(os, "sendfile", refusing)
+                    patch.setattr(os, "pread", counting_pread)
+                    assert store.checkout(version, out) == len(want)
+                assert out.read_bytes() == want
+                assert len(calls) == 1
+                assert sum(reads) == len(want)
+                assert max(reads) <= 64 * 1024
+        finally:
+            big.close()
+        assert reads == [64 * 1024] * 3 + [8 * 1024]   # the 100-block run
 
     @pytest.mark.parametrize("code, nth", [(errno.ENOSPC, 1),
                                            (errno.ENOSPC, 2),
@@ -649,21 +672,54 @@ class TestCheckout:
             again.close()
         assert tmp.read_bytes() == b"not a checkout"
 
-    def test_length_disagreeing_with_index_leaves_no_file(self, repo,
-                                                          tmp_path):
+    @staticmethod
+    def _refused_everywhere(repo, tmp_path, monkeypatch, edit_index, match):
+        """After replaces in blocks 3 and 11, edit the block index file,
+        then expect version 1's checkout and materialize to be refused;
+        the checkout has copied its first extents by then, and leaves
+        neither its output nor its temporary file."""
+        repo.commit(format_diff([DiffEntry("replace", 1000, b"y" * 10, 10),
+                                 DiffEntry("replace", 3000, b"z" * 10, 10)]))
         index = repo.path / "blocks" / "index"
         raw = bytearray(index.read_bytes())
-        _digest, _offset, length = pack_records(repo)[-1]
-        raw[-4:] = struct.pack(">I", length - 1)
+        edit_index(raw, repo.scheme.width + 12)
         index.write_bytes(bytes(raw))
         repo.close()
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
         again = Repository.open(repo.path)
+        real_sendfile, copies = os.sendfile, []
+
+        def counting(*args):
+            copies.append(args)
+            return real_sendfile(*args)
         try:
-            with pytest.raises(StructureCorrupt, match="length"):
-                again.checkout(0, tmp_path / "out.bin")
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "sendfile", counting)
+                with pytest.raises(StructureCorrupt, match=match):
+                    again.checkout(1, out_dir / "out.bin")
+            assert copies
+            with pytest.raises(StructureCorrupt, match=match):
+                again.materialize(1)
         finally:
             again.close()
-        assert not (tmp_path / "out.bin").exists()
+        assert list(out_dir.iterdir()) == []
+
+    def test_length_disagreeing_with_index_leaves_no_file(self, repo,
+                                                          tmp_path,
+                                                          monkeypatch):
+        def shorten_last(raw, size):   # block 11's new block
+            length, = struct.unpack(">I", raw[-4:])
+            raw[-4:] = struct.pack(">I", length - 1)
+        self._refused_everywhere(repo, tmp_path, monkeypatch, shorten_last,
+                                 "length")
+
+    def test_block_missing_from_index_leaves_no_file(self, repo, tmp_path,
+                                                     monkeypatch):
+        def flip_digest(raw, size):
+            raw[8 * size] ^= 1     # block 8
+        self._refused_everywhere(repo, tmp_path, monkeypatch, flip_digest,
+                                 "missing from store")
 
     def test_missing_version(self, repo, tmp_path):
         with pytest.raises(NoSuchVersion):
@@ -1135,6 +1191,45 @@ class TestOpen:
             finally:
                 repo.close()
         assert decoded[0] == decoded[1] <= 1
+
+    @pytest.mark.parametrize("name", ["versions.log", "blocks/index"])
+    def test_read_error_closes_what_open_opened(self, repo, monkeypatch,
+                                                name):
+        """An I/O error reading a file's last record makes open raise
+        IOFailure and leaves none of the descriptors it opened open."""
+        repo.close()
+        failing = os.fspath(repo.path / name)
+        opened, closed, bad, reads = [], [], [], []
+        real_open, real_close, real_pread = os.open, os.close, os.pread
+
+        def recording_open(path, *args, **kwargs):
+            fd = real_open(path, *args, **kwargs)
+            opened.append(fd)
+            if os.fspath(path) == failing:
+                bad.append(fd)
+            return fd
+
+        def recording_close(fd):
+            closed.append(fd)
+            if fd in bad:
+                bad.remove(fd)
+            real_close(fd)
+
+        def pread(fd, length, offset):
+            if fd in bad:
+                reads.append(fd)
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return real_pread(fd, length, offset)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "open", recording_open)
+            patch.setattr(os, "close", recording_close)
+            patch.setattr(os, "pread", pread)
+            for _ in range(5):
+                with pytest.raises(IOFailure, match="unreadable"):
+                    Repository.open(repo.path)
+        assert len(reads) == 5
+        assert sorted(closed) == sorted(opened)
 
 
 def _assert_refused(path, capsys):
