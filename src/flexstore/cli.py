@@ -15,7 +15,8 @@ from . import audit
 from .errors import (BlockTooSmall, DiffOutOfRange, DomainError, EmptyCommit,
                      EmptyRegion, FlexStoreError, FormatError, IOFailure,
                      IndexOutOfRange, NoSuchVersion, NotBlockAligned,
-                     OverlappingDiffs, PathExists, VersionOutOfOrder)
+                     OverlappingDiffs, PathExists, StructureCorrupt,
+                     VersionOutOfOrder)
 from .hashing import SEED_BYTES
 from .repo import Repository
 
@@ -158,8 +159,10 @@ def cmd_commit(args) -> int:
 
 def cmd_log(args) -> int:
     with Repository.open(args.repo) as repo:
-        for version in range(repo.vindex.count):
-            rec = repo.record(version)
+        for commit in repo.log.scan():
+            if isinstance(commit, StructureCorrupt):
+                raise commit
+            rec = commit.record
             rank = repo.store.get(rec.root).rank
             print(f"version {rec.version} rank {rank} "
                   f"root {rec.root_digest.hex()} "

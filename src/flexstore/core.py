@@ -315,8 +315,15 @@ def iter_data_leaves(store: NodeStore, root: int) -> Iterator[Node]:
     without a below child, as soon as the leaves' lengths add up to more
     than the root's rank, and after the last leaf if they add up to
     less."""
+    return data_leaves(store, root)[1]
+
+
+def data_leaves(store: NodeStore, root: int) -> tuple[int, Iterator[Node]]:
+    """(rank, leaves): the root's rank, the version's size in bytes, and
+    its data leaves as iter_data_leaves yields them, from one get of the
+    root."""
     node = store.get(root)
-    return _walk(store.get, node, [], node.rank, 0)
+    return node.rank, _walk(store.get, node, [], node.rank, 0)
 
 
 def leaves_from(store: NodeStore, root: int,

@@ -36,8 +36,10 @@ process that dies, not for power loss.
 
 Every other record is decoded, strictly, when it is first read: a commit
 record when its version is asked for, a node record on the first `get`
-of its id. A node record may link only to earlier ids, as every honest
-writer finalizes children first, so every walk is over a DAG.
+of its id, from the run of the node log that holds it, read whole on
+the first `get` of any of its ids and kept. A node record may link only
+to earlier ids, as every honest writer finalizes children first, so
+every walk is over a DAG.
 
 Writers hold an exclusive flock on `lock`, which the kernel releases
 when the holder exits; read-only commands do not take it.
@@ -72,12 +74,12 @@ STORE_FORMAT = 6
 _NO_LINK = (1 << 64) - 1   # a node record's below or after, when absent
 _LENGTH_MASK = 0xFFFFFFFF
 # Bytes per read into memory of a run of records or blocks, so memory
-# stays flat whatever the file size. Checkout's copies in the kernel are
-# not capped.
+# stays flat whatever the file size.
 _RUN_LIMIT = 64 * 1024
-# sendfile errors that mean the kernel cannot copy into the output file
-# here (as for shutil.copyfile, which falls back on the same ones).
-_NO_SPLICE = frozenset((errno.EINVAL, errno.ENOSYS, errno.ENOTSOCK))
+# Bytes of the one buffer a checkout or a materialize reads the pack
+# through, or the version's size if that is smaller: memory stays flat,
+# and a checkout makes one write per buffer-full.
+_COPY_LIMIT = 1024 * 1024
 
 
 def _open_read(path: Path, name: str) -> int:
@@ -105,6 +107,7 @@ class _RecordFile:
     def __init__(self, path: Path, layout: struct.Struct, name: str,
                  committed: int | None = None):
         self.path, self.layout, self.name = path, layout, name
+        self.step = _RUN_LIMIT // layout.size     # records per run
         self._fd = _open_read(path, name)
         self._appender = None
         self._buffer = bytearray()
@@ -123,6 +126,11 @@ class _RecordFile:
     def read(self, first: int, n: int = 1):
         """Unpack records first .. first + n - 1, all committed, from one
         positioned read."""
+        return self.layout.iter_unpack(self.read_raw(first, n))
+
+    def read_raw(self, first: int, n: int) -> bytes:
+        """The bytes of records first .. first + n - 1, all committed,
+        from one positioned read."""
         size = self.layout.size
         try:
             raw = os.pread(self._fd, n * size, first * size)
@@ -131,14 +139,20 @@ class _RecordFile:
         if len(raw) != n * size:
             raise StructureCorrupt(f"{self.name} cut short at record "
                                    f"{first + len(raw) // size}")
-        return self.layout.iter_unpack(raw)
+        return raw
+
+    def run(self, record: int) -> range:
+        """The ids of the committed records in the run (see `runs`) that
+        holds committed record `record`."""
+        first = record - record % self.step
+        return range(first, min(first + self.step, self.committed))
 
     def runs(self):
         """The ids of the committed records, as ranges that fill reads of
-        at most _RUN_LIMIT bytes."""
-        step = _RUN_LIMIT // self.layout.size
-        return (range(first, min(first + step, self.committed))
-                for first in range(0, self.committed, step))
+        at most _RUN_LIMIT bytes: `step` records each, the last cut at the
+        committed count."""
+        return (self.run(first)
+                for first in range(0, self.committed, self.step))
 
     def append(self, record: bytes) -> None:
         self._buffer += record
@@ -183,10 +197,16 @@ class DurableNodeStore(NodeStore):
     """Node store backed by the node log, record k holding node k.
 
     The constructor checks that the log holds the committed records and
-    reads none. `get` decodes a record on first use, with one positioned
-    read, into the node map, which also holds every node added in this
-    process, and keeps it there: an unbounded cache, as a bounded one
-    would decode again on every walk of the whole store.
+    reads none. `get` decodes a record on first use into the node map,
+    which also holds every node added in this process, and keeps it
+    there: an unbounded cache, as a bounded one would decode again on
+    every walk of the whole store. The record comes from its run of the
+    log (see _RecordFile.runs), read with one positioned read on the
+    first `get` of any id in it and kept as bytes, so a walk makes one
+    read per run it enters rather than one per node; only the records
+    asked for are decoded. A run is cut at the committed count when it
+    is read, and read again if a later `get` asks past that cut, so no
+    byte past the committed end is ever read.
     """
 
     def __init__(self, path: Path, scheme: HashScheme, committed: int):
@@ -198,6 +218,8 @@ class DurableNodeStore(NodeStore):
         self._zero = scheme.zero
         self._next_id = committed
         self._refused: set[int] = set()   # ids load_committed refused
+        self._runs: dict[int, bytes] = {}  # first id -> bytes of its run
+        self._step = self._file.step
 
     def get(self, node_id: int) -> Node:
         try:
@@ -208,21 +230,37 @@ class DurableNodeStore(NodeStore):
             raise StructureCorrupt(f"node {node_id} missing from store")
         if node_id in self._refused:
             raise StructureCorrupt(f"node {node_id}: record refused")
-        fields, = self._file.read(node_id)
-        node = self._nodes[node_id] = self._decode(node_id, fields)
+        first = node_id - node_id % self._step
+        at = (node_id - first) * self.layout.size
+        raw = self._runs.get(first)
+        if raw is None or len(raw) <= at:
+            raw = self._run(self._file.run(node_id))
+        node = self._nodes[node_id] = self._decode(
+            node_id, self.layout.unpack_from(raw, at))
         return node
+
+    def _run(self, ids: range) -> bytes:
+        """The bytes of the records `ids`, one run of the log: the kept
+        ones if they reach its end, else one positioned read, kept."""
+        raw = self._runs.get(ids.start)
+        if raw is None or len(raw) < len(ids) * self.layout.size:
+            raw = self._runs[ids.start] = self._file.read_raw(ids.start,
+                                                              len(ids))
+        return raw
 
     def load_committed(self) -> list[str]:
         """Decode every committed record the node map lacks, reading only
         the runs of the log that hold one; returns one problem per record
         refused. A later `get` of a refused id says so without the
-        reason."""
+        reason. A run's bytes are dropped once it is decoded, as no `get`
+        needs them again."""
         problems, nodes = [], self._nodes
         for ids in self._file.runs():
             if all(map(nodes.__contains__, ids)):
                 continue
-            for node_id, fields in zip(ids, self._file.read(ids.start,
-                                                            len(ids))):
+            raw = self._run(ids)
+            del self._runs[ids.start]
+            for node_id, fields in zip(ids, self.layout.iter_unpack(raw)):
                 if node_id not in nodes:
                     try:
                         nodes[node_id] = self._decode(node_id, fields)
@@ -396,10 +434,11 @@ class BlockStore:
     Reads of many blocks go by extent, a run of blocks that lie back to
     back in the pack. `_extents` takes a version's leaves to extents of
     any length in one pass that also looks up and checks each leaf's
-    block: `copy_leaves` copies each extent into an output file in the
-    kernel, and `read_leaves` reads it in pieces of at most _RUN_LIMIT
-    bytes. `scan` needs its blocks whole, so `_runs` caps its extents at
-    _RUN_LIMIT bytes (or one longer block).
+    block, and `_fill` reads the extents, in order, into one buffer of at
+    most _COPY_LIMIT bytes that it reuses: `copy_leaves` writes each
+    buffer-full to an output file, and `read_leaves` yields it. `scan`
+    needs its blocks whole, so `_runs` caps its extents at _RUN_LIMIT
+    bytes (or one longer block).
     """
 
     def __init__(self, directory: Path, scheme: HashScheme, committed: int):
@@ -508,42 +547,50 @@ class BlockStore:
         if end > start:
             yield start, end - start
 
-    def read_leaves(self, leaves):
-        """Yield the blocks of data leaves, in order, as pieces of an extent
-        (see _extents) of at most _RUN_LIMIT bytes, one pread each."""
+    def _fill(self, leaves, size: int):
+        """Read the blocks of data leaves, which add up to at most `size`
+        bytes, in order into one buffer of min(size, _COPY_LIMIT) bytes:
+        one os.preadv per extent (see _extents), or per buffer-full of a
+        longer one. Yield a view of the buffer each time it is full, and
+        of what it holds after the last extent; the next read overwrites
+        it."""
+        buffer = memoryview(bytearray(min(size, _COPY_LIMIT)))
+        limit, fill = len(buffer), 0
         for offset, length in self._extents(leaves):
-            yield from self._pieces(offset, offset + length)
-
-    def copy_leaves(self, leaves, out: int) -> int:
-        """Write the blocks of data leaves, in order, to descriptor `out` at
-        its position, and return the bytes written. Each extent (see
-        _extents) is one os.sendfile, continued where the kernel copies
-        less, so no block passes through this process. If the first copy
-        fails with one of _NO_SPLICE, which says that this platform or file
-        system cannot splice into `out`, every extent goes through preads
-        and writes of at most _RUN_LIMIT bytes instead; nothing has been
-        written by then."""
-        written, splice = 0, True
-        for offset, length in self._extents(leaves):
-            end = offset + length
-            while splice and offset < end:
-                try:
-                    n = os.sendfile(out, self._pack, offset, end - offset)
-                except OSError as exc:
-                    if written or exc.errno not in _NO_SPLICE:
-                        raise
-                    splice = False
-                    break
-                if n == 0:
+            while length:
+                n = min(length, limit - fill)
+                got = os.preadv(self._pack, (buffer[fill:fill + n],), offset)
+                if got != n:
                     raise StructureCorrupt(
-                        f"block pack cut short at byte {offset}")
+                        f"block pack cut short at byte {offset + got}")
                 offset += n
+                length -= n
+                fill += n
+                if fill == limit:
+                    yield buffer
+                    fill = 0
+        if fill:
+            yield buffer[:fill]
+
+    def read_leaves(self, leaves, size: int):
+        """Yield the blocks of data leaves, which add up to at most `size`
+        bytes, in order, as pieces of at most _COPY_LIMIT bytes (see
+        _fill)."""
+        return map(bytes, self._fill(leaves, size))
+
+    def copy_leaves(self, leaves, size: int, out: int) -> int:
+        """Write the blocks of data leaves, which add up to at most `size`
+        bytes, in order to descriptor `out` at its position, and return
+        the bytes written: one os.write per buffer-full (see _fill),
+        continued where the kernel writes less."""
+        written = 0
+        for data in self._fill(leaves, size):
+            while data:
+                n = os.write(out, data)
+                if n == 0:
+                    raise OSError(errno.ENOSPC, "short write")
+                data = data[n:]
                 written += n
-            if offset < end:
-                for data in self._pieces(offset, end):
-                    if os.write(out, data) != len(data):
-                        raise OSError(errno.ENOSPC, "short write")
-                    written += len(data)
         return written
 
     def scan(self):
@@ -575,12 +622,6 @@ class BlockStore:
             end = offset + length
         if count:
             yield start, end - start, count
-
-    def _pieces(self, start: int, end: int):
-        """Yield the pack's bytes from start to end, one pread of at most
-        _RUN_LIMIT bytes at a time."""
-        for offset in range(start, end, _RUN_LIMIT):
-            yield self._read(offset, min(end - offset, _RUN_LIMIT))
 
     def _read(self, offset: int, length: int) -> bytes:
         data = os.pread(self._pack, length, offset)
@@ -796,16 +837,15 @@ class Repository:
     # -- content ----------------------------------------------------------
 
     def materialize(self, version: int) -> bytes:
-        rec = self.record(version)
-        return b"".join(self.blocks.read_leaves(
-            core.iter_data_leaves(self.store, rec.root)))
+        size, leaves = core.data_leaves(self.store, self.record(version).root)
+        return b"".join(self.blocks.read_leaves(leaves, size))
 
     def checkout(self, version: int, out_path) -> int:
         """Write one version to out_path through a temporary file beside
         it, `<out_path>.tmp`, so a failed checkout leaves no partial file.
         The temporary file must not exist: one that does is left as it is
         and the checkout refused. Returns the bytes written."""
-        rec = self.record(version)
+        root = self.record(version).root
         tmp = f"{out_path}.tmp"
         try:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -816,8 +856,8 @@ class Repository:
         done = False
         try:
             try:
-                written = self.blocks.copy_leaves(
-                    core.iter_data_leaves(self.store, rec.root), fd)
+                size, leaves = core.data_leaves(self.store, root)
+                written = self.blocks.copy_leaves(leaves, size, fd)
             finally:
                 os.close(fd)
             os.replace(tmp, out_path)

@@ -473,96 +473,133 @@ class TestCheckout:
 
     def test_reads_adjacent_blocks_in_runs(self, repo, tmp_path,
                                            monkeypatch):
-        """Blocks back to back in the pack are one in-kernel copy: version
-        0's 16 blocks one, and version 1's three, split around the new
-        block appended at the end of the pack. Only copies from the pack
-        count, and checkout reads none of the pack into this process."""
+        """Blocks back to back in the pack are one extent, read with one
+        preadv: version 0's 16 blocks one, and version 1's three, split
+        around the new block appended at the end of the pack. The buffer
+        is the version's size where that is below 1 MiB, so each version
+        is one write. An extent longer than the buffer is read a
+        buffer-full at a time, and each buffer-full is one write. Nothing
+        else reads the pack."""
         repo.commit(format_diff([DiffEntry("replace", 1000, b"y" * 10, 10)]))
         expected = [repo.materialize(0), repo.materialize(1)]
-        copies, reads = [], []
-        real_sendfile, real_pread = os.sendfile, os.pread
+        reads, writes, preads = [], [], []
+        real_preadv, real_write, real_pread = os.preadv, os.write, os.pread
         packs = set()
 
-        def counting_sendfile(out, fd, offset, count):
+        def counting_preadv(fd, buffers, offset):
             if fd in packs:
-                copies.append(count)
-            return real_sendfile(out, fd, offset, count)
+                reads.append(sum(map(len, buffers)))
+            return real_preadv(fd, buffers, offset)
+
+        def counting_write(fd, data):
+            writes.append(len(data))
+            return real_write(fd, data)
 
         def counting_pread(fd, length, offset):
             if fd in packs:
-                reads.append(length)
+                preads.append(length)
             return real_pread(fd, length, offset)
 
-        monkeypatch.setattr(os, "sendfile", counting_sendfile)
+        monkeypatch.setattr(os, "preadv", counting_preadv)
+        monkeypatch.setattr(os, "write", counting_write)
         monkeypatch.setattr(os, "pread", counting_pread)
         packs.add(repo.blocks._pack)
         for version, runs in ((0, 1), (1, 3)):
-            copies.clear()
+            reads.clear()
+            writes.clear()
             out = tmp_path / f"v{version}.bin"
             repo.checkout(version, out)
-            assert len(copies) == runs
-            assert reads == []
+            assert len(reads) == runs
+            assert writes == [4096]
             assert out.read_bytes() == expected[version]
-        # A run is one copy, however long.
         src = tmp_path / "big.bin"
         src.write_bytes(random.Random(6).randbytes(100 * 2048))
         big = Repository.init(tmp_path / "big", block_size=2048,
                               seed=bytes.fromhex(SEED_HEX), input_file=src)
         try:
             packs.add(big.blocks._pack)
-            copies.clear()
+            reads.clear()
+            writes.clear()
             big.checkout(0, tmp_path / "big.out")
-            assert copies == [100 * 2048]
-            assert reads == []
-            # What is read into memory is read at most 64 KiB at a time.
+            assert reads == writes == [100 * 2048]
+            assert (tmp_path / "big.out").read_bytes() == src.read_bytes()
+            monkeypatch.setattr(repo_mod, "_COPY_LIMIT", 64 * 1024)
+            reads.clear()
+            writes.clear()
+            big.checkout(0, tmp_path / "big.out")
+            assert reads == writes == [64 * 1024] * 3 + [8 * 1024]
+            reads.clear()
             assert big.materialize(0) == src.read_bytes()
             assert reads == [64 * 1024] * 3 + [8 * 1024]
         finally:
             big.close()
+        assert preads == []
         assert (tmp_path / "big.out").read_bytes() == src.read_bytes()
 
-    @pytest.mark.parametrize("code", [errno.EINVAL, errno.ENOSYS,
-                                      errno.ENOTSOCK])
-    def test_copies_through_memory_where_the_kernel_cannot(
-            self, repo, tmp_path, monkeypatch, code):
-        """A first sendfile refused with an errno that says the kernel
-        cannot splice into the output makes the whole checkout go through
-        pread and write, at most 64 KiB at a time however long the run;
-        sendfile is not tried again."""
-        repo.commit(format_diff([DiffEntry("replace", 1000, b"y" * 10, 10)]))
-        src = tmp_path / "big.bin"
-        src.write_bytes(random.Random(6).randbytes(100 * 2048))
-        big = Repository.init(tmp_path / "big", block_size=2048,
-                              seed=bytes.fromhex(SEED_HEX), input_file=src)
-        calls, reads = [], []
-        real_pread = os.pread
-
-        def refusing(*args):
-            calls.append(args)
-            raise OSError(code, os.strerror(code))
-
-        def counting_pread(fd, length, offset):
-            if fd in (repo.blocks._pack, big.blocks._pack):
-                reads.append(length)
-            return real_pread(fd, length, offset)
-
+    def test_every_version_across_buffer_boundaries(self, tmp_path,
+                                                    monkeypatch):
+        """Through a buffer of 3,000 bytes, checkout and materialize of
+        every version of a store of 300 one-block commits, freshly
+        opened, equal a replay of the diffs. Each extent is one preadv per
+        buffer-full it fills, and each full buffer one write; extents
+        straddle the buffer's end, and some are longer than it."""
+        limit = 3000
+        monkeypatch.setattr(repo_mod, "_COPY_LIMIT", limit)
+        rng = random.Random(19)
+        versions = [rng.randbytes(64 * 256)]
+        src = tmp_path / "input.bin"
+        src.write_bytes(versions[0])
+        repo = Repository.init(tmp_path / "repo", block_size=256,
+                               seed=bytes.fromhex(SEED_HEX), input_file=src)
         try:
-            for store, version in ((repo, 0), (repo, 1), (big, 0)):
-                want = store.materialize(version)
-                calls.clear()
-                reads.clear()
-                out = tmp_path / f"v{version}.bin"
-                with monkeypatch.context() as patch:
-                    patch.setattr(os, "sendfile", refusing)
-                    patch.setattr(os, "pread", counting_pread)
-                    assert store.checkout(version, out) == len(want)
-                assert out.read_bytes() == want
-                assert len(calls) == 1
-                assert sum(reads) == len(want)
-                assert max(reads) <= 64 * 1024
+            for _ in range(300):
+                entry = DiffEntry("replace", rng.randrange(64) * 256
+                                  + rng.randrange(249), rng.randbytes(8), 8)
+                repo.commit(format_diff([entry]))
+                versions.append(apply_diffs(versions[-1], [entry]))
         finally:
-            big.close()
-        assert reads == [64 * 1024] * 3 + [8 * 1024]   # the 100-block run
+            repo.close()
+        reads, writes = [], []
+        real_preadv, real_write = os.preadv, os.write
+
+        def counting_preadv(fd, buffers, offset):
+            reads.append(sum(map(len, buffers)))
+            return real_preadv(fd, buffers, offset)
+
+        def counting_write(fd, data):
+            writes.append(len(data))
+            return real_write(fd, data)
+
+        straddling = longer = 0
+        again = Repository.open(repo.path)
+        try:
+            for version, want in enumerate(versions):
+                leaves = list(core.iter_data_leaves(
+                    again.store, again.record(version).root))
+                pieces, at = [], 0
+                for _offset, length in again.blocks._extents(leaves):
+                    straddling += at // limit != (at + length - 1) // limit
+                    longer += length > limit
+                    while length:
+                        n = min(length, limit - at % limit)
+                        pieces.append(n)
+                        at += n
+                        length -= n
+                reads.clear()
+                writes.clear()
+                out = tmp_path / "out.bin"
+                with monkeypatch.context() as patch:
+                    patch.setattr(os, "preadv", counting_preadv)
+                    patch.setattr(os, "write", counting_write)
+                    assert again.checkout(version, out) == len(want)
+                    assert writes == [limit] * (len(want) // limit) + [
+                        len(want) % limit]
+                    assert reads == pieces
+                    assert again.materialize(version) == want
+                assert out.read_bytes() == want
+        finally:
+            again.close()
+        assert straddling > 300 and longer > 0
 
     @pytest.mark.parametrize("code, nth", [(errno.ENOSPC, 1),
                                            (errno.ENOSPC, 2),
@@ -570,42 +607,46 @@ class TestCheckout:
                                            (errno.EINVAL, 2)])
     def test_failed_copy_leaves_no_file(self, repo, tmp_path, monkeypatch,
                                         code, nth):
-        """Any other sendfile error, and any error once bytes are written,
-        is an IOFailure, and neither the output nor the temporary file is
-        left."""
+        """An error from the first write of a buffer-full, or from a later
+        one, is an IOFailure, and neither the output nor the temporary
+        file is left."""
         repo.commit(format_diff([DiffEntry("replace", 1000, b"y" * 10, 10)]))
-        real_sendfile = os.sendfile
+        monkeypatch.setattr(repo_mod, "_COPY_LIMIT", 1024)   # 4 writes
+        real_write = os.write
         calls = []
 
-        def failing(*args):
-            calls.append(args)
+        def failing(fd, data):
+            calls.append(len(data))
             if len(calls) == nth:
                 raise OSError(code, os.strerror(code))
-            return real_sendfile(*args)
+            return real_write(fd, data)
 
-        monkeypatch.setattr(os, "sendfile", failing)
+        monkeypatch.setattr(os, "write", failing)
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         with pytest.raises(IOFailure):
             repo.checkout(1, out_dir / "out.bin")
-        assert len(calls) == nth
+        assert calls == [1024] * nth
         assert list(out_dir.iterdir()) == []
 
     def test_short_copies_are_continued(self, repo, tmp_path, monkeypatch):
-        real_sendfile = os.sendfile
+        """A write that takes less than it was given goes on with the
+        rest."""
+        repo.commit(format_diff([DiffEntry("replace", 1000, b"y" * 10, 10)]))
+        real_write = os.write
         counts = []
 
-        def short(out, fd, offset, count):
-            counts.append(count)
-            return real_sendfile(out, fd, offset, min(count, 1000))
+        def short(fd, data):
+            counts.append(len(data))
+            return real_write(fd, data[:1000])
 
-        monkeypatch.setattr(os, "sendfile", short)
-        repo.commit(format_diff([DiffEntry("replace", 1000, b"y" * 10, 10)]))
+        monkeypatch.setattr(os, "write", short)
         for version in (0, 1):
+            counts.clear()
             out = tmp_path / f"v{version}.bin"
             assert repo.checkout(version, out) == 4096
+            assert counts == [4096, 3096, 2096, 1096, 96]
             assert out.read_bytes() == repo.materialize(version)
-        assert max(counts) > 1000 and len(counts) > 8
 
     def test_gets_each_node_once(self, repo, tmp_path, monkeypatch):
         """A checkout of a freshly opened store gets each node its root
@@ -634,6 +675,49 @@ class TestCheckout:
             fresh.close()
         assert len(reached) > 16
         assert sorted(gets) == sorted(reached)
+
+    def test_reads_node_records_in_runs(self, tmp_path, monkeypatch):
+        """A checkout of a freshly opened store reads the node log in runs
+        of at most 64 KiB, at most one read per run plus two, and never
+        a byte past the committed end, where a crashed writer left
+        records."""
+        src = tmp_path / "input.bin"
+        want = random.Random(7).randbytes(2048 * 64)
+        src.write_bytes(want)
+        repo = Repository.init(tmp_path / "repo", block_size=64,
+                               seed=bytes.fromhex(SEED_HEX), input_file=src)
+        entries = [DiffEntry("replace", at, b"run", 3) for at in (100, 70000)]
+        for entry in entries:
+            repo.commit(format_diff([entry]))
+        want = apply_diffs(want, entries)
+        width = repo.store.layout.size
+        repo.close()
+        log = repo.path / "nodes" / "log"
+        end = log.stat().st_size
+        assert end > 3 * 64 * 1024
+        with open(log, "ab") as fh:
+            fh.write(b"\xff" * (1000 * width))
+        reads = []
+        real_pread = os.pread
+
+        def counting(fd, length, offset):
+            reads.append((fd, length, offset))
+            return real_pread(fd, length, offset)
+
+        monkeypatch.setattr(os, "pread", counting)
+        out = tmp_path / "out.bin"
+        again = Repository.open(repo.path)
+        try:
+            assert again.checkout(2, out) == len(want)
+            node_log = again.store._file._fd
+        finally:
+            again.close()
+        runs = [(length, offset) for fd, length, offset in reads
+                if fd == node_log]
+        assert len(runs) <= -(-end // (64 * 1024)) + 2
+        assert max(length for length, _offset in runs) <= 64 * 1024
+        assert max(offset + length for length, offset in runs) <= end
+        assert out.read_bytes() == want
 
     def test_replaces_output_through_new_temporary_file(self, repo,
                                                          tmp_path):
@@ -676,8 +760,9 @@ class TestCheckout:
     def _refused_everywhere(repo, tmp_path, monkeypatch, edit_index, match):
         """After replaces in blocks 3 and 11, edit the block index file,
         then expect version 1's checkout and materialize to be refused;
-        the checkout has copied its first extents by then, and leaves
-        neither its output nor its temporary file."""
+        the checkout, through a buffer of 1 KiB, has written its first
+        buffer-fulls by then, and leaves neither its output nor its
+        temporary file."""
         repo.commit(format_diff([DiffEntry("replace", 1000, b"y" * 10, 10),
                                  DiffEntry("replace", 3000, b"z" * 10, 10)]))
         index = repo.path / "blocks" / "index"
@@ -687,18 +772,19 @@ class TestCheckout:
         repo.close()
         out_dir = tmp_path / "out"
         out_dir.mkdir()
+        monkeypatch.setattr(repo_mod, "_COPY_LIMIT", 1024)
         again = Repository.open(repo.path)
-        real_sendfile, copies = os.sendfile, []
+        real_write, writes = os.write, []
 
-        def counting(*args):
-            copies.append(args)
-            return real_sendfile(*args)
+        def counting(fd, data):
+            writes.append(len(data))
+            return real_write(fd, data)
         try:
             with monkeypatch.context() as patch:
-                patch.setattr(os, "sendfile", counting)
+                patch.setattr(os, "write", counting)
                 with pytest.raises(StructureCorrupt, match=match):
                     again.checkout(1, out_dir / "out.bin")
-            assert copies
+            assert writes
             with pytest.raises(StructureCorrupt, match=match):
                 again.materialize(1)
         finally:
@@ -848,6 +934,36 @@ class TestFsck:
             assert again.fsck() == []
         finally:
             again.close()
+        assert len(reads) <= 2
+
+    def test_log_reads_commit_records_in_runs(self, repo, monkeypatch,
+                                              capsys):
+        """`flexstore log` decodes the commit log in runs: after open, two
+        reads of versions.log for 1,000 versions, not one per version."""
+        rng = random.Random(1001)
+        for _ in range(999):
+            repo.commit(format_diff([DiffEntry(
+                "replace", rng.randrange(4000), rng.randbytes(8), 8)]))
+        repo.close()
+        reads = []
+        real_open, real_pread = Repository.open, os.pread
+
+        def opening(cls, path):
+            opened = real_open(path)
+            versions_log = opened.log._file._fd
+
+            def counting(fd, length, offset):
+                if fd == versions_log:
+                    reads.append(length)
+                return real_pread(fd, length, offset)
+            monkeypatch.setattr(os, "pread", counting)
+            return opened
+
+        monkeypatch.setattr(Repository, "open", classmethod(opening))
+        capsys.readouterr()
+        assert cli.main(["--repo", str(repo.path), "log"]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1001 and lines[999].startswith("version 999 ")
         assert len(reads) <= 2
 
     def test_refused_node_record_reported_once(self, repo):
