@@ -35,7 +35,11 @@ Level streams
 Tower levels are drawn from a pure function of (seed, counter): the draw
 hashes the 80-bit seed with the counter and counts leading one-bits, which
 yields a geometric distribution with parameter 0.5. One draw consumes
-exactly one counter value, so client and server replay identical streams.
+exactly one counter value. The layer-1 towers a commit inserts come from
+its version's stream (`version_levels`), and the layer-2 tower of
+version v is draw v of the layer-2 stream, so the seed and the version
+number fix every level: client and server replay identical streams, and
+the store keeps no stream position.
 """
 
 from __future__ import annotations
@@ -158,19 +162,19 @@ class LevelSource:
                                                   self.domain)
 
 
-def _leading_ones(data: bytes) -> int:
-    count = 0
-    for byte in data:
-        if byte == 0xFF:
-            count += 8
-            continue
-        for bit in range(7, -1, -1):
-            if byte >> bit & 1:
-                count += 1
-            else:
-                return count
-        return count
-    return count
+def version_levels(seed: bytes, version: int) -> LevelSource:
+    """The layer-1 level stream of the commit that makes `version`: its
+    k-th draw is counter (version << 32) + k, so version 0's stream is
+    the counters from 0. A commit that drew 2^32 levels or more would run
+    into the next version's stream; that is harmless, as levels choose
+    only the shape and both sides derive the same ones."""
+    return LevelSource(seed, version << 32)
+
+
+def _leading_ones(digest: bytes) -> int:
+    """Leading one-bits of a 256-bit digest."""
+    return 256 - (int.from_bytes(digest, "big")
+                  ^ ((1 << 256) - 1)).bit_length()
 
 
 def challenge_indices(seed: bytes, count: int, start: int, length: int) -> list[int]:

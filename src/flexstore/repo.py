@@ -1,6 +1,6 @@
 """Durable repository: block store, node store and commit log.
 
-On-disk layout under the repository root (store format 6):
+On-disk layout under the repository root (store format 7):
 
     config.json    store format, hash function, block size, seed
     versions.log   one fixed-width commit record per version, in order
@@ -12,11 +12,10 @@ On-disk layout under the repository root (store format 6):
 
 Every integer is big-endian. Record k of `versions.log` is version k:
 root || root digest || update start || update length || layer-2 root ||
-level counter || nodes || blocks, each a u64 but the digest (76 bytes
-with SHA-1). Record k of `nodes/log` is node k: kind u8 || level u8 ||
-rank || below || after (u64 each, 2^64 - 1 for no link) || length u32 ||
-block digest (zeros for an internal node) || node digest (70 bytes with
-SHA-1).
+nodes || blocks, each a u64 but the digest (68 bytes with SHA-1).
+Record k of `nodes/log` is node k: kind u8 || level u8 || rank || below
+|| after (u64 each, 2^64 - 1 for no link) || length u32 || block digest
+(zeros for an internal node) || node digest (70 bytes with SHA-1).
 
 Blocks are content-addressed, so identical content across versions (or
 within one file) is stored once. Records and blocks are write-once;
@@ -26,8 +25,9 @@ The three logs are record files (_RecordFile). A commit writes each new
 block to the pack as it is put, and keeps its index, node and commit
 records in memory until the end, then writes them in that order, one
 write per file. The commit record is the commit point: besides the
-version record it holds the layer-2 root id, the level counter, `nodes`
-and `blocks`, the node and index records the version counts. `open`
+version record it holds the layer-2 root id, and `nodes` and `blocks`,
+the node and index records the version counts. No stream position is
+stored: the seed and the version number fix every tower level. `open`
 reads `config.json`, the last complete commit record and the last index
 record it counts, and checks the node log's size: its cost does not grow
 with history. What a crashed writer left past those ends is ignored, and
@@ -55,7 +55,6 @@ import os
 import random
 import struct
 from contextlib import ExitStack, contextmanager, suppress
-from itertools import islice, tee
 from pathlib import Path
 from typing import NamedTuple
 
@@ -65,12 +64,13 @@ from .core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL, KIND_STUB, Node,
 from .errors import (BlockTooSmall, DomainError, EmptyCommit, EmptyRegion,
                      IOFailure, PathExists, RepositoryLocked,
                      StructureCorrupt)
-from .hashing import LEVELS_LAYER2, SEED_BYTES, HashScheme, LevelSource
+from .hashing import (LEVELS_LAYER2, SEED_BYTES, HashScheme, LevelSource,
+                      version_levels)
 from .index2 import VersionIndex, VersionRecord
 
 # Version of the on-disk layout, kept in config.json; open refuses any
 # other.
-STORE_FORMAT = 6
+STORE_FORMAT = 7
 _NO_LINK = (1 << 64) - 1   # a node record's below or after, when absent
 _LENGTH_MASK = 0xFFFFFFFF
 # Bytes per read into memory of a run of records or blocks, so memory
@@ -205,8 +205,10 @@ class DurableNodeStore(NodeStore):
     first `get` of any id in it and kept as bytes, so a walk makes one
     read per run it enters rather than one per node; only the records
     asked for are decoded. A run is cut at the committed count when it
-    is read, and read again if a later `get` asks past that cut, so no
-    byte past the committed end is ever read.
+    is read, so no byte past the committed end is ever read. A kept run
+    still holds every id of its run that the node map lacks: the ids
+    committed since it was read were added in this process, and are in
+    the map.
     """
 
     def __init__(self, path: Path, scheme: HashScheme, committed: int):
@@ -219,7 +221,6 @@ class DurableNodeStore(NodeStore):
         self._next_id = committed
         self._refused: set[int] = set()   # ids load_committed refused
         self._runs: dict[int, bytes] = {}  # first id -> bytes of its run
-        self._step = self._file.step
 
     def get(self, node_id: int) -> Node:
         try:
@@ -230,20 +231,17 @@ class DurableNodeStore(NodeStore):
             raise StructureCorrupt(f"node {node_id} missing from store")
         if node_id in self._refused:
             raise StructureCorrupt(f"node {node_id}: record refused")
-        first = node_id - node_id % self._step
-        at = (node_id - first) * self.layout.size
-        raw = self._runs.get(first)
-        if raw is None or len(raw) <= at:
-            raw = self._run(self._file.run(node_id))
+        ids = self._file.run(node_id)
         node = self._nodes[node_id] = self._decode(
-            node_id, self.layout.unpack_from(raw, at))
+            node_id, self.layout.unpack_from(
+                self._run(ids), (node_id - ids.start) * self.layout.size))
         return node
 
     def _run(self, ids: range) -> bytes:
         """The bytes of the records `ids`, one run of the log: the kept
-        ones if they reach its end, else one positioned read, kept."""
+        ones, or one positioned read, kept."""
         raw = self._runs.get(ids.start)
-        if raw is None or len(raw) < len(ids) * self.layout.size:
+        if raw is None:
             raw = self._runs[ids.start] = self._file.read_raw(ids.start,
                                                               len(ids))
         return raw
@@ -253,7 +251,8 @@ class DurableNodeStore(NodeStore):
         the runs of the log that hold one; returns one problem per record
         refused. A later `get` of a refused id says so without the
         reason. A run's bytes are dropped once it is decoded, as no `get`
-        needs them again."""
+        needs them again. A kept run may end before the committed count,
+        where the ids past it are in the node map already."""
         problems, nodes = [], self._nodes
         for ids in self._file.runs():
             if all(map(nodes.__contains__, ids)):
@@ -328,7 +327,6 @@ class Commit(NamedTuple):
 
     record: VersionRecord
     layer2_root: int
-    level_counter: int
     nodes: int           # node records the store holds
     blocks: int          # block index records the store holds
 
@@ -346,7 +344,7 @@ class CommitLog:
 
     def __init__(self, path: Path, scheme: HashScheme):
         self._file = _RecordFile(
-            path, struct.Struct(f">Q{scheme.width}sQQQQQQ"), "versions.log")
+            path, struct.Struct(f">Q{scheme.width}sQQQQQ"), "versions.log")
         self.layout = self._file.layout
         self._pending: Commit | None = None
         self.last = None
@@ -380,8 +378,7 @@ class CommitLog:
                     yield exc
 
     def _decode(self, version: int, fields: tuple) -> Commit:
-        (root, root_digest, start, length, layer2_root, level_counter,
-         nodes, blocks) = fields
+        root, root_digest, start, length, layer2_root, nodes, blocks = fields
         if root >= nodes or layer2_root >= nodes:
             raise StructureCorrupt(f"versions.log: version {version} names "
                                    f"a root past its {nodes} nodes")
@@ -390,7 +387,7 @@ class CommitLog:
             raise StructureCorrupt(f"versions.log: version {version} counts "
                                    "more records than the last version")
         return Commit(VersionRecord(version, root, root_digest, start, length),
-                      layer2_root, level_counter, nodes, blocks)
+                      layer2_root, nodes, blocks)
 
     def append(self, commit: Commit) -> None:
         """Write a commit record: the commit point. It counts once
@@ -398,8 +395,7 @@ class CommitLog:
         rec = commit.record
         self._file.append(self.layout.pack(
             rec.root, rec.root_digest, rec.update_start, rec.update_length,
-            commit.layer2_root, commit.level_counter, commit.nodes,
-            commit.blocks))
+            commit.layer2_root, commit.nodes, commit.blocks))
         self._file.flush()
         self._pending = commit
 
@@ -434,11 +430,13 @@ class BlockStore:
     Reads of many blocks go by extent, a run of blocks that lie back to
     back in the pack. `_extents` takes a version's leaves to extents of
     any length in one pass that also looks up and checks each leaf's
-    block, and `_fill` reads the extents, in order, into one buffer of at
-    most _COPY_LIMIT bytes that it reuses: `copy_leaves` writes each
-    buffer-full to an output file, and `read_leaves` yields it. `scan`
-    needs its blocks whole, so `_runs` caps its extents at _RUN_LIMIT
-    bytes (or one longer block).
+    block, and `_fill` reads the extents, in order, into the caller's
+    buffer, which it reuses each time it is full: `copy_leaves` writes
+    each buffer-full of at most _COPY_LIMIT bytes to an output file, and
+    `Repository.materialize` reads the version into one buffer of its
+    size. The committed pack is one run of blocks in index order (see
+    `_records`), so `scan` reads it in runs of _RUN_LIMIT bytes (or one
+    longer block) with no coalescing.
     """
 
     def __init__(self, directory: Path, scheme: HashScheme, committed: int):
@@ -547,14 +545,13 @@ class BlockStore:
         if end > start:
             yield start, end - start
 
-    def _fill(self, leaves, size: int):
-        """Read the blocks of data leaves, which add up to at most `size`
-        bytes, in order into one buffer of min(size, _COPY_LIMIT) bytes:
-        one os.preadv per extent (see _extents), or per buffer-full of a
-        longer one. Yield a view of the buffer each time it is full, and
-        of what it holds after the last extent; the next read overwrites
-        it."""
-        buffer = memoryview(bytearray(min(size, _COPY_LIMIT)))
+    def _fill(self, leaves, buffer: bytearray):
+        """Read the blocks of data leaves in order into `buffer`, which
+        is empty only if they are: one os.preadv per extent (see
+        _extents), or per buffer-full of a longer one. Yield a view of
+        the buffer each time it is full, and of what it holds after the
+        last extent; the next read overwrites it."""
+        buffer = memoryview(buffer)
         limit, fill = len(buffer), 0
         for offset, length in self._extents(leaves):
             while length:
@@ -572,19 +569,14 @@ class BlockStore:
         if fill:
             yield buffer[:fill]
 
-    def read_leaves(self, leaves, size: int):
-        """Yield the blocks of data leaves, which add up to at most `size`
-        bytes, in order, as pieces of at most _COPY_LIMIT bytes (see
-        _fill)."""
-        return map(bytes, self._fill(leaves, size))
-
     def copy_leaves(self, leaves, size: int, out: int) -> int:
         """Write the blocks of data leaves, which add up to at most `size`
         bytes, in order to descriptor `out` at its position, and return
-        the bytes written: one os.write per buffer-full (see _fill),
-        continued where the kernel writes less."""
+        the bytes written: one os.write per buffer-full of at most
+        _COPY_LIMIT bytes (see _fill), continued where the kernel writes
+        less."""
         written = 0
-        for data in self._fill(leaves, size):
+        for data in self._fill(leaves, bytearray(min(size, _COPY_LIMIT))):
             while data:
                 n = os.write(out, data)
                 if n == 0:
@@ -595,33 +587,18 @@ class BlockStore:
 
     def scan(self):
         """Yield (digest, block) for every committed record in pack order,
-        one extent in memory at a time. Neither uses nor builds the digest
-        map, so a check of the whole pack leaves no map behind."""
-        records, places = tee(self._records())
-        for offset, length, count in self._runs(
-                place for _digest, place in places):
-            run, end = self._read(offset, length), 0
-            for digest, place in islice(records, count):
-                at, end = end, end + (place & _LENGTH_MASK)
-                yield digest, run[at:end]
-
-    @staticmethod
-    def _runs(places):
-        """Coalesce places, each offset << 32 | length, into `scan`'s
-        extents: yield (offset, length, count) for each run of places that
-        lie back to back in the pack, of at most _RUN_LIMIT bytes or one
-        longer block."""
-        count, start, end = 0, 0, -1
-        for place in places:
+        one run of the pack in memory at a time: a block not in hand is
+        read with those after it, _RUN_LIMIT bytes from its offset (or
+        the block, if longer), cut at the committed end. Neither uses nor
+        builds the digest map, so a check of the whole pack leaves no map
+        behind."""
+        run, start = b"", 0   # the pack bytes in hand, from offset start
+        for digest, place in self._records():
             offset, length = place >> 32, place & _LENGTH_MASK
-            if offset != end or offset + length - start > _RUN_LIMIT:
-                if count:
-                    yield start, end - start, count
-                count, start = 0, offset
-            count += 1
-            end = offset + length
-        if count:
-            yield start, end - start, count
+            if offset + length > start + len(run):
+                run, start = self._read(offset, max(length, min(
+                    _RUN_LIMIT, self._committed_end - offset))), offset
+            yield digest, run[offset - start:offset - start + length]
 
     def _read(self, offset: int, length: int) -> bytes:
         data = os.pread(self._pack, length, offset)
@@ -672,8 +649,7 @@ class Repository:
     """One versioned, auditable file store rooted at a directory."""
 
     def __init__(self, path: Path, config: dict, store: DurableNodeStore,
-                 blocks: BlockStore, log: CommitLog, vindex: VersionIndex,
-                 level_counter: int):
+                 blocks: BlockStore, log: CommitLog, vindex: VersionIndex):
         self.path = path
         self.scheme = HashScheme(config["hash"])
         self.block_size = config["block_size"]
@@ -682,7 +658,6 @@ class Repository:
         self.blocks = blocks
         self.log = log
         self.vindex = vindex
-        self._level_counter = level_counter
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -699,7 +674,7 @@ class Repository:
             raise BlockTooSmall("block_size must be >= 1")
         if seed is None:
             seed = os.urandom(SEED_BYTES)
-        src = LevelSource(seed)
+        src = version_levels(seed, 0)
         if path.exists() and (not path.is_dir() or any(path.iterdir())):
             raise PathExists(f"{path} already exists and is not an empty "
                              "directory")
@@ -718,15 +693,15 @@ class Repository:
                 log = CommitLog(path / "versions.log", scheme)
                 store = DurableNodeStore(path / "nodes" / "log", scheme, 0)
                 blocks = BlockStore(path / "blocks", scheme, 0)
-                root, src = core.build(
+                root, _src = core.build(
                     store, scheme, core.read_blocks(fh, block_size), src,
                     block_digest=blocks.put)
             vindex = VersionIndex(store, scheme, seed, records=log)
             rank = store.get(root).rank
             vindex.append_version(
                 VersionRecord(0, root, store.get(root).digest, 0, rank))
-            repo = cls(path, config, store, blocks, log, vindex, 0)
-            repo._append_commit(vindex, src.counter)
+            repo = cls(path, config, store, blocks, log, vindex)
+            repo._append_commit(vindex)
         except OSError as exc:
             raise IOFailure(str(exc)) from exc
         return repo
@@ -769,8 +744,7 @@ class Repository:
             opened.pop_all()
         vindex = VersionIndex(store, scheme, seed, root=last.layer2_root,
                               records=log)
-        return cls(path, config, store, blocks, log, vindex,
-                   last.level_counter)
+        return cls(path, config, store, blocks, log, vindex)
 
     def close(self) -> None:
         self.store.close()
@@ -804,24 +778,25 @@ class Repository:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def _append_commit(self, vindex: VersionIndex, level_counter: int) -> None:
+    def _append_commit(self, vindex: VersionIndex) -> None:
         """The commit point: with the blocks in the pack, flush the block
         index and the node log, then append the version's commit record.
         Only then does this object move to the new version."""
         self.blocks.flush()
         self.store.flush()
         self.log.append(Commit(vindex.record(vindex.count - 1), vindex.root,
-                               level_counter, self.store.next_id,
-                               self.blocks.count))
+                               self.store.next_id, self.blocks.count))
         self.store.mark_committed()
         self.blocks.mark_committed()
         self.log.mark_committed()
-        self.vindex, self._level_counter = vindex, level_counter
+        self.vindex = vindex
 
     def level_source(self) -> LevelSource:
-        """Current position in the construction level stream; a client
-        holding the seed replays the same stream for its own edits."""
-        return LevelSource(self.seed, self._level_counter)
+        """The layer-1 level stream of the next commit, fixed by the seed
+        and the version it will make (see hashing.version_levels): a
+        client holding the seed derives the same stream for its own
+        edits, and needs nothing else from the server for it."""
+        return version_levels(self.seed, self.vindex.count)
 
     @property
     def meta_digest(self) -> bytes:
@@ -836,9 +811,13 @@ class Repository:
 
     # -- content ----------------------------------------------------------
 
-    def materialize(self, version: int) -> bytes:
+    def materialize(self, version: int) -> bytearray:
+        """The bytes of one version, read into one buffer of its size."""
         size, leaves = core.data_leaves(self.store, self.record(version).root)
-        return b"".join(self.blocks.read_leaves(leaves, size))
+        data = bytearray(size)
+        for _full in self.blocks._fill(leaves, data):
+            pass
+        return data
 
     def checkout(self, version: int, out_path) -> int:
         """Write one version to out_path through a temporary file beside
@@ -902,9 +881,9 @@ class Repository:
         version = latest.version + 1
         # Each new block reaches the pack as its op runs, before finish
         # adds the first node record.
-        result, src = adaptor.apply_ops(self.store, self.scheme, old_root,
-                                        ops, self.level_source(),
-                                        block_digest=self.blocks.put)
+        result, _src = adaptor.apply_ops(self.store, self.scheme, old_root,
+                                         ops, self.level_source(),
+                                         block_digest=self.blocks.put)
         root = result.new_root
         node = self.store.get(root)
         start, length = _update_region(ops, node.rank)
@@ -914,7 +893,7 @@ class Repository:
                               root=self.vindex.root, records=self.log)
         vindex.append_version(
             VersionRecord(version, root, node.digest, start, length))
-        self._append_commit(vindex, src.counter)
+        self._append_commit(vindex)
         return {"version": version, "meta": self.meta_digest.hex(),
                 "ops": len(ops), "created_nodes": result.created_nodes,
                 "shared_nodes": result.shared_nodes, "rank": node.rank}

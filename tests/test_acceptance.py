@@ -11,14 +11,14 @@ import time
 
 import pytest
 
-from flexstore import adaptor, audit, persist
+from flexstore import adaptor, audit, cli, persist
 from flexstore.adaptor import (BlockOp, DiffEntry, apply_ops_partial,
                                diff_to_ops, format_diff, partial_from_proof)
 from flexstore.audit import (Challenge, detection_probability, read_proof,
                              verify, write_proof)
 from flexstore.core import (NodeStore, block_layout, build_with_levels,
                             check_subtree, search, split_blocks)
-from flexstore.errors import FormatError, ProofRejected
+from flexstore.errors import FlexStoreError, FormatError, ProofRejected
 from flexstore.hashing import HashScheme, LevelSource
 from flexstore.index2 import VersionIndex, VersionRecord
 from flexstore.repo import Repository
@@ -367,6 +367,72 @@ def test_criterion_8_range_proof_bit_flips(tmp_path):
     report(8, accepted == 0,
            f"{flips} single-bit flips over a {len(data)}-byte range proof, "
            f"{accepted} wrongly accepted")
+
+
+def test_criterion_8_commit_log_bit_flips(tmp_path, capsys):
+    """Every single-bit flip of versions.log, in a store of three versions
+    two of which insert blocks, is refused at open, reported by fsck, or
+    changes nothing that `log`, `materialize` of every version, `prove`
+    plus `verify` and the meta digest of one more inserting commit show.
+    No flip ends in a traceback."""
+    rng = random.Random(28)
+    src = tmp_path / "f.bin"
+    src.write_bytes(rng.randbytes(12 * 256))
+    path = tmp_path / "repo"
+    files = ("versions.log", "nodes/log", "blocks/pack", "blocks/index")
+    more = format_diff([DiffEntry("insert", 2000, rng.randbytes(700))])
+    with Repository.init(path, block_size=256, seed=SEED,
+                         input_file=src) as repo:
+        repo.commit(format_diff([DiffEntry("insert", 1000,
+                                           rng.randbytes(600))]))
+        repo.commit(format_diff([DiffEntry("replace", 300,
+                                           rng.randbytes(8), 8)]))
+        ch = repo.make_challenge(bytes.fromhex("c0c1c2c3c4c5c6c7c8c9"), 6,
+                                 (0, 1, 2))
+        meta, scheme = repo.meta_digest, repo.scheme
+    pristine = {name: (path / name).read_bytes() for name in files}
+
+    def shown():
+        """What `log`, materialize, prove plus verify and one more
+        commit show of the store; the store is restored after."""
+        assert cli.main(["--repo", str(path), "log"]) == cli.EXIT_OK
+        with Repository.open(path) as repo:
+            versions = [bytes(repo.materialize(v)) for v in range(3)]
+            proof = write_proof(repo.prove(ch), scheme)
+            accepted, _ = verify(scheme, meta, ch, read_proof(proof, scheme))
+            next_meta = repo.commit(more)["meta"]
+        for name, data in pristine.items():
+            (path / name).write_bytes(data)
+        return capsys.readouterr().out, versions, proof, accepted, next_meta
+
+    want = shown()
+    assert want[3]
+    log = path / "versions.log"
+    raw = pristine["versions.log"]
+    flips, refused, reported, silent = 0, 0, 0, []
+    for pos in range(len(raw)):
+        for bit in range(8):
+            flips += 1
+            mutated = bytearray(raw)
+            mutated[pos] ^= 1 << bit
+            log.write_bytes(mutated)
+            try:
+                repo = Repository.open(path)
+            except FlexStoreError:
+                refused += 1
+                continue
+            with repo:
+                problems = repo.fsck()
+            if problems:
+                reported += 1
+            elif shown() != want:
+                silent.append((pos, bit))
+    log.write_bytes(raw)
+    report(8, not silent,
+           f"{flips} single-bit flips over a {len(raw)}-byte versions.log: "
+           f"{refused} refused at open, {reported} reported by fsck, "
+           f"{len(silent)} silent but changing what the store shows "
+           f"(first at byte, bit: {silent[:3]})")
 
 
 def test_criterion_9_adaptor_soundness():

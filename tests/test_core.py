@@ -12,7 +12,8 @@ from flexstore.core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL,
                             read_blocks, search, split_blocks)
 from flexstore.errors import (BlockTooSmall, DomainError, IndexOutOfRange,
                               StructureCorrupt)
-from flexstore.hashing import HashScheme, LevelSource
+from flexstore.hashing import (LEVELS_LAYER1, LEVELS_LAYER2, HashScheme,
+                              LevelSource, version_levels)
 
 SCHEME = HashScheme()
 SEED = bytes.fromhex("00010203040506070809")
@@ -84,6 +85,41 @@ class TestLevelStream:
                 break
             level, src = src.draw()
             assert level == expect
+
+    # Draws frozen from the bit-by-bit count: counters 0-255 and 2^32 +
+    # 0-63 (version 1's layer-1 stream) of SEED, in each domain, one
+    # digit per level.
+    FROZEN_DRAWS = {
+        (LEVELS_LAYER1, 0): (
+            "12410350002003200220010102003000006101021110306131022233"
+            "03016000110212203012210000210311220242111621121400402013"
+            "00122100000110000301010004211050630203020525010732300001"
+            "10101501011200104200000330210001033030210010200242000023"
+            "03001000011110211125000000110120"),
+        (LEVELS_LAYER1, 1 << 32): (
+            "20201033022003002002112010000100201122100002000120000001"
+            "10000013"),
+        (LEVELS_LAYER2, 0): (
+            "20020101103100113000010500100023200321101501002010001203"
+            "03100413000060041000030010000000102001300031000202100100"
+            "20226000100010000010310202711602000403001124140202510200"
+            "04010000021130103101122080010011100020420214000000013400"
+            "00601004000013110321110000041101"),
+        (LEVELS_LAYER2, 1 << 32): (
+            "00020021000200050130210104000110003010000001101213000611"
+            "20000010"),
+    }
+
+    def test_frozen_draws(self):
+        for (domain, first), levels in self.FROZEN_DRAWS.items():
+            src = LevelSource(SEED, first, domain)
+            for k, want in enumerate(levels):
+                level, src = src.draw()
+                assert level == int(want), (domain, first + k)
+
+    def test_version_levels(self):
+        assert version_levels(SEED, 0) == LevelSource(SEED)
+        assert version_levels(SEED, 1) == LevelSource(SEED, 1 << 32)
 
     def test_known_draws(self):
         # Frozen positions in this seed's stream exhibiting the geometric
