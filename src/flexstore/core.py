@@ -36,6 +36,8 @@ KIND_INTERNAL = 0
 KIND_LEAF = 1
 KIND_SENTINEL = 2
 KIND_STUB = 3  # opaque frontier in a partial list: digest and rank only
+NO_LINK = (1 << 64) - 1   # a stored node's below or after, when absent
+BAD, BLOCK_MISSING, BLOCK_LENGTH = 1, 2, 4   # check_nodes's flags
 
 BELOW = "below"
 AFTER = "after"
@@ -159,30 +161,53 @@ def make_internal(store: NodeStore, scheme: HashScheme, level: int,
 def build_with_levels(store: NodeStore, scheme: HashScheme,
                       blocks: list[tuple[int, bytes]],
                       levels: list[int]) -> int:
-    """Construct the canonical list for (blocks, levels); returns root id.
-
-    blocks are (length, block_digest) pairs; levels[i] is block i's tower
-    level. Pushes the towers right to left through push_tower, the fold
-    the edit engine replays at a cut, finalizing each node as it is made.
-    """
-    if len(blocks) != len(levels):
-        raise ValueError("one level per block required")
+    """Construct the canonical list for (blocks, levels) through
+    fold_list, one finalized node at a time; returns root id. blocks are
+    (length, block_digest) pairs, levels[i] block i's tower level."""
+    def leaf(length, block, chain, _rank):
+        return make_leaf(store, scheme, length, block, chain,
+                         sentinel=block is None)
 
     def internal(level, below, after, _rank):
         return make_internal(store, scheme, level, below, after)
+    return fold_list(blocks, levels, leaf, internal)
 
-    stack = [FLOOR, (0, make_leaf(store, scheme, 0, None, None,
-                                  sentinel=True), 0)]
-    for (length, block_digest), level in zip(reversed(blocks),
-                                             reversed(levels)):
+
+def list_digest(scheme: HashScheme, blocks: list[tuple[int, bytes]],
+                levels: list[int]) -> bytes:
+    """The root digest of build_with_levels's list, from fold_list over
+    digests alone: no node is made."""
+    sha, zero = scheme.hash_fn, scheme.zero
+    pack_internal = scheme.internal_layout.pack
+    pack_leaf = scheme.leaf_layout.pack
+
+    def leaf(length, block, chain, rank):
+        return sha(pack_leaf(
+            TAG_SENTINEL if block is None else TAG_LEAF, 0, length + rank,
+            chain is not None, zero if chain is None else chain, length,
+            zero if block is None else block)).digest()
+
+    def internal(level, below, after, rank):
+        return sha(pack_internal(TAG_INTERNAL, level, rank, below, 1,
+                                 after)).digest()
+    return fold_list(blocks, levels, leaf, internal)
+
+
+def fold_list(blocks: list, levels: list[int], leaf, internal):
+    """Push the towers of (blocks, levels) right to left through
+    push_tower, the fold the edit engine replays at a cut; returns the
+    root's ref. leaf(length, block digest or None for a sentinel, chain,
+    chain's rank) and internal(level, below, after, rank) make refs."""
+    if len(blocks) != len(levels):
+        raise ValueError("one level per block required")
+    stack = [FLOOR, (0, leaf(0, None, None, 0), 0)]
+    for (length, block), level in zip(reversed(blocks), reversed(levels)):
         chain, rank = take_chain(stack)
-        push_tower(stack, level, make_leaf(store, scheme, length,
-                                           block_digest, chain),
+        push_tower(stack, level, leaf(length, block, chain, rank),
                    length + rank, internal)
     # The left sentinel's column captures everything that remains.
     chain, rank = take_chain(stack)
-    push_tower(stack, LEVEL_INF, make_leaf(store, scheme, 0, None, chain,
-                                           sentinel=True), rank, internal)
+    push_tower(stack, LEVEL_INF, leaf(0, None, chain, rank), rank, internal)
     return stack[-1][1]
 
 
@@ -228,13 +253,9 @@ def build(store: NodeStore, scheme: HashScheme, blocks: Iterable[bytes],
     Returns (root id, advanced level source).
     """
     block_digest = block_digest or scheme.block_digest
-    pairs, levels = [], []
-    for block in blocks:
-        level, src = src.draw()
-        levels.append(level)
-        pairs.append((len(block), block_digest(block)))
-    root = build_with_levels(store, scheme, pairs, levels)
-    return root, src
+    pairs = [(len(block), block_digest(block)) for block in blocks]
+    levels, src = src.draws(len(pairs))
+    return build_with_levels(store, scheme, pairs, levels), src
 
 
 @dataclass
@@ -371,70 +392,118 @@ def _walk(get, node: Node, todo: list, rank: int,
 
 def check_subtree(store: NodeStore, scheme: HashScheme, root: int,
                   verified: dict | None = None) -> None:
-    """Recompute every rank and digest reachable from root and compare
-    with stored values; raises StructureCorrupt on the first violation.
-    Each checked node goes into `verified` by id, so passing one dict
-    across calls checks shared subtrees only once.
-
-    One walk gathers the unverified nodes the root reaches; they are
-    then checked in ascending id order, each hashed in one step. A child
-    has a lower id than its parent (ids are handed out children first),
-    so each node's children are verified before it; a link to a later
-    id is refused."""
+    """Check the nodes root reaches, except those in `verified`, with
+    check_nodes, and add each to `verified` by id, so one dict across calls
+    checks shared subtrees once; raises StructureCorrupt on a problem."""
     if verified is None:
         verified = {}
-    get = store.get
-    nodes = {}
-    todo = [root]
+    nodes, ranks, digests, flags, todo = {}, {}, {}, {}, [root]
     while todo:
         node_id = todo.pop()
-        if node_id in verified or node_id in nodes:
-            continue
-        node = nodes[node_id] = get(node_id)
-        if node.below is not None:
-            todo.append(node.below)
-        if node.after is not None:
-            todo.append(node.after)
-    sha, width, zero = scheme.hash_fn, scheme.width, scheme.zero
+        if node_id in verified:     # checked before: its stored values
+            node, flags[node_id] = verified[node_id], 0
+            ranks[node_id], digests[node_id] = node.rank, node.digest
+        elif node_id not in nodes:
+            node = nodes[node_id] = store.get(node_id)
+            # A struct "s" field pads or cuts a digest of the wrong width.
+            if node.block is not None and len(node.block) != scheme.width:
+                raise StructureCorrupt(f"node {node_id}: block digest width")
+            todo += [link for link in (node.below, node.after)
+                     if link is not None]
+    problems = check_nodes(
+        scheme, ((node_id, record_fields(nodes[node_id], scheme.zero))
+                 for node_id in sorted(nodes)), ranks, digests, flags, {})
+    if problems:
+        raise StructureCorrupt(problems[0])
+    verified.update(nodes)
+
+
+def record_fields(node: Node, zero: bytes) -> tuple:
+    """A node's fields as a node record holds them (NO_LINK, `zero`)."""
+    return (node.kind, node.level, node.rank,
+            NO_LINK if node.below is None else node.below,
+            NO_LINK if node.after is None else node.after, node.length,
+            zero if node.block is None else node.block, node.digest)
+
+
+def shape_problem(node_id: int, fields: tuple, zero: bytes) -> str | None:
+    """What is wrong with stored node `node_id`'s shape, or None: its
+    fields (as record_fields gives them) must fit its kind, internal nodes
+    having both links and no length or block, leaves no below link and
+    level 0, data leaves a length, sentinels none and no block; and its
+    links must point back, as writers finalize children first."""
+    kind, level, _rank, below, after, length, block, _digest = fields
+    if kind == KIND_INTERNAL:
+        valid = below != NO_LINK != after and not length and block == zero
+    elif kind == KIND_LEAF or kind == KIND_SENTINEL:
+        valid = below == NO_LINK and not level and (
+            length > 0 if kind == KIND_LEAF else not length and block == zero)
+    else:
+        return f"node {node_id}: unknown kind {kind}"
+    if not valid:
+        return f"node {node_id}: malformed record"
+    if node_id <= below != NO_LINK or node_id <= after != NO_LINK:
+        return f"node {node_id} links to a later node"
+    return None
+
+
+def check_nodes(scheme: HashScheme, records: Iterable[tuple[int, tuple]],
+                ranks, digests, flags, block_lengths: dict) -> list[str]:
+    """The one check of stored nodes' shape (shape_problem), rank and
+    digest, over (id, fields) records in ascending id order; returns one
+    problem per bad record. Each rank and digest is recomputed, in one
+    hash, from the children's stored ones, which a lower id had checked.
+    ranks[id] and digests[id] get the stored values, flags[id] BAD for a
+    bad record, else the children's flags OR-ed with, for a data leaf,
+    BLOCK_MISSING or BLOCK_LENGTH if block_lengths (digest -> length)
+    lacks its block or gives another length."""
+    problems = []
+    sha, zero = scheme.hash_fn, scheme.zero
     pack_internal = scheme.internal_layout.pack
     pack_leaf = scheme.leaf_layout.pack
-    for node_id in sorted(nodes):
-        node = nodes[node_id]
-        below, after = node.below, node.after
-        if ((below is not None and below >= node_id)
-                or (after is not None and after >= node_id)):
-            raise StructureCorrupt(f"node {node_id} links to a later node")
-        after = verified[after] if after is not None else None
-        kind = node.kind
+    block_length = block_lengths.get
+    for node_id, fields in records:
+        kind, level, rank, below, after, length, block, digest = fields
+        ranks[node_id], digests[node_id] = rank, digest
         try:
-            if kind == KIND_INTERNAL:
-                if below is None or after is None:
-                    raise StructureCorrupt("internal node missing a child")
-                below = verified[below]
-                rank = below.rank + after.rank
-                digest = sha(pack_internal(TAG_INTERNAL, node.level, rank,
-                                           below.digest, 1,
-                                           after.digest)).digest()
+            # Most shapes are tested inline; shape_problem judges the rest.
+            if (kind == KIND_INTERNAL and below < node_id > after
+                    and not length and block == zero):
+                got_rank = ranks[below] + ranks[after]
+                got = sha(pack_internal(
+                    TAG_INTERNAL, level, got_rank, digests[below], 1,
+                    digests[after])).digest()
+                flag = flags[below] | flags[after]
             else:
-                if below is not None or node.level != 0:
-                    raise StructureCorrupt("leaf invariants violated")
-                if len(node.block) != width:
-                    raise StructureCorrupt(
-                        f"block digest width at node {node_id}")
-                tag = TAG_SENTINEL if kind == KIND_SENTINEL else TAG_LEAF
-                if after is None:
-                    rank = node.length
-                    digest = sha(pack_leaf(tag, 0, rank, 0, zero, rank,
-                                           node.block)).digest()
-                else:
-                    rank = node.length + after.rank
-                    digest = sha(pack_leaf(tag, 0, rank, 1, after.digest,
-                                           node.length, node.block)).digest()
+                if not (kind == KIND_LEAF and below == NO_LINK and not level
+                        and after < node_id and length > 0):
+                    problem = shape_problem(node_id, fields, zero)
+                    if problem is not None:
+                        problems.append(problem)
+                        flags[node_id] = BAD
+                        continue
+                linked = after != NO_LINK
+                got_rank = length + ranks[after] if linked else length
+                flag = flags[after] if linked else 0
+                got = sha(pack_leaf(
+                    TAG_LEAF if kind == KIND_LEAF else TAG_SENTINEL, 0,
+                    got_rank, linked, digests[after] if linked else zero,
+                    length, block)).digest()
+                if kind == KIND_LEAF:
+                    stored = block_length(block)
+                    if stored != length:
+                        flag |= (BLOCK_MISSING if stored is None
+                                 else BLOCK_LENGTH)
         except struct.error:    # a rank past 64 bits
-            raise StructureCorrupt(
-                f"field out of range at node {node_id}") from None
-        if rank != node.rank:
-            raise StructureCorrupt(f"rank mismatch at node {node_id}")
-        if digest != node.digest:
-            raise StructureCorrupt(f"digest mismatch at node {node_id}")
-        verified[node_id] = node
+            problems.append(f"node {node_id}: field out of range")
+            flags[node_id] = BAD
+            continue
+        if got_rank != rank:
+            problems.append(f"node {node_id}: rank mismatch")
+            flags[node_id] = BAD
+        elif got != digest:
+            problems.append(f"node {node_id}: digest mismatch")
+            flags[node_id] = BAD
+        else:
+            flags[node_id] = flag
+    return problems

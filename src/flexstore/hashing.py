@@ -154,12 +154,16 @@ class LevelSource:
     def draw(self) -> tuple[int, "LevelSource"]:
         """Return (level, advanced source); level = leading heads before
         the first tails, capped at LEVEL_CAP."""
-        material = (b"level" + bytes([self.domain]) + self.seed
-                    + struct.pack(">Q", self.counter))
-        digest = hashlib.sha256(material).digest()
-        level = _leading_ones(digest)
-        return min(level, LEVEL_CAP), LevelSource(self.seed, self.counter + 1,
-                                                  self.domain)
+        (level,), src = self.draws(1)
+        return level, src
+
+    def draws(self, count: int) -> tuple[list[int], "LevelSource"]:
+        """The next `count` levels and the source after them, in one loop."""
+        prefix = b"level" + bytes([self.domain]) + self.seed
+        return [min(_leading_ones(hashlib.sha256(
+            prefix + _U64.pack(counter)).digest()), LEVEL_CAP)
+                for counter in range(self.counter, self.counter + count)
+                ], LevelSource(self.seed, self.counter + count, self.domain)
 
 
 def version_levels(seed: bytes, version: int) -> LevelSource:

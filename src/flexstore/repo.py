@@ -59,19 +59,18 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import adaptor, audit, core, persist
-from .core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL, KIND_STUB, Node,
-                   NodeStore)
+from .core import (BAD, BLOCK_LENGTH, BLOCK_MISSING, KIND_INTERNAL,
+                   KIND_STUB, NO_LINK, Node, NodeStore)
 from .errors import (BlockTooSmall, DomainError, EmptyCommit, EmptyRegion,
                      IOFailure, PathExists, RepositoryLocked,
                      StructureCorrupt)
-from .hashing import (LEVELS_LAYER2, SEED_BYTES, HashScheme, LevelSource,
-                      version_levels)
+from .hashing import (LEVELS_LAYER2, SEED_BYTES, TAG_VERSION_RECORD,
+                      HashScheme, LevelSource, version_levels)
 from .index2 import VersionIndex, VersionRecord
 
 # Version of the on-disk layout, kept in config.json; open refuses any
 # other.
 STORE_FORMAT = 7
-_NO_LINK = (1 << 64) - 1   # a node record's below or after, when absent
 _LENGTH_MASK = 0xFFFFFFFF
 # Bytes per read into memory of a run of records or blocks, so memory
 # stays flat whatever the file size.
@@ -199,16 +198,14 @@ class DurableNodeStore(NodeStore):
     The constructor checks that the log holds the committed records and
     reads none. `get` decodes a record on first use into the node map,
     which also holds every node added in this process, and keeps it
-    there: an unbounded cache, as a bounded one would decode again on
-    every walk of the whole store. The record comes from its run of the
-    log (see _RecordFile.runs), read with one positioned read on the
-    first `get` of any id in it and kept as bytes, so a walk makes one
-    read per run it enters rather than one per node; only the records
-    asked for are decoded. A run is cut at the committed count when it
-    is read, so no byte past the committed end is ever read. A kept run
-    still holds every id of its run that the node map lacks: the ids
-    committed since it was read were added in this process, and are in
-    the map.
+    there. The record comes from its run of the log (see
+    _RecordFile.runs), read with one positioned read on the first `get`
+    of any id in it and kept as bytes, so a walk makes one read per run
+    it enters rather than one per node; only the records asked for are
+    decoded. A run is cut at the committed count when it is read, so no
+    byte past the committed end is ever read. A kept run still holds
+    every id of its run that the node map lacks: the ids committed since
+    it was read were added in this process, and are in the map.
     """
 
     def __init__(self, path: Path, scheme: HashScheme, committed: int):
@@ -219,7 +216,6 @@ class DurableNodeStore(NodeStore):
         self.layout = self._file.layout
         self._zero = scheme.zero
         self._next_id = committed
-        self._refused: set[int] = set()   # ids load_committed refused
         self._runs: dict[int, bytes] = {}  # first id -> bytes of its run
 
     def get(self, node_id: int) -> Node:
@@ -229,73 +225,39 @@ class DurableNodeStore(NodeStore):
             pass
         if not 0 <= node_id < self._file.committed:
             raise StructureCorrupt(f"node {node_id} missing from store")
-        if node_id in self._refused:
-            raise StructureCorrupt(f"node {node_id}: record refused")
         ids = self._file.run(node_id)
-        node = self._nodes[node_id] = self._decode(
-            node_id, self.layout.unpack_from(
-                self._run(ids), (node_id - ids.start) * self.layout.size))
-        return node
-
-    def _run(self, ids: range) -> bytes:
-        """The bytes of the records `ids`, one run of the log: the kept
-        ones, or one positioned read, kept."""
         raw = self._runs.get(ids.start)
         if raw is None:
             raw = self._runs[ids.start] = self._file.read_raw(ids.start,
                                                               len(ids))
-        return raw
-
-    def load_committed(self) -> list[str]:
-        """Decode every committed record the node map lacks, reading only
-        the runs of the log that hold one; returns one problem per record
-        refused. A later `get` of a refused id says so without the
-        reason. A run's bytes are dropped once it is decoded, as no `get`
-        needs them again. A kept run may end before the committed count,
-        where the ids past it are in the node map already."""
-        problems, nodes = [], self._nodes
-        for ids in self._file.runs():
-            if all(map(nodes.__contains__, ids)):
-                continue
-            raw = self._run(ids)
-            del self._runs[ids.start]
-            for node_id, fields in zip(ids, self.layout.iter_unpack(raw)):
-                if node_id not in nodes:
-                    try:
-                        nodes[node_id] = self._decode(node_id, fields)
-                    except StructureCorrupt as exc:
-                        problems.append(str(exc))
-                        self._refused.add(node_id)
-        return problems
-
-    def _decode(self, node_id: int, fields: tuple) -> Node:
+        fields = self.layout.unpack_from(
+            raw, (node_id - ids.start) * self.layout.size)
+        problem = core.shape_problem(node_id, fields, self._zero)
+        if problem is not None:
+            raise StructureCorrupt(problem)
         kind, level, rank, below, after, length, block, digest = fields
-        below = None if below == _NO_LINK else below
-        after = None if after == _NO_LINK else after
-        if kind == KIND_INTERNAL:
-            valid = (below is not None and after is not None and not length
-                     and block == self._zero)
-            block = None
-        elif kind == KIND_LEAF:
-            valid = below is None and not level and length > 0
-        elif kind == KIND_SENTINEL:
-            valid = (below is None and not level and not length
-                     and block == self._zero)
-        else:
-            raise StructureCorrupt(f"node {node_id}: unknown kind {kind}")
-        if not valid:
-            raise StructureCorrupt(f"node {node_id}: malformed record")
-        if ((below is not None and below >= node_id)
-                or (after is not None and after >= node_id)):
-            raise StructureCorrupt(f"node {node_id} links to a later node")
-        return Node(kind, level, rank, below, after, length, block, digest)
+        node = self._nodes[node_id] = Node(
+            kind, level, rank, None if below == NO_LINK else below,
+            None if after == NO_LINK else after, length,
+            None if kind == KIND_INTERNAL else block, digest)
+        return node
+
+    def check(self, scheme: HashScheme, block_lengths: dict) -> tuple:
+        """(problems, ranks, digests, flags) of core.check_nodes over every
+        committed record, a run at a time; a record not read stays BAD."""
+        n, problems = self._file.committed, []
+        ranks, digests, flags = [0] * n, [scheme.zero] * n, [BAD] * n
+        try:
+            for ids in self._file.runs():
+                problems += core.check_nodes(
+                    scheme, zip(ids, self._file.read(ids.start, len(ids))),
+                    ranks, digests, flags, block_lengths)
+        except StructureCorrupt as exc:
+            problems.append(str(exc))
+        return problems, ranks, digests, flags
 
     def _encode(self, node: Node) -> bytes:
-        return self.layout.pack(
-            node.kind, node.level, node.rank,
-            _NO_LINK if node.below is None else node.below,
-            _NO_LINK if node.after is None else node.after, node.length,
-            self._zero if node.block is None else node.block, node.digest)
+        return self.layout.pack(*core.record_fields(node, self._zero))
 
     def add(self, node: Node) -> int:
         if node.kind == KIND_STUB:
@@ -929,47 +891,9 @@ class Repository:
     # -- integrity ----------------------------------------------------------
 
     def fsck(self) -> list[str]:
-        """Sweep every invariant the store promises; returns violations."""
-        # Every committed node record decodes, reached or not.
-        try:
-            problems = self.store.load_committed()
-        except StructureCorrupt as exc:
-            problems = [str(exc)]
-        records: list[VersionRecord | None] = []
-        verified: dict[int, Node] = {}
-        try:
-            commits = list(self.log.scan())
-        except StructureCorrupt as exc:   # the log lost records since open
-            problems.append(str(exc))
-            commits = [None] * self.vindex.count
-        before = None     # the last record before this one that decoded
-        for version, commit in enumerate(commits):
-            if not isinstance(commit, Commit):   # None: reported above
-                if commit is not None:
-                    problems.append(str(commit))
-                records.append(None)
-                continue
-            rec = commit.record
-            records.append(rec)
-            problems += self._fsck_commit(version, commit, before)
-            before = commit
-            try:
-                stored = self.store.get(rec.root)
-                if stored.digest != rec.root_digest:
-                    problems.append(
-                        f"version {version}: logged root digest "
-                        "disagrees with the node store")
-                core.check_subtree(self.store, self.scheme, rec.root,
-                                   verified)
-            except StructureCorrupt as exc:
-                problems.append(f"version {version}: {exc}")
-                continue
-            if not (rec.update_start + rec.update_length <= stored.rank
-                    or stored.rank == 0):
-                problems.append(
-                    f"version {version}: update region exceeds rank")
-        problems += self._fsck_layer2(records)
-        lengths: dict[bytes, int] = {}    # of every index record
+        """Sweep every invariant the store promises; returns violations.
+        The pack scan gives the node pass its block lengths."""
+        problems, lengths = [], {}    # lengths: of every index record
         try:
             for digest, data in self.blocks.scan():
                 if digest in lengths:
@@ -980,64 +904,67 @@ class Repository:
                                     "not match its address")
         except StructureCorrupt as exc:
             problems.append(str(exc))
-        for node_id, node in verified.items():
-            if node.kind != KIND_LEAF:
-                continue
-            length = lengths.get(node.block)
-            if length is None:
-                problems.append(
-                    f"leaf {node_id}: block {node.block.hex()} missing")
-            elif length != node.length:
-                problems.append(
-                    f"leaf {node_id}: stored length {node.length} disagrees "
-                    "with block size")
+        found, ranks, digests, flags = self.store.check(self.scheme, lengths)
+        problems += found
+        try:
+            commits = list(self.log.scan())
+        except StructureCorrupt as exc:   # the log lost records since open
+            problems.append(str(exc))
+            commits = [None] * self.vindex.count
+        before = None     # the last record before this one that decoded
+        for version, commit in enumerate(commits):
+            if isinstance(commit, Commit):
+                problems += self._fsck_commit(version, commit, before,
+                                              ranks, digests, flags)
+                before = commit
+            elif commit is not None:     # None: reported above
+                problems.append(str(commit))
+        records = [c.record for c in commits if isinstance(c, Commit)]
+        if len(records) == len(commits):
+            # The layer-2 list's shape is canonical, so a replay of the
+            # version records must give the logged meta digest.
+            sha, pack = self.scheme.hash_fn, self.scheme.record_layout.pack
+            levels, _src = LevelSource(self.seed, 0, LEVELS_LAYER2).draws(
+                len(records))
+            if core.list_digest(self.scheme, [(1, sha(pack(
+                    TAG_VERSION_RECORD, rec.version, rec.root_digest,
+                    rec.update_start, rec.update_length)).digest())
+                    for rec in records], levels) != digests[self.vindex.root]:
+                problems.append("layer-2 root does not match a replay of "
+                                "the version log")
         return problems
 
     def _fsck_commit(self, version: int, commit: Commit,
-                     before: Commit | None) -> list[str]:
-        """Check a commit record against the one before it: the store
-        only grows, so its node and block counts never fall; and its
-        layer-2 root holds the versions up to it, so has rank
-        version + 1."""
+                     before: Commit | None, ranks: list, digests: list,
+                     flags: list) -> list[str]:
+        """Check a commit record against the one before it (the store only
+        grows) and against the node pass at its roots. Every commit appends
+        its layer-2 root last; the block flags do not count there, as a
+        layer-2 leaf's block is a version record's digest."""
+        rec, layer2 = commit.record, commit.layer2_root
+        rank = ranks[rec.root]
         problems = []
         if before is not None and (commit.nodes < before.nodes
                                    or commit.blocks < before.blocks):
-            problems.append(f"version {version}: counts fewer records than "
-                            f"version {before.record.version}")
-        try:
-            rank = self.store.get(commit.layer2_root).rank
-        except StructureCorrupt as exc:
-            return problems + [f"version {version}: layer-2 root: {exc}"]
-        if rank != version + 1:
-            problems.append(f"version {version}: layer-2 root holds {rank} "
-                            f"versions, not {version + 1}")
-        return problems
-
-    def _fsck_layer2(self, records: list[VersionRecord | None]) -> list[str]:
-        """Rebuild the layer-2 list from the version records in one pass
-        (its shape is canonical, so it must give the logged meta digest),
-        and check the stored one's ranks and digests."""
-        problems = []
-        if None not in records:
-            scheme, src = self.scheme, LevelSource(self.seed, 0,
-                                                   LEVELS_LAYER2)
-            levels = []
-            for _ in records:
-                level, src = src.draw()
-                levels.append(level)
-            leaves = [(1, scheme.version_record(
-                rec.version, rec.root_digest, rec.update_start,
-                rec.update_length)) for rec in records]
-            replay = NodeStore()
-            root = core.build_with_levels(replay, scheme, leaves, levels)
-            if replay.get(root).digest != self.vindex.meta_digest:
-                problems.append("layer-2 root does not match a replay of "
-                                "the version log")
-        try:
-            core.check_subtree(self.store, self.scheme, self.vindex.root)
-        except StructureCorrupt as exc:
-            problems.append(f"layer-2 structure: {exc}")
-        return problems
+            problems.append("counts fewer records than version "
+                            f"{before.record.version}")
+        if digests[rec.root] != rec.root_digest:
+            problems.append("logged root digest disagrees with the node store")
+        problems += [text for flag, text in (
+            (BAD, "reaches a bad node record"),
+            (BLOCK_MISSING, "reaches a leaf whose block is missing"),
+            (BLOCK_LENGTH, "reaches a leaf whose length disagrees with its "
+                           "block")) if flags[rec.root] & flag]
+        if not (rec.update_start + rec.update_length <= rank or rank == 0):
+            problems.append("update region exceeds rank")
+        if layer2 != commit.nodes - 1:
+            problems.append("layer-2 root is not its last node record")
+        if flags[layer2] & BAD:
+            problems.append("layer-2 root reaches a bad node record")
+        if ranks[layer2] != version + 1:
+            problems.append(f"layer-2 root holds {ranks[layer2]} versions, "
+                            f"not {version + 1}")
+        return [f"version {version}: {problem}" for problem in problems]
 
     # -- fault injection (test support, explicitly gated in the CLI) --------
 

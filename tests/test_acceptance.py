@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import math
+import os
 import random
 import struct
 import time
@@ -433,6 +434,142 @@ def test_criterion_8_commit_log_bit_flips(tmp_path, capsys):
            f"{refused} refused at open, {reported} reported by fsck, "
            f"{len(silent)} silent but changing what the store shows "
            f"(first at byte, bit: {silent[:3]})")
+
+
+class _FlippedStore:
+    """A three-block store after one commit, so that it holds a
+    superseded layer-2 copy (20 node records), for sweeps of single-bit
+    flips of one of its files at a time."""
+
+    FILES = ("versions.log", "nodes/log", "blocks/pack", "blocks/index")
+
+    def __init__(self, tmp_path, capsys):
+        rng = random.Random(38)
+        src = tmp_path / "f.bin"
+        src.write_bytes(rng.randbytes(3 * 64))
+        self.path, self.capsys = tmp_path / "repo", capsys
+        self.more = format_diff([DiffEntry("insert", 100, rng.randbytes(90))])
+        with Repository.init(self.path, block_size=64, seed=SEED,
+                             input_file=src) as repo:
+            repo.commit(format_diff([DiffEntry("replace", 70,
+                                               rng.randbytes(8), 8)]))
+            self.ch = repo.make_challenge(
+                bytes.fromhex("c0c1c2c3c4c5c6c7c8c9"), 4, (0, 1))
+            self.meta, self.scheme = repo.meta_digest, repo.scheme
+            self.record_size = repo.store.layout.size
+        self.pristine = {name: (self.path / name).read_bytes()
+                         for name in self.FILES}
+        self.want = self.shown()
+        assert self.want[3]
+
+    def shown(self):
+        """What `log`, materialize, prove plus verify and one more
+        commit show of the store; the store is restored after."""
+        assert cli.main(["--repo", str(self.path), "log"]) == cli.EXIT_OK
+        with Repository.open(self.path) as repo:
+            versions = [bytes(repo.materialize(v)) for v in range(2)]
+            proof = write_proof(repo.prove(self.ch), self.scheme)
+            accepted, _ = verify(self.scheme, self.meta, self.ch,
+                                 read_proof(proof, self.scheme))
+            next_meta = repo.commit(self.more)["meta"]
+        for name, data in self.pristine.items():
+            (self.path / name).write_bytes(data)
+        return (self.capsys.readouterr().out, versions, proof, accepted,
+                next_meta)
+
+    def sweep(self, name, flips):
+        """Apply each (byte, bit) flip of file `name` on its own. Returns
+        the counts refused at open and reported by fsck, the flips
+        neither refused nor reported, and those of them that change what
+        the store shows. No flip may end in a traceback."""
+        raw = self.pristine[name]
+        refused, reported, clean, silent = 0, 0, [], []
+        fd = os.open(self.path / name, os.O_WRONLY)
+        try:
+            for pos, bit in flips:
+                os.pwrite(fd, bytes([raw[pos] ^ 1 << bit]), pos)
+                try:
+                    repo = Repository.open(self.path)
+                except FlexStoreError:
+                    refused += 1
+                else:
+                    with repo:
+                        problems = repo.fsck()
+                    if problems:
+                        reported += 1
+                    else:
+                        clean.append((pos, bit))
+                        if self.shown() != self.want:
+                            silent.append((pos, bit))
+                os.pwrite(fd, raw[pos:pos + 1], pos)
+        finally:
+            os.close(fd)
+        return refused, reported, clean, silent
+
+
+def test_criterion_8_node_log_bit_flips(tmp_path, capsys):
+    """Every bit of each node record's integer fields, and one bit per
+    byte of its block and node digests, flipped on its own: each flip is
+    refused at open or reported by fsck. The one exemption is a link
+    moved between two byte-identical records (the store's zero-rank
+    sentinels), which changes no digest and nothing shown."""
+    store = _FlippedStore(tmp_path, capsys)
+    raw, size = store.pristine["nodes/log"], store.record_size
+    ints = size - 2 * store.scheme.width   # kind, level, rank, links, length
+    flips = [(record * size + at, bit)
+             for record in range(len(raw) // size)
+             for at in range(size)
+             for bit in (range(8) if at < ints else (at % 8,))]
+    refused, reported, clean, silent = store.sweep("nodes/log", flips)
+    exempt = []
+    for pos, bit in clean:
+        record, at = divmod(pos, size)
+        # The links follow kind u8, level u8 and rank u64: bytes 10-25.
+        for name, start in (("below", 10), ("after", 18)):
+            if start <= at < start + 8:
+                first = record * size + start
+                old = int.from_bytes(raw[first:first + 8], "big")
+                new = old ^ 1 << bit + 8 * (start + 7 - at)
+                if (max(old, new) < len(raw) // size
+                        and raw[old * size:(old + 1) * size]
+                        == raw[new * size:(new + 1) * size]):
+                    exempt.append((record, name, old, new))
+    report(8, len(exempt) == len(clean) and not silent,
+           f"{len(flips)} single-bit flips over a {len(raw)}-byte node log: "
+           f"{refused} refused at open, {reported} reported by fsck, "
+           f"{len(clean)} clean, of which {len(exempt)} move a link between "
+           f"byte-identical records ({exempt}) and {len(silent)} change "
+           "what the store shows")
+
+
+def test_criterion_8_block_index_bit_flips(tmp_path, capsys):
+    """Every bit of blocks/index, flipped on its own, is refused at open,
+    reported by fsck, or changes nothing shown."""
+    store = _FlippedStore(tmp_path, capsys)
+    raw = store.pristine["blocks/index"]
+    flips = [(pos, bit) for pos in range(len(raw)) for bit in range(8)]
+    refused, reported, clean, silent = store.sweep("blocks/index", flips)
+    report(8, not silent,
+           f"{len(flips)} single-bit flips over a {len(raw)}-byte block "
+           f"index: {refused} refused at open, {reported} reported by "
+           f"fsck, {len(clean)} clean, of which {len(silent)} change what "
+           "the store shows")
+
+
+def test_criterion_8_pack_bit_flips(tmp_path, capsys):
+    """One bit of each block in the pack, flipped on its own, is reported
+    by fsck."""
+    store = _FlippedStore(tmp_path, capsys)
+    index = store.pristine["blocks/index"]
+    width = store.scheme.width
+    offsets = [struct.unpack_from(">Q", index, at + width)[0]
+               for at in range(0, len(index), width + 12)]
+    flips = [(offset + k, k % 8) for k, offset in enumerate(offsets)]
+    refused, reported, clean, _silent = store.sweep("blocks/pack", flips)
+    report(8, reported == len(flips),
+           f"{len(flips)} single-bit flips, one per block of the pack: "
+           f"{refused} refused at open, {reported} reported by fsck, "
+           f"{len(clean)} clean")
 
 
 def test_criterion_9_adaptor_soundness():

@@ -117,6 +117,14 @@ class TestLevelStream:
                 level, src = src.draw()
                 assert level == int(want), (domain, first + k)
 
+    def test_batched_draws(self):
+        """draws(n) gives the frozen levels of n successive draws in one
+        call, and the source after them."""
+        for (domain, first), levels in self.FROZEN_DRAWS.items():
+            got, after = LevelSource(SEED, first, domain).draws(len(levels))
+            assert "".join(map(str, got)) == levels, (domain, first)
+            assert after == LevelSource(SEED, first + len(levels), domain)
+
     def test_version_levels(self):
         assert version_levels(SEED, 0) == LevelSource(SEED)
         assert version_levels(SEED, 1) == LevelSource(SEED, 1 << 32)

@@ -988,7 +988,8 @@ class TestFsck:
 
     def test_refused_node_record_reported_once(self, repo):
         """A node record that every version reaches is refused in one
-        line; the versions that reach it say so without the reason."""
+        line; each version that reaches it says so once, without the
+        reason."""
         for at in (10, 2000):
             repo.commit(format_diff([DiffEntry("replace", at, b"kind", 4)]))
         leaf = 1      # the last data leaf, which all three versions share
@@ -1008,8 +1009,56 @@ class TestFsck:
         assert [p for p in problems if "unknown kind 9" in p] == [
             f"node {leaf}: unknown kind 9"]
         for version in range(3):
-            assert (f"version {version}: node {leaf}: record refused"
-                    in problems)
+            assert problems.count(
+                f"version {version}: reaches a bad node record") == 1
+
+    def test_block_equal_to_a_version_record_is_clean(self, tmp_path):
+        """A data block whose bytes are version 0's record material has
+        the block digest of version 0's layer-2 leaf, at another length.
+        Block flags count only under layer-1 roots, so fsck is clean."""
+        src = tmp_path / "input.bin"
+        src.write_bytes(bytes(range(90)))
+        with Repository.init(tmp_path / "repo", block_size=45,
+                             seed=bytes.fromhex(SEED_HEX),
+                             input_file=src) as repo:
+            rec, scheme = repo.record(0), repo.scheme
+            material = scheme.record_layout.pack(
+                hashing.TAG_VERSION_RECORD, 0, rec.root_digest,
+                rec.update_start, rec.update_length)
+            repo.commit(format_diff([DiffEntry("replace", 0, material,
+                                               len(material))]))
+            assert scheme.version_record(
+                0, rec.root_digest, rec.update_start, rec.update_length
+            ) in repo.blocks.all_digests()
+            assert repo.fsck() == []
+
+    def test_decodes_at_most_the_layer2_root(self, repo):
+        """fsck checks every node record in one pass that builds no node:
+        after open, at most the layer-2 root, for the meta digest, enters
+        the node map."""
+        for at in (10, 2000):
+            repo.commit(format_diff([DiffEntry("replace", at, b"map", 3)]))
+        repo.close()
+        with Repository.open(repo.path) as again:
+            assert again.fsck() == []
+            assert len(again.store) <= 1
+
+    def test_record_no_root_reaches_is_hashed(self, repo):
+        """A digest byte flipped in version 0's layer-2 root, a record of
+        a superseded layer-2 copy that no version root and not the
+        current layer-2 root reaches, is reported."""
+        repo.commit(format_diff([DiffEntry("replace", 300, b"old", 3)]))
+        victim = repo.log.commit(0).layer2_root
+        roots = [repo.record(v).root for v in range(2)] + [repo.vindex.root]
+        assert victim not in _reach_new(repo.store, roots, 0)
+        size = repo.store.layout.size
+        repo.close()
+        log = repo.path / "nodes" / "log"
+        raw = bytearray(log.read_bytes())
+        raw[(victim + 1) * size - 1] ^= 0x01   # its digest's last byte
+        log.write_bytes(bytes(raw))
+        with Repository.open(repo.path) as again:
+            assert f"node {victim}: digest mismatch" in again.fsck()
 
     def test_hashes_each_stored_block_once(self, repo, monkeypatch):
         # Versions share blocks, and version 2 holds a block twice.
@@ -1026,14 +1075,16 @@ class TestFsck:
         assert repo.fsck() == []
         assert len(hashed) == len(pack_records(repo)) == len(set(hashed))
 
-    @pytest.mark.parametrize("field, source, problem", [
-        ("nodes", 3, "version 2: counts fewer records than version 1"),
-        ("blocks", 3, "version 2: counts fewer records than version 1"),
-        ("layer2_root", 0, "version 1: layer-2 root holds 1 versions, "
-                           "not 2"),
+    @pytest.mark.parametrize("field, source, problems", [
+        ("nodes", 3, ["version 1: layer-2 root is not its last node record",
+                      "version 2: counts fewer records than version 1"]),
+        ("blocks", 3, ["version 2: counts fewer records than version 1"]),
+        ("layer2_root", 0, [
+            "version 1: layer-2 root is not its last node record",
+            "version 1: layer-2 root holds 1 versions, not 2"]),
     ], ids=["nodes", "blocks", "layer2_root"])
     def test_commit_record_checked_against_the_one_before(
-            self, repo, field, source, problem):
+            self, repo, field, source, problems):
         """A middle commit record's count or layer-2 root, rewritten with
         another record's value that every check against the last record
         accepts, is reported by fsck."""
@@ -1053,7 +1104,7 @@ class TestFsck:
         layout.pack_into(raw, layout.size, *records[1])
         log.write_bytes(bytes(raw))
         with Repository.open(repo.path) as again:
-            assert again.fsck() == [problem]
+            assert again.fsck() == problems
 
     def test_tampered_commit_record_fails_layer2_replay(self, repo):
         """A version's update region, changed in its commit record and
