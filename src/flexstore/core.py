@@ -37,7 +37,7 @@ KIND_LEAF = 1
 KIND_SENTINEL = 2
 KIND_STUB = 3  # opaque frontier in a partial list: digest and rank only
 NO_LINK = (1 << 64) - 1   # a stored node's below or after, when absent
-BAD, BLOCK_MISSING, BLOCK_LENGTH = 1, 2, 4   # check_nodes's flags
+BAD, BAD_BLOCK = 1, 2   # check_nodes's flags
 
 BELOW = "below"
 AFTER = "after"
@@ -161,53 +161,30 @@ def make_internal(store: NodeStore, scheme: HashScheme, level: int,
 def build_with_levels(store: NodeStore, scheme: HashScheme,
                       blocks: list[tuple[int, bytes]],
                       levels: list[int]) -> int:
-    """Construct the canonical list for (blocks, levels) through
-    fold_list, one finalized node at a time; returns root id. blocks are
-    (length, block_digest) pairs, levels[i] block i's tower level."""
-    def leaf(length, block, chain, _rank):
-        return make_leaf(store, scheme, length, block, chain,
-                         sentinel=block is None)
+    """Construct the canonical list for (blocks, levels); returns root id.
+
+    blocks are (length, block_digest) pairs; levels[i] is block i's tower
+    level. Pushes the towers right to left through push_tower, the fold
+    the edit engine replays at a cut, finalizing each node as it is made.
+    """
+    if len(blocks) != len(levels):
+        raise ValueError("one level per block required")
 
     def internal(level, below, after, _rank):
         return make_internal(store, scheme, level, below, after)
-    return fold_list(blocks, levels, leaf, internal)
 
-
-def list_digest(scheme: HashScheme, blocks: list[tuple[int, bytes]],
-                levels: list[int]) -> bytes:
-    """The root digest of build_with_levels's list, from fold_list over
-    digests alone: no node is made."""
-    sha, zero = scheme.hash_fn, scheme.zero
-    pack_internal = scheme.internal_layout.pack
-    pack_leaf = scheme.leaf_layout.pack
-
-    def leaf(length, block, chain, rank):
-        return sha(pack_leaf(
-            TAG_SENTINEL if block is None else TAG_LEAF, 0, length + rank,
-            chain is not None, zero if chain is None else chain, length,
-            zero if block is None else block)).digest()
-
-    def internal(level, below, after, rank):
-        return sha(pack_internal(TAG_INTERNAL, level, rank, below, 1,
-                                 after)).digest()
-    return fold_list(blocks, levels, leaf, internal)
-
-
-def fold_list(blocks: list, levels: list[int], leaf, internal):
-    """Push the towers of (blocks, levels) right to left through
-    push_tower, the fold the edit engine replays at a cut; returns the
-    root's ref. leaf(length, block digest or None for a sentinel, chain,
-    chain's rank) and internal(level, below, after, rank) make refs."""
-    if len(blocks) != len(levels):
-        raise ValueError("one level per block required")
-    stack = [FLOOR, (0, leaf(0, None, None, 0), 0)]
-    for (length, block), level in zip(reversed(blocks), reversed(levels)):
+    stack = [FLOOR, (0, make_leaf(store, scheme, 0, None, None,
+                                  sentinel=True), 0)]
+    for (length, block_digest), level in zip(reversed(blocks),
+                                             reversed(levels)):
         chain, rank = take_chain(stack)
-        push_tower(stack, level, leaf(length, block, chain, rank),
+        push_tower(stack, level, make_leaf(store, scheme, length,
+                                           block_digest, chain),
                    length + rank, internal)
     # The left sentinel's column captures everything that remains.
     chain, rank = take_chain(stack)
-    push_tower(stack, LEVEL_INF, leaf(0, None, chain, rank), rank, internal)
+    push_tower(stack, LEVEL_INF, make_leaf(store, scheme, 0, None, chain,
+                                           sentinel=True), rank, internal)
     return stack[-1][1]
 
 
@@ -253,9 +230,13 @@ def build(store: NodeStore, scheme: HashScheme, blocks: Iterable[bytes],
     Returns (root id, advanced level source).
     """
     block_digest = block_digest or scheme.block_digest
-    pairs = [(len(block), block_digest(block)) for block in blocks]
-    levels, src = src.draws(len(pairs))
-    return build_with_levels(store, scheme, pairs, levels), src
+    pairs, levels = [], []
+    for block in blocks:
+        level, src = src.draw()
+        levels.append(level)
+        pairs.append((len(block), block_digest(block)))
+    root = build_with_levels(store, scheme, pairs, levels)
+    return root, src
 
 
 @dataclass
@@ -455,8 +436,9 @@ def check_nodes(scheme: HashScheme, records: Iterable[tuple[int, tuple]],
     hash, from the children's stored ones, which a lower id had checked.
     ranks[id] and digests[id] get the stored values, flags[id] BAD for a
     bad record, else the children's flags OR-ed with, for a data leaf,
-    BLOCK_MISSING or BLOCK_LENGTH if block_lengths (digest -> length)
-    lacks its block or gives another length."""
+    BAD_BLOCK if block_lengths (digest -> length) lacks its block or gives
+    another length. A record that disagrees only as a child is bad (whose
+    flipped digest breaks every parent's hash) is BAD without a problem."""
     problems = []
     sha, zero = scheme.hash_fn, scheme.zero
     pack_internal = scheme.internal_layout.pack
@@ -489,21 +471,18 @@ def check_nodes(scheme: HashScheme, records: Iterable[tuple[int, tuple]],
                     TAG_LEAF if kind == KIND_LEAF else TAG_SENTINEL, 0,
                     got_rank, linked, digests[after] if linked else zero,
                     length, block)).digest()
-                if kind == KIND_LEAF:
-                    stored = block_length(block)
-                    if stored != length:
-                        flag |= (BLOCK_MISSING if stored is None
-                                 else BLOCK_LENGTH)
+                if kind == KIND_LEAF and block_length(block) != length:
+                    flag |= BAD_BLOCK
         except struct.error:    # a rank past 64 bits
             problems.append(f"node {node_id}: field out of range")
             flags[node_id] = BAD
             continue
-        if got_rank != rank:
-            problems.append(f"node {node_id}: rank mismatch")
-            flags[node_id] = BAD
-        elif got != digest:
-            problems.append(f"node {node_id}: digest mismatch")
-            flags[node_id] = BAD
-        else:
+        if got_rank == rank and got == digest:
             flags[node_id] = flag
+            continue
+        flags[node_id] = BAD
+        if not flag & BAD:     # else a bad child, reported, explains it
+            problems.append(f"node {node_id}: "
+                            f"{'rank' if got_rank != rank else 'digest'} "
+                            "mismatch")
     return problems

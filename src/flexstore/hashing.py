@@ -154,16 +154,21 @@ class LevelSource:
     def draw(self) -> tuple[int, "LevelSource"]:
         """Return (level, advanced source); level = leading heads before
         the first tails, capped at LEVEL_CAP."""
-        (level,), src = self.draws(1)
-        return level, src
+        return self._level(self.counter), LevelSource(
+            self.seed, self.counter + 1, self.domain)
 
     def draws(self, count: int) -> tuple[list[int], "LevelSource"]:
-        """The next `count` levels and the source after them, in one loop."""
-        prefix = b"level" + bytes([self.domain]) + self.seed
-        return [min(_leading_ones(hashlib.sha256(
-            prefix + _U64.pack(counter)).digest()), LEVEL_CAP)
-                for counter in range(self.counter, self.counter + count)
-                ], LevelSource(self.seed, self.counter + count, self.domain)
+        """The levels of the next `count` draws, and the source after
+        them, without a source made per draw (fsck's layer-2 replay)."""
+        return [self._level(counter) for counter in range(
+            self.counter, self.counter + count)], LevelSource(
+            self.seed, self.counter + count, self.domain)
+
+    def _level(self, counter: int) -> int:
+        material = (b"level" + bytes([self.domain]) + self.seed
+                    + _U64.pack(counter))
+        return min(_leading_ones(hashlib.sha256(material).digest()),
+                   LEVEL_CAP)
 
 
 def version_levels(seed: bytes, version: int) -> LevelSource:

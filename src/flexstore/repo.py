@@ -59,13 +59,13 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import adaptor, audit, core, persist
-from .core import (BAD, BLOCK_LENGTH, BLOCK_MISSING, KIND_INTERNAL,
-                   KIND_STUB, NO_LINK, Node, NodeStore)
+from .core import (BAD, BAD_BLOCK, KIND_INTERNAL, KIND_LEAF, KIND_STUB,
+                   NO_LINK, Node, NodeStore)
 from .errors import (BlockTooSmall, DomainError, EmptyCommit, EmptyRegion,
                      IOFailure, PathExists, RepositoryLocked,
                      StructureCorrupt)
-from .hashing import (LEVELS_LAYER2, SEED_BYTES, TAG_VERSION_RECORD,
-                      HashScheme, LevelSource, version_levels)
+from .hashing import (LEVELS_LAYER2, SEED_BYTES, HashScheme, LevelSource,
+                      version_levels)
 from .index2 import VersionIndex, VersionRecord
 
 # Version of the on-disk layout, kept in config.json; open refuses any
@@ -920,27 +920,34 @@ class Repository:
             elif commit is not None:     # None: reported above
                 problems.append(str(commit))
         records = [c.record for c in commits if isinstance(c, Commit)]
+        # Not from layer-2 roots: their leaves' blocks are record digests.
+        problems += self._fsck_blocks([rec.root for rec in records], flags,
+                                      lengths)
         if len(records) == len(commits):
-            # The layer-2 list's shape is canonical, so a replay of the
-            # version records must give the logged meta digest.
-            sha, pack = self.scheme.hash_fn, self.scheme.record_layout.pack
-            levels, _src = LevelSource(self.seed, 0, LEVELS_LAYER2).draws(
-                len(records))
-            if core.list_digest(self.scheme, [(1, sha(pack(
-                    TAG_VERSION_RECORD, rec.version, rec.root_digest,
-                    rec.update_start, rec.update_length)).digest())
-                    for rec in records], levels) != digests[self.vindex.root]:
-                problems.append("layer-2 root does not match a replay of "
-                                "the version log")
+            problems += self._fsck_layer2(records, digests[self.vindex.root])
         return problems
+
+    def _fsck_layer2(self, records: list[VersionRecord],
+                     digest: bytes) -> list[str]:
+        """Rebuild the layer-2 list from the version records in one pass:
+        its shape is canonical, so it must have the stored root's digest."""
+        levels, _src = LevelSource(self.seed, 0, LEVELS_LAYER2).draws(
+            len(records))
+        leaves = [(1, self.scheme.version_record(
+            rec.version, rec.root_digest, rec.update_start,
+            rec.update_length)) for rec in records]
+        replay = NodeStore()
+        root = core.build_with_levels(replay, self.scheme, leaves, levels)
+        if replay.get(root).digest != digest:
+            return ["layer-2 root does not match a replay of the version log"]
+        return []
 
     def _fsck_commit(self, version: int, commit: Commit,
                      before: Commit | None, ranks: list, digests: list,
                      flags: list) -> list[str]:
         """Check a commit record against the one before it (the store only
-        grows) and against the node pass at its roots. Every commit appends
-        its layer-2 root last; the block flags do not count there, as a
-        layer-2 leaf's block is a version record's digest."""
+        grows) and against the node pass at its roots; every commit appends
+        its layer-2 root last."""
         rec, layer2 = commit.record, commit.layer2_root
         rank = ranks[rec.root]
         problems = []
@@ -950,11 +957,8 @@ class Repository:
                             f"{before.record.version}")
         if digests[rec.root] != rec.root_digest:
             problems.append("logged root digest disagrees with the node store")
-        problems += [text for flag, text in (
-            (BAD, "reaches a bad node record"),
-            (BLOCK_MISSING, "reaches a leaf whose block is missing"),
-            (BLOCK_LENGTH, "reaches a leaf whose length disagrees with its "
-                           "block")) if flags[rec.root] & flag]
+        if flags[rec.root] & BAD:
+            problems.append("reaches a bad node record")
         if not (rec.update_start + rec.update_length <= rank or rank == 0):
             problems.append("update region exceeds rank")
         if layer2 != commit.nodes - 1:
@@ -965,6 +969,29 @@ class Repository:
             problems.append(f"layer-2 root holds {ranks[layer2]} versions, "
                             f"not {version + 1}")
         return [f"version {version}: {problem}" for problem in problems]
+
+    def _fsck_blocks(self, roots: list[int], flags: list,
+                     lengths: dict) -> list[str]:
+        """One line per data leaf under the layer-1 `roots` whose block the
+        index lacks or holds at another length, from a walk of the records
+        that carry BAD_BLOCK, each got once (as a rule, none)."""
+        problems, seen = [], set()
+        todo = [root for root in roots if flags[root] & BAD_BLOCK]
+        while todo:
+            node_id = todo.pop()
+            if node_id in seen:
+                continue
+            seen.add(node_id)
+            node = self.store.get(node_id)
+            if node.kind == KIND_LEAF and node.block not in lengths:
+                problems.append(
+                    f"leaf {node_id}: block {node.block.hex()} missing")
+            elif node.kind == KIND_LEAF and lengths[node.block] != node.length:
+                problems.append(f"leaf {node_id}: stored length "
+                                f"{node.length} disagrees with block size")
+            todo += [link for link in (node.below, node.after)
+                     if link is not None and flags[link] & BAD_BLOCK]
+        return problems
 
     # -- fault injection (test support, explicitly gated in the CLI) --------
 

@@ -118,8 +118,8 @@ class TestLevelStream:
                 assert level == int(want), (domain, first + k)
 
     def test_batched_draws(self):
-        """draws(n) gives the frozen levels of n successive draws in one
-        call, and the source after them."""
+        """draws(n) gives the frozen levels of n successive draws, and the
+        source after them."""
         for (domain, first), levels in self.FROZEN_DRAWS.items():
             got, after = LevelSource(SEED, first, domain).draws(len(levels))
             assert "".join(map(str, got)) == levels, (domain, first)

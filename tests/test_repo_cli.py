@@ -1060,6 +1060,63 @@ class TestFsck:
         with Repository.open(repo.path) as again:
             assert f"node {victim}: digest mismatch" in again.fsck()
 
+    def test_shared_leaf_digest_flip_reported_once(self, repo):
+        """A digest byte flipped in a data leaf that several records link
+        to breaks each of their hashes too, but only the leaf is reported;
+        every version reaches it, and says so once."""
+        for at in (10, 2000):
+            repo.commit(format_diff([DiffEntry("replace", at, b"flip", 4)]))
+        links = [link for node_id in range(repo.log.commit(2).nodes)
+                 for link in (repo.store.get(node_id).below,
+                              repo.store.get(node_id).after)]
+        reached = _reach_new(repo.store, [repo.record(version).root
+                                          for version in range(3)], 0)
+        # The reached data leaf that the most records link to.
+        leaf = max((node_id for node_id in reached
+                    if repo.store.get(node_id).kind == core.KIND_LEAF),
+                   key=links.count)
+        assert links.count(leaf) > 1
+        size = repo.store.layout.size
+        repo.close()
+        log = repo.path / "nodes" / "log"
+        raw = bytearray(log.read_bytes())
+        raw[(leaf + 1) * size - 1] ^= 0x01   # its digest's last byte
+        log.write_bytes(bytes(raw))
+        with Repository.open(repo.path) as again:
+            problems = again.fsck()
+        assert [p for p in problems if p.startswith("node ")] == [
+            f"node {leaf}: digest mismatch"]
+        for version in range(3):
+            assert problems.count(
+                f"version {version}: reaches a bad node record") == 1
+
+    def test_missing_block_reported_once_per_leaf(self, repo):
+        """A block the index lacks gives one line per leaf record that
+        holds it, naming the block, however many versions reach it, and
+        no line per version."""
+        for at in (10, 2000):
+            repo.commit(format_diff([DiffEntry("replace", at, b"lost", 4)]))
+        digest = repo.store.get(1).block   # all three versions hold it
+        roots = [repo.record(version).root for version in range(3)]
+        holders = sorted(
+            node_id for node_id in _reach_new(repo.store, roots, 0)
+            if repo.store.get(node_id).kind == core.KIND_LEAF
+            and repo.store.get(node_id).block == digest)
+        width = repo.scheme.width
+        repo.close()
+        index = repo.path / "blocks" / "index"
+        raw = bytearray(index.read_bytes())
+        at = raw.index(digest)
+        assert at % (width + 12) == 0
+        raw[at] ^= 0x01      # the index now names another digest
+        index.write_bytes(bytes(raw))
+        with Repository.open(repo.path) as again:
+            problems = again.fsck()
+        assert sorted(p for p in problems if p.startswith("leaf ")) == [
+            f"leaf {node_id}: block {digest.hex()} missing"
+            for node_id in holders]
+        assert not [p for p in problems if p.startswith("version ")]
+
     def test_hashes_each_stored_block_once(self, repo, monkeypatch):
         # Versions share blocks, and version 2 holds a block twice.
         repo.commit(format_diff([DiffEntry("insert", 700, b"x" * 300)]))
