@@ -8,7 +8,7 @@ from .audit import (Challenge, VersionProof, detection_probability,
 from .core import (NodeStore, SearchPath, build, build_with_levels, search,
                    split_blocks)
 from .errors import FlexStoreError
-from .hashing import HashScheme, LevelSource
+from .hashing import HashScheme
 from .index2 import VersionIndex, VersionRecord
 from .persist import CommitResult
 from .repo import Repository
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockOp", "Challenge", "CommitResult", "DiffEntry", "FlexStoreError",
-    "HashScheme", "LevelSource", "NodeStore", "PartialFlexList",
+    "HashScheme", "NodeStore", "PartialFlexList",
     "Repository", "SearchPath", "VersionIndex",
     "VersionProof", "VersionRecord", "apply_ops_partial", "build",
     "build_with_levels", "detection_probability", "diff_to_ops",

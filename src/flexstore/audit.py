@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import index2, proofs
@@ -91,8 +92,9 @@ class VersionProof:
     parts: tuple[VersionPart, ...]   # versions ascending
 
 
-def expand_challenge(ch: Challenge, region: tuple[int, int]) -> list[int]:
-    """Expand a challenge to its byte indices within (start, length)."""
+def expand_challenge(ch: Challenge, region: tuple[int, int]) -> Iterator[int]:
+    """Expand a challenge to its byte indices within (start, length),
+    each drawn as it is asked for."""
     start, length = region
     if length < 1:
         raise EmptyRegion("cannot challenge a zero-length region")

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 
 from .errors import (BlockTooSmall, DomainError, IndexOutOfRange,
                      PathNotCovered, StructureCorrupt)
-from .hashing import (TAG_INTERNAL, TAG_LEAF, TAG_SENTINEL, HashScheme,
-                      LevelSource)
+from .hashing import TAG_INTERNAL, TAG_LEAF, TAG_SENTINEL, HashScheme
 
 KIND_INTERNAL = 0
 KIND_LEAF = 1
@@ -220,23 +219,18 @@ def push_tower(stack: list, level: int, cur, rank: int, internal) -> None:
 
 
 def build(store: NodeStore, scheme: HashScheme, blocks: Iterable[bytes],
-          src: LevelSource, block_digest=None) -> tuple[int, LevelSource]:
-    """Pre-process a block sequence in one pass: draw one level per block
-    and build. The blocks may come from an iterator, so a caller need not
-    hold them all.
+          levels: Iterator[int], block_digest=None) -> int:
+    """Pre-process a block sequence in one pass: take the next level from
+    `levels` per block and build; returns the root id. The blocks may
+    come from an iterator, so a caller need not hold them all.
 
     block_digest(block) returns a block's digest (default: hash it with
     scheme); a caller that stores the blocks can pass its own put.
-    Returns (root id, advanced level source).
     """
     block_digest = block_digest or scheme.block_digest
-    pairs, levels = [], []
-    for block in blocks:
-        level, src = src.draw()
-        levels.append(level)
-        pairs.append((len(block), block_digest(block)))
-    root = build_with_levels(store, scheme, pairs, levels)
-    return root, src
+    pairs = [(len(block), block_digest(block)) for block in blocks]
+    return build_with_levels(store, scheme, pairs,
+                             [next(levels) for _ in pairs])
 
 
 @dataclass

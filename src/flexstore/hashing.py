@@ -32,21 +32,25 @@ Canonical bytes fed to the hash, with W the digest width:
 
 Level streams
 -------------
-Tower levels are drawn from a pure function of (seed, counter): the draw
-hashes the 80-bit seed with the counter and counts leading one-bits, which
-yields a geometric distribution with parameter 0.5. One draw consumes
-exactly one counter value. The layer-1 towers a commit inserts come from
-its version's stream (`version_levels`), and the layer-2 tower of
-version v is draw v of the layer-2 stream, so the seed and the version
-number fix every level: client and server replay identical streams, and
-the store keeps no stream position.
+A tower level is a pure function of (seed, domain, counter): SHA-256 of
+b"level" || domain_u8 || seed || counter_8be, its leading one-bits
+counted (a geometric distribution with parameter 0.5), capped at
+LEVEL_CAP. Two functions return the only streams, as iterators:
+`version_levels(seed, v)`, the layer-1 towers the commit of version v
+inserts (domain 0, counters (v << 32) + 0, 1, ...), and
+`layer2_levels(seed, v)`, the layer-2 towers of versions v, v + 1, ...
+(domain 1, counters v, v + 1, ...). So the seed and the version number
+fix every level: client and server replay identical streams, and the
+store keeps no stream position. A stream is single-use: whoever needs
+the same levels twice makes the stream twice from (seed, version).
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from collections.abc import Iterator
+from itertools import islice
 
 from .errors import DomainError
 
@@ -131,53 +135,43 @@ class HashScheme:
 
 # Domains for the two level streams; layer 2 draws from its own stream
 # family so its shape is independent of layer 1's.
-LEVELS_LAYER1 = 0
-LEVELS_LAYER2 = 1
+_LEVELS_LAYER1 = 0
+_LEVELS_LAYER2 = 1
 
 
-@dataclass(frozen=True)
-class LevelSource:
-    """Deterministic level stream position: (seed, counter) with a domain.
-
-    draw() is pure; advancing returns a new source so callers can thread
-    stream state explicitly and replay it elsewhere.
-    """
-
-    seed: bytes
-    counter: int = 0
-    domain: int = LEVELS_LAYER1
-
-    def __post_init__(self):
-        if len(self.seed) != SEED_BYTES:
-            raise DomainError(f"seed must be {SEED_BYTES} bytes")
-
-    def draw(self) -> tuple[int, "LevelSource"]:
-        """Return (level, advanced source); level = leading heads before
-        the first tails, capped at LEVEL_CAP."""
-        return self._level(self.counter), LevelSource(
-            self.seed, self.counter + 1, self.domain)
-
-    def draws(self, count: int) -> tuple[list[int], "LevelSource"]:
-        """The levels of the next `count` draws, and the source after
-        them, without a source made per draw (fsck's layer-2 replay)."""
-        return [self._level(counter) for counter in range(
-            self.counter, self.counter + count)], LevelSource(
-            self.seed, self.counter + count, self.domain)
-
-    def _level(self, counter: int) -> int:
-        material = (b"level" + bytes([self.domain]) + self.seed
-                    + _U64.pack(counter))
-        return min(_leading_ones(hashlib.sha256(material).digest()),
-                   LEVEL_CAP)
-
-
-def version_levels(seed: bytes, version: int) -> LevelSource:
-    """The layer-1 level stream of the commit that makes `version`: its
-    k-th draw is counter (version << 32) + k, so version 0's stream is
-    the counters from 0. A commit that drew 2^32 levels or more would run
+def version_levels(seed: bytes, version: int) -> Iterator[int]:
+    """The layer-1 levels of the commit that makes `version`: its k-th
+    draw is counter (version << 32) + k, so version 0's stream is the
+    counters from 0. A commit that drew 2^32 levels or more would run
     into the next version's stream; that is harmless, as levels choose
     only the shape and both sides derive the same ones."""
-    return LevelSource(seed, version << 32)
+    return _levels(seed, _LEVELS_LAYER1, version << 32)
+
+
+def layer2_levels(seed: bytes, version: int) -> Iterator[int]:
+    """The layer-2 levels of versions `version`, `version` + 1, ...: the
+    tower of version v is counter v."""
+    return _levels(seed, _LEVELS_LAYER2, version)
+
+
+def _levels(seed: bytes, domain: int, first: int) -> Iterator[int]:
+    """The endless level stream of `domain` from counter `first`. The
+    seed is checked here, as the stream is made, not at its first draw."""
+    if len(seed) != SEED_BYTES:
+        raise DomainError(f"seed must be {SEED_BYTES} bytes")
+    return (min(_leading_ones(digest), LEVEL_CAP) for digest
+            in _digests(b"level" + bytes([domain]) + seed, first))
+
+
+def _digests(prefix: bytes, counter: int = 0) -> Iterator[bytes]:
+    """SHA-256 of prefix || counter_8be for counter, counter + 1, ...; the
+    hash state of the prefix is made once and copied."""
+    draw_from, pack = hashlib.sha256(prefix).copy, _U64.pack
+    while True:
+        draw = draw_from()
+        draw.update(pack(counter))
+        counter += 1
+        yield draw.digest()
 
 
 def _leading_ones(digest: bytes) -> int:
@@ -186,30 +180,21 @@ def _leading_ones(digest: bytes) -> int:
                   ^ ((1 << 256) - 1)).bit_length()
 
 
-def challenge_indices(seed: bytes, count: int, start: int, length: int) -> list[int]:
+def challenge_indices(seed: bytes, count: int, start: int,
+                      length: int) -> Iterator[int]:
     """Expand a challenge seed into `count` byte indices uniform over
-    [start, start+length).
+    [start, start+length), as an iterator that draws each as it is asked
+    for; the arguments are checked as it is made.
 
     Uses a keyed-hash PRF over an incrementing counter with rejection
     sampling, so there is no modulo bias and both parties compute the same
-    sequence. Duplicates are kept. Draw k hashes b"chal" || seed || k;
-    the hash state of the common prefix is made once and copied.
+    sequence. Duplicates are kept. Draw k hashes b"chal" || seed || k.
     """
     if length < 1:
         raise DomainError("region length must be >= 1")
     if count < 0:
         raise DomainError("challenge count must be >= 0")
     limit = (1 << 64) - ((1 << 64) % length)
-    draw_from = hashlib.sha256(b"chal" + seed).copy
-    pack, unpack_from = _U64.pack, _U64.unpack_from
-    out = []
-    counter = 0
-    while len(out) < count:
-        draw = draw_from()
-        draw.update(pack(counter))
-        counter += 1
-        value, = unpack_from(draw.digest())
-        if value >= limit:
-            continue
-        out.append(start + value % length)
-    return out
+    values = map(_U64.unpack_from, _digests(b"chal" + seed))   # 1-tuples
+    return islice((start + value % length for value, in values
+                   if value < limit), count)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import persist, proofs
 from .core import NodeStore, build_with_levels
 from .errors import NoSuchVersion, ProofRejected, VersionOutOfOrder
-from .hashing import LEVELS_LAYER2, HashScheme, LevelSource
+from .hashing import HashScheme, layer2_levels
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,10 @@ class VersionIndex:
                  records: Sequence[VersionRecord] = ()):
         self.store = store
         self.scheme = scheme
+        self.seed = seed
         self._source = records
         self._base = len(records)
         self._added: list[VersionRecord] = []
-        self.src = LevelSource(seed, self._base, LEVELS_LAYER2)
         if root is None:
             root = build_with_levels(store, scheme, [], [])
         self.root = root
@@ -74,11 +74,10 @@ class VersionIndex:
         material_digest = self.scheme.version_record(
             rec.version, rec.root_digest, rec.update_start,
             rec.update_length)
-        level, self.src = self.src.draw()
-        result = persist.insert_block(self.store, self.scheme, self.root,
-                                      index=self.count, length=1,
-                                      block_digest=material_digest,
-                                      level=level)
+        result = persist.insert_block(
+            self.store, self.scheme, self.root, index=self.count, length=1,
+            block_digest=material_digest,
+            level=next(layer2_levels(self.seed, rec.version)))
         self.root = result.new_root
         self._added.append(rec)
         return self.meta_digest

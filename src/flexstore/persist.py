@@ -52,7 +52,7 @@ from .core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL, KIND_STUB, Node,
                    NodeStore)
 from .errors import (BlockTooSmall, IndexOutOfRange, NotBlockAligned,
                      PathNotCovered, StructureCorrupt)
-from .hashing import HashScheme, LevelSource
+from .hashing import HashScheme
 
 # Block op kinds of a splice run, as adaptor.BlockOp names them.
 MODIFY = "modify"
@@ -264,16 +264,14 @@ def pmodify(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
 
 
 def pinsert(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
-            data: bytes,
-            src: LevelSource) -> tuple[CommitResult, LevelSource]:
+            data: bytes, levels: Iterator[int]) -> CommitResult:
     """Insert `data` as a new block at byte `index` in a new version.
 
     index = rank appends; an index inside a block inserts before that
-    block. The tower level is drawn from src (one draw per insert).
+    block. The tower level is the next one of `levels`.
     """
-    level, src = src.draw()
     return insert_block(store, scheme, old_root, index, len(data),
-                        scheme.block_digest(data), level), src
+                        scheme.block_digest(data), next(levels))
 
 
 def insert_block(store: NodeStore, scheme: HashScheme, old_root: int,

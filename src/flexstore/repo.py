@@ -54,7 +54,9 @@ import json
 import os
 import random
 import struct
+from collections.abc import Iterator
 from contextlib import ExitStack, contextmanager, suppress
+from itertools import groupby, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -64,8 +66,7 @@ from .core import (BAD, BAD_BLOCK, KIND_INTERNAL, KIND_LEAF, KIND_STUB,
 from .errors import (BlockTooSmall, DomainError, EmptyCommit, EmptyRegion,
                      IOFailure, PathExists, RepositoryLocked,
                      StructureCorrupt)
-from .hashing import (LEVELS_LAYER2, SEED_BYTES, HashScheme, LevelSource,
-                      version_levels)
+from .hashing import SEED_BYTES, HashScheme, layer2_levels, version_levels
 from .index2 import VersionIndex, VersionRecord
 
 # Version of the on-disk layout, kept in config.json; open refuses any
@@ -636,7 +637,7 @@ class Repository:
             raise BlockTooSmall("block_size must be >= 1")
         if seed is None:
             seed = os.urandom(SEED_BYTES)
-        src = version_levels(seed, 0)
+        levels = version_levels(seed, 0)   # refuses a bad seed
         if path.exists() and (not path.is_dir() or any(path.iterdir())):
             raise PathExists(f"{path} already exists and is not an empty "
                              "directory")
@@ -655,8 +656,8 @@ class Repository:
                 log = CommitLog(path / "versions.log", scheme)
                 store = DurableNodeStore(path / "nodes" / "log", scheme, 0)
                 blocks = BlockStore(path / "blocks", scheme, 0)
-                root, _src = core.build(
-                    store, scheme, core.read_blocks(fh, block_size), src,
+                root = core.build(
+                    store, scheme, core.read_blocks(fh, block_size), levels,
                     block_digest=blocks.put)
             vindex = VersionIndex(store, scheme, seed, records=log)
             rank = store.get(root).rank
@@ -753,7 +754,7 @@ class Repository:
         self.log.mark_committed()
         self.vindex = vindex
 
-    def level_source(self) -> LevelSource:
+    def level_source(self) -> Iterator[int]:
         """The layer-1 level stream of the next commit, fixed by the seed
         and the version it will make (see hashing.version_levels): a
         client holding the seed derives the same stream for its own
@@ -843,9 +844,9 @@ class Repository:
         version = latest.version + 1
         # Each new block reaches the pack as its op runs, before finish
         # adds the first node record.
-        result, _src = adaptor.apply_ops(self.store, self.scheme, old_root,
-                                         ops, self.level_source(),
-                                         block_digest=self.blocks.put)
+        result = adaptor.apply_ops(self.store, self.scheme, old_root, ops,
+                                   self.level_source(),
+                                   block_digest=self.blocks.put)
         root = result.new_root
         node = self.store.get(root)
         start, length = _update_region(ops, node.rank)
@@ -915,11 +916,20 @@ class Repository:
         for version, commit in enumerate(commits):
             if isinstance(commit, Commit):
                 problems += self._fsck_commit(version, commit, before,
-                                              ranks, digests, flags)
+                                              ranks, digests)
                 before = commit
             elif commit is not None:     # None: reported above
                 problems.append(str(commit))
-        records = [c.record for c in commits if isinstance(c, Commit)]
+        decoded = [c for c in commits if isinstance(c, Commit)]
+        # One line names every version whose layer-1 root reaches BAD,
+        # and one every version whose layer-2 root does.
+        for what, root in (("reach", lambda c: c.record.root),
+                           ("layer-2 roots reach", lambda c: c.layer2_root)):
+            bad = [c.record.version for c in decoded if flags[root(c)] & BAD]
+            if bad:
+                problems.append(f"versions {_ranges(bad)}: {what} a bad "
+                                "node record")
+        records = [c.record for c in decoded]
         # Not from layer-2 roots: their leaves' blocks are record digests.
         problems += self._fsck_blocks([rec.root for rec in records], flags,
                                       lengths)
@@ -931,8 +941,7 @@ class Repository:
                      digest: bytes) -> list[str]:
         """Rebuild the layer-2 list from the version records in one pass:
         its shape is canonical, so it must have the stored root's digest."""
-        levels, _src = LevelSource(self.seed, 0, LEVELS_LAYER2).draws(
-            len(records))
+        levels = list(islice(layer2_levels(self.seed, 0), len(records)))
         leaves = [(1, self.scheme.version_record(
             rec.version, rec.root_digest, rec.update_start,
             rec.update_length)) for rec in records]
@@ -943,11 +952,12 @@ class Repository:
         return []
 
     def _fsck_commit(self, version: int, commit: Commit,
-                     before: Commit | None, ranks: list, digests: list,
-                     flags: list) -> list[str]:
+                     before: Commit | None, ranks: list,
+                     digests: list) -> list[str]:
         """Check a commit record against the one before it (the store only
         grows) and against the node pass at its roots; every commit appends
-        its layer-2 root last."""
+        its layer-2 root last. (Roots that reach a bad record are reported
+        for all versions at once.)"""
         rec, layer2 = commit.record, commit.layer2_root
         rank = ranks[rec.root]
         problems = []
@@ -957,14 +967,10 @@ class Repository:
                             f"{before.record.version}")
         if digests[rec.root] != rec.root_digest:
             problems.append("logged root digest disagrees with the node store")
-        if flags[rec.root] & BAD:
-            problems.append("reaches a bad node record")
         if not (rec.update_start + rec.update_length <= rank or rank == 0):
             problems.append("update region exceeds rank")
         if layer2 != commit.nodes - 1:
             problems.append("layer-2 root is not its last node record")
-        if flags[layer2] & BAD:
-            problems.append("layer-2 root reaches a bad node record")
         if ranks[layer2] != version + 1:
             problems.append(f"layer-2 root holds {ranks[layer2]} versions, "
                             f"not {version + 1}")
@@ -1035,6 +1041,14 @@ class Repository:
 def _write_at(fd: int, data: bytes, offset: int) -> None:
     if os.pwrite(fd, data, offset) != len(data):
         raise OSError(errno.ENOSPC, f"short write at byte {offset}")
+
+
+def _ranges(numbers: list[int]) -> str:
+    """Ascending distinct numbers as runs: [0, 1, 2, 5] gives "0-2, 5"."""
+    runs = [[n for _k, n in run] for _step, run in groupby(
+        enumerate(numbers), lambda pair: pair[1] - pair[0])]
+    return ", ".join(f"{run[0]}-{run[-1]}" if len(run) > 1 else str(run[0])
+                     for run in runs)
 
 
 def _update_region(ops: list[adaptor.BlockOp], rank: int) -> tuple[int, int]:

@@ -9,6 +9,7 @@ import os
 import random
 import struct
 import time
+from itertools import islice
 
 import pytest
 
@@ -20,7 +21,7 @@ from flexstore.audit import (Challenge, detection_probability, read_proof,
 from flexstore.core import (NodeStore, block_layout, build_with_levels,
                             check_subtree, search, split_blocks)
 from flexstore.errors import FlexStoreError, FormatError, ProofRejected
-from flexstore.hashing import HashScheme, LevelSource
+from flexstore.hashing import HashScheme, version_levels
 from flexstore.index2 import VersionIndex, VersionRecord
 from flexstore.repo import Repository
 
@@ -109,7 +110,10 @@ def test_criterion_3_oracle_equivalence():
         pairs = [(len(b), SCHEME.block_digest(b)) for b, _ in seq]
         root = build_with_levels(store, SCHEME, pairs,
                                  [l for _, l in seq])
-        src = LevelSource(SEED, rng.randrange(10000))
+        version = rng.randrange(10000)
+        # The same stream twice: one for the inserts, one to read ahead.
+        levels = version_levels(SEED, version)
+        oracle = version_levels(SEED, version)
         for step in range(rng.randint(1, 6)):
             total = sum(len(b) for b, _ in seq)
             kind = rng.choice(["mod", "ins", "rem"]) if seq else "ins"
@@ -117,9 +121,9 @@ def test_criterion_3_oracle_equivalence():
                 pos = rng.randint(0, len(seq))
                 data = rand_block(rng)
                 byte = sum(len(b) for b, _ in seq[:pos])
-                level, peek = src.draw()
-                result, src = persist.pinsert(store, SCHEME, root, byte,
-                                              data, src)
+                level = next(oracle)
+                result = persist.pinsert(store, SCHEME, root, byte, data,
+                                         levels)
                 seq = seq[:pos] + [(data, level)] + seq[pos:]
             elif kind == "mod":
                 pos = rng.randrange(len(seq))
@@ -228,9 +232,8 @@ def test_criterion_5_insert_remove_inversion():
                 idx = acc
                 break
             acc += len(b)
-        result, _ = persist.pinsert(store, SCHEME, root, idx,
-                                    rand_block(rng),
-                                    LevelSource(SEED, rng.randrange(9999)))
+        result = persist.pinsert(store, SCHEME, root, idx, rand_block(rng),
+                                 version_levels(SEED, rng.randrange(9999)))
         result2 = persist.premove(store, SCHEME, result.new_root, idx)
         if store.get(result2.new_root).digest != before:
             mismatches += 1
@@ -241,11 +244,7 @@ def test_criterion_5_insert_remove_inversion():
 
 def test_criterion_6_balance():
     b = 4096
-    src = LevelSource(SEED)
-    levels = []
-    for _ in range(b):
-        level, src = src.draw()
-        levels.append(level)
+    levels = list(islice(version_levels(SEED, 0), b))
     ok = True
     details = []
     for k in range(1, 7):
@@ -269,11 +268,8 @@ def test_criterion_6_balance():
 def test_criterion_7_sharing():
     rng = random.Random(7)
     b = 4096
-    src = LevelSource(bytes.fromhex("0102030405060708090a"))
-    levels = []
-    for _ in range(b):
-        level, src = src.draw()
-        levels.append(level)
+    levels = list(islice(version_levels(
+        bytes.fromhex("0102030405060708090a"), 0), b))
     store = NodeStore()
     pairs = [(8, SCHEME.block_digest(i.to_bytes(8, "big"))) for i in range(b)]
     root = build_with_levels(store, SCHEME, pairs, levels)
@@ -585,8 +581,7 @@ def test_criterion_9_adaptor_soundness():
         pieces = split_blocks(data, block_size)
         for p in pieces:
             blocks[SCHEME.block_digest(p)] = p
-        src = LevelSource(SEED, trial)
-        root, src = _build(store, pieces, src)
+        root = _build(store, pieces, version_levels(SEED, trial))
         vindex = VersionIndex(store, SCHEME, SEED)
         vindex.append_version(VersionRecord(
             0, root, store.get(root).digest, 0, store.get(root).rank))
@@ -605,8 +600,10 @@ def test_criterion_9_adaptor_soundness():
         start, length = adaptor.required_range(entries, layout)
         proof = _range_proof(store, blocks, vindex, start, max(length, 1))
         partial = partial_from_proof(SCHEME, proof, vindex.meta_digest)
-        client_digest, _ = apply_ops_partial(partial, ops, src)
-        server_digest = _server_commit(store, blocks, root, ops, src)
+        client_digest, _ = apply_ops_partial(
+            partial, ops, version_levels(SEED, trial + 1))
+        server_digest = _server_commit(store, blocks, root, ops,
+                                       version_levels(SEED, trial + 1))
         if client_digest != server_digest:
             digest_failures += 1
     report(9, byte_failures == 0 and digest_failures == 0,
@@ -637,13 +634,10 @@ def _random_entries(rng, total):
     return entries
 
 
-def _build(store, pieces, src):
-    levels = []
-    for _ in pieces:
-        level, src = src.draw()
-        levels.append(level)
+def _build(store, pieces, levels):
     pairs = [(len(p), SCHEME.block_digest(p)) for p in pieces]
-    return build_with_levels(store, SCHEME, pairs, levels), src
+    return build_with_levels(store, SCHEME, pairs,
+                             list(islice(levels, len(pieces))))
 
 
 def _apply_diffs(data, entries):
@@ -677,7 +671,7 @@ def _range_proof(store, blocks, vindex, start, length):
                              vindex.count - 1, start, length)
 
 
-def _server_commit(store, blocks, root, ops, src):
+def _server_commit(store, blocks, root, ops, levels):
     """The server side of a batch, applied as chained one-op edits
     (pmodify, pinsert, premove): the reference that the client's
     one-engine apply_ops_partial is compared with."""
@@ -687,8 +681,8 @@ def _server_commit(store, blocks, root, ops, src):
             result = persist.pmodify(store, SCHEME, root, op.index, op.data)
         elif op.kind == "insert":
             blocks[SCHEME.block_digest(op.data)] = op.data
-            result, src = persist.pinsert(store, SCHEME, root, op.index,
-                                          op.data, src)
+            result = persist.pinsert(store, SCHEME, root, op.index,
+                                     op.data, levels)
         else:
             result = persist.premove(store, SCHEME, root, op.index)
         root = result.new_root

@@ -1,5 +1,6 @@
 import random
 from bisect import bisect_right
+from itertools import islice
 
 import pytest
 
@@ -11,7 +12,7 @@ from flexstore.core import (NodeStore, block_layout, build,
                             build_with_levels, leaves_from, split_blocks)
 from flexstore.errors import (DiffOutOfRange, FormatError, OverlappingDiffs,
                               PathNotCovered, ProofRejected)
-from flexstore.hashing import HashScheme, LevelSource
+from flexstore.hashing import HashScheme, version_levels
 from flexstore.index2 import VersionIndex, VersionRecord
 
 SCHEME = HashScheme()
@@ -176,7 +177,7 @@ class TestDiffToOps:
             pieces = split_blocks(data, self.BS)
             blocks = {SCHEME.block_digest(p): p for p in pieces}
             store = NodeStore()
-            root, _ = build(store, SCHEME, pieces, LevelSource(SEED, trial))
+            root = build(store, SCHEME, pieces, version_levels(SEED, trial))
 
             def blocks_from(byte):
                 start, leaves = leaves_from(store, root, byte)
@@ -288,8 +289,7 @@ class ServerFixture:
         pieces = split_blocks(data, self.BS)
         for p in pieces:
             self.blocks[SCHEME.block_digest(p)] = p
-        self.src = LevelSource(SEED)
-        root, self.src = build(self.store, SCHEME, pieces, self.src)
+        root = build(self.store, SCHEME, pieces, version_levels(SEED, 0))
         self.vindex = VersionIndex(self.store, SCHEME, SEED)
         self.vindex.append_version(VersionRecord(
             0, root, self.store.get(root).digest, 0,
@@ -299,6 +299,11 @@ class ServerFixture:
     @property
     def latest(self):
         return self.vindex.record(self.vindex.count - 1)
+
+    def levels(self):
+        """The next commit's level stream, made afresh for each side that
+        applies it, as a real client and server each derive it."""
+        return version_levels(SEED, self.vindex.count)
 
     def range_proof(self, start, length):
         return audit.prove_range(self.store, self.vindex, self.blocks.get,
@@ -310,7 +315,7 @@ class ServerFixture:
         batches of apply_ops and apply_ops_partial are compared with."""
         rec = self.latest
         root = rec.root
-        src = self.src
+        levels = self.levels()
         for op in ops:
             if op.kind == "modify":
                 self.blocks[SCHEME.block_digest(op.data)] = op.data
@@ -318,12 +323,11 @@ class ServerFixture:
                                          op.data)
             elif op.kind == "insert":
                 self.blocks[SCHEME.block_digest(op.data)] = op.data
-                result, src = persist.pinsert(self.store, SCHEME, root,
-                                              op.index, op.data, src)
+                result = persist.pinsert(self.store, SCHEME, root,
+                                         op.index, op.data, levels)
             else:
                 result = persist.premove(self.store, SCHEME, root, op.index)
             root = result.new_root
-        self.src = src
         new_digest = self.store.get(root).digest
         self.vindex.append_version(VersionRecord(
             rec.version + 1, root, new_digest, 0,
@@ -374,7 +378,7 @@ class TestPartial:
         proof = fx.range_proof(16, 8)
         partial = partial_from_proof(SCHEME, proof, fx.vindex.meta_digest)
         ops = [BlockOp("modify", 16, b"REWRITE!")]
-        client_digest, _ = apply_ops_partial(partial, ops, fx.src)
+        client_digest, _ = apply_ops_partial(partial, ops, fx.levels())
         server_digest = fx.commit_ops(ops)
         assert client_digest == server_digest
 
@@ -382,7 +386,7 @@ class TestPartial:
         fx = ServerFixture(bytes(64))
         proof = fx.range_proof(0, 8)
         partial = partial_from_proof(SCHEME, proof, fx.vindex.meta_digest)
-        digest, _ = apply_ops_partial(partial, [], fx.src)
+        digest, _ = apply_ops_partial(partial, [], fx.levels())
         assert digest == fx.latest.root_digest
 
     def test_unproven_path_refused(self):
@@ -392,7 +396,7 @@ class TestPartial:
         partial = partial_from_proof(SCHEME, proof, fx.vindex.meta_digest)
         with pytest.raises(PathNotCovered):
             apply_ops_partial(partial, [BlockOp("modify", 96, b"X" * 8)],
-                              fx.src)
+                              fx.levels())
 
     def test_random_batches_agree_with_server(self):
         rng = random.Random(71)
@@ -411,22 +415,22 @@ class TestPartial:
             proof = fx.range_proof(start, max(length, 1))
             partial = partial_from_proof(SCHEME, proof,
                                          fx.vindex.meta_digest)
-            client_digest, _ = apply_ops_partial(partial, ops, fx.src)
+            client_digest, _ = apply_ops_partial(partial, ops, fx.levels())
             server_digest = fx.commit_ops(ops)
             assert client_digest == server_digest, trial
             agreements += 1
         assert agreements >= 40
 
 
-def _random_batch(rng, entries, src):
+def _random_batch(rng, entries, levels):
     """1 to 40 random block ops over `entries`, a list of [block, level,
-    index in the original list or None], which it edits to match. About
-    half the ops after the first sit where the op before them ends, as
-    apply_ops counts it (its index plus its new bytes), so they join its
-    run. Returns the ops, the advanced level source and the original
-    indices of the blocks the ops touched and of the block left of each
-    (the padding adaptor.required_range adds): what a range proof must
-    cover."""
+    index in the original list or None], which it edits to match, each
+    insert taking the next of `levels`. About half the ops after the
+    first sit where the op before them ends, as apply_ops counts it (its
+    index plus its new bytes), so they join its run. Returns the ops and
+    the original indices of the blocks the ops touched and of the block
+    left of each (the padding adaptor.required_range adds): what a range
+    proof must cover."""
     ops, touched = [], set()
     end = None
     for _ in range(rng.randint(1, 40)):
@@ -452,15 +456,14 @@ def _random_batch(rng, entries, src):
         if kind == "modify":
             entries[pos][0] = data
         elif kind == "insert":
-            level, src = src.draw()
-            entries.insert(pos, [data, level, None])
+            entries.insert(pos, [data, next(levels), None])
         else:
             del entries[pos]
             data = None
         ops.append(BlockOp(kind, index, data))
         end = index + len(data or b"")
     touched.discard(None)
-    return ops, src, touched
+    return ops, touched
 
 
 def _build_entries(store, entries):
@@ -505,13 +508,13 @@ class TestBatch:
 
         rng = random.Random(4242)
         for trial in range(500):
-            src = LevelSource(SEED, rng.randrange(1 << 20))
+            version = rng.randrange(1 << 20)
+            initial = version_levels(SEED, version)
             entries = []
             for orig in range(rng.randint(0, 30)):
-                level, src = src.draw()
                 entries.append([bytes(rng.randrange(256) for _ in
                                       range(rng.randint(1, 12))),
-                                level, orig])
+                                next(initial), orig])
             store, blocks = NodeStore(), {}
             for block, _level, _orig in entries:
                 blocks[SCHEME.block_digest(block)] = block
@@ -522,23 +525,27 @@ class TestBatch:
             starts = [0]
             for block, _level, _orig in entries:
                 starts.append(starts[-1] + len(block))
-            ops, end_src, touched = _random_batch(rng, entries, src)
+            # The batch's level stream, made afresh for each use.
+            oracle = version_levels(SEED, version + 1)
+            ops, touched = _random_batch(rng, entries, oracle)
 
             del made[:]
-            result, got_src = adaptor.apply_ops(store, SCHEME, root, ops,
-                                                src)
+            levels = version_levels(SEED, version + 1)
+            result = adaptor.apply_ops(store, SCHEME, root, ops, levels)
             assert len(made) == result.created_nodes, trial
-            assert got_src == end_src
+            # One draw per insert: both streams stand at the same place.
+            assert list(islice(levels, 16)) == list(islice(oracle, 16))
             digest = store.get(result.new_root).digest
 
-            chained, chain_src = root, src
+            chained = root
+            levels = version_levels(SEED, version + 1)
             for op in ops:
                 if op.kind == "modify":
                     step = persist.pmodify(store, SCHEME, chained, op.index,
                                            op.data)
                 elif op.kind == "insert":
-                    step, chain_src = persist.pinsert(
-                        store, SCHEME, chained, op.index, op.data, chain_src)
+                    step = persist.pinsert(store, SCHEME, chained, op.index,
+                                           op.data, levels)
                 else:
                     step = persist.premove(store, SCHEME, chained, op.index)
                 chained = step.new_root
@@ -553,7 +560,8 @@ class TestBatch:
                                       starts[lo], max(starts[hi] - starts[lo],
                                                       1))
             partial = partial_from_proof(SCHEME, proof, vindex.meta_digest)
-            client_digest, _ = apply_ops_partial(partial, ops, src)
+            client_digest, _ = apply_ops_partial(
+                partial, ops, version_levels(SEED, version + 1))
             assert client_digest == digest, trial
 
     def test_one_descent_per_group(self, monkeypatch):
@@ -562,8 +570,8 @@ class TestBatch:
         block left), a long insert and a lone modify."""
         data = bytes(range(256)) * 4
         store = NodeStore()
-        root, src = build(store, SCHEME, split_blocks(data, 8),
-                          LevelSource(SEED))
+        root = build(store, SCHEME, split_blocks(data, 8),
+                     version_levels(SEED, 0))
         layout = block_layout(store, root)
         descents = []
 
@@ -582,17 +590,18 @@ class TestBatch:
             assert [op.kind for op in ops] == kinds
             monkeypatch.setattr(core, "descend", descend)
             del descents[:]
-            result, _ = adaptor.apply_ops(store, SCHEME, root, ops, src)
+            result = adaptor.apply_ops(store, SCHEME, root, ops,
+                                       version_levels(SEED, 1))
             monkeypatch.undo()
             assert len(descents) == 1, kinds
-            chained, chain_src = root, src
+            chained, levels = root, version_levels(SEED, 1)
             for op in ops:
                 if op.kind == "modify":
                     step = persist.pmodify(store, SCHEME, chained, op.index,
                                            op.data)
                 elif op.kind == "insert":
-                    step, chain_src = persist.pinsert(
-                        store, SCHEME, chained, op.index, op.data, chain_src)
+                    step = persist.pinsert(store, SCHEME, chained, op.index,
+                                           op.data, levels)
                 else:
                     step = persist.premove(store, SCHEME, chained, op.index)
                 chained = step.new_root

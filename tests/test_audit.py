@@ -1,6 +1,7 @@
 import hashlib
 import random
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -14,7 +15,7 @@ from flexstore.core import (KIND_INTERNAL, KIND_STUB, NodeStore, build,
                             build_with_levels)
 from flexstore.errors import (DomainError, EmptyRegion, FormatError,
                               NoSuchVersion, ProofRejected)
-from flexstore.hashing import HashScheme, LevelSource, challenge_indices
+from flexstore.hashing import HashScheme, challenge_indices, version_levels
 from flexstore.index2 import VersionIndex, VersionRecord
 from flexstore.repo import Repository
 
@@ -31,8 +32,7 @@ class Fixture:
         self.store = NodeStore()
         self.blocks = {}
         data = [self._block(rng, block_len) for _ in range(block_count)]
-        src = LevelSource(SEED)
-        root, src = build(self.store, SCHEME, data, src)
+        root = build(self.store, SCHEME, data, version_levels(SEED, 0))
         self.vindex = VersionIndex(self.store, SCHEME, SEED)
         rank = self.store.get(root).rank
         self.vindex.append_version(VersionRecord(
@@ -65,17 +65,18 @@ class Fixture:
 class TestExpand:
     def test_single_byte_region(self):
         ch = Challenge(CH_SEED, 3)
-        assert expand_challenge(ch, (0, 1)) == [0, 0, 0]
-        assert expand_challenge(ch, (41, 1)) == [41, 41, 41]
+        assert list(expand_challenge(ch, (0, 1))) == [0, 0, 0]
+        assert list(expand_challenge(ch, (41, 1))) == [41, 41, 41]
 
     def test_golden_sequence(self):
         # Frozen once from the keyed-hash expansion with this seed.
         ch = Challenge(SEED, 4)
-        assert expand_challenge(ch, (100, 50)) == [108, 113, 116, 128]
+        assert list(expand_challenge(ch, (100, 50))) == [108, 113, 116, 128]
 
     def test_deterministic(self):
         ch = Challenge(CH_SEED, 16)
-        assert expand_challenge(ch, (5, 1000)) == expand_challenge(ch, (5, 1000))
+        assert (list(expand_challenge(ch, (5, 1000)))
+                == list(expand_challenge(ch, (5, 1000))))
 
     def test_in_region(self):
         ch = Challenge(CH_SEED, 64)
@@ -85,6 +86,14 @@ class TestExpand:
     def test_empty_region(self):
         with pytest.raises(EmptyRegion):
             expand_challenge(Challenge(CH_SEED, 1), (3, 0))
+
+    def test_arguments_checked_as_made(self):
+        """The expansion is drawn lazily, but its arguments are refused
+        as it is made, before any draw."""
+        with pytest.raises(DomainError):
+            challenge_indices(CH_SEED, -1, 0, 1)
+        with pytest.raises(DomainError):
+            challenge_indices(CH_SEED, 1, 0, 0)
 
     @pytest.mark.parametrize("count, start, length", [
         (0, 0, 1), (1, 0, 1), (460, 7, 1000), (64, 0, 16 << 20),
@@ -102,7 +111,7 @@ class TestExpand:
             if value < limit:
                 want.append(start + value % length)
         assert counter > count or length < 1 << 62
-        assert challenge_indices(CH_SEED, count, start, length) == want
+        assert list(challenge_indices(CH_SEED, count, start, length)) == want
 
 
 class TestDetectionProbability:
@@ -135,6 +144,22 @@ class TestProveVerify:
         proof = fx.prove(ch)
         ok, reason = verify(SCHEME, fx.meta, ch, proof)
         assert ok, reason
+
+    def test_verify_consumes_draws_as_drawn(self):
+        """verify folds each challenged index as it is drawn, holding no
+        list of them: a 2^14-draw whole-file audit of a 16 KiB store of
+        1 KiB blocks peaks far below the 2^14 indices' own size."""
+        store, blocks, vindex = _flat_store(16, 1024, random.Random(5))
+        ch = Challenge(CH_SEED, 1 << 14)
+        proof = audit.prove(store, SCHEME, vindex, blocks.get, ch)
+        tracemalloc.start()
+        try:
+            ok, reason = verify(SCHEME, vindex.meta_digest, ch, proof)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ok, reason
+        assert peak < 64 << 10
 
     def test_update_region_challenge(self):
         fx = Fixture()
@@ -347,7 +372,7 @@ def _flat_store(block_count, block_len, rng, levels=None):
     pieces = [rng.randbytes(block_len) for _ in range(block_count)]
     blocks = {SCHEME.block_digest(p): p for p in pieces}
     if levels is None:
-        root, _src = build(store, SCHEME, pieces, LevelSource(SEED))
+        root = build(store, SCHEME, pieces, version_levels(SEED, 0))
     else:
         root = build_with_levels(
             store, SCHEME, [(len(p), SCHEME.block_digest(p)) for p in pieces],
@@ -420,7 +445,8 @@ class TestPrunedSubtree:
         fx = Fixture()
         ch = Challenge(CH_SEED, 2, (1,))
         rec = fx.vindex.record(1)
-        hit = expand_challenge(ch, (rec.update_start, rec.update_length))[0]
+        hit = next(expand_challenge(ch, (rec.update_start,
+                                         rec.update_length)))
         # 64 bytes away: another 8-byte leaf no index of the challenge hits
         los = sorted((hit, (hit + 64) % 128))
         honest = fx.prove(ch)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import random
+from itertools import islice
 import struct
 
 import pytest
@@ -12,8 +13,7 @@ from flexstore.core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL,
                             read_blocks, search, split_blocks)
 from flexstore.errors import (BlockTooSmall, DomainError, IndexOutOfRange,
                               StructureCorrupt)
-from flexstore.hashing import (LEVELS_LAYER1, LEVELS_LAYER2, HashScheme,
-                              LevelSource, version_levels)
+from flexstore.hashing import HashScheme, layer2_levels, version_levels
 
 SCHEME = HashScheme()
 SEED = bytes.fromhex("00010203040506070809")
@@ -64,88 +64,79 @@ class TestSplitBlocks:
                 == split_blocks(data, block_size))
 
 
+def _oracle_level(domain, counter):
+    """Independent oracle: the leading one-bits of the draw's digest,
+    counted bit by bit."""
+    material = (b"level" + bytes([domain]) + SEED
+                + struct.pack(">Q", counter))
+    level = 0
+    for byte in hashlib.sha256(material).digest():
+        if byte == 0xFF:
+            level += 8
+            continue
+        for bit in range(7, -1, -1):
+            if byte >> bit & 1:
+                level += 1
+            else:
+                break
+        break
+    return level
+
+
 class TestLevelStream:
     def test_matches_bit_definition(self):
-        # Independent oracle: count leading one-bits of the draw's digest.
-        src = LevelSource(SEED)
+        levels = version_levels(SEED, 0)
         for counter in range(200):
-            material = (b"level" + b"\x00" + SEED
-                        + struct.pack(">Q", counter))
-            digest = hashlib.sha256(material).digest()
-            expect = 0
-            for byte in digest:
-                if byte == 0xFF:
-                    expect += 8
-                    continue
-                for bit in range(7, -1, -1):
-                    if byte >> bit & 1:
-                        expect += 1
-                    else:
-                        break
-                break
-            level, src = src.draw()
-            assert level == expect
+            assert next(levels) == _oracle_level(0, counter)
 
     # Draws frozen from the bit-by-bit count: counters 0-255 and 2^32 +
-    # 0-63 (version 1's layer-1 stream) of SEED, in each domain, one
-    # digit per level.
+    # 0-63 of SEED, in each domain, one digit per level. In domain 0
+    # these are versions 0's and 1's layer-1 streams; in domain 1, the
+    # layer-2 towers of versions 0-255 and 2^32 to 2^32 + 63.
     FROZEN_DRAWS = {
-        (LEVELS_LAYER1, 0): (
+        (version_levels, 0): (
             "12410350002003200220010102003000006101021110306131022233"
             "03016000110212203012210000210311220242111621121400402013"
             "00122100000110000301010004211050630203020525010732300001"
             "10101501011200104200000330210001033030210010200242000023"
             "03001000011110211125000000110120"),
-        (LEVELS_LAYER1, 1 << 32): (
+        (version_levels, 1): (
             "20201033022003002002112010000100201122100002000120000001"
             "10000013"),
-        (LEVELS_LAYER2, 0): (
+        (layer2_levels, 0): (
             "20020101103100113000010500100023200321101501002010001203"
             "03100413000060041000030010000000102001300031000202100100"
             "20226000100010000010310202711602000403001124140202510200"
             "04010000021130103101122080010011100020420214000000013400"
             "00601004000013110321110000041101"),
-        (LEVELS_LAYER2, 1 << 32): (
+        (layer2_levels, 1 << 32): (
             "00020021000200050130210104000110003010000001101213000611"
             "20000010"),
     }
 
     def test_frozen_draws(self):
-        for (domain, first), levels in self.FROZEN_DRAWS.items():
-            src = LevelSource(SEED, first, domain)
-            for k, want in enumerate(levels):
-                level, src = src.draw()
-                assert level == int(want), (domain, first + k)
-
-    def test_batched_draws(self):
-        """draws(n) gives the frozen levels of n successive draws, and the
-        source after them."""
-        for (domain, first), levels in self.FROZEN_DRAWS.items():
-            got, after = LevelSource(SEED, first, domain).draws(len(levels))
-            assert "".join(map(str, got)) == levels, (domain, first)
-            assert after == LevelSource(SEED, first + len(levels), domain)
+        for (stream, version), levels in self.FROZEN_DRAWS.items():
+            got = islice(stream(SEED, version), len(levels))
+            assert "".join(map(str, got)) == levels, (stream, version)
 
     def test_version_levels(self):
-        assert version_levels(SEED, 0) == LevelSource(SEED)
-        assert version_levels(SEED, 1) == LevelSource(SEED, 1 << 32)
+        """Version v's layer-1 stream is counters (v << 32) + k of domain
+        0; the layer-2 tower of version v is counter v of domain 1."""
+        for version in (0, 1, 7, 1000):
+            assert list(islice(version_levels(SEED, version), 3)) == [
+                _oracle_level(0, (version << 32) + k) for k in range(3)]
+            assert list(islice(layer2_levels(SEED, version), 3)) == [
+                _oracle_level(1, version + k) for k in range(3)]
 
     def test_known_draws(self):
         # Frozen positions in this seed's stream exhibiting the geometric
         # definition: no heads, and exactly two heads before tails.
-        assert LevelSource(SEED, 4).draw()[0] == 0
-        assert LevelSource(SEED, 1).draw()[0] == 2
-
-    def test_counter_advances_once_per_draw(self):
-        src = LevelSource(SEED)
-        _, src = src.draw()
-        assert src.counter == 1
+        levels = list(islice(version_levels(SEED, 0), 5))
+        assert levels[4] == 0
+        assert levels[1] == 2
 
     def test_geometric_distribution(self):
-        src = LevelSource(SEED)
-        draws = []
-        for _ in range(100_000):
-            level, src = src.draw()
-            draws.append(level)
+        draws = list(islice(version_levels(SEED, 0), 100_000))
         for k in range(1, 6):
             frac = sum(1 for l in draws if l >= k) / len(draws)
             assert abs(frac - 2 ** -k) < 0.01
@@ -174,9 +165,9 @@ class TestNodeDigest:
         assert got.hex() == rec["digest"]
         exp = vectors["challenge_expansion"]
         from flexstore.hashing import challenge_indices
-        assert challenge_indices(bytes.fromhex(exp["seed_hex"]),
-                                 exp["count"], exp["start"],
-                                 exp["length"]) == exp["indices"]
+        assert list(challenge_indices(bytes.fromhex(exp["seed_hex"]),
+                                      exp["count"], exp["start"],
+                                      exp["length"])) == exp["indices"]
 
     def test_leaf_golden(self):
         digest = SCHEME.leaf_node(0, 5, None, 5,
@@ -393,25 +384,24 @@ class TestBuild:
     def test_matches_sequential_insertion(self):
         from flexstore import persist
         blocks = [bytes([i + 1]) * (i + 1) for i in range(10)]
-        src = LevelSource(SEED)
-        store, root_built = NodeStore(), None
-        root_built, _ = build(store, SCHEME, blocks, LevelSource(SEED))
+        store = NodeStore()
+        root_built = build(store, SCHEME, blocks, version_levels(SEED, 0))
         store2 = NodeStore()
         root2 = build_with_levels(store2, SCHEME, [], [])
-        src = LevelSource(SEED)
+        levels = version_levels(SEED, 0)
         offset = 0
         for b in blocks:
-            result, src = persist.pinsert(store2, SCHEME, root2, offset, b,
-                                          src)
+            result = persist.pinsert(store2, SCHEME, root2, offset, b,
+                                     levels)
             root2 = result.new_root
             offset += len(b)
         assert store.get(root_built).digest == store2.get(root2).digest
 
     def test_level_source_threading(self):
-        blocks = [b"ab", b"cd"]
-        store = NodeStore()
-        _, src = build(store, SCHEME, blocks, LevelSource(SEED))
-        assert src.counter == 2
+        """build takes one level per block from the stream it is given."""
+        levels = version_levels(SEED, 0)
+        build(NodeStore(), SCHEME, [b"ab", b"cd"], levels)
+        assert next(levels) == _oracle_level(0, 2)
 
     def test_layout_roundtrip(self):
         lengths = [3, 1, 4, 1, 5]

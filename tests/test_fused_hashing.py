@@ -13,7 +13,7 @@ from flexstore.core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL,
                             KIND_STUB, Node, NodeStore, build, check_subtree,
                             search)
 from flexstore.errors import StructureCorrupt
-from flexstore.hashing import HashScheme, LevelSource
+from flexstore.hashing import HashScheme, version_levels
 
 SEED = bytes.fromhex("00010203040506070809")
 SCHEMES = ["sha1", "sha256"]
@@ -33,10 +33,10 @@ def random_store(scheme, rng):
     inserts and removes through the edit engine. Returns it and the
     versions' roots."""
     store = NodeStore()
-    src = LevelSource(SEED)
+    levels = version_levels(SEED, 0)
     blocks = [rng.randbytes(rng.randint(1, 12))
               for _ in range(rng.randint(1, 40))]
-    root, src = build(store, scheme, blocks, src)
+    root = build(store, scheme, blocks, levels)
     roots = [root]
     for _ in range(12):
         rank = store.get(root).rank
@@ -44,8 +44,8 @@ def random_store(scheme, rng):
                         ("insert",))
         data = rng.randbytes(rng.randint(1, 12))
         if op == "insert":
-            result, src = persist.pinsert(store, scheme, root,
-                                          rng.randrange(rank + 1), data, src)
+            result = persist.pinsert(store, scheme, root,
+                                     rng.randrange(rank + 1), data, levels)
         elif op == "modify":
             result = persist.pmodify(store, scheme, root,
                                      rng.randrange(rank), data)

@@ -2,6 +2,7 @@
 lists must still exist where it looks for it. BENCHMARK.json declares
 the metrics the benchmark reports; they must be the ones it computes."""
 
+import gc
 import importlib
 import importlib.util
 import json
@@ -59,3 +60,29 @@ def test_declared_metrics_are_the_ones_bench_reports(perfbench, tmp_path):
     run.proof_sizes.append(1000)
     run.store_growth = 1000
     assert set(names["end_to_end"]) == set(run.end_to_end())
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_tiny_runs_pass(perfbench, tmp_path, traced):
+    """Every call the benchmark makes into the program still works: two
+    tiny workloads, one auditing the latest version whole and one an old
+    version's update region, run with no failed operation and no output
+    that disagrees with the benchmark's own reference."""
+    bench = perfbench("bench")
+    workloads = perfbench("workloads")
+    tiny = (workloads.Workload("tiny-clustered", 64 << 10, 0, 2,
+                               workloads.clustered_edit, True, 3),
+            workloads.Workload("tiny-bulk", 64 << 10, 3, 1,
+                               workloads.bulk_edit, False, 3))
+    try:
+        for workload in tiny:
+            work = tmp_path / workload.name
+            work.mkdir()
+            run = bench.Bench(workload, 1, 0.0, traced, work)
+            run.run()
+            assert run.failed == 0, run.failures
+            assert run.mismatches == []
+            if traced:
+                assert run.per_layer()
+    finally:
+        gc.unfreeze()   # each operation freezes what exists before it

@@ -8,7 +8,7 @@ from flexstore.core import (KIND_INTERNAL, Node, NodeStore,
                             iter_data_leaves, make_leaf, search)
 from flexstore.errors import (BlockTooSmall, IndexOutOfRange,
                               NotBlockAligned, StructureCorrupt)
-from flexstore.hashing import HashScheme, LevelSource
+from flexstore.hashing import HashScheme, version_levels
 from flexstore.persist import insert_block, pinsert, pmodify, premove
 
 SCHEME = HashScheme()
@@ -160,11 +160,11 @@ class TestModify:
 class TestInsert:
     def test_into_empty(self):
         store, root = fresh([])
-        result, _ = pinsert(store, SCHEME, root, 0, b"first", LevelSource(SEED))
+        result = pinsert(store, SCHEME, root, 0, b"first",
+                         version_levels(SEED, 0))
         assert store.get(result.new_root).rank == 5
         assert store.get(root).rank == 0
-        src = LevelSource(SEED)
-        level, _ = src.draw()
+        level = next(version_levels(SEED, 0))
         assert store.get(result.new_root).digest == rebuild_digest(
             [(b"first", level)])
 
@@ -172,14 +172,14 @@ class TestInsert:
         rng = random.Random(31)
         seq = [(b"middle", 1)]
         store, root = fresh(seq)
-        src = LevelSource(SEED, 7)
-        lvl_a, src2 = src.draw()
-        result, src2 = pinsert(store, SCHEME, root, 6, b"end", src)
+        levels, oracle = version_levels(SEED, 7), version_levels(SEED, 7)
+        lvl_a = next(oracle)
+        result = pinsert(store, SCHEME, root, 6, b"end", levels)
         assert store.get(result.new_root).digest == rebuild_digest(
             [(b"middle", 1), (b"end", lvl_a)])
-        lvl_b, _ = src2.draw()
-        result2, _ = pinsert(store, SCHEME, result.new_root, 0, b"start",
-                             src2)
+        lvl_b = next(oracle)
+        result2 = pinsert(store, SCHEME, result.new_root, 0, b"start",
+                          levels)
         assert store.get(result2.new_root).digest == rebuild_digest(
             [(b"start", lvl_b), (b"middle", 1), (b"end", lvl_a)])
 
@@ -193,9 +193,10 @@ class TestInsert:
             total = sum(len(b) for b, _ in seq)
             idx = rng.randint(0, total)
             data = rand_block(rng)
-            src = LevelSource(SEED, rng.randrange(1000))
-            level, _ = src.draw()
-            result, _ = pinsert(store, SCHEME, root, idx, data, src)
+            version = rng.randrange(1000)
+            level = next(version_levels(SEED, version))
+            result = pinsert(store, SCHEME, root, idx, data,
+                             version_levels(SEED, version))
             pos = 0
             acc = 0
             for i, (b, _) in enumerate(seq):
@@ -233,9 +234,9 @@ class TestInsert:
     def test_bad_inputs(self):
         store, root = fresh([(b"abc", 0)])
         with pytest.raises(IndexOutOfRange):
-            pinsert(store, SCHEME, root, 4, b"x", LevelSource(SEED))
+            pinsert(store, SCHEME, root, 4, b"x", version_levels(SEED, 0))
         with pytest.raises(BlockTooSmall):
-            pinsert(store, SCHEME, root, 0, b"", LevelSource(SEED))
+            pinsert(store, SCHEME, root, 0, b"", version_levels(SEED, 0))
 
 
 class TestRemove:
@@ -271,8 +272,8 @@ class TestRemove:
                     break
                 acc += len(b)
             data = rand_block(rng)
-            result, _ = pinsert(store, SCHEME, root, idx, data,
-                                LevelSource(SEED, rng.randrange(500)))
+            result = pinsert(store, SCHEME, root, idx, data,
+                             version_levels(SEED, rng.randrange(500)))
             result2 = premove(store, SCHEME, result.new_root, idx)
             assert store.get(result2.new_root).digest == before, trial
 
@@ -316,7 +317,8 @@ class TestMaterialize:
                for _ in range(6)]
         store, root = fresh(seq)
         snaps = [(root, b"".join(b for b, _ in seq))]
-        src = LevelSource(SEED)
+        # The same stream twice: one for the inserts, one to read ahead.
+        levels, oracle = version_levels(SEED, 0), version_levels(SEED, 0)
         for v in range(1, 50):
             total = sum(len(b) for b, _ in seq)
             choice = rng.choice(["ins", "mod", "rem"]) if seq else "ins"
@@ -324,8 +326,8 @@ class TestMaterialize:
                 pos = rng.randint(0, len(seq))
                 data = put(rand_block(rng))
                 byte = sum(len(b) for b, _ in seq[:pos])
-                level, peek = src.draw()
-                result, src = pinsert(store, SCHEME, root, byte, data, src)
+                level = next(oracle)
+                result = pinsert(store, SCHEME, root, byte, data, levels)
                 seq = seq[:pos] + [(data, level)] + seq[pos:]
             elif choice == "mod":
                 pos = rng.randrange(len(seq))

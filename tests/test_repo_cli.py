@@ -96,6 +96,14 @@ class TestInit:
                          SEED_HEX]) == cli.EXIT_OK
         capsys.readouterr()
 
+    def test_bad_seed_refused_before_writing(self, tmp_path):
+        """A seed of the wrong length is refused as the first level stream
+        is made, before anything is written."""
+        path = tmp_path / "r"
+        with pytest.raises(DomainError):
+            Repository.init(path, seed=bytes(3))
+        assert not path.exists() or not any(path.iterdir())
+
     def test_init_on_a_regular_file_refused(self, tmp_path, capsys):
         path = tmp_path / "r"
         path.write_bytes(b"x")
@@ -988,8 +996,8 @@ class TestFsck:
 
     def test_refused_node_record_reported_once(self, repo):
         """A node record that every version reaches is refused in one
-        line; each version that reaches it says so once, without the
-        reason."""
+        line; one more line names, as ranges, the versions that reach
+        it, without the reason."""
         for at in (10, 2000):
             repo.commit(format_diff([DiffEntry("replace", at, b"kind", 4)]))
         leaf = 1      # the last data leaf, which all three versions share
@@ -1008,9 +1016,8 @@ class TestFsck:
             again.close()
         assert [p for p in problems if "unknown kind 9" in p] == [
             f"node {leaf}: unknown kind 9"]
-        for version in range(3):
-            assert problems.count(
-                f"version {version}: reaches a bad node record") == 1
+        assert [p for p in problems if p.startswith("version")] == [
+            "versions 0-2: reach a bad node record"]
 
     def test_block_equal_to_a_version_record_is_clean(self, tmp_path):
         """A data block whose bytes are version 0's record material has
@@ -1063,7 +1070,7 @@ class TestFsck:
     def test_shared_leaf_digest_flip_reported_once(self, repo):
         """A digest byte flipped in a data leaf that several records link
         to breaks each of their hashes too, but only the leaf is reported;
-        every version reaches it, and says so once."""
+        every version reaches it, and one line names them all."""
         for at in (10, 2000):
             repo.commit(format_diff([DiffEntry("replace", at, b"flip", 4)]))
         links = [link for node_id in range(repo.log.commit(2).nodes)
@@ -1086,9 +1093,36 @@ class TestFsck:
             problems = again.fsck()
         assert [p for p in problems if p.startswith("node ")] == [
             f"node {leaf}: digest mismatch"]
-        for version in range(3):
-            assert problems.count(
-                f"version {version}: reaches a bad node record") == 1
+        assert [p for p in problems if p.startswith("version")] == [
+            "versions 0-2: reach a bad node record"]
+
+    def test_layer2_leaf_flip_names_versions_in_one_line(self, repo):
+        """A digest byte flipped in version 0's layer-2 leaf, as the
+        latest layer-2 root holds it, gives one node line and one line
+        naming, as ranges, the versions whose layer-2 roots reach it."""
+        for at in range(10, 4000, 800):
+            repo.commit(format_diff([DiffEntry("replace", at, b"two", 3)]))
+        leaf = core.search(repo.store, repo.vindex.root, 0).leaf
+        versions = [v for v in range(repo.vindex.count) if leaf in _reach_new(
+            repo.store, [repo.log.commit(v).layer2_root], 0)]
+        assert len(versions) > 1
+        size = repo.store.layout.size
+        repo.close()
+        log = repo.path / "nodes" / "log"
+        raw = bytearray(log.read_bytes())
+        raw[(leaf + 1) * size - 1] ^= 0x01   # its digest's last byte
+        log.write_bytes(bytes(raw))
+        with Repository.open(repo.path) as again:
+            problems = again.fsck()
+        assert [p for p in problems if p.startswith("node ")] == [
+            f"node {leaf}: digest mismatch"]
+        assert [p for p in problems if p.startswith("version")] == [
+            f"versions {repo_mod._ranges(versions)}: layer-2 roots reach a "
+            "bad node record"]
+
+    def test_versions_named_as_ranges(self):
+        assert repo_mod._ranges([0, 1, 2, 5, 7, 8]) == "0-2, 5, 7-8"
+        assert repo_mod._ranges([4]) == "4"
 
     def test_missing_block_reported_once_per_leaf(self, repo):
         """A block the index lacks gives one line per leaf record that
