@@ -59,10 +59,6 @@ class Node:
         self.block = block          # block content digest (leaves only)
         self.digest = digest
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.kind != KIND_INTERNAL
-
     def __repr__(self):
         kind = {KIND_INTERNAL: "int", KIND_LEAF: "leaf",
                 KIND_SENTINEL: "sent", KIND_STUB: "stub"}[self.kind]
@@ -385,11 +381,12 @@ def check_subtree(store: NodeStore, scheme: HashScheme, root: int,
                 raise StructureCorrupt(f"node {node_id}: block digest width")
             todo += [link for link in (node.below, node.after)
                      if link is not None]
-    problems = check_nodes(
+    problem = next(check_nodes(
         scheme, ((node_id, record_fields(nodes[node_id], scheme.zero))
-                 for node_id in sorted(nodes)), ranks, digests, flags, {})
-    if problems:
-        raise StructureCorrupt(problems[0])
+                 for node_id in sorted(nodes)), ranks, digests, flags, {}),
+        None)
+    if problem is not None:
+        raise StructureCorrupt(problem)
     verified.update(nodes)
 
 
@@ -423,17 +420,17 @@ def shape_problem(node_id: int, fields: tuple, zero: bytes) -> str | None:
 
 
 def check_nodes(scheme: HashScheme, records: Iterable[tuple[int, tuple]],
-                ranks, digests, flags, block_lengths: dict) -> list[str]:
+                ranks, digests, flags, block_lengths: dict) -> Iterator[str]:
     """The one check of stored nodes' shape (shape_problem), rank and
-    digest, over (id, fields) records in ascending id order; returns one
-    problem per bad record. Each rank and digest is recomputed, in one
-    hash, from the children's stored ones, which a lower id had checked.
-    ranks[id] and digests[id] get the stored values, flags[id] BAD for a
-    bad record, else the children's flags OR-ed with, for a data leaf,
-    BAD_BLOCK if block_lengths (digest -> length) lacks its block or gives
-    another length. A record that disagrees only as a child is bad (whose
-    flipped digest breaks every parent's hash) is BAD without a problem."""
-    problems = []
+    digest, over (id, fields) records in ascending id order; yields one
+    problem per bad record, as it is found. Each rank and digest is
+    recomputed, in one hash, from the children's stored ones, which a lower
+    id had checked. ranks[id] and digests[id] get the stored values,
+    flags[id] BAD for a bad record, else the children's flags OR-ed with,
+    for a data leaf, BAD_BLOCK if block_lengths (digest -> length) lacks
+    its block or gives another length. A record that disagrees only as a
+    child is bad (whose flipped digest breaks every parent's hash) is BAD
+    without a problem."""
     sha, zero = scheme.hash_fn, scheme.zero
     pack_internal = scheme.internal_layout.pack
     pack_leaf = scheme.leaf_layout.pack
@@ -455,8 +452,8 @@ def check_nodes(scheme: HashScheme, records: Iterable[tuple[int, tuple]],
                         and after < node_id and length > 0):
                     problem = shape_problem(node_id, fields, zero)
                     if problem is not None:
-                        problems.append(problem)
                         flags[node_id] = BAD
+                        yield problem
                         continue
                 linked = after != NO_LINK
                 got_rank = length + ranks[after] if linked else length
@@ -468,15 +465,13 @@ def check_nodes(scheme: HashScheme, records: Iterable[tuple[int, tuple]],
                 if kind == KIND_LEAF and block_length(block) != length:
                     flag |= BAD_BLOCK
         except struct.error:    # a rank past 64 bits
-            problems.append(f"node {node_id}: field out of range")
             flags[node_id] = BAD
+            yield f"node {node_id}: field out of range"
             continue
         if got_rank == rank and got == digest:
             flags[node_id] = flag
             continue
         flags[node_id] = BAD
         if not flag & BAD:     # else a bad child, reported, explains it
-            problems.append(f"node {node_id}: "
-                            f"{'rank' if got_rank != rank else 'digest'} "
-                            "mismatch")
-    return problems
+            yield (f"node {node_id}: "
+                   f"{'rank' if got_rank != rank else 'digest'} mismatch")

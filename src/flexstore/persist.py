@@ -26,9 +26,10 @@ towers:
      only when the nearest new piece is lower than the tower it replaces,
      as only then can a tower there capture it.
 
-A run that is one modify keeps its block's level and so changes no link:
-it copies the descent's path instead, each node's rank moved by the
-change in length: the nodes the fold would make, with less work.
+A lone modify is a run of one op like any other. It keeps the old
+block's level, so its tower captures exactly that block's column and the
+tail is never opened: the fold makes one node per move of the descent
+and the new leaf, and needs no node off the path to the block.
 
 New nodes are drafts, unfinalized core.Node objects whose links hold ids
 or other drafts. A later splice of the batch reads them as it reads
@@ -107,8 +108,6 @@ class EditEngine:
                 # takes its own descent.
                 self.splice(index, ops[:1])
                 return self.splice(index + ops[0][1], ops[1:])
-        if len(ops) == 1 and ops[0][0] == MODIFY:
-            return self._modify(path, leaf, ops[0][1], ops[0][2])
 
         # The cut. Each tower reaching across it, outermost first, as
         # (level, base, rank, leaf): the part of its column the run
@@ -161,23 +160,6 @@ class EditEngine:
                             leaf.block, None)
             core.push_tower(stack, level, base, rank, _draft)
         self.root = stack[-1][1]
-
-    def _modify(self, path: list, leaf: Node, length: int,
-                block: bytes) -> None:
-        """A lone modify keeps its block's level, so no link changes:
-        copy the path to the leaf, each node's rank moved by the change in
-        length."""
-        delta = length - leaf.length
-        cur = Node(leaf.kind, 0, leaf.rank + delta, None, leaf.after, length,
-                   block, None)
-        for _ref, node, below, _span in reversed(path):
-            if below:
-                cur = Node(KIND_INTERNAL, node.level, node.rank + delta, cur,
-                           node.after, 0, None, None)
-            else:
-                cur = Node(node.kind, node.level, node.rank + delta,
-                           node.below, cur, node.length, node.block, None)
-        self.root = cur
 
     def _take(self, stack: list) -> int:
         """Take the nearest piece, an old block's tower, off a fold stack,

@@ -1,6 +1,6 @@
 """Durable repository: block store, node store and commit log.
 
-On-disk layout under the repository root (store format 7):
+On-disk layout under the repository root (store format 8):
 
     config.json    store format, hash function, block size, seed
     versions.log   one fixed-width commit record per version, in order
@@ -11,8 +11,8 @@ On-disk layout under the repository root (store format 7):
     lock           the writer lock, taken with flock
 
 Every integer is big-endian. Record k of `versions.log` is version k:
-root || root digest || update start || update length || layer-2 root ||
-nodes || blocks, each a u64 but the digest (68 bytes with SHA-1).
+root || root digest || update start || update length || nodes || blocks,
+each a u64 but the digest (60 bytes with SHA-1).
 Record k of `nodes/log` is node k: kind u8 || level u8 || rank || below
 || after (u64 each, 2^64 - 1 for no link) || length u32 || block digest
 (zeros for an internal node) || node digest (70 bytes with SHA-1).
@@ -25,9 +25,10 @@ The three logs are record files (_RecordFile). A commit writes each new
 block to the pack as it is put, and keeps its index, node and commit
 records in memory until the end, then writes them in that order, one
 write per file. The commit record is the commit point: besides the
-version record it holds the layer-2 root id, and `nodes` and `blocks`,
-the node and index records the version counts. No stream position is
-stored: the seed and the version number fix every tower level. `open`
+version record it holds `nodes` and `blocks`, the node and index records
+the version counts. The layer-2 root is not stored: a commit finalizes it
+last, so it is node `nodes` - 1. No stream position is stored either:
+the seed and the version number fix every tower level. `open`
 reads `config.json`, the last complete commit record and the last index
 record it counts, and checks the node log's size: its cost does not grow
 with history. What a crashed writer left past those ends is ignored, and
@@ -56,7 +57,7 @@ import random
 import struct
 from collections.abc import Iterator
 from contextlib import ExitStack, contextmanager, suppress
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -71,7 +72,7 @@ from .index2 import VersionIndex, VersionRecord
 
 # Version of the on-disk layout, kept in config.json; open refuses any
 # other.
-STORE_FORMAT = 7
+STORE_FORMAT = 8
 _LENGTH_MASK = 0xFFFFFFFF
 # Bytes per read into memory of a run of records or blocks, so memory
 # stays flat whatever the file size.
@@ -142,17 +143,19 @@ class _RecordFile:
         return raw
 
     def run(self, record: int) -> range:
-        """The ids of the committed records in the run (see `runs`) that
-        holds committed record `record`."""
+        """The ids of the committed records in the run that holds
+        committed record `record`: `step` records from a multiple of
+        `step`, which fill a read of at most _RUN_LIMIT bytes, cut at the
+        committed count."""
         first = record - record % self.step
         return range(first, min(first + self.step, self.committed))
 
-    def runs(self):
-        """The ids of the committed records, as ranges that fill reads of
-        at most _RUN_LIMIT bytes: `step` records each, the last cut at the
-        committed count."""
-        return (self.run(first)
-                for first in range(0, self.committed, self.step))
+    def scan(self):
+        """(id, fields) for every committed record in order, one run (see
+        `run`) read at a time, as it is reached."""
+        return chain.from_iterable(
+            zip(ids, self.read(ids.start, len(ids)))
+            for ids in map(self.run, range(0, self.committed, self.step)))
 
     def append(self, record: bytes) -> None:
         self._buffer += record
@@ -200,7 +203,7 @@ class DurableNodeStore(NodeStore):
     reads none. `get` decodes a record on first use into the node map,
     which also holds every node added in this process, and keeps it
     there. The record comes from its run of the log (see
-    _RecordFile.runs), read with one positioned read on the first `get`
+    _RecordFile.run), read with one positioned read on the first `get`
     of any id in it and kept as bytes, so a walk makes one read per run
     it enters rather than one per node; only the records asked for are
     decoded. A run is cut at the committed count when it is read, so no
@@ -245,14 +248,14 @@ class DurableNodeStore(NodeStore):
 
     def check(self, scheme: HashScheme, block_lengths: dict) -> tuple:
         """(problems, ranks, digests, flags) of core.check_nodes over every
-        committed record, a run at a time; a record not read stays BAD."""
+        committed record, a run at a time; a record not read stays BAD, and
+        a read that comes up short ends the pass with one more problem."""
         n, problems = self._file.committed, []
         ranks, digests, flags = [0] * n, [scheme.zero] * n, [BAD] * n
         try:
-            for ids in self._file.runs():
-                problems += core.check_nodes(
-                    scheme, zip(ids, self._file.read(ids.start, len(ids))),
-                    ranks, digests, flags, block_lengths)
+            for problem in core.check_nodes(scheme, self._file.scan(), ranks,
+                                            digests, flags, block_lengths):
+                problems.append(problem)
         except StructureCorrupt as exc:
             problems.append(str(exc))
         return problems, ranks, digests, flags
@@ -289,8 +292,8 @@ class Commit(NamedTuple):
     """One commit record: a version and the store state it commits."""
 
     record: VersionRecord
-    layer2_root: int
-    nodes: int           # node records the store holds
+    nodes: int           # node records the store holds; the last is the
+                         # layer-2 root
     blocks: int          # block index records the store holds
 
 
@@ -300,14 +303,15 @@ class CommitLog:
 
     Only complete records count, and only `len(self)` of them: the
     constructor takes as many as the file holds and reads the last. A
-    record is decoded strictly when it is read: its roots must lie below
-    its `nodes`, and its counts must not pass the last record's. As a
-    sequence of version records it is the source a VersionIndex reads.
+    record is decoded strictly when it is read: its root must lie below
+    its layer-2 root, node `nodes` - 1, and its counts must not pass the
+    last record's. As a sequence of version records it is the source a
+    VersionIndex reads.
     """
 
     def __init__(self, path: Path, scheme: HashScheme):
         self._file = _RecordFile(
-            path, struct.Struct(f">Q{scheme.width}sQQQQQ"), "versions.log")
+            path, struct.Struct(f">Q{scheme.width}sQQQQ"), "versions.log")
         self.layout = self._file.layout
         self._pending: Commit | None = None
         self.last = None
@@ -332,25 +336,24 @@ class CommitLog:
         """Yield, for every committed version in order, its Commit or the
         StructureCorrupt that refuses its record, reading the log in runs
         (fsck's sweep)."""
-        for versions in self._file.runs():
-            for version, fields in zip(versions, self._file.read(
-                    versions.start, len(versions))):
-                try:
-                    yield self._decode(version, fields)
-                except StructureCorrupt as exc:
-                    yield exc
+        for version, fields in self._file.scan():
+            try:
+                yield self._decode(version, fields)
+            except StructureCorrupt as exc:
+                yield exc
 
     def _decode(self, version: int, fields: tuple) -> Commit:
-        root, root_digest, start, length, layer2_root, nodes, blocks = fields
-        if root >= nodes or layer2_root >= nodes:
+        root, root_digest, start, length, nodes, blocks = fields
+        if root >= nodes - 1:
             raise StructureCorrupt(f"versions.log: version {version} names "
-                                   f"a root past its {nodes} nodes")
+                                   f"a root past node {nodes - 2}, the last "
+                                   "before its layer-2 root")
         last = self.last
         if last is not None and (nodes > last.nodes or blocks > last.blocks):
             raise StructureCorrupt(f"versions.log: version {version} counts "
                                    "more records than the last version")
         return Commit(VersionRecord(version, root, root_digest, start, length),
-                      layer2_root, nodes, blocks)
+                      nodes, blocks)
 
     def append(self, commit: Commit) -> None:
         """Write a commit record: the commit point. It counts once
@@ -358,7 +361,7 @@ class CommitLog:
         rec = commit.record
         self._file.append(self.layout.pack(
             rec.root, rec.root_digest, rec.update_start, rec.update_length,
-            commit.layer2_root, commit.nodes, commit.blocks))
+            commit.nodes, commit.blocks))
         self._file.flush()
         self._pending = commit
 
@@ -436,14 +439,12 @@ class BlockStore:
         record, in pack order. Each block must start where the one before
         it ended."""
         end = 0
-        for ids in self._index.runs():
-            for digest, offset, length in self._index.read(ids.start,
-                                                           len(ids)):
-                if offset != end:
-                    raise StructureCorrupt(f"block index record at byte "
-                                           f"{offset} out of sequence")
-                end += length
-                yield digest, offset << 32 | length
+        for _id, (digest, offset, length) in self._index.scan():
+            if offset != end:
+                raise StructureCorrupt(f"block index record at byte "
+                                       f"{offset} out of sequence")
+            end += length
+            yield digest, offset << 32 | length
 
     def _blocks(self) -> dict[bytes, int]:
         """digest -> offset << 32 | length of every committed record,
@@ -705,7 +706,7 @@ class Repository:
             opened.callback(store.close)
             blocks = BlockStore(path / "blocks", scheme, last.blocks)
             opened.pop_all()
-        vindex = VersionIndex(store, scheme, seed, root=last.layer2_root,
+        vindex = VersionIndex(store, scheme, seed, root=last.nodes - 1,
                               records=log)
         return cls(path, config, store, blocks, log, vindex)
 
@@ -747,7 +748,7 @@ class Repository:
         Only then does this object move to the new version."""
         self.blocks.flush()
         self.store.flush()
-        self.log.append(Commit(vindex.record(vindex.count - 1), vindex.root,
+        self.log.append(Commit(vindex.record(vindex.count - 1),
                                self.store.next_id, self.blocks.count))
         self.store.mark_committed()
         self.blocks.mark_committed()
@@ -924,7 +925,7 @@ class Repository:
         # One line names every version whose layer-1 root reaches BAD,
         # and one every version whose layer-2 root does.
         for what, root in (("reach", lambda c: c.record.root),
-                           ("layer-2 roots reach", lambda c: c.layer2_root)):
+                           ("layer-2 roots reach", lambda c: c.nodes - 1)):
             bad = [c.record.version for c in decoded if flags[root(c)] & BAD]
             if bad:
                 problems.append(f"versions {_ranges(bad)}: {what} a bad "
@@ -955,10 +956,10 @@ class Repository:
                      before: Commit | None, ranks: list,
                      digests: list) -> list[str]:
         """Check a commit record against the one before it (the store only
-        grows) and against the node pass at its roots; every commit appends
-        its layer-2 root last. (Roots that reach a bad record are reported
-        for all versions at once.)"""
-        rec, layer2 = commit.record, commit.layer2_root
+        grows) and against the node pass at its roots, its layer-2 root
+        being its last node record. (Roots that reach a bad record are
+        reported for all versions at once.)"""
+        rec, layer2 = commit.record, commit.nodes - 1
         rank = ranks[rec.root]
         problems = []
         if before is not None and (commit.nodes < before.nodes
@@ -969,8 +970,6 @@ class Repository:
             problems.append("logged root digest disagrees with the node store")
         if not (rec.update_start + rec.update_length <= rank or rank == 0):
             problems.append("update region exceeds rank")
-        if layer2 != commit.nodes - 1:
-            problems.append("layer-2 root is not its last node record")
         if ranks[layer2] != version + 1:
             problems.append(f"layer-2 root holds {ranks[layer2]} versions, "
                             f"not {version + 1}")

@@ -422,6 +422,64 @@ class TestPartial:
         assert agreements >= 40
 
 
+class TestLoneModify:
+    """A lone modify is a one-op run through the fold. At every byte of
+    small lists, on a full store and on a partial list proven on exactly
+    the modified block, it must rebuild the edited list and make one node
+    per move of the descent plus the new leaf."""
+
+    @staticmethod
+    def lists():
+        rng = random.Random(23)
+        for n in range(1, 9):
+            patterns = [[0] * n, [6] + [0] * (n - 1)]
+            patterns += [[rng.choice([0, 0, 1, 2, 3]) for _ in range(n)]
+                         for _ in range(3)]
+            for levels in patterns:
+                yield [bytes(rng.randrange(256)
+                             for _ in range(rng.randint(1, 4)))
+                       for _ in range(n)], levels
+
+    @staticmethod
+    def build(blocks, levels):
+        store = NodeStore()
+        root = build_with_levels(
+            store, SCHEME, [(len(b), SCHEME.block_digest(b)) for b in blocks],
+            levels)
+        return store, root
+
+    def test_every_byte_full_and_partial(self):
+        rng = random.Random(24)
+        for blocks, levels in self.lists():
+            store, root = self.build(blocks, levels)
+            vindex = VersionIndex(store, SCHEME, SEED)
+            vindex.append_version(VersionRecord(
+                0, root, store.get(root).digest, 0, store.get(root).rank))
+            by_digest = {SCHEME.block_digest(b): b for b in blocks}
+            start = 0
+            for pos, block in enumerate(blocks):
+                proof = audit.prove_range(store, vindex, by_digest.get, 0,
+                                          start, len(block))
+                for index in range(start, start + len(block)):
+                    data = bytes(rng.randrange(256)
+                                 for _ in range(rng.randint(1, 5)))
+                    edited = blocks[:pos] + [data] + blocks[pos + 1:]
+                    want_store, want = self.build(edited, levels)
+                    want = want_store.get(want).digest
+                    partial = partial_from_proof(SCHEME, proof,
+                                                 vindex.meta_digest)
+                    for on, at in ((store, root),
+                                   (partial.store, partial.root)):
+                        moves = len(core.search(on, at, index).entries)
+                        result = adaptor.apply_ops(
+                            on, SCHEME, at, [BlockOp("modify", index, data)],
+                            iter(()))
+                        case = (blocks, levels, index, on is store)
+                        assert on.get(result.new_root).digest == want, case
+                        assert result.created_nodes == moves + 1, case
+                start += len(block)
+
+
 def _random_batch(rng, entries, levels):
     """1 to 40 random block ops over `entries`, a list of [block, level,
     index in the original list or None], which it edits to match, each

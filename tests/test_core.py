@@ -377,7 +377,8 @@ class TestBuild:
         store, root, _ = mklist(lengths, levels)
         verified = {}
         check_subtree(store, SCHEME, root, verified)
-        leaves = [node for node in verified.values() if node.is_leaf]
+        leaves = [node for node in verified.values()
+                  if node.kind != KIND_INTERNAL]
         assert sum(leaf.length for leaf in leaves) == sum(lengths)
         assert len(leaves) == 52  # blocks plus two sentinels
 

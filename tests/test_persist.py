@@ -43,18 +43,9 @@ def block_at(seq, idx):
 
 
 class TestNextPos:
-    """The copying descent modify runs to the leaf: one copy per move,
+    """A lone modify, a one-op run through the fold, keeps its block's
+    level: it makes one node per move of the descent and the new leaf,
     observed through pmodify's created_nodes."""
-
-    def test_bare_leaf_no_moves(self):
-        store = NodeStore()
-        leaf = make_leaf(store, SCHEME, 4, SCHEME.block_digest(b"abcd"),
-                         None)
-        before = store.get(leaf).digest
-        result = pmodify(store, SCHEME, leaf, 0, b"ABCD")
-        assert search(store, leaf, 0).entries == []
-        assert result.created_nodes == 1  # the root copy only
-        assert store.get(leaf).digest == before
 
     def test_one_copy_per_move(self):
         rng = random.Random(11)

@@ -140,7 +140,7 @@ class TestInit:
         finally:
             again.close()
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7])
     def test_other_store_format_refused(self, repo, capsys, fmt):
         repo.close()
         config_path = repo.path / "config.json"
@@ -1055,7 +1055,7 @@ class TestFsck:
         a superseded layer-2 copy that no version root and not the
         current layer-2 root reaches, is reported."""
         repo.commit(format_diff([DiffEntry("replace", 300, b"old", 3)]))
-        victim = repo.log.commit(0).layer2_root
+        victim = repo.log.commit(0).nodes - 1     # its layer-2 root
         roots = [repo.record(v).root for v in range(2)] + [repo.vindex.root]
         assert victim not in _reach_new(repo.store, roots, 0)
         size = repo.store.layout.size
@@ -1104,7 +1104,7 @@ class TestFsck:
             repo.commit(format_diff([DiffEntry("replace", at, b"two", 3)]))
         leaf = core.search(repo.store, repo.vindex.root, 0).leaf
         versions = [v for v in range(repo.vindex.count) if leaf in _reach_new(
-            repo.store, [repo.log.commit(v).layer2_root], 0)]
+            repo.store, [repo.log.commit(v).nodes - 1], 0)]
         assert len(versions) > 1
         size = repo.store.layout.size
         repo.close()
@@ -1167,23 +1167,21 @@ class TestFsck:
         assert len(hashed) == len(pack_records(repo)) == len(set(hashed))
 
     @pytest.mark.parametrize("field, source, problems", [
-        ("nodes", 3, ["version 1: layer-2 root is not its last node record",
+        # The node count names the layer-2 root: version 3's, here.
+        ("nodes", 3, ["version 1: layer-2 root holds 4 versions, not 2",
                       "version 2: counts fewer records than version 1"]),
         ("blocks", 3, ["version 2: counts fewer records than version 1"]),
-        ("layer2_root", 0, [
-            "version 1: layer-2 root is not its last node record",
-            "version 1: layer-2 root holds 1 versions, not 2"]),
-    ], ids=["nodes", "blocks", "layer2_root"])
+    ], ids=["nodes", "blocks"])
     def test_commit_record_checked_against_the_one_before(
             self, repo, field, source, problems):
-        """A middle commit record's count or layer-2 root, rewritten with
-        another record's value that every check against the last record
-        accepts, is reported by fsck."""
+        """A middle commit record's count, rewritten with another record's
+        value that every check against the last record accepts, is
+        reported by fsck."""
         for at in (100, 1500, 3000):     # each commit adds a block
             repo.commit(format_diff([DiffEntry("insert", at, b"n" * 40)]))
         layout = repo.log.layout
-        names = ("root", "root_digest", "start", "length", "layer2_root",
-                 "nodes", "blocks")
+        names = ("root", "root_digest", "start", "length", "nodes",
+                 "blocks")
         repo.close()
         log = repo.path / "versions.log"
         raw = bytearray(log.read_bytes())
@@ -1284,6 +1282,27 @@ class TestFsck:
         finally:
             again.close()
 
+    def test_node_log_cut_mid_pass_keeps_earlier_problems(self, tmp_path):
+        """A node log cut, after open, inside its second run ends fsck's
+        node pass with one line, and the bad record the first run held is
+        still reported."""
+        src = tmp_path / "input.bin"
+        src.write_bytes(random.Random(1).randbytes(8192))
+        with Repository.init(tmp_path / "repo", block_size=8,
+                             seed=bytes.fromhex(SEED_HEX),
+                             input_file=src) as repo:
+            step, size = repo.store._file.step, repo.store.layout.size
+            assert repo.store.next_id > step + 10
+        log = repo.path / "nodes" / "log"
+        raw = bytearray(log.read_bytes())
+        raw[4 * size - 1] ^= 0x01     # node 3's digest's last byte
+        log.write_bytes(bytes(raw))
+        with Repository.open(repo.path) as again:
+            os.truncate(log, (step + 10) * size + 3)
+            problems = again.fsck()
+        assert "node 3: digest mismatch" in problems
+        assert f"node log cut short at record {step + 10}" in problems
+
     @pytest.mark.parametrize("target", ["self", "later"])
     def test_hostile_link_refused(self, repo, tmp_path, target):
         """A data leaf whose after link names itself or a later record
@@ -1371,19 +1390,21 @@ class TestMalformedMetadata:
             assert err.startswith("error: malformed config.json: ")
             assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("field", ["root", "layer2_root", "nodes",
+    @pytest.mark.parametrize("field", ["root", "root_at_layer2_root", "nodes",
                                        "blocks"])
     def test_bad_commit_record_field(self, repo, capsys, field):
-        """The last commit record is checked at open: its roots lie below
-        its `nodes`, and the node log and the block index hold the
-        records it counts."""
+        """The last commit record is checked at open: its root lies below
+        its layer-2 root, its last node record, and the node log and the
+        block index hold the records it counts."""
         repo.close()
         log = repo.path / "versions.log"
         names = ["root", "root_digest", "update_start", "update_length",
-                 "layer2_root", "nodes", "blocks"]
+                 "nodes", "blocks"]
         values = dict(zip(names, repo.log.layout.unpack(log.read_bytes())))
-        if field in ("root", "layer2_root"):
+        if field == "root":
             values[field], message = values["nodes"], "root past"
+        elif field == "root_at_layer2_root":
+            values["root"], message = values["nodes"] - 1, "root past"
         else:
             values[field] += 1
             message = {"nodes": "node log", "blocks": "block index"}[field]
