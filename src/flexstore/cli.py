@@ -1,7 +1,8 @@
 """Command-line surface for the repository.
 
 Exit codes: 0 success or proof accepted; 1 proof rejected or integrity
-violation; 2 usage or domain error; 3 I/O failure.
+violation (`verify` of a malformed challenge or proof too); 2 usage or
+domain error, a malformed diff or challenge too; 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ EXIT_IO = 3
 _USAGE_ERRORS = (DomainError, NoSuchVersion, DiffOutOfRange,
                  OverlappingDiffs, EmptyCommit, NotBlockAligned,
                  BlockTooSmall, IndexOutOfRange, VersionOutOfOrder,
-                 EmptyRegion)
+                 EmptyRegion, FormatError)
 
 
 def main(argv=None) -> int:

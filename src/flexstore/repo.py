@@ -21,19 +21,20 @@ Blocks are content-addressed, so identical content across versions (or
 within one file) is stored once. Records and blocks are write-once;
 commits append, never rewrite.
 
-The three logs are record files (_RecordFile). A commit writes each new
-block to the pack as it is put, and keeps its index, node and commit
-records in memory until the end, then writes them in that order, one
-write per file. The commit record is the commit point: besides the
+The four store files are record files (_RecordFile), the pack one of
+one-byte records, and share one write policy: what a commit appends to
+a file is buffered, written whenever the buffer reaches _COPY_LIMIT
+bytes, and the rest written at the end in the order pack, index, node
+log, commit record. The commit record is the commit point: besides the
 version record it holds `nodes` and `blocks`, the node and index records
 the version counts. The layer-2 root is not stored: a commit finalizes it
 last, so it is node `nodes` - 1. No stream position is stored either:
 the seed and the version number fix every tower level. `open`
 reads `config.json`, the last complete commit record and the last index
-record it counts, and checks the node log's size: its cost does not grow
-with history. What a crashed writer left past those ends is ignored, and
-the next writer truncates it. Nothing is fsynced, so this holds for a
-process that dies, not for power loss.
+record it counts, and checks the node log's and the pack's sizes: its
+cost does not grow with history. What a crashed writer left past those
+ends is ignored, and the next writer truncates it. Nothing is fsynced,
+so this holds for a process that dies, not for power loss.
 
 Every other record is decoded, strictly, when it is first read: a commit
 record when its version is asked for, a node record on the first `get`
@@ -77,52 +78,63 @@ _LENGTH_MASK = 0xFFFFFFFF
 # Bytes per read into memory of a run of records or blocks, so memory
 # stays flat whatever the file size.
 _RUN_LIMIT = 64 * 1024
-# Bytes of the one buffer a checkout or a materialize reads the pack
-# through, or the version's size if that is smaller: memory stays flat,
-# and a checkout makes one write per buffer-full.
+# Bytes of the buffer a checkout or a materialize reads the pack through
+# (or the version's size, if smaller), and of the appends a record file
+# buffers before it writes them: memory stays flat, with few writes.
 _COPY_LIMIT = 1024 * 1024
-
-
-def _open_read(path: Path, name: str) -> int:
-    """A read-only descriptor of one of the store's files: a missing file
-    is a corrupt store, any other error an I/O failure."""
-    try:
-        return os.open(path, os.O_RDONLY)
-    except FileNotFoundError as exc:
-        raise StructureCorrupt(f"{name} {path} is missing") from exc
-    except OSError as exc:
-        raise IOFailure(f"{name} unreadable: {exc}") from exc
 
 
 class _RecordFile:
     """An append-only file of fixed-width records, of which only the first
     `committed` count. What lies past them is a crashed writer's: readers
-    never ask for it, and `discard_uncommitted` cuts it off.
-
-    Appended records stay in memory until `flush` writes them at the end
-    of the file in one write, through an append descriptor opened on the
-    first flush and kept until `close`; they count once `mark_committed`
-    runs. `committed` None counts every complete record the file holds.
+    never ask for it, and `discard_uncommitted` cuts it off. The pack's
+    records are its bytes. Appended records are buffered, and written at
+    the end of the file, through an append descriptor opened on the first
+    write and kept until `close`, whenever the buffer reaches _COPY_LIMIT
+    bytes and at `flush`; they count once `mark_committed` runs.
+    `committed` None counts every complete record the file holds. An
+    OSError from the file is raised as IOFailure, or as StructureCorrupt
+    for a missing file.
     """
 
     def __init__(self, path: Path, layout: struct.Struct, name: str,
                  committed: int | None = None):
         self.path, self.layout, self.name = path, layout, name
+        self.unit = "byte" if layout.size == 1 else "record"
         self.step = _RUN_LIMIT // layout.size     # records per run
-        self._fd = _open_read(path, name)
         self._appender = None
         self._buffer = bytearray()
-        stored = self.stored()
-        if committed is None:
-            committed = stored
-        elif stored < committed:
+        self._fd = self._os("unreadable", os.open, path, os.O_RDONLY)
+        try:
+            stored = self.stored()
+            if committed is None:
+                committed = stored
+            elif stored < committed:
+                raise StructureCorrupt(
+                    f"{name} ends before {self.unit} {committed}")
+        except BaseException:
             self.close()
-            raise StructureCorrupt(f"{name} ends before record {committed}")
+            raise
         self.committed = self.count = committed
+
+    def _os(self, failed: str, call, *args):
+        """call(*args), its OSError raised as the class docstring says."""
+        try:
+            return call(*args)
+        except FileNotFoundError as exc:
+            raise StructureCorrupt(
+                f"{self.name} {self.path} is missing") from exc
+        except OSError as exc:
+            raise IOFailure(f"{self.name} {failed}: {exc}") from exc
 
     def stored(self) -> int:
         """Complete records in the file, committed or not."""
-        return os.fstat(self._fd).st_size // self.layout.size
+        return (self._os("unreadable", os.fstat, self._fd).st_size
+                // self.layout.size)
+
+    def _cut_short(self, first: int, got: int) -> StructureCorrupt:
+        return StructureCorrupt(f"{self.name} cut short at {self.unit} "
+                                f"{first + got // self.layout.size}")
 
     def read(self, first: int, n: int = 1):
         """Unpack records first .. first + n - 1, all committed, from one
@@ -138,9 +150,36 @@ class _RecordFile:
         except OSError as exc:
             raise IOFailure(f"{self.name} unreadable: {exc}") from exc
         if len(raw) != n * size:
-            raise StructureCorrupt(f"{self.name} cut short at record "
-                                   f"{first + len(raw) // size}")
+            raise self._cut_short(first, len(raw))
         return raw
+
+    def fill(self, runs, buffer: bytearray):
+        """Read runs of committed records, (first, count) pairs, in order
+        into `buffer`: one positioned read per run, or per buffer-full of
+        a longer one. Yield a view of the buffer each time it is full,
+        and of what it holds after the last run; the next read
+        overwrites it."""
+        size, buffer = self.layout.size, memoryview(buffer)
+        limit, fill = len(buffer), 0
+        for first, count in runs:
+            offset, length = first * size, count * size
+            while length:
+                n = min(length, limit - fill)
+                try:
+                    got = os.preadv(self._fd, (buffer[fill:fill + n],),
+                                    offset)
+                except OSError as exc:
+                    raise IOFailure(f"{self.name} unreadable: {exc}") from exc
+                if got != n:
+                    raise self._cut_short(offset // size, got)
+                offset += n
+                length -= n
+                fill += n
+                if fill == limit:
+                    yield buffer
+                    fill = 0
+        if fill:
+            yield buffer[:fill]
 
     def run(self, record: int) -> range:
         """The ids of the committed records in the run that holds
@@ -157,18 +196,32 @@ class _RecordFile:
             zip(ids, self.read(ids.start, len(ids)))
             for ids in map(self.run, range(0, self.committed, self.step)))
 
-    def append(self, record: bytes) -> None:
-        self._buffer += record
-        self.count += 1
+    def append(self, records: bytes) -> None:
+        """Append whole records; a buffer-full is written at once."""
+        self._buffer += records
+        self.count += len(records) // self.layout.size
+        if len(self._buffer) >= _COPY_LIMIT:
+            self.flush()
+
+    def _write(self, file, data) -> None:
+        if self._os("unwritable", file.write, data) != len(data):
+            raise IOFailure(f"{self.name} unwritable: short write")
 
     def flush(self) -> None:
         """Write the appended records at the end of the file."""
         if self._buffer:
             if self._appender is None:
-                self._appender = open(self.path, "ab", buffering=0)
-            if self._appender.write(self._buffer) != len(self._buffer):
-                raise OSError(errno.ENOSPC, f"short write to {self.name}")
+                self._appender = self._os("unwritable", open, self.path,
+                                          "ab", 0)
+            self._write(self._appender, self._buffer)
             self._buffer.clear()
+
+    def overwrite(self, first: int, records: bytes) -> None:
+        """Write records in place from committed record `first` on (fault
+        injection only)."""
+        with self._os("unwritable", open, self.path, "r+b", 0) as file:
+            self._os("unwritable", file.seek, first * self.layout.size)
+            self._write(file, records)
 
     def mark_committed(self) -> None:
         """Count every appended record as committed; call after flush."""
@@ -180,17 +233,12 @@ class _RecordFile:
         self._buffer.clear()
         self.count = self.committed
         end = self.committed * self.layout.size
-        if os.fstat(self._fd).st_size != end:
-            self._close_appender()
-            os.truncate(self.path, end)
-
-    def _close_appender(self) -> None:
-        if self._appender is not None:
-            self._appender.close()
-            self._appender = None
+        if self._os("unreadable", os.fstat, self._fd).st_size != end:
+            self._os("unwritable", os.truncate, self.path, end)
 
     def close(self) -> None:
-        self._close_appender()
+        if self._appender is not None:
+            self._appender.close()
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
@@ -385,49 +433,43 @@ class CommitLog:
 class BlockStore:
     """Content-addressed blocks in one append-only pack file.
 
-    `pack` holds block bytes back to back; `index` is a record file with
-    one record per block, digest || u64 offset || u32 length, in pack
-    order. Opening reads the last committed index record, for the pack's
-    committed end, and the digest map is decoded on first use. A put
-    writes the block to the pack at once, through a descriptor opened on
-    the first write, which a writer makes under the lock; its index
-    record waits for `flush`.
+    `pack` holds block bytes back to back, a record file of one-byte
+    records; `index` is a record file with one record per block, digest
+    || u64 offset || u32 length, in pack order. Opening reads the last
+    committed index record, for the pack's committed end, and the digest
+    map is decoded on first use. A put appends the block to the pack and
+    its record to the index; `flush` writes what they still buffer, the
+    pack first.
 
     Reads of many blocks go by extent, a run of blocks that lie back to
-    back in the pack. `_extents` takes a version's leaves to extents of
+    back in the pack: `_extents` takes a version's leaves to extents of
     any length in one pass that also looks up and checks each leaf's
-    block, and `_fill` reads the extents, in order, into the caller's
-    buffer, which it reuses each time it is full: `copy_leaves` writes
-    each buffer-full of at most _COPY_LIMIT bytes to an output file, and
-    `Repository.materialize` reads the version into one buffer of its
-    size. The committed pack is one run of blocks in index order (see
-    `_records`), so `scan` reads it in runs of _RUN_LIMIT bytes (or one
-    longer block) with no coalescing.
+    block, and `_fill` reads them into the caller's buffer (see
+    _RecordFile.fill). `copy_leaves` writes each buffer-full of at most
+    _COPY_LIMIT bytes to an output file, and `Repository.materialize`
+    reads the version into one buffer of its size. The committed pack is
+    one run of blocks in index order (see `_records`), so `scan` reads it
+    in runs of _RUN_LIMIT bytes (or one longer block) with no coalescing.
     """
 
     def __init__(self, directory: Path, scheme: HashScheme, committed: int):
-        self.directory = directory
         self.scheme = scheme
         # digest -> offset << 32 | length: one int per block, as the
         # map stays in memory for the life of the store.
         self._map: dict[bytes, int] | None = None
-        self._pack_writer: int | None = None
-        self._index = None
-        self._pack = _open_read(directory / "pack", "block pack")
+        self._index = _RecordFile(
+            directory / "index", struct.Struct(f">{scheme.width}sQI"),
+            "block index", committed)
         try:
-            self._index = _RecordFile(
-                directory / "index", struct.Struct(f">{scheme.width}sQI"),
-                "block index", committed)
             end = 0
             if committed:
                 (_digest, offset, length), = self._index.read(committed - 1)
                 end = offset + length
-            if os.fstat(self._pack).st_size < end:
-                raise StructureCorrupt(f"block pack ends before byte {end}")
+            self._pack = _RecordFile(directory / "pack", struct.Struct("B"),
+                                     "block pack", end)
         except BaseException:
-            self.close()
+            self._index.close()
             raise
-        self._end = self._committed_end = end
 
     @property
     def count(self) -> int:
@@ -463,15 +505,16 @@ class BlockStore:
         digest = self.scheme.block_digest(data)
         blocks = self._blocks()
         if digest not in blocks:
-            _write_at(self._writer(), data, self._end)
-            self._index.append(self._index.layout.pack(digest, self._end,
+            end = self._pack.count
+            self._pack.append(data)
+            self._index.append(self._index.layout.pack(digest, end,
                                                        len(data)))
-            blocks[digest] = self._end << 32 | len(data)
-            self._end += len(data)
+            blocks[digest] = end << 32 | len(data)
         return digest
 
     def flush(self) -> None:
-        """Write the index records of the blocks put since the last flush."""
+        """Write what the pack, then the index, still buffer."""
+        self._pack.flush()
         self._index.flush()
 
     def get(self, digest: bytes) -> bytes:
@@ -480,7 +523,7 @@ class BlockStore:
         except KeyError:
             raise StructureCorrupt(
                 f"block {digest.hex()} missing from store") from None
-        return self._read(place >> 32, place & _LENGTH_MASK)
+        return self._pack.read_raw(place >> 32, place & _LENGTH_MASK)
 
     def _extents(self, leaves):
         """Yield (offset, length) for each run of data leaves whose blocks
@@ -510,28 +553,9 @@ class BlockStore:
             yield start, end - start
 
     def _fill(self, leaves, buffer: bytearray):
-        """Read the blocks of data leaves in order into `buffer`, which
-        is empty only if they are: one os.preadv per extent (see
-        _extents), or per buffer-full of a longer one. Yield a view of
-        the buffer each time it is full, and of what it holds after the
-        last extent; the next read overwrites it."""
-        buffer = memoryview(buffer)
-        limit, fill = len(buffer), 0
-        for offset, length in self._extents(leaves):
-            while length:
-                n = min(length, limit - fill)
-                got = os.preadv(self._pack, (buffer[fill:fill + n],), offset)
-                if got != n:
-                    raise StructureCorrupt(
-                        f"block pack cut short at byte {offset + got}")
-                offset += n
-                length -= n
-                fill += n
-                if fill == limit:
-                    yield buffer
-                    fill = 0
-        if fill:
-            yield buffer[:fill]
+        """Read the blocks of data leaves into `buffer`, which is empty
+        only if they are, an extent at a time (see _RecordFile.fill)."""
+        return self._pack.fill(self._extents(leaves), buffer)
 
     def copy_leaves(self, leaves, size: int, out: int) -> int:
         """Write the blocks of data leaves, which add up to at most `size`
@@ -560,16 +584,9 @@ class BlockStore:
         for digest, place in self._records():
             offset, length = place >> 32, place & _LENGTH_MASK
             if offset + length > start + len(run):
-                run, start = self._read(offset, max(length, min(
-                    _RUN_LIMIT, self._committed_end - offset))), offset
+                run, start = self._pack.read_raw(offset, max(length, min(
+                    _RUN_LIMIT, self._pack.committed - offset))), offset
             yield digest, run[offset - start:offset - start + length]
-
-    def _read(self, offset: int, length: int) -> bytes:
-        data = os.pread(self._pack, length, offset)
-        if len(data) != length:
-            raise StructureCorrupt(f"block pack cut short at byte "
-                                   f"{offset + len(data)}")
-        return data
 
     def all_digests(self) -> list[bytes]:
         """Every stored block's digest, in pack order."""
@@ -577,17 +594,12 @@ class BlockStore:
 
     def overwrite(self, digest: bytes, data: bytes) -> None:
         """Replace a stored block's bytes in place (fault injection)."""
-        _write_at(self._writer(), data, self._blocks()[digest] >> 32)
-
-    def _writer(self) -> int:
-        if self._pack_writer is None:
-            self._pack_writer = os.open(self.directory / "pack", os.O_WRONLY)
-        return self._pack_writer
+        self._pack.overwrite(self._blocks()[digest] >> 32, data)
 
     def mark_committed(self) -> None:
         """Count every block put so far as committed; call after flush."""
+        self._pack.mark_committed()
         self._index.mark_committed()
-        self._committed_end = self._end
 
     def discard_uncommitted(self) -> None:
         """Cut the pack and the index back to their committed ends, and
@@ -596,17 +608,12 @@ class BlockStore:
             # Records enter the map in pack order; the newest leave first.
             for _ in range(self._index.count - self._index.committed):
                 self._map.popitem()
-        os.ftruncate(self._writer(), self._committed_end)
+        self._pack.discard_uncommitted()
         self._index.discard_uncommitted()
-        self._end = self._committed_end
 
     def close(self) -> None:
-        for fd in (self._pack, self._pack_writer):
-            if fd is not None:
-                os.close(fd)
-        self._pack = self._pack_writer = None
-        if self._index is not None:
-            self._index.close()
+        self._pack.close()
+        self._index.close()
 
 
 class Repository:
@@ -743,9 +750,9 @@ class Repository:
     # -- bookkeeping ----------------------------------------------------------
 
     def _append_commit(self, vindex: VersionIndex) -> None:
-        """The commit point: with the blocks in the pack, flush the block
-        index and the node log, then append the version's commit record.
-        Only then does this object move to the new version."""
+        """The commit point: flush the pack, the block index and the node
+        log, then append the version's commit record. Only then does this
+        object move to the new version."""
         self.blocks.flush()
         self.store.flush()
         self.log.append(Commit(vindex.record(vindex.count - 1),
@@ -818,16 +825,13 @@ class Repository:
     def commit(self, diff_bytes: bytes) -> dict:
         """Apply a diff as one new version; returns a summary."""
         with self.write_lock():
-            try:
-                # Cut what a failed or crashed commit left past the
-                # committed ends; the log refuses if another writer
-                # committed since this store was opened.
-                self.log.discard_uncommitted()
-                self.store.discard_uncommitted()
-                self.blocks.discard_uncommitted()
-                return self._commit(diff_bytes)
-            except OSError as exc:
-                raise IOFailure(f"commit failed: {exc}") from exc
+            # Cut what a failed or crashed commit left past the committed
+            # ends; the log refuses if another writer committed since
+            # this store was opened.
+            self.log.discard_uncommitted()
+            self.store.discard_uncommitted()
+            self.blocks.discard_uncommitted()
+            return self._commit(diff_bytes)
 
     def _commit(self, diff_bytes: bytes) -> dict:
         diffs = adaptor.parse_diff(diff_bytes)
@@ -843,8 +847,8 @@ class Repository:
         if not ops:
             raise EmptyCommit("diff produced no block operations")
         version = latest.version + 1
-        # Each new block reaches the pack as its op runs, before finish
-        # adds the first node record.
+        # Each new block is put as its op runs, before finish adds the
+        # first node record.
         result = adaptor.apply_ops(self.store, self.scheme, old_root, ops,
                                    self.level_source(),
                                    block_digest=self.blocks.put)
@@ -1035,11 +1039,6 @@ class Repository:
                 self.blocks.overwrite(digest, garbage)
         return {"scope": scope, "targets": len(targets),
                 "corrupted": len(chosen)}
-
-
-def _write_at(fd: int, data: bytes, offset: int) -> None:
-    if os.pwrite(fd, data, offset) != len(data):
-        raise OSError(errno.ENOSPC, f"short write at byte {offset}")
 
 
 def _ranges(numbers: list[int]) -> str:

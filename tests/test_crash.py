@@ -7,6 +7,7 @@ a further commit must succeed and leave `fsck` clean.
 """
 
 import errno
+import io
 import os
 import random
 import shutil
@@ -241,6 +242,34 @@ def test_uncommitted_node_records_truncated(states, monkeypatch):
     _expect(path, 0, meta)
 
 
+def test_crash_after_an_early_pack_write(tmp_path, monkeypatch):
+    """A commit whose new blocks fill the pack's write buffer writes them
+    before its commit point. A raise right after that first write leaves
+    the old version, and the next commit cuts the pack back."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(8).randbytes(64 * 1024))
+    path = tmp_path / "repo"
+    repo = Repository.init(path, block_size=4096, seed=SEED, input_file=src)
+    meta = [repo.meta_digest]
+    before = _logs(path)
+    real_flush = repo_mod._RecordFile.flush
+
+    def flush(self):
+        real_flush(self)
+        if self.name == "block pack":
+            raise Crash
+    insert = DiffEntry("insert", 100, random.Random(9).randbytes(3 << 20))
+    with monkeypatch.context() as patch:
+        patch.setattr(repo_mod._RecordFile, "flush", flush)
+        with pytest.raises(Crash):
+            repo.commit(format_diff([insert]))
+    repo.close()
+    grown = (path / PACK).stat().st_size - len(before[PACK])
+    assert repo_mod._COPY_LIMIT <= grown < len(insert.data)
+    assert _logs(path) | {PACK: before[PACK]} == before
+    _expect(path, 0, meta)
+
+
 def test_torn_last_line_opens_previous_version(states):
     _path, path, _before, after, meta = states
     _restore(path, {**after, "versions.log": after["versions.log"][:-1]})
@@ -263,24 +292,26 @@ def test_store_holds_only_the_commit_files(states):
     assert os.listdir(path / "nodes") == ["log"]
 
 
+class _FullDisk(io.FileIO):
+    def write(self, _data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 def _fail_writes(monkeypatch, target):
     """Make the commit's writes to one target raise ENOSPC."""
-    def no_space(*_args, **_kwargs):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-    if target == "block pack":
-        monkeypatch.setattr(os, "pwrite", no_space)
-        return
-    name = {"node log": NODE_LOG, "versions.log": "versions.log"}[target]
+    name = {"block pack": PACK, "block index": INDEX, "node log": NODE_LOG,
+            "versions.log": "versions.log"}[target]
     real_open = open
 
     def failing_open(file, mode="r", *args, **kwargs):
         if "a" in mode and str(file).endswith(name):
-            no_space()
+            return _FullDisk(file, mode)
         return real_open(file, mode, *args, **kwargs)
     monkeypatch.setattr(repo_mod, "open", failing_open, raising=False)
 
 
-@pytest.mark.parametrize("target", ["block pack", "node log", "versions.log"])
+@pytest.mark.parametrize("target", ["block pack", "block index", "node log",
+                                    "versions.log"])
 def test_write_error_exits_3(states, monkeypatch, capsys, tmp_path, target):
     path, _clean, _before, _after, meta = states
     diff = tmp_path / "edit.diff"

@@ -5,11 +5,12 @@ import json
 import os
 import random
 import resource
+import shutil
 import struct
 import subprocess
 import sys
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import pytest
@@ -217,7 +218,7 @@ class TestCommit:
             assert again.fsck() == []
         finally:
             again.close()
-        assert sorted(opened) == ["blocks/index", "nodes/log",
+        assert sorted(opened) == ["blocks/index", "blocks/pack", "nodes/log",
                                   "versions.log"]
 
     def test_random_commits_and_checkouts(self, repo, tmp_path):
@@ -513,7 +514,7 @@ class TestCheckout:
         monkeypatch.setattr(os, "preadv", counting_preadv)
         monkeypatch.setattr(os, "write", counting_write)
         monkeypatch.setattr(os, "pread", counting_pread)
-        packs.add(repo.blocks._pack)
+        packs.add(repo.blocks._pack._fd)
         for version, runs in ((0, 1), (1, 3)):
             reads.clear()
             writes.clear()
@@ -527,7 +528,7 @@ class TestCheckout:
         big = Repository.init(tmp_path / "big", block_size=2048,
                               seed=bytes.fromhex(SEED_HEX), input_file=src)
         try:
-            packs.add(big.blocks._pack)
+            packs.add(big.blocks._pack._fd)
             reads.clear()
             writes.clear()
             big.checkout(0, tmp_path / "big.out")
@@ -1533,6 +1534,75 @@ class TestOpen:
         assert sorted(closed) == sorted(opened)
 
 
+@pytest.mark.parametrize("command", ["log", "checkout", "challenge", "prove",
+                                     "verify", "fsck", "commit", "tamper"])
+@pytest.mark.parametrize("name", ["versions.log", "nodes/log", "blocks/pack",
+                                  "blocks/index"])
+def test_read_error_on_a_store_file(repo, tmp_path, monkeypatch, capsys,
+                                    name, command):
+    """With every positioned read of one store file failing with EIO, a
+    command that reads the file exits 3 with one line, and one that does
+    not exits as it does without the fault."""
+    repo.commit(format_diff([DiffEntry("replace", 300, b"new", 3)]))
+    repo.close()
+    base, work = tmp_path / "base", tmp_path / "work"
+    os.rename(repo.path, base)
+    chf, prf, diff = (tmp_path / f for f in ("c.chal", "p.proof", "d.diff"))
+    diff.write_bytes(format_diff([DiffEntry("replace", 700, b"again", 5)]))
+    out = tmp_path / "out"
+    args = {"log": [], "fsck": [],
+            "checkout": ["--version", "0", "--out", str(out)],
+            "challenge": ["--seed", SEED_HEX, "--count", "8", "--versions",
+                          "0,1", "--out", str(out)],
+            "prove": ["--challenge", str(chf), "--out", str(out)],
+            "verify": ["--challenge", str(chf), "--proof", str(prf)],
+            "commit": ["--diff", str(diff)],
+            "tamper": ["--delete-fraction", "1", "--allow-data-loss"]}
+
+    def run(command):
+        shutil.rmtree(work, ignore_errors=True)
+        shutil.copytree(base, work)
+        with suppress(FileNotFoundError):
+            out.unlink()
+        code = cli.main(["--repo", str(work), command, *args[command]])
+        return code, *capsys.readouterr()
+
+    for step in ("challenge", "prove"):
+        assert run(step)[0] == cli.EXIT_OK
+        os.rename(out, chf if step == "challenge" else prf)
+    want = run(command)
+    assert want[0] == cli.EXIT_OK, want
+    failing, bad, reads = os.fspath(work / name), set(), []
+    real_open, real_pread, real_preadv = os.open, os.pread, os.preadv
+
+    def recording_open(path, *rest, **kwargs):
+        fd = real_open(path, *rest, **kwargs)
+        if os.fspath(path) == failing:
+            bad.add(fd)
+        return fd
+
+    def failing_read(real):
+        def read(fd, *rest):
+            if fd in bad:
+                reads.append(fd)
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return real(fd, *rest)
+        return read
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "open", recording_open)
+        patch.setattr(os, "pread", failing_read(real_pread))
+        patch.setattr(os, "preadv", failing_read(real_preadv))
+        got = run(command)
+    if reads:
+        code, _out, err = got
+        assert code == cli.EXIT_IO, got
+        assert err.startswith("error: ") and err.count("\n") == 1, got
+        assert os.strerror(errno.EIO) in err
+    else:
+        assert got == want
+
+
 def _assert_refused(path, capsys):
     """open raises StructureCorrupt, and the CLI says so in one line."""
     with pytest.raises(StructureCorrupt):
@@ -1643,6 +1713,27 @@ class TestTamper:
         ok, reason = repo.verify(ch, proof)
         assert not ok
 
+    def test_write_error_exits_3(self, repo, monkeypatch, capsys):
+        """A failed in-place write to the pack exits 3 with one line."""
+        repo.close()
+        real_open = open
+
+        class FullDisk(io.FileIO):
+            def write(self, _data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            if "+" in mode and str(file).endswith("pack"):
+                return FullDisk(file, mode)
+            return real_open(file, mode, *args, **kwargs)
+        monkeypatch.setattr(repo_mod, "open", failing_open, raising=False)
+        assert cli.main(["--repo", str(repo.path), "tamper",
+                         "--delete-fraction", "1", "--scope", "blocks",
+                         "--allow-data-loss"]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert os.strerror(errno.ENOSPC) in err
+
 
 class TestCliPipeline:
     def run(self, *args):
@@ -1691,6 +1782,45 @@ class TestCliPipeline:
         assert self.run("--repo", repo_path, "verify", "--challenge",
                         str(chf), "--proof", str(prf)) == 1
         assert "reject" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("diff", [
+        b"X 0 1\nz\n",                              # bad header
+        b"I 0 10\nshort\n",                         # truncated payload
+        b"I 9999 1\nz\n",                           # past the file's end
+        b"R 8 4 1\nz\nR 10 1 1\nz\n",               # overlapping
+    ], ids=["bad header", "truncated payload", "out of range", "overlapping"])
+    def test_bad_diff_exits_2(self, tmp_path, repo, capsys, diff):
+        """A malformed diff is a usage error, as an out-of-range or an
+        overlapping one is, and commits nothing."""
+        path = tmp_path / "bad.diff"
+        path.write_bytes(diff)
+        assert self.run("--repo", str(repo.path), "commit", "--diff",
+                        str(path)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        with Repository.open(repo.path) as again:
+            assert again.latest.version == 0
+
+    def test_malformed_challenge_exits_2_for_prove_1_for_verify(
+            self, tmp_path, repo, capsys):
+        """prove takes a malformed challenge as a usage error; verify
+        rejects it, as it rejects a malformed proof."""
+        chf, prf = tmp_path / "c.chal", tmp_path / "p.proof"
+        args = ["--repo", str(repo.path)]
+        assert self.run(*args, "challenge", "--count", "4", "--out",
+                        str(chf)) == 0
+        assert self.run(*args, "prove", "--challenge", str(chf), "--out",
+                        str(prf)) == 0
+        chf.write_bytes(chf.read_bytes()[:-1])
+        capsys.readouterr()
+        assert self.run(*args, "prove", "--challenge", str(chf), "--out",
+                        str(tmp_path / "p2")) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "p2").exists()
+        assert self.run(*args, "verify", "--challenge", str(chf), "--proof",
+                        str(prf)) == cli.EXIT_REJECT
+        assert capsys.readouterr().out.startswith("reject: malformed input")
 
     def test_checkout_determinism(self, tmp_path):
         src = tmp_path / "f.bin"
