@@ -223,8 +223,15 @@ def translate_diffs(diffs: list[DiffEntry], total: int, blocks_from,
     return ops
 
 
+def max_block(block_size: int) -> int:
+    """The longest block a store of `block_size` makes: a file is cut
+    into blocks of block_size, and an edit re-cuts any block it would
+    make longer than this."""
+    return 2 * block_size
+
+
 def _chunks(region: bytes, block_size: int) -> list[bytes]:
-    if len(region) <= 2 * block_size:
+    if len(region) <= max_block(block_size):
         return [region]
     return [region[i:i + block_size]
             for i in range(0, len(region), block_size)]

@@ -19,6 +19,17 @@ range proof (prove_range) has the same shape, the leaves of a byte range
 being the proven ones, and the same fold gives the client its partial
 list.
 
+Both sides draw the indices one at a time and stop once every leaf of
+the region is hit: the prover, when it has walked the region's leaves
+(at most r of them, and none where hitting them all is too unlikely);
+the verifier, once the proven leaves, each hit, lie back to back over
+the region, so that no later index can miss them. Stopping changes no
+proof and no verdict. Where r is larger, a region of k equal leaves
+thus costs k H_k draws on average, about k ln k, and a leaf holding a
+share p of the region about 1/p; memory is set by the leaves, not by
+r. An old version's update region of one block takes one draw of any
+challenge.
+
 File formats (all integers 8-byte big-endian, digests raw, no padding;
 parsers reject trailing bytes):
 
@@ -40,7 +51,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from . import index2, proofs
+from . import core, index2, proofs
 from .core import NodeStore
 from .errors import DomainError, EmptyRegion, FormatError, ProofRejected
 from .hashing import SEED_BYTES, HashScheme, challenge_indices
@@ -125,18 +136,82 @@ def challenge_region(store: NodeStore, vindex: VersionIndex, version: int,
 
 
 def prove(store: NodeStore, scheme: HashScheme, vindex: VersionIndex,
-          get_block, ch: Challenge) -> VersionProof:
-    """Assemble the proof of every distinct challenged version."""
+          get_block, ch: Challenge, max_leaf: int) -> VersionProof:
+    """Assemble the proof of every distinct challenged version. No leaf
+    of the store is longer than `max_leaf` bytes; a store that breaks
+    that costs more to prove, never another proof."""
     whole_file = not ch.versions
     layer2, records = vindex.version_proof(ch.versions
                                            or (vindex.count - 1,))
     parts = []
     for rec in records:
         region = challenge_region(store, vindex, rec.version, whole_file)
-        indices = sorted(set(expand_challenge(ch, region)))
-        parts.append(_prove_part(store, get_block, rec, indices,
-                                 [index + 1 for index in indices]))
+        los = _hit_leaves(store, rec.root, ch, region, max_leaf)
+        parts.append(_prove_part(store, get_block, rec, los,
+                                 [lo + 1 for lo in los]))
     return VersionProof(layer2, tuple(parts))
+
+
+def _hit_leaves(store: NodeStore, root: int, ch: Challenge,
+                region: tuple[int, int], max_leaf: int) -> list[int]:
+    """One byte of each leaf the challenge hits in `region`, ascending.
+    Where the region's leaves were walked, the draws stop once every
+    leaf is hit and the byte is the leaf's start; else every draw is
+    taken and the bytes are the distinct challenged indices. Either way
+    build_path proves the same leaves."""
+    draws = expand_challenge(ch, region)   # refuses an empty region first
+    starts = _leaf_starts(store, root, region, ch.count, max_leaf)
+    if starts is None:
+        return sorted(set(draws))
+    hit = set()
+    for index in draws:
+        hit.add(bisect_right(starts, index) - 1)
+        if len(hit) == len(starts):
+            break
+    return [starts[leaf] for leaf in sorted(hit)]
+
+
+# The walk of a region's leaves is skipped, or given up, once more than
+# this many of its leaves are expected to stay unhit: all of them are
+# then hit with probability under e^-14, about one in a million.
+_UNHIT_LIMIT = 14.0
+
+
+def _leaf_starts(store: NodeStore, root: int, region: tuple[int, int],
+                 count: int, max_leaf: int) -> list[int] | None:
+    """The byte offset of each leaf of `region`, left to right, or None
+    where `count` draws would almost surely not hit them all: the region
+    has more leaves than draws, or too many are expected to stay unhit.
+    None too where the region runs past the version's end, a damaged
+    record that fsck reports.
+
+    A leaf holding a share p of the region stays unhit by `count` draws
+    with probability (1 - p)^count. The events "leaf i is hit" are
+    negatively associated, so all leaves are hit with probability at
+    most the product of 1 - (1 - p)^count over any of them, which is at
+    most exp(-u), u the sum of (1 - p)^count over those. Before walking,
+    u is bounded below by n (1 - 1/n)^count, n = length / max_leaf
+    rounded up being the fewest leaves the region can hold; during the
+    walk, u is summed over the leaves walked."""
+    start, length = region
+    end = start + length
+    fewest = -(-length // max_leaf)
+    if (fewest > count or end > store.get(root).rank
+            or fewest * (1.0 - 1.0 / fewest) ** count > _UNHIT_LIMIT):
+        return None
+    offset, leaves = core.leaves_from(store, root, start)
+    starts = []
+    unhit = 0.0
+    for leaf in leaves:
+        if len(starts) == count or unhit > _UNHIT_LIMIT:
+            return None
+        share = (min(offset + leaf.length, end) - max(offset, start)) / length
+        unhit += (1.0 - share) ** count
+        starts.append(offset)
+        offset += leaf.length
+        if offset >= end:
+            break
+    return starts
 
 
 def prove_range(store: NodeStore, vindex: VersionIndex, get_block,
@@ -214,17 +289,33 @@ def _verify(scheme, meta, ch, proof):
     for part, sub in zip(proof.parts, subs):
         region = ((0, sub.rank[sub.root]) if whole_file
                   else (part.update_start, part.update_length))
-        starts = sub.starts
+        starts, blocks = sub.starts, part.blocks
         hit = [False] * len(starts)
+        unhit = len(starts)
         for index in expand_challenge(ch, region):
             leaf = bisect_right(starts, index) - 1
-            if leaf < 0 or index >= starts[leaf] + len(part.blocks[leaf]):
+            if leaf < 0 or index >= starts[leaf] + len(blocks[leaf]):
                 return False, (f"challenged index {index} lies in no "
                                "proven leaf")
-            hit[leaf] = True
-        if not all(hit):
+            if not hit[leaf]:
+                hit[leaf] = True
+                unhit -= 1
+                if not unhit and _covers(starts, blocks, region):
+                    break   # every later index lands in a proven leaf
+        if unhit:
             return False, "proof carries a leaf no challenged index hits"
     return True, "ok"
+
+
+def _covers(starts: list[int], blocks, region: tuple[int, int]) -> bool:
+    """Whether the proven leaves lie back to back from at or before the
+    region's start to at or past its end."""
+    start, length = region
+    last = len(starts) - 1
+    return (starts[0] <= start
+            and starts[last] + len(blocks[last]) >= start + length
+            and all(starts[i] + len(blocks[i]) == starts[i + 1]
+                    for i in range(last)))
 
 
 # ---------------------------------------------------------------------------

@@ -881,7 +881,8 @@ class Repository:
 
     def prove(self, ch: audit.Challenge) -> audit.VersionProof:
         return audit.prove(self.store, self.scheme, self.vindex,
-                           self.blocks.get, ch)
+                           self.blocks.get, ch,
+                           adaptor.max_block(self.block_size))
 
     def verify(self, ch: audit.Challenge,
                proof: audit.VersionProof) -> tuple[bool, str]:
@@ -1027,7 +1028,10 @@ class Repository:
         else:
             raise EmptyRegion(f"unknown tamper scope {scope!r}")
         targets = sorted(set(targets))
-        count = round(fraction * len(targets))
+        # Half rounds up, and a fraction above 0 corrupts at least one.
+        count = int(fraction * len(targets) + 0.5)
+        if fraction and targets:
+            count = max(count, 1)
         rng = random.Random(rng_seed)
         chosen = rng.sample(targets, count) if count else []
         with self.write_lock():

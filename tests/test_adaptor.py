@@ -363,12 +363,12 @@ class TestPartial:
         fx = ServerFixture(bytes(range(64)))
         fx.commit_ops([BlockOp("modify", 8, b"REWRITE!")])
         proof = audit.prove(fx.store, SCHEME, fx.vindex, fx.blocks.get,
-                            audit.Challenge(bytes(10), 2, (0, 1)))
+                            audit.Challenge(bytes(10), 2, (0, 1)), fx.BS)
         meta = fx.vindex.meta_digest
         with pytest.raises(ProofRejected):
             partial_from_proof(SCHEME, proof, meta)
         latest = audit.prove(fx.store, SCHEME, fx.vindex, fx.blocks.get,
-                             audit.Challenge(bytes(10), 2, (1,)))
+                             audit.Challenge(bytes(10), 2, (1,)), fx.BS)
         partial = partial_from_proof(SCHEME, latest, meta)
         assert partial.root_digest == fx.vindex.record(1).root_digest
 

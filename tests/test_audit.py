@@ -2,7 +2,9 @@ import hashlib
 import random
 import struct
 import tracemalloc
+from bisect import bisect_right
 from dataclasses import replace
+from itertools import accumulate
 
 import pytest
 
@@ -31,6 +33,7 @@ class Fixture:
         rng = random.Random(rng_seed)
         self.store = NodeStore()
         self.blocks = {}
+        self.block_len = block_len
         data = [self._block(rng, block_len) for _ in range(block_count)]
         root = build(self.store, SCHEME, data, version_levels(SEED, 0))
         self.vindex = VersionIndex(self.store, SCHEME, SEED)
@@ -59,7 +62,7 @@ class Fixture:
 
     def prove(self, ch):
         return audit.prove(self.store, SCHEME, self.vindex, self.get_block,
-                           ch)
+                           ch, self.block_len)
 
 
 class TestExpand:
@@ -151,7 +154,7 @@ class TestProveVerify:
         1 KiB blocks peaks far below the 2^14 indices' own size."""
         store, blocks, vindex = _flat_store(16, 1024, random.Random(5))
         ch = Challenge(CH_SEED, 1 << 14)
-        proof = audit.prove(store, SCHEME, vindex, blocks.get, ch)
+        proof = audit.prove(store, SCHEME, vindex, blocks.get, ch, 1024)
         tracemalloc.start()
         try:
             ok, reason = verify(SCHEME, vindex.meta_digest, ch, proof)
@@ -265,6 +268,208 @@ class TestProveVerify:
         proof = fx.prove(Challenge(CH_SEED, 4))
         ok, _ = verify(SCHEME, fx.meta, Challenge(CH_SEED, 5), proof)
         assert not ok
+
+
+def _reference_prove(store, vindex, get_block, ch):
+    """audit.prove taking every draw: the distinct challenged indices,
+    each its own span."""
+    layer2, records = vindex.version_proof(ch.versions
+                                           or (vindex.count - 1,))
+    parts = []
+    for rec in records:
+        region = audit.challenge_region(store, vindex, rec.version,
+                                        not ch.versions)
+        indices = sorted(set(expand_challenge(ch, region)))
+        parts.append(audit._prove_part(store, get_block, rec, indices,
+                                       [index + 1 for index in indices]))
+    return audit.VersionProof(layer2, tuple(parts))
+
+
+def _reference_verify(meta, ch, proof):
+    """audit.verify taking every draw, with its reasons in its order."""
+    try:
+        count, subs = audit.check_proof(SCHEME, meta, proof)
+        whole_file = not ch.versions
+        versions = [part.version for part in proof.parts]
+        if whole_file and versions != [count - 1]:
+            return False, ("whole-file challenge must target the latest "
+                           "version")
+        if not whole_file and versions != sorted(set(ch.versions)):
+            return False, ("proof parts are not the challenged versions, "
+                           "each once, ascending")
+        for part, sub in zip(proof.parts, subs):
+            region = ((0, sub.rank[sub.root]) if whole_file
+                      else (part.update_start, part.update_length))
+            hit = [False] * len(sub.starts)
+            for index in expand_challenge(ch, region):
+                leaf = bisect_right(sub.starts, index) - 1
+                if (leaf < 0 or index >= sub.starts[leaf]
+                        + len(part.blocks[leaf])):
+                    return False, (f"challenged index {index} lies in no "
+                                   "proven leaf")
+                hit[leaf] = True
+            if not all(hit):
+                return False, ("proof carries a leaf no challenged index "
+                               "hits")
+        return True, "ok"
+    except ProofRejected as exc:
+        return False, str(exc)
+    except (FormatError, DomainError) as exc:
+        return False, f"malformed proof: {exc}"
+    except EmptyRegion:
+        return False, "challenged version has an empty region"
+
+
+def _region_store(rng, block_count, region_leaves, versions):
+    """One tree over `block_count` random blocks of 1 to 24 bytes, and a
+    version index whose `versions` versions all have it as their root,
+    each with an update region that starts inside one leaf and ends
+    inside the leaf `region_leaves` - 1 further on."""
+    store = NodeStore()
+    pieces = [rng.randbytes(rng.randint(1, 24)) for _ in range(block_count)]
+    blocks = {SCHEME.block_digest(piece): piece for piece in pieces}
+    root = build(store, SCHEME, pieces, version_levels(SEED, 0))
+    offsets = list(accumulate(map(len, pieces), initial=0))
+    vindex = VersionIndex(store, SCHEME, SEED)
+    for version in range(versions):
+        first = rng.randrange(block_count - region_leaves + 1)
+        last = first + region_leaves - 1
+        start = rng.randrange(offsets[first], offsets[first + 1])
+        end = rng.randrange(max(start, offsets[last]), offsets[last + 1]) + 1
+        vindex.append_version(VersionRecord(
+            version, root, store.get(root).digest, start, end - start))
+    return store, blocks, vindex
+
+
+@pytest.fixture
+def count_draws(monkeypatch):
+    """Wrap audit.expand_challenge; the list holds every index drawn."""
+    draws = []
+    real = audit.expand_challenge
+
+    def counting(ch, region):
+        for index in real(ch, region):
+            draws.append(index)
+            yield index
+    monkeypatch.setattr(audit, "expand_challenge", counting)
+    return draws
+
+
+class TestEarlyStop:
+    """prove and verify stop drawing once every leaf of the region is
+    hit; their proofs and verdicts are those of taking every draw."""
+
+    @pytest.mark.parametrize("count", [1, 2, 460, 1 << 12])
+    def test_same_proofs_and_verdicts_as_every_draw(self, count,
+                                                    monkeypatch):
+        rng = random.Random(count)
+        for leaves in (1, 3, count, count + 7):
+            stores = (
+                # whole file: the region is every leaf
+                (_region_store(rng, leaves, leaves, 1), ()),
+                # update regions inside a longer file
+                (_region_store(rng, leaves + 6, leaves, 3), (1,)),
+                (_region_store(rng, leaves + 6, leaves, 3), (0, 2)))
+            for (store, blocks, vindex), versions in stores:
+                ch = Challenge(rng.randbytes(10), count, versions)
+                want = write_proof(_reference_prove(store, vindex,
+                                                    blocks.get, ch), SCHEME)
+                # The leaf bound and the walk's limit set only what
+                # proving costs: no leaf is longer than 24 bytes, but the
+                # prover may be told 1 or 2^40.
+                for max_leaf, limit in ((24, audit._UNHIT_LIMIT),
+                                        (1, audit._UNHIT_LIMIT),
+                                        (1 << 40, 0.0),
+                                        (1 << 40, float("inf"))):
+                    monkeypatch.setattr(audit, "_UNHIT_LIMIT", limit)
+                    proof = audit.prove(store, SCHEME, vindex, blocks.get,
+                                        ch, max_leaf)
+                    assert write_proof(proof, SCHEME) == want, (
+                        leaves, versions, max_leaf, limit)
+                monkeypatch.undo()
+                meta = vindex.meta_digest
+                assert (verify(SCHEME, meta, ch, proof)
+                        == _reference_verify(meta, ch, proof)
+                        == (True, "ok"))
+
+    def test_same_verdicts_on_every_bit_flip(self, count_draws):
+        for fixture, ch in (
+                (Fixture(block_count=4, commits=1),
+                 Challenge(CH_SEED, 460, (1,))),        # one leaf
+                (Fixture(block_count=3, commits=0),
+                 Challenge(CH_SEED, 64))):              # three leaves
+            data = write_proof(fixture.prove(ch), SCHEME)
+            count_draws.clear()
+            assert verify(SCHEME, fixture.meta, ch,
+                          read_proof(data, SCHEME)) == (True, "ok")
+            assert len(count_draws) < ch.count    # it did stop early
+            verdicts = set()
+            for bit in range(8 * len(data)):
+                flipped = bytearray(data)
+                flipped[bit // 8] ^= 1 << bit % 8
+                try:
+                    proof = read_proof(bytes(flipped), SCHEME)
+                except FormatError:
+                    continue
+                verdict = verify(SCHEME, fixture.meta, ch, proof)
+                assert verdict == _reference_verify(fixture.meta, ch,
+                                                    proof), bit
+                assert not verdict[0], bit
+                verdicts.add(verdict[1])
+            assert len(verdicts) > 1
+
+    def test_hit_leaves_with_a_gap_still_rejected(self):
+        """Every proven leaf is hit, but they leave a leaf of the region
+        out: the draws go on, and one lands in the gap."""
+        rng = random.Random(3)
+        store, blocks, vindex = _region_store(rng, 9, 3, 1)
+        rec = vindex.record(0)
+        ch = Challenge(CH_SEED, 460, (0,))
+        honest = audit.prove(store, SCHEME, vindex, blocks.get, ch, 24)
+        _count, (sub,) = audit.check_proof(SCHEME, vindex.meta_digest,
+                                           honest)
+        assert len(sub.starts) == 3
+        for dropped in range(3):
+            los = [start for i, start in enumerate(sub.starts)
+                   if i != dropped]
+            part = audit._prove_part(store, blocks.get, rec, los,
+                                     [lo + 1 for lo in los])
+            proof = replace(honest, parts=(part,))
+            verdict = verify(SCHEME, vindex.meta_digest, ch, proof)
+            assert verdict == _reference_verify(vindex.meta_digest, ch,
+                                                proof)
+            assert not verdict[0] and "lies in no proven leaf" in verdict[1]
+
+    def test_one_leaf_region_takes_one_draw(self, count_draws):
+        """The largest challenge of a version whose update region lies
+        inside one block: prove and verify each draw once."""
+        fx = Fixture()
+        ch = Challenge(CH_SEED, 1 << 24, (1,))
+        proof = fx.prove(ch)
+        assert len(count_draws) == 1
+        count_draws.clear()
+        assert verify(SCHEME, fx.meta, ch, proof) == (True, "ok")
+        assert len(count_draws) == 1
+
+    def test_prove_memory_set_by_leaves(self):
+        """A whole-file prove of 2^16 draws over 1,024 leaves holds the
+        leaves, not the draws: it peaks near what verify does."""
+        store, blocks, vindex = _flat_store(1024, 1024, random.Random(6))
+        ch = Challenge(CH_SEED, 1 << 16)
+        peaks = []
+        for run in (lambda: audit.prove(store, SCHEME, vindex, blocks.get,
+                                        ch, 1024),
+                    lambda: verify(SCHEME, vindex.meta_digest, ch, proof)):
+            tracemalloc.start()
+            try:
+                result = run()
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+            proof = result
+        assert result == (True, "ok")
+        assert peaks[0] < 2 * peaks[1], peaks
 
 
 class TestWireFormats:
@@ -470,7 +675,7 @@ class TestPrunedSubtree:
         assert partial.root_digest == vindex.record(0).root_digest
         ch = Challenge(CH_SEED, 3)
         ok, reason = verify(SCHEME, meta, ch, read_proof(write_proof(
-            audit.prove(store, SCHEME, vindex, blocks.get, ch), SCHEME),
+            audit.prove(store, SCHEME, vindex, blocks.get, ch, 1), SCHEME),
             SCHEME))
         assert ok, reason
 

@@ -1703,6 +1703,24 @@ class TestTamper:
             counts.append(report["targets"])
         assert counts[0] == 16 and min(counts[1:-1]) > 0 and counts[-1] == 0
 
+    @pytest.mark.parametrize("fraction, targets, corrupted", [
+        (0.5, 1, 1), (0.10, 100, 10), (0.5, 3, 2), (0.25, 2, 1),
+        (0.001, 5, 1), (0.0, 5, 0), (1.0, 0, 0), (1.0, 7, 7)])
+    def test_count_rounds_half_up(self, repo, monkeypatch, fraction, targets,
+                                  corrupted):
+        """Half a block rounds up, and a fraction above 0 corrupts at
+        least one of the targets there are."""
+        digests = [bytes([i]) * 20 for i in range(targets)]
+        overwritten = []
+        monkeypatch.setattr(repo.blocks, "all_digests", lambda: digests)
+        monkeypatch.setattr(repo.blocks, "get", lambda digest: b"block")
+        monkeypatch.setattr(repo.blocks, "overwrite",
+                            lambda digest, data: overwritten.append(digest))
+        report = repo.tamper(fraction, scope="blocks")
+        assert report == {"scope": "blocks", "targets": targets,
+                          "corrupted": corrupted}
+        assert len(set(overwritten)) == corrupted
+
     def test_corruption_detected_by_audit(self, repo):
         repo.commit(format_diff(
             [DiffEntry("replace", 0, os.urandom(2048), 2048)]))
