@@ -24,7 +24,9 @@ the region is hit: the prover, when it has walked the region's leaves
 (at most r of them, and none where hitting them all is too unlikely);
 the verifier, once the proven leaves, each hit, lie back to back over
 the region, so that no later index can miss them. Stopping changes no
-proof and no verdict. Where r is larger, a region of k equal leaves
+proof and no verdict. A proof with a proven leaf that does not meet
+the region, which no index can hit, the verifier refuses before it
+draws. Where r is larger, a region of k equal leaves
 thus costs k H_k draws on average, about k ln k, and a leaf holding a
 share p of the region about 1/p; memory is set by the leaves, not by
 r. An old version's update region of one block takes one draw of any
@@ -290,9 +292,16 @@ def _verify(scheme, meta, ch, proof):
         region = ((0, sub.rank[sub.root]) if whole_file
                   else (part.update_start, part.update_length))
         starts, blocks = sub.starts, part.blocks
+        draws = expand_challenge(ch, region)   # refuses an empty region first
+        # The leaves lie in order, so only the first can end before the
+        # region and only the last start past it: such a leaf no index
+        # can hit, whatever the count.
+        if starts and (starts[0] + len(blocks[0]) <= region[0]
+                       or starts[-1] >= region[0] + region[1]):
+            return False, "proof carries a leaf no challenged index can hit"
         hit = [False] * len(starts)
         unhit = len(starts)
-        for index in expand_challenge(ch, region):
+        for index in draws:
             leaf = bisect_right(starts, index) - 1
             if leaf < 0 or index >= starts[leaf] + len(blocks[leaf]):
                 return False, (f"challenged index {index} lies in no "

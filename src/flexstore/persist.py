@@ -252,20 +252,9 @@ def pinsert(store: NodeStore, scheme: HashScheme, old_root: int, index: int,
     index = rank appends; an index inside a block inserts before that
     block. The tower level is the next one of `levels`.
     """
-    return insert_block(store, scheme, old_root, index, len(data),
-                        scheme.block_digest(data), next(levels))
-
-
-def insert_block(store: NodeStore, scheme: HashScheme, old_root: int,
-                 index: int, length: int, block_digest: bytes,
-                 level: int) -> CommitResult:
-    """Insert a block known only by (length, digest) at the given level.
-
-    The layer-2 index uses this directly: its leaves authenticate version
-    records rather than stored data blocks.
-    """
     eng = EditEngine(store, scheme, old_root)
-    eng.splice(index, [(INSERT, length, block_digest, level)])
+    eng.splice(index, [(INSERT, len(data), scheme.block_digest(data),
+                        next(levels))])
     return eng.finish()
 
 

@@ -1,6 +1,6 @@
 """Durable repository: block store, node store and commit log.
 
-On-disk layout under the repository root (store format 8):
+On-disk layout under the repository root (store format 9):
 
     config.json    store format, hash function, block size, seed
     versions.log   one fixed-width commit record per version, in order
@@ -15,7 +15,10 @@ root || root digest || update start || update length || nodes || blocks,
 each a u64 but the digest (60 bytes with SHA-1).
 Record k of `nodes/log` is node k: kind u8 || level u8 || rank || below
 || after (u64 each, 2^64 - 1 for no link) || length u32 || block digest
-(zeros for an internal node) || node digest (70 bytes with SHA-1).
+(zeros for an internal node) || node digest (70 bytes with SHA-1). A
+record of kind core.KIND_EDGE is a layer-2 edge record (see index2): a
+tower's level and version (as its rank), its frozen part as `after`,
+the record of the edge entry below as `below`.
 
 Blocks are content-addressed, so identical content across versions (or
 within one file) is stored once. Records and blocks are write-once;
@@ -25,16 +28,20 @@ The four store files are record files (_RecordFile), the pack one of
 one-byte records, and share one write policy: what a commit appends to
 a file is buffered, written whenever the buffer reaches _COPY_LIMIT
 bytes, and the rest written at the end in the order pack, index, node
-log, commit record. The commit record is the commit point: besides the
-version record it holds `nodes` and `blocks`, the node and index records
-the version counts. The layer-2 root is not stored: a commit finalizes it
-last, so it is node `nodes` - 1. No stream position is stored either:
-the seed and the version number fix every tower level. `open`
+log, commit record. A commit's node records are its layer-1 nodes, then
+the layer-2 append's: the nodes it writes once and for all, then one or
+two edge records, the last of which, node `nodes` - 1, is the commit's
+edge head. The commit record is the commit point: besides the version
+record it holds `nodes` and `blocks`, the node and index records the
+version counts. Neither the layer-2 root nor the meta digest is stored:
+the edge head derives them, on first use. No stream position is stored
+either: the seed and the version number fix every tower level. `open`
 reads `config.json`, the last complete commit record and the last index
-record it counts, and checks the node log's and the pack's sizes: its
-cost does not grow with history. What a crashed writer left past those
-ends is ignored, and the next writer truncates it. Nothing is fsynced,
-so this holds for a process that dies, not for power loss.
+record it counts, and checks the node log's and the pack's sizes; it
+reads no edge record, and its cost does not grow with history. What a
+crashed writer left past those ends is ignored, and the next writer
+truncates it. Nothing is fsynced, so this holds for a process that
+dies, not for power loss.
 
 Every other record is decoded, strictly, when it is first read: a commit
 record when its version is asked for, a node record on the first `get`
@@ -69,11 +76,11 @@ from .errors import (BlockTooSmall, DomainError, EmptyCommit, EmptyRegion,
                      IOFailure, PathExists, RepositoryLocked,
                      StructureCorrupt)
 from .hashing import SEED_BYTES, HashScheme, layer2_levels, version_levels
-from .index2 import VersionIndex, VersionRecord
+from .index2 import VersionIndex, VersionRecord, edge_problems
 
 # Version of the on-disk layout, kept in config.json; open refuses any
 # other.
-STORE_FORMAT = 8
+STORE_FORMAT = 9
 _LENGTH_MASK = 0xFFFFFFFF
 # Bytes per read into memory of a run of records or blocks, so memory
 # stays flat whatever the file size.
@@ -276,7 +283,7 @@ class DurableNodeStore(NodeStore):
         except KeyError:
             pass
         if not 0 <= node_id < self._file.committed:
-            raise StructureCorrupt(f"node {node_id} missing from store")
+            return self._derived(node_id)
         ids = self._file.run(node_id)
         raw = self._runs.get(ids.start)
         if raw is None:
@@ -295,18 +302,21 @@ class DurableNodeStore(NodeStore):
         return node
 
     def check(self, scheme: HashScheme, block_lengths: dict) -> tuple:
-        """(problems, ranks, digests, flags) of core.check_nodes over every
-        committed record, a run at a time; a record not read stays BAD, and
-        a read that comes up short ends the pass with one more problem."""
+        """(problems, ranks, digests, flags, edges) of core.check_nodes
+        over every committed record, a run at a time; a record not read
+        stays BAD, and a read that comes up short ends the pass with one
+        more problem."""
         n, problems = self._file.committed, []
         ranks, digests, flags = [0] * n, [scheme.zero] * n, [BAD] * n
+        edges = {}
         try:
             for problem in core.check_nodes(scheme, self._file.scan(), ranks,
-                                            digests, flags, block_lengths):
+                                            digests, flags, block_lengths,
+                                            edges):
                 problems.append(problem)
         except StructureCorrupt as exc:
             problems.append(str(exc))
-        return problems, ranks, digests, flags
+        return problems, ranks, digests, flags, edges
 
     def _encode(self, node: Node) -> bytes:
         return self.layout.pack(*core.record_fields(node, self._zero))
@@ -341,7 +351,7 @@ class Commit(NamedTuple):
 
     record: VersionRecord
     nodes: int           # node records the store holds; the last is the
-                         # layer-2 root
+                         # edge head
     blocks: int          # block index records the store holds
 
 
@@ -352,7 +362,7 @@ class CommitLog:
     Only complete records count, and only `len(self)` of them: the
     constructor takes as many as the file holds and reads the last. A
     record is decoded strictly when it is read: its root must lie below
-    its layer-2 root, node `nodes` - 1, and its counts must not pass the
+    its edge head, node `nodes` - 1, and its counts must not pass the
     last record's. As a sequence of version records it is the source a
     VersionIndex reads.
     """
@@ -395,7 +405,7 @@ class CommitLog:
         if root >= nodes - 1:
             raise StructureCorrupt(f"versions.log: version {version} names "
                                    f"a root past node {nodes - 2}, the last "
-                                   "before its layer-2 root")
+                                   "before its edge head")
         last = self.last
         if last is not None and (nodes > last.nodes or blocks > last.blocks):
             raise StructureCorrupt(f"versions.log: version {version} counts "
@@ -713,7 +723,7 @@ class Repository:
             opened.callback(store.close)
             blocks = BlockStore(path / "blocks", scheme, last.blocks)
             opened.pop_all()
-        vindex = VersionIndex(store, scheme, seed, root=last.nodes - 1,
+        vindex = VersionIndex(store, scheme, seed, head=last.nodes - 1,
                               records=log)
         return cls(path, config, store, blocks, log, vindex)
 
@@ -858,7 +868,8 @@ class Repository:
         # A new index, so this object keeps the old one until the commit
         # point has passed.
         vindex = VersionIndex(self.store, self.scheme, self.seed,
-                              root=self.vindex.root, records=self.log)
+                              head=self.vindex.head, records=self.log,
+                              edge=self.vindex.edge)
         vindex.append_version(
             VersionRecord(version, root, node.digest, start, length))
         self._append_commit(vindex)
@@ -911,7 +922,8 @@ class Repository:
                                     "not match its address")
         except StructureCorrupt as exc:
             problems.append(str(exc))
-        found, ranks, digests, flags = self.store.check(self.scheme, lengths)
+        found, ranks, digests, flags, edges = self.store.check(self.scheme,
+                                                               lengths)
         problems += found
         try:
             commits = list(self.log.scan())
@@ -928,43 +940,53 @@ class Repository:
                 problems.append(str(commit))
         decoded = [c for c in commits if isinstance(c, Commit)]
         # One line names every version whose layer-1 root reaches BAD,
-        # and one every version whose layer-2 root does.
+        # and one every version whose edge head does.
         for what, root in (("reach", lambda c: c.record.root),
-                           ("layer-2 roots reach", lambda c: c.nodes - 1)):
+                           ("edge heads reach", lambda c: c.nodes - 1)):
             bad = [c.record.version for c in decoded if flags[root(c)] & BAD]
             if bad:
                 problems.append(f"versions {_ranges(bad)}: {what} a bad "
                                 "node record")
         records = [c.record for c in decoded]
-        # Not from layer-2 roots: their leaves' blocks are record digests.
+        # Not from edge heads: layer-2 leaves' blocks are record digests.
         problems += self._fsck_blocks([rec.root for rec in records], flags,
                                       lengths)
         if len(records) == len(commits):
-            problems += self._fsck_layer2(records, digests[self.vindex.root])
+            levels = list(islice(layer2_levels(self.seed, 0), len(records)))
+            leaves = [self.scheme.version_record(
+                rec.version, rec.root_digest, rec.update_start,
+                rec.update_length) for rec in records]
+            problems += edge_problems(edges, ranks, flags, levels, leaves,
+                                      [c.nodes - 1 for c in decoded])
+            try:
+                meta = self.vindex.meta_digest
+            except StructureCorrupt as exc:
+                problems.append(f"edge: {exc}")
+            else:
+                problems += self._fsck_layer2(levels, leaves, meta)
         return problems
 
-    def _fsck_layer2(self, records: list[VersionRecord],
-                     digest: bytes) -> list[str]:
-        """Rebuild the layer-2 list from the version records in one pass:
-        its shape is canonical, so it must have the stored root's digest."""
-        levels = list(islice(layer2_levels(self.seed, 0), len(records)))
-        leaves = [(1, self.scheme.version_record(
-            rec.version, rec.root_digest, rec.update_start,
-            rec.update_length)) for rec in records]
+    def _fsck_layer2(self, levels: list[int], leaves: list[bytes],
+                     meta: bytes) -> list[str]:
+        """Rebuild the layer-2 list from the version records' leaf digests
+        and levels in one pass: its shape is canonical, so it must have the
+        meta digest that the latest edge head derives."""
         replay = NodeStore()
-        root = core.build_with_levels(replay, self.scheme, leaves, levels)
-        if replay.get(root).digest != digest:
-            return ["layer-2 root does not match a replay of the version log"]
+        root = core.build_with_levels(replay, self.scheme,
+                                      [(1, leaf) for leaf in leaves], levels)
+        if replay.get(root).digest != meta:
+            return ["edge head's meta digest does not match a replay of the "
+                    "version log"]
         return []
 
     def _fsck_commit(self, version: int, commit: Commit,
                      before: Commit | None, ranks: list,
                      digests: list) -> list[str]:
         """Check a commit record against the one before it (the store only
-        grows) and against the node pass at its roots, its layer-2 root
-        being its last node record. (Roots that reach a bad record are
-        reported for all versions at once.)"""
-        rec, layer2 = commit.record, commit.nodes - 1
+        grows) and against the node pass at its root. (Roots that reach a
+        bad record are reported for all versions at once, and edge heads
+        checked with every edge record.)"""
+        rec = commit.record
         rank = ranks[rec.root]
         problems = []
         if before is not None and (commit.nodes < before.nodes
@@ -975,9 +997,6 @@ class Repository:
             problems.append("logged root digest disagrees with the node store")
         if not (rec.update_start + rec.update_length <= rank or rank == 0):
             problems.append("update region exceeds rank")
-        if ranks[layer2] != version + 1:
-            problems.append(f"layer-2 root holds {ranks[layer2]} versions, "
-                            f"not {version + 1}")
         return [f"version {version}: {problem}" for problem in problems]
 
     def _fsck_blocks(self, roots: list[int], flags: list,

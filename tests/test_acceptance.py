@@ -18,8 +18,9 @@ from flexstore.adaptor import (BlockOp, DiffEntry, apply_ops_partial,
                                diff_to_ops, format_diff, partial_from_proof)
 from flexstore.audit import (Challenge, detection_probability, read_proof,
                              verify, write_proof)
-from flexstore.core import (NodeStore, block_layout, build_with_levels,
-                            check_subtree, search, split_blocks)
+from flexstore.core import (KIND_EDGE, NodeStore, block_layout,
+                            build_with_levels, check_subtree, search,
+                            split_blocks)
 from flexstore.errors import FlexStoreError, FormatError, ProofRejected
 from flexstore.hashing import HashScheme, version_levels
 from flexstore.index2 import VersionIndex, VersionRecord
@@ -433,9 +434,10 @@ def test_criterion_8_commit_log_bit_flips(tmp_path, capsys):
 
 
 class _FlippedStore:
-    """A three-block store after one commit, so that it holds a
-    superseded layer-2 copy (20 node records), for sweeps of single-bit
-    flips of one of its files at a time."""
+    """A three-block store after one commit, so that it holds the edge
+    records of both versions, version 0's head superseded (18 node
+    records, 4 of them edge records), for sweeps of single-bit flips of
+    one of its files at a time."""
 
     FILES = ("versions.log", "nodes/log", "blocks/pack", "blocks/index")
 
@@ -453,6 +455,9 @@ class _FlippedStore:
                 bytes.fromhex("c0c1c2c3c4c5c6c7c8c9"), 4, (0, 1))
             self.meta, self.scheme = repo.meta_digest, repo.scheme
             self.record_size = repo.store.layout.size
+            edges = [node_id for node_id in range(repo.store.next_id)
+                     if repo.store.get(node_id).kind == KIND_EDGE]
+            assert len(edges) == 4 and repo.log.commit(0).nodes - 1 in edges
         self.pristine = {name: (self.path / name).read_bytes()
                          for name in self.FILES}
         self.want = self.shown()

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import struct
+import time
 import tracemalloc
 from bisect import bisect_right
 from dataclasses import replace
@@ -300,8 +301,14 @@ def _reference_verify(meta, ch, proof):
         for part, sub in zip(proof.parts, subs):
             region = ((0, sub.rank[sub.root]) if whole_file
                       else (part.update_start, part.update_length))
+            draws = expand_challenge(ch, region)
+            if any(start + len(block) <= region[0]
+                   or start >= region[0] + region[1]
+                   for start, block in zip(sub.starts, part.blocks)):
+                return False, ("proof carries a leaf no challenged index "
+                               "can hit")
             hit = [False] * len(sub.starts)
-            for index in expand_challenge(ch, region):
+            for index in draws:
                 leaf = bisect_right(sub.starts, index) - 1
                 if (leaf < 0 or index >= sub.starts[leaf]
                         + len(part.blocks[leaf])):
@@ -439,6 +446,43 @@ class TestEarlyStop:
             assert verdict == _reference_verify(vindex.meta_digest, ch,
                                                 proof)
             assert not verdict[0] and "lies in no proven leaf" in verdict[1]
+
+    @pytest.mark.parametrize("side", ["before", "past"])
+    def test_leaf_outside_the_region_refused_before_drawing(
+            self, count_draws, side):
+        """An honest proof of a 3-leaf update region with one more proven
+        leaf that does not meet the region, before its start or past its
+        end: at the 2^24-draw cap it is refused at once, with no index
+        drawn."""
+        rng = random.Random(11)
+        store, blocks, vindex = _region_store(rng, 12, 3, 1)
+        rec = vindex.record(0)
+        ch = Challenge(CH_SEED, 1 << 24, (0,))
+        honest = audit.prove(store, SCHEME, vindex, blocks.get, ch, 24)
+        _count, (sub,) = audit.check_proof(SCHEME, vindex.meta_digest,
+                                           honest)
+        assert len(sub.starts) == 3
+        end = rec.update_start + rec.update_length
+        leaves = core.leaves_from(store, rec.root, 0)[1]
+        starts = list(accumulate((leaf.length for leaf in leaves),
+                                 initial=0))[:-1]
+        if side == "before":
+            outside = [s for s in starts if s < sub.starts[0]][-1:]
+        else:
+            outside = [s for s in starts if s >= end][:1]
+        assert outside, side
+        los = sorted(sub.starts + outside)
+        part = audit._prove_part(store, blocks.get, rec, los,
+                                 [lo + 1 for lo in los])
+        proof = replace(honest, parts=(part,))
+        count_draws.clear()
+        began = time.perf_counter()
+        verdict = verify(SCHEME, vindex.meta_digest, ch, proof)
+        assert time.perf_counter() - began < 1.0
+        assert verdict == (False, "proof carries a leaf no challenged index "
+                                  "can hit")
+        assert verdict == _reference_verify(vindex.meta_digest, ch, proof)
+        assert count_draws == []
 
     def test_one_leaf_region_takes_one_draw(self, count_draws):
         """The largest challenge of a version whose update region lies

@@ -9,7 +9,7 @@ from flexstore.core import (KIND_INTERNAL, Node, NodeStore,
 from flexstore.errors import (BlockTooSmall, IndexOutOfRange,
                               NotBlockAligned, StructureCorrupt)
 from flexstore.hashing import HashScheme, version_levels
-from flexstore.persist import insert_block, pinsert, pmodify, premove
+from flexstore.persist import pinsert, pmodify, premove
 
 SCHEME = HashScheme()
 SEED = bytes.fromhex("0102030405060708090a")
@@ -213,11 +213,9 @@ class TestInsert:
             start = sum(len(b) for b, _ in seq[:pos])
             mid = start + rng.randrange(1, len(seq[pos][0]))
             level = rng.choice([0, 0, 1, 2, 4])
-            digest = SCHEME.block_digest(b"new")
-            at_start = insert_block(store, SCHEME, root, start, 3, digest,
-                                    level)
-            at_mid = insert_block(store, SCHEME, root, mid, 3, digest,
-                                  level)
+            at_start = pinsert(store, SCHEME, root, start, b"new",
+                               iter([level]))
+            at_mid = pinsert(store, SCHEME, root, mid, b"new", iter([level]))
             assert (store.get(at_mid.new_root).digest
                     == store.get(at_start.new_root).digest), trial
             assert at_mid.created_nodes == at_start.created_nodes, trial

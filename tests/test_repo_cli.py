@@ -15,13 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from flexstore import adaptor, cli, core, hashing, persist
+from flexstore import adaptor, cli, core, hashing
 from flexstore import repo as repo_mod
 from flexstore.adaptor import DiffEntry, format_diff
 from flexstore.errors import (BlockTooSmall, DomainError, EmptyCommit,
                               IOFailure, NoSuchVersion, PathExists,
                               ProofRejected, RepositoryLocked,
                               StructureCorrupt)
+from flexstore.index2 import VersionIndex
 from flexstore.repo import STORE_FORMAT, Repository
 
 SEED_HEX = "00112233445566778899"
@@ -141,7 +142,7 @@ class TestInit:
         finally:
             again.close()
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7, 8])
     def test_other_store_format_refused(self, repo, capsys, fmt):
         repo.close()
         config_path = repo.path / "config.json"
@@ -297,9 +298,37 @@ class TestCommit:
             DiffEntry("insert", 2500, b"b" * 900),
             DiffEntry("replace", 3900, b"c", 5)]))
         assert summary["ops"] > 4
-        reached = _reach_new(repo.store, (repo.latest.root, repo.vindex.root),
+        reached = _reach_new(repo.store, (repo.latest.root, repo.vindex.head),
                              first_id)
         assert len(reached) == repo.store.next_id - first_id
+
+    def test_layer2_records_per_commit(self, repo):
+        """Over 1,000 commits the layer-2 append writes at most 4 node
+        records per commit on average, nodes and edge records. Every
+        stored layer-2 node is reached from the latest edge head, and
+        every record a commit writes from its layer-1 root or its own
+        edge head."""
+        rng = random.Random(26)
+        layer2 = 0
+        for _ in range(1000):
+            first = repo.store.next_id
+            summary = repo.commit(format_diff([DiffEntry(
+                "replace", rng.randrange(4000), rng.randbytes(8), 8)]))
+            layer2 += repo.store.next_id - first - summary["created_nodes"]
+            reached = _reach_new(repo.store, (repo.latest.root,
+                                              repo.vindex.head), first)
+            assert len(reached) == repo.store.next_id - first
+        assert layer2 <= 4 * 1000
+        layer1 = _reach_new(repo.store, [repo.record(v).root
+                                         for v in range(1001)], 0)
+        latest = _reach_new(repo.store, [repo.vindex.head], 0)
+        assert not layer1 & latest
+        unreached = [node_id for node_id in range(repo.store.next_id)
+                     if node_id not in layer1 and node_id not in latest]
+        # Only superseded edge records lie outside both.
+        assert unreached
+        assert all(repo.store.get(node_id).kind == core.KIND_EDGE
+                   for node_id in unreached)
 
     def test_summary_counts_match_graph_walk(self, repo):
         for entries in ([DiffEntry("replace", 300, b"xy", 2)],
@@ -429,21 +458,22 @@ class TestCommit:
     def test_commit_appends_one_record_per_created_node(
             self, tmp_path, monkeypatch, hash_name, width):
         """The node log grows by one record per node the commit creates:
-        the layer-1 nodes its summary counts and the layer-2 nodes of the
-        version's append."""
+        the layer-1 nodes its summary counts and the layer-2 records of the
+        version's append, its nodes and edge records."""
         src = tmp_path / "input.bin"
         src.write_bytes(random.Random(3).randbytes(4096))
         repo = Repository.init(tmp_path / "repo", block_size=256,
                                seed=bytes.fromhex(SEED_HEX),
                                hash_name=hash_name, input_file=src)
         layer2 = []
-        real_insert = persist.insert_block
+        real_append = VersionIndex.append_version
 
-        def insert_block(*args, **kwargs):
-            result = real_insert(*args, **kwargs)
-            layer2.append(result.created_nodes)
-            return result
-        monkeypatch.setattr(persist, "insert_block", insert_block)
+        def append_version(vindex, rec):
+            first = vindex.store.next_id
+            meta = real_append(vindex, rec)
+            layer2.append(vindex.store.next_id - first)
+            return meta
+        monkeypatch.setattr(VersionIndex, "append_version", append_version)
         log = repo.path / "nodes" / "log"
         try:
             assert repo.store.layout.size == width
@@ -1040,33 +1070,37 @@ class TestFsck:
             ) in repo.blocks.all_digests()
             assert repo.fsck() == []
 
-    def test_decodes_at_most_the_layer2_root(self, repo):
+    def test_decodes_at_most_the_edge(self, repo):
         """fsck checks every node record in one pass that builds no node:
-        after open, at most the layer-2 root, for the meta digest, enters
-        the node map."""
+        after open, at most the latest edge's records and their frozen
+        parts, for the meta digest, enter the node map."""
         for at in (10, 2000):
             repo.commit(format_diff([DiffEntry("replace", at, b"map", 3)]))
         repo.close()
         with Repository.open(repo.path) as again:
             assert again.fsck() == []
-            assert len(again.store) <= 1
+            assert len(again.store) <= 2 * len(again.vindex.edge)
 
-    def test_record_no_root_reaches_is_hashed(self, repo):
-        """A digest byte flipped in version 0's layer-2 root, a record of
-        a superseded layer-2 copy that no version root and not the
-        current layer-2 root reaches, is reported."""
-        repo.commit(format_diff([DiffEntry("replace", 300, b"old", 3)]))
-        victim = repo.log.commit(0).nodes - 1     # its layer-2 root
-        roots = [repo.record(v).root for v in range(2)] + [repo.vindex.root]
-        assert victim not in _reach_new(repo.store, roots, 0)
+    def test_record_no_head_reaches_is_checked(self, repo):
+        """A level bit flipped in a superseded edge record, which no
+        version root and not the latest edge head reaches, is reported."""
+        for at in (300, 900, 1500):
+            repo.commit(format_diff([DiffEntry("replace", at, b"old", 3)]))
+        roots = [repo.record(v).root for v in range(4)] + [repo.vindex.head]
+        reached = _reach_new(repo.store, roots, 0)
+        victim = next(node_id for node_id in range(repo.store.next_id)
+                      if repo.store.get(node_id).kind == core.KIND_EDGE
+                      and repo.store.get(node_id).below is not None
+                      and node_id not in reached)
         size = repo.store.layout.size
         repo.close()
         log = repo.path / "nodes" / "log"
         raw = bytearray(log.read_bytes())
-        raw[(victim + 1) * size - 1] ^= 0x01   # its digest's last byte
+        raw[victim * size + 1] ^= 0x01   # its level
         log.write_bytes(bytes(raw))
         with Repository.open(repo.path) as again:
-            assert f"node {victim}: digest mismatch" in again.fsck()
+            assert again.fsck() == [f"node {victim}: edge record of a "
+                                    "version at another level"]
 
     def test_shared_leaf_digest_flip_reported_once(self, repo):
         """A digest byte flipped in a data leaf that several records link
@@ -1104,6 +1138,7 @@ class TestFsck:
         for at in range(10, 4000, 800):
             repo.commit(format_diff([DiffEntry("replace", at, b"two", 3)]))
         leaf = core.search(repo.store, repo.vindex.root, 0).leaf
+        assert leaf >= 0     # a stored node, not an edge node
         versions = [v for v in range(repo.vindex.count) if leaf in _reach_new(
             repo.store, [repo.log.commit(v).nodes - 1], 0)]
         assert len(versions) > 1
@@ -1118,7 +1153,7 @@ class TestFsck:
         assert [p for p in problems if p.startswith("node ")] == [
             f"node {leaf}: digest mismatch"]
         assert [p for p in problems if p.startswith("version")] == [
-            f"versions {repo_mod._ranges(versions)}: layer-2 roots reach a "
+            f"versions {repo_mod._ranges(versions)}: edge heads reach a "
             "bad node record"]
 
     def test_versions_named_as_ranges(self):
@@ -1168,9 +1203,9 @@ class TestFsck:
         assert len(hashed) == len(pack_records(repo)) == len(set(hashed))
 
     @pytest.mark.parametrize("field, source, problems", [
-        # The node count names the layer-2 root: version 3's, here.
-        ("nodes", 3, ["version 1: layer-2 root holds 4 versions, not 2",
-                      "version 2: counts fewer records than version 1"]),
+        # The node count names the edge head: version 3's, here.
+        ("nodes", 3, ["version 2: counts fewer records than version 1",
+                      "version 1: last node record is not its edge head"]),
         ("blocks", 3, ["version 2: counts fewer records than version 1"]),
     ], ids=["nodes", "blocks"])
     def test_commit_record_checked_against_the_one_before(
@@ -1198,8 +1233,10 @@ class TestFsck:
 
     def test_tampered_commit_record_fails_layer2_replay(self, repo):
         """A version's update region, changed in its commit record and
-        nowhere else, no longer rebuilds to the logged meta digest."""
+        nowhere else, no longer rebuilds to the logged meta digest, nor
+        gives the leaf digest its edge record holds."""
         repo.commit(format_diff([DiffEntry("replace", 300, b"ab", 2)]))
+        head = repo.vindex.head     # version 1's, holding its leaf digest
         width = repo.log.layout.size
         repo.close()
         log = repo.path / "versions.log"
@@ -1209,8 +1246,10 @@ class TestFsck:
         log.write_bytes(bytes(raw))
         again = Repository.open(repo.path)
         try:
-            assert again.fsck() == ["layer-2 root does not match a replay "
-                                    "of the version log"]
+            assert again.fsck() == [
+                f"node {head}: edge record's leaf is not its version's",
+                "edge head's meta digest does not match a replay of the "
+                "version log"]
         finally:
             again.close()
 
