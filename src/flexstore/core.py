@@ -69,34 +69,12 @@ class Node:
 
 
 class NodeStore:
-    """Append-only node storage. Ids are sequential and never reused."""
+    """Append-only node storage. Ids are sequential and never reused;
+    `get` returns only the nodes added, and refuses any other id."""
 
     def __init__(self):
         self._nodes: dict[int, Node] = {}
         self._next_id = 0
-        self._held: list[int] = []
-        self._derive = None
-        self.holder = None
-
-    def hold(self, holder, derive) -> None:
-        """Hold derived nodes, never stored, at ids -1, -2, ...: the node
-        of id -k is derive(k), made on its first get and kept until the
-        next hold drops it (derive gives None past the last). `holder`
-        notes whose they are. They link to each other and to stored ids
-        as stored nodes do."""
-        for node_id in self._held:
-            del self._nodes[node_id]
-        self._held.clear()
-        self._derive, self.holder = derive, holder
-
-    def _derived(self, node_id: int) -> Node:
-        node = (self._derive(-node_id)
-                if node_id < 0 and self._derive is not None else None)
-        if node is None:
-            raise StructureCorrupt(f"node {node_id} missing from store")
-        self._nodes[node_id] = node
-        self._held.append(node_id)
-        return node
 
     def add(self, node: Node) -> int:
         node_id = self._next_id
@@ -108,10 +86,10 @@ class NodeStore:
         try:
             return self._nodes[node_id]
         except KeyError:
-            return self._derived(node_id)
+            raise StructureCorrupt(f"node {node_id} missing from store")
 
     def __len__(self) -> int:
-        return len(self._nodes) - len(self._held)
+        return len(self._nodes)
 
     def ids(self):
         return self._nodes.keys()
@@ -347,16 +325,19 @@ def leaves_from(store: NodeStore, root: int,
                 index: int) -> tuple[int, Iterator[Node]]:
     """(offset, leaves): the byte offset of the block holding byte
     `index`, and the suffix of iter_data_leaves that starts at its leaf,
-    with the same checks. One search finds the leaf; the walk goes on
-    from there, taking up the after links of the nodes the search went
-    below."""
-    path = search(store, root, index)
+    with the same checks. One descent finds the leaf; the walk goes on
+    from there, taking up the after links of the nodes it went below,
+    so each node is got once. IndexOutOfRange for an index outside
+    [0, rank)."""
     get = store.get
-    below = (get(node_id) for node_id, direction in path.entries
-             if direction == BELOW)
-    todo = [node.after for node in below if node.after is not None]
-    return path.offset, _walk(get, get(path.leaf), todo, get(root).rank,
-                              path.offset)
+    top = get(root)
+    if index < 0 or index >= top.rank:
+        raise IndexOutOfRange(f"index {index} outside rank {top.rank}")
+    path, _ref, leaf, residual = descend(get, top, index)
+    todo = [node.after for _ref, node, below, _span in path
+            if below and node.after is not None]
+    offset = index - residual
+    return offset, _walk(get, leaf, todo, top.rank, offset)
 
 
 def _walk(get, node: Node, todo: list, rank: int,

@@ -42,10 +42,9 @@ the entry below (none for the left sentinel's, whose level and version
 are 0). A commit's last node record is the new tower's, its edge head.
 The edge is derived from the head on first use, strictly, reading about
 log n records. The edge nodes, the edge towers' full columns, are never
-stored, as each append replaces them all: the store holds those of one
-index at a time at negative ids (NodeStore.hold), each made from the
-edge on its first get, so build_path walks them as it walks stored
-nodes, and a proof makes only those on its paths.
+stored, as each append replaces them all: the fold that gives the meta
+digest makes them, and the index resolves them at negative ids
+(VersionIndex.get), so build_path walks the index as it walks a store.
 
 Records are never rewritten, so every older edge head still derives the
 edge it had: an index made with an older commit's head and the records
@@ -57,7 +56,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import partial
 
 from . import proofs
 from .core import (BAD, KIND_EDGE, KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL,
@@ -110,8 +108,7 @@ class VersionIndex:
         self._base = len(records)
         self._added: list[VersionRecord] = []
         self._edge = None if edge is None else list(edge)
-        self._columns = None    # (rank, digest) per edge node, once folded
-        self._token = object()  # this state's claim on the held nodes
+        self._nodes = None      # the edge nodes, once folded
 
     @property
     def count(self) -> int:
@@ -124,25 +121,20 @@ class VersionIndex:
             self._edge = self._derive()
         return self._edge
 
+    # The id of the list's root, the left sentinel's column: edge node 0,
+    # which get resolves.
+    root = -1
+
     @property
     def meta_digest(self) -> bytes:
-        return self._folded()[0][1]
+        return self._fold()[0].digest
 
-    def _folded(self) -> list[tuple[int, bytes]]:
-        if self._columns is None:
-            self._columns = self._fold()
-        return self._columns
-
-    @property
-    def root(self) -> int:
-        """The id of the list's root, the left sentinel's column: an edge
-        node, which the store holds, with the others, while this index
-        was the last to ask for its root and has not changed since."""
-        token = self._token
-        if self.store.holder is not token:
-            self._folded()    # so each edge node is made from the fold
-            self.store.hold(token, partial(self._edge_node, token))
-        return -1
+    def get(self, node_id: int) -> Node:
+        """A node of the list: for a negative id, edge node -id - 1 of
+        this index's edge, else the stored node from the store."""
+        if node_id < 0:
+            return self._fold()[-node_id - 1]
+        return self.store.get(node_id)
 
     def append_version(self, rec: VersionRecord) -> bytes:
         """Add a committed version's record; returns the new meta digest."""
@@ -177,8 +169,7 @@ class VersionIndex:
                                    None, 0, block, zero))
         edge.append((level, rec.version, None, 1, block, self.head))
         self._added.append(rec)
-        self._columns = None
-        self._token = object()
+        self._nodes = None
         return self.meta_digest
 
     def _close(self, entry: tuple, last: tuple | None) -> tuple[int, int]:
@@ -195,50 +186,40 @@ class VersionIndex:
                                     last[0])
         return node_id, level
 
-    def _fold(self) -> list[tuple[int, bytes]]:
-        """(rank, digest) of each edge node, bottom to top, and of the
-        right sentinel last: the edge folded from the top down, one hash
-        per entry."""
+    def _fold(self) -> list[Node]:
+        """The edge nodes, root first and the right sentinel last, node
+        k - 1 at id -k linking to the next: the edge folded from the top
+        down, one hash per entry, once per state of the index."""
+        if self._nodes is not None:
+            return self._nodes
         scheme = self.scheme
         sha, zero = scheme.hash_fn, scheme.zero
         pack_leaf, pack_internal = (scheme.leaf_layout.pack,
                                     scheme.internal_layout.pack)
+        edge = self.edge
         rank, after_level = 0, 0
         digest = sha(pack_leaf(TAG_SENTINEL, 0, 0, 0, zero, 0, zero)).digest()
-        columns = [(rank, digest)]
-        for level, version, _frozen, span, part, _record in reversed(
-                self.edge):
+        nodes = [Node(KIND_SENTINEL, 0, 0, None, None, 0, zero, digest)]
+        for k in range(len(edge), 0, -1):
+            level, version, frozen, span, part, _record = edge[k - 1]
             rank += span
             if after_level:
                 digest = sha(pack_internal(TAG_INTERNAL, after_level, rank,
                                            part, 1, digest)).digest()
+                node = Node(KIND_INTERNAL, after_level, rank, frozen, -k - 1,
+                            0, None, digest)
             else:
-                digest = sha(pack_leaf(TAG_LEAF if version >= 0
-                                       else TAG_SENTINEL, 0, rank, 1, digest,
+                sentinel = version < 0
+                digest = sha(pack_leaf(TAG_SENTINEL if sentinel
+                                       else TAG_LEAF, 0, rank, 1, digest,
                                        span, part)).digest()
-            columns.append((rank, digest))
+                node = Node(KIND_SENTINEL if sentinel else KIND_LEAF, 0, rank,
+                            None, -k - 1, span, part, digest)
+            nodes.append(node)
             after_level = level
-        columns.reverse()
-        return columns
-
-    def _edge_node(self, token, k: int) -> Node | None:
-        """Edge node k - 1 of the state `token` names, root first and the
-        right sentinel last, linking to the next at id -k - 1; None past
-        the right sentinel, or once the index has changed."""
-        if token is not self._token:
-            return None
-        edge, columns = self._edge, self._columns
-        if k > len(edge):
-            return (Node(KIND_SENTINEL, 0, 0, None, None, 0, self.scheme.zero,
-                         columns[-1][1]) if k == len(edge) + 1 else None)
-        _level, version, frozen, span, part, _record = edge[k - 1]
-        rank, digest = columns[k - 1]
-        after_level = edge[k][0] if k < len(edge) else 0
-        if after_level:
-            return Node(KIND_INTERNAL, after_level, rank, frozen, -k - 1, 0,
-                        None, digest)
-        return Node(KIND_LEAF if version >= 0 else KIND_SENTINEL, 0, rank,
-                    None, -k - 1, span, part, digest)
+        nodes.reverse()
+        self._nodes = nodes
+        return nodes
 
     def _derive(self) -> list:
         """The edge of `head`, read down its records, strictly: each must
@@ -297,7 +278,7 @@ class VersionIndex:
         it and the proven versions' records, in that order."""
         records = [self.record(v) for v in sorted(set(versions))]
         subtree, _digests = proofs.build_path(
-            self.store, self.root, [r.version for r in records],
+            self, self.root, [r.version for r in records],
             [r.version + 1 for r in records])
         return subtree, records
 

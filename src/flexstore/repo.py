@@ -82,6 +82,9 @@ from .index2 import VersionIndex, VersionRecord, edge_problems
 # other.
 STORE_FORMAT = 9
 _LENGTH_MASK = 0xFFFFFFFF
+# The largest block size: index and node records keep a block's length
+# as u32, and an edit keeps blocks of up to twice the block size.
+_MAX_BLOCK_SIZE = (1 << 31) - 1
 # Bytes per read into memory of a run of records or blocks, so memory
 # stays flat whatever the file size.
 _RUN_LIMIT = 64 * 1024
@@ -264,7 +267,8 @@ class DurableNodeStore(NodeStore):
     decoded. A run is cut at the committed count when it is read, so no
     byte past the committed end is ever read. A kept run still holds
     every id of its run that the node map lacks: the ids committed since
-    it was read were added in this process, and are in the map.
+    it was read were added in this process, and are in the map. Any
+    other id is missing: StructureCorrupt.
     """
 
     def __init__(self, path: Path, scheme: HashScheme, committed: int):
@@ -283,7 +287,7 @@ class DurableNodeStore(NodeStore):
         except KeyError:
             pass
         if not 0 <= node_id < self._file.committed:
-            return self._derived(node_id)
+            raise StructureCorrupt(f"node {node_id} missing from store")
         ids = self._file.run(node_id)
         raw = self._runs.get(ids.start)
         if raw is None:
@@ -653,6 +657,8 @@ class Repository:
         block_size = int(block_size)
         if block_size < 1:
             raise BlockTooSmall("block_size must be >= 1")
+        if block_size > _MAX_BLOCK_SIZE:
+            raise DomainError(f"block_size must be <= {_MAX_BLOCK_SIZE}")
         if seed is None:
             seed = os.urandom(SEED_BYTES)
         levels = version_levels(seed, 0)   # refuses a bad seed
@@ -703,9 +709,10 @@ class Repository:
             scheme = HashScheme(config["hash"])
             seed = bytes.fromhex(config["seed"])
             block_size = config["block_size"]
-            if type(block_size) is not int or block_size < 1:
+            if (type(block_size) is not int
+                    or not 1 <= block_size <= _MAX_BLOCK_SIZE):
                 raise ValueError(f"block_size {block_size!r} is not an "
-                                 "integer >= 1")
+                                 f"integer in [1, {_MAX_BLOCK_SIZE}]")
             if len(seed) != SEED_BYTES:
                 raise ValueError(f"seed of {len(seed)} bytes, not "
                                  f"{SEED_BYTES}")

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import random
+from collections import Counter
 from itertools import islice
 import struct
 
@@ -25,6 +26,17 @@ def mklist(lengths, levels, store=None):
              for i, n in enumerate(lengths)]
     root = build_with_levels(store, SCHEME, pairs, levels)
     return store, root, pairs
+
+
+class _CountingStore:
+    """A view of a store that counts each id's gets."""
+
+    def __init__(self, store):
+        self.store, self.gets = store, Counter()
+
+    def get(self, node_id):
+        self.gets[node_id] += 1
+        return self.store.get(node_id)
 
 
 @pytest.mark.parametrize("kind, name", [(KIND_INTERNAL, "int"),
@@ -429,6 +441,27 @@ class TestBuild:
                     assert offset == start
                     assert list(leaves) == walk[i:]
                 start += length
+
+    def test_leaves_from_gets_each_node_once(self):
+        """The descent and a walk of k leaves on from it get each node at
+        most once, the root included; an index outside [0, rank) is
+        refused."""
+        rng = random.Random(44)
+        for _ in range(40):
+            n = rng.randint(1, 48)
+            lengths = [rng.randint(1, 9) for _ in range(n)]
+            levels = [rng.choice([0, 0, 0, 1, 1, 2, 3]) for _ in range(n)]
+            store, root, _ = mklist(lengths, levels)
+            counting = _CountingStore(store)
+            _offset, leaves = leaves_from(counting, root,
+                                          rng.randrange(sum(lengths)))
+            for _leaf in islice(leaves, rng.randint(0, n)):
+                pass
+            assert counting.gets[root] == 1
+            assert max(counting.gets.values()) == 1
+            for byte in (-1, sum(lengths)):
+                with pytest.raises(IndexOutOfRange):
+                    leaves_from(store, root, byte)
 
     def test_zero_length_block_rejected(self):
         with pytest.raises(BlockTooSmall):

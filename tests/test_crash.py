@@ -162,6 +162,9 @@ def test_same_object_commits_after_a_raise(states, monkeypatch, owner, name,
         else:
             assert repo.latest.version == 0
             assert repo.meta_digest == meta[0]
+            # The failed commit's index left this object's edge as it was.
+            ch = repo.make_challenge(bytes(10), 8, ())
+            assert repo.verify(ch, repo.prove(ch))[0]
             repo.commit(EDIT)
             assert repo.meta_digest == meta[1]
     finally:

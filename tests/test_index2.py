@@ -286,16 +286,19 @@ class TestEdgeAppend:
 
 
 class TestDerivedEdge:
-    def test_root_is_held_by_the_last_index_to_ask(self):
-        """Two indexes on one store: each root asked for is held in place
-        of the other's, and proves against its own meta digest."""
+    def test_each_index_proves_against_its_own_root(self):
+        """Two indexes on one store each resolve their own edge nodes, so
+        each proves against its own meta digest, in any order; the store
+        holds no edge node."""
         vindex = fresh_index(20)
         older = VersionIndex(vindex.store, SCHEME, SEED, head=vindex.head,
                              records=[vindex.record(v) for v in range(20)])
         vindex.append_version(record(20))
-        for index, count in ((vindex, 21), (older, 20), (vindex, 21)):
-            root = index.root
-            assert vindex.store.get(root).digest == index.meta_digest
+        with pytest.raises(StructureCorrupt, match="missing"):
+            vindex.store.get(vindex.root)
+        for index, count in ((vindex, 21), (older, 20), (vindex, 21),
+                             (older, 20)):
+            assert index.get(index.root).digest == index.meta_digest
             subtree, records = index.version_proof((0, count - 1))
             assert verify_version_proof(SCHEME, index.meta_digest, subtree,
                                         records) == count

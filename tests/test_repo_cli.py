@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from flexstore import adaptor, cli, core, hashing
+from flexstore import adaptor, audit, cli, core, hashing
 from flexstore import repo as repo_mod
 from flexstore.adaptor import DiffEntry, format_diff
 from flexstore.errors import (BlockTooSmall, DomainError, EmptyCommit,
@@ -77,6 +77,19 @@ class TestInit:
     def test_init_twice_refused(self, repo, tmp_path):
         with pytest.raises(PathExists):
             Repository.init(repo.path)
+
+    def test_block_size_past_the_records_refused(self, tmp_path, capsys):
+        """Records keep a block's length as u32 and an edit keeps blocks
+        of up to twice the block size, so init refuses a block size past
+        2^31 - 1 (exit 2) and writes nothing."""
+        path = tmp_path / "r"
+        for size in (2 ** 31, 2 ** 40):
+            assert cli.main(["--repo", str(path), "init", "--block-size",
+                             str(size)]) == cli.EXIT_USAGE
+        assert not path.exists()
+        assert cli.main(["--repo", str(path), "init", "--block-size",
+                         str(2 ** 31 - 1)]) == cli.EXIT_OK
+        capsys.readouterr()
 
     def test_refused_init_writes_nothing(self, tmp_path, capsys):
         """Bad arguments are refused before anything is written, so a
@@ -391,11 +404,12 @@ class TestCommit:
 
     def test_one_search_per_group_of_entries(self, tmp_path, monkeypatch):
         """Three groups, one a delete over about 20 blocks: each group
-        searches once and walks on through the leaves it needs."""
+        searches once (core.leaves_from) and walks on through the leaves
+        it needs."""
         src = tmp_path / "input.bin"
         src.write_bytes(random.Random(5).randbytes(64 * 256))
         searches = []
-        real_search = core.search
+        real_search = core.leaves_from
 
         def search(*args):
             searches.append(args[2])
@@ -406,7 +420,7 @@ class TestCommit:
             entries = [DiffEntry("replace", 300, b"x" * 40, 30),
                        DiffEntry("delete", 2000, delete_len=20 * 256),
                        DiffEntry("insert", 12000, b"y" * 600)]
-            monkeypatch.setattr(core, "search", search)
+            monkeypatch.setattr(core, "leaves_from", search)
             repo.commit(format_diff(entries))
             monkeypatch.undo()
             assert searches == [300, 2000, 12000]
@@ -1137,7 +1151,7 @@ class TestFsck:
         naming, as ranges, the versions whose layer-2 roots reach it."""
         for at in range(10, 4000, 800):
             repo.commit(format_diff([DiffEntry("replace", at, b"two", 3)]))
-        leaf = core.search(repo.store, repo.vindex.root, 0).leaf
+        leaf = core.search(repo.vindex, repo.vindex.root, 0).leaf
         assert leaf >= 0     # a stored node, not an edge node
         versions = [v for v in range(repo.vindex.count) if leaf in _reach_new(
             repo.store, [repo.log.commit(v).nodes - 1], 0)]
@@ -1406,7 +1420,8 @@ class TestMalformedMetadata:
     @pytest.mark.parametrize("key, value", [
         ("block_size", None), ("block_size", 0), ("block_size", -2048),
         ("block_size", "2048"), ("block_size", 2048.0),
-        ("block_size", True), ("seed", "00"), ("seed", "00" * 11)])
+        ("block_size", True), ("block_size", 2 ** 31), ("seed", "00"),
+        ("seed", "00" * 11)])
     def test_bad_config_field(self, repo, capsys, key, value):
         """A config.json field the store cannot work with is refused at
         open, as a corrupt store (exit 1, one line), by every command."""
@@ -1454,11 +1469,11 @@ class TestMalformedMetadata:
         _assert_refused(repo.path, capsys)
 
     def test_unknown_node_kind_refused_on_read(self, repo, capsys):
-        root = repo.vindex.root
+        head = repo.vindex.head
         repo.close()
         log = repo.path / "nodes" / "log"
         raw = bytearray(log.read_bytes())
-        raw[root * repo.store.layout.size] = 9
+        raw[head * repo.store.layout.size] = 9
         log.write_bytes(bytes(raw))
         again = Repository.open(repo.path)  # decodes no node record
         try:
@@ -1532,6 +1547,32 @@ class TestOpen:
             finally:
                 repo.close()
         assert decoded[0] == decoded[1] <= 1
+
+    def test_writer_and_reader_prove_alike(self, tmp_path):
+        """300 commits of one-spot edits on 64 KiB: every 25th, the writer,
+        whose edge comes from its appends, and a fresh open, whose edge is
+        derived from the head, give the same FXP3 bytes for a challenge
+        of an older version and the latest."""
+        rng = random.Random(27)
+        src = tmp_path / "input.bin"
+        src.write_bytes(rng.randbytes(64 * 1024))
+        path = tmp_path / "repo"
+        with Repository.init(path, block_size=512,
+                             seed=bytes.fromhex(SEED_HEX),
+                             input_file=src) as writer:
+            for version in range(1, 301):
+                writer.commit(format_diff([DiffEntry(
+                    "replace", rng.randrange(64 * 1024 - 8),
+                    rng.randbytes(8), 8)]))
+                if version % 25:
+                    continue
+                ch = writer.make_challenge(
+                    rng.randbytes(10), 8, (rng.randrange(version), version))
+                proof = audit.write_proof(writer.prove(ch), writer.scheme)
+                with Repository.open(path) as reader:
+                    assert audit.write_proof(reader.prove(ch),
+                                             reader.scheme) == proof
+                assert proof.startswith(b"FXP3")
 
     @pytest.mark.parametrize("name", ["versions.log", "blocks/index"])
     def test_read_error_closes_what_open_opened(self, repo, monkeypatch,
