@@ -137,8 +137,8 @@ def challenge_region(store: NodeStore, vindex: VersionIndex, version: int,
 # ---------------------------------------------------------------------------
 
 
-def prove(store: NodeStore, scheme: HashScheme, vindex: VersionIndex,
-          get_block, ch: Challenge, max_leaf: int) -> VersionProof:
+def prove(store: NodeStore, vindex: VersionIndex, get_block, ch: Challenge,
+          max_leaf: int) -> VersionProof:
     """Assemble the proof of every distinct challenged version. No leaf
     of the store is longer than `max_leaf` bytes; a store that breaks
     that costs more to prove, never another proof."""

@@ -28,20 +28,23 @@ The four store files are record files (_RecordFile), the pack one of
 one-byte records, and share one write policy: what a commit appends to
 a file is buffered, written whenever the buffer reaches _COPY_LIMIT
 bytes, and the rest written at the end in the order pack, index, node
-log, commit record. A commit's node records are its layer-1 nodes, then
-the layer-2 append's: the nodes it writes once and for all, then one or
-two edge records, the last of which, node `nodes` - 1, is the commit's
-edge head. The commit record is the commit point: besides the version
-record it holds `nodes` and `blocks`, the node and index records the
-version counts. Neither the layer-2 root nor the meta digest is stored:
-the edge head derives them, on first use. No stream position is stored
-either: the seed and the version number fix every tower level. `open`
-reads `config.json`, the last complete commit record and the last index
-record it counts, and checks the node log's and the pack's sizes; it
-reads no edge record, and its cost does not grow with history. What a
-crashed writer left past those ends is ignored, and the next writer
-truncates it. Nothing is fsynced, so this holds for a process that
-dies, not for power loss.
+log, commit record: the order of `Repository.files`. A commit's node
+records are its layer-1 nodes, then the layer-2 append's: the nodes it
+writes once and for all, then one or two edge records, the last of
+which, node `nodes` - 1, is the commit's edge head. The commit record
+is the commit point: besides the version record it holds `nodes` and
+`blocks`, the node and index records the version counts. Once it is
+written, the commit counts every file's new records as committed, and
+only then moves the repository to the new version. Neither the layer-2
+root nor the meta digest is stored: the edge head derives them, on
+first use. No stream position is stored either: the seed and the
+version number fix every tower level. `open` reads `config.json`, the
+last complete commit record and the last index record it counts, and
+checks the node log's and the pack's sizes; it reads no edge record,
+and its cost does not grow with history. What a crashed writer left
+past those ends is ignored, and the next writer's commit cuts all four
+files back to them before it appends. Nothing is fsynced, so this holds
+for a process that dies, not for power loss.
 
 Every other record is decoded, strictly, when it is first read: a commit
 record when its version is asked for, a node record on the first `get`
@@ -101,10 +104,12 @@ class _RecordFile:
     records are its bytes. Appended records are buffered, and written at
     the end of the file, through an append descriptor opened on the first
     write and kept until `close`, whenever the buffer reaches _COPY_LIMIT
-    bytes and at `flush`; they count once `mark_committed` runs.
+    bytes and at `flush`; they count once `mark_committed` runs. Their
+    owners read and append; the Repository flushes, marks, cuts and
+    closes all four files, one loop over them in commit order per step.
     `committed` None counts every complete record the file holds. An
-    OSError from the file is raised as IOFailure, or as StructureCorrupt
-    for a missing file.
+    OSError from the file, a close's too, is raised as IOFailure, or as
+    StructureCorrupt for a missing file.
     """
 
     def __init__(self, path: Path, layout: struct.Struct, name: str,
@@ -238,8 +243,8 @@ class _RecordFile:
         self.committed = self.count
 
     def discard_uncommitted(self) -> None:
-        """Drop the records past the committed end, from memory and from
-        the file (a writer's work only)."""
+        """Drop the records past the committed end, from the buffer and
+        from the file (a writer's work only)."""
         self._buffer.clear()
         self.count = self.committed
         end = self.committed * self.layout.size
@@ -247,11 +252,15 @@ class _RecordFile:
             self._os("unwritable", os.truncate, self.path, end)
 
     def close(self) -> None:
-        if self._appender is not None:
-            self._appender.close()
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        """Close both descriptors, the second even if the first fails:
+        the kernel releases a descriptor whose close fails all the same."""
+        try:
+            if self._appender is not None:
+                self._os("unclosable", self._appender.close)
+        finally:
+            if self._fd is not None:
+                fd, self._fd = self._fd, None
+                self._os("unclosable", os.close, fd)
 
 
 class DurableNodeStore(NodeStore):
@@ -331,23 +340,12 @@ class DurableNodeStore(NodeStore):
         self._file.append(self._encode(node))
         return super().add(node)
 
-    def flush(self) -> None:
-        self._file.flush()
-
-    def close(self) -> None:
-        self._file.close()
-
-    def mark_committed(self) -> None:
-        """Count every record added so far as committed; call after flush."""
-        self._file.mark_committed()
-
-    def discard_uncommitted(self) -> None:
-        """Drop the records past the committed end, from memory and from
-        the node log (a writer's work only)."""
+    def forget_uncommitted(self) -> None:
+        """Drop the nodes added past the committed end from memory, before
+        the node log is cut (a writer's work only)."""
         for node_id in range(self._file.committed, self._next_id):
             del self._nodes[node_id]
         self._next_id = self._file.committed
-        self._file.discard_uncommitted()
 
 
 class Commit(NamedTuple):
@@ -375,12 +373,11 @@ class CommitLog:
         self._file = _RecordFile(
             path, struct.Struct(f">Q{scheme.width}sQQQQ"), "versions.log")
         self.layout = self._file.layout
-        self._pending: Commit | None = None
         self.last = None
         try:
             self.last = self.commit(len(self) - 1) if len(self) else None
         except BaseException:
-            self.close()
+            self._file.close()
             raise
 
     def __len__(self) -> int:
@@ -418,30 +415,18 @@ class CommitLog:
                       nodes, blocks)
 
     def append(self, commit: Commit) -> None:
-        """Write a commit record: the commit point. It counts once
-        mark_committed runs."""
+        """Buffer a commit record, the commit point once written."""
         rec = commit.record
         self._file.append(self.layout.pack(
             rec.root, rec.root_digest, rec.update_start, rec.update_length,
             commit.nodes, commit.blocks))
-        self._file.flush()
-        self._pending = commit
 
-    def mark_committed(self) -> None:
-        self._file.mark_committed()
-        self.last, self._pending = self._pending, None
-
-    def discard_uncommitted(self) -> None:
-        """Cut a record a writer never finished (a writer's work only).
-        Refuses if a complete record appeared past the committed ones
+    def check_unchanged(self) -> None:
+        """Refuse if a complete record appeared past the committed ones
         since this log was opened: another writer committed."""
         if self._file.stored() != len(self):
             raise RepositoryLocked(
                 "versions.log changed since the store was opened")
-        self._file.discard_uncommitted()
-
-    def close(self) -> None:
-        self._file.close()
 
 
 class BlockStore:
@@ -452,8 +437,7 @@ class BlockStore:
     || u64 offset || u32 length, in pack order. Opening reads the last
     committed index record, for the pack's committed end, and the digest
     map is decoded on first use. A put appends the block to the pack and
-    its record to the index; `flush` writes what they still buffer, the
-    pack first.
+    its record to the index, to be written by the commit.
 
     Reads of many blocks go by extent, a run of blocks that lie back to
     back in the pack: `_extents` takes a version's leaves to extents of
@@ -525,11 +509,6 @@ class BlockStore:
                                                        len(data)))
             blocks[digest] = end << 32 | len(data)
         return digest
-
-    def flush(self) -> None:
-        """Write what the pack, then the index, still buffer."""
-        self._pack.flush()
-        self._index.flush()
 
     def get(self, digest: bytes) -> bytes:
         try:
@@ -610,39 +589,42 @@ class BlockStore:
         """Replace a stored block's bytes in place (fault injection)."""
         self._pack.overwrite(self._blocks()[digest] >> 32, data)
 
-    def mark_committed(self) -> None:
-        """Count every block put so far as committed; call after flush."""
-        self._pack.mark_committed()
-        self._index.mark_committed()
-
-    def discard_uncommitted(self) -> None:
-        """Cut the pack and the index back to their committed ends, and
-        forget the blocks past them (a writer's work only)."""
+    def forget_uncommitted(self) -> None:
+        """Drop the blocks put past the committed end from the digest map,
+        before the index is cut (a writer's work only)."""
         if self._map is not None:
             # Records enter the map in pack order; the newest leave first.
             for _ in range(self._index.count - self._index.committed):
                 self._map.popitem()
-        self._pack.discard_uncommitted()
-        self._index.discard_uncommitted()
-
-    def close(self) -> None:
-        self._pack.close()
-        self._index.close()
 
 
 class Repository:
     """One versioned, auditable file store rooted at a directory."""
 
-    def __init__(self, path: Path, config: dict, store: DurableNodeStore,
-                 blocks: BlockStore, log: CommitLog, vindex: VersionIndex):
+    def __init__(self, path: Path, config: dict):
+        """Open the store files at the last committed version, or at none
+        for a store that holds none; a failure closes what was opened."""
         self.path = path
-        self.scheme = HashScheme(config["hash"])
+        self.scheme = scheme = HashScheme(config["hash"])
         self.block_size = config["block_size"]
         self.seed = bytes.fromhex(config["seed"])
-        self.store = store
-        self.blocks = blocks
-        self.log = log
-        self.vindex = vindex
+        with ExitStack() as opened:
+            self.log = CommitLog(path / "versions.log", scheme)
+            opened.callback(self.log._file.close)
+            last = self.log.last
+            nodes, blocks = ((0, 0) if last is None
+                             else (last.nodes, last.blocks))
+            self.store = DurableNodeStore(path / "nodes/log", scheme, nodes)
+            opened.callback(self.store._file.close)
+            self.blocks = BlockStore(path / "blocks", scheme, blocks)
+            opened.pop_all()
+        # The record files in commit order: a commit writes them in this
+        # order, the commit record last.
+        self.files = (self.blocks._pack, self.blocks._index,
+                      self.store._file, self.log._file)
+        self.vindex = VersionIndex(self.store, scheme, self.seed,
+                                   head=None if last is None else nodes - 1,
+                                   records=self.log)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -677,18 +659,15 @@ class Repository:
                              "blocks/index"):
                     (path / name).parent.mkdir(exist_ok=True)
                     (path / name).touch()
-                log = CommitLog(path / "versions.log", scheme)
-                store = DurableNodeStore(path / "nodes" / "log", scheme, 0)
-                blocks = BlockStore(path / "blocks", scheme, 0)
-                root = core.build(
-                    store, scheme, core.read_blocks(fh, block_size), levels,
-                    block_digest=blocks.put)
-            vindex = VersionIndex(store, scheme, seed, records=log)
-            rank = store.get(root).rank
-            vindex.append_version(
-                VersionRecord(0, root, store.get(root).digest, 0, rank))
-            repo = cls(path, config, store, blocks, log, vindex)
-            repo._append_commit(vindex)
+                repo = cls(path, config)
+                try:
+                    root = core.build(
+                        repo.store, scheme, core.read_blocks(fh, block_size),
+                        levels, block_digest=repo.blocks.put)
+                    repo._add_version(root, 0, repo.store.get(root).rank)
+                except BaseException:
+                    repo.close()
+                    raise
         except OSError as exc:
             raise IOFailure(str(exc)) from exc
         return repo
@@ -706,7 +685,7 @@ class Repository:
                     or config.get("format") != STORE_FORMAT):
                 raise StructureCorrupt(
                     f"config.json: not a store of format {STORE_FORMAT}")
-            scheme = HashScheme(config["hash"])
+            HashScheme(config["hash"])    # refuses an unknown hash
             seed = bytes.fromhex(config["seed"])
             block_size = config["block_size"]
             if (type(block_size) is not int
@@ -718,26 +697,17 @@ class Repository:
                                  f"{SEED_BYTES}")
         except (ValueError, KeyError, TypeError, DomainError) as exc:
             raise StructureCorrupt(f"malformed config.json: {exc}") from exc
-        with ExitStack() as opened:
-            log = CommitLog(path / "versions.log", scheme)
-            opened.callback(log.close)
-            last = log.last
-            if last is None:
-                raise StructureCorrupt(
-                    "versions.log holds no committed version")
-            store = DurableNodeStore(path / "nodes" / "log", scheme,
-                                     last.nodes)
-            opened.callback(store.close)
-            blocks = BlockStore(path / "blocks", scheme, last.blocks)
-            opened.pop_all()
-        vindex = VersionIndex(store, scheme, seed, head=last.nodes - 1,
-                              records=log)
-        return cls(path, config, store, blocks, log, vindex)
+        repo = cls(path, config)
+        if repo.log.last is None:
+            repo.close()
+            raise StructureCorrupt("versions.log holds no committed version")
+        return repo
 
     def close(self) -> None:
-        self.store.close()
-        self.blocks.close()
-        self.log.close()
+        """Close every record file, even past one whose close fails."""
+        with ExitStack() as closing:
+            for file in self.files:
+                closing.callback(file.close)
 
     def __enter__(self) -> "Repository":
         return self
@@ -766,18 +736,24 @@ class Repository:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def _append_commit(self, vindex: VersionIndex) -> None:
-        """The commit point: flush the pack, the block index and the node
-        log, then append the version's commit record. Only then does this
-        object move to the new version."""
-        self.blocks.flush()
-        self.store.flush()
-        self.log.append(Commit(vindex.record(vindex.count - 1),
-                               self.store.next_id, self.blocks.count))
-        self.store.mark_committed()
-        self.blocks.mark_committed()
-        self.log.mark_committed()
-        self.vindex = vindex
+    def _add_version(self, root: int, start: int, length: int) -> None:
+        """Commit the next version, of layer-1 root `root` and update
+        region [start, start + length): write the record files in commit
+        order, the commit record last, the commit point; only then count
+        their records and move this object to the new index and version."""
+        vindex = VersionIndex(self.store, self.scheme, self.seed,
+                              head=self.vindex.head, records=self.log,
+                              edge=self.vindex.edge)
+        rec = VersionRecord(vindex.count, root, self.store.get(root).digest,
+                            start, length)
+        vindex.append_version(rec)
+        commit = Commit(rec, self.store.next_id, self.blocks.count)
+        self.log.append(commit)
+        for file in self.files:
+            file.flush()
+        for file in self.files:
+            file.mark_committed()
+        self.vindex, self.log.last = vindex, commit
 
     def level_source(self) -> Iterator[int]:
         """The layer-1 level stream of the next commit, fixed by the seed
@@ -843,17 +819,18 @@ class Repository:
         """Apply a diff as one new version; returns a summary."""
         with self.write_lock():
             # Cut what a failed or crashed commit left past the committed
-            # ends; the log refuses if another writer committed since
-            # this store was opened.
-            self.log.discard_uncommitted()
-            self.store.discard_uncommitted()
-            self.blocks.discard_uncommitted()
+            # ends, unless another writer committed since this store was
+            # opened.
+            self.log.check_unchanged()
+            self.store.forget_uncommitted()
+            self.blocks.forget_uncommitted()
+            for file in self.files:
+                file.discard_uncommitted()
             return self._commit(diff_bytes)
 
     def _commit(self, diff_bytes: bytes) -> dict:
         diffs = adaptor.parse_diff(diff_bytes)
-        latest = self.latest
-        old_root = latest.root
+        old_root = self.latest.root
 
         def blocks_from(byte: int):
             start, leaves = core.leaves_from(self.store, old_root, byte)
@@ -863,7 +840,6 @@ class Repository:
                                       blocks_from, self.block_size)
         if not ops:
             raise EmptyCommit("diff produced no block operations")
-        version = latest.version + 1
         # Each new block is put as its op runs, before finish adds the
         # first node record.
         result = adaptor.apply_ops(self.store, self.scheme, old_root, ops,
@@ -871,16 +847,9 @@ class Repository:
                                    block_digest=self.blocks.put)
         root = result.new_root
         node = self.store.get(root)
-        start, length = _update_region(ops, node.rank)
-        # A new index, so this object keeps the old one until the commit
-        # point has passed.
-        vindex = VersionIndex(self.store, self.scheme, self.seed,
-                              head=self.vindex.head, records=self.log,
-                              edge=self.vindex.edge)
-        vindex.append_version(
-            VersionRecord(version, root, node.digest, start, length))
-        self._append_commit(vindex)
-        return {"version": version, "meta": self.meta_digest.hex(),
+        self._add_version(root, *_update_region(ops, node.rank))
+        return {"version": self.latest.version,
+                "meta": self.meta_digest.hex(),
                 "ops": len(ops), "created_nodes": result.created_nodes,
                 "shared_nodes": result.shared_nodes, "rank": node.rank}
 
@@ -898,8 +867,7 @@ class Repository:
         return ch
 
     def prove(self, ch: audit.Challenge) -> audit.VersionProof:
-        return audit.prove(self.store, self.scheme, self.vindex,
-                           self.blocks.get, ch,
+        return audit.prove(self.store, self.vindex, self.blocks.get, ch,
                            adaptor.max_block(self.block_size))
 
     def verify(self, ch: audit.Challenge,

@@ -362,12 +362,12 @@ class TestPartial:
     def test_rebuilds_only_one_version_part(self):
         fx = ServerFixture(bytes(range(64)))
         fx.commit_ops([BlockOp("modify", 8, b"REWRITE!")])
-        proof = audit.prove(fx.store, SCHEME, fx.vindex, fx.blocks.get,
+        proof = audit.prove(fx.store, fx.vindex, fx.blocks.get,
                             audit.Challenge(bytes(10), 2, (0, 1)), fx.BS)
         meta = fx.vindex.meta_digest
         with pytest.raises(ProofRejected):
             partial_from_proof(SCHEME, proof, meta)
-        latest = audit.prove(fx.store, SCHEME, fx.vindex, fx.blocks.get,
+        latest = audit.prove(fx.store, fx.vindex, fx.blocks.get,
                              audit.Challenge(bytes(10), 2, (1,)), fx.BS)
         partial = partial_from_proof(SCHEME, latest, meta)
         assert partial.root_digest == fx.vindex.record(1).root_digest

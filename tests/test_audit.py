@@ -62,7 +62,7 @@ class Fixture:
         return self.vindex.meta_digest
 
     def prove(self, ch):
-        return audit.prove(self.store, SCHEME, self.vindex, self.get_block,
+        return audit.prove(self.store, self.vindex, self.get_block,
                            ch, self.block_len)
 
 
@@ -155,7 +155,7 @@ class TestProveVerify:
         1 KiB blocks peaks far below the 2^14 indices' own size."""
         store, blocks, vindex = _flat_store(16, 1024, random.Random(5))
         ch = Challenge(CH_SEED, 1 << 14)
-        proof = audit.prove(store, SCHEME, vindex, blocks.get, ch, 1024)
+        proof = audit.prove(store, vindex, blocks.get, ch, 1024)
         tracemalloc.start()
         try:
             ok, reason = verify(SCHEME, vindex.meta_digest, ch, proof)
@@ -389,7 +389,7 @@ class TestEarlyStop:
                                         (1 << 40, 0.0),
                                         (1 << 40, float("inf"))):
                     monkeypatch.setattr(audit, "_UNHIT_LIMIT", limit)
-                    proof = audit.prove(store, SCHEME, vindex, blocks.get,
+                    proof = audit.prove(store, vindex, blocks.get,
                                         ch, max_leaf)
                     assert write_proof(proof, SCHEME) == want, (
                         leaves, versions, max_leaf, limit)
@@ -432,7 +432,7 @@ class TestEarlyStop:
         store, blocks, vindex = _region_store(rng, 9, 3, 1)
         rec = vindex.record(0)
         ch = Challenge(CH_SEED, 460, (0,))
-        honest = audit.prove(store, SCHEME, vindex, blocks.get, ch, 24)
+        honest = audit.prove(store, vindex, blocks.get, ch, 24)
         _count, (sub,) = audit.check_proof(SCHEME, vindex.meta_digest,
                                            honest)
         assert len(sub.starts) == 3
@@ -458,7 +458,7 @@ class TestEarlyStop:
         store, blocks, vindex = _region_store(rng, 12, 3, 1)
         rec = vindex.record(0)
         ch = Challenge(CH_SEED, 1 << 24, (0,))
-        honest = audit.prove(store, SCHEME, vindex, blocks.get, ch, 24)
+        honest = audit.prove(store, vindex, blocks.get, ch, 24)
         _count, (sub,) = audit.check_proof(SCHEME, vindex.meta_digest,
                                            honest)
         assert len(sub.starts) == 3
@@ -501,7 +501,7 @@ class TestEarlyStop:
         store, blocks, vindex = _flat_store(1024, 1024, random.Random(6))
         ch = Challenge(CH_SEED, 1 << 16)
         peaks = []
-        for run in (lambda: audit.prove(store, SCHEME, vindex, blocks.get,
+        for run in (lambda: audit.prove(store, vindex, blocks.get,
                                         ch, 1024),
                     lambda: verify(SCHEME, vindex.meta_digest, ch, proof)):
             tracemalloc.start()
@@ -514,6 +514,19 @@ class TestEarlyStop:
             proof = result
         assert result == (True, "ok")
         assert peaks[0] < 2 * peaks[1], peaks
+
+    def test_proof_for_more_draws_rejected(self, tmp_path):
+        """A whole-file proof for 50 draws carries leaves that 1 draw with
+        the same seed does not hit: checked against that challenge, it is
+        refused for them."""
+        src = tmp_path / "input.bin"
+        src.write_bytes(random.Random(3).randbytes(64 * 1024))
+        with Repository.init(tmp_path / "r", block_size=1024, seed=SEED,
+                             input_file=src) as repo:
+            proof = repo.prove(Challenge(CH_SEED, 50))
+            assert len(proof.parts[0].blocks) > 1
+            assert repo.verify(Challenge(CH_SEED, 1), proof) == (
+                False, "proof carries a leaf no challenged index hits")
 
 
 class TestWireFormats:
@@ -719,7 +732,7 @@ class TestPrunedSubtree:
         assert partial.root_digest == vindex.record(0).root_digest
         ch = Challenge(CH_SEED, 3)
         ok, reason = verify(SCHEME, meta, ch, read_proof(write_proof(
-            audit.prove(store, SCHEME, vindex, blocks.get, ch, 1), SCHEME),
+            audit.prove(store, vindex, blocks.get, ch, 1), SCHEME),
             SCHEME))
         assert ok, reason
 

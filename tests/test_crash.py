@@ -110,11 +110,12 @@ POINTS = [(repo_mod.BlockStore, "put", 1, "before", 0),
           (repo_mod.DurableNodeStore, "add", 7, "before", 0),
           (repo_mod.DurableNodeStore, "add", 9, "before", 0),
           (repo_mod.DurableNodeStore, "add", 10, "after", 0),
-          (repo_mod.DurableNodeStore, "flush", 1, "before", 0),
+          # the node log's flush, after the pack's and the index's
+          (repo_mod._RecordFile, "flush", 3, "before", 0),
           # after the flush comes the commit record
-          (repo_mod.DurableNodeStore, "flush", 1, "after", 0),
+          (repo_mod._RecordFile, "flush", 3, "after", 0),
           # the first call after the commit record
-          (repo_mod.DurableNodeStore, "mark_committed", 1, "before", 1)]
+          (repo_mod._RecordFile, "mark_committed", 1, "before", 1)]
 
 
 def _inject(monkeypatch, owner, name, nth, when):
@@ -174,15 +175,20 @@ def test_same_object_commits_after_a_raise(states, monkeypatch, owner, name,
 
 @pytest.mark.parametrize("point", ["flush", "mark_committed"])
 def test_killed_writer(states, point):
-    """SIGKILL drops what the writer had buffered and keeps the lock file;
-    neither blocks the next writer."""
+    """SIGKILL at the node log's flush, with the pack and the index
+    written, or at its mark, with the commit record written, drops what
+    the writer had buffered and keeps the lock file; neither blocks the
+    next writer."""
     path, _clean, _before, _after, meta = states
     script = (
         "import os, signal, sys\n"
         "from flexstore import repo\n"
-        "def kill(*args):\n"
-        "    os.kill(os.getpid(), signal.SIGKILL)\n"
-        f"setattr(repo.DurableNodeStore, {point!r}, kill)\n"
+        f"real = repo._RecordFile.{point}\n"
+        "def kill(self):\n"
+        "    if self.name == 'node log':\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    real(self)\n"
+        f"setattr(repo._RecordFile, {point!r}, kill)\n"
         f"repo.Repository.open(sys.argv[1]).commit({EDIT!r})\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     child = subprocess.run([sys.executable, "-c", script, str(path)],
@@ -281,7 +287,7 @@ def test_uncommitted_node_records_truncated(states, monkeypatch):
     path, _clean, before, _after, meta = states
     repo = Repository.open(path)
     with monkeypatch.context() as patch:
-        _inject(patch, repo_mod.DurableNodeStore, "flush", 1, "after")
+        _inject(patch, repo_mod._RecordFile, "flush", 3, "after")
         with pytest.raises(Crash):
             repo.commit(EDIT)
     committed = repo.log.last.nodes * repo.store.layout.size

@@ -1294,6 +1294,24 @@ class TestFsck:
         finally:
             again.close()
 
+    def test_block_indexed_twice_reported(self, repo):
+        """The last index record and its pack bytes rewritten to repeat
+        the first block, of the same length: fsck names the block."""
+        repo.close()
+        (first, start, length), (_last, offset, last_length) = (
+            pack_records(repo)[0], pack_records(repo)[-1])
+        assert length == last_length
+        pack = repo.path / "blocks" / "pack"
+        raw = bytearray(pack.read_bytes())
+        raw[offset:offset + length] = raw[start:start + length]
+        pack.write_bytes(bytes(raw))
+        index = repo.path / "blocks" / "index"
+        raw = bytearray(index.read_bytes())
+        raw[-(repo.scheme.width + 12):-12] = first
+        index.write_bytes(bytes(raw))
+        with Repository.open(repo.path) as again:
+            assert f"block {first.hex()}: indexed twice" in again.fsck()
+
     def test_detects_node_bit_flip(self, repo):
         repo.close()
         log = repo.path / "nodes" / "log"
@@ -1613,6 +1631,58 @@ class TestOpen:
         assert len(reads) == 5
         assert sorted(closed) == sorted(opened)
 
+    @pytest.mark.parametrize("name", ["blocks/pack", "blocks/index",
+                                      "nodes/log", "versions.log"])
+    def test_write_error_closes_what_init_opened(self, tmp_path, monkeypatch,
+                                                 name):
+        """A write to one store file failing with ENOSPC makes init raise
+        IOFailure and leaves none of the descriptors it opened open."""
+        src = tmp_path / "input.bin"
+        src.write_bytes(random.Random(0).randbytes(4096))
+        opened, closed = [], []
+        real_open, real_close, real_file_open = os.open, os.close, open
+
+        def recording_open(path, *args, **kwargs):
+            fd = real_open(path, *args, **kwargs)
+            opened.append(fd)
+            return fd
+
+        def recording_close(fd):
+            closed.append(fd)
+            real_close(fd)
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            if "a" in mode and os.fspath(file).endswith(name):
+                return _FullDisk(file, mode)
+            return real_file_open(file, mode, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "open", recording_open)
+            patch.setattr(os, "close", recording_close)
+            patch.setattr(repo_mod, "open", failing_open, raising=False)
+            with pytest.raises(IOFailure, match="unwritable"):
+                Repository.init(tmp_path / "repo", block_size=256,
+                                input_file=src)
+        assert sorted(closed) == sorted(opened)
+
+    def test_log_without_a_complete_record_refused(self, repo, capsys):
+        """A versions.log cut inside its first record holds no committed
+        version: open refuses it, and `log` exits 1 saying so."""
+        repo.close()
+        log = repo.path / "versions.log"
+        log.write_bytes(log.read_bytes()[:repo.log.layout.size - 1])
+        with pytest.raises(StructureCorrupt,
+                           match="holds no committed version"):
+            Repository.open(repo.path)
+        assert cli.main(["--repo", str(repo.path), "log"]) == cli.EXIT_REJECT
+        assert capsys.readouterr().err == (
+            "error: versions.log holds no committed version\n")
+
+
+class _FullDisk(io.FileIO):
+    def write(self, _data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
 
 @pytest.mark.parametrize("command", ["log", "checkout", "challenge", "prove",
                                      "verify", "fsck", "commit", "tamper"])
@@ -1681,6 +1751,41 @@ def test_read_error_on_a_store_file(repo, tmp_path, monkeypatch, capsys,
         assert os.strerror(errno.EIO) in err
     else:
         assert got == want
+
+
+@pytest.mark.parametrize("name", ["versions.log", "nodes/log", "blocks/pack",
+                                  "blocks/index"])
+def test_close_error_on_a_store_file(repo, monkeypatch, capsys, name):
+    """With the close of one store file's descriptor failing with EIO,
+    which releases it all the same, `log` exits 3 with one line, and
+    every descriptor the command opened is closed."""
+    repo.close()
+    failing, opened, closed, bad = os.fspath(repo.path / name), [], [], []
+    real_open, real_close = os.open, os.close
+
+    def recording_open(path, *args, **kwargs):
+        fd = real_open(path, *args, **kwargs)
+        opened.append(fd)
+        if os.fspath(path) == failing:
+            bad.append(fd)
+        return fd
+
+    def failing_close(fd):
+        closed.append(fd)
+        real_close(fd)
+        if fd in bad:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "open", recording_open)
+        patch.setattr(os, "close", failing_close)
+        code = cli.main(["--repo", str(repo.path), "log"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_IO
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.strerror(errno.EIO) in err
+    assert len(bad) == 1 and len(opened) == 4
+    assert sorted(closed) == sorted(opened)
 
 
 def _assert_refused(path, capsys):
@@ -1881,12 +1986,40 @@ class TestCliPipeline:
                         str(chf), "--proof", str(prf)) == 1
         assert "reject" in capsys.readouterr().out
 
+    def test_proof_for_more_draws_rejects_exit_1(self, tmp_path, capsys):
+        """A whole-file proof for 50 draws, checked against a challenge of
+        1 draw with the same seed, carries leaves no draw hits: verify
+        exits 1 and says so."""
+        src = tmp_path / "f.bin"
+        src.write_bytes(random.Random(3).randbytes(64 * 1024))
+        repo_path = str(tmp_path / "repo")
+        assert self.run("--repo", repo_path, "init", "--file", str(src),
+                        "--block-size", "1024", "--seed", SEED_HEX) == 0
+        files = {count: tmp_path / f"c{count}" for count in (1, 50)}
+        for count, chf in files.items():
+            assert self.run("--repo", repo_path, "challenge", "--seed",
+                            "ffeeddccbbaa99887766", "--count", str(count),
+                            "--out", str(chf)) == 0
+        prf = tmp_path / "p"
+        assert self.run("--repo", repo_path, "prove", "--challenge",
+                        str(files[50]), "--out", str(prf)) == 0
+        capsys.readouterr()
+        assert self.run("--repo", repo_path, "verify", "--challenge",
+                        str(files[1]), "--proof", str(prf)) == 1
+        assert capsys.readouterr().out == (
+            "reject: proof carries a leaf no challenged index hits\n")
+
     @pytest.mark.parametrize("diff", [
         b"X 0 1\nz\n",                              # bad header
         b"I 0 10\nshort\n",                         # truncated payload
         b"I 9999 1\nz\n",                           # past the file's end
         b"R 8 4 1\nz\nR 10 1 1\nz\n",               # overlapping
-    ], ids=["bad header", "truncated payload", "out of range", "overlapping"])
+        b"I 0 1",                                   # header, no newline
+        b"I x 1\nz\n",                              # a field not a number
+        b"I 0 1\nzz",                               # payload, no newline
+    ], ids=["bad header", "truncated payload", "out of range", "overlapping",
+            "header without newline", "non-integer field",
+            "payload without newline"])
     def test_bad_diff_exits_2(self, tmp_path, repo, capsys, diff):
         """A malformed diff is a usage error, as an out-of-range or an
         overlapping one is, and commits nothing."""
