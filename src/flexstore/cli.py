@@ -151,10 +151,12 @@ def cmd_init(args) -> int:
 def cmd_commit(args) -> int:
     with Repository.open(args.repo) as repo:
         summary = repo.commit(_read_file(args.diff))
-    print(f"version {summary['version']} rank {summary['rank']}")
-    print(f"ops {summary['ops']} created {summary['created_nodes']} "
-          f"shared {summary['shared_nodes']}")
-    print(f"meta {summary['meta']}")
+        # Printed before the store closes: a close that fails exits 3
+        # with the committed version named.
+        print(f"version {summary['version']} rank {summary['rank']}")
+        print(f"ops {summary['ops']} created {summary['created_nodes']} "
+              f"shared {summary['shared_nodes']}")
+        print(f"meta {summary['meta']}")
     return EXIT_OK
 
 

@@ -35,7 +35,6 @@ KIND_INTERNAL = 0
 KIND_LEAF = 1
 KIND_SENTINEL = 2
 KIND_STUB = 3  # opaque frontier in a partial list: digest and rank only
-KIND_EDGE = 4  # a layer-2 edge record (see index2): a record, not a node
 NO_LINK = (1 << 64) - 1   # a stored node's below or after, when absent
 BAD, BAD_BLOCK = 1, 2   # check_nodes's flags
 
@@ -62,8 +61,7 @@ class Node:
 
     def __repr__(self):
         kind = {KIND_INTERNAL: "int", KIND_LEAF: "leaf",
-                KIND_SENTINEL: "sent", KIND_STUB: "stub",
-                KIND_EDGE: "edge"}[self.kind]
+                KIND_SENTINEL: "sent", KIND_STUB: "stub"}[self.kind]
         return (f"<{kind} lvl={self.level} rank={self.rank} "
                 f"len={self.length}>")
 
@@ -389,8 +387,7 @@ def check_subtree(store: NodeStore, scheme: HashScheme, root: int,
                      if link is not None]
     problem = next(check_nodes(
         scheme, ((node_id, record_fields(nodes[node_id], scheme.zero))
-                 for node_id in sorted(nodes)), ranks, digests, flags, {},
-        {}),
+                 for node_id in sorted(nodes)), ranks, digests, flags, {}),
         None)
     if problem is not None:
         raise StructureCorrupt(problem)
@@ -409,21 +406,14 @@ def shape_problem(node_id: int, fields: tuple, zero: bytes) -> str | None:
     """What is wrong with stored node `node_id`'s shape, or None: its
     fields (as record_fields gives them) must fit its kind, internal nodes
     having both links and no length or block, leaves no below link and
-    level 0, data leaves a length, sentinels none and no block, edge
-    records as index2 writes them; and its links must point back, as
-    writers finalize children first."""
+    level 0, data leaves a length, sentinels none and no block; and its
+    links must point back, as writers finalize children first."""
     kind, level, rank, below, after, length, block, digest = fields
     if kind == KIND_INTERNAL:
         valid = below != NO_LINK != after and not length and block == zero
     elif kind == KIND_LEAF or kind == KIND_SENTINEL:
         valid = below == NO_LINK and not level and (
             length > 0 if kind == KIND_LEAF else not length and block == zero)
-    elif kind == KIND_EDGE:
-        # No length or digest; a block only for a bare tower leaf; the
-        # left sentinel's record, the one without below, no level or rank.
-        valid = not length and digest == zero and (
-            after == NO_LINK or block == zero) and (
-            below != NO_LINK or not level and not rank and block == zero)
     else:
         return f"node {node_id}: unknown kind {kind}"
     if not valid:
@@ -434,8 +424,7 @@ def shape_problem(node_id: int, fields: tuple, zero: bytes) -> str | None:
 
 
 def check_nodes(scheme: HashScheme, records: Iterable[tuple[int, tuple]],
-                ranks, digests, flags, block_lengths: dict,
-                edges: dict) -> Iterator[str]:
+                ranks, digests, flags, block_lengths: dict) -> Iterator[str]:
     """The one check of stored nodes' shape (shape_problem), rank and
     digest, over (id, fields) records in ascending id order; yields one
     problem per bad record, as it is found. Each rank and digest is
@@ -445,13 +434,7 @@ def check_nodes(scheme: HashScheme, records: Iterable[tuple[int, tuple]],
     for a data leaf, BAD_BLOCK if block_lengths (digest -> length) lacks
     its block or gives another length. A record that disagrees only as a
     child is bad (whose flipped digest breaks every parent's hash) is BAD
-    without a problem.
-
-    An edge record has no digest: digests[id] gets None, which no node
-    may link to, and flags[id] the flags of its links, so an edge head
-    is flagged as the records it reaches are; one of good shape goes in
-    edges[id] as its (level, version, below, after, block) fields, for
-    index2.edge_problems."""
+    without a problem."""
     sha, zero = scheme.hash_fn, scheme.zero
     pack_internal = scheme.internal_layout.pack
     pack_leaf = scheme.leaf_layout.pack
@@ -468,13 +451,6 @@ def check_nodes(scheme: HashScheme, records: Iterable[tuple[int, tuple]],
                     TAG_INTERNAL, level, got_rank, digests[below], 1,
                     digests[after])).digest()
                 flag = flags[below] | flags[after]
-            elif kind == KIND_EDGE:
-                problem = _edge_problem(node_id, fields, zero, digests, flags,
-                                        edges)
-                digests[node_id] = None     # no node may link to it
-                if problem is not None:
-                    yield problem
-                continue
             else:
                 if not (kind == KIND_LEAF and below == NO_LINK and not level
                         and after < node_id and length > 0):
@@ -492,13 +468,9 @@ def check_nodes(scheme: HashScheme, records: Iterable[tuple[int, tuple]],
                     length, block)).digest()
                 if kind == KIND_LEAF and block_length(block) != length:
                     flag |= BAD_BLOCK
-        except struct.error:    # a rank past 64 bits, or no child digest
+        except struct.error:    # a rank past 64 bits
             flags[node_id] = BAD
-            if any(link != NO_LINK and digests[link] is None
-                   for link in (below, after)):
-                yield f"node {node_id} links to an edge record"
-            else:
-                yield f"node {node_id}: field out of range"
+            yield f"node {node_id}: field out of range"
             continue
         if got_rank == rank and got == digest:
             flags[node_id] = flag
@@ -508,23 +480,3 @@ def check_nodes(scheme: HashScheme, records: Iterable[tuple[int, tuple]],
             yield (f"node {node_id}: "
                    f"{'rank' if got_rank != rank else 'digest'} mismatch")
 
-
-def _edge_problem(node_id: int, fields: tuple, zero: bytes, digests, flags,
-                  edges: dict) -> str | None:
-    """check_nodes's check of an edge record, which sets its flags and
-    its `edges` entry: its shape, and its links, `below` to an edge record
-    and `after` to a node, unless the record linked to is bad itself."""
-    _kind, level, rank, below, after, _length, block, _digest = fields
-    problem = shape_problem(node_id, fields, zero)
-    flag = 0
-    if problem is None:
-        edges[node_id] = (level, rank, below, after, block)
-        for link, edge in ((below, True), (after, False)):
-            if link != NO_LINK:
-                flag |= flags[link]
-                if not flags[link] & BAD and (digests[link] is None) != edge:
-                    problem = (f"node {node_id}: edge record's "
-                               + ("below is not an edge record" if edge
-                                  else "frozen part is an edge record"))
-    flags[node_id] = BAD if problem is not None else flag
-    return problem

@@ -33,23 +33,24 @@ The list is the canonical one build_with_levels makes of the records and
 their layer2_levels, so every digest is what a full persistent insert
 gave.
 
-Edge records. An append writes a node-log record of kind
-core.KIND_EDGE for each entry it changed, at most two: the surviving top
-and the new tower. A record holds the tower's level, its version (in the
-rank field), a link to the frozen part (none for a bare leaf, whose
-record digest it holds as its block instead) and a link to the record of
-the entry below (none for the left sentinel's, whose level and version
-are 0). A commit's last node record is the new tower's, its edge head.
-The edge is derived from the head on first use, strictly, reading about
-log n records. The edge nodes, the edge towers' full columns, are never
-stored, as each append replaces them all: the fold that gives the meta
-digest makes them, and the index resolves them at negative ids
-(VersionIndex.get), so build_path walks the index as it walks a store.
+Edge links. An append records in its version's record where it left
+the edge: `survivor`, the version of the tower on top of the edge below
+the new one (-1 for the left sentinel's), and `frozen`, that tower's
+frozen part as the append left it (None for a bare leaf). The survivor
+was the top of its own version's edge, bare, and nothing below it has
+changed since, so version v's edge is the survivor's edge without its
+top, then the survivor with `frozen`, then tower v, bare. The edge is
+derived from the last record on first use, strictly, following survivor
+links down to the left sentinel's: about log n records, the levels from
+the seed and the bare leaves from the records. The edge nodes, the edge
+towers' full columns, are never stored, as each append replaces them
+all: the fold that gives the meta digest makes them, and the index
+resolves them at negative ids (VersionIndex.get), so build_path walks
+the index as it walks a store.
 
-Records are never rewritten, so every older edge head still derives the
-edge it had: an index made with an older commit's head and the records
-up to that commit rebuilds that commit's meta digest and proves versions
-against it.
+Records are never rewritten, so an index made with the records up to
+any version derives the edge that version had, rebuilds its meta digest
+and proves versions against it.
 """
 
 from __future__ import annotations
@@ -58,9 +59,8 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from . import proofs
-from .core import (BAD, KIND_EDGE, KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL,
-                   LEVEL_INF, NO_LINK, Node, NodeStore, make_internal,
-                   make_leaf)
+from .core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL, LEVEL_INF, Node,
+                   NodeStore, make_internal, make_leaf)
 from .errors import (NoSuchVersion, ProofRejected, StructureCorrupt,
                      VersionOutOfOrder)
 from .hashing import (TAG_INTERNAL, TAG_LEAF, TAG_SENTINEL, HashScheme,
@@ -74,21 +74,24 @@ class VersionRecord:
     root_digest: bytes
     update_start: int
     update_length: int
+    # The edge link (see the module docstring), which append_version
+    # sets: the survivor's version, -1 for the left sentinel's, and its
+    # frozen part's node id, None for a bare leaf.
+    survivor: int = -1
+    frozen: int | None = None
 
 
-# An edge entry is (level, version, frozen, span, part, record): the left
+# An edge entry is (level, version, frozen, span, part): the left
 # sentinel's has level LEVEL_INF and version -1; frozen is the frozen
 # part's node id, or None for a bare leaf; span and part are the frozen
 # part's rank and digest, or a bare leaf's length and block digest (the
-# version's record digest, or zeros for the sentinel); record is the id
-# of the entry's edge record, None until it is written.
+# version's record digest, or zeros for the sentinel).
 
 
 class VersionIndex:
     """Append-ordered index over version records.
 
-    `head` is the id of the edge head record (None for an empty index),
-    and `edge`, if given, the edge it derives, already derived.
+    `edge`, if given, is the edge the records derive, already derived.
 
     `records` is the source of the versions that precede this object:
     any sequence whose item k is version k's record (the repository's
@@ -97,13 +100,11 @@ class VersionIndex:
     """
 
     def __init__(self, store: NodeStore, scheme: HashScheme, seed: bytes,
-                 head: int | None = None,
                  records: Sequence[VersionRecord] = (),
                  edge: list | None = None):
         self.store = store
         self.scheme = scheme
         self.seed = seed
-        self.head = head
         self._source = records
         self._base = len(records)
         self._added: list[VersionRecord] = []
@@ -136,47 +137,36 @@ class VersionIndex:
             return self._fold()[-node_id - 1]
         return self.store.get(node_id)
 
-    def append_version(self, rec: VersionRecord) -> bytes:
-        """Add a committed version's record; returns the new meta digest."""
+    def append_version(self, rec: VersionRecord) -> VersionRecord:
+        """Add a committed version's record, whose link is not read;
+        returns the record with the link this append made."""
         if rec.version != self.count:
             raise VersionOutOfOrder(
                 f"expected version {self.count}, got {rec.version}")
-        store, zero = self.store, self.scheme.zero
-        block = self.scheme.version_record(
-            rec.version, rec.root_digest, rec.update_start,
-            rec.update_length)
+        block = self._leaf(rec)
         level = next(layer2_levels(self.seed, rec.version))
         edge = self.edge
         last = None    # (id, level) of the popped towers' column so far
         while edge[-1][0] < level:
             last = self._close(edge.pop(), last)
+        top_level, survivor, frozen = edge[-1][:3]
         if last is not None or level:
-            top_level, top_version = edge[-1][:2]
-            node_id = self._close(edge[-1], last)[0]
-            node = store.get(node_id)
-            edge[-1] = (top_level, top_version, node_id, node.rank,
-                        node.digest, None)
-        top_level, top_version, frozen, span, part, top_record = edge[-1]
-        if top_record is None:
-            sentinel = top_version < 0
-            top_record = store.add(Node(
-                KIND_EDGE, 0 if sentinel else top_level, max(top_version, 0),
-                None if sentinel else edge[-2][5], frozen, 0,
-                part if frozen is None else zero, zero))
-            edge[-1] = (top_level, top_version, frozen, span, part,
-                        top_record)
-        self.head = store.add(Node(KIND_EDGE, level, rec.version, top_record,
-                                   None, 0, block, zero))
-        edge.append((level, rec.version, None, 1, block, self.head))
-        self._added.append(rec)
+            frozen = self._close(edge[-1], last)[0]
+            node = self.store.get(frozen)
+            edge[-1] = (top_level, survivor, frozen, node.rank, node.digest)
+        edge.append((level, rec.version, None, 1, block))
+        linked = VersionRecord(rec.version, rec.root, rec.root_digest,
+                               rec.update_start, rec.update_length,
+                               survivor, frozen)
+        self._added.append(linked)
         self._nodes = None
-        return self.meta_digest
+        return linked
 
     def _close(self, entry: tuple, last: tuple | None) -> tuple[int, int]:
         """Write an edge tower's column up to `last`, the (id, level) of
         the column its last piece is, or without a last piece for None;
         returns the new node's id and the tower's level."""
-        level, version, frozen, span, part, _record = entry
+        level, version, frozen, span, part = entry
         if last is None or not last[1]:     # its leaf, chaining or not
             node_id = make_leaf(self.store, self.scheme, span, part,
                                 None if last is None else last[0],
@@ -201,7 +191,7 @@ class VersionIndex:
         digest = sha(pack_leaf(TAG_SENTINEL, 0, 0, 0, zero, 0, zero)).digest()
         nodes = [Node(KIND_SENTINEL, 0, 0, None, None, 0, zero, digest)]
         for k in range(len(edge), 0, -1):
-            level, version, frozen, span, part, _record = edge[k - 1]
+            level, version, frozen, span, part = edge[k - 1]
             rank += span
             if after_level:
                 digest = sha(pack_internal(TAG_INTERNAL, after_level, rank,
@@ -222,47 +212,46 @@ class VersionIndex:
         return nodes
 
     def _derive(self) -> list:
-        """The edge of `head`, read down its records, strictly: each must
-        be an edge record at its version's level, whose frozen part is a
-        node, and fit under the one above it (see _fits), the head at the
-        right end."""
+        """The edge of the last version, read down the survivor links of
+        the records, strictly: the last version's bare tower on top, and
+        under each entry its record's survivor with its frozen part,
+        which must be a node, down to the left sentinel's; each entry
+        must fit under the one above it (see _fits)."""
         zero = self.scheme.zero
-        if self.head is None:
-            if self.count:
-                raise StructureCorrupt("versions but no edge head")
-            return [(LEVEL_INF, -1, None, 0, zero, None)]
-        get = self.store.get
-        entries = []
-        record, above, above_level = self.head, self.count, 0
+        if not self.count:
+            return [(LEVEL_INF, -1, None, 0, zero)]
+        version = self.count - 1
+        rec = self.record(version)
+        level = next(layer2_levels(self.seed, version))
+        entries = [(level, version, None, 1, self._leaf(rec))]
         while True:
-            node = get(record)
-            if node.kind != KIND_EDGE:
-                raise StructureCorrupt(f"node {record} is not an edge record")
-            sentinel = node.below is None
-            level, version = ((LEVEL_INF, -1) if sentinel
-                              else (node.level, node.rank))
-            frozen = node.after
-            if frozen is None:
-                span, part = int(not sentinel), node.block
+            survivor, frozen, above, above_level = (rec.survivor, rec.frozen,
+                                                    rec.version, level)
+            sentinel = survivor < 0
+            if sentinel:
+                level = LEVEL_INF
             else:
-                frozen_node = get(frozen)
-                if frozen_node.kind == KIND_EDGE:
-                    raise StructureCorrupt(f"edge record {record}: frozen "
-                                           "part is an edge record")
-                span, part = frozen_node.rank, frozen_node.digest
-            if not (sentinel or level == next(layer2_levels(self.seed,
-                                                            version))):
-                raise StructureCorrupt(f"edge record {record}: level is not "
-                                       "its version's")
-            if not _fits(level, version, None if frozen is None else span,
+                rec = self.record(survivor)
+                level = next(layer2_levels(self.seed, survivor))
+            if frozen is not None:
+                node = self.store.get(frozen)
+                span, part = node.rank, node.digest
+            else:
+                span, part = (0, zero) if sentinel else (1, self._leaf(rec))
+            if not _fits(level, survivor, None if frozen is None else span,
                          above_level, above):
-                raise StructureCorrupt(f"edge record {record} does not fit "
-                                       "the edge")
-            entries.append((level, version, frozen, span, part, record))
+                raise StructureCorrupt(f"version {above}: edge link does "
+                                       "not fit the edge")
+            entries.append((level, survivor, frozen, span, part))
             if sentinel:
                 entries.reverse()
                 return entries
-            record, above, above_level = node.below, version, level
+
+    def _leaf(self, rec: VersionRecord) -> bytes:
+        """A version's layer-2 leaf digest, its record digest."""
+        return self.scheme.version_record(rec.version, rec.root_digest,
+                                          rec.update_start,
+                                          rec.update_length)
 
     def record(self, version: int) -> VersionRecord:
         if not 0 <= version < self.count:
@@ -297,47 +286,6 @@ def _fits(level: int, version: int, span: int | None, above_level: int,
             and (span is None) == (not above_level)
             and (int(version >= 0) if span is None else span)
             == above - start)
-
-
-def edge_problems(edges: dict, ranks, flags, levels: list[int],
-                  leaves: list[bytes], heads: list[int]) -> list[str]:
-    """fsck's check of every edge record a node pass found in good shape
-    (core.check_nodes's `edges`, with its `ranks` and `flags`), against the
-    committed versions' layer-2 `levels` and leaf digests: each tower's
-    record at its version's level, a bare one holding its version's leaf
-    digest, and the record below each fitting under it (see _fits); and
-    `heads`, the last node record of each version, each that version's
-    record, fitting at the right end. Records that reach a bad one are
-    left to the report of those that reach it."""
-    problems = []
-
-    def entry(node_id: int) -> tuple:
-        level, version, below, after, _block = edges[node_id]
-        if below == NO_LINK:
-            level, version = LEVEL_INF, -1
-        return level, version, None if after == NO_LINK else ranks[after]
-
-    for node_id, (level, version, below, after, block) in edges.items():
-        if flags[node_id] & BAD or below == NO_LINK:
-            continue
-        if version >= len(levels) or level != levels[version]:
-            problems.append(f"node {node_id}: edge record of a version "
-                            "at another level")
-        elif after == NO_LINK and block != leaves[version]:
-            problems.append(f"node {node_id}: edge record's leaf is not its "
-                            "version's")
-        elif not _fits(*entry(below), level, version):
-            problems.append(f"node {node_id}: the edge record below it does "
-                            "not fit")
-    for version, head in enumerate(heads):
-        if flags[head] & BAD:
-            continue
-        if (head not in edges or edges[head][2] == NO_LINK
-                or edges[head][1] != version
-                or not _fits(*entry(head), 0, version + 1)):
-            problems.append(f"version {version}: last node record is not "
-                            "its edge head")
-    return problems
 
 
 def verify_version_proof(scheme: HashScheme, meta: bytes, subtree: bytes,

@@ -1,6 +1,6 @@
 """Durable repository: block store, node store and commit log.
 
-On-disk layout under the repository root (store format 9):
+On-disk layout under the repository root (store format 10):
 
     config.json    store format, hash function, block size, seed
     versions.log   one fixed-width commit record per version, in order
@@ -11,14 +11,16 @@ On-disk layout under the repository root (store format 9):
     lock           the writer lock, taken with flock
 
 Every integer is big-endian. Record k of `versions.log` is version k:
-root || root digest || update start || update length || nodes || blocks,
-each a u64 but the digest (60 bytes with SHA-1).
+root || root digest || update start || update length || nodes || blocks
+|| survivor || frozen || record digest, each a u64 but the digests (96
+bytes with SHA-1): survivor and frozen are the version's layer-2 edge
+link (see index2), 2^64 - 1 for the left sentinel's survivor and for a
+bare leaf's frozen part, and the record digest is the version record's,
+its layer-2 leaf digest, which no stored node holds while the leaf is
+bare on the edge.
 Record k of `nodes/log` is node k: kind u8 || level u8 || rank || below
 || after (u64 each, 2^64 - 1 for no link) || length u32 || block digest
-(zeros for an internal node) || node digest (70 bytes with SHA-1). A
-record of kind core.KIND_EDGE is a layer-2 edge record (see index2): a
-tower's level and version (as its rank), its frozen part as `after`,
-the record of the edge entry below as `below`.
+(zeros for an internal node) || node digest (70 bytes with SHA-1).
 
 Blocks are content-addressed, so identical content across versions (or
 within one file) is stored once. Records and blocks are write-once;
@@ -29,19 +31,18 @@ one-byte records, and share one write policy: what a commit appends to
 a file is buffered, written whenever the buffer reaches _COPY_LIMIT
 bytes, and the rest written at the end in the order pack, index, node
 log, commit record: the order of `Repository.files`. A commit's node
-records are its layer-1 nodes, then the layer-2 append's: the nodes it
-writes once and for all, then one or two edge records, the last of
-which, node `nodes` - 1, is the commit's edge head. The commit record
-is the commit point: besides the version record it holds `nodes` and
-`blocks`, the node and index records the version counts. Once it is
-written, the commit counts every file's new records as committed, and
-only then moves the repository to the new version. Neither the layer-2
-root nor the meta digest is stored: the edge head derives them, on
-first use. No stream position is stored either: the seed and the
-version number fix every tower level. `open` reads `config.json`, the
-last complete commit record and the last index record it counts, and
-checks the node log's and the pack's sizes; it reads no edge record,
-and its cost does not grow with history. What a crashed writer left
+records are its layer-1 nodes, then the layer-2 nodes the append
+writes once and for all. The commit record is the commit point: besides
+the version record and its edge link it holds `nodes` and `blocks`, the
+node and index records the version counts. Once it is written, the
+commit counts every file's new records as committed, and only then
+moves the repository to the new version. Neither the layer-2 root nor
+the meta digest is stored: the edge links derive them, on first use,
+from about log n commit records. No stream position is stored either:
+the seed and the version number fix every tower level. `open` reads
+`config.json`, the last complete commit record and the last index
+record it counts, and checks the node log's and the pack's sizes; its
+cost does not grow with history. What a crashed writer left
 past those ends is ignored, and the next writer's commit cuts all four
 files back to them before it appends. Nothing is fsynced, so this holds
 for a process that dies, not for power loss.
@@ -68,7 +69,7 @@ import random
 import struct
 from collections.abc import Iterator
 from contextlib import ExitStack, contextmanager, suppress
-from itertools import chain, groupby, islice
+from itertools import chain, groupby
 from pathlib import Path
 from typing import NamedTuple
 
@@ -78,12 +79,12 @@ from .core import (BAD, BAD_BLOCK, KIND_INTERNAL, KIND_LEAF, KIND_STUB,
 from .errors import (BlockTooSmall, DomainError, EmptyCommit, EmptyRegion,
                      IOFailure, PathExists, RepositoryLocked,
                      StructureCorrupt)
-from .hashing import SEED_BYTES, HashScheme, layer2_levels, version_levels
-from .index2 import VersionIndex, VersionRecord, edge_problems
+from .hashing import SEED_BYTES, HashScheme, version_levels
+from .index2 import VersionIndex, VersionRecord
 
 # Version of the on-disk layout, kept in config.json; open refuses any
 # other.
-STORE_FORMAT = 9
+STORE_FORMAT = 10
 _LENGTH_MASK = 0xFFFFFFFF
 # The largest block size: index and node records keep a block's length
 # as u32, and an edit keeps blocks of up to twice the block size.
@@ -315,21 +316,19 @@ class DurableNodeStore(NodeStore):
         return node
 
     def check(self, scheme: HashScheme, block_lengths: dict) -> tuple:
-        """(problems, ranks, digests, flags, edges) of core.check_nodes
+        """(problems, ranks, digests, flags) of core.check_nodes
         over every committed record, a run at a time; a record not read
         stays BAD, and a read that comes up short ends the pass with one
         more problem."""
         n, problems = self._file.committed, []
         ranks, digests, flags = [0] * n, [scheme.zero] * n, [BAD] * n
-        edges = {}
         try:
             for problem in core.check_nodes(scheme, self._file.scan(), ranks,
-                                            digests, flags, block_lengths,
-                                            edges):
+                                            digests, flags, block_lengths):
                 problems.append(problem)
         except StructureCorrupt as exc:
             problems.append(str(exc))
-        return problems, ranks, digests, flags, edges
+        return problems, ranks, digests, flags
 
     def _encode(self, node: Node) -> bytes:
         return self.layout.pack(*core.record_fields(node, self._zero))
@@ -352,8 +351,7 @@ class Commit(NamedTuple):
     """One commit record: a version and the store state it commits."""
 
     record: VersionRecord
-    nodes: int           # node records the store holds; the last is the
-                         # edge head
+    nodes: int           # node records the store holds
     blocks: int          # block index records the store holds
 
 
@@ -363,16 +361,19 @@ class CommitLog:
 
     Only complete records count, and only `len(self)` of them: the
     constructor takes as many as the file holds and reads the last. A
-    record is decoded strictly when it is read: its root must lie below
-    its edge head, node `nodes` - 1, and its counts must not pass the
-    last record's. As a sequence of version records it is the source a
-    VersionIndex reads.
+    record is decoded strictly when it is read: its record digest must be
+    its version record's, its root and frozen part among the `nodes` it
+    counts, its survivor an earlier version, and its counts must not
+    pass the last record's. As a sequence of version records it is the
+    source a VersionIndex reads.
     """
 
     def __init__(self, path: Path, scheme: HashScheme):
         self._file = _RecordFile(
-            path, struct.Struct(f">Q{scheme.width}sQQQQ"), "versions.log")
+            path, struct.Struct(f">Q{scheme.width}sQQQQQQ{scheme.width}s"),
+            "versions.log")
         self.layout = self._file.layout
+        self._digest = scheme.version_record
         self.last = None
         try:
             self.last = self.commit(len(self) - 1) if len(self) else None
@@ -402,24 +403,37 @@ class CommitLog:
                 yield exc
 
     def _decode(self, version: int, fields: tuple) -> Commit:
-        root, root_digest, start, length, nodes, blocks = fields
-        if root >= nodes - 1:
+        (root, root_digest, start, length, nodes, blocks, survivor, frozen,
+         digest) = fields
+        if digest != self._digest(version, root_digest, start, length):
+            raise StructureCorrupt(f"versions.log: version {version}'s "
+                                   "record digest does not match its fields")
+        if root >= nodes or nodes <= frozen != NO_LINK:
             raise StructureCorrupt(f"versions.log: version {version} names "
-                                   f"a root past node {nodes - 2}, the last "
-                                   "before its edge head")
+                                   f"a node past node {nodes - 1}, the last "
+                                   "it counts")
+        if version <= survivor != NO_LINK:
+            raise StructureCorrupt(f"versions.log: version {version} links "
+                                   "to a later version")
         last = self.last
         if last is not None and (nodes > last.nodes or blocks > last.blocks):
             raise StructureCorrupt(f"versions.log: version {version} counts "
                                    "more records than the last version")
-        return Commit(VersionRecord(version, root, root_digest, start, length),
-                      nodes, blocks)
+        return Commit(VersionRecord(
+            version, root, root_digest, start, length,
+            -1 if survivor == NO_LINK else survivor,
+            None if frozen == NO_LINK else frozen), nodes, blocks)
 
     def append(self, commit: Commit) -> None:
         """Buffer a commit record, the commit point once written."""
         rec = commit.record
         self._file.append(self.layout.pack(
             rec.root, rec.root_digest, rec.update_start, rec.update_length,
-            commit.nodes, commit.blocks))
+            commit.nodes, commit.blocks,
+            NO_LINK if rec.survivor < 0 else rec.survivor,
+            NO_LINK if rec.frozen is None else rec.frozen,
+            self._digest(rec.version, rec.root_digest, rec.update_start,
+                         rec.update_length)))
 
     def check_unchanged(self) -> None:
         """Refuse if a complete record appeared past the committed ones
@@ -623,7 +637,6 @@ class Repository:
         self.files = (self.blocks._pack, self.blocks._index,
                       self.store._file, self.log._file)
         self.vindex = VersionIndex(self.store, scheme, self.seed,
-                                   head=None if last is None else nodes - 1,
                                    records=self.log)
 
     # -- lifecycle ----------------------------------------------------------
@@ -742,11 +755,9 @@ class Repository:
         order, the commit record last, the commit point; only then count
         their records and move this object to the new index and version."""
         vindex = VersionIndex(self.store, self.scheme, self.seed,
-                              head=self.vindex.head, records=self.log,
-                              edge=self.vindex.edge)
-        rec = VersionRecord(vindex.count, root, self.store.get(root).digest,
-                            start, length)
-        vindex.append_version(rec)
+                              records=self.log, edge=self.vindex.edge)
+        rec = vindex.append_version(VersionRecord(
+            vindex.count, root, self.store.get(root).digest, start, length))
         commit = Commit(rec, self.store.next_id, self.blocks.count)
         self.log.append(commit)
         for file in self.files:
@@ -897,8 +908,7 @@ class Repository:
                                     "not match its address")
         except StructureCorrupt as exc:
             problems.append(str(exc))
-        found, ranks, digests, flags, edges = self.store.check(self.scheme,
-                                                               lengths)
+        found, ranks, digests, flags = self.store.check(self.scheme, lengths)
         problems += found
         try:
             commits = list(self.log.scan())
@@ -913,54 +923,64 @@ class Repository:
                 before = commit
             elif commit is not None:     # None: reported above
                 problems.append(str(commit))
-        decoded = [c for c in commits if isinstance(c, Commit)]
+        records = [c.record for c in commits if isinstance(c, Commit)]
         # One line names every version whose layer-1 root reaches BAD,
-        # and one every version whose edge head does.
-        for what, root in (("reach", lambda c: c.record.root),
-                           ("edge heads reach", lambda c: c.nodes - 1)):
-            bad = [c.record.version for c in decoded if flags[root(c)] & BAD]
+        # and one every version whose edge does: the survivor's edge, less
+        # the survivor's bare leaf, and the frozen part.
+        edges = {}
+        for rec in records:
+            edges[rec.version] = edges.get(rec.survivor, 0) | (
+                0 if rec.frozen is None else flags[rec.frozen])
+        for what, reach in (("reach", lambda rec: flags[rec.root]),
+                            ("edges reach", lambda rec: edges[rec.version])):
+            bad = [rec.version for rec in records if reach(rec) & BAD]
             if bad:
                 problems.append(f"versions {_ranges(bad)}: {what} a bad "
                                 "node record")
-        records = [c.record for c in decoded]
-        # Not from edge heads: layer-2 leaves' blocks are record digests.
+        # Not from the edges: layer-2 leaves' blocks are record digests.
         problems += self._fsck_blocks([rec.root for rec in records], flags,
                                       lengths)
         if len(records) == len(commits):
-            levels = list(islice(layer2_levels(self.seed, 0), len(records)))
-            leaves = [self.scheme.version_record(
-                rec.version, rec.root_digest, rec.update_start,
-                rec.update_length) for rec in records]
-            problems += edge_problems(edges, ranks, flags, levels, leaves,
-                                      [c.nodes - 1 for c in decoded])
-            try:
-                meta = self.vindex.meta_digest
-            except StructureCorrupt as exc:
-                problems.append(f"edge: {exc}")
-            else:
-                problems += self._fsck_layer2(levels, leaves, meta)
+            problems += self._fsck_layer2(records, digests, flags)
         return problems
 
-    def _fsck_layer2(self, levels: list[int], leaves: list[bytes],
-                     meta: bytes) -> list[str]:
-        """Rebuild the layer-2 list from the version records' leaf digests
-        and levels in one pass: its shape is canonical, so it must have the
-        meta digest that the latest edge head derives."""
-        replay = NodeStore()
-        root = core.build_with_levels(replay, self.scheme,
-                                      [(1, leaf) for leaf in leaves], levels)
-        if replay.get(root).digest != meta:
-            return ["edge head's meta digest does not match a replay of the "
-                    "version log"]
-        return []
+    def _fsck_layer2(self, records: list[VersionRecord], digests: list,
+                     flags: list) -> list[str]:
+        """Replay the layer-2 appends of the version records in memory:
+        each record's edge link must be the replay's, its frozen part
+        having the replay's digest (unless the part is a bad record,
+        reported with the edges that reach it), and the meta digest the
+        records derive must be the replay's."""
+        problems = []
+        replay = VersionIndex(NodeStore(), self.scheme, self.seed)
+        for rec in records:
+            link = replay.append_version(rec)
+            if (rec.survivor != link.survivor
+                    or (rec.frozen is None) != (link.frozen is None)
+                    or rec.frozen is not None
+                    and not flags[rec.frozen] & BAD
+                    and digests[rec.frozen]
+                    != replay.store.get(link.frozen).digest):
+                problems.append(f"version {rec.version}: edge link disagrees "
+                                "with a replay of the version log")
+        try:
+            meta = VersionIndex(self.store, self.scheme, self.seed,
+                                records=records).meta_digest
+        except StructureCorrupt as exc:
+            problems.append(f"edge: {exc}")
+        else:
+            if meta != replay.meta_digest:
+                problems.append("edge links' meta digest does not match a "
+                                "replay of the version log")
+        return problems
 
     def _fsck_commit(self, version: int, commit: Commit,
                      before: Commit | None, ranks: list,
                      digests: list) -> list[str]:
         """Check a commit record against the one before it (the store only
-        grows) and against the node pass at its root. (Roots that reach a
-        bad record are reported for all versions at once, and edge heads
-        checked with every edge record.)"""
+        grows) and against the node pass at its root. (Roots and edges
+        that reach a bad record are reported for all versions at once,
+        and edge links checked against one replay.)"""
         rec = commit.record
         rank = ranks[rec.root]
         problems = []

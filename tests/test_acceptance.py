@@ -18,9 +18,8 @@ from flexstore.adaptor import (BlockOp, DiffEntry, apply_ops_partial,
                                diff_to_ops, format_diff, partial_from_proof)
 from flexstore.audit import (Challenge, detection_probability, read_proof,
                              verify, write_proof)
-from flexstore.core import (KIND_EDGE, NodeStore, block_layout,
-                            build_with_levels, check_subtree, search,
-                            split_blocks)
+from flexstore.core import (NodeStore, block_layout, build_with_levels,
+                            check_subtree, search, split_blocks)
 from flexstore.errors import FlexStoreError, FormatError, ProofRejected
 from flexstore.hashing import HashScheme, version_levels
 from flexstore.index2 import VersionIndex, VersionRecord
@@ -434,14 +433,14 @@ def test_criterion_8_commit_log_bit_flips(tmp_path, capsys):
 
 
 class _FlippedStore:
-    """A three-block store after one commit, so that it holds the edge
-    records of both versions, version 0's head superseded (18 node
-    records, 4 of them edge records), for sweeps of single-bit flips of
-    one of its files at a time."""
+    """A three-block store after `commits` replacing commits, one by
+    default, whose layer-2 appends wrote frozen parts that its edge links
+    name (the second version's link names one), for sweeps of single-bit
+    flips of one of its files at a time."""
 
     FILES = ("versions.log", "nodes/log", "blocks/pack", "blocks/index")
 
-    def __init__(self, tmp_path, capsys):
+    def __init__(self, tmp_path, capsys, commits=1):
         rng = random.Random(38)
         src = tmp_path / "f.bin"
         src.write_bytes(rng.randbytes(3 * 64))
@@ -449,15 +448,15 @@ class _FlippedStore:
         self.more = format_diff([DiffEntry("insert", 100, rng.randbytes(90))])
         with Repository.init(self.path, block_size=64, seed=SEED,
                              input_file=src) as repo:
-            repo.commit(format_diff([DiffEntry("replace", 70,
-                                               rng.randbytes(8), 8)]))
+            for _ in range(commits):
+                repo.commit(format_diff([DiffEntry("replace", 70,
+                                                   rng.randbytes(8), 8)]))
             self.ch = repo.make_challenge(
                 bytes.fromhex("c0c1c2c3c4c5c6c7c8c9"), 4, (0, 1))
             self.meta, self.scheme = repo.meta_digest, repo.scheme
             self.record_size = repo.store.layout.size
-            edges = [node_id for node_id in range(repo.store.next_id)
-                     if repo.store.get(node_id).kind == KIND_EDGE]
-            assert len(edges) == 4 and repo.log.commit(0).nodes - 1 in edges
+            self.versions = commits + 1
+            assert repo.record(1).frozen is not None
         self.pristine = {name: (self.path / name).read_bytes()
                          for name in self.FILES}
         self.want = self.shown()
@@ -468,7 +467,8 @@ class _FlippedStore:
         commit show of the store; the store is restored after."""
         assert cli.main(["--repo", str(self.path), "log"]) == cli.EXIT_OK
         with Repository.open(self.path) as repo:
-            versions = [bytes(repo.materialize(v)) for v in range(2)]
+            versions = [bytes(repo.materialize(v))
+                        for v in range(self.versions)]
             proof = write_proof(repo.prove(self.ch), self.scheme)
             accepted, _ = verify(self.scheme, self.meta, self.ch,
                                  read_proof(proof, self.scheme))
@@ -541,6 +541,40 @@ def test_criterion_8_node_log_bit_flips(tmp_path, capsys):
            f"{len(clean)} clean, of which {len(exempt)} move a link between "
            f"byte-identical records ({exempt}) and {len(silent)} change "
            "what the store shows")
+
+
+def test_criterion_8_commit_link_bit_flips(tmp_path, capsys):
+    """Every bit of the edge link, `survivor` and `frozen`, of each commit
+    record of a 13-version store, flipped on its own: each flip is
+    refused at open or reported by fsck. The one exemption is `frozen`
+    moved between two byte-identical node records (the store's
+    zero-rank sentinels), which changes no digest and nothing shown."""
+    store = _FlippedStore(tmp_path, capsys, commits=12)
+    raw = store.pristine["versions.log"]
+    nodes, node_size = store.pristine["nodes/log"], store.record_size
+    size = len(raw) // store.versions
+    links = size - store.scheme.width - 16    # the record digest follows
+    flips = [(record * size + at, bit)
+             for record in range(store.versions)
+             for at in range(links, links + 16) for bit in range(8)]
+    refused, reported, clean, silent = store.sweep("versions.log", flips)
+    exempt = []
+    for pos, bit in clean:
+        record, at = divmod(pos, size)
+        if at >= links + 8:    # in `frozen`
+            first = record * size + links + 8
+            old = int.from_bytes(raw[first:first + 8], "big")
+            new = old ^ 1 << bit + 8 * (links + 15 - at)
+            if (max(old, new) < len(nodes) // node_size
+                    and nodes[old * node_size:(old + 1) * node_size]
+                    == nodes[new * node_size:(new + 1) * node_size]):
+                exempt.append((record, old, new))
+    report(8, len(exempt) == len(clean) and not silent,
+           f"{len(flips)} single-bit flips of the edge links of a "
+           f"{len(raw)}-byte versions.log: {refused} refused at open, "
+           f"{reported} reported by fsck, {len(clean)} clean, of which "
+           f"{len(exempt)} move `frozen` between byte-identical records "
+           f"({exempt}) and {len(silent)} change what the store shows")
 
 
 def test_criterion_8_block_index_bit_flips(tmp_path, capsys):

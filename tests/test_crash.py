@@ -25,7 +25,7 @@ from flexstore.repo import Repository
 SEED = bytes.fromhex("00112233445566778899")
 # The entry straddles a block boundary: a modify, a remove and two
 # inserts, so three block puts; then 6 layer-1 node records, and from the
-# layer-2 append 2 frozen nodes and 2 edge records, the last the head.
+# layer-2 append 2 frozen nodes, the last node records of the commit.
 EDIT = format_diff([DiffEntry("replace", 60, b"crash-" * 2, 8)])
 NEXT = format_diff([DiffEntry("insert", 0, b"next")])
 NODE_LOG = "nodes/log"
@@ -105,11 +105,11 @@ POINTS = [(repo_mod.BlockStore, "put", 1, "before", 0),
           # finish adds the layer-1 records straight to the node store
           (repo_mod.DurableNodeStore, "add", 1, "before", 0),
           (repo_mod.DurableNodeStore, "add", 4, "before", 0),
-          # the layer-2 append: its first frozen node, its first edge
-          # record, and its edge head
+          # the layer-2 append: its first frozen node, and before and
+          # after its last
           (repo_mod.DurableNodeStore, "add", 7, "before", 0),
-          (repo_mod.DurableNodeStore, "add", 9, "before", 0),
-          (repo_mod.DurableNodeStore, "add", 10, "after", 0),
+          (repo_mod.DurableNodeStore, "add", 8, "before", 0),
+          (repo_mod.DurableNodeStore, "add", 8, "after", 0),
           # the node log's flush, after the pack's and the index's
           (repo_mod._RecordFile, "flush", 3, "before", 0),
           # after the flush comes the commit record
@@ -236,26 +236,22 @@ def test_node_log_cut_past_committed_end(states):
 
 def test_node_log_cut_inside_layer2_records(states):
     """The commit's node records, cut at the start, inside and at the end
-    of each frozen layer-2 node and each edge record it wrote, with the
-    commit record not yet written: open gives the old version, and the
-    next writer cuts the node log back."""
+    of each frozen layer-2 node it wrote, the last node records of the
+    commit, with the commit record not yet written: open gives the old
+    version, and the next writer cuts the node log back."""
     _path, path, before, after, meta = states
     repo = Repository.open(path)
     try:
         first, end = repo.log.commit(0).nodes, repo.log.commit(1).nodes
         size = repo.store.layout.size
-        kinds = [repo.store.get(node_id).kind
-                 for node_id in range(first, end)]
         layer1 = set(_reach(repo.store, repo.record(1).root))
-        layer2 = [node_id for node_id in range(first, end)
+        frozen = [node_id for node_id in range(first, end)
                   if node_id not in layer1]
+        assert repo.record(1).frozen == end - 1
     finally:
         repo.close()
-    edges = [first + k for k, kind in enumerate(kinds)
-             if kind == core.KIND_EDGE]
-    frozen = [node_id for node_id in layer2 if node_id not in edges]
-    assert len(frozen) == 2 and edges == [end - 2, end - 1]
-    for node_id in frozen + edges:
+    assert frozen == [end - 2, end - 1]
+    for node_id in frozen:
         for at in (0, 1, size // 2, size - 1, size):
             _restore(path, {**before,
                             NODE_LOG: after[NODE_LOG][:node_id * size + at]})

@@ -5,8 +5,7 @@ from itertools import islice
 import pytest
 
 from flexstore import persist, proofs
-from flexstore.core import (KIND_EDGE, Node, NodeStore, build_with_levels,
-                            check_subtree)
+from flexstore.core import NodeStore, build_with_levels, check_subtree
 from flexstore.errors import (FormatError, NoSuchVersion, ProofRejected,
                               StructureCorrupt, VersionOutOfOrder)
 from flexstore.hashing import HashScheme, layer2_levels
@@ -33,7 +32,8 @@ class TestAppend:
     def test_first_append(self):
         vindex = fresh_index()
         empty = vindex.meta_digest
-        meta = vindex.append_version(record(0))
+        vindex.append_version(record(0))
+        meta = vindex.meta_digest
         assert meta != empty
         assert meta != SCHEME.zero
         assert vindex.count == 1
@@ -56,7 +56,7 @@ class TestAppend:
         vindex = fresh_index(100)
         # Every stored node of the list lies under an edge entry's frozen
         # part; the edge nodes above them are derived, not stored.
-        for _level, _version, frozen, _span, _part, _record in vindex.edge:
+        for _level, _version, frozen, _span, _part in vindex.edge:
             if frozen is not None:
                 check_subtree(vindex.store, SCHEME, frozen)
         # replaying the records reproduces the meta digest exactly
@@ -143,9 +143,9 @@ class TestVersionProof:
         history = []
         for v in range(30):
             vindex.append_version(record(v))
-            history.append((vindex.head, vindex.meta_digest))
-        for v, (head, meta) in enumerate(history):
-            past = VersionIndex(vindex.store, SCHEME, SEED, head=head,
+            history.append(vindex.meta_digest)
+        for v, meta in enumerate(history):
+            past = VersionIndex(vindex.store, SCHEME, SEED,
                                 records=[vindex.record(k)
                                          for k in range(v + 1)])
             assert past.meta_digest == meta
@@ -225,8 +225,8 @@ class TestEdgeAppend:
         records = []
         for v in range(300):
             records.append(record(v))
-            assert (vindex.append_version(records[-1])
-                    == _rebuild_meta(seed, records)), v
+            vindex.append_version(records[-1])
+            assert vindex.meta_digest == _rebuild_meta(seed, records), v
 
     @pytest.mark.parametrize("seed", [SEED, "picked"],
                              ids=["a0-a9", "picked"])
@@ -248,41 +248,45 @@ class TestEdgeAppend:
                 v, rec.root_digest, rec.update_start, rec.update_length),
                 level)])
             root = eng.finish().new_root
-            meta = vindex.append_version(rec)
+            vindex.append_version(rec)
+            meta = vindex.meta_digest
             assert meta == store.get(root).digest, v
             if v % 100 == 99 or v == 2999:
                 assert meta == _rebuild_meta(seed, records), v
 
     def test_appends_write_few_records(self):
         """Each stored node is written once: over 1,000 appends the store
-        grows by at most 4 records per append, nodes and edge records,
-        at most two of them edge records."""
+        grows by at most 2 nodes per append, and each append's link names
+        the last node it wrote as the survivor's frozen part, or, where it
+        wrote none, the survivor's bare leaf."""
         vindex = fresh_index(0)
         store = vindex.store
         for v in range(1000):
             first = store.next_id
-            vindex.append_version(record(v))
-            new = [store.get(i).kind for i in range(first, store.next_id)]
-            assert 1 <= new.count(KIND_EDGE) <= 2, v
-            assert new[-1] == KIND_EDGE and store.next_id - 1 == vindex.head
-        assert store.next_id <= 4 * 1000
+            link = vindex.append_version(record(v))
+            assert -1 <= link.survivor < v, v
+            assert link.frozen == (None if store.next_id == first
+                                   else store.next_id - 1), v
+        assert store.next_id <= 2 * 1000
 
-    def test_older_heads_rebuild_older_edges(self):
-        """An index on any earlier head and the records up to it derives
-        the edge the index had then, and appending to it from there
-        gives what the first index gave."""
+    def test_older_records_rebuild_older_edges(self):
+        """An index on the records up to any earlier version derives the
+        edge the index had then, and appending to it from there gives
+        what the first index gave."""
         vindex = fresh_index(0)
-        heads, edges, metas = [], [], []
+        edges, metas = [], []
         for v in range(60):
-            metas.append(vindex.append_version(record(v)))
-            heads.append(vindex.head)
+            vindex.append_version(record(v))
+            metas.append(vindex.meta_digest)
             edges.append(list(vindex.edge))
         records = [vindex.record(v) for v in range(60)]
         for v in range(0, 60, 7):
-            past = VersionIndex(vindex.store, SCHEME, SEED, head=heads[v],
+            past = VersionIndex(vindex.store, SCHEME, SEED,
                                 records=records[:v + 1])
             assert past.edge == edges[v]
-            assert past.append_version(records[v + 1]) == metas[v + 1]
+            link = past.append_version(records[v + 1])
+            assert link.survivor == records[v + 1].survivor
+            assert past.meta_digest == metas[v + 1]
 
 
 class TestDerivedEdge:
@@ -291,7 +295,7 @@ class TestDerivedEdge:
         each proves against its own meta digest, in any order; the store
         holds no edge node."""
         vindex = fresh_index(20)
-        older = VersionIndex(vindex.store, SCHEME, SEED, head=vindex.head,
+        older = VersionIndex(vindex.store, SCHEME, SEED,
                              records=[vindex.record(v) for v in range(20)])
         vindex.append_version(record(20))
         with pytest.raises(StructureCorrupt, match="missing"):
@@ -303,23 +307,24 @@ class TestDerivedEdge:
             assert verify_version_proof(SCHEME, index.meta_digest, subtree,
                                         records) == count
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("kind", 1, "not an edge record"),
-        ("level", 7, "level is not its version's"),
-        ("rank", 5, "level is not its version's|does not fit"),
-        ("after", 0, "does not fit"),
-    ], ids=["kind", "level", "rank", "after"])
-    def test_head_that_does_not_fit_is_refused(self, field, value, message):
-        """A head record rewritten in memory is refused as the edge is
-        derived from it."""
+    @pytest.mark.parametrize("version, field, value, message", [
+        (11, "survivor", -1, "version 11: edge link does not fit"),
+        (11, "frozen", None, "version 11: edge link does not fit"),
+        (11, "frozen", 0, "version 11: edge link does not fit"),
+        (11, "frozen", 10 ** 6, "missing"),
+        ("survivor", "frozen", 0, "edge link does not fit"),
+    ], ids=["survivor", "frozen-bare", "frozen-other", "frozen-missing",
+            "below"])
+    def test_link_that_does_not_fit_is_refused(self, version, field, value,
+                                               message):
+        """A record whose edge link is rewritten, the last one's or
+        ("survivor") the one its link follows next, is refused as the
+        edge is derived."""
         vindex = fresh_index(12)
-        store = vindex.store
-        head = store.get(vindex.head)
-        forged = Node(head.kind, head.level, head.rank, head.below,
-                      head.after, head.length, head.block, head.digest)
-        setattr(forged, field, value)
-        store._nodes[vindex.head] = forged
-        fresh = VersionIndex(store, SCHEME, SEED, head=vindex.head,
-                             records=[vindex.record(v) for v in range(12)])
+        records = [vindex.record(v) for v in range(12)]
+        if version == "survivor":
+            version = records[-1].survivor
+        records[version] = replace(records[version], **{field: value})
+        fresh = VersionIndex(vindex.store, SCHEME, SEED, records=records)
         with pytest.raises(StructureCorrupt, match=message):
             fresh.meta_digest

@@ -311,16 +311,17 @@ class TestCommit:
             DiffEntry("insert", 2500, b"b" * 900),
             DiffEntry("replace", 3900, b"c", 5)]))
         assert summary["ops"] > 4
-        reached = _reach_new(repo.store, (repo.latest.root, repo.vindex.head),
-                             first_id)
+        assert repo.latest.frozen is not None
+        reached = _reach_new(repo.store, (repo.latest.root,
+                                          repo.latest.frozen), first_id)
         assert len(reached) == repo.store.next_id - first_id
 
     def test_layer2_records_per_commit(self, repo):
-        """Over 1,000 commits the layer-2 append writes at most 4 node
-        records per commit on average, nodes and edge records. Every
-        stored layer-2 node is reached from the latest edge head, and
-        every record a commit writes from its layer-1 root or its own
-        edge head."""
+        """Over 1,000 commits the layer-2 append writes at most 2 node
+        records per commit on average. Every record a commit writes is
+        reached from its layer-1 root or the frozen part its edge link
+        names, and every stored layer-2 node from the latest edge's
+        frozen parts: no record is reached from neither."""
         rng = random.Random(26)
         layer2 = 0
         for _ in range(1000):
@@ -328,20 +329,18 @@ class TestCommit:
             summary = repo.commit(format_diff([DiffEntry(
                 "replace", rng.randrange(4000), rng.randbytes(8), 8)]))
             layer2 += repo.store.next_id - first - summary["created_nodes"]
-            reached = _reach_new(repo.store, (repo.latest.root,
-                                              repo.vindex.head), first)
+            reached = _reach_new(repo.store, [repo.latest.root] + (
+                [] if repo.latest.frozen is None else [repo.latest.frozen]),
+                first)
             assert len(reached) == repo.store.next_id - first
-        assert layer2 <= 4 * 1000
+        assert layer2 <= 2 * 1000
         layer1 = _reach_new(repo.store, [repo.record(v).root
                                          for v in range(1001)], 0)
-        latest = _reach_new(repo.store, [repo.vindex.head], 0)
+        latest = _reach_new(repo.store, [
+            frozen for _level, _version, frozen, _span, _part
+            in repo.vindex.edge if frozen is not None], 0)
         assert not layer1 & latest
-        unreached = [node_id for node_id in range(repo.store.next_id)
-                     if node_id not in layer1 and node_id not in latest]
-        # Only superseded edge records lie outside both.
-        assert unreached
-        assert all(repo.store.get(node_id).kind == core.KIND_EDGE
-                   for node_id in unreached)
+        assert len(layer1) + len(latest) == repo.store.next_id
 
     def test_summary_counts_match_graph_walk(self, repo):
         for entries in ([DiffEntry("replace", 300, b"xy", 2)],
@@ -472,8 +471,8 @@ class TestCommit:
     def test_commit_appends_one_record_per_created_node(
             self, tmp_path, monkeypatch, hash_name, width):
         """The node log grows by one record per node the commit creates:
-        the layer-1 nodes its summary counts and the layer-2 records of the
-        version's append, its nodes and edge records."""
+        the layer-1 nodes its summary counts and the layer-2 nodes of the
+        version's append."""
         src = tmp_path / "input.bin"
         src.write_bytes(random.Random(3).randbytes(4096))
         repo = Repository.init(tmp_path / "repo", block_size=256,
@@ -484,9 +483,9 @@ class TestCommit:
 
         def append_version(vindex, rec):
             first = vindex.store.next_id
-            meta = real_append(vindex, rec)
+            linked = real_append(vindex, rec)
             layer2.append(vindex.store.next_id - first)
-            return meta
+            return linked
         monkeypatch.setattr(VersionIndex, "append_version", append_version)
         log = repo.path / "nodes" / "log"
         try:
@@ -914,6 +913,35 @@ class TestCheckout:
 
 
 class TestFsck:
+    def test_log_cut_short_while_open_reported(self, repo):
+        """versions.log losing its last record while the store is open is
+        reported by fsck in one line, with no line per version."""
+        repo.commit(format_diff([DiffEntry("insert", 0, b"cut")]))
+        log = repo.path / "versions.log"
+        os.truncate(log, log.stat().st_size - repo.log.layout.size)
+        assert repo.fsck() == ["versions.log cut short at record 1"]
+
+    def test_checkout_of_a_root_with_a_raised_rank_refused(self, repo,
+                                                           capsys, tmp_path):
+        """A version whose root record's rank was raised by 5 is refused
+        by checkout once its leaves fall short of the rank: exit 1, with
+        neither the output nor its temporary file left."""
+        root, size = repo.latest.root, repo.store.layout.size
+        repo.close()
+        log = repo.path / "nodes" / "log"
+        raw = bytearray(log.read_bytes())
+        at = root * size + 2      # the rank follows kind u8 and level u8
+        rank = int.from_bytes(raw[at:at + 8], "big")
+        raw[at:at + 8] = (rank + 5).to_bytes(8, "big")
+        log.write_bytes(bytes(raw))
+        out = tmp_path / "out.bin"
+        capsys.readouterr()
+        assert cli.main(["--repo", str(repo.path), "checkout", "--version",
+                         "0", "--out", str(out)]) == cli.EXIT_REJECT
+        assert capsys.readouterr().err == (
+            "error: materialized length disagrees with rank\n")
+        assert not out.exists() and not Path(f"{out}.tmp").exists()
+
     def test_clean(self, repo):
         assert repo.fsck() == []
 
@@ -1012,17 +1040,21 @@ class TestFsck:
     def test_log_reads_commit_records_in_runs(self, repo, monkeypatch,
                                               capsys):
         """`flexstore log` decodes the commit log in runs: after open, two
-        reads of versions.log for 1,000 versions, not one per version."""
+        reads of versions.log for 1,000 versions, not one per version.
+        Its meta digest reads one record more per edge entry above the
+        left sentinel's, the last version's and each survivor's, about
+        log n."""
         rng = random.Random(1001)
         for _ in range(999):
             repo.commit(format_diff([DiffEntry(
                 "replace", rng.randrange(4000), rng.randbytes(8), 8)]))
         repo.close()
-        reads = []
+        reads, repos = [], []
         real_open, real_pread = Repository.open, os.pread
 
         def opening(cls, path):
             opened = real_open(path)
+            repos.append(opened)
             versions_log = opened.log._file._fd
 
             def counting(fd, length, offset):
@@ -1037,7 +1069,11 @@ class TestFsck:
         assert cli.main(["--repo", str(repo.path), "log"]) == cli.EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1001 and lines[999].startswith("version 999 ")
-        assert len(reads) <= 2
+        size = repos[0].log.layout.size
+        hops = [length for length in reads if length == size]
+        assert len(reads) - len(hops) <= 2
+        edge = repos[0].vindex.edge     # derived by `log`: no read here
+        assert len(hops) == len(edge) - 1 <= 20
 
     def test_refused_node_record_reported_once(self, repo):
         """A node record that every version reaches is refused in one
@@ -1095,27 +1131,6 @@ class TestFsck:
             assert again.fsck() == []
             assert len(again.store) <= 2 * len(again.vindex.edge)
 
-    def test_record_no_head_reaches_is_checked(self, repo):
-        """A level bit flipped in a superseded edge record, which no
-        version root and not the latest edge head reaches, is reported."""
-        for at in (300, 900, 1500):
-            repo.commit(format_diff([DiffEntry("replace", at, b"old", 3)]))
-        roots = [repo.record(v).root for v in range(4)] + [repo.vindex.head]
-        reached = _reach_new(repo.store, roots, 0)
-        victim = next(node_id for node_id in range(repo.store.next_id)
-                      if repo.store.get(node_id).kind == core.KIND_EDGE
-                      and repo.store.get(node_id).below is not None
-                      and node_id not in reached)
-        size = repo.store.layout.size
-        repo.close()
-        log = repo.path / "nodes" / "log"
-        raw = bytearray(log.read_bytes())
-        raw[victim * size + 1] ^= 0x01   # its level
-        log.write_bytes(bytes(raw))
-        with Repository.open(repo.path) as again:
-            assert again.fsck() == [f"node {victim}: edge record of a "
-                                    "version at another level"]
-
     def test_shared_leaf_digest_flip_reported_once(self, repo):
         """A digest byte flipped in a data leaf that several records link
         to breaks each of their hashes too, but only the leaf is reported;
@@ -1148,13 +1163,14 @@ class TestFsck:
     def test_layer2_leaf_flip_names_versions_in_one_line(self, repo):
         """A digest byte flipped in version 0's layer-2 leaf, as the
         latest layer-2 root holds it, gives one node line and one line
-        naming, as ranges, the versions whose layer-2 roots reach it."""
+        naming, as ranges, the versions whose edges reach it."""
         for at in range(10, 4000, 800):
             repo.commit(format_diff([DiffEntry("replace", at, b"two", 3)]))
         leaf = core.search(repo.vindex, repo.vindex.root, 0).leaf
         assert leaf >= 0     # a stored node, not an edge node
-        versions = [v for v in range(repo.vindex.count) if leaf in _reach_new(
-            repo.store, [repo.log.commit(v).nodes - 1], 0)]
+        versions = [v for v in range(repo.vindex.count)
+                    if leaf in _reach_new(repo.store, _frozen_parts(repo, v),
+                                          0)]
         assert len(versions) > 1
         size = repo.store.layout.size
         repo.close()
@@ -1167,8 +1183,8 @@ class TestFsck:
         assert [p for p in problems if p.startswith("node ")] == [
             f"node {leaf}: digest mismatch"]
         assert [p for p in problems if p.startswith("version")] == [
-            f"versions {repo_mod._ranges(versions)}: edge heads reach a "
-            "bad node record"]
+            f"versions {repo_mod._ranges(versions)}: edges reach a bad node "
+            "record"]
 
     def test_versions_named_as_ranges(self):
         assert repo_mod._ranges([0, 1, 2, 5, 7, 8]) == "0-2, 5, 7-8"
@@ -1217,9 +1233,7 @@ class TestFsck:
         assert len(hashed) == len(pack_records(repo)) == len(set(hashed))
 
     @pytest.mark.parametrize("field, source, problems", [
-        # The node count names the edge head: version 3's, here.
-        ("nodes", 3, ["version 2: counts fewer records than version 1",
-                      "version 1: last node record is not its edge head"]),
+        ("nodes", 3, ["version 2: counts fewer records than version 1"]),
         ("blocks", 3, ["version 2: counts fewer records than version 1"]),
     ], ids=["nodes", "blocks"])
     def test_commit_record_checked_against_the_one_before(
@@ -1246,26 +1260,35 @@ class TestFsck:
             assert again.fsck() == problems
 
     def test_tampered_commit_record_fails_layer2_replay(self, repo):
-        """A version's update region, changed in its commit record and
-        nowhere else, no longer rebuilds to the logged meta digest, nor
-        gives the leaf digest its edge record holds."""
-        repo.commit(format_diff([DiffEntry("replace", 300, b"ab", 2)]))
-        head = repo.vindex.head     # version 1's, holding its leaf digest
-        width = repo.log.layout.size
+        """A version's update region changed in its commit record, with
+        its record digest and nowhere else, no longer replays to the
+        stored layer-2 nodes that hold its leaf: the edge links that name
+        them and the meta digest disagree with the replay. Changed
+        without its record digest, the record is refused as it is
+        read."""
+        for at in range(100, 1000, 150):
+            repo.commit(format_diff([DiffEntry("replace", at, b"ab", 2)]))
+        layout = repo.log.layout
         repo.close()
         log = repo.path / "versions.log"
         raw = bytearray(log.read_bytes())
-        start = width + 8 + repo.scheme.width  # version 1's update start
-        raw[start + 7] ^= 0x01
+        fields = list(layout.unpack_from(raw, layout.size))
+        fields[2] ^= 0x01        # version 1's update start
+        layout.pack_into(raw, layout.size, *fields)
         log.write_bytes(bytes(raw))
-        again = Repository.open(repo.path)
-        try:
+        with Repository.open(repo.path) as again:
+            assert again.fsck() == ["versions.log: version 1's record "
+                                    "digest does not match its fields"]
+        fields[-1] = repo.scheme.version_record(1, *fields[1:4])
+        layout.pack_into(raw, layout.size, *fields)
+        log.write_bytes(bytes(raw))
+        with Repository.open(repo.path) as again:
+            # Version 4's append froze the part that holds version 1.
             assert again.fsck() == [
-                f"node {head}: edge record's leaf is not its version's",
-                "edge head's meta digest does not match a replay of the "
+                "version 4: edge link disagrees with a replay of the "
+                "version log",
+                "edge links' meta digest does not match a replay of the "
                 "version log"]
-        finally:
-            again.close()
 
     @pytest.mark.parametrize("name", ["pack", "index"])
     def test_short_block_file_refused_at_open(self, repo, name):
@@ -1418,9 +1441,12 @@ class TestFsck:
 
 class TestMalformedMetadata:
     @pytest.mark.parametrize("name, content, append", [
-        # A JSON commit line, as format 4 wrote, one record wide.
-        ("versions.log", b'{"version": 1, "root": 99999, "nodes": 999, '
-                         b'"blocks": 9, "layer2_root": 98}\n', True),
+        # A JSON commit line, as format 4 wrote, at least one record
+        # wide. A fixed id, so a longer record does not rename the test.
+        pytest.param("versions.log", b'{"version": 1, "root": 99999, '
+                     b'"nodes": 999, "blocks": 9, "layer2_root": 98, '
+                     b'"level_counter": 4096}\n', True,
+                     id="versions.log-format 4 line"),
         ("config.json", b"{not json\n", False),
         # A fixed id, so a format bump does not rename the test.
         pytest.param("config.json", b'{"format": %d, "hash": "md5", '
@@ -1463,35 +1489,41 @@ class TestMalformedMetadata:
             assert err.startswith("error: malformed config.json: ")
             assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("field", ["root", "root_at_layer2_root", "nodes",
-                                       "blocks"])
+    @pytest.mark.parametrize("field", ["root", "nodes", "blocks", "frozen",
+                                       "survivor", "update_start"])
     def test_bad_commit_record_field(self, repo, capsys, field):
-        """The last commit record is checked at open: its root lies below
-        its layer-2 root, its last node record, and the node log and the
+        """The last commit record is checked at open: its record digest is
+        its version record's, its root and frozen part lie below the node
+        count, its survivor below its version, and the node log and the
         block index hold the records it counts."""
+        repo.commit(format_diff([DiffEntry("replace", 10, b"last", 4)]))
         repo.close()
         log = repo.path / "versions.log"
         names = ["root", "root_digest", "update_start", "update_length",
-                 "nodes", "blocks"]
-        values = dict(zip(names, repo.log.layout.unpack(log.read_bytes())))
-        if field == "root":
-            values[field], message = values["nodes"], "root past"
-        elif field == "root_at_layer2_root":
-            values["root"], message = values["nodes"] - 1, "root past"
+                 "nodes", "blocks", "survivor", "frozen", "record_digest"]
+        raw = log.read_bytes()
+        last = len(raw) - repo.log.layout.size
+        values = dict(zip(names, repo.log.layout.unpack(raw[last:])))
+        if field in ("root", "frozen"):
+            values[field], message = values["nodes"], "a node past"
+        elif field == "survivor":
+            values[field], message = 1, "links to a later version"
         else:
             values[field] += 1
-            message = {"nodes": "node log", "blocks": "block index"}[field]
-        log.write_bytes(repo.log.layout.pack(*values.values()))
+            message = {"nodes": "node log", "blocks": "block index",
+                       "update_start": "record digest"}[field]
+        log.write_bytes(raw[:last] + repo.log.layout.pack(*values.values()))
         with pytest.raises(StructureCorrupt, match=message):
             Repository.open(repo.path)
         _assert_refused(repo.path, capsys)
 
     def test_unknown_node_kind_refused_on_read(self, repo, capsys):
-        head = repo.vindex.head
+        frozen = repo.latest.frozen     # read as the edge is derived
+        assert frozen is not None
         repo.close()
         log = repo.path / "nodes" / "log"
         raw = bytearray(log.read_bytes())
-        raw[head * repo.store.layout.size] = 9
+        raw[frozen * repo.store.layout.size] = 9
         log.write_bytes(bytes(raw))
         again = Repository.open(repo.path)  # decodes no node record
         try:
@@ -1525,9 +1557,9 @@ class TestMalformedMetadata:
             assert cli.main(args + command) == cli.EXIT_REJECT
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
-            assert "version 1 names a root past" in err
+            assert "version 1 names a node past" in err
         assert cli.main(args + ["fsck"]) == cli.EXIT_REJECT
-        assert "version 1 names a root past" in capsys.readouterr().out
+        assert "version 1 names a node past" in capsys.readouterr().out
 
 
 class TestOpen:
@@ -1788,6 +1820,42 @@ def test_close_error_on_a_store_file(repo, monkeypatch, capsys, name):
     assert sorted(closed) == sorted(opened)
 
 
+def test_commit_names_its_version_when_a_close_fails(repo, monkeypatch,
+                                                    capsys, tmp_path):
+    """With the close of the node log's descriptor failing with EIO after
+    the commit record is written, `commit` exits 3 with one line, and
+    stdout names the version it committed, as a reopen shows."""
+    repo.close()
+    failing, bad = os.fspath(repo.path / "nodes/log"), []
+    real_open, real_close = os.open, os.close
+
+    def recording_open(path, *args, **kwargs):
+        fd = real_open(path, *args, **kwargs)
+        if os.fspath(path) == failing:
+            bad.append(fd)
+        return fd
+
+    def failing_close(fd):
+        real_close(fd)
+        if fd in bad:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    diff = tmp_path / "edit.diff"
+    diff.write_bytes(format_diff([DiffEntry("insert", 0, b"landed")]))
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "open", recording_open)
+        patch.setattr(os, "close", failing_close)
+        code = cli.main(["--repo", str(repo.path), "commit", "--diff",
+                         str(diff)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_IO and len(bad) == 1
+    assert captured.out.startswith("version 1 rank 4102\n")
+    assert captured.err == ("error: node log unclosable: "
+                            f"{OSError(errno.EIO, os.strerror(errno.EIO))}\n")
+    with Repository.open(repo.path) as again:
+        assert again.latest.version == 1
+
+
 def _assert_refused(path, capsys):
     """open raises StructureCorrupt, and the CLI says so in one line."""
     with pytest.raises(StructureCorrupt):
@@ -1817,6 +1885,15 @@ def _lock_holder(lock):
         child.kill()
         child.wait(timeout=60)
         child.stdout.close()
+
+
+def _frozen_parts(repo, version):
+    """The frozen parts of version `version`'s edge, derived from the
+    records up to it: the stored layer-2 nodes its edge reaches."""
+    past = VersionIndex(repo.store, repo.scheme, repo.seed,
+                        records=[repo.record(v) for v in range(version + 1)])
+    return [frozen for _level, _version, frozen, _span, _part in past.edge
+            if frozen is not None]
 
 
 def _reach_new(store, roots, first_id):
@@ -2008,6 +2085,65 @@ class TestCliPipeline:
                         str(files[1]), "--proof", str(prf)) == 1
         assert capsys.readouterr().out == (
             "reject: proof carries a leaf no challenged index hits\n")
+
+    @pytest.mark.parametrize("layer2, keep_parts, reason", [
+        (bytes.fromhex("0201030000"), True,
+         "internal node missing a child"),
+        (b"\x01" + bytes(20) + (1).to_bytes(8, "big"), False,
+         "pruned subtree has no expanded root"),
+    ], ids=["internal node without after", "stub only, no parts"])
+    def test_malformed_layer2_subtree_rejects_exit_1(
+            self, tmp_path, capsys, layer2, keep_parts, reason):
+        """A proof whose layer-2 subtree is malformed, with its parts or
+        with none, is refused by verify: exit 1, naming the fault."""
+        src = tmp_path / "f.bin"
+        src.write_bytes(random.Random(5).randbytes(2048))
+        repo_path = str(tmp_path / "repo")
+        assert self.run("--repo", repo_path, "init", "--file", str(src),
+                        "--block-size", "256", "--seed", SEED_HEX) == 0
+        chf, prf = tmp_path / "c", tmp_path / "p"
+        assert self.run("--repo", repo_path, "challenge", "--seed",
+                        "ffeeddccbbaa99887766", "--count", "4", "--out",
+                        str(chf)) == 0
+        assert self.run("--repo", repo_path, "prove", "--challenge",
+                        str(chf), "--out", str(prf)) == 0
+        scheme = hashing.HashScheme()
+        proof = audit.read_proof(prf.read_bytes(), scheme)
+        prf.write_bytes(audit.write_proof(audit.VersionProof(
+            layer2, proof.parts if keep_parts else ()), scheme))
+        capsys.readouterr()
+        assert self.run("--repo", repo_path, "verify", "--challenge",
+                        str(chf), "--proof", str(prf)) == 1
+        assert (capsys.readouterr().out
+                == f"reject: malformed proof: {reason}\n")
+
+    def test_challenge_of_an_empty_version_rejects_exit_1(self, tmp_path,
+                                                          capsys):
+        """A challenge of version 0 of an empty store, answered with that
+        version's range proof, is refused by verify: exit 1."""
+        repo_path = tmp_path / "repo"
+        assert self.run("--repo", str(repo_path), "init", "--seed",
+                        SEED_HEX) == 0
+        chf, prf = tmp_path / "c", tmp_path / "p"
+        chf.write_bytes(audit.write_challenge(audit.Challenge(bytes(10), 1,
+                                                              (0,))))
+        with Repository.open(repo_path) as repo:
+            prf.write_bytes(audit.write_proof(repo.prove_blocks(0, 0, 0),
+                                              repo.scheme))
+        capsys.readouterr()
+        assert self.run("--repo", str(repo_path), "verify", "--challenge",
+                        str(chf), "--proof", str(prf)) == 1
+        assert capsys.readouterr().out == (
+            "reject: challenged version has an empty region\n")
+
+    def test_init_with_a_seed_not_hex_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "repo"
+        assert self.run("--repo", str(path), "init", "--seed",
+                        "zz" * 10) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be hex") and err.count(
+            "\n") == 1
+        assert not path.exists()
 
     @pytest.mark.parametrize("diff", [
         b"X 0 1\nz\n",                              # bad header
