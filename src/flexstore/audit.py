@@ -253,10 +253,10 @@ def check_proof(scheme: HashScheme, meta: bytes,
     count = index2.verify_version_proof(scheme, meta, proof.layer2,
                                         proof.parts)
     subs = []
-    sha = scheme.hash_fn
+    block_digest = scheme.block_digest
     for part in proof.parts:
         sub = proofs.fold_path(scheme, part.subtree, [
-            (len(block), sha(block).digest()) for block in part.blocks])
+            (len(block), block_digest(block)) for block in part.blocks])
         if sub.digest[sub.root] != part.root_digest:
             raise ProofRejected("layer-1 digest mismatch")
         subs.append(sub)

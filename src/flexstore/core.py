@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .errors import (BlockTooSmall, DomainError, IndexOutOfRange,
                      PathNotCovered, StructureCorrupt)
-from .hashing import TAG_INTERNAL, TAG_LEAF, TAG_SENTINEL, HashScheme
+from .hashing import HashScheme
 
 KIND_INTERNAL = 0
 KIND_LEAF = 1
@@ -118,38 +118,33 @@ def read_blocks(fh, block_size: int) -> Iterator[bytes]:
 def make_leaf(store: NodeStore, scheme: HashScheme, length: int,
               block_digest: bytes | None, after: int | None,
               sentinel: bool = False) -> int:
-    """Create and finalize a leaf node; returns its id. The node is
-    hashed in one step (HashScheme.leaf_node's encoding): the after
-    child's digest came from the hash, so only the caller's block digest
-    needs its width checked."""
+    """Create and finalize a leaf node, hashed by HashScheme.leaf_digest;
+    returns its id. The after child's digest came from the hash, so only
+    the caller's block digest needs its width checked."""
     if not sentinel and length < 1:
         raise BlockTooSmall("data blocks must be at least 1 byte")
     bd = block_digest if block_digest is not None else scheme.zero
     if len(bd) != scheme.width:
         raise DomainError("digest width mismatch")
     if after is None:
-        rank, present, after_digest = length, 0, scheme.zero
+        rank, after_digest = length, None
     else:
         after_node = store.get(after)
-        rank, present, after_digest = (length + after_node.rank, 1,
-                                       after_node.digest)
-    digest = scheme.hash_fn(scheme.leaf_layout.pack(
-        TAG_SENTINEL if sentinel else TAG_LEAF, 0, rank, present,
-        after_digest, length, bd)).digest()
+        rank, after_digest = length + after_node.rank, after_node.digest
+    digest = scheme.leaf_digest(sentinel, rank, after_digest, length, bd)
     kind = KIND_SENTINEL if sentinel else KIND_LEAF
     return store.add(Node(kind, 0, rank, None, after, length, bd, digest))
 
 
 def make_internal(store: NodeStore, scheme: HashScheme, level: int,
                   below: int, after: int) -> int:
-    """Create and finalize an internal node, hashed in one step
-    (HashScheme.internal_node's encoding); returns its id."""
+    """Create and finalize an internal node, hashed by
+    HashScheme.internal_digest; returns its id."""
     below_node = store.get(below)
     after_node = store.get(after)
     rank = below_node.rank + after_node.rank
-    digest = scheme.hash_fn(scheme.internal_layout.pack(
-        TAG_INTERNAL, level, rank, below_node.digest, 1,
-        after_node.digest)).digest()
+    digest = scheme.internal_digest(level, rank, below_node.digest,
+                                    after_node.digest)
     return store.add(Node(KIND_INTERNAL, level, rank, below, after, 0,
                           None, digest))
 
@@ -435,9 +430,8 @@ def check_nodes(scheme: HashScheme, records: Iterable[tuple[int, tuple]],
     its block or gives another length. A record that disagrees only as a
     child is bad (whose flipped digest breaks every parent's hash) is BAD
     without a problem."""
-    sha, zero = scheme.hash_fn, scheme.zero
-    pack_internal = scheme.internal_layout.pack
-    pack_leaf = scheme.leaf_layout.pack
+    internal_digest, zero = scheme.internal_digest, scheme.zero
+    leaf_digest = scheme.leaf_digest
     block_length = block_lengths.get
     for node_id, fields in records:
         kind, level, rank, below, after, length, block, digest = fields
@@ -447,9 +441,8 @@ def check_nodes(scheme: HashScheme, records: Iterable[tuple[int, tuple]],
             if (kind == KIND_INTERNAL and below < node_id > after
                     and not length and block == zero):
                 got_rank = ranks[below] + ranks[after]
-                got = sha(pack_internal(
-                    TAG_INTERNAL, level, got_rank, digests[below], 1,
-                    digests[after])).digest()
+                got = internal_digest(level, got_rank, digests[below],
+                                      digests[after])
                 flag = flags[below] | flags[after]
             else:
                 if not (kind == KIND_LEAF and below == NO_LINK and not level
@@ -462,10 +455,9 @@ def check_nodes(scheme: HashScheme, records: Iterable[tuple[int, tuple]],
                 linked = after != NO_LINK
                 got_rank = length + ranks[after] if linked else length
                 flag = flags[after] if linked else 0
-                got = sha(pack_leaf(
-                    TAG_LEAF if kind == KIND_LEAF else TAG_SENTINEL, 0,
-                    got_rank, linked, digests[after] if linked else zero,
-                    length, block)).digest()
+                got = leaf_digest(kind != KIND_LEAF, got_rank,
+                                  digests[after] if linked else None,
+                                  length, block)
                 if kind == KIND_LEAF and block_length(block) != length:
                     flag |= BAD_BLOCK
         except struct.error:    # a rank past 64 bits

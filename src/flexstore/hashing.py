@@ -2,7 +2,9 @@
 
 Every authenticated value in the store is produced by one hash function
 (SHA-1 by default, SHA-256 selectable); the digest width follows the
-function. All integers are fixed-width 8-byte big-endian.
+function. All integers are fixed-width 8-byte big-endian. The encodings
+below are defined and computed only here, by HashScheme: every other
+module hashes a node through its two node encoders.
 
 Hashing domains
 ---------------
@@ -67,31 +69,45 @@ _U64 = struct.Struct(">Q")
 
 
 class HashScheme:
-    """A chosen hash function plus derived constants.
+    """A chosen hash function plus derived constants; the only code that
+    knows how a node is hashed. The node encoders
+    `internal_digest(level, rank, below, after)` and
+    `leaf_digest(sentinel, rank, after, length, block)` pack a node's
+    fields with one precompiled struct.Struct, in the order of the
+    encodings above, and hash them once; `after` is the after child's
+    digest or None, and a leaf's level is 0. They do not check digest
+    widths: a caller whose digests did not all come from this scheme
+    checks them first. `internal_node` and `leaf_node` are the checked
+    node encoders, over the same code. `digest` hashes the rest: blocks,
+    through `block_digest`, and version records, whose bytes
+    `version_record` packs with `record_layout`, checking the width."""
 
-    Each node kind's canonical bytes come from one precompiled
-    struct.Struct pack, exposed as `internal_layout`, `leaf_layout` and
-    `record_layout` (fields in the order of the encodings above), and
-    `hash_fn` is the hash constructor. `internal_node`, `leaf_node` and
-    `version_record` are the checked encoders. A loop that hashes many
-    nodes binds `hash_fn` and a layout once and hashes each node in one
-    step, hash_fn(layout.pack(...)).digest(), having checked the widths
-    of the digests it packs itself. `digest` hashes everything else:
-    blocks, through `block_digest`, and version records."""
-
-    __slots__ = ("name", "hash_fn", "width", "zero", "internal_layout",
-                 "leaf_layout", "record_layout")
+    __slots__ = ("name", "hash_fn", "width", "zero", "record_layout",
+                 "internal_digest", "leaf_digest")
 
     def __init__(self, name: str = "sha1"):
         if name not in _HASHES:
             raise DomainError(f"unknown hash function {name!r}")
         self.name = name
-        self.hash_fn = _HASHES[name]
-        width = self.width = self.hash_fn(b"").digest_size
-        self.zero = b"\x00" * width
-        self.internal_layout = struct.Struct(f">BQQ{width}sB{width}s")
-        self.leaf_layout = struct.Struct(f">BQQB{width}sQ{width}s")
+        hash_fn = self.hash_fn = _HASHES[name]
+        width = self.width = hash_fn(b"").digest_size
+        zero = self.zero = b"\x00" * width
+        pack_internal = struct.Struct(f">BQQ{width}sB{width}s").pack
+        pack_leaf = struct.Struct(f">BQQB{width}sQ{width}s").pack
         self.record_layout = struct.Struct(f">BQ{width}sQQ")
+
+        def internal_digest(level, rank, below, after):
+            return hash_fn(pack_internal(
+                TAG_INTERNAL, level, rank, below, after is not None,
+                zero if after is None else after)).digest()
+
+        def leaf_digest(sentinel, rank, after, length, block):
+            return hash_fn(pack_leaf(
+                TAG_SENTINEL if sentinel else TAG_LEAF, 0, rank,
+                after is not None, zero if after is None else after, length,
+                block)).digest()
+
+        self.internal_digest, self.leaf_digest = internal_digest, leaf_digest
 
     def digest(self, data: bytes) -> bytes:
         return self.hash_fn(data).digest()
@@ -101,28 +117,23 @@ class HashScheme:
         return self.digest(block)
 
     # A struct "s" field pads or cuts a digest of the wrong width without
-    # a word, so each encoder checks the widths itself.
+    # a word, so the checked encoders check the widths first.
+
+    def _check_widths(self, *digests: bytes | None) -> None:
+        if any(d is not None and len(d) != self.width for d in digests):
+            raise DomainError("digest width mismatch")
 
     def internal_node(self, level: int, rank: int, below: bytes,
                       after: bytes | None) -> bytes:
-        present = after is not None
-        if not present:
-            after = self.zero
-        if len(below) != self.width or len(after) != self.width:
-            raise DomainError("digest width mismatch")
-        return self.digest(self.internal_layout.pack(
-            TAG_INTERNAL, level, rank, below, present, after))
+        self._check_widths(below, after)
+        return self.internal_digest(level, rank, below, after)
 
     def leaf_node(self, level: int, rank: int, after: bytes | None,
                   length: int, block_digest: bytes, sentinel: bool = False) -> bytes:
-        present = after is not None
-        if not present:
-            after = self.zero
-        if len(after) != self.width or len(block_digest) != self.width:
-            raise DomainError("digest width mismatch")
-        return self.digest(self.leaf_layout.pack(
-            TAG_SENTINEL if sentinel else TAG_LEAF, level, rank, present,
-            after, length, block_digest))
+        if level:
+            raise DomainError("a leaf's level is 0")
+        self._check_widths(after, block_digest)
+        return self.leaf_digest(sentinel, rank, after, length, block_digest)
 
     def version_record(self, version: int, root_digest: bytes,
                        update_start: int, update_length: int) -> bytes:

@@ -63,8 +63,7 @@ from .core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL, LEVEL_INF, Node,
                    NodeStore, make_internal, make_leaf)
 from .errors import (NoSuchVersion, ProofRejected, StructureCorrupt,
                      VersionOutOfOrder)
-from .hashing import (TAG_INTERNAL, TAG_LEAF, TAG_SENTINEL, HashScheme,
-                      layer2_levels)
+from .hashing import HashScheme, layer2_levels
 
 
 @dataclass(frozen=True)
@@ -179,30 +178,26 @@ class VersionIndex:
     def _fold(self) -> list[Node]:
         """The edge nodes, root first and the right sentinel last, node
         k - 1 at id -k linking to the next: the edge folded from the top
-        down, one hash per entry, once per state of the index."""
+        down, one node encoder call per entry, once per index state."""
         if self._nodes is not None:
             return self._nodes
         scheme = self.scheme
-        sha, zero = scheme.hash_fn, scheme.zero
-        pack_leaf, pack_internal = (scheme.leaf_layout.pack,
-                                    scheme.internal_layout.pack)
+        internal_digest, zero = scheme.internal_digest, scheme.zero
+        leaf_digest = scheme.leaf_digest
         edge = self.edge
         rank, after_level = 0, 0
-        digest = sha(pack_leaf(TAG_SENTINEL, 0, 0, 0, zero, 0, zero)).digest()
+        digest = leaf_digest(True, 0, None, 0, zero)
         nodes = [Node(KIND_SENTINEL, 0, 0, None, None, 0, zero, digest)]
         for k in range(len(edge), 0, -1):
             level, version, frozen, span, part = edge[k - 1]
             rank += span
             if after_level:
-                digest = sha(pack_internal(TAG_INTERNAL, after_level, rank,
-                                           part, 1, digest)).digest()
+                digest = internal_digest(after_level, rank, part, digest)
                 node = Node(KIND_INTERNAL, after_level, rank, frozen, -k - 1,
                             0, None, digest)
             else:
                 sentinel = version < 0
-                digest = sha(pack_leaf(TAG_SENTINEL if sentinel
-                                       else TAG_LEAF, 0, rank, 1, digest,
-                                       span, part)).digest()
+                digest = leaf_digest(sentinel, rank, digest, span, part)
                 node = Node(KIND_SENTINEL if sentinel else KIND_LEAF, 0, rank,
                             None, -k - 1, span, part, digest)
             nodes.append(node)

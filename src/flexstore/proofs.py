@@ -45,7 +45,7 @@ from typing import NamedTuple
 from .core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL, KIND_STUB,
                    NodeStore)
 from .errors import DomainError, FormatError
-from .hashing import TAG_INTERNAL, TAG_LEAF, TAG_SENTINEL, HashScheme
+from .hashing import HashScheme
 
 _MAX_RANK = (1 << 64) - 1
 
@@ -142,7 +142,7 @@ def fold_path(scheme: HashScheme, data: bytes,
     counting open child slots and summing lengths and stub ranks into
     the proven leaves' offsets; a backward pass pops those lists from
     the end, making each node from its children, which come later in
-    preorder and so are made first; each node is hashed in one step.
+    preorder and so are made first, each by one node encoder call.
     Raises DomainError if a digest in `leaves` is not of the scheme's
     width, and otherwise FormatError and nothing else.
     """
@@ -207,9 +207,7 @@ def fold_path(scheme: HashScheme, data: bytes,
     levels, lengths = [0] * count, [0] * count
     belows, afters, blocks = [None] * count, [None] * count, [None] * count
     ranks, made = [], []        # made: the digest of each node made
-    sha = scheme.hash_fn
-    pack_internal, pack_leaf = (scheme.internal_layout.pack,
-                                scheme.leaf_layout.pack)
+    internal_digest, leaf_digest = scheme.internal_digest, scheme.leaf_digest
     stack = []       # ids of the subtrees made, None for absent slots
     node = 0
     for tag in reversed(tags):
@@ -223,9 +221,8 @@ def fold_path(scheme: HashScheme, data: bytes,
             levels[node] = level = numbers.pop()
             belows[node], afters[node] = below, after
             rank = ranks[below] + ranks[after]
-            made.append(sha(pack_internal(TAG_INTERNAL, level, rank,
-                                          made[below], 1,
-                                          made[after])).digest())
+            made.append(internal_digest(level, rank, made[below],
+                                        made[after]))
         elif tag == _STUB:
             rank = numbers.pop()
             made.append(digests.pop())
@@ -233,15 +230,12 @@ def fold_path(scheme: HashScheme, data: bytes,
             after = stack.pop()
             lengths[node] = rank = length = numbers.pop()
             blocks[node] = block = digests.pop()
-            leaf_tag = TAG_SENTINEL if tag == _SENTINEL else TAG_LEAF
-            if after is None:
-                made.append(sha(pack_leaf(leaf_tag, 0, rank, 0, zero, length,
-                                          block)).digest())
-            else:
+            if after is not None:
                 afters[node] = after
                 rank += ranks[after]
-                made.append(sha(pack_leaf(leaf_tag, 0, rank, 1, made[after],
-                                          length, block)).digest())
+            made.append(leaf_digest(
+                tag == _SENTINEL, rank,
+                None if after is None else made[after], length, block))
         ranks.append(rank)
         stack.append(node)
         node += 1

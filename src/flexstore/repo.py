@@ -34,15 +34,18 @@ log, commit record: the order of `Repository.files`. A commit's node
 records are its layer-1 nodes, then the layer-2 nodes the append
 writes once and for all. The commit record is the commit point: besides
 the version record and its edge link it holds `nodes` and `blocks`, the
-node and index records the version counts. Once it is written, the
-commit counts every file's new records as committed, and only then
-moves the repository to the new version. Neither the layer-2 root nor
-the meta digest is stored: the edge links derive them, on first use,
-from about log n commit records. No stream position is stored either:
-the seed and the version number fix every tower level. `open` reads
-`config.json`, the last complete commit record and the last index
-record it counts, and checks the node log's and the pack's sizes; its
-cost does not grow with history. What a crashed writer left
+node and index records the version counts. `nodes` is one past its last
+node, the larger of its root and frozen part; a middle record's
+`blocks` is checked only for never falling, as no other record says
+what it must be until a leaf names its index record. Once it is
+written, the commit counts every file's new records as committed, and
+only then moves the repository to the new version. Neither the layer-2
+root nor the meta digest is stored: the edge links derive them, on
+first use, from about log n commit records. No stream position is
+stored either: the seed and the version number fix every tower level.
+`open` reads `config.json`, the last complete commit record and the
+last index record it counts, and checks the node log's and the pack's
+sizes; its cost does not grow with history. What a crashed writer left
 past those ends is ignored, and the next writer's commit cuts all four
 files back to them before it appends. Nothing is fsynced, so this holds
 for a process that dies, not for power loss.
@@ -362,10 +365,10 @@ class CommitLog:
     Only complete records count, and only `len(self)` of them: the
     constructor takes as many as the file holds and reads the last. A
     record is decoded strictly when it is read: its record digest must be
-    its version record's, its root and frozen part among the `nodes` it
-    counts, its survivor an earlier version, and its counts must not
-    pass the last record's. As a sequence of version records it is the
-    source a VersionIndex reads.
+    its version record's, the `nodes` it counts one past its last node
+    (its root or frozen part), its survivor an earlier version, and its
+    counts must not pass the last record's. As a sequence of version
+    records it is the source a VersionIndex reads.
     """
 
     def __init__(self, path: Path, scheme: HashScheme):
@@ -408,10 +411,11 @@ class CommitLog:
         if digest != self._digest(version, root_digest, start, length):
             raise StructureCorrupt(f"versions.log: version {version}'s "
                                    "record digest does not match its fields")
-        if root >= nodes or nodes <= frozen != NO_LINK:
-            raise StructureCorrupt(f"versions.log: version {version} names "
-                                   f"a node past node {nodes - 1}, the last "
-                                   "it counts")
+        last_node = root if frozen == NO_LINK else max(root, frozen)
+        if last_node + 1 != nodes:
+            raise StructureCorrupt(f"versions.log: version {version} counts "
+                                   f"{nodes} nodes, but its last is node "
+                                   f"{last_node}")
         if version <= survivor != NO_LINK:
             raise StructureCorrupt(f"versions.log: version {version} links "
                                    "to a later version")

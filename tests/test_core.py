@@ -258,6 +258,11 @@ class TestPackedEncoder:
             with pytest.raises(DomainError):
                 SCHEME.version_record(0, bad, 0, 1)
 
+    def test_leaf_level_other_than_zero_refused(self):
+        """The leaf encoding's level field is 0 for every leaf."""
+        with pytest.raises(DomainError, match="level"):
+            SCHEME.leaf_node(1, 2, None, 2, SCHEME.zero)
+
 
 class TestCheckSubtreeLinks:
     """check_subtree checks nodes in ascending id order, so it must

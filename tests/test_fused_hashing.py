@@ -1,10 +1,15 @@
-"""The loops that make or check many nodes hash each one in one step,
-hash_fn(layout.pack(...)).digest(); every digest they give or accept
-must be the one the checked encoders, HashScheme.internal_node and
-leaf_node, give over the same fields. Run for both hash functions on
-random stores."""
+"""Every digest that a loop making or checking many nodes gives or
+accepts (make_leaf and make_internal, check_subtree, fold_path) must be
+the digest of the node's canonical bytes, spelled out here field by
+field as hashing.py's docstring defines them, not through HashScheme's
+encoders: so the tests show that each call site passes its encoder the
+right rank, sentinel flag and after digest. The checked encoders give
+the same digests (test_core's TestPackedEncoder). Run for both hash
+functions on random stores."""
 
+import hashlib
 import random
+import struct
 
 import pytest
 
@@ -19,13 +24,18 @@ SEED = bytes.fromhex("00010203040506070809")
 SCHEMES = ["sha1", "sha256"]
 
 
-def checked_digest(scheme, kind, level, rank, length, block, below, after):
-    """A node's digest through the checked encoders; `below` and `after`
-    are the children's digests or None."""
+def concatenated_digest(scheme, kind, level, rank, length, block, below,
+                        after):
+    """A node's digest over its canonical bytes, concatenated field by
+    field; `below` and `after` are the children's digests or None."""
+    head = struct.pack(">QQ", level, rank)
+    flag = b"\x00" + scheme.zero if after is None else b"\x01" + after
     if kind == KIND_INTERNAL:
-        return scheme.internal_node(level, rank, below, after)
-    return scheme.leaf_node(level, rank, after, length, block,
-                            sentinel=kind == KIND_SENTINEL)
+        data = b"\x00" + head + below + flag
+    else:
+        tag = b"\x02" if kind == KIND_SENTINEL else b"\x01"
+        data = tag + head + flag + struct.pack(">Q", length) + block
+    return hashlib.new(scheme.name, data).digest()
 
 
 def random_store(scheme, rng):
@@ -69,7 +79,7 @@ def test_made_nodes_match_checked_encoders(name, seed):
     store, _roots = random_store(scheme, random.Random(seed))
     for node_id in store.ids():
         node = store.get(node_id)
-        assert node.digest == checked_digest(
+        assert node.digest == concatenated_digest(
             scheme, node.kind, node.level, node.rank, node.length,
             node.block, digest_of(store, node.below),
             digest_of(store, node.after)), node_id
@@ -78,14 +88,14 @@ def test_made_nodes_match_checked_encoders(name, seed):
 @pytest.mark.parametrize("name", SCHEMES)
 @pytest.mark.parametrize("seed", range(4))
 def test_check_subtree_accepts_checked_digests(name, seed):
-    """A store whose every digest comes from the checked encoders passes
+    """A store whose every digest comes from the concatenated fields passes
     check_subtree; the same store with one digest changed does not."""
     scheme = HashScheme(name)
     made, roots = random_store(scheme, random.Random(seed))
     store = NodeStore()
     for node_id in sorted(made.ids()):
         node = made.get(node_id)
-        digest = checked_digest(
+        digest = concatenated_digest(
             scheme, node.kind, node.level, node.rank, node.length,
             node.block, digest_of(store, node.below),
             digest_of(store, node.after))
@@ -125,7 +135,7 @@ def test_folded_digests_match_checked_encoders(name, seed):
             if kind == KIND_STUB:
                 continue
             below, after = sub.below[i], sub.after[i]
-            assert sub.digest[i] == checked_digest(
+            assert sub.digest[i] == concatenated_digest(
                 scheme, kind, sub.level[i], sub.rank[i], sub.length[i],
                 sub.block[i], None if below is None else sub.digest[below],
                 None if after is None else sub.digest[after]), i

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from flexstore import adaptor, audit, cli, core, hashing
+from flexstore import adaptor, audit, cli, core, errors, hashing
 from flexstore import repo as repo_mod
 from flexstore.adaptor import DiffEntry, format_diff
 from flexstore.errors import (BlockTooSmall, DomainError, EmptyCommit,
@@ -1233,7 +1233,8 @@ class TestFsck:
         assert len(hashed) == len(pack_records(repo)) == len(set(hashed))
 
     @pytest.mark.parametrize("field, source, problems", [
-        ("nodes", 3, ["version 2: counts fewer records than version 1"]),
+        ("nodes", 3, ["versions.log: version 1 counts 44 nodes, but its "
+                      "last is node 31"]),
         ("blocks", 3, ["version 2: counts fewer records than version 1"]),
     ], ids=["nodes", "blocks"])
     def test_commit_record_checked_against_the_one_before(
@@ -1258,6 +1259,31 @@ class TestFsck:
         log.write_bytes(bytes(raw))
         with Repository.open(repo.path) as again:
             assert again.fsck() == problems
+
+    def test_middle_commit_record_node_count_raised(self, repo, capsys):
+        """A middle commit record's node count one past the honest value
+        still lies below the last record's, but is not one past the
+        record's last node, its root or its frozen part: reading the
+        version refuses it, and fsck and `flexstore log` report it."""
+        for at in (100, 1500, 3000):
+            repo.commit(format_diff([DiffEntry("insert", at, b"n" * 40)]))
+        layout = repo.log.layout
+        repo.close()
+        log = repo.path / "versions.log"
+        raw = bytearray(log.read_bytes())
+        fields = list(layout.unpack_from(raw, layout.size))
+        fields[4] += 1       # version 1's nodes
+        layout.pack_into(raw, layout.size, *fields)
+        log.write_bytes(bytes(raw))
+        message = (f"versions.log: version 1 counts {fields[4]} nodes, but "
+                   f"its last is node {fields[4] - 2}")
+        with Repository.open(repo.path) as again:
+            with pytest.raises(StructureCorrupt, match=message):
+                again.record(1)
+            assert again.fsck() == [message]
+        capsys.readouterr()
+        assert cli.main(["--repo", str(repo.path), "log"]) == cli.EXIT_REJECT
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_tampered_commit_record_fails_layer2_replay(self, repo):
         """A version's update region changed in its commit record, with
@@ -1493,9 +1519,9 @@ class TestMalformedMetadata:
                                        "survivor", "update_start"])
     def test_bad_commit_record_field(self, repo, capsys, field):
         """The last commit record is checked at open: its record digest is
-        its version record's, its root and frozen part lie below the node
-        count, its survivor below its version, and the node log and the
-        block index hold the records it counts."""
+        its version record's, its node count is one past its last node,
+        its root or frozen part, its survivor lies below its version, and
+        the node log and the block index hold the records it counts."""
         repo.commit(format_diff([DiffEntry("replace", 10, b"last", 4)]))
         repo.close()
         log = repo.path / "versions.log"
@@ -1505,12 +1531,14 @@ class TestMalformedMetadata:
         last = len(raw) - repo.log.layout.size
         values = dict(zip(names, repo.log.layout.unpack(raw[last:])))
         if field in ("root", "frozen"):
-            values[field], message = values["nodes"], "a node past"
+            values[field] = values["nodes"]
+            message = f"counts {values['nodes']} nodes, but its last is node"
         elif field == "survivor":
             values[field], message = 1, "links to a later version"
         else:
             values[field] += 1
-            message = {"nodes": "node log", "blocks": "block index",
+            message = {"nodes": "nodes, but its last is node",
+                       "blocks": "block index",
                        "update_start": "record digest"}[field]
         log.write_bytes(raw[:last] + repo.log.layout.pack(*values.values()))
         with pytest.raises(StructureCorrupt, match=message):
@@ -1549,6 +1577,7 @@ class TestMalformedMetadata:
         log.write_bytes(bytes(raw))
         args = ["--repo", str(repo.path)]
         out = str(tmp_path / "out.bin")
+        refused = f"nodes, but its last is node {2 ** 64 - 1}"
         capsys.readouterr()
         assert cli.main(args + ["checkout", "--version", "2", "--out", out]
                         ) == cli.EXIT_OK
@@ -1557,9 +1586,9 @@ class TestMalformedMetadata:
             assert cli.main(args + command) == cli.EXIT_REJECT
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
-            assert "version 1 names a node past" in err
+            assert "version 1 counts" in err and refused in err
         assert cli.main(args + ["fsck"]) == cli.EXIT_REJECT
-        assert "version 1 names a node past" in capsys.readouterr().out
+        assert refused in capsys.readouterr().out
 
 
 class TestOpen:
@@ -1854,6 +1883,49 @@ def test_commit_names_its_version_when_a_close_fails(repo, monkeypatch,
                             f"{OSError(errno.EIO, os.strerror(errno.EIO))}\n")
     with Repository.open(repo.path) as again:
         assert again.latest.version == 1
+
+
+# The exit code of each error class in errors.py, as cli.py documents
+# them: 2 for usage and domain errors, 3 for I/O failures, 1 otherwise.
+EXIT_CODES = {
+    errors.FlexStoreError: cli.EXIT_REJECT,
+    errors.IndexOutOfRange: cli.EXIT_USAGE,
+    errors.StructureCorrupt: cli.EXIT_REJECT,
+    errors.NotBlockAligned: cli.EXIT_USAGE,
+    errors.BlockTooSmall: cli.EXIT_USAGE,
+    errors.VersionOutOfOrder: cli.EXIT_USAGE,
+    errors.NoSuchVersion: cli.EXIT_USAGE,
+    errors.EmptyRegion: cli.EXIT_USAGE,
+    errors.ProofRejected: cli.EXIT_REJECT,
+    errors.PathNotCovered: cli.EXIT_REJECT,
+    errors.DiffOutOfRange: cli.EXIT_USAGE,
+    errors.OverlappingDiffs: cli.EXIT_USAGE,
+    errors.EmptyCommit: cli.EXIT_USAGE,
+    errors.PathExists: cli.EXIT_IO,
+    errors.IOFailure: cli.EXIT_IO,
+    errors.FormatError: cli.EXIT_USAGE,
+    errors.DomainError: cli.EXIT_USAGE,
+    errors.RepositoryLocked: cli.EXIT_IO,
+}
+
+
+def test_exit_code_table_names_every_error_class():
+    assert {value for value in vars(errors).values()
+            if isinstance(value, type)
+            and issubclass(value, errors.FlexStoreError)} == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("error, code", EXIT_CODES.items(),
+                         ids=[error.__name__ for error in EXIT_CODES])
+def test_error_exit_code(tmp_path, monkeypatch, capsys, error, code):
+    """Each error class, raised as the store opens, exits with its code
+    and one `error:` line."""
+    def refuse(path):
+        raise error("refused")
+
+    monkeypatch.setattr(Repository, "open", staticmethod(refuse))
+    assert cli.main(["--repo", str(tmp_path), "log"]) == code
+    assert capsys.readouterr().err == "error: refused\n"
 
 
 def _assert_refused(path, capsys):
