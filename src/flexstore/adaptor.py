@@ -70,33 +70,34 @@ class BlockOp:
     data: bytes | None = None
 
 
-# Numbers after each diff record tag: the index, then the lengths.
+# Numbers after each diff record tag: the index, then the lengths, each
+# of ASCII digits and one space after the field before it.
 _ARITY = {b"I": 2, b"D": 2, b"R": 3}
 
 
 def parse_diff(raw: bytes) -> list[DiffEntry]:
-    """Parse the line-oriented diff format; strict about framing."""
+    """Parse the line-oriented diff format; strict about framing and
+    headers."""
     entries = []
     pos = 0
     while pos < len(raw):
         nl = raw.find(b"\n", pos)
         if nl < 0:
             raise FormatError("diff header without newline")
-        fields = raw[pos:nl].split()
-        if not fields or len(fields) - 1 != _ARITY.get(fields[0]):
+        tag, *numbers = raw[pos:nl].split(b" ")
+        if (len(numbers) != _ARITY.get(tag)
+                or not all(map(bytes.isdigit, numbers))):
             raise FormatError(f"bad diff header {raw[pos:nl]!r}")
         pos = nl + 1
         try:
-            at, *lengths = map(int, fields[1:])
-        except ValueError as exc:
-            raise FormatError(f"bad diff record: {exc}") from exc
-        if min(lengths) < 0:
-            raise FormatError("negative length in diff header")
-        if fields[0] == b"D":
+            at, *lengths = map(int, numbers)
+        except ValueError as exc:   # more digits than int() converts
+            raise FormatError(f"bad diff header: {exc}") from exc
+        if tag == b"D":
             entries.append(DiffEntry(DELETE, at, delete_len=lengths[0]))
             continue
         data, pos = _take_payload(raw, pos, lengths[-1])
-        entries.append(DiffEntry(INSERT, at, data) if fields[0] == b"I"
+        entries.append(DiffEntry(INSERT, at, data) if tag == b"I"
                        else DiffEntry(REPLACE, at, data, lengths[0]))
     return entries
 
@@ -108,19 +109,6 @@ def _take_payload(raw: bytes, pos: int, length: int):
     if raw[pos + length:pos + length + 1] != b"\n":
         raise FormatError("diff payload not newline-terminated")
     return data, pos + length + 1
-
-
-def format_diff(entries: list[DiffEntry]) -> bytes:
-    out = []
-    for e in entries:
-        if e.kind == INSERT:
-            out.append(b"I %d %d\n" % (e.at, len(e.data)) + e.data + b"\n")
-        elif e.kind == DELETE:
-            out.append(b"D %d %d\n" % (e.at, e.delete_len))
-        else:
-            out.append(b"R %d %d %d\n" % (e.at, e.delete_len, len(e.data))
-                       + e.data + b"\n")
-    return b"".join(out)
 
 
 def validate_diffs(diffs: list[DiffEntry], total: int) -> None:
@@ -223,15 +211,10 @@ def translate_diffs(diffs: list[DiffEntry], total: int, blocks_from,
     return ops
 
 
-def max_block(block_size: int) -> int:
-    """The longest block a store of `block_size` makes: a file is cut
-    into blocks of block_size, and an edit re-cuts any block it would
-    make longer than this."""
-    return 2 * block_size
-
-
 def _chunks(region: bytes, block_size: int) -> list[bytes]:
-    if len(region) <= max_block(block_size):
+    """An edited region as one block while it is at most twice
+    block_size, else re-cut into blocks of block_size."""
+    if len(region) <= 2 * block_size:
         return [region]
     return [region[i:i + block_size]
             for i in range(0, len(region), block_size)]

@@ -21,7 +21,7 @@ list.
 
 Both sides draw the indices one at a time and stop once every leaf of
 the region is hit: the prover, when it has walked the region's leaves
-(at most r of them, and none where hitting them all is too unlikely);
+(at most r of them, given up where hitting them all is too unlikely);
 the verifier, once the proven leaves, each hit, lie back to back over
 the region, so that no later index can miss them. Stopping changes no
 proof and no verdict. A proof with a proven leaf that does not meet
@@ -114,16 +114,6 @@ def expand_challenge(ch: Challenge, region: tuple[int, int]) -> Iterator[int]:
     return challenge_indices(ch.seed, ch.count, start, length)
 
 
-def detection_probability(f: float, r: int) -> float:
-    """Probability of catching a prover missing fraction f of the data
-    when r randomly chosen blocks are challenged."""
-    if not 0.0 <= f <= 1.0:
-        raise DomainError("fraction must lie in [0, 1]")
-    if r < 0:
-        raise DomainError("challenge count must be >= 0")
-    return 1.0 - (1.0 - f) ** r
-
-
 def challenge_region(store: NodeStore, vindex: VersionIndex, version: int,
                      whole_file: bool) -> tuple[int, int]:
     rec = vindex.record(version)
@@ -137,32 +127,30 @@ def challenge_region(store: NodeStore, vindex: VersionIndex, version: int,
 # ---------------------------------------------------------------------------
 
 
-def prove(store: NodeStore, vindex: VersionIndex, get_block, ch: Challenge,
-          max_leaf: int) -> VersionProof:
-    """Assemble the proof of every distinct challenged version. No leaf
-    of the store is longer than `max_leaf` bytes; a store that breaks
-    that costs more to prove, never another proof."""
+def prove(store: NodeStore, vindex: VersionIndex, get_block,
+          ch: Challenge) -> VersionProof:
+    """Assemble the proof of every distinct challenged version."""
     whole_file = not ch.versions
     layer2, records = vindex.version_proof(ch.versions
                                            or (vindex.count - 1,))
     parts = []
     for rec in records:
         region = challenge_region(store, vindex, rec.version, whole_file)
-        los = _hit_leaves(store, rec.root, ch, region, max_leaf)
+        los = _hit_leaves(store, rec.root, ch, region)
         parts.append(_prove_part(store, get_block, rec, los,
                                  [lo + 1 for lo in los]))
     return VersionProof(layer2, tuple(parts))
 
 
 def _hit_leaves(store: NodeStore, root: int, ch: Challenge,
-                region: tuple[int, int], max_leaf: int) -> list[int]:
+                region: tuple[int, int]) -> list[int]:
     """One byte of each leaf the challenge hits in `region`, ascending.
     Where the region's leaves were walked, the draws stop once every
     leaf is hit and the byte is the leaf's start; else every draw is
     taken and the bytes are the distinct challenged indices. Either way
     build_path proves the same leaves."""
     draws = expand_challenge(ch, region)   # refuses an empty region first
-    starts = _leaf_starts(store, root, region, ch.count, max_leaf)
+    starts = _leaf_starts(store, root, region, ch.count)
     if starts is None:
         return sorted(set(draws))
     hit = set()
@@ -173,14 +161,14 @@ def _hit_leaves(store: NodeStore, root: int, ch: Challenge,
     return [starts[leaf] for leaf in sorted(hit)]
 
 
-# The walk of a region's leaves is skipped, or given up, once more than
-# this many of its leaves are expected to stay unhit: all of them are
-# then hit with probability under e^-14, about one in a million.
+# The walk of a region's leaves is given up once more than this many of
+# its leaves are expected to stay unhit: all of them are then hit with
+# probability under e^-14, about one in a million.
 _UNHIT_LIMIT = 14.0
 
 
 def _leaf_starts(store: NodeStore, root: int, region: tuple[int, int],
-                 count: int, max_leaf: int) -> list[int] | None:
+                 count: int) -> list[int] | None:
     """The byte offset of each leaf of `region`, left to right, or None
     where `count` draws would almost surely not hit them all: the region
     has more leaves than draws, or too many are expected to stay unhit.
@@ -191,15 +179,12 @@ def _leaf_starts(store: NodeStore, root: int, region: tuple[int, int],
     with probability (1 - p)^count. The events "leaf i is hit" are
     negatively associated, so all leaves are hit with probability at
     most the product of 1 - (1 - p)^count over any of them, which is at
-    most exp(-u), u the sum of (1 - p)^count over those. Before walking,
-    u is bounded below by n (1 - 1/n)^count, n = length / max_leaf
-    rounded up being the fewest leaves the region can hold; during the
-    walk, u is summed over the leaves walked."""
+    most exp(-u), u the sum of (1 - p)^count over those, here over the
+    leaves walked. The walk thus stops after at most `count` leaves, and
+    sooner where they are many and short."""
     start, length = region
     end = start + length
-    fewest = -(-length // max_leaf)
-    if (fewest > count or end > store.get(root).rank
-            or fewest * (1.0 - 1.0 / fewest) ** count > _UNHIT_LIMIT):
+    if end > store.get(root).rank:
         return None
     offset, leaves = core.leaves_from(store, root, start)
     starts = []

@@ -97,17 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fsck", help="sweep every store invariant")
     p.set_defaults(func=cmd_fsck)
-
-    p = sub.add_parser("tamper",
-                       help="test-only: corrupt stored blocks in place")
-    p.add_argument("--delete-fraction", type=float, required=True)
-    p.add_argument("--scope", default="version-delta",
-                   choices=("version-delta", "blocks"))
-    p.add_argument("--version", type=int)
-    p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--allow-data-loss", action="store_true",
-                   help="required; tamper destroys stored content")
-    p.set_defaults(func=cmd_tamper)
     return parser
 
 
@@ -232,17 +221,6 @@ def cmd_fsck(args) -> int:
         print(f"fsck: {len(problems)} problem(s)")
         return EXIT_REJECT
     print("fsck: clean")
-    return EXIT_OK
-
-
-def cmd_tamper(args) -> int:
-    if not args.allow_data_loss:
-        raise DomainError("tamper requires --allow-data-loss")
-    with Repository.open(args.repo) as repo:
-        report = repo.tamper(args.delete_fraction, scope=args.scope,
-                             version=args.version, rng_seed=args.rng_seed)
-    print(f"tampered {report['corrupted']} of {report['targets']} blocks "
-          f"({args.scope})")
     return EXIT_OK
 
 

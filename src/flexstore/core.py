@@ -97,19 +97,10 @@ class NodeStore:
         return self._next_id
 
 
-def split_blocks(data: bytes, block_size: int) -> list[bytes]:
-    """Cut data into block_size pieces; the last piece may be shorter.
-
-    Empty input yields no blocks.
-    """
-    if block_size < 1:
-        raise BlockTooSmall("block_size must be >= 1")
-    return [data[i:i + block_size] for i in range(0, len(data), block_size)]
-
-
 def read_blocks(fh, block_size: int) -> Iterator[bytes]:
-    """Cut a binary file into block_size pieces as it is read: the pieces
-    split_blocks gives for its whole content, one in memory at a time."""
+    """Cut a binary file into block_size pieces as it is read, one in
+    memory at a time; the last piece may be shorter, and an empty file
+    yields none."""
     if block_size < 1:
         raise BlockTooSmall("block_size must be >= 1")
     return iter(lambda: fh.read(block_size), b"")

@@ -76,11 +76,12 @@ class HashScheme:
     fields with one precompiled struct.Struct, in the order of the
     encodings above, and hash them once; `after` is the after child's
     digest or None, and a leaf's level is 0. They do not check digest
-    widths: a caller whose digests did not all come from this scheme
-    checks them first. `internal_node` and `leaf_node` are the checked
-    node encoders, over the same code. `digest` hashes the rest: blocks,
-    through `block_digest`, and version records, whose bytes
-    `version_record` packs with `record_layout`, checking the width."""
+    widths, as a struct "s" field pads or cuts a digest of the wrong
+    width without a word: a caller whose digests did not all come from
+    this scheme checks them first, as `core.make_leaf` and
+    `proofs.fold_path` do. `digest` hashes the rest: blocks, through
+    `block_digest`, and version records, whose bytes `version_record`
+    packs with `record_layout`, checking the width."""
 
     __slots__ = ("name", "hash_fn", "width", "zero", "record_layout",
                  "internal_digest", "leaf_digest")
@@ -115,25 +116,6 @@ class HashScheme:
     def block_digest(self, block: bytes) -> bytes:
         """Content address of a data block."""
         return self.digest(block)
-
-    # A struct "s" field pads or cuts a digest of the wrong width without
-    # a word, so the checked encoders check the widths first.
-
-    def _check_widths(self, *digests: bytes | None) -> None:
-        if any(d is not None and len(d) != self.width for d in digests):
-            raise DomainError("digest width mismatch")
-
-    def internal_node(self, level: int, rank: int, below: bytes,
-                      after: bytes | None) -> bytes:
-        self._check_widths(below, after)
-        return self.internal_digest(level, rank, below, after)
-
-    def leaf_node(self, level: int, rank: int, after: bytes | None,
-                  length: int, block_digest: bytes, sentinel: bool = False) -> bytes:
-        if level:
-            raise DomainError("a leaf's level is 0")
-        self._check_widths(after, block_digest)
-        return self.leaf_digest(sentinel, rank, after, length, block_digest)
 
     def version_record(self, version: int, root_digest: bytes,
                        update_start: int, update_length: int) -> bytes:

@@ -23,8 +23,10 @@ Record k of `nodes/log` is node k: kind u8 || level u8 || rank || below
 (zeros for an internal node) || node digest (70 bytes with SHA-1).
 
 Blocks are content-addressed, so identical content across versions (or
-within one file) is stored once. Records and blocks are write-once;
-commits append, never rewrite.
+within one file) is stored once. Records and blocks are write-once: no
+code rewrites a committed byte. A commit appends to the four store
+files, and a writer cuts each back to its committed end; nothing else
+writes them.
 
 The four store files are record files (_RecordFile), the pack one of
 one-byte records, and share one write policy: what a commit appends to
@@ -68,7 +70,6 @@ import fcntl
 import io
 import json
 import os
-import random
 import struct
 from collections.abc import Iterator
 from contextlib import ExitStack, contextmanager, suppress
@@ -222,25 +223,16 @@ class _RecordFile:
         if len(self._buffer) >= _COPY_LIMIT:
             self.flush()
 
-    def _write(self, file, data) -> None:
-        if self._os("unwritable", file.write, data) != len(data):
-            raise IOFailure(f"{self.name} unwritable: short write")
-
     def flush(self) -> None:
         """Write the appended records at the end of the file."""
         if self._buffer:
             if self._appender is None:
                 self._appender = self._os("unwritable", open, self.path,
                                           "ab", 0)
-            self._write(self._appender, self._buffer)
+            if (self._os("unwritable", self._appender.write, self._buffer)
+                    != len(self._buffer)):
+                raise IOFailure(f"{self.name} unwritable: short write")
             self._buffer.clear()
-
-    def overwrite(self, first: int, records: bytes) -> None:
-        """Write records in place from committed record `first` on (fault
-        injection only)."""
-        with self._os("unwritable", open, self.path, "r+b", 0) as file:
-            self._os("unwritable", file.seek, first * self.layout.size)
-            self._write(file, records)
 
     def mark_committed(self) -> None:
         """Count every appended record as committed; call after flush."""
@@ -599,14 +591,6 @@ class BlockStore:
                     _RUN_LIMIT, self._pack.committed - offset))), offset
             yield digest, run[offset - start:offset - start + length]
 
-    def all_digests(self) -> list[bytes]:
-        """Every stored block's digest, in pack order."""
-        return list(self._blocks())
-
-    def overwrite(self, digest: bytes, data: bytes) -> None:
-        """Replace a stored block's bytes in place (fault injection)."""
-        self._pack.overwrite(self._blocks()[digest] >> 32, data)
-
     def forget_uncommitted(self) -> None:
         """Drop the blocks put past the committed end from the digest map,
         before the index is cut (a writer's work only)."""
@@ -882,8 +866,7 @@ class Repository:
         return ch
 
     def prove(self, ch: audit.Challenge) -> audit.VersionProof:
-        return audit.prove(self.store, self.vindex, self.blocks.get, ch,
-                           adaptor.max_block(self.block_size))
+        return audit.prove(self.store, self.vindex, self.blocks.get, ch)
 
     def verify(self, ch: audit.Challenge,
                proof: audit.VersionProof) -> tuple[bool, str]:
@@ -1020,47 +1003,6 @@ class Repository:
             todo += [link for link in (node.below, node.after)
                      if link is not None and flags[link] & BAD_BLOCK]
         return problems
-
-    # -- fault injection (test support, explicitly gated in the CLI) --------
-
-    def tamper(self, fraction: float, scope: str = "version-delta",
-               version: int | None = None, rng_seed: int = 0) -> dict:
-        """Corrupt a fraction of stored blocks in place. The prover keeps
-        answering challenges; verification catches the damage."""
-        if not 0 <= fraction <= 1:    # false for NaN too
-            raise DomainError(f"fraction {fraction} is outside [0, 1]")
-        if scope == "version-delta":
-            rec = self.record(self.latest.version if version is None
-                              else version)
-            targets = []
-            if self.store.get(rec.root).rank:
-                start, leaves = core.leaves_from(self.store, rec.root,
-                                                 rec.update_start)
-                for leaf in leaves:
-                    if start >= rec.update_start + rec.update_length:
-                        break
-                    targets.append(leaf.block)
-                    start += leaf.length
-        elif scope == "blocks":
-            targets = self.blocks.all_digests()
-        else:
-            raise EmptyRegion(f"unknown tamper scope {scope!r}")
-        targets = sorted(set(targets))
-        # Half rounds up, and a fraction above 0 corrupts at least one.
-        count = int(fraction * len(targets) + 0.5)
-        if fraction and targets:
-            count = max(count, 1)
-        rng = random.Random(rng_seed)
-        chosen = rng.sample(targets, count) if count else []
-        with self.write_lock():
-            for digest in chosen:
-                length = len(self.blocks.get(digest))
-                garbage = rng.randbytes(length)
-                while self.scheme.block_digest(garbage) == digest:
-                    garbage = rng.randbytes(length)
-                self.blocks.overwrite(digest, garbage)
-        return {"scope": scope, "targets": len(targets),
-                "corrupted": len(chosen)}
 
 
 def _ranges(numbers: list[int]) -> str:

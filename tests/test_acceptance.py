@@ -4,6 +4,7 @@ line with its measured value against the pinned tolerance.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import io
 import math
 import os
 import random
@@ -13,17 +14,17 @@ from itertools import islice
 
 import pytest
 
-from flexstore import adaptor, audit, cli, persist
+from flexstore import adaptor, audit, cli, core, persist
 from flexstore.adaptor import (BlockOp, DiffEntry, apply_ops_partial,
-                               diff_to_ops, format_diff, partial_from_proof)
-from flexstore.audit import (Challenge, detection_probability, read_proof,
-                             verify, write_proof)
+                               diff_to_ops, partial_from_proof)
+from flexstore.audit import Challenge, read_proof, verify, write_proof
 from flexstore.core import (NodeStore, block_layout, build_with_levels,
-                            check_subtree, search, split_blocks)
+                            check_subtree, read_blocks, search)
 from flexstore.errors import FlexStoreError, FormatError, ProofRejected
 from flexstore.hashing import HashScheme, version_levels
 from flexstore.index2 import VersionIndex, VersionRecord
 from flexstore.repo import Repository
+from helpers import corrupt_block, detection_probability, format_diff
 
 SCHEME = HashScheme()
 SEED = bytes.fromhex("00112233445566778899")
@@ -68,8 +69,15 @@ def delta_repo(tmp_path_factory):
 def test_criterion_1_detection_rate(delta_repo):
     repo = delta_repo
     report_detail = []
-    tamper = repo.tamper(0.10, scope="version-delta", version=1, rng_seed=7)
-    assert tamper["targets"] == 100 and tamper["corrupted"] == 10
+    # 10 of the 100 blocks of version 1's update region are damaged.
+    rec = repo.record(1)
+    leaves = list(islice(core.leaves_from(repo.store, rec.root, 0)[1], 100))
+    assert sum(leaf.length for leaf in leaves) == rec.update_length
+    targets = sorted({leaf.block for leaf in leaves})
+    assert len(targets) == 100
+    rng = random.Random(7)
+    for digest in rng.sample(targets, 10):
+        corrupt_block(repo, digest, rng)
     start = time.time()
     ok_all = True
     for count, target, tol in ((20, 0.878, 0.03), (43, 0.989, 0.01)):
@@ -617,7 +625,7 @@ def test_criterion_9_adaptor_soundness():
         entries = _random_entries(rng, len(data))
         store = NodeStore()
         blocks = {}
-        pieces = split_blocks(data, block_size)
+        pieces = list(read_blocks(io.BytesIO(data), block_size))
         for p in pieces:
             blocks[SCHEME.block_digest(p)] = p
         root = _build(store, pieces, version_levels(SEED, trial))

@@ -1,3 +1,4 @@
+import io
 import random
 from bisect import bisect_right
 from itertools import islice
@@ -6,14 +7,15 @@ import pytest
 
 from flexstore import adaptor, audit, core, persist
 from flexstore.adaptor import (BlockOp, DiffEntry, apply_ops_partial,
-                               diff_to_ops, format_diff, parse_diff,
-                               partial_from_proof, translate_diffs)
+                               diff_to_ops, parse_diff, partial_from_proof,
+                               translate_diffs)
 from flexstore.core import (NodeStore, block_layout, build,
-                            build_with_levels, leaves_from, split_blocks)
+                            build_with_levels, leaves_from, read_blocks)
 from flexstore.errors import (DiffOutOfRange, FormatError, OverlappingDiffs,
                               PathNotCovered, ProofRejected)
 from flexstore.hashing import HashScheme, version_levels
 from flexstore.index2 import VersionIndex, VersionRecord
+from helpers import format_diff
 
 SCHEME = HashScheme()
 SEED = bytes.fromhex("0b0c0d0e0f1011121314")
@@ -32,7 +34,7 @@ def apply_diffs(data: bytes, entries) -> bytes:
 
 
 def _apply_ops_blocks(data, ops, block_size=8):
-    blocks = split_blocks(data, block_size)
+    blocks = list(read_blocks(io.BytesIO(data), block_size))
     for op in ops:
         starts = [0]
         for b in blocks:
@@ -57,6 +59,18 @@ class TestDiffFile:
                    DiffEntry("delete", 20, delete_len=5),
                    DiffEntry("replace", 30, b"xy", 4)]
         assert parse_diff(format_diff(entries)) == entries
+        rng = random.Random(54)
+        for _ in range(200):
+            entries = [rng.choice([
+                DiffEntry("insert", rng.randrange(1 << 40),
+                          rng.randbytes(rng.randint(0, 12))),
+                DiffEntry("delete", rng.randrange(1 << 40),
+                          delete_len=rng.randrange(1 << 20)),
+                DiffEntry("replace", rng.randrange(1 << 40),
+                          rng.randbytes(rng.randint(0, 12)),
+                          rng.randrange(1 << 20))])
+                for _ in range(rng.randint(0, 6))]
+            assert parse_diff(format_diff(entries)) == entries
 
     def test_payload_may_contain_newlines(self):
         entries = [DiffEntry("insert", 0, b"\n\n\n")]
@@ -73,13 +87,22 @@ class TestDiffFile:
             parse_diff(b"R 10 -5 3\nabc\n")  # negative delete length
         with pytest.raises(FormatError):
             parse_diff(b"D 10 -5\n")
+        # A header is its tag and its numbers, one space before each,
+        # each number ASCII digits; bytes.split() and int() would take
+        # the first ten.
+        for header in (b"I 1_0 3", b"I +5 3", b"I 5 +3", b"I\t5 3",
+                       b"I 5\t3", b"I 5  3", b"I  5 3", b" I 5 3", b"I 5 3 ",
+                       b"I 5 3\r", b"I 5 \xd9\xa1", b"i 5 3", b"",
+                       b"I " + b"1" * 5000 + b" 3"):
+            with pytest.raises(FormatError, match="bad diff header"):
+                parse_diff(header + b"\nabc\n")
 
 
 class TestDiffToOps:
     BS = 8
 
     def ops_for(self, data, entries):
-        layout = [len(b) for b in split_blocks(data, self.BS)]
+        layout = [len(b) for b in read_blocks(io.BytesIO(data), self.BS)]
         return diff_to_ops(entries, layout, self.BS,
                            lambda s, n: data[s:s + n])
 
@@ -174,7 +197,7 @@ class TestDiffToOps:
             data = bytes(rng.randrange(256)
                          for _ in range(rng.randint(0, 200)))
             entries = random_entries(rng, len(data))
-            pieces = split_blocks(data, self.BS)
+            pieces = list(read_blocks(io.BytesIO(data), self.BS))
             blocks = {SCHEME.block_digest(p): p for p in pieces}
             store = NodeStore()
             root = build(store, SCHEME, pieces, version_levels(SEED, trial))
@@ -286,7 +309,7 @@ class ServerFixture:
     def __init__(self, data, rng_seed=5):
         self.store = NodeStore()
         self.blocks = {}
-        pieces = split_blocks(data, self.BS)
+        pieces = list(read_blocks(io.BytesIO(data), self.BS))
         for p in pieces:
             self.blocks[SCHEME.block_digest(p)] = p
         root = build(self.store, SCHEME, pieces, version_levels(SEED, 0))
@@ -363,12 +386,12 @@ class TestPartial:
         fx = ServerFixture(bytes(range(64)))
         fx.commit_ops([BlockOp("modify", 8, b"REWRITE!")])
         proof = audit.prove(fx.store, fx.vindex, fx.blocks.get,
-                            audit.Challenge(bytes(10), 2, (0, 1)), fx.BS)
+                            audit.Challenge(bytes(10), 2, (0, 1)))
         meta = fx.vindex.meta_digest
         with pytest.raises(ProofRejected):
             partial_from_proof(SCHEME, proof, meta)
         latest = audit.prove(fx.store, fx.vindex, fx.blocks.get,
-                             audit.Challenge(bytes(10), 2, (1,)), fx.BS)
+                             audit.Challenge(bytes(10), 2, (1,)))
         partial = partial_from_proof(SCHEME, latest, meta)
         assert partial.root_digest == fx.vindex.record(1).root_digest
 
@@ -628,7 +651,7 @@ class TestBatch:
         block left), a long insert and a lone modify."""
         data = bytes(range(256)) * 4
         store = NodeStore()
-        root = build(store, SCHEME, split_blocks(data, 8),
+        root = build(store, SCHEME, read_blocks(io.BytesIO(data), 8),
                      version_levels(SEED, 0))
         layout = block_layout(store, root)
         descents = []

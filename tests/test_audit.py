@@ -10,10 +10,9 @@ from itertools import accumulate
 import pytest
 
 from flexstore import audit, core, persist, proofs
-from flexstore.adaptor import DiffEntry, format_diff, partial_from_proof
-from flexstore.audit import (Challenge, detection_probability,
-                             expand_challenge, read_challenge, read_proof,
-                             verify, write_challenge, write_proof)
+from flexstore.adaptor import DiffEntry, partial_from_proof
+from flexstore.audit import (Challenge, expand_challenge, read_challenge,
+                             read_proof, verify, write_challenge, write_proof)
 from flexstore.core import (KIND_INTERNAL, KIND_STUB, NodeStore, build,
                             build_with_levels)
 from flexstore.errors import (DomainError, EmptyRegion, FormatError,
@@ -21,6 +20,7 @@ from flexstore.errors import (DomainError, EmptyRegion, FormatError,
 from flexstore.hashing import HashScheme, challenge_indices, version_levels
 from flexstore.index2 import VersionIndex, VersionRecord
 from flexstore.repo import Repository
+from helpers import detection_probability, format_diff
 
 SCHEME = HashScheme()
 SEED = bytes.fromhex("00010203040506070809")
@@ -62,8 +62,7 @@ class Fixture:
         return self.vindex.meta_digest
 
     def prove(self, ch):
-        return audit.prove(self.store, self.vindex, self.get_block,
-                           ch, self.block_len)
+        return audit.prove(self.store, self.vindex, self.get_block, ch)
 
 
 class TestExpand:
@@ -155,7 +154,7 @@ class TestProveVerify:
         1 KiB blocks peaks far below the 2^14 indices' own size."""
         store, blocks, vindex = _flat_store(16, 1024, random.Random(5))
         ch = Challenge(CH_SEED, 1 << 14)
-        proof = audit.prove(store, vindex, blocks.get, ch, 1024)
+        proof = audit.prove(store, vindex, blocks.get, ch)
         tracemalloc.start()
         try:
             ok, reason = verify(SCHEME, vindex.meta_digest, ch, proof)
@@ -381,18 +380,12 @@ class TestEarlyStop:
                 ch = Challenge(rng.randbytes(10), count, versions)
                 want = write_proof(_reference_prove(store, vindex,
                                                     blocks.get, ch), SCHEME)
-                # The leaf bound and the walk's limit set only what
-                # proving costs: no leaf is longer than 24 bytes, but the
-                # prover may be told 1 or 2^40.
-                for max_leaf, limit in ((24, audit._UNHIT_LIMIT),
-                                        (1, audit._UNHIT_LIMIT),
-                                        (1 << 40, 0.0),
-                                        (1 << 40, float("inf"))):
+                # The walk's limit sets only what proving costs.
+                for limit in (audit._UNHIT_LIMIT, 0.0, float("inf")):
                     monkeypatch.setattr(audit, "_UNHIT_LIMIT", limit)
-                    proof = audit.prove(store, vindex, blocks.get,
-                                        ch, max_leaf)
+                    proof = audit.prove(store, vindex, blocks.get, ch)
                     assert write_proof(proof, SCHEME) == want, (
-                        leaves, versions, max_leaf, limit)
+                        leaves, versions, limit)
                 monkeypatch.undo()
                 meta = vindex.meta_digest
                 assert (verify(SCHEME, meta, ch, proof)
@@ -432,7 +425,7 @@ class TestEarlyStop:
         store, blocks, vindex = _region_store(rng, 9, 3, 1)
         rec = vindex.record(0)
         ch = Challenge(CH_SEED, 460, (0,))
-        honest = audit.prove(store, vindex, blocks.get, ch, 24)
+        honest = audit.prove(store, vindex, blocks.get, ch)
         _count, (sub,) = audit.check_proof(SCHEME, vindex.meta_digest,
                                            honest)
         assert len(sub.starts) == 3
@@ -458,7 +451,7 @@ class TestEarlyStop:
         store, blocks, vindex = _region_store(rng, 12, 3, 1)
         rec = vindex.record(0)
         ch = Challenge(CH_SEED, 1 << 24, (0,))
-        honest = audit.prove(store, vindex, blocks.get, ch, 24)
+        honest = audit.prove(store, vindex, blocks.get, ch)
         _count, (sub,) = audit.check_proof(SCHEME, vindex.meta_digest,
                                            honest)
         assert len(sub.starts) == 3
@@ -501,8 +494,7 @@ class TestEarlyStop:
         store, blocks, vindex = _flat_store(1024, 1024, random.Random(6))
         ch = Challenge(CH_SEED, 1 << 16)
         peaks = []
-        for run in (lambda: audit.prove(store, vindex, blocks.get,
-                                        ch, 1024),
+        for run in (lambda: audit.prove(store, vindex, blocks.get, ch),
                     lambda: verify(SCHEME, vindex.meta_digest, ch, proof)):
             tracemalloc.start()
             try:
@@ -732,7 +724,7 @@ class TestPrunedSubtree:
         assert partial.root_digest == vindex.record(0).root_digest
         ch = Challenge(CH_SEED, 3)
         ok, reason = verify(SCHEME, meta, ch, read_proof(write_proof(
-            audit.prove(store, vindex, blocks.get, ch, 1), SCHEME),
+            audit.prove(store, vindex, blocks.get, ch), SCHEME),
             SCHEME))
         assert ok, reason
 

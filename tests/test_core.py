@@ -11,7 +11,7 @@ from flexstore.core import (KIND_INTERNAL, KIND_LEAF, KIND_SENTINEL,
                             KIND_STUB, Node, NodeStore, block_layout, build,
                             build_with_levels, check_subtree,
                             iter_data_leaves, leaves_from, make_leaf,
-                            read_blocks, search, split_blocks)
+                            read_blocks, search)
 from flexstore.errors import (BlockTooSmall, DomainError, IndexOutOfRange,
                               StructureCorrupt)
 from flexstore.hashing import HashScheme, layer2_levels, version_levels
@@ -48,32 +48,36 @@ def test_node_repr_names_every_kind(kind, name):
     assert repr(node) == f"<{name} lvl=2 rank=7 len=0>"
 
 
+def split(data, block_size):
+    return list(read_blocks(io.BytesIO(data), block_size))
+
+
 class TestSplitBlocks:
     def test_remainder(self):
-        assert [len(b) for b in split_blocks(b"abcde", 2)] == [2, 2, 1]
+        assert [len(b) for b in split(b"abcde", 2)] == [2, 2, 1]
 
     def test_empty(self):
-        assert split_blocks(b"", 4) == []
+        assert split(b"", 4) == []
 
     def test_exact(self):
-        assert [len(b) for b in split_blocks(bytes(4096), 2048)] == [2048, 2048]
+        assert [len(b) for b in split(bytes(4096), 2048)] == [2048, 2048]
 
     def test_concatenation(self):
         data = bytes(range(256)) * 3
-        assert b"".join(split_blocks(data, 7)) == data
+        assert b"".join(split(data, 7)) == data
 
     def test_bad_size(self):
-        with pytest.raises(BlockTooSmall):
-            split_blocks(b"x", 0)
         with pytest.raises(BlockTooSmall):
             read_blocks(io.BytesIO(b"x"), 0)
 
     @pytest.mark.parametrize("size, block_size", [(0, 4), (4096, 2048),
                                                   (5000, 2048), (1, 7)])
     def test_read_blocks_as_split(self, size, block_size):
+        """The pieces are the slices of block_size from each multiple of
+        it."""
         data = random.Random(size).randbytes(size)
-        assert (list(read_blocks(io.BytesIO(data), block_size))
-                == split_blocks(data, block_size))
+        assert split(data, block_size) == [
+            data[i:i + block_size] for i in range(0, size, block_size)]
 
 
 def _oracle_level(domain, counter):
@@ -165,8 +169,9 @@ class TestNodeDigest:
             (Path(__file__).parent / "data" / "golden_vectors.json")
             .read_text())
         leaf = vectors["leaf"]
-        got = SCHEME.leaf_node(
-            leaf["level"], leaf["rank"], None, leaf["length"],
+        assert leaf["level"] == 0
+        got = SCHEME.leaf_digest(
+            False, leaf["rank"], None, leaf["length"],
             SCHEME.block_digest(bytes.fromhex(leaf["block_content_hex"])))
         assert got.hex() == leaf["digest"]
         rec = vectors["version_record"]
@@ -182,37 +187,38 @@ class TestNodeDigest:
                                       exp["length"])) == exp["indices"]
 
     def test_leaf_golden(self):
-        digest = SCHEME.leaf_node(0, 5, None, 5,
-                                  SCHEME.block_digest(b"hello"))
+        digest = SCHEME.leaf_digest(False, 5, None, 5,
+                                    SCHEME.block_digest(b"hello"))
         assert digest.hex() == "58fa81ec7977bc03b5b5777bb6423d4f7af6116b"
 
     def test_internal_golden_and_position_dependence(self):
         below = hashlib.sha1(b"left").digest()
         after = hashlib.sha1(b"right").digest()
-        digest = SCHEME.internal_node(3, 55, below, after)
-        swapped = SCHEME.internal_node(3, 55, after, below)
+        digest = SCHEME.internal_digest(3, 55, below, after)
+        swapped = SCHEME.internal_digest(3, 55, after, below)
         assert digest.hex() == "31449bf2d3a093dfe841b9ad7632cde7446f9697"
         assert swapped.hex() == "fcb1c4437d0454e83dda5253e833c67c65ee80f2"
         assert digest != swapped
 
     def test_sentinel_golden(self):
-        digest = SCHEME.leaf_node(0, 0, None, 0, SCHEME.zero, sentinel=True)
+        digest = SCHEME.leaf_digest(True, 0, None, 0, SCHEME.zero)
         assert digest.hex() == "8ad9ee6f80b9cf935ad3bc8f10850f03a6b20526"
 
     def test_deterministic(self):
-        a = SCHEME.leaf_node(0, 9, None, 9, SCHEME.block_digest(b"x" * 9))
-        b = SCHEME.leaf_node(0, 9, None, 9, SCHEME.block_digest(b"x" * 9))
+        block = SCHEME.block_digest(b"x" * 9)
+        a = SCHEME.leaf_digest(False, 9, None, 9, block)
+        b = SCHEME.leaf_digest(False, 9, None, 9, block)
         assert a == b
 
     def test_every_field_matters(self):
         base = dict(level=2, rank=30, below=hashlib.sha1(b"b").digest(),
                     after=hashlib.sha1(b"a").digest())
-        reference = SCHEME.internal_node(**base)
+        reference = SCHEME.internal_digest(**base)
         for field, value in (("level", 3), ("rank", 31),
                              ("below", hashlib.sha1(b"B").digest()),
                              ("after", None)):
             changed = dict(base, **{field: value})
-            assert SCHEME.internal_node(**changed) != reference
+            assert SCHEME.internal_digest(**changed) != reference
 
 
 def _concatenated(scheme, tag, level, rank, after, tail):
@@ -234,12 +240,12 @@ class TestPackedEncoder:
                 scheme.width)
             after = rng.choice([None, rng.randbytes(scheme.width)])
             length = rng.randrange(1 << 64)
-            assert scheme.internal_node(level, rank, below, after) == (
+            assert scheme.internal_digest(level, rank, below, after) == (
                 _concatenated(scheme, 0, level, rank, after, (below, b"")))
             for tag, sentinel in ((1, False), (2, True)):
                 tail = (b"", struct.pack(">Q", length) + block)
-                assert scheme.leaf_node(
-                    0, rank, after, length, block, sentinel=sentinel) == (
+                assert scheme.leaf_digest(
+                    sentinel, rank, after, length, block) == (
                     _concatenated(scheme, tag, 0, rank, after, tail))
             root, start = rng.randbytes(scheme.width), rng.randrange(1 << 64)
             assert scheme.version_record(rank, root, start, length) == (
@@ -247,21 +253,9 @@ class TestPackedEncoder:
                               + struct.pack(">QQ", start, length)))
 
     def test_wrong_width_digest_refused(self):
-        good, short, long = SCHEME.zero, bytes(19), bytes(21)
-        for bad in (short, long):
-            for args in ((1, 2, bad, good), (1, 2, good, bad)):
-                with pytest.raises(DomainError):
-                    SCHEME.internal_node(*args)
-            for args in ((0, 2, bad, 2, good), (0, 2, good, 2, bad)):
-                with pytest.raises(DomainError):
-                    SCHEME.leaf_node(*args)
+        for bad in (bytes(19), bytes(21)):
             with pytest.raises(DomainError):
                 SCHEME.version_record(0, bad, 0, 1)
-
-    def test_leaf_level_other_than_zero_refused(self):
-        """The leaf encoding's level field is 0 for every leaf."""
-        with pytest.raises(DomainError, match="level"):
-            SCHEME.leaf_node(1, 2, None, 2, SCHEME.zero)
 
 
 class TestCheckSubtreeLinks:

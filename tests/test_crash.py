@@ -18,9 +18,10 @@ import pytest
 
 from flexstore import cli, core
 from flexstore import repo as repo_mod
-from flexstore.adaptor import DiffEntry, format_diff
+from flexstore.adaptor import DiffEntry
 from flexstore.errors import RepositoryLocked
 from flexstore.repo import Repository
+from helpers import format_diff
 
 SEED = bytes.fromhex("00112233445566778899")
 # The entry straddles a block boundary: a modify, a remove and two
@@ -83,11 +84,11 @@ def _expect(path, version, meta):
         assert repo.latest.version == version + 1
         assert repo.fsck() == []
         # The writer cut what was left past the committed ends.
-        digests = repo.blocks.all_digests()
+        blocks = [block for _digest, block in repo.blocks.scan()]
         assert ((path / INDEX).stat().st_size
-                == len(digests) * (repo.scheme.width + 12))
+                == len(blocks) * (repo.scheme.width + 12))
         assert ((path / PACK).stat().st_size
-                == sum(len(repo.blocks.get(d)) for d in digests))
+                == sum(len(block) for block in blocks))
         assert ((path / NODE_LOG).stat().st_size
                 == repo.store.next_id * repo.store.layout.size)
         assert ((path / "versions.log").stat().st_size

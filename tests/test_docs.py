@@ -1,12 +1,14 @@
-"""The README names the formats the code writes, so a format bump that
-leaves the docs behind fails here."""
+"""The README names the formats the code writes and the commands the
+CLI takes, so a format bump or a command that leaves the docs behind
+fails here."""
 
+import argparse
 import re
 from pathlib import Path
 
 import pytest
 
-from flexstore import audit
+from flexstore import audit, cli
 from flexstore.repo import STORE_FORMAT, Repository
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -38,3 +40,16 @@ def test_readme_gives_record_sizes_of_the_layouts(tmp_path, hash_name,
                            rf"(\d+) with SHA-256\)", text)
         assert stated, record
         assert int(stated.group(1 + column)) == size, record
+
+
+def test_readme_shows_every_command_and_no_other():
+    """The example block under "Command line" runs each subcommand of
+    the CLI's parser, and names none it lacks."""
+    section = README.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    assert all(line.startswith("flexstore --repo r ")
+               for line in block.splitlines())
+    shown = [line.split()[3] for line in block.splitlines()]
+    commands, = (action.choices for action in cli.build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    assert sorted(shown) == sorted(commands)

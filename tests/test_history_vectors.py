@@ -17,9 +17,10 @@ from pathlib import Path
 import pytest
 
 from flexstore import audit
-from flexstore.adaptor import DELETE, INSERT, REPLACE, DiffEntry, format_diff
+from flexstore.adaptor import DELETE, INSERT, REPLACE, DiffEntry
 from flexstore.index2 import VersionIndex
 from flexstore.repo import Repository
+from helpers import format_diff
 
 VECTORS = Path(__file__).parent / "data" / "history_vectors.json"
 SEED = bytes.fromhex("5eed0f1e57a7e5000029")

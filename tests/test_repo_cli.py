@@ -17,28 +17,16 @@ import pytest
 
 from flexstore import adaptor, audit, cli, core, errors, hashing
 from flexstore import repo as repo_mod
-from flexstore.adaptor import DiffEntry, format_diff
+from flexstore.adaptor import DiffEntry
 from flexstore.errors import (BlockTooSmall, DomainError, EmptyCommit,
                               IOFailure, NoSuchVersion, PathExists,
                               ProofRejected, RepositoryLocked,
                               StructureCorrupt)
 from flexstore.index2 import VersionIndex
 from flexstore.repo import STORE_FORMAT, Repository
+from helpers import corrupt_block, format_diff, pack_place, pack_records
 
 SEED_HEX = "00112233445566778899"
-
-
-def pack_records(repo):
-    """The block index as (digest, offset, length) records, read from the
-    file."""
-    raw = (repo.path / "blocks" / "index").read_bytes()
-    return list(struct.iter_unpack(f">{repo.scheme.width}sQI", raw))
-
-
-def pack_place(repo, digest):
-    """(offset, length) of a block in the pack."""
-    return next((offset, length) for d, offset, length in pack_records(repo)
-                if d == digest)
 
 
 def apply_diffs(data, entries):
@@ -191,12 +179,12 @@ class TestCommit:
             repo.commit(b"")
 
     def test_one_byte_replace(self, repo):
-        before_blocks = len(repo.blocks.all_digests())
+        before_blocks = repo.blocks.count
         diff = format_diff([DiffEntry("replace", 100, b"\xff", 1)])
         summary = repo.commit(diff)
         assert summary["version"] == 1
         assert summary["ops"] == 1
-        assert len(repo.blocks.all_digests()) <= before_blocks + 1
+        assert repo.blocks.count <= before_blocks + 1
         data = repo.materialize(1)
         assert data[100] == 0xFF and len(data) == 4096
 
@@ -205,10 +193,10 @@ class TestCommit:
         # to the block store.
         original = repo.materialize(0)
         repo.commit(format_diff([DiffEntry("replace", 0, b"\xaa" * 4, 4)]))
-        count_after_first = len(repo.blocks.all_digests())
+        count_after_first = repo.blocks.count
         repo.commit(format_diff(
             [DiffEntry("replace", 0, original[0:4], 4)]))
-        assert len(repo.blocks.all_digests()) == count_after_first
+        assert repo.blocks.count == count_after_first
 
     def test_each_record_file_opened_for_append_once(self, repo,
                                                      monkeypatch):
@@ -946,7 +934,7 @@ class TestFsck:
         assert repo.fsck() == []
 
     def test_detects_corrupt_block(self, repo):
-        digest = repo.blocks.all_digests()[3]
+        digest = pack_records(repo)[3][0]
         offset, _length = pack_place(repo, digest)
         pack = repo.path / "blocks" / "pack"
         raw = bytearray(pack.read_bytes())
@@ -956,7 +944,7 @@ class TestFsck:
         assert any("content" in p for p in problems)
 
     def test_detects_missing_block(self, repo):
-        digest = repo.blocks.all_digests()[0]
+        digest = pack_records(repo)[0][0]
         offset, _length = pack_place(repo, digest)
         os.truncate(repo.path / "blocks" / "pack", offset)
         assert repo.fsck() != []
@@ -1117,7 +1105,7 @@ class TestFsck:
                                                len(material))]))
             assert scheme.version_record(
                 0, rec.root_digest, rec.update_start, rec.update_length
-            ) in repo.blocks.all_digests()
+            ) in {digest for digest, _block in repo.blocks.scan()}
             assert repo.fsck() == []
 
     def test_decodes_at_most_the_edge(self, repo):
@@ -1746,7 +1734,7 @@ class _FullDisk(io.FileIO):
 
 
 @pytest.mark.parametrize("command", ["log", "checkout", "challenge", "prove",
-                                     "verify", "fsck", "commit", "tamper"])
+                                     "verify", "fsck", "commit"])
 @pytest.mark.parametrize("name", ["versions.log", "nodes/log", "blocks/pack",
                                   "blocks/index"])
 def test_read_error_on_a_store_file(repo, tmp_path, monkeypatch, capsys,
@@ -1767,8 +1755,7 @@ def test_read_error_on_a_store_file(repo, tmp_path, monkeypatch, capsys,
                           "0,1", "--out", str(out)],
             "prove": ["--challenge", str(chf), "--out", str(out)],
             "verify": ["--challenge", str(chf), "--proof", str(prf)],
-            "commit": ["--diff", str(diff)],
-            "tamper": ["--delete-fraction", "1", "--allow-data-loss"]}
+            "commit": ["--diff", str(diff)]}
 
     def run(command):
         shutil.rmtree(work, ignore_errors=True)
@@ -1983,108 +1970,22 @@ def _reach_new(store, roots, first_id):
 
 
 class TestTamper:
-    def test_gated_in_cli(self, repo):
-        code = cli.main(["--repo", str(repo.path), "tamper",
-                         "--delete-fraction", "0.5"])
-        assert code == cli.EXIT_USAGE
-
-    @pytest.mark.parametrize("fraction", ["2", "-0.5", "nan"])
-    def test_bad_fraction_exits_2(self, repo, capsys, fraction):
-        def files():
-            return {p: p.read_bytes() for p in repo.path.rglob("*")
-                    if p.is_file()}
-        before = files()
-        code = cli.main(["--repo", str(repo.path), "tamper",
-                         "--delete-fraction", fraction, "--allow-data-loss"])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_USAGE
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert files() == before   # not even the lock file
-        assert cli.main(["--repo", str(repo.path), "fsck"]) == cli.EXIT_OK
-
-    def test_version_delta_targets_the_update_region(self, repo,
-                                                      monkeypatch):
-        """The blocks a walk from byte 0 finds overlapping each version's
-        update region, on versions made by every kind of entry and on a
-        version emptied to rank 0."""
-        for entries in ([DiffEntry("replace", 300, b"x" * 40, 30)],
-                        [DiffEntry("insert", 1000, b"y" * 700),
-                         DiffEntry("delete", 3000, delete_len=600)],
-                        [DiffEntry("delete", 0, delete_len=100)],
-                        [DiffEntry("insert", 4000, b"z" * 10)]):
-            repo.commit(format_diff(entries))
-        rank = repo.store.get(repo.latest.root).rank
-        repo.commit(format_diff([DiffEntry("delete", 0, delete_len=rank)]))
-
-        def full_walk(version):
-            rec = repo.record(version)
-            targets, end = set(), 0
-            for leaf in core.iter_data_leaves(repo.store, rec.root):
-                start, end = end, end + leaf.length
-                if start >= rec.update_start + rec.update_length:
-                    break
-                if end > rec.update_start:
-                    targets.add(leaf.block)
-            return targets
-        overwritten = []
-        monkeypatch.setattr(repo.blocks, "overwrite",
-                            lambda digest, data: overwritten.append(digest))
-        counts = []
-        for version in range(repo.vindex.count):
-            overwritten.clear()
-            report = repo.tamper(1.0, version=version)
-            assert set(overwritten) == full_walk(version)
-            counts.append(report["targets"])
-        assert counts[0] == 16 and min(counts[1:-1]) > 0 and counts[-1] == 0
-
-    @pytest.mark.parametrize("fraction, targets, corrupted", [
-        (0.5, 1, 1), (0.10, 100, 10), (0.5, 3, 2), (0.25, 2, 1),
-        (0.001, 5, 1), (0.0, 5, 0), (1.0, 0, 0), (1.0, 7, 7)])
-    def test_count_rounds_half_up(self, repo, monkeypatch, fraction, targets,
-                                  corrupted):
-        """Half a block rounds up, and a fraction above 0 corrupts at
-        least one of the targets there are."""
-        digests = [bytes([i]) * 20 for i in range(targets)]
-        overwritten = []
-        monkeypatch.setattr(repo.blocks, "all_digests", lambda: digests)
-        monkeypatch.setattr(repo.blocks, "get", lambda digest: b"block")
-        monkeypatch.setattr(repo.blocks, "overwrite",
-                            lambda digest, data: overwritten.append(digest))
-        report = repo.tamper(fraction, scope="blocks")
-        assert report == {"scope": "blocks", "targets": targets,
-                          "corrupted": corrupted}
-        assert len(set(overwritten)) == corrupted
-
     def test_corruption_detected_by_audit(self, repo):
+        """Every block of the latest version's update region, overwritten
+        in the pack: the prover still answers, and the audit fails."""
         repo.commit(format_diff(
             [DiffEntry("replace", 0, os.urandom(2048), 2048)]))
-        report = repo.tamper(1.0, scope="version-delta", rng_seed=1)
-        assert report["corrupted"] == report["targets"] > 0
+        rec = repo.latest
+        offset, leaves = core.leaves_from(repo.store, rec.root, 0)
+        rng = random.Random(1)
+        for leaf in leaves:
+            if offset >= rec.update_start + rec.update_length:
+                break
+            corrupt_block(repo, leaf.block, rng)
+            offset += leaf.length
         ch = repo.make_challenge(bytes(10), 10, ())
         proof = repo.prove(ch)
-        ok, reason = repo.verify(ch, proof)
-        assert not ok
-
-    def test_write_error_exits_3(self, repo, monkeypatch, capsys):
-        """A failed in-place write to the pack exits 3 with one line."""
-        repo.close()
-        real_open = open
-
-        class FullDisk(io.FileIO):
-            def write(self, _data):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-        def failing_open(file, mode="r", *args, **kwargs):
-            if "+" in mode and str(file).endswith("pack"):
-                return FullDisk(file, mode)
-            return real_open(file, mode, *args, **kwargs)
-        monkeypatch.setattr(repo_mod, "open", failing_open, raising=False)
-        assert cli.main(["--repo", str(repo.path), "tamper",
-                         "--delete-fraction", "1", "--scope", "blocks",
-                         "--allow-data-loss"]) == cli.EXIT_IO
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert os.strerror(errno.ENOSPC) in err
+        assert repo.verify(ch, proof) == (False, "layer-1 digest mismatch")
 
 
 class TestCliPipeline:
@@ -2225,9 +2126,17 @@ class TestCliPipeline:
         b"I 0 1",                                   # header, no newline
         b"I x 1\nz\n",                              # a field not a number
         b"I 0 1\nzz",                               # payload, no newline
+        b"I 1_0 1\nz\n",                            # int() takes these
+        b"I +1 1\nz\n",
+        b"I\t1 1\nz\n",                             # bytes.split() these
+        b"I 1  1\nz\n",
+        b"I 1 1 \nz\n",
+        b"I 1 1\r\nz\n",
     ], ids=["bad header", "truncated payload", "out of range", "overlapping",
             "header without newline", "non-integer field",
-            "payload without newline"])
+            "payload without newline", "underscore in a number",
+            "signed number", "tab", "doubled space", "trailing space",
+            "carriage return"])
     def test_bad_diff_exits_2(self, tmp_path, repo, capsys, diff):
         """A malformed diff is a usage error, as an out-of-range or an
         overlapping one is, and commits nothing."""
